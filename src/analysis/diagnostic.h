@@ -3,8 +3,8 @@
 // Every rule the verifier checks has a stable kebab-case id (the catalog in
 // docs/VERIFIER.md is keyed by it); a Diagnostic pins one violation of one
 // rule to a dependency-graph node and loop-body statement, with a
-// human-readable message and a fix hint. The engine surfaces the first
-// diagnostic of a run through ExecReport::verifier_diagnostic, and the
+// human-readable message and a fix hint. The engine reports a declined
+// trace by its first diagnostic through ExecReport::jit_declined, and the
 // verifier tests assert specific rule ids fire on hand-built malformed
 // programs — so ids are part of the observable contract and must not be
 // renamed casually.
@@ -28,7 +28,7 @@ struct Diagnostic {
 };
 
 /// The outcome of one verifier run: all diagnostics, in detection order
-/// (the first one mirrors what codegen's first decline would report).
+/// (for a trace, the first one is the decline the VM reports).
 struct VerifyResult {
   std::vector<Diagnostic> diagnostics;
 

@@ -21,20 +21,20 @@ using dsl::StmtPtr;
 using ir::ArgKind;
 using ir::DepGraph;
 using ir::DepNode;
-using ir::PrimProgram;
 using ir::Trace;
 
-/// Mirrors jit::TraceEmitter's analysis passes (codegen.cc), emitting a
-/// rule-id'd Diagnostic wherever codegen would decline. The pass order and
-/// per-node iteration order match codegen exactly so the verifier's FIRST
-/// diagnostic corresponds to the decline message the VM would report.
+/// Runs every compilability rule over one trace, emitting a rule-id'd
+/// Diagnostic per violation and recording the facts code generation emits
+/// from (TraceFacts). Passes run in a fixed order — statements, selection
+/// dependence, per-node shape, boundary, value arguments — so the FIRST
+/// diagnostic is the decline the VM reports.
 class TraceVerifier {
  public:
   TraceVerifier(const dsl::Program& program, const DepGraph& graph,
                 const Trace& trace, const TraceContext& ctx,
-                VerifyResult* out)
+                TraceVerification* out)
       : program_(program), graph_(graph), trace_(trace), ctx_(ctx),
-        out_(out) {}
+        out_(out), facts_(out->facts) {}
 
   void Run() {
     AnalyzeStatements();
@@ -62,18 +62,21 @@ class TraceVerifier {
 
   bool InTrace(uint32_t id) const { return trace_node_set_.contains(id); }
   bool SelDependent(uint32_t id) const {
-    return sel_dependent_.contains(id);
+    return facts_.sel_dependent.contains(id);
   }
+  /// Whether `node_id` consumes the filter found so far, directly or
+  /// through in-trace nodes.
   bool DependsOnFilter(uint32_t node_id) const {
-    if (filter_node_ < 0) return false;
-    if (node_id == static_cast<uint32_t>(filter_node_)) return false;
+    const int filter = facts_.filter_node;
+    if (filter < 0) return false;
+    if (node_id == static_cast<uint32_t>(filter)) return false;
     std::vector<uint32_t> stack{node_id};
     std::set<uint32_t> seen;
     while (!stack.empty()) {
       uint32_t id = stack.back();
       stack.pop_back();
       for (uint32_t in : graph_.nodes()[id].inputs) {
-        if (in == static_cast<uint32_t>(filter_node_)) return true;
+        if (in == static_cast<uint32_t>(filter)) return true;
         if (seen.insert(in).second && InTrace(in)) stack.push_back(in);
       }
     }
@@ -91,16 +94,15 @@ class TraceVerifier {
   const DepGraph& graph_;
   const Trace& trace_;
   const TraceContext& ctx_;
-  VerifyResult* out_;
+  TraceVerification* out_;
+  TraceFacts& facts_;
 
   std::unordered_set<uint32_t> trace_node_set_;
   std::unordered_map<const Expr*, uint32_t> expr_to_node_;
-  std::unordered_map<std::string, TypeId> let_types_;
+  /// (body-statement ordinal, var) of every scalar assignment in the loop
+  /// body — the capture-freshness rules.
   std::vector<std::pair<uint32_t, std::string>> body_assigns_;
-  std::unordered_set<uint32_t> sel_dependent_;
-  std::set<std::string> active_sel_inputs_;
   bool sel_mode_ = false;
-  int filter_node_ = -1;
 };
 
 void TraceVerifier::AnalyzeStatements() {
@@ -119,7 +121,7 @@ void TraceVerifier::AnalyzeStatements() {
       [&](const std::vector<StmtPtr>& stmts) {
         for (const auto& s : stmts) {
           if (s->kind == StmtKind::kLet && s->expr) {
-            let_types_[s->var] = s->expr->type;
+            facts_.let_types[s->var] = s->expr->type;
           }
           collect(s->body);
           collect(s->else_body);
@@ -141,8 +143,8 @@ void TraceVerifier::AnalyzeStatements() {
   }
 
   // Statement coverage: a trace must cover every skeleton node of each
-  // statement it touches, and at least one statement overall.
-  bool found_any = false;
+  // statement it touches, and at least one statement overall. The first
+  // covered statement anchors the injection.
   for (const auto& s : *body) {
     if (s->expr == nullptr) continue;
     std::vector<uint32_t> stmt_nodes;
@@ -159,7 +161,8 @@ void TraceVerifier::AnalyzeStatements() {
       if (InTrace(id)) ++inside;
     }
     if (inside == 0) continue;
-    found_any = true;
+    if (facts_.covered_stmt_ids.empty()) facts_.anchor_stmt_id = s->id;
+    facts_.covered_stmt_ids.push_back(s->id);
     if (inside != stmt_nodes.size()) {
       Add("trace-stmt-alignment",
           "trace does not align with statement boundaries (a statement's "
@@ -168,26 +171,30 @@ void TraceVerifier::AnalyzeStatements() {
           static_cast<int>(stmt_nodes.front()));
     }
   }
-  if (!found_any) {
+  if (facts_.covered_stmt_ids.empty()) {
     Add("trace-empty", "trace covers no statements",
         "a compilable trace must cover at least one loop-body statement");
   }
 }
 
 void TraceVerifier::ComputeSelDependence() {
+  // The selection-carrying inputs this trace actually consumes: chunk-var
+  // inputs (non-data boundary names) the VM observed a selection on.
   for (const auto& name : trace_.inputs) {
     if (program_.FindData(name) != nullptr) continue;
-    if (ctx_.sel_inputs.contains(name)) active_sel_inputs_.insert(name);
+    if (ctx_.sel_inputs.contains(name)) facts_.sel_inputs.insert(name);
   }
-  sel_mode_ = !active_sel_inputs_.empty();
+  sel_mode_ = !facts_.sel_inputs.empty();
   if (!sel_mode_) return;
 
+  // A node is selection-dependent when it references a selection-carrying
+  // chunk input or consumes an in-trace node that is. trace_.node_ids is in
+  // topological order, so one pass suffices.
   for (uint32_t id : trace_.node_ids) {
     const DepNode& n = graph_.nodes()[id];
     bool dep = false;
     std::function<void(const Expr&)> walk = [&](const Expr& e) {
-      if (e.kind == ExprKind::kVarRef &&
-          active_sel_inputs_.contains(e.var)) {
+      if (e.kind == ExprKind::kVarRef && facts_.sel_inputs.contains(e.var)) {
         dep = true;
       }
       for (const auto& a : e.args) {
@@ -198,12 +205,15 @@ void TraceVerifier::ComputeSelDependence() {
     for (uint32_t in : n.inputs) {
       if (InTrace(in) && SelDependent(in)) dep = true;
     }
-    if (dep) sel_dependent_.insert(id);
+    if (dep) facts_.sel_dependent.insert(id);
   }
 }
 
 void TraceVerifier::Validate() {
-  // Statement convexity (the stale-selection miscompile family).
+  // Statement convexity (the stale-selection miscompile family): the trace
+  // runs all at once at its anchor statement, so every value entering it
+  // must be produced before that statement. The partitioner keeps its
+  // regions convex with the same helper; this rule covers every trace.
   const int violation = ir::StmtConvexityViolation(graph_, trace_.node_ids);
   if (violation >= 0) {
     Add("trace-not-convex",
@@ -217,7 +227,9 @@ void TraceVerifier::Validate() {
 
   // Capture freshness (the stale-cursor miscompile family): the harness
   // resolves captured scalars BEFORE the call, so a capture produced or
-  // reassigned inside the covered span would be one iteration stale.
+  // reassigned inside the covered span would be one iteration stale. One
+  // produced or assigned AFTER the span is loop-carried: interpretation
+  // reads the previous iteration's value at the covered statements too.
   uint32_t anchor = UINT32_MAX, last = 0;
   for (uint32_t id : trace_.node_ids) {
     anchor = std::min(anchor, graph_.nodes()[id].stmt_index);
@@ -268,9 +280,9 @@ void TraceVerifier::Validate() {
     }
   }
 
-  // Per-node shape rules, in trace order. filter_node_ is discovered
-  // mid-walk exactly as codegen does, so a scatter BEFORE the filter sees
-  // restriction levels without filter knowledge — same as the decline side.
+  // Per-node shape rules, in trace order. The filter node is recorded when
+  // the walk reaches it; in the partitioner's topological order, nodes
+  // before it cannot depend on it.
   int filters = 0;
   for (uint32_t id : trace_.node_ids) {
     const DepNode& n = graph_.nodes()[id];
@@ -281,6 +293,8 @@ void TraceVerifier::Validate() {
       case SkeletonKind::kWrite:
         break;
       case SkeletonKind::kGather: {
+        // Compiled gathers bounds-check each index against the base length
+        // in the frame; a chunk-array base's length is not in the frame.
         const Expr& base = *n.expr->args[0];
         if (base.kind != ExprKind::kVarRef ||
             program_.FindData(base.var) == nullptr) {
@@ -303,6 +317,9 @@ void TraceVerifier::Validate() {
               static_cast<int>(id));
           break;
         }
+        // The conflict function (none = overwrite) must normalize to one
+        // add/min/max of (old, new) — the interpreter's kernel restriction.
+        ScalarOp combine = ScalarOp::kCast;
         if (n.expr->args.size() == 4) {
           auto prog = ir::Normalize(*n.expr->args[3],
                                     {program_.FindData(dest.var)->type,
@@ -318,7 +335,9 @@ void TraceVerifier::Validate() {
               prog.ValueOrDie().instrs[0].args[0].index == 0 &&
               prog.ValueOrDie().instrs[0].args[1].kind == ArgKind::kInput &&
               prog.ValueOrDie().instrs[0].args[1].index == 1;
-          if (!ok) {
+          if (ok) {
+            combine = prog.ValueOrDie().instrs[0].op;
+          } else {
             Add("scatter-conflict-fn",
                 "scatter conflict function must be a single add/min/max of "
                 "(old, new)",
@@ -326,13 +345,14 @@ void TraceVerifier::Validate() {
                 static_cast<int>(id));
           }
         }
+        facts_.scatter_combine[id] = combine;
         // Index-domain agreement (the scatter index-domain miscompile
         // family): the interpreter iterates the INDEX's selection, the
         // compiled loop iterates the node's restriction — they must match.
         auto restriction = [&](const Expr& a) -> int {
           int prod = -1;
           if (a.kind == ExprKind::kVarRef) {
-            if (active_sel_inputs_.contains(a.var)) return 1;
+            if (facts_.sel_inputs.contains(a.var)) return 1;
             prod = graph_.ProducerOf(a.var);
           } else if (a.kind == ExprKind::kSkeleton) {
             auto it = expr_to_node_.find(&a);
@@ -360,7 +380,7 @@ void TraceVerifier::Validate() {
       }
       case SkeletonKind::kFilter:
         ++filters;
-        filter_node_ = static_cast<int>(id);
+        facts_.filter_node = static_cast<int>(id);
         for (uint32_t c : n.consumers) {
           if (!InTrace(c)) {
             Add("filter-sel-escape", "filter output escapes the trace",
@@ -413,7 +433,10 @@ void TraceVerifier::Validate() {
         "the fused loop carries a single guard; split the trace at the "
         "second filter");
   }
-  if (sel_mode_ && filter_node_ >= 0) {
+  for (uint32_t id : trace_.node_ids) {
+    if (DependsOnFilter(id)) facts_.filter_dependent.insert(id);
+  }
+  if (sel_mode_ && facts_.filter_node >= 0) {
     // The sel-republish-bypass miscompile family: with an in-trace filter,
     // condensed stores share the guard — a selection-carrying write or
     // condense that bypasses the filter would store only guard survivors
@@ -422,7 +445,7 @@ void TraceVerifier::Validate() {
       const DepNode& n = graph_.nodes()[id];
       if ((n.kind == SkeletonKind::kWrite ||
            n.kind == SkeletonKind::kCondense) &&
-          SelDependent(id) && !DependsOnFilter(id)) {
+          SelDependent(id) && !facts_.filter_dependent.contains(id)) {
         Add("condense-bypass",
             "write/condense of a selection-carrying value that bypasses "
             "the in-trace filter",
@@ -445,7 +468,8 @@ void TraceVerifier::Validate() {
     for (const auto& o : trace_.outputs) {
       if (o == name) escapes = true;
     }
-    if (escapes && DependsOnFilter(id) && n.kind != SkeletonKind::kCondense) {
+    if (escapes && facts_.filter_dependent.contains(id) &&
+        n.kind != SkeletonKind::kCondense) {
       Add("postfilter-escape-no-condense",
           "post-filter value escapes the trace without condense",
           "condense the survivors before they leave the trace",
@@ -458,7 +482,7 @@ void TraceVerifier::CheckInputsOutputs() {
   // Chunk-variable inputs must be let-bound (known element type).
   for (const auto& name : trace_.inputs) {
     if (program_.FindData(name) != nullptr) continue;
-    if (!let_types_.contains(name)) {
+    if (!facts_.let_types.contains(name)) {
       Add("input-unknown",
           StrFormat("unknown trace input '%s' (not a data array, not "
                     "let-bound)",
@@ -529,7 +553,6 @@ void TraceVerifier::CheckValueArgs() {
     const Expr& e = *n.expr;
     auto normalize = [&](const Expr& lambda, std::vector<TypeId> in_types,
                          const char* what) {
-      if (lambda.kind != ExprKind::kLambda) return;
       auto r = ir::Normalize(lambda, in_types);
       if (!r.ok()) {
         Add("prim-normalize",
@@ -591,9 +614,15 @@ void TraceVerifier::CheckValueArgs() {
 
 }  // namespace
 
-VerifyResult VerifyTrace(const dsl::Program& program, const DepGraph& graph,
-                         const Trace& trace, const TraceContext& ctx) {
-  VerifyResult result;
+Status TraceVerification::AsStatus() const {
+  if (clean()) return Status::OK();
+  return Status::NotImplemented(diagnostics.front().ToString());
+}
+
+TraceVerification VerifyTrace(const dsl::Program& program,
+                              const DepGraph& graph, const Trace& trace,
+                              const TraceContext& ctx) {
+  TraceVerification result;
   TraceVerifier(program, graph, trace, ctx, &result).Run();
   return result;
 }

@@ -141,29 +141,19 @@ struct ExecReport {
   uint64_t tier_upgrades = 0;
 
   /// Non-empty when the adaptive VM considered a hot trace but declined to
-  /// compile it (first reason observed). The trace ABI passes selections
-  /// in, scalar state out, and a bounds status (docs/TRACE_ABI.md), so
-  /// gather/scatter traces, let-bound write counts, and selection-carrying
-  /// inputs all compile; what remains declined are the genuinely
-  /// unsupported shapes the ABI spec enumerates (merge/gen skeletons,
-  /// expand fan-outs with data-dependent output lengths, chunk-array
-  /// gather bases, multi-filter traces, exotic scatter conflict
-  /// functions, non-affine positions). The query still completes
-  /// — uncompiled fragments run vectorized-interpreted — but the decline
-  /// is reported instead of silently looking like "nothing was hot".
+  /// compile it (first reason observed). A shape decline is the JIT gate's
+  /// first diagnostic, rule id included ("[expand-in-trace] ..."); the rule
+  /// table in docs/VERIFIER.md lists the genuinely unsupported shapes
+  /// (merge/gen skeletons, chunk-array gather bases, multi-filter traces,
+  /// exotic scatter conflict functions, non-affine positions, ...). The
+  /// query still completes — uncompiled fragments run
+  /// vectorized-interpreted — but the decline is reported instead of
+  /// silently looking like "nothing was hot".
   std::string jit_declined;
 
-  /// Static-verifier activity, summed across workers (docs/VERIFIER.md):
-  /// candidate traces analysis::VerifyTrace checked ahead of codegen,
-  /// traces it rejected, and decline-contract disagreements (codegen
-  /// accepted a verifier-dirty trace or declined a clean one) — the
-  /// differential harness asserts the disagreement counter stays zero.
-  /// verifier_diagnostic is the first diagnostic observed (program- or
-  /// trace-level), empty when everything verified clean.
+  /// Candidate traces the JIT gate (analysis::VerifyTrace) checked,
+  /// summed across workers.
   uint64_t verifier_checked = 0;
-  uint64_t verifier_rejects = 0;
-  uint64_t verifier_disagreements = 0;
-  std::string verifier_diagnostic;
 
   /// Fig. 1 state-machine timeline and profiler dump of the worker that
   /// executed the first morsel (representative; per-worker dumps would be

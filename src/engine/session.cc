@@ -517,11 +517,6 @@ void MergeVmReport(const vm::VmReport& in, ExecReport* out) {
   out->tier_upgrades_requested += in.tier_upgrades_requested;
   out->tier_upgrades += in.tier_upgrades;
   out->verifier_checked += in.verifier_checked;
-  out->verifier_rejects += in.verifier_rejects;
-  out->verifier_disagreements += in.verifier_disagreements;
-  if (out->verifier_diagnostic.empty()) {
-    out->verifier_diagnostic = in.verifier_diagnostic;
-  }
 }
 
 /// Row-partitioning is only sound when every data access tracks the input

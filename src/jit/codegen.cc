@@ -1,6 +1,5 @@
 #include "jit/codegen.h"
 
-#include <set>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -24,8 +23,8 @@ Result<PosRef> PosRef::From(const dsl::Expr& e) {
     p.var = e.var;
     return p;
   }
-  return Status::NotImplemented(
-      "read/write position must be a variable or constant for compilation");
+  return Status::Internal(
+      "position is neither a variable nor a constant (rule pos-not-affine)");
 }
 
 namespace {
@@ -34,8 +33,6 @@ using dsl::Expr;
 using dsl::ExprKind;
 using dsl::ScalarOp;
 using dsl::SkeletonKind;
-using dsl::StmtKind;
-using dsl::StmtPtr;
 using ir::ArgKind;
 using ir::DepGraph;
 using ir::DepNode;
@@ -46,6 +43,18 @@ using ir::Trace;
 // C type used in generated code (bool buffers are uint8).
 const char* CType(TypeId t) {
   return t == TypeId::kBool ? "unsigned char" : TypeCName(t);
+}
+
+// ir::Normalize of a lambda the verifier already normalized (rule
+// prim-normalize): a failure here is an internal error, not a decline.
+Result<PrimProgram> NormalizeVerified(const Expr& lambda,
+                                      const std::vector<TypeId>& in_types) {
+  Result<PrimProgram> prog = ir::Normalize(lambda, in_types);
+  if (!prog.ok()) {
+    return Status::Internal("verified lambda does not normalize: " +
+                            prog.status().message());
+  }
+  return prog;
 }
 
 // The scalar helper library every generated translation unit carries,
@@ -132,23 +141,21 @@ struct TraceCallArgs {
 // Emission context
 // ---------------------------------------------------------------------------
 
+/// Emits one verified trace. Every structural fact comes from the
+/// verifier (analysis::TraceFacts); a shape that verification rules
+/// out is an Internal error here, never a decline.
 class TraceEmitter {
  public:
   TraceEmitter(const dsl::Program& program, const DepGraph& graph,
-               const Trace& trace, const CodegenOptions& options)
-      : program_(program), graph_(graph), trace_(trace), options_(options) {}
+               const Trace& trace, const analysis::TraceFacts& facts,
+               const CodegenOptions& options)
+      : program_(program), graph_(graph), trace_(trace), facts_(facts),
+        options_(options), sel_mode_(!facts.sel_inputs.empty()) {}
 
   Result<GeneratedTrace> Run();
 
  private:
-  // --- analysis -------------------------------------------------------------
-  Status AnalyzeStatements();
-  void ComputeSelDependence();
-  Status Validate();
-  Status ValidateCaptureFreshness();
   Status AssignInputsOutputs();
-
-  // --- emission -------------------------------------------------------------
   Status EmitNodes();
   Result<std::string> ValueOf(uint32_t node_id);
   Result<std::string> EmitNodeValue(const DepNode& node);
@@ -161,9 +168,11 @@ class TraceEmitter {
   bool InTrace(uint32_t node_id) const {
     return trace_node_set_.contains(node_id);
   }
-  bool DependsOnFilter(uint32_t node_id) const;
+  bool DependsOnFilter(uint32_t node_id) const {
+    return facts_.filter_dependent.contains(node_id);
+  }
   bool SelDependent(uint32_t node_id) const {
-    return sel_dependent_.contains(node_id);
+    return facts_.sel_dependent.contains(node_id);
   }
   /// True when `node_id`'s work belongs in the positional pass: the trace is
   /// selection-specialized but the node is independent of every
@@ -188,25 +197,18 @@ class TraceEmitter {
   const dsl::Program& program_;
   const DepGraph& graph_;
   const Trace& trace_;
+  const analysis::TraceFacts& facts_;
   const CodegenOptions& options_;
+  const bool sel_mode_;  ///< selection-carrying variant
 
   GeneratedTrace out_;
   std::unordered_set<uint32_t> trace_node_set_;
   std::unordered_map<const Expr*, uint32_t> expr_to_node_;
-  std::unordered_map<std::string, TypeId> let_types_;  // name -> element type
-  /// (body-statement ordinal, var) of every scalar assignment in the loop
-  /// body — capture-freshness analysis (see ValidateCaptureFreshness).
-  std::vector<std::pair<uint32_t, std::string>> body_assigns_;
   std::unordered_map<std::string, size_t> input_slot_;  // spec name key -> idx
   std::unordered_map<uint32_t, size_t> node_out_slot_;  // write/scatter node
-  std::unordered_map<uint32_t, ScalarOp> scatter_combine_;  // from Validate
   std::unordered_map<uint32_t, std::string> node_value_;      // guarded loop
   std::unordered_map<uint32_t, std::string> node_value_pos_;  // positional
   std::unordered_map<std::string, size_t> cap_i_slot_, cap_f_slot_;
-  std::unordered_set<uint32_t> sel_dependent_;
-  std::set<std::string> active_sel_inputs_;  // chunk inputs carrying a sel
-  bool sel_mode_ = false;
-  int filter_node_ = -1;
   bool post_filter_mode_ = false;
   bool in_pos_loop_ = false;
   std::ostringstream decls_;    // pre-loop declarations
@@ -218,394 +220,6 @@ class TraceEmitter {
   std::ostringstream tail_;     // post-loop stores
   int temp_counter_ = 0;
 };
-
-Status TraceEmitter::AnalyzeStatements() {
-  for (uint32_t id : trace_.node_ids) trace_node_set_.insert(id);
-  for (const auto& n : graph_.nodes()) expr_to_node_[n.expr] = n.id;
-
-  // Locate the loop body (the graph was built from it).
-  const std::vector<StmtPtr>* body = &program_.stmts;
-  for (const auto& s : program_.stmts) {
-    if (s->kind == StmtKind::kLoop) {
-      body = &s->body;
-      break;
-    }
-  }
-
-  // Element types of let-bound values (for chunk-var inputs).
-  std::function<void(const std::vector<StmtPtr>&)> collect =
-      [&](const std::vector<StmtPtr>& stmts) {
-        for (const auto& s : stmts) {
-          if (s->kind == StmtKind::kLet && s->expr) {
-            let_types_[s->var] = s->expr->type;
-          }
-          collect(s->body);
-          collect(s->else_body);
-        }
-      };
-  collect(program_.stmts);
-
-  // Scalar assignments per body-statement ordinal (the same ordinals
-  // DepGraph::Build stamps into DepNode::stmt_index), including those
-  // nested in if-bodies.
-  uint32_t ord = 0;
-  for (const auto& s : *body) {
-    std::function<void(const dsl::Stmt&)> scan = [&](const dsl::Stmt& st) {
-      if (st.kind == StmtKind::kAssign || st.kind == StmtKind::kMutDef) {
-        body_assigns_.emplace_back(ord, st.var);
-      }
-      for (const auto& c : st.body) scan(*c);
-      for (const auto& c : st.else_body) scan(*c);
-    };
-    scan(*s);
-    ++ord;
-  }
-
-  // Statement coverage: every stmt whose skeleton nodes are all in the
-  // trace is covered; partially covered statements are rejected.
-  bool found_anchor = false;
-  for (const auto& s : *body) {
-    if (s->expr == nullptr) continue;
-    std::vector<uint32_t> stmt_nodes;
-    std::function<void(const Expr&)> walk = [&](const Expr& e) {
-      auto it = expr_to_node_.find(&e);
-      if (it != expr_to_node_.end()) stmt_nodes.push_back(it->second);
-      for (const auto& a : e.args) walk(*a);
-      if (e.body) walk(*e.body);
-    };
-    walk(*s->expr);
-    if (stmt_nodes.empty()) continue;
-    size_t inside = 0;
-    for (uint32_t id : stmt_nodes) {
-      if (InTrace(id)) ++inside;
-    }
-    if (inside == 0) continue;
-    if (inside != stmt_nodes.size()) {
-      return Status::InvalidArgument(
-          "trace does not align with statement boundaries");
-    }
-    out_.covered_stmt_ids.push_back(s->id);
-    if (!found_anchor) {
-      out_.anchor_stmt_id = s->id;
-      found_anchor = true;
-    }
-  }
-  if (!found_anchor) {
-    return Status::InvalidArgument("trace covers no statements");
-  }
-  return Status::OK();
-}
-
-void TraceEmitter::ComputeSelDependence() {
-  // The selection-carrying inputs this trace actually consumes: chunk-var
-  // inputs (non-data boundary names) the VM observed a selection on.
-  for (const auto& name : trace_.inputs) {
-    if (program_.FindData(name) != nullptr) continue;
-    if (options_.sel_inputs.contains(name)) active_sel_inputs_.insert(name);
-  }
-  sel_mode_ = !active_sel_inputs_.empty();
-  if (!sel_mode_) return;
-  out_.sel_inputs.assign(active_sel_inputs_.begin(),
-                         active_sel_inputs_.end());
-
-  // A node is selection-dependent when it references a selection-carrying
-  // chunk input or consumes an in-trace node that is. trace_.node_ids is in
-  // topological order, so one pass suffices.
-  for (uint32_t id : trace_.node_ids) {
-    const DepNode& n = graph_.nodes()[id];
-    bool dep = false;
-    std::function<void(const Expr&)> walk = [&](const Expr& e) {
-      if (e.kind == ExprKind::kVarRef &&
-          active_sel_inputs_.contains(e.var)) {
-        dep = true;
-      }
-      for (const auto& a : e.args) {
-        if (a->kind != ExprKind::kLambda) walk(*a);
-      }
-    };
-    walk(*n.expr);
-    for (uint32_t in : n.inputs) {
-      if (InTrace(in) && SelDependent(in)) dep = true;
-    }
-    if (dep) sel_dependent_.insert(id);
-  }
-}
-
-Status TraceEmitter::ValidateCaptureFreshness() {
-  // The harness resolves captured scalars from the environment BEFORE the
-  // call, so a capture whose value is produced or reassigned inside the
-  // trace's statement span would feed the PREVIOUS iteration's value into
-  // the compiled code while interpretation uses the fresh one — the
-  // scalar sibling of the statement-convexity hazard. (Assignments AFTER
-  // the last covered statement are fine: interpretation also reads the
-  // pre-assignment value at the covered statements.)
-  uint32_t anchor = UINT32_MAX, last = 0;
-  for (uint32_t id : trace_.node_ids) {
-    anchor = std::min(anchor, graph_.nodes()[id].stmt_index);
-    last = std::max(last, graph_.nodes()[id].stmt_index);
-  }
-
-  // Free scalar references of the covered expressions (lambda parameters
-  // are bound, not captured).
-  std::set<std::string> captures;
-  std::function<void(const Expr&, std::set<std::string>&)> walk =
-      [&](const Expr& e, std::set<std::string>& bound) {
-        if (e.kind == ExprKind::kVarRef) {
-          if (e.shape == dsl::Shape::kScalar && !bound.contains(e.var)) {
-            captures.insert(e.var);
-          }
-          return;
-        }
-        if (e.kind == ExprKind::kLambda) {
-          std::set<std::string> inner = bound;
-          for (const auto& p : e.params) inner.insert(p);
-          if (e.body) walk(*e.body, inner);
-          return;
-        }
-        for (const auto& a : e.args) walk(*a, bound);
-        if (e.body) walk(*e.body, bound);
-      };
-  std::set<std::string> no_bound;
-  for (uint32_t id : trace_.node_ids) {
-    walk(*graph_.nodes()[id].expr, no_bound);
-  }
-
-  for (const std::string& name : captures) {
-    // A producer strictly AFTER the span is loop-carried: interpretation
-    // reads the previous iteration's value at the covered statements too,
-    // so the pre-call capture is consistent and may compile.
-    const int prod = graph_.ProducerOf(name);
-    if (prod >= 0 &&
-        graph_.nodes()[static_cast<size_t>(prod)].stmt_index >= anchor &&
-        graph_.nodes()[static_cast<size_t>(prod)].stmt_index <= last) {
-      return Status::NotImplemented(StrFormat(
-          "captured scalar '%s' is produced inside the trace's statement "
-          "span (the capture would be one iteration stale)",
-          name.c_str()));
-    }
-    for (const auto& [ord, var] : body_assigns_) {
-      if (var == name && ord >= anchor && ord <= last) {
-        return Status::NotImplemented(StrFormat(
-            "captured scalar '%s' is reassigned inside the trace's "
-            "statement span (the capture would be stale)",
-            name.c_str()));
-      }
-    }
-  }
-  return Status::OK();
-}
-
-bool TraceEmitter::DependsOnFilter(uint32_t node_id) const {
-  if (filter_node_ < 0) return false;
-  if (node_id == static_cast<uint32_t>(filter_node_)) return false;
-  // DFS towards inputs.
-  std::vector<uint32_t> stack{node_id};
-  std::set<uint32_t> seen;
-  while (!stack.empty()) {
-    uint32_t id = stack.back();
-    stack.pop_back();
-    for (uint32_t in : graph_.nodes()[id].inputs) {
-      if (in == static_cast<uint32_t>(filter_node_)) return true;
-      if (seen.insert(in).second && InTrace(in)) stack.push_back(in);
-    }
-  }
-  return false;
-}
-
-Status TraceEmitter::Validate() {
-  // Statement convexity: the trace executes all-at-once at its anchor
-  // statement, so every value entering it must be produced BEFORE that
-  // statement. An input produced by an interpreted statement between the
-  // covered ones (e.g. a filter the partition excluded) would still hold
-  // the previous iteration's value — the stale-selection miscompile the
-  // differential harness caught. The partitioner keeps regions convex
-  // with the same helper (ir::GreedyPartition); this is the decline-side
-  // guarantee.
-  const int violation = ir::StmtConvexityViolation(graph_, trace_.node_ids);
-  if (violation >= 0) {
-    return Status::InvalidArgument(
-        StrFormat("the trace is not statement-convex: it conflicts with "
-                  "'%s' across its statement span (stale-value hazard)",
-                  graph_.nodes()[static_cast<size_t>(violation)]
-                      .label.c_str()));
-  }
-  AVM_RETURN_NOT_OK(ValidateCaptureFreshness());
-
-  int filters = 0;
-  for (uint32_t id : trace_.node_ids) {
-    const DepNode& n = graph_.nodes()[id];
-    switch (n.kind) {
-      case SkeletonKind::kRead:
-      case SkeletonKind::kMap:
-      case SkeletonKind::kFold:
-      case SkeletonKind::kWrite:
-        break;
-      case SkeletonKind::kGather: {
-        // The generated code bounds-checks every index against the base
-        // length (TraceCallArgs::in_lens) and reports a TraceFault, so the
-        // compiled path fails exactly like the interpreter's check. Only
-        // whole data arrays can be bases: a chunk-array base would need the
-        // producing chunk's dynamic length in the frame.
-        const Expr& base = *n.expr->args[0];
-        if (base.kind != ExprKind::kVarRef ||
-            program_.FindData(base.var) == nullptr) {
-          return Status::NotImplemented(
-              "gather base must be a data array (chunk-array bases stay "
-              "interpreted)");
-        }
-        break;
-      }
-      case SkeletonKind::kScatter: {
-        const Expr& dest = *n.expr->args[0];
-        if (dest.kind != ExprKind::kVarRef ||
-            program_.FindData(dest.var) == nullptr) {
-          return Status::NotImplemented(
-              "scatter destination must be a data array");
-        }
-        ScalarOp combine = ScalarOp::kCast;  // sentinel: overwrite
-        if (n.expr->args.size() == 4) {
-          // Mirror the interpreter's restriction: the conflict function
-          // must normalize to one add/min/max of (old, new).
-          AVM_ASSIGN_OR_RETURN(
-              PrimProgram prog,
-              ir::Normalize(*n.expr->args[3],
-                            {program_.FindData(dest.var)->type,
-                             n.expr->args[2]->type}));
-          const bool ok =
-              prog.instrs.size() == 1 && prog.result_is_input < 0 &&
-              (prog.instrs[0].op == ScalarOp::kAdd ||
-               prog.instrs[0].op == ScalarOp::kMin ||
-               prog.instrs[0].op == ScalarOp::kMax) &&
-              prog.instrs[0].num_args == 2 &&
-              prog.instrs[0].args[0].kind == ArgKind::kInput &&
-              prog.instrs[0].args[0].index == 0 &&
-              prog.instrs[0].args[1].kind == ArgKind::kInput &&
-              prog.instrs[0].args[1].index == 1;
-          if (!ok) {
-            return Status::NotImplemented(
-                "scatter conflict function must be a single add/min/max of "
-                "(old, new)");
-          }
-          combine = prog.instrs[0].op;
-        }
-        scatter_combine_[id] = combine;
-        // The interpreter iterates a scatter over the INDEX array's
-        // selection; the compiled loop iterates the node's overall
-        // restriction (guard survivors / selected rows / all rows). The
-        // two only agree when the index carries the node's restriction —
-        // e.g. a positional index with selection-carrying values would
-        // scatter all rows interpreted but only selected rows compiled.
-        auto restriction = [&](const Expr& a) -> int {
-          int prod = -1;
-          if (a.kind == ExprKind::kVarRef) {
-            if (active_sel_inputs_.contains(a.var)) return 1;
-            prod = graph_.ProducerOf(a.var);
-          } else if (a.kind == ExprKind::kSkeleton) {
-            auto it = expr_to_node_.find(&a);
-            if (it != expr_to_node_.end()) prod = static_cast<int>(it->second);
-          }
-          if (prod < 0 || !InTrace(static_cast<uint32_t>(prod))) return 0;
-          const uint32_t p = static_cast<uint32_t>(prod);
-          if (DependsOnFilter(p)) return 2;
-          return SelDependent(p) ? 1 : 0;
-        };
-        const int node_level = DependsOnFilter(id) ? 2
-                               : SelDependent(id) ? 1
-                                                  : 0;
-        if (restriction(*n.expr->args[1]) != node_level) {
-          return Status::NotImplemented(
-              "scatter index selection must match the scatter's iteration "
-              "domain (the interpreter iterates the index's selection)");
-        }
-        break;
-      }
-      case SkeletonKind::kFilter:
-        ++filters;
-        filter_node_ = static_cast<int>(id);
-        // Every consumer must be in-trace (selection vectors do not cross
-        // the compiled-code boundary).
-        for (uint32_t c : n.consumers) {
-          if (!InTrace(c)) {
-            return Status::InvalidArgument(
-                "filter output escapes the trace");
-          }
-        }
-        // In a selection-specialized trace a positional-input filter would
-        // mint a selection unrelated to the incoming one; interpretation
-        // rejects combining those, so the trace declines the shape.
-        if (sel_mode_ && !SelDependent(id)) {
-          return Status::NotImplemented(
-              "filter over a positional input cannot join a "
-              "selection-carrying trace");
-        }
-        break;
-      case SkeletonKind::kCondense: {
-        // Input must be the in-trace filter, or (in a selection-carrying
-        // trace) any selection-dependent value — both append under `cnt`.
-        const bool from_filter =
-            n.inputs.size() == 1 && InTrace(n.inputs[0]) &&
-            graph_.nodes()[n.inputs[0]].kind == SkeletonKind::kFilter;
-        if (!from_filter && !(sel_mode_ && SelDependent(id))) {
-          return Status::InvalidArgument(
-              "condense without its filter (or a selection-carrying input) "
-              "in the same trace");
-        }
-        break;
-      }
-      case SkeletonKind::kExpand:
-        // A fan-out's output length is data-dependent (sum of counts) and
-        // can exceed the chunk window, so the fixed-width trace ABI cannot
-        // carry it. The depgraph already marks expand ineligible; this case
-        // keeps the decline explicit should a trace ever reach codegen.
-        return Status::NotImplemented(
-            "expand fan-out has a data-dependent output length (hash-join "
-            "probe stays interpreted)");
-      default:
-        return Status::NotImplemented(
-            StrFormat("skeleton %s not supported in compiled traces",
-                      dsl::SkeletonName(n.kind)));
-    }
-  }
-  if (filters > 1) {
-    return Status::NotImplemented("more than one filter per trace");
-  }
-  if (sel_mode_ && filter_node_ >= 0) {
-    // With an in-trace filter, condensed stores share the guard and the
-    // `cnt` counter — a write/condense of a selection-carrying value that
-    // does NOT flow through the filter must not (interpretation writes
-    // every selected row of it, not just the guard survivors).
-    for (uint32_t id : trace_.node_ids) {
-      const DepNode& n = graph_.nodes()[id];
-      if ((n.kind == SkeletonKind::kWrite ||
-           n.kind == SkeletonKind::kCondense) &&
-          SelDependent(id) && !DependsOnFilter(id)) {
-        return Status::NotImplemented(
-            "write/condense of a selection-carrying value that bypasses "
-            "the in-trace filter");
-      }
-    }
-  }
-  // Escaping post-filter values must be condense nodes.
-  for (uint32_t id : trace_.node_ids) {
-    const DepNode& n = graph_.nodes()[id];
-    if (n.kind == SkeletonKind::kWrite || n.kind == SkeletonKind::kScatter) {
-      continue;
-    }
-    bool escapes = false;
-    for (uint32_t c : n.consumers) {
-      if (!InTrace(c)) escapes = true;
-    }
-    std::string name = graph_.OutputNameOf(id);
-    for (const auto& o : trace_.outputs) {
-      if (o == name) escapes = true;
-    }
-    if (escapes && DependsOnFilter(id) && n.kind != SkeletonKind::kCondense) {
-      return Status::InvalidArgument(
-          "post-filter value escapes the trace without condense");
-    }
-  }
-  return Status::OK();
-}
 
 Status TraceEmitter::AssignInputsOutputs() {
   auto add_input = [&](TraceInputSpec spec) -> size_t {
@@ -625,9 +239,10 @@ Status TraceEmitter::AssignInputsOutputs() {
   // (those become read windows below).
   for (const auto& name : trace_.inputs) {
     if (program_.FindData(name) != nullptr) continue;
-    auto it = let_types_.find(name);
-    if (it == let_types_.end()) {
-      return Status::InvalidArgument("unknown trace input " + name);
+    auto it = facts_.let_types.find(name);
+    if (it == facts_.let_types.end()) {
+      return Status::Internal("unknown trace input " + name +
+                              " (rule input-unknown)");
     }
     add_input({TraceInputSpec::Kind::kChunkVar, name, it->second, PosRef{}});
   }
@@ -659,7 +274,7 @@ Status TraceEmitter::AssignInputsOutputs() {
   // the written count — condensing-output cursors).
   auto result_var_of = [&](uint32_t id) -> std::string {
     std::string name = graph_.OutputNameOf(id);
-    return let_types_.contains(name) ? name : std::string();
+    return facts_.let_types.contains(name) ? name : std::string();
   };
 
   // Outputs: data writes/scatters + escaping values + fold scalars.
@@ -725,7 +340,7 @@ Status TraceEmitter::AssignInputsOutputs() {
     // A value also escapes when scalar statements outside the graph use it
     // (e.g. len(a)) — conservatively, every let-bound trace value escapes so
     // the environment stays consistent after injection.
-    bool let_bound = let_types_.contains(name);
+    bool let_bound = facts_.let_types.contains(name);
     if (is_traced_output || consumed_outside || let_bound) {
       bool condensed = n.kind == SkeletonKind::kCondense;
       TraceOutputSpec spec;
@@ -851,7 +466,8 @@ Result<std::string> TraceEmitter::ResolveValueArg(const Expr& arg) {
     if (it != expr_to_node_.end() && InTrace(it->second)) {
       return ValueOf(it->second);
     }
-    return Status::InvalidArgument("nested skeleton outside trace");
+    return Status::Internal(
+        "nested skeleton outside trace (rule nested-skeleton-outside)");
   }
   if (arg.kind == ExprKind::kVarRef) {
     if (arg.shape == dsl::Shape::kScalar) {
@@ -867,12 +483,14 @@ Result<std::string> TraceEmitter::ResolveValueArg(const Expr& arg) {
                                 arg.var.c_str());
     auto slot = input_slot_.find(key);
     if (slot == input_slot_.end()) {
-      return Status::InvalidArgument("unresolved trace value " + arg.var);
+      return Status::Internal("unresolved trace value " + arg.var +
+                              " (rule value-unresolved)");
     }
     return StrFormat("((const %s*)in[%zu])[i]", CType(arg.type),
                      slot->second);
   }
-  return Status::InvalidArgument("unsupported argument expression");
+  return Status::Internal("unsupported argument expression (rule "
+                          "arg-unsupported)");
 }
 
 Result<std::string> TraceEmitter::ValueOf(uint32_t node_id) {
@@ -920,7 +538,7 @@ Result<std::string> TraceEmitter::EmitNodeValue(const DepNode& node) {
         input_types.push_back(e.args[i]->type);
       }
       AVM_ASSIGN_OR_RETURN(PrimProgram prog,
-                           ir::Normalize(*e.args[0], input_types));
+                           NormalizeVerified(*e.args[0], input_types));
       return EmitPrim(prog, inputs);
     }
     case SkeletonKind::kFilter: {
@@ -929,7 +547,7 @@ Result<std::string> TraceEmitter::EmitNodeValue(const DepNode& node) {
       }
       AVM_ASSIGN_OR_RETURN(std::string in_v, ResolveValueArg(*e.args[1]));
       AVM_ASSIGN_OR_RETURN(PrimProgram prog,
-                           ir::Normalize(*e.args[0], {e.args[1]->type}));
+                           NormalizeVerified(*e.args[0], {e.args[1]->type}));
       // The predicate's temporaries belong before the guard.
       post_filter_mode_ = false;
       AVM_ASSIGN_OR_RETURN(std::string p, EmitPrim(prog, {in_v}));
@@ -972,7 +590,9 @@ Result<std::string> TraceEmitter::EmitNodeValue(const DepNode& node) {
     case SkeletonKind::kFold:
       return Status::Internal("handled by EmitNodes");
     default:
-      return Status::NotImplemented("unsupported node in trace");
+      return Status::Internal(
+          StrFormat("skeleton %s in trace (rule skeleton-unsupported)",
+                    dsl::SkeletonName(node.kind)));
   }
 }
 
@@ -990,13 +610,14 @@ Status TraceEmitter::EmitNodes() {
   if (needs_cnt) decls_ << "  uint32_t cnt = 0;\n";
 
   // Order: pre-filter nodes, then filter, then the rest (topologically).
+  const int filter = facts_.filter_node;
   std::vector<uint32_t> order;
   for (uint32_t id : trace_.node_ids) {
-    if (!DependsOnFilter(id) && static_cast<int>(id) != filter_node_) {
+    if (!DependsOnFilter(id) && static_cast<int>(id) != filter) {
       order.push_back(id);
     }
   }
-  if (filter_node_ >= 0) order.push_back(static_cast<uint32_t>(filter_node_));
+  if (filter >= 0) order.push_back(static_cast<uint32_t>(filter));
   for (uint32_t id : trace_.node_ids) {
     if (DependsOnFilter(id)) order.push_back(id);
   }
@@ -1015,7 +636,7 @@ Status TraceEmitter::EmitNodes() {
     const DepNode& node = graph_.nodes()[id];
     in_pos_loop_ = InPositionalPass(id);
     post_filter_mode_ = !in_pos_loop_ && (DependsOnFilter(id) ||
-                                          static_cast<int>(id) == filter_node_);
+                                          static_cast<int>(id) == filter);
 
     if (node.kind == SkeletonKind::kWrite) {
       const Expr& e = *node.expr;
@@ -1040,8 +661,12 @@ Status TraceEmitter::EmitNodes() {
       const size_t slot = node_out_slot_.at(id);
       const TraceOutputSpec& spec = out_.outputs[slot];
       const char* dt = CType(spec.type);
-      // Conflict op: overwrite, or the combine Validate() already vetted.
-      const ScalarOp combine = scatter_combine_.at(id);
+      // Conflict op: overwrite, or the add/min/max the verifier vetted.
+      auto combine_it = facts_.scatter_combine.find(id);
+      if (combine_it == facts_.scatter_combine.end()) {
+        return Status::Internal("scatter without a verified combine op");
+      }
+      const ScalarOp combine = combine_it->second;
       std::string ti = NewTemp();
       std::string td = NewTemp();
       Body() << StrFormat("      const long long %s = (long long)(%s);\n",
@@ -1094,7 +719,8 @@ Status TraceEmitter::EmitNodes() {
       } else if (init.kind == ExprKind::kVarRef) {
         AVM_ASSIGN_OR_RETURN(init_expr, EmitCaptureRef(init.var, init.type));
       } else {
-        return Status::NotImplemented("fold init must be const or variable");
+        return Status::Internal(
+            "fold init is neither const nor variable (rule fold-init-shape)");
       }
       AVM_ASSIGN_OR_RETURN(std::string v, ResolveValueArg(*e.args[2]));
       std::string acc = StrFormat("acc%d", fold_counter++);
@@ -1102,7 +728,7 @@ Status TraceEmitter::EmitNodes() {
                           CType(e.type), init_expr.c_str());
       AVM_ASSIGN_OR_RETURN(
           PrimProgram prog,
-          ir::Normalize(*e.args[0], {e.type, e.args[2]->type}));
+          NormalizeVerified(*e.args[0], {e.type, e.args[2]->type}));
       AVM_ASSIGN_OR_RETURN(std::string r, EmitPrim(prog, {acc, v}));
       Body() << StrFormat("      %s = (%s)(%s);\n", acc.c_str(),
                           CType(e.type), r.c_str());
@@ -1139,9 +765,11 @@ Status TraceEmitter::EmitNodes() {
 }
 
 Result<GeneratedTrace> TraceEmitter::Run() {
-  AVM_RETURN_NOT_OK(AnalyzeStatements());
-  ComputeSelDependence();
-  AVM_RETURN_NOT_OK(Validate());
+  for (uint32_t id : trace_.node_ids) trace_node_set_.insert(id);
+  for (const auto& n : graph_.nodes()) expr_to_node_[n.expr] = n.id;
+  out_.covered_stmt_ids = facts_.covered_stmt_ids;
+  out_.anchor_stmt_id = facts_.anchor_stmt_id;
+  out_.sel_inputs.assign(facts_.sel_inputs.begin(), facts_.sel_inputs.end());
   AVM_RETURN_NOT_OK(AssignInputsOutputs());
   AVM_RETURN_NOT_OK(EmitNodes());
 
@@ -1220,11 +848,15 @@ Result<GeneratedTrace> TraceEmitter::Run() {
 
 }  // namespace
 
-Result<GeneratedTrace> GenerateTrace(const dsl::Program& program,
-                                     const ir::DepGraph& graph,
-                                     const ir::Trace& trace,
-                                     const CodegenOptions& options) {
-  return TraceEmitter(program, graph, trace, options).Run();
+Result<GeneratedTrace> GenerateTrace(
+    const dsl::Program& program, const ir::DepGraph& graph,
+    const ir::Trace& trace, const analysis::TraceVerification& verified,
+    const CodegenOptions& options) {
+  if (!verified.clean()) {
+    return Status::Internal("GenerateTrace needs a clean verification: " +
+                            verified.diagnostics.front().ToString());
+  }
+  return TraceEmitter(program, graph, trace, verified.facts, options).Run();
 }
 
 }  // namespace avm::jit

@@ -7,13 +7,16 @@
 // outputs append under a running count, folds become loop-carried
 // accumulators. The generated function uses a stable C ABI so the VM can
 // inject it into the interpreter ("Inject functions" in Fig. 1).
+//
+// Code generation only emits: whether a trace compiles is decided by
+// analysis::VerifyTrace alone, and GenerateTrace consumes its verdict.
 #pragma once
 
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
+#include "analysis/verify_trace.h"
 #include "dsl/ast.h"
 #include "ir/depgraph.h"
 #include "jit/trace_abi.h"
@@ -38,7 +41,8 @@ struct PosRef {
     if (kind == Kind::kConst) return std::to_string(const_i);
     return kind == Kind::kVar ? var : "<none>";
   }
-  /// From a restricted position expression (variable or constant).
+  /// From a position expression verification proved affine (variable or
+  /// constant); anything else is an Internal error.
   static Result<PosRef> From(const dsl::Expr& e);
 };
 
@@ -81,6 +85,10 @@ struct TraceOutputSpec {
   std::string result_var;
 };
 
+/// One emitted trace: the C++ translation unit and its entry symbol, plus
+/// the frame layout (inputs, outputs, captures) and the situation
+/// (schemes, selection-carrying inputs) the injection harness needs to call
+/// it and to check it still applies.
 struct GeneratedTrace {
   std::string source;   ///< complete C++ translation unit
   std::string symbol;   ///< extern "C" entry point
@@ -104,29 +112,30 @@ struct GeneratedTrace {
   std::string name;  ///< diagnostic label
 };
 
+/// Emission choices that never change whether a trace compiles. The
+/// selection-carrying specialization is a verification input instead
+/// (analysis::TraceContext), since it changes which rules apply.
 struct CodegenOptions {
   /// Specialize reads of these data arrays for a compression scheme
   /// (currently kFor: operate on narrow deltas + reference; paper §III-C
   /// compressed execution). Missing entries decode to plain values.
   std::map<std::string, Scheme> scheme_specialization;
-  /// Specialize these chunk-variable inputs as selection-carrying (the
-  /// VM observes which trace inputs hold a selection vector and makes it
-  /// part of the situation, like compression schemes). Names that are not
-  /// chunk inputs of the trace are ignored.
-  std::set<std::string> sel_inputs;
   /// Emit a bounds comment header with the trace's dependency info.
   bool emit_debug_comments = true;
 };
 
-/// Validate that `trace` is compilable (statement-aligned, ≤ 1 filter,
-/// condense over an in-trace filter or a selection-carrying value, no
-/// merge/gen) and generate its source. Gathers and scatters compile with
-/// generated bounds checks reporting through TraceFault; let-bound write
-/// counts publish through the scalar-state slots. The program must be
-/// type-checked.
-Result<GeneratedTrace> GenerateTrace(const dsl::Program& program,
-                                     const ir::DepGraph& graph,
-                                     const ir::Trace& trace,
-                                     const CodegenOptions& options = {});
+/// Generate the source of a verified trace. `verified` must be the clean
+/// result of analysis::VerifyTrace for this very program, graph and trace:
+/// its facts (covered statements, selection dependence, filter node,
+/// scatter combine ops, let types) drive emission, and no rule is checked
+/// again here. A dirty verification, or a shape that verification rules
+/// out, returns Status::Internal — never a decline. Gathers and scatters
+/// compile with generated bounds checks reporting through TraceFault;
+/// let-bound write counts publish through the scalar-state slots. The
+/// program must be type-checked.
+Result<GeneratedTrace> GenerateTrace(
+    const dsl::Program& program, const ir::DepGraph& graph,
+    const ir::Trace& trace, const analysis::TraceVerification& verified,
+    const CodegenOptions& options = {});
 
 }  // namespace avm::jit

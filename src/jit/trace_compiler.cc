@@ -129,26 +129,15 @@ TraceEntry::TraceEntry(CompiledTrace trace, uint64_t situation_key)
       fn_(trace_.fn),
       tier_(static_cast<uint8_t>(trace_.tier)) {}
 
-Result<CompiledTrace> CompileTrace(const dsl::Program& program,
-                                   const ir::DepGraph& graph,
-                                   const ir::Trace& trace, SourceJit& jit,
-                                   const CodegenOptions& options) {
-  AVM_ASSIGN_OR_RETURN(GeneratedTrace gen,
-                       GenerateTrace(program, graph, trace, options));
-  AVM_ASSIGN_OR_RETURN(void* sym, jit.CompileAndLoad(gen.source, gen.symbol));
-  CompiledTrace out;
-  out.meta = std::move(gen);
-  out.fn = reinterpret_cast<TraceFn>(sym);
-  return out;
-}
-
 Result<TieredCompileOutcome> CompileTraceTiered(
     const dsl::Program& program, const ir::DepGraph& graph,
-    const ir::Trace& trace, const CodegenOptions& options, TierPolicy policy,
+    const ir::Trace& trace, const analysis::TraceVerification& verified,
+    const CodegenOptions& options, TierPolicy policy,
     const std::shared_ptr<DiskTraceCache>& disk, uint64_t situation_key) {
   TieredCompileOutcome out;
-  AVM_ASSIGN_OR_RETURN(GeneratedTrace gen,
-                       GenerateTrace(program, graph, trace, options));
+  AVM_ASSIGN_OR_RETURN(
+      GeneratedTrace gen,
+      GenerateTrace(program, graph, trace, verified, options));
   const uint64_t source_hash = HashString(gen.source);
   policy = ResolveTierPolicy(policy);
   const JitTier initial = policy == TierPolicy::kOptimizedOnly
@@ -215,11 +204,6 @@ Result<TieredCompileOutcome> CompileTraceTiered(
   out.trace.tier = initial;
   out.trace.meta = std::move(gen);
   return out;
-}
-
-interp::InjectedTrace MakeInjection(const CompiledTrace& trace,
-                                    uint32_t chunk_size) {
-  return MakeInjection(std::make_shared<TraceEntry>(trace, 0), chunk_size);
 }
 
 interp::InjectedTrace MakeInjection(std::shared_ptr<TraceEntry> entry,

@@ -8,7 +8,7 @@
 #include "interp/interpreter.h"
 #include "jit/codegen.h"
 #include "jit/disk_cache.h"
-#include "jit/source_jit.h"
+#include "jit/jit_backend.h"
 
 namespace avm::jit {
 
@@ -16,8 +16,7 @@ namespace avm::jit {
 struct CompiledTrace {
   GeneratedTrace meta;
   TraceFn fn = nullptr;
-  /// Optimization tier `fn` was compiled at (tiered JIT; the legacy
-  /// CompileTrace path always produces optimized code).
+  /// Optimization tier `fn` was compiled at (tiered JIT).
   JitTier tier = JitTier::kOptimized;
 };
 
@@ -30,8 +29,8 @@ struct CompiledTrace {
 class TraceEntry {
  public:
   /// Wrap a compiled trace. `situation_key` is the cache key the entry is
-  /// stored under (also the disk-cache key of upgrade artifacts); legacy
-  /// non-cached injections pass 0.
+  /// stored under (also the disk-cache key of upgrade artifacts); entries
+  /// kept outside any cache pass 0.
   TraceEntry(CompiledTrace trace, uint64_t situation_key);
 
   /// Generation metadata (immutable).
@@ -115,25 +114,20 @@ struct TieredCompileOutcome {
   double compile_seconds = 0;  ///< backend wall time (0 on disk hit)
 };
 
-/// Generate + compile a trace through the source JIT (always optimized
-/// tier, no persistence — the pre-tiering path, kept for direct callers).
-Result<CompiledTrace> CompileTrace(const dsl::Program& program,
-                                   const ir::DepGraph& graph,
-                                   const ir::Trace& trace,
-                                   SourceJit& jit,
-                                   const CodegenOptions& options = {});
-
-/// Generate a trace, then obtain its machine code the cheapest honest way:
-/// consult `disk` (when non-null) for an artifact of an allowed tier before
-/// invoking a backend; on miss compile at the policy's initial tier (fast
-/// for kTiered/kFastOnly, optimized for kOptimizedOnly) and publish the
-/// artifact back to `disk`. `situation_key` keys the persistent entry.
+/// Generate a verified trace (GenerateTrace: `verified` must be the clean
+/// analysis::VerifyTrace result for `trace`), then obtain its machine code
+/// the cheapest honest way: consult `disk` (when non-null) for an artifact
+/// of an allowed tier before invoking a backend; on miss compile at the
+/// policy's initial tier (fast for kTiered/kFastOnly, optimized for
+/// kOptimizedOnly) and publish the artifact back to `disk`.
+/// `situation_key` keys the persistent entry.
 Result<TieredCompileOutcome> CompileTraceTiered(
     const dsl::Program& program, const ir::DepGraph& graph,
-    const ir::Trace& trace, const CodegenOptions& options, TierPolicy policy,
+    const ir::Trace& trace, const analysis::TraceVerification& verified,
+    const CodegenOptions& options, TierPolicy policy,
     const std::shared_ptr<DiskTraceCache>& disk, uint64_t situation_key);
 
-/// Build the interpreter injection for a compiled trace. The injection:
+/// Build the interpreter injection over a live trace entry. The injection:
 ///  - gathers input pointers + lengths (chunk variables, data-read windows,
 ///    FOR-compressed delta windows, whole-array gather bases),
 ///  - resolves captured scalars from the environment,
@@ -148,16 +142,12 @@ Result<TieredCompileOutcome> CompileTraceTiered(
 /// Its `applicable` check verifies positions are in range, compression
 /// scheme requirements hold, and the runtime selection pattern matches the
 /// variant's specialization; when it fails the interpreter transparently
-/// falls back to vectorized interpretation (paper §III-C). See
-/// docs/TRACE_ABI.md for the full contract.
-interp::InjectedTrace MakeInjection(const CompiledTrace& trace,
-                                    uint32_t chunk_size);
-
-/// Injection over a live cache entry: reads the entry's CURRENT fn on every
-/// call (so an async tier upgrade takes effect mid-query), counts
-/// invocations, and — under `tier.upgrade_enabled` — claims and launches
-/// the one-shot background upgrade once the entry crosses the hotness
-/// threshold.
+/// falls back to vectorized interpretation (paper §III-C). It reads the
+/// entry's CURRENT fn on every call (so an async tier upgrade takes effect
+/// mid-query), counts invocations, and — under `tier.upgrade_enabled` —
+/// claims and launches the one-shot background upgrade once the entry
+/// crosses the hotness threshold. See docs/TRACE_ABI.md for the full
+/// contract.
 interp::InjectedTrace MakeInjection(std::shared_ptr<TraceEntry> entry,
                                     uint32_t chunk_size,
                                     TraceTierOptions tier = {});

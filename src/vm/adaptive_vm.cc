@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdlib>
 
-#include "analysis/verify_program.h"
 #include "analysis/verify_trace.h"
 #include "jit/source_jit.h"
 #include "util/logging.h"
@@ -23,25 +22,6 @@ uint64_t UpgradeAfterFromEnv() {
     if (v > 0) return static_cast<uint64_t>(v);
   }
   return 32;
-}
-
-bool ResolveVerifyMode(VerifyMode m) {
-  if (m == VerifyMode::kOn) return true;
-  if (m == VerifyMode::kOff) return false;
-  const char* env = std::getenv("AVM_VERIFY");
-  if (env != nullptr && *env != '\0') return *env != '0';
-#ifdef NDEBUG
-  return false;
-#else
-  return true;
-#endif
-}
-
-/// A GetOrCompile failure is a shape DECLINE (the taxonomy the verifier
-/// mirrors) when codegen rejected the trace; host-compiler and loader
-/// failures are environmental and say nothing about the trace's shape.
-bool IsShapeDecline(const Status& st) {
-  return st.IsInvalidArgument() || st.IsNotImplemented();
 }
 
 }  // namespace
@@ -160,21 +140,6 @@ Status AdaptiveVm::OptimizePass(Interpreter& in, uint64_t iteration) {
     for (const auto& node : graph_.nodes()) {
       static_cost_.push_back(node.cost);  // per-tuple cost from BaseCost
     }
-    // Level-1 static verification at program load (docs/VERIFIER.md). A
-    // dirty program still runs — interpretation is the semantics of
-    // record and the engine facade enforces hard — but the finding is
-    // surfaced through the report and the debug log.
-    if (ResolveVerifyMode(options_.verify_programs)) {
-      analysis::VerifyResult vr = analysis::VerifyProgram(*program_);
-      if (!vr.clean()) {
-        if (report_.verifier_diagnostic.empty()) {
-          report_.verifier_diagnostic =
-              vr.diagnostics.front().ToString();
-        }
-        AVM_LOG(kWarning) << "program failed static verification:\n"
-                          << vr.ToString();
-      }
-    }
   }
   // Refresh node costs from the profile (hot-path identification). The
   // unit is DETERMINISTIC work: the node's static per-tuple cost weighted
@@ -255,24 +220,15 @@ Status AdaptiveVm::InstallTrace(Interpreter& in, const ir::Trace& trace,
     return Status::NotFound("already installed");  // benign skip
   }
 
-  // Level-2 static verification, always-on ahead of codegen: the §6
-  // decline taxonomy as machine-checked predicates. The contract —
-  // codegen declines IFF the verifier rejects — is checked on both exits
-  // below; a cache hit counts as an accept (the cached entry exists
-  // because codegen accepted this situation before, and the verifier is
-  // deterministic).
+  // The JIT gate (docs/VERIFIER.md): every compilability rule lives in
+  // analysis::VerifyTrace. A reject is the decline, reported by its first
+  // rule id; a clean verification hands codegen the facts it emits from.
   analysis::TraceContext vctx;
-  vctx.schemes = situation.schemes;
   vctx.sel_inputs = sel_inputs;
-  const analysis::VerifyResult vr =
+  const analysis::TraceVerification verified =
       analysis::VerifyTrace(*program_, graph_, trace, vctx);
   ++report_.verifier_checked;
-  if (!vr.clean()) {
-    ++report_.verifier_rejects;
-    if (report_.verifier_diagnostic.empty()) {
-      report_.verifier_diagnostic = vr.diagnostics.front().ToString();
-    }
-  }
+  AVM_RETURN_NOT_OK(verified.AsStatus());
 
   bool compiled_fresh = false;
   jit::TieredCompileOutcome outcome;
@@ -285,28 +241,14 @@ Status AdaptiveVm::InstallTrace(Interpreter& in, const ir::Trace& trace,
       [&]() -> Result<jit::CompiledTrace> {
         jit::CodegenOptions cg;
         cg.scheme_specialization = situation.schemes;
-        cg.sel_inputs = sel_inputs;
         AVM_ASSIGN_OR_RETURN(
-            outcome, jit::CompileTraceTiered(*program_, graph_, trace, cg,
-                                             tier_policy_, disk_, key));
+            outcome,
+            jit::CompileTraceTiered(*program_, graph_, trace, verified, cg,
+                                    tier_policy_, disk_, key));
         return std::move(outcome.trace);
       },
       &compiled_fresh);
-  if (!got.ok()) {
-    if (IsShapeDecline(got.status()) && vr.clean()) {
-      ++report_.verifier_disagreements;
-      AVM_LOG(kDebug) << "verifier disagreement: codegen declined a "
-                         "verifier-clean trace: "
-                      << got.status().ToString();
-    }
-    return got.status();
-  }
-  if (!vr.clean()) {
-    ++report_.verifier_disagreements;
-    AVM_LOG(kDebug) << "verifier disagreement: codegen accepted a "
-                       "verifier-dirty trace:\n"
-                    << vr.ToString();
-  }
+  if (!got.ok()) return got.status();
   std::shared_ptr<jit::TraceEntry> entry = std::move(got).ValueOrDie();
   if (compiled_fresh) {
     report_.disk_cache_corrupt += outcome.disk_corrupt;

@@ -22,14 +22,6 @@
 
 namespace avm::vm {
 
-/// Whether AdaptiveVm statically verifies the program at graph build
-/// (VmOptions::verify_programs).
-enum class VerifyMode : uint8_t {
-  kAuto = 0,  ///< AVM_VERIFY env, else on in debug builds only
-  kOn,
-  kOff,
-};
-
 /// Tuning knobs of one AdaptiveVm: the embedded interpreter's options,
 /// the Fig. 1 state-machine cadence (warmup, recheck interval), and the
 /// partitioning/compilation policy.
@@ -64,14 +56,6 @@ struct VmOptions {
   /// Master switch for the persistent store (false ignores both the
   /// disk_cache field and the environment).
   bool enable_disk_cache = true;
-  /// Program-level static verification (analysis::VerifyProgram) at graph
-  /// build. kAuto resolves AVM_VERIFY ("1"/"0"), defaulting to on in
-  /// debug builds (!NDEBUG) and off otherwise. A dirty program is reported
-  /// (VmReport::verifier_diagnostic) but still runs — the interpreter is
-  /// the semantics of record; hard enforcement lives at the engine facade.
-  /// Trace-level verification (analysis::VerifyTrace) is always on ahead
-  /// of codegen regardless of this knob.
-  VerifyMode verify_programs = VerifyMode::kAuto;
 };
 
 /// Counters and diagnostics of one adaptive-VM run.
@@ -86,11 +70,11 @@ struct VmReport {
   uint64_t injection_fallbacks = 0;
   double compile_seconds = 0;
   /// First reason a candidate trace was declined (not compiled) this run;
-  /// empty when every considered trace compiled. Since the trace ABI
-  /// carries selections, scalar state, and bounds faults, declines are
-  /// limited to the genuinely-unsupported shapes enumerated in
-  /// docs/TRACE_ABI.md (merge/gen skeletons, chunk-array gather bases,
-  /// multi-filter traces, non-add/min/max scatter conflict functions, ...).
+  /// empty when every considered trace compiled. A shape decline is the
+  /// JIT gate's first diagnostic (analysis::VerifyTrace), rule id included
+  /// — the rule table is docs/VERIFIER.md (merge/gen skeletons, chunk-array
+  /// gather bases, multi-filter traces, non-add/min/max scatter conflict
+  /// functions, ...); host-compiler failures report their own status.
   std::string jit_declined;
   std::string state_timeline;
   std::string profile;
@@ -118,18 +102,9 @@ struct VmReport {
   /// ends is requested-but-not-completed.
   uint64_t tier_upgrades_requested = 0;
   uint64_t tier_upgrades = 0;
-  /// Static-verifier activity (analysis::VerifyTrace runs ahead of every
-  /// codegen attempt; analysis::VerifyProgram per verify_programs):
-  /// candidate traces checked, traces the verifier rejected, and — the
-  /// enforced contract — checks where the verifier and codegen DISAGREED
-  /// (codegen accepted a verifier-dirty trace, or declined a clean one).
-  /// The differential harness asserts verifier_disagreements == 0 on
-  /// every seed. verifier_diagnostic carries the first diagnostic of the
-  /// run (program- or trace-level), empty when everything verified clean.
+  /// Candidate traces the JIT gate (analysis::VerifyTrace) checked this
+  /// run, accepted or declined.
   uint64_t verifier_checked = 0;
-  uint64_t verifier_rejects = 0;
-  uint64_t verifier_disagreements = 0;
-  std::string verifier_diagnostic;
 };
 
 /// The adaptive virtual machine (file comment above): a vectorized

@@ -417,6 +417,17 @@ void CompareQueries(Query& base, Query& other, const PlanInfo& info,
 /// exercises.
 constexpr uint64_t kViableBudget = 1024ull * 4 * 8 * 7;
 
+/// The decline contract of the single JIT gate: a run either compiled every
+/// trace it considered, or reports a verifier decline naming its rule id
+/// ("Not implemented: [rule-id] ..."). An Internal error would be codegen
+/// failing on a trace the gate accepted.
+bool DeclineNamesVerifierRule(const std::string& declined) {
+  const std::string prefix = Status::NotImplemented("[").ToString();
+  return declined.empty() ||
+         (declined.rfind(prefix, 0) == 0 &&
+          declined.find("] ", prefix.size()) != std::string::npos);
+}
+
 /// Runs one seeded plan under all three configs, plus the out-of-core
 /// family (the same plan under a side-stream-chosen memory budget), and
 /// compares. Increments *built / *skipped accordingly; accumulates spilled
@@ -487,11 +498,10 @@ void RunSeed(uint64_t seed, Tables& t, Session& parallel_session, int* built,
     eo.vm.optimize_after_iterations = 2;
     auto r = ExecEngine::Execute(q.context(), eo);
     ASSERT_TRUE(r.ok()) << repro << info.desc << ": " << r.status().ToString();
-    // Accept ⇔ verifier-clean on every candidate trace this run compiled
-    // or declined (the decline-taxonomy contract, docs/VERIFIER.md).
-    ASSERT_EQ(r.ValueOrDie().verifier_disagreements, 0u)
+    // Declines come from the JIT gate only; codegen never fails on a trace
+    // the gate accepted (docs/VERIFIER.md).
+    ASSERT_TRUE(DeclineNamesVerifierRule(r.ValueOrDie().jit_declined))
         << repro << info.desc
-        << " verifier: " << r.ValueOrDie().verifier_diagnostic
         << " jit_declined: " << r.ValueOrDie().jit_declined;
     CompareQueries(base, q, info, repro + info.desc + " [jit-serial]");
     if (verbose) std::fprintf(stderr, "  jit-serial ok\n");
@@ -506,9 +516,9 @@ void RunSeed(uint64_t seed, Tables& t, Session& parallel_session, int* built,
     qo.vm.optimize_after_iterations = 2;
     auto r = parallel_session.Submit(q.context(), qo).Wait();
     ASSERT_TRUE(r.ok()) << repro << info.desc << ": " << r.status().ToString();
-    ASSERT_EQ(r.ValueOrDie().verifier_disagreements, 0u)
+    ASSERT_TRUE(DeclineNamesVerifierRule(r.ValueOrDie().jit_declined))
         << repro << info.desc
-        << " verifier: " << r.ValueOrDie().verifier_diagnostic;
+        << " jit_declined: " << r.ValueOrDie().jit_declined;
     CompareQueries(base, q, info, repro + info.desc + " [session-4w]");
   }
 

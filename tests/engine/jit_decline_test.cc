@@ -6,12 +6,15 @@
 // empty for its shape, checks results against pure interpretation, and
 // (when a host compiler exists) requires traces to actually compile AND
 // run injected, so a silently-reintroduced decline cannot hide behind the
-// interpreter fallback producing correct results.
+// interpreter fallback producing correct results. The last test pins the
+// other side: a shape the JIT gate rejects is reported end to end by its
+// verifier rule id and runs interpreted with unchanged results.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
+#include "dsl/typecheck.h"
 #include "engine/query_builder.h"
 #include "engine/session.h"
 #include "jit/source_jit.h"
@@ -204,6 +207,103 @@ TEST(JitDeclineRegressionTest, JoinOrderByPipelineCompilesAndMatches) {
   EXPECT_EQ(par.result_column("gain").data, interp.result_column("gain").data);
   EXPECT_EQ(par.result_column("f_key").data,
             interp.result_column("f_key").data);
+}
+
+// A hot region the gate rejects: the gather's base `t` is a let-bound chunk
+// array (rule gather-base-not-data), while an independent second pipeline
+// over src2 compiles. The decline must surface through ExecReport by rule
+// id, must not count as a compiled trace, and must leave the rows equal to
+// pure interpretation.
+TEST(JitDeclineRegressionTest, GateDeclineReportedByRuleId) {
+  using dsl::Lambda;
+  using dsl::Let;
+  using dsl::Skeleton;
+  using dsl::SkeletonKind;
+  constexpr int64_t kN = 16 * 1024;  // 16 chunks
+  dsl::Program p;
+  p.data = {{"src", TypeId::kI64, false},
+            {"src2", TypeId::kI64, false},
+            {"out", TypeId::kI64, true},
+            {"out2", TypeId::kI64, true}};
+  std::vector<dsl::StmtPtr> body;
+  body.push_back(
+      Let("v", Skeleton(SkeletonKind::kRead, {Var("i"), Var("src")})));
+  body.push_back(Let("t", Skeleton(SkeletonKind::kMap,
+                                   {Lambda({"x"}, Var("x") * ConstI(2)),
+                                    Var("v")})));
+  body.push_back(Let(
+      "idx", Skeleton(SkeletonKind::kMap,
+                      {Lambda({"x"}, dsl::Call(dsl::ScalarOp::kMod,
+                                               {dsl::Call(dsl::ScalarOp::kAbs,
+                                                          {Var("x")}),
+                                                ConstI(8)})),
+                       Var("v")})));
+  body.push_back(
+      Let("gv", Skeleton(SkeletonKind::kGather, {Var("t"), Var("idx")})));
+  body.push_back(dsl::ExprStmt(
+      Skeleton(SkeletonKind::kWrite, {Var("out"), Var("i"), Var("gv")})));
+  body.push_back(
+      Let("u", Skeleton(SkeletonKind::kRead, {Var("i"), Var("src2")})));
+  body.push_back(Let("y", Skeleton(SkeletonKind::kMap,
+                                   {Lambda({"x"}, Var("x") * ConstI(3) +
+                                                      ConstI(1)),
+                                    Var("u")})));
+  body.push_back(dsl::ExprStmt(
+      Skeleton(SkeletonKind::kWrite, {Var("out2"), Var("i"), Var("y")})));
+  body.push_back(dsl::Assign(
+      "i", Var("i") + Skeleton(SkeletonKind::kLen, {Var("v")})));
+  body.push_back(dsl::If(dsl::Call(dsl::ScalarOp::kGe, {Var("i"), ConstI(kN)}),
+                         {dsl::Break()}));
+  p.stmts = {dsl::MutDef("i"), dsl::Assign("i", ConstI(0)),
+             dsl::Loop(std::move(body))};
+  p.AssignIds();
+  ASSERT_TRUE(dsl::TypeCheck(&p).ok());
+
+  Rng rng(5);
+  std::vector<int64_t> src(kN), src2(kN);
+  for (auto& x : src) x = rng.NextInRange(-1000, 1000);
+  for (auto& x : src2) x = rng.NextInRange(-1000, 1000);
+  auto run = [&](ExecutionStrategy strategy, std::vector<int64_t>* out,
+                 std::vector<int64_t>* out2) -> Result<ExecReport> {
+    out->assign(kN, 0);
+    out2->assign(kN, 0);
+    ExecContext ctx(&p);
+    ctx.BindInput("src",
+                  interp::DataBinding::Raw(TypeId::kI64, src.data(), kN));
+    ctx.BindInput("src2",
+                  interp::DataBinding::Raw(TypeId::kI64, src2.data(), kN));
+    ctx.BindOutput("out", interp::DataBinding::Raw(TypeId::kI64, out->data(),
+                                                   kN, true));
+    ctx.BindOutput("out2", interp::DataBinding::Raw(TypeId::kI64,
+                                                    out2->data(), kN, true));
+    EngineOptions eo;
+    eo.strategy = strategy;
+    eo.num_workers = 1;
+    eo.vm.optimize_after_iterations = 2;
+    eo.vm.min_cost_share = 0;
+    return ExecEngine::Execute(ctx, eo);
+  };
+
+  std::vector<int64_t> jit_out, jit_out2, interp_out, interp_out2;
+  auto r = run(ExecutionStrategy::kAdaptiveJit, &jit_out, &jit_out2);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_TRUE(
+      run(ExecutionStrategy::kInterpret, &interp_out, &interp_out2).ok());
+  EXPECT_EQ(jit_out, interp_out);
+  EXPECT_EQ(jit_out2, interp_out2);
+
+  // Without a host compiler the VM never optimizes, so nothing is gated.
+  if (!jit::SourceJit::Available()) return;
+  const ExecReport& rep = r.value();
+  EXPECT_NE(rep.jit_declined.find("[gather-base-not-data]"), std::string::npos)
+      << "jit_declined: " << rep.jit_declined;
+  EXPECT_GE(rep.verifier_checked, 2u);
+  // Only the src2 pipeline became machine code (fresh, reused from the
+  // shared cache, or loaded from disk); the declined trace never did.
+  EXPECT_EQ(rep.traces_compiled + rep.traces_reused + rep.disk_cache_hits, 1u)
+      << "compiled " << rep.traces_compiled << ", reused "
+      << rep.traces_reused << ", disk " << rep.disk_cache_hits;
+  EXPECT_GT(rep.injection_runs, 0u);
 }
 
 }  // namespace

@@ -3,12 +3,36 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 
 #include "dsl/builder.h"
 #include "dsl/typecheck.h"
 
 namespace avm::jit {
 namespace {
+
+/// The JIT gate, then emission — the path AdaptiveVm::InstallTrace takes:
+/// a trace the verifier rejects comes back as its decline status.
+Result<GeneratedTrace> Generate(const dsl::Program& p, const ir::DepGraph& g,
+                                const ir::Trace& t,
+                                const std::set<std::string>& sel = {},
+                                const CodegenOptions& opts = {}) {
+  analysis::TraceContext ctx;
+  ctx.sel_inputs = sel;
+  const analysis::TraceVerification verified =
+      analysis::VerifyTrace(p, g, t, ctx);
+  AVM_RETURN_NOT_OK(verified.AsStatus());
+  return GenerateTrace(p, g, t, verified, opts);
+}
+
+/// The trace was declined, and the decline names `rule`.
+void ExpectDeclinedBy(const Result<GeneratedTrace>& gen, const char* rule) {
+  ASSERT_FALSE(gen.ok()) << "expected a " << rule << " decline";
+  EXPECT_TRUE(gen.status().IsNotImplemented()) << gen.status().ToString();
+  EXPECT_NE(gen.status().message().find(std::string("[") + rule + "]"),
+            std::string::npos)
+      << gen.status().ToString();
+}
 
 struct Fixture {
   dsl::Program program;
@@ -32,7 +56,7 @@ Fixture MakeFig2Fixture(bool allow_filter) {
 TEST(CodegenTest, Fig2TopTraceGenerates) {
   Fixture fx = MakeFig2Fixture(false);
   ASSERT_FALSE(fx.traces.empty());
-  auto gen = GenerateTrace(fx.program, fx.graph, fx.traces[0]);
+  auto gen = Generate(fx.program, fx.graph, fx.traces[0]);
   ASSERT_TRUE(gen.ok()) << gen.status().ToString();
   const GeneratedTrace& t = gen.value();
   // The fused loop multiplies by two: the constant must be inlined.
@@ -77,7 +101,7 @@ TEST(CodegenTest, FilterTraceEmitsGuardAndCount) {
     }
   }
   ASSERT_NE(with_filter, nullptr);
-  auto gen = GenerateTrace(fx.program, fx.graph, *with_filter);
+  auto gen = Generate(fx.program, fx.graph, *with_filter);
   ASSERT_TRUE(gen.ok()) << gen.status().ToString();
   EXPECT_NE(gen.value().source.find("continue;"), std::string::npos);
   EXPECT_NE(gen.value().source.find("cnt"), std::string::npos);
@@ -100,7 +124,7 @@ TEST(CodegenTest, FilterEscapingTraceRejected) {
   t.node_ids = {static_cast<uint32_t>(filter_node)};
   t.inputs = {"a"};
   t.outputs = {"t"};
-  EXPECT_FALSE(GenerateTrace(fx.program, fx.graph, t).ok());
+  ExpectDeclinedBy(Generate(fx.program, fx.graph, t), "filter-sel-escape");
 }
 
 TEST(CodegenTest, CondenseWithoutFilterRejected) {
@@ -114,7 +138,7 @@ TEST(CodegenTest, CondenseWithoutFilterRejected) {
   t.node_ids = {static_cast<uint32_t>(condense_node)};
   t.inputs = {"t"};
   t.outputs = {"b"};
-  EXPECT_FALSE(GenerateTrace(fx.program, fx.graph, t).ok());
+  ExpectDeclinedBy(Generate(fx.program, fx.graph, t), "condense-no-source");
 }
 
 TEST(CodegenTest, SchemeSpecializationEmitsDeltaPath) {
@@ -122,7 +146,7 @@ TEST(CodegenTest, SchemeSpecializationEmitsDeltaPath) {
   ASSERT_FALSE(fx.traces.empty());
   CodegenOptions opts;
   opts.scheme_specialization["some_data"] = Scheme::kFor;
-  auto gen = GenerateTrace(fx.program, fx.graph, fx.traces[0], opts);
+  auto gen = Generate(fx.program, fx.graph, fx.traces[0], {}, opts);
   ASSERT_TRUE(gen.ok()) << gen.status().ToString();
   // The compressed-execution path adds reference + uint32 delta.
   EXPECT_NE(gen.value().source.find("uint32_t*)in["), std::string::npos);
@@ -144,7 +168,7 @@ TEST(CodegenTest, PositionalVariantEmitsSingleDenseLoop) {
   // Without selection specialization the trace is the positional variant:
   // one fused loop over all rows, no selected pass.
   Fixture fx = MakeFig2Fixture(false);
-  auto gen = GenerateTrace(fx.program, fx.graph, fx.traces[0]);
+  auto gen = Generate(fx.program, fx.graph, fx.traces[0]);
   ASSERT_TRUE(gen.ok());
   const std::string& src = gen.value().source;
   EXPECT_NE(src.find("for (uint32_t i = 0; i < n; ++i)"), std::string::npos);
@@ -189,11 +213,9 @@ TEST(CodegenTest, SelSpecializedVariantEmitsSelectedPass) {
   tr.inputs = {"t"};
   tr.outputs = {"y"};
 
-  auto gen_pos = GenerateTrace(p, g.value(), tr);
+  auto gen_pos = Generate(p, g.value(), tr);
   ASSERT_TRUE(gen_pos.ok()) << gen_pos.status().ToString();
-  CodegenOptions opts;
-  opts.sel_inputs.insert("t");
-  auto gen_sel = GenerateTrace(p, g.value(), tr, opts);
+  auto gen_sel = Generate(p, g.value(), tr, {"t"});
   ASSERT_TRUE(gen_sel.ok()) << gen_sel.status().ToString();
   const std::string& src = gen_sel.value().source;
   EXPECT_NE(src.find("args->sel[j]"), std::string::npos);
@@ -214,14 +236,14 @@ TEST(CodegenTest, SymbolsAreContentDeterministic) {
   // the source-JIT cache deduplicates compilation work; a differently
   // specialized variant gets a different symbol.
   Fixture fx = MakeFig2Fixture(false);
-  auto a = GenerateTrace(fx.program, fx.graph, fx.traces[0]);
-  auto b = GenerateTrace(fx.program, fx.graph, fx.traces[0]);
+  auto a = Generate(fx.program, fx.graph, fx.traces[0]);
+  auto b = Generate(fx.program, fx.graph, fx.traces[0]);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a.value().symbol, b.value().symbol);
   EXPECT_EQ(a.value().source, b.value().source);
   CodegenOptions opts;
   opts.scheme_specialization["some_data"] = Scheme::kFor;
-  auto c = GenerateTrace(fx.program, fx.graph, fx.traces[0], opts);
+  auto c = Generate(fx.program, fx.graph, fx.traces[0], {}, opts);
   ASSERT_TRUE(c.ok());
   EXPECT_NE(a.value().symbol, c.value().symbol);
 }
@@ -272,10 +294,7 @@ TEST(CodegenTest, StaleInTraceCaptureDeclined) {
       }
     }
     if (has_w_write && has_capture_map) {
-      auto gen = GenerateTrace(p, g.value(), tr);
-      ASSERT_FALSE(gen.ok()) << gen.value().source;
-      EXPECT_NE(gen.status().ToString().find("stale"), std::string::npos)
-          << gen.status().ToString();
+      ExpectDeclinedBy(Generate(p, g.value(), tr), "capture-stale-produced");
     }
   }
   // And the explicit co-resident trace declines regardless of partition.
@@ -294,10 +313,7 @@ TEST(CodegenTest, StaleInTraceCaptureDeclined) {
                  static_cast<uint32_t>(std::max(write_w, map_y))};
   tr.inputs = {"v"};
   tr.outputs = {"y"};
-  auto gen = GenerateTrace(p, g.value(), tr);
-  ASSERT_FALSE(gen.ok());
-  EXPECT_NE(gen.status().ToString().find("stale"), std::string::npos)
-      << gen.status().ToString();
+  ExpectDeclinedBy(Generate(p, g.value(), tr), "capture-stale-produced");
 }
 
 
@@ -306,7 +322,7 @@ TEST(CodegenTest, ArrayConflictAcrossStatementSpanDeclined) {
   // trace); stmt2: gather from X. A trace {stmt0, stmt2} hoisted to its
   // anchor would gather from X BEFORE the interpreted scatter ran — the
   // data-array flavor of the stale-value hazard. Both the shared
-  // convexity helper and GenerateTrace must reject it.
+  // convexity helper and the JIT gate must reject it.
   using namespace dsl;
   Program p;
   p.data = {{"src", TypeId::kI64, false},
@@ -355,11 +371,7 @@ TEST(CodegenTest, ArrayConflictAcrossStatementSpanDeclined) {
   across.inputs = {"v"};
   across.outputs = {"g"};
   EXPECT_GE(ir::StmtConvexityViolation(g.value(), across.node_ids), 0);
-  auto gen = GenerateTrace(p, g.value(), across);
-  ASSERT_FALSE(gen.ok());
-  EXPECT_NE(gen.status().ToString().find("statement-convex"),
-            std::string::npos)
-      << gen.status().ToString();
+  ExpectDeclinedBy(Generate(p, g.value(), across), "trace-not-convex");
 
   // Fused read-after-write of one array inside one trace.
   ir::Trace rw;
@@ -369,7 +381,7 @@ TEST(CodegenTest, ArrayConflictAcrossStatementSpanDeclined) {
   rw.inputs = {"v", "idx"};
   rw.outputs = {"g", "X"};
   EXPECT_GE(ir::StmtConvexityViolation(g.value(), rw.node_ids), 0);
-  EXPECT_FALSE(GenerateTrace(p, g.value(), rw).ok());
+  ExpectDeclinedBy(Generate(p, g.value(), rw), "trace-not-convex");
 
   // The partitioner never emits a region spanning the scatter.
   ir::PartitionConstraints c;
@@ -418,9 +430,7 @@ TEST(CodegenTest, BoundaryCondenseOverSelInputCompiles) {
   tr.node_ids = {static_cast<uint32_t>(condense_c)};
   tr.inputs = {"b"};
   tr.outputs = {"c"};
-  CodegenOptions opts;
-  opts.sel_inputs.insert("b");
-  auto gen = GenerateTrace(p, g.value(), tr, opts);
+  auto gen = Generate(p, g.value(), tr, {"b"});
   ASSERT_TRUE(gen.ok()) << gen.status().ToString();
   bool condensed_out = false;
   for (const auto& o : gen.value().outputs) {
@@ -431,8 +441,7 @@ TEST(CodegenTest, BoundaryCondenseOverSelInputCompiles) {
   EXPECT_TRUE(condensed_out);
   // Without the selection specialization the same trace must DECLINE
   // (condense needs a selection context), not crash.
-  auto gen_pos = GenerateTrace(p, g.value(), tr);
-  EXPECT_FALSE(gen_pos.ok());
+  ExpectDeclinedBy(Generate(p, g.value(), tr), "condense-no-source");
 }
 
 

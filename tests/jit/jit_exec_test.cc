@@ -9,6 +9,7 @@
 #include "util/rng.h"
 #include "dsl/typecheck.h"
 #include "interp/interpreter.h"
+#include "jit/source_jit.h"
 #include "jit/trace_compiler.h"
 
 namespace avm::jit {
@@ -20,9 +21,12 @@ using interp::Interpreter;
 struct CompiledFixture {
   dsl::Program program;
   ir::DepGraph graph;
-  std::vector<CompiledTrace> compiled;
+  std::vector<std::shared_ptr<TraceEntry>> compiled;
 };
 
+/// Partition `program` and compile every trace the JIT gate accepts the
+/// way AdaptiveVm does (VerifyTrace, then CompileTraceTiered), at the
+/// optimized tier with no persistent cache.
 Result<CompiledFixture> Compile(dsl::Program program, bool allow_filter,
                                 const CodegenOptions& cg = {}) {
   CompiledFixture fx;
@@ -33,9 +37,16 @@ Result<CompiledFixture> Compile(dsl::Program program, bool allow_filter,
   c.allow_filter = allow_filter;
   auto traces = ir::GreedyPartition(fx.graph, c);
   for (const auto& t : traces) {
-    auto compiled =
-        CompileTrace(fx.program, fx.graph, t, SourceJit::Global(), cg);
-    if (compiled.ok()) fx.compiled.push_back(std::move(compiled).value());
+    const analysis::TraceVerification verified =
+        analysis::VerifyTrace(fx.program, fx.graph, t);
+    if (!verified.clean()) continue;
+    auto compiled = CompileTraceTiered(fx.program, fx.graph, t, verified, cg,
+                                       TierPolicy::kOptimizedOnly,
+                                       /*disk=*/nullptr, /*situation_key=*/0);
+    if (compiled.ok()) {
+      fx.compiled.push_back(
+          std::make_shared<TraceEntry>(std::move(compiled).value().trace, 0));
+    }
   }
   return fx;
 }
@@ -643,12 +654,13 @@ TEST(JitExecTest, SelWriteBypassingInTraceFilterDeclined) {
   std::sort(tr.node_ids.begin(), tr.node_ids.end());
   tr.inputs = {"b"};
   tr.outputs = {"d", "dst"};
-  CodegenOptions opts;
-  opts.sel_inputs.insert("b");
-  auto gen = GenerateTrace(p, g.value(), tr, opts);
-  ASSERT_FALSE(gen.ok());
-  EXPECT_NE(gen.status().ToString().find("bypasses"), std::string::npos)
-      << gen.status().ToString();
+  analysis::TraceContext ctx;
+  ctx.sel_inputs.insert("b");
+  const Status decline =
+      analysis::VerifyTrace(p, g.value(), tr, ctx).AsStatus();
+  EXPECT_TRUE(decline.IsNotImplemented()) << decline.ToString();
+  EXPECT_NE(decline.message().find("[condense-bypass]"), std::string::npos)
+      << decline.ToString();
 }
 
 
