@@ -9,7 +9,7 @@
 #include "bench/bench_util.h"
 #include "dsl/builder.h"
 #include "dsl/typecheck.h"
-#include "engine/exec_engine.h"
+#include "engine/session.h"
 #include "jit/source_jit.h"
 #include "storage/datagen.h"
 
@@ -40,18 +40,19 @@ std::unique_ptr<Pipeline> MakePipeline(int64_t rows, uint64_t salt) {
   return p;
 }
 
-void RunOnce(Pipeline& p, const engine::EngineOptions& opts,
+void RunOnce(Pipeline& p, const engine::QueryOptions& opts,
              engine::ExecReport* report) {
   const uint64_t n = p.data.size();
   engine::ExecContext ctx(&p.program);
   ctx.BindInput("src", DataBinding::Raw(TypeId::kI64, p.data.data(), n));
   ctx.BindOutput("out", DataBinding::Raw(TypeId::kI64, p.out.data(), n, true));
-  *report = engine::ExecEngine::Execute(ctx, opts).ValueOrDie();
+  *report =
+      engine::Session({.num_workers = 1}).Run(ctx, opts).ValueOrDie();
 }
 
 void BM_Amortize_InterpretOnly(benchmark::State& state) {
   auto p = MakePipeline(state.range(0), 0);
-  engine::EngineOptions opts;
+  engine::QueryOptions opts;
   opts.strategy = engine::ExecutionStrategy::kInterpret;
   engine::ExecReport rep;
   for (auto _ : state) RunOnce(*p, opts, &rep);
@@ -69,7 +70,7 @@ void BM_Amortize_CompileImmediately(benchmark::State& state) {
     state.SkipWithError("no host compiler");
     return;
   }
-  engine::EngineOptions opts;
+  engine::QueryOptions opts;
   opts.strategy = engine::ExecutionStrategy::kAdaptiveJit;
   opts.vm.optimize_after_iterations = 1;  // compile on the first heartbeat
   engine::ExecReport rep;
@@ -99,7 +100,7 @@ void BM_Amortize_Adaptive(benchmark::State& state) {
     state.SkipWithError("no host compiler");
     return;
   }
-  engine::EngineOptions opts;
+  engine::QueryOptions opts;
   opts.strategy = engine::ExecutionStrategy::kAdaptiveJit;
   opts.vm.optimize_after_iterations = 16;  // interpret short runs entirely
   engine::ExecReport rep;

@@ -9,7 +9,7 @@
 
 #include "bench/bench_util.h"
 #include "dsl/builder.h"
-#include "engine/exec_engine.h"
+#include "engine/session.h"
 #include "jit/source_jit.h"
 #include "storage/datagen.h"
 
@@ -42,7 +42,7 @@ std::unique_ptr<Column> MakeMixedColumn(int plain_per_8) {
 void RunVm(benchmark::State& state, const Column& col, bool jit,
            bool specialize) {
   std::vector<int64_t> out(kRows);
-  engine::EngineOptions opts;
+  engine::QueryOptions opts;
   opts.strategy = jit ? engine::ExecutionStrategy::kAdaptiveJit
                       : engine::ExecutionStrategy::kInterpret;
   opts.vm.specialize_compression = specialize;
@@ -62,7 +62,7 @@ void RunVm(benchmark::State& state, const Column& col, bool jit,
     ctx.BindInputColumn("src", &col);
     ctx.BindOutput("out",
                    DataBinding::Raw(TypeId::kI64, out.data(), kRows, true));
-    auto r = engine::ExecEngine::Execute(ctx, opts);
+    auto r = engine::Session({.num_workers = 1}).Run(ctx, opts);
     if (!r.ok()) {
       state.SkipWithError(r.status().ToString().c_str());
       return;

@@ -6,13 +6,13 @@
 // cost grows ~linearly with depth; fused cost grows much slower (the loads/
 // stores dominate a simple arithmetic chain).
 //
-// Both variants run through the ExecEngine facade; only the strategy
-// differs.
+// Both variants run through a one-worker engine::Session; only the
+// strategy differs.
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
 #include "dsl/ast.h"
-#include "engine/exec_engine.h"
+#include "engine/session.h"
 #include "jit/source_jit.h"
 #include "storage/datagen.h"
 
@@ -55,7 +55,7 @@ void RunChain(benchmark::State& state, bool jit) {
   DataGen gen(37);
   auto data = gen.UniformI64(kRows, -50, 50);
   std::vector<int64_t> out(kRows);
-  engine::EngineOptions opts;
+  engine::QueryOptions opts;
   opts.strategy = jit ? engine::ExecutionStrategy::kAdaptiveJit
                       : engine::ExecutionStrategy::kInterpret;
   opts.vm.optimize_after_iterations = 2;
@@ -69,7 +69,7 @@ void RunChain(benchmark::State& state, bool jit) {
     ctx.BindInput("src", DataBinding::Raw(TypeId::kI64, data.data(), kRows));
     ctx.BindOutput("out",
                    DataBinding::Raw(TypeId::kI64, out.data(), kRows, true));
-    auto r = engine::ExecEngine::Execute(ctx, opts);
+    auto r = engine::Session({.num_workers = 1}).Run(ctx, opts);
     if (!r.ok()) {
       state.SkipWithError(r.status().ToString().c_str());
       return;

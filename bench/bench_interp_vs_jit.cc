@@ -4,13 +4,13 @@
 // pays materialization per primitive; tiny chunks re-expose interpretation
 // overhead, huge chunks spill intermediates out of cache.
 //
-// Both variants run through the ExecEngine facade; only the strategy
-// differs.
+// Both variants run through a one-worker engine::Session; only the
+// strategy differs.
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
 #include "dsl/builder.h"
-#include "engine/exec_engine.h"
+#include "engine/session.h"
 #include "jit/source_jit.h"
 #include "storage/datagen.h"
 
@@ -25,7 +25,7 @@ void RunPipeline(benchmark::State& state, bool jit, uint32_t chunk) {
   DataGen gen(41);
   auto data = gen.UniformI64(kRows, -100, 100);
   std::vector<int64_t> out(kRows);
-  engine::EngineOptions opts;
+  engine::QueryOptions opts;
   opts.strategy = jit ? engine::ExecutionStrategy::kAdaptiveJit
                       : engine::ExecutionStrategy::kInterpret;
   opts.vm.interp.chunk_size = chunk;
@@ -44,7 +44,7 @@ void RunPipeline(benchmark::State& state, bool jit, uint32_t chunk) {
     ctx.BindInput("src", DataBinding::Raw(TypeId::kI64, data.data(), kRows));
     ctx.BindOutput("out",
                    DataBinding::Raw(TypeId::kI64, out.data(), kRows, true));
-    auto r = engine::ExecEngine::Execute(ctx, opts);
+    auto r = engine::Session({.num_workers = 1}).Run(ctx, opts);
     if (!r.ok()) {
       state.SkipWithError(r.status().ToString().c_str());
       return;

@@ -1,4 +1,4 @@
-// Hash-join probe strategies through the engine facade: the same
+// Hash-join probe strategies through engine::Session: the same
 // star-schema join (fact probe against a densified dimension, SUM + COUNT
 // over the matches) under vectorized interpretation, the adaptive JIT, and
 // a 4-worker Session, plus a 4-client × 4-worker concurrent variant; then
@@ -122,12 +122,11 @@ JoinFixture& Fixture() {
 void RunJoin(benchmark::State& state, engine::ExecutionStrategy strategy,
              size_t workers, const char* label) {
   JoinFixture& f = Fixture();
-  engine::EngineOptions eo;
-  eo.strategy = strategy;
-  eo.num_workers = workers;
-  // One engine per benchmark: the trace cache persists across iterations,
+  engine::QueryOptions qo;
+  qo.strategy = strategy;
+  // One session per benchmark: the trace cache persists across iterations,
   // so the JIT variant measures steady-state (compiled) probes.
-  engine::ExecEngine engine(eo);
+  engine::Session session({.num_workers = workers});
   engine::Query q =
       relational::MakeJoinQuery(*f.probe, "f_key", "f_val", *f.dim, "d_key",
                                 "d_weight")
@@ -135,12 +134,12 @@ void RunJoin(benchmark::State& state, engine::ExecutionStrategy strategy,
   // Warm the trace cache outside the timing loop: the JIT variant measures
   // steady-state compiled probes, not one-off host-compiler invocations.
   {
-    auto r = engine.Run(q.context());
+    auto r = session.Run(q.context(), qo);
     if (!r.ok()) state.SkipWithError(r.status().ToString().c_str());
   }
   for (auto _ : state) {
     q.ResetAggregates();
-    auto r = engine.Run(q.context());
+    auto r = session.Run(q.context(), qo);
     if (!r.ok()) state.SkipWithError(r.status().ToString().c_str());
     benchmark::DoNotOptimize(q.aggregate("revenue")[0]);
   }
@@ -208,10 +207,9 @@ BENCHMARK(BM_JoinProbe_Session4Clients)
 void RunBuilderJoin(benchmark::State& state, const Table& probe_table,
                     const Table& dim_table, engine::JoinStrategy strategy,
                     size_t workers, const char* label) {
-  engine::EngineOptions eo;
-  eo.strategy = engine::ExecutionStrategy::kInterpret;
-  eo.num_workers = workers;
-  engine::ExecEngine engine(eo);
+  engine::QueryOptions qo;
+  qo.strategy = engine::ExecutionStrategy::kInterpret;
+  engine::Session session({.num_workers = workers});
   engine::QueryBuilder qb(probe_table);
   qb.SetJoinStrategy(strategy)
       .Join(dim_table, "f_key", "d_key", {"d_weight"})
@@ -219,12 +217,12 @@ void RunBuilderJoin(benchmark::State& state, const Table& probe_table,
       .Count("matches");
   engine::Query q = qb.Build().ValueOrDie();
   {
-    auto r = engine.Run(q.context());
+    auto r = session.Run(q.context(), qo);
     if (!r.ok()) state.SkipWithError(r.status().ToString().c_str());
   }
   for (auto _ : state) {
     q.ResetAggregates();
-    auto r = engine.Run(q.context());
+    auto r = session.Run(q.context(), qo);
     if (!r.ok()) state.SkipWithError(r.status().ToString().c_str());
     benchmark::DoNotOptimize(q.aggregate("matches")[0]);
   }
@@ -280,10 +278,9 @@ void BM_JoinOrderByMaterialize(benchmark::State& state,
                                engine::ExecutionStrategy strategy,
                                size_t workers, const char* label) {
   JoinFixture& f = Fixture();
-  engine::EngineOptions eo;
-  eo.strategy = strategy;
-  eo.num_workers = workers;
-  engine::ExecEngine engine(eo);
+  engine::QueryOptions qo;
+  qo.strategy = strategy;
+  engine::Session session({.num_workers = workers});
   auto build = [&] {
     engine::QueryBuilder qb(*f.probe);
     qb.Filter(dsl::Var("f_val") < dsl::ConstI(200))
@@ -296,12 +293,12 @@ void BM_JoinOrderByMaterialize(benchmark::State& state,
   // make the warmup's compiled traces serve every timed iteration).
   {
     engine::Query q = build();
-    auto r = engine.Run(q.context());
+    auto r = session.Run(q.context(), qo);
     if (!r.ok()) state.SkipWithError(r.status().ToString().c_str());
   }
   for (auto _ : state) {
     engine::Query q = build();
-    auto r = engine.Run(q.context());
+    auto r = session.Run(q.context(), qo);
     if (!r.ok()) state.SkipWithError(r.status().ToString().c_str());
     benchmark::DoNotOptimize(q.num_result_rows());
   }
@@ -326,7 +323,7 @@ BENCHMARK(BM_JoinOrderBy_Parallel4)
 // compute + condensing ORDER BY output all compile under the
 // selection-aware trace ABI (docs/TRACE_ABI.md) — before it, every hot
 // fragment of this pipeline silently fell back to interpretation. The
-// engine (and its trace cache) persists across iterations, so this
+// session (and its trace cache) persists across iterations, so this
 // measures steady-state compiled probes.
 void BM_JoinOrderBy_AdaptiveJit(benchmark::State& state) {
   BM_JoinOrderByMaterialize(state, engine::ExecutionStrategy::kAdaptiveJit, 1,

@@ -7,10 +7,10 @@
 // tiny budgets fragment the graph into many small functions (more boundary
 // materialization, slower); generous budgets approach one fused function.
 //
-// NOTE: this microbench deliberately constructs AdaptiveVm below the
-// ExecEngine facade — it measures VM internals (state machine, partitioner)
-// the facade intentionally hides. Application-level code goes through
-// engine::ExecEngine.
+// NOTE: this microbench deliberately constructs AdaptiveVm below
+// engine::Session — it measures VM internals (state machine, partitioner)
+// the session intentionally hides. Application-level code goes through
+// engine::Session.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -64,7 +64,7 @@ Program MakeWideProgram() {
   p.stmts = {MutDef("i"), Assign("i", ConstI(0)), Loop(std::move(body))};
   p.AssignIds();
   TypeCheck(&p).Abort();
-  // Below-facade construction: give it the same gate QueryBuilder-built
+  // Below-Session construction: give it the same gate QueryBuilder-built
   // programs get (docs/VERIFIER.md).
   const analysis::VerifyResult vr = analysis::VerifyProgram(p);
   if (!vr.clean()) {

@@ -5,9 +5,10 @@
 // (compact data types, pre-aggregation) can beat it; plain DSL
 // interpretation sits in between after the adaptive VM JITs its hot traces.
 //
-// All DSL strategies run through the ExecEngine facade; the *Parallel4
-// variants add morsel-driven parallelism (4 workers, shared trace cache,
-// merged aggregates) on top of the same engine entry point.
+// All DSL strategies run through engine::Session, one fresh session per
+// query (each row models a fresh process); the *Parallel4 variants add
+// morsel-driven parallelism (4 workers, shared trace cache, merged
+// aggregates) on top of the same entry point.
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
@@ -93,10 +94,10 @@ void BM_Q1_CompiledWholeQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_Q1_CompiledWholeQuery)->Unit(benchmark::kMillisecond);
 
-// --- DSL strategies through the ExecEngine facade -------------------------
+// --- DSL strategies through a fresh engine::Session per query -------------
 
-void RunEngineBench(benchmark::State& state, engine::EngineOptions opts,
-                    const char* strategy_label) {
+void RunEngineBench(benchmark::State& state, engine::QueryOptions opts,
+                    size_t workers, const char* strategy_label) {
   const Table& t = SharedLineitem();
   uint64_t traces = 0, injections = 0;
   size_t morsels = 0;
@@ -104,22 +105,24 @@ void RunEngineBench(benchmark::State& state, engine::EngineOptions opts,
   // adaptive-jit rows measure steady-state compiled execution instead of
   // one-off host-compiler invocations.
   {
-    auto r = RunQ1Engine(t, opts);
+    engine::Query q = MakeQ1Query(t).ValueOrDie();
+    auto r = engine::Session({.num_workers = workers}).Run(q.context(), opts);
     if (!r.ok()) {
       state.SkipWithError(r.status().ToString().c_str());
       return;
     }
   }
   for (auto _ : state) {
-    auto r = RunQ1Engine(t, opts);
+    engine::Query q = MakeQ1Query(t).ValueOrDie();
+    auto r = engine::Session({.num_workers = workers}).Run(q.context(), opts);
     if (!r.ok()) {
       state.SkipWithError(r.status().ToString().c_str());
       return;
     }
-    traces = r.value().report.traces_compiled;
-    injections = r.value().report.injection_runs;
-    morsels = r.value().report.morsels;
-    benchmark::DoNotOptimize(r.value().result);
+    traces = r.value().traces_compiled;
+    injections = r.value().injection_runs;
+    morsels = r.value().morsels;
+    benchmark::DoNotOptimize(Q1ResultFromQuery(q));
   }
   state.counters["traces"] = static_cast<double>(traces);
   state.counters["injection_runs"] = static_cast<double>(injections);
@@ -130,9 +133,9 @@ void RunEngineBench(benchmark::State& state, engine::EngineOptions opts,
 }
 
 void BM_Q1_EngineInterpreted(benchmark::State& state) {
-  engine::EngineOptions opts;
+  engine::QueryOptions opts;
   opts.strategy = engine::ExecutionStrategy::kInterpret;
-  RunEngineBench(state, opts, "engine-interpret");
+  RunEngineBench(state, opts, 1, "engine-interpret");
 }
 BENCHMARK(BM_Q1_EngineInterpreted)
     ->Unit(benchmark::kMillisecond)
@@ -141,20 +144,19 @@ BENCHMARK(BM_Q1_EngineInterpreted)
 void BM_Q1_EngineInterpretedScalarKernels(benchmark::State& state) {
   // Same interpreted engine path with the kernel registry pinned to the
   // scalar tier — the delta against engine-interpret is the SIMD lift.
-  engine::EngineOptions opts;
+  engine::QueryOptions opts;
   opts.strategy = engine::ExecutionStrategy::kInterpret;
   opts.vm.interp.kernel_tier = interp::KernelTier::kScalar;
-  RunEngineBench(state, opts, "engine-interpret-scalar-kernels");
+  RunEngineBench(state, opts, 1, "engine-interpret-scalar-kernels");
 }
 BENCHMARK(BM_Q1_EngineInterpretedScalarKernels)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
 void BM_Q1_EngineInterpretedParallel4(benchmark::State& state) {
-  engine::EngineOptions opts;
+  engine::QueryOptions opts;
   opts.strategy = engine::ExecutionStrategy::kInterpret;
-  opts.num_workers = 4;
-  RunEngineBench(state, opts, "engine-interpret-par4");
+  RunEngineBench(state, opts, 4, "engine-interpret-par4");
 }
 BENCHMARK(BM_Q1_EngineInterpretedParallel4)
     ->Unit(benchmark::kMillisecond)
@@ -165,10 +167,10 @@ void BM_Q1_EngineAdaptiveJit(benchmark::State& state) {
     state.SkipWithError("no host compiler");
     return;
   }
-  engine::EngineOptions opts;
+  engine::QueryOptions opts;
   opts.strategy = engine::ExecutionStrategy::kAdaptiveJit;
   opts.vm.optimize_after_iterations = 8;
-  RunEngineBench(state, opts, "engine-adaptive-jit");
+  RunEngineBench(state, opts, 1, "engine-adaptive-jit");
 }
 BENCHMARK(BM_Q1_EngineAdaptiveJit)
     ->Unit(benchmark::kMillisecond)
@@ -179,11 +181,10 @@ void BM_Q1_EngineAdaptiveJitParallel4(benchmark::State& state) {
     state.SkipWithError("no host compiler");
     return;
   }
-  engine::EngineOptions opts;
+  engine::QueryOptions opts;
   opts.strategy = engine::ExecutionStrategy::kAdaptiveJit;
   opts.vm.optimize_after_iterations = 8;
-  opts.num_workers = 4;
-  RunEngineBench(state, opts, "engine-adaptive-jit-par4");
+  RunEngineBench(state, opts, 4, "engine-adaptive-jit-par4");
 }
 BENCHMARK(BM_Q1_EngineAdaptiveJitParallel4)
     ->Unit(benchmark::kMillisecond)

@@ -93,29 +93,28 @@ engine::Query BuildSpillQuery(SpillFixture& f) {
   return qb.Build().ValueOrDie();
 }
 
-/// One engine per benchmark; the same Query is re-submitted every
+/// One session per benchmark; the same Query is re-submitted every
 /// iteration (the prepare hook re-decides resident-vs-spill per
 /// submission), so each timed iteration covers join probe, window
 /// materialization, sort, and — when budgeted — spill + k-way merge.
 void RunSpillOrderBy(benchmark::State& state, uint64_t budget,
                      size_t workers, const char* label) {
   SpillFixture& f = Fixture();
-  engine::EngineOptions eo;
-  eo.strategy = engine::ExecutionStrategy::kInterpret;
-  eo.num_workers = workers;
-  eo.memory_budget = budget;
-  engine::ExecEngine engine(eo);
+  engine::QueryOptions qo;
+  qo.strategy = engine::ExecutionStrategy::kInterpret;
+  qo.memory_budget = budget;
+  engine::Session session({.num_workers = workers});
   engine::Query q = BuildSpillQuery(f);
   engine::ExecReport last;
   {
-    auto r = engine.Run(q.context());
+    auto r = session.Run(q.context(), qo);
     if (!r.ok()) {
       state.SkipWithError(r.status().ToString().c_str());
       return;
     }
   }
   for (auto _ : state) {
-    auto r = engine.Run(q.context());
+    auto r = session.Run(q.context(), qo);
     if (!r.ok()) {
       state.SkipWithError(r.status().ToString().c_str());
       return;

@@ -4,10 +4,10 @@
 // profiling + heartbeat but JIT disabled (observation overhead must be a
 // few percent), and prints one state-machine timeline for documentation.
 //
-// NOTE: this microbench deliberately constructs AdaptiveVm below the
-// ExecEngine facade — it measures VM internals (state machine, partitioner)
-// the facade intentionally hides. Application-level code goes through
-// engine::ExecEngine.
+// NOTE: this microbench deliberately constructs AdaptiveVm below
+// engine::Session — it measures VM internals (state machine, partitioner)
+// the session intentionally hides. Application-level code goes through
+// engine::Session.
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
@@ -34,7 +34,7 @@ struct Fig2Fixture {
   std::vector<int64_t> data, v, w;
   Fig2Fixture() {
     dsl::TypeCheck(&program).Abort();
-    // Below-facade construction: give it the same gate QueryBuilder-built
+    // Below-Session construction: give it the same gate QueryBuilder-built
     // programs get (docs/VERIFIER.md).
     const analysis::VerifyResult vr = analysis::VerifyProgram(program);
     if (!vr.clean()) {

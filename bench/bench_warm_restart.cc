@@ -25,8 +25,8 @@
 #include <string>
 
 #include "bench/bench_util.h"
-#include "engine/exec_engine.h"
 #include "engine/query_builder.h"
+#include "engine/session.h"
 #include "jit/disk_cache.h"
 #include "jit/source_jit.h"
 #include "relational/q1.h"
@@ -43,8 +43,8 @@ constexpr uint64_t kQ1Rows = 240'000;
 constexpr uint64_t kProbeRows = 200'000;
 constexpr int64_t kBuildKeys = 1'024;
 
-engine::EngineOptions JitOptions() {
-  engine::EngineOptions opts;
+engine::QueryOptions JitOptions() {
+  engine::QueryOptions opts;
   opts.strategy = engine::ExecutionStrategy::kAdaptiveJit;
   opts.vm.optimize_after_iterations = 2;
   return opts;
@@ -54,7 +54,10 @@ Status RunQ1Once() {
   LineitemSpec spec;
   spec.num_rows = kQ1Rows;
   std::unique_ptr<Table> table = MakeLineitem(spec);
-  return relational::RunQ1Engine(*table, JitOptions()).status();
+  AVM_ASSIGN_OR_RETURN(engine::Query q, relational::MakeQ1Query(*table));
+  return engine::Session({.num_workers = 1})
+      .Run(q.context(), JitOptions())
+      .status();
 }
 
 /// filter -> hash join -> aggregate+ORDER BY row query, the PR 3 shape.
@@ -90,7 +93,9 @@ Status RunJoinOrderByOnce() {
       .Output("d_val")
       .OrderBy("f_key");
   AVM_ASSIGN_OR_RETURN(engine::Query q, qb.Build());
-  return engine::ExecEngine::Execute(q.context(), JitOptions()).status();
+  return engine::Session({.num_workers = 1})
+      .Run(q.context(), JitOptions())
+      .status();
 }
 
 std::string SelfPath() {
@@ -195,7 +200,7 @@ BENCHMARK(BM_FirstQuery_Q1_FastTierOnly)
     ->Iterations(3);
 
 void BM_FirstQuery_Q1_InProcess(benchmark::State& state) {
-  // In-process companion row: a fresh engine per iteration over one shared
+  // In-process companion row: a fresh session per iteration over one shared
   // populated dir, with the ReportJit counters attached so the JSON row
   // records compiles vs disk hits. (Backend memoization makes repeated
   // in-process "cold" runs free, hence cold has no in-process row.)
@@ -207,10 +212,14 @@ void BM_FirstQuery_Q1_InProcess(benchmark::State& state) {
   LineitemSpec spec;
   spec.num_rows = kQ1Rows;
   std::unique_ptr<Table> table = MakeLineitem(spec);
-  engine::EngineOptions opts = JitOptions();
+  engine::QueryOptions opts = JitOptions();
   opts.vm.disk_cache = std::make_shared<jit::DiskTraceCache>(dir, 64 << 20);
+  auto run_once = [&]() -> Result<engine::ExecReport> {
+    AVM_ASSIGN_OR_RETURN(engine::Query q, relational::MakeQ1Query(*table));
+    return engine::Session({.num_workers = 1}).Run(q.context(), opts);
+  };
   {
-    auto prime = relational::RunQ1Engine(*table, opts);
+    auto prime = run_once();
     if (!prime.ok()) {
       state.SkipWithError(prime.status().ToString().c_str());
       return;
@@ -218,12 +227,12 @@ void BM_FirstQuery_Q1_InProcess(benchmark::State& state) {
   }
   engine::ExecReport last;
   for (auto _ : state) {
-    auto r = relational::RunQ1Engine(*table, opts);
+    auto r = run_once();
     if (!r.ok()) {
       state.SkipWithError(r.status().ToString().c_str());
       return;
     }
-    last = r.value().report;
+    last = r.value();
   }
   WipeCacheDir(dir);
   ::rmdir(dir.c_str());

@@ -1,15 +1,15 @@
 // Micro-adaptivity demo (§III-C / [24]): a filter over data whose
 // selectivity drifts from ~1% to ~99% mid-stream. The per-node
 // micro-adaptive chooser re-tests its flavors periodically and switches
-// implementation as the workload changes. Each flavor runs through the
-// ExecEngine facade under the pure-interpretation strategy.
+// implementation as the workload changes. Each flavor runs through a
+// one-worker engine::Session under the pure-interpretation strategy.
 //
 //   $ ./adaptive_filter
 #include <cstdio>
 #include <vector>
 
 #include "dsl/builder.h"
-#include "engine/exec_engine.h"
+#include "engine/session.h"
 #include "storage/datagen.h"
 
 using namespace avm;
@@ -59,11 +59,11 @@ double RunWith(interp::FilterFlavor flavor, const std::vector<int64_t>& data,
     });
   }
 
-  engine::EngineOptions opts;
+  engine::QueryOptions opts;
   opts.strategy = engine::ExecutionStrategy::kInterpret;
   opts.vm.interp.filter_flavor = flavor;
   engine::ExecReport report =
-      engine::ExecEngine::Execute(ctx, opts).ValueOrDie();
+      engine::Session({.num_workers = 1}).Run(ctx, opts).ValueOrDie();
   return report.wall_seconds * 1e3;
 }
 

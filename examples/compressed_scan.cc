@@ -1,6 +1,6 @@
 // Compressed execution demo (§III-C): a column whose per-block compression
-// scheme changes mid-stream. Run through the ExecEngine under the adaptive
-// strategy, the VM JIT-compiles a trace specialized for FOR blocks
+// scheme changes mid-stream. Run through an engine::Session under the
+// adaptive strategy, the VM JIT-compiles a trace specialized for FOR blocks
 // (operating on narrow deltas + the block reference), transparently falls
 // back to interpretation when a block with a different scheme arrives, and
 // installs a second variant for the new situation — the trace cache keeps
@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "dsl/builder.h"
-#include "engine/exec_engine.h"
+#include "engine/session.h"
 #include "jit/source_jit.h"
 #include "storage/datagen.h"
 
@@ -55,13 +55,13 @@ int main() {
       .BindOutput("out", interp::DataBinding::Raw(TypeId::kI64, out.data(),
                                                   kRows, true));
 
-  engine::EngineOptions opts;
+  engine::QueryOptions opts;
   opts.strategy = engine::ExecutionStrategy::kAdaptiveJit;
   opts.vm.optimize_after_iterations = 4;
   opts.vm.recheck_interval = 8;
   opts.vm.specialize_compression = true;
   engine::ExecReport report =
-      engine::ExecEngine::Execute(ctx, opts).ValueOrDie();
+      engine::Session({.num_workers = 1}).Run(ctx, opts).ValueOrDie();
 
   std::printf("=== Fig.1 timeline ===\n%s\n", report.state_timeline.c_str());
   std::printf("traces compiled : %llu (one per compression situation)\n",

@@ -1,5 +1,5 @@
 // Heterogeneous placement demo (Plan step 3): map fragments submitted
-// through the ExecEngine under the kGpuOffload strategy. The engine
+// to an engine::Session under the kGpuOffload strategy. The engine
 // recognizes offloadable map fragments, asks the adaptive placer to choose
 // between the CPU and the simulated GPU (DESIGN.md substitution), and
 // calibrates the placer's cost model from every observed run.
@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "dsl/builder.h"
-#include "engine/exec_engine.h"
+#include "engine/session.h"
 #include "storage/datagen.h"
 
 using namespace avm;
@@ -39,10 +39,10 @@ int64_t Reference(int depth, int64_t x) {
 }
 
 int RunSweep(const char* label, int depth) {
-  engine::EngineOptions opts;
+  engine::QueryOptions opts;
   opts.strategy = engine::ExecutionStrategy::kGpuOffload;
-  // One engine per fragment shape: its placer calibrates run over run.
-  engine::ExecEngine engine(opts);
+  // One session per fragment shape: its placer calibrates run over run.
+  engine::Session session({.num_workers = 1});
 
   std::printf("%s fragment (%d ops/row):\n", label, 2 * depth);
   std::printf("%12s %10s %12s %12s\n", "rows", "device", "wall_ms",
@@ -56,7 +56,7 @@ int RunSweep(const char* label, int depth) {
                   interp::DataBinding::Raw(TypeId::kI64, col.data(), n))
         .BindOutput("out", interp::DataBinding::Raw(TypeId::kI64, out.data(),
                                                     n, true));
-    engine::ExecReport report = engine.Run(ctx).ValueOrDie();
+    engine::ExecReport report = session.Run(ctx, opts).ValueOrDie();
     for (uint32_t i = 0; i < n; i += 4097) {
       if (out[i] != Reference(depth, col[i])) {
         std::printf("!! result mismatch at %u\n", i);

@@ -7,7 +7,7 @@
 //    QueryHandle — several clients can be in flight at once, interleaving
 //    their morsels over the session's shared workers.
 // 3. The classic ExecContext + parsed-DSL path (the paper's Figure 2
-//    program) still runs through the same session via the blocking facade.
+//    program) runs through the same session via Session::Run.
 //
 //   $ ./quickstart
 #include <algorithm>
@@ -151,8 +151,8 @@ int main() {
     std::printf("\n");
   }
 
-  // 3. The paper's Figure 2 program, parsed from text and run through the
-  //    blocking facade (a thin Submit+Wait over the same machinery).
+  // 3. The paper's Figure 2 program, parsed from text and run through
+  //    Session::Run (a blocking Submit+Wait on the same session).
   constexpr const char* kFigure2 = R"(
 data some_data : i64
 data v : i64 writable

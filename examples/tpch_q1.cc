@@ -63,32 +63,39 @@ int main(int argc, char** argv) {
     if (!(comp == oracle)) std::printf("!! compiled result mismatch\n");
   }
   {
-    engine::EngineOptions opts;
+    engine::QueryOptions opts;
     opts.strategy = jit::SourceJit::Available()
                         ? engine::ExecutionStrategy::kAdaptiveJit
                         : engine::ExecutionStrategy::kInterpret;
     Stopwatch sw;
-    Q1DslRun run = RunQ1Engine(*table, opts).ValueOrDie();
+    engine::Query serial = MakeQ1Query(*table).ValueOrDie();
+    engine::ExecReport report =
+        engine::Session({.num_workers = 1}).Run(serial.context(), opts)
+            .ValueOrDie();
     double ms = sw.ElapsedMillis();
-    PrintResult("engine serial (DSL)", run.result, ms, n);
+    const Q1Result serial_result = Q1ResultFromQuery(serial);
+    PrintResult("engine serial (DSL)", serial_result, ms, n);
     std::printf("  -> traces compiled: %llu, injected chunk runs: %llu\n",
-                (unsigned long long)run.report.traces_compiled,
-                (unsigned long long)run.report.injection_runs);
-    if (!(run.result == oracle)) {
+                (unsigned long long)report.traces_compiled,
+                (unsigned long long)report.injection_runs);
+    if (!(serial_result == oracle)) {
       std::printf("!! adaptive result mismatch\n");
       return 1;
     }
 
     // Morsel-driven parallel run: row-range slices, shared trace cache,
     // aggregates merged at the barrier — bit-identical to the serial run.
-    opts.num_workers = 4;
     Stopwatch sw4;
-    Q1DslRun par = RunQ1Engine(*table, opts).ValueOrDie();
+    engine::Query par = MakeQ1Query(*table).ValueOrDie();
+    engine::ExecReport par_report =
+        engine::Session({.num_workers = 4}).Run(par.context(), opts)
+            .ValueOrDie();
     double ms4 = sw4.ElapsedMillis();
-    PrintResult("engine 4 workers (DSL)", par.result, ms4, n);
+    const Q1Result par_result = Q1ResultFromQuery(par);
+    PrintResult("engine 4 workers (DSL)", par_result, ms4, n);
     std::printf("  -> %zu morsels on %zu workers, speedup %.2fx\n",
-                par.report.morsels, par.report.workers, ms / ms4);
-    if (!(par.result == oracle)) {
+                par_report.morsels, par_report.workers, ms / ms4);
+    if (!(par_result == oracle)) {
       std::printf("!! parallel result mismatch\n");
       return 1;
     }

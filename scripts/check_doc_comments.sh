@@ -6,18 +6,21 @@
 #
 #   scripts/check_doc_comments.sh [header...]
 #
-# With no arguments it checks the headers whose contracts the docs
+# With no arguments it checks the engine's entry point (session.h,
+# exec_engine.h, query_builder.h) and the headers whose contracts the docs
 # (docs/TRACE_ABI.md, docs/TRACE_CACHE.md, docs/VERIFIER.md, docs/SPILL.md)
-# rely on: exec_engine.h, adaptive_vm.h, trace_abi.h, codegen.h (code
-# generation from verified traces only), trace_compiler.h, jit_backend.h,
-# backend_cc.h, disk_cache.h, the analysis headers, memory_tracker.h and
-# spill_file.h. CI fails the build on any finding.
+# rely on: adaptive_vm.h, trace_abi.h, codegen.h (code generation from
+# verified traces only), trace_compiler.h, jit_backend.h, backend_cc.h,
+# disk_cache.h, the analysis headers, memory_tracker.h and spill_file.h.
+# CI fails the build on any finding.
 set -u
 
 headers=("$@")
 if [ ${#headers[@]} -eq 0 ]; then
   headers=(
+    src/engine/session.h
     src/engine/exec_engine.h
+    src/engine/query_builder.h
     src/vm/adaptive_vm.h
     src/jit/trace_abi.h
     src/jit/codegen.h

@@ -8,7 +8,7 @@
 // of privatized accumulators, row-window scaling under join fan-out, no
 // positional mixing of pre-/post-expand iteration domains). It is wired
 // into QueryBuilder::Build (always on: a diagnostic fails the build) and
-// the below-facade bench fixtures, so no built query reaches the
+// the below-Session bench fixtures, so no built query reaches the
 // interpreter unchecked.
 //
 // The program must be type-checked (dsl::TypeCheck) first: the prim rules

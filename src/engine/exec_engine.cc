@@ -1,6 +1,7 @@
 #include "engine/exec_engine.h"
 
-#include "engine/session.h"
+#include <algorithm>
+
 #include "util/string_util.h"
 
 namespace avm::engine {
@@ -179,39 +180,6 @@ ExecContext& ExecContext::BindAccumulator(const std::string& name, TypeId type,
                     interp::DataBinding::Raw(type, data, len, true),
                     std::move(merge)});
   return *this;
-}
-
-// -------------------------------------------------------------- ExecEngine
-
-ExecEngine::ExecEngine(EngineOptions options) : options_(std::move(options)) {
-  SessionOptions so;
-  so.num_workers = options_.num_workers;
-  so.defaults.strategy = options_.strategy;
-  so.defaults.vm = options_.vm;
-  so.defaults.morsel_rows = options_.morsel_rows;
-  so.defaults.memory_budget = options_.memory_budget;
-  so.device_pool = options_.device_pool;
-  session_ = std::make_unique<Session>(so);
-}
-
-ExecEngine::~ExecEngine() = default;
-
-Result<ExecReport> ExecEngine::Run(ExecContext& ctx) {
-  return session_->Run(ctx);
-}
-
-const jit::TraceCache& ExecEngine::trace_cache() const {
-  return session_->trace_cache();
-}
-
-Result<ExecReport> ExecEngine::Execute(ExecContext& ctx,
-                                       EngineOptions options) {
-  // Spins up (and drains) a fresh session — worker threads and an empty
-  // TraceCache — per call: tens of microseconds against the multi-ms
-  // queries this convenience path serves. Callers that care about either
-  // reuse keep an ExecEngine (or a Session) alive instead.
-  ExecEngine engine(std::move(options));
-  return engine.Run(ctx);
 }
 
 }  // namespace avm::engine

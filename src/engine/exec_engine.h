@@ -1,9 +1,8 @@
-// Unified execution facade.
-//
-// Every consumer of the framework (the relational layer, examples,
-// benchmarks) enters through the engine layer: a type-checked dsl::Program
-// plus data bindings go in, a unified ExecReport comes out. The engine picks
-// the execution machinery from an ExecutionStrategy:
+// Query execution vocabulary shared by engine::Session (session.h), the
+// one entry point that runs queries: a type-checked dsl::Program plus data
+// bindings go in (ExecContext), per-query knobs ride along (QueryOptions),
+// and a unified ExecReport comes out. QueryOptions::strategy picks the
+// execution machinery:
 //
 //   kInterpret    pure vectorized interpretation (paper §III-A, JIT off)
 //   kAdaptiveJit  the Fig. 1 adaptive VM: interpret + profile, partition,
@@ -11,12 +10,9 @@
 //   kGpuOffload   adaptive CPU/GPU placement for offloadable map fragments
 //                 (simulated device; falls back to kAdaptiveJit otherwise)
 //
-// Since the Session redesign the engine is a *service*, not a function: the
-// primary surface is engine::Session (session.h), whose Submit() returns a
-// future-like QueryHandle and whose fair morsel scheduler interleaves N
-// in-flight queries over M workers sharing one TraceCache. The blocking
-// ExecEngine::Run / ExecEngine::Execute entry points below are thin
-// Submit+Wait wrappers kept so every pre-Session consumer keeps working.
+// A one-shot run is `engine::Session({.num_workers = 1}).Run(ctx, qo)`;
+// callers that want compiled traces reused across queries keep the Session
+// alive and submit every query to it.
 #pragma once
 
 #include <functional>
@@ -26,14 +22,10 @@
 
 #include "engine/memory_tracker.h"
 #include "engine/morsel.h"
-#include "jit/trace_cache.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 #include "vm/adaptive_vm.h"
 
 namespace avm::engine {
-
-class Session;
 
 /// Which execution machinery serves a query (see the file comment):
 /// pure vectorized interpretation, the adaptive interpret+profile+JIT
@@ -47,45 +39,19 @@ enum class ExecutionStrategy : uint8_t {
 /// Human-readable strategy name ("interpret", "adaptive-jit", ...).
 const char* StrategyName(ExecutionStrategy s);
 
-/// Per-query knobs: how one submitted query executes. Worker count and
-/// pools are session-level concerns (SessionOptions).
+/// Per-query knobs: how one submitted query executes. The worker count is
+/// a session-level concern (SessionOptions); morsels are sized
+/// automatically (~4 per worker, chunk-aligned; see PartitionRows).
 struct QueryOptions {
   ExecutionStrategy strategy = ExecutionStrategy::kAdaptiveJit;
   /// Tuning knobs of the underlying VM/interpreter. `vm.enable_jit` is
   /// overridden by the strategy (kInterpret forces it off).
   vm::VmOptions vm;
-  /// Rows per morsel; 0 = auto (~4 morsels per worker, chunk-aligned).
-  uint64_t morsel_rows = 0;
   /// Per-query memory budget in bytes, accounted by engine::MemoryTracker
   /// (docs/SPILL.md): join build tables, ORDER BY output windows, and
   /// per-task scratch charge against it; ORDER BY spills sorted runs to
   /// disk when the budget trips. 0 = use the session-wide AVM_MEMORY_BUDGET
   /// tracker if set, else unlimited.
-  uint64_t memory_budget = 0;
-};
-
-/// Options of the compatibility facade: per-query knobs plus the session
-/// parameters ExecEngine forwards to its embedded Session. The first three
-/// fields mirror QueryOptions (kept flat for source compatibility with
-/// pre-Session callers); the ExecEngine constructor is the single mapping
-/// point — a field added to QueryOptions must be forwarded there.
-struct EngineOptions {
-  ExecutionStrategy strategy = ExecutionStrategy::kAdaptiveJit;
-  /// Tuning knobs of the underlying VM/interpreter. `vm.enable_jit` is
-  /// overridden by the strategy (kInterpret forces it off).
-  vm::VmOptions vm;
-  /// Number of morsel workers; 1 = serial, 0 = hardware concurrency.
-  size_t num_workers = 1;
-  /// Rows per morsel; 0 = auto (~4 morsels per worker, chunk-aligned).
-  uint64_t morsel_rows = 0;
-  /// Auxiliary pool for the simulated GPU device (SM-level parallelism);
-  /// nullptr = the process-wide ThreadPool::Global(). Morsel workers run on
-  /// the session's own worker pool, not on this one — the old `pool` field
-  /// was renamed so pre-Session code that routed morsel work through it
-  /// fails to compile instead of silently changing thread placement.
-  ThreadPool* device_pool = nullptr;
-  /// Per-query memory budget in bytes (mirrors QueryOptions::memory_budget;
-  /// 0 = AVM_MEMORY_BUDGET if set, else unlimited).
   uint64_t memory_budget = 0;
 };
 
@@ -383,35 +349,6 @@ class ExecContext {
   std::function<Status(const MemoryPlan&, PrepareOutcome*)> prepare_hook_;
   std::function<void()> cleanup_hook_;
   SpillStats spill_stats_;
-};
-
-/// The blocking compatibility facade over engine::Session. One engine
-/// instance embeds one long-lived Session; the session's TraceCache
-/// persists across runs, so repeated queries of the same shape reuse
-/// compiled traces instead of recompiling.
-class ExecEngine {
- public:
-  explicit ExecEngine(EngineOptions options = {});
-  ~ExecEngine();
-
-  /// Execute `ctx` under the configured strategy and worker count. A thin
-  /// Submit + Wait over the embedded session.
-  Result<ExecReport> Run(ExecContext& ctx);
-
-  /// The embedded session, for callers that want the async surface
-  /// (Submit returning a QueryHandle) on the same cache and workers.
-  Session& session() { return *session_; }
-
-  const EngineOptions& options() const { return options_; }
-  const jit::TraceCache& trace_cache() const;
-
-  /// Convenience: run a context once with the given options.
-  static Result<ExecReport> Execute(ExecContext& ctx,
-                                    EngineOptions options = {});
-
- private:
-  EngineOptions options_;
-  std::unique_ptr<Session> session_;
 };
 
 }  // namespace avm::engine

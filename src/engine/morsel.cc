@@ -1,9 +1,6 @@
 #include "engine/morsel.h"
 
 #include <algorithm>
-#include <atomic>
-#include <future>
-#include <mutex>
 
 namespace avm::engine {
 
@@ -27,44 +24,6 @@ std::vector<Morsel> PartitionRows(uint64_t rows, size_t num_workers,
     morsels.push_back(m);
   }
   return morsels;
-}
-
-Status RunMorsels(ThreadPool& pool, size_t num_workers,
-                  const std::vector<Morsel>& morsels,
-                  const std::function<Status(const Morsel&)>& fn) {
-  if (morsels.empty()) return Status::OK();
-  num_workers = std::max<size_t>(1, std::min(num_workers, morsels.size()));
-  if (num_workers == 1) {
-    for (const Morsel& m : morsels) {
-      AVM_RETURN_NOT_OK(fn(m));
-    }
-    return Status::OK();
-  }
-
-  std::atomic<size_t> cursor{0};
-  std::atomic<bool> failed{false};
-  std::mutex err_mu;
-  Status first_error = Status::OK();
-
-  auto worker = [&] {
-    while (!failed.load(std::memory_order_relaxed)) {
-      const size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (i >= morsels.size()) break;
-      Status st = fn(morsels[i]);
-      if (!st.ok()) {
-        std::lock_guard<std::mutex> lock(err_mu);
-        if (first_error.ok()) first_error = st;
-        failed.store(true, std::memory_order_relaxed);
-        break;
-      }
-    }
-  };
-
-  std::vector<std::future<void>> futs;
-  futs.reserve(num_workers);
-  for (size_t w = 0; w < num_workers; ++w) futs.push_back(pool.Submit(worker));
-  for (auto& f : futs) f.get();
-  return first_error;
 }
 
 }  // namespace avm::engine

@@ -1,16 +1,12 @@
 // Morsel-driven parallelism primitives (Leis et al.-style): the total row
-// range is cut into cache-friendly row-range morsels and a fixed set of
-// workers pulls morsels from a shared queue until it is drained, so skew in
-// per-morsel cost self-balances. Used by ExecEngine for DSL programs and by
-// the relational layer for parallel scans/probes.
+// range is cut into cache-friendly row-range morsels, and engine::Session's
+// workers pull them from a shared run queue until it is drained, so skew in
+// per-morsel cost self-balances.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
-
-#include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace avm::engine {
 
@@ -29,12 +25,5 @@ struct Morsel {
 /// morsel-aligned).
 std::vector<Morsel> PartitionRows(uint64_t rows, size_t num_workers,
                                   uint64_t morsel_rows, uint32_t align);
-
-/// Run `fn` over every morsel using `num_workers` pool workers pulling from
-/// a shared atomic cursor. Blocks until all morsels are processed; returns
-/// the first non-OK status (remaining morsels are skipped on error).
-Status RunMorsels(ThreadPool& pool, size_t num_workers,
-                  const std::vector<Morsel>& morsels,
-                  const std::function<Status(const Morsel&)>& fn);
 
 }  // namespace avm::engine

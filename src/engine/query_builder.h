@@ -93,13 +93,13 @@ class Query {
   Query& operator=(Query&&) noexcept;
   ~Query();
 
-  /// The context to pass to Session::Submit / ExecEngine::Run. One
+  /// The context to pass to Session::Submit / Session::Run. One
   /// in-flight submission at a time (the accumulators are this query's).
   ExecContext& context();
 
   /// Instantiate the lowered program for `rows` input rows (what the
   /// context's factory runs per morsel). Exposed for tests and for
-  /// below-facade consumers that drive a VM directly.
+  /// consumers below the Session that drive a VM directly.
   Result<dsl::Program> MakeProgram(int64_t rows) const;
 
   /// Integer aggregate results (Sum/Count), one slot per group. Aborts on
@@ -137,6 +137,8 @@ class Query {
   std::unique_ptr<Impl> impl_;
 };
 
+/// Fluent builder of one relational query over a scanned table (see the
+/// file comment): Build() validates, lowers and returns a runnable Query.
 class QueryBuilder {
  public:
   /// Scan the given table. The table must outlive the built Query.

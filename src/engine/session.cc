@@ -11,6 +11,7 @@
 #include "gpu/sim_device.h"
 #include "ir/prim.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace avm::engine {
@@ -155,11 +156,6 @@ Session::Stats Session::stats() const {
   return Stats{sched_->submitted, sched_->completed, sched_->cancelled};
 }
 
-ThreadPool& Session::DevicePool() const {
-  return options_.device_pool != nullptr ? *options_.device_pool
-                                         : ThreadPool::Global();
-}
-
 // ----------------------------------------------------------- query handle
 
 QueryHandle::QueryHandle() = default;
@@ -230,10 +226,6 @@ void QueryHandle::Cancel() {
 
 // ------------------------------------------------------------------ submit
 
-QueryHandle Session::Submit(ExecContext& ctx) {
-  return Submit(ctx, options_.defaults);
-}
-
 QueryHandle Session::Submit(ExecContext& ctx, const QueryOptions& options) {
   auto q = std::make_shared<QueryState>();
   q->ctx = &ctx;
@@ -289,10 +281,6 @@ void Session::SpawnPumpsLocked() {
     ++sched_->pumps;
     sched_->pool->Submit([this] { PumpLoop(); });
   }
-}
-
-Result<ExecReport> Session::Run(ExecContext& ctx) {
-  return Submit(ctx).Wait();
 }
 
 Result<ExecReport> Session::Run(ExecContext& ctx,
@@ -658,14 +646,10 @@ Status Session::ClassifyCpu(QueryState& q) {
     }
   }
 
-  uint64_t morsel_rows = q.qo.morsel_rows;
-  if (spill) {
-    // spill_cap is already chunk-aligned (floored) by the hook, so
-    // PartitionRows' round-UP to chunk alignment cannot exceed it.
-    morsel_rows =
-        morsel_rows == 0 ? spill_cap : std::min(morsel_rows, spill_cap);
-  }
-  q.morsels = PartitionRows(ctx.total_rows_, workers, morsel_rows,
+  // 0 = auto size; in spill mode spill_cap is already chunk-aligned
+  // (floored) by the hook, so PartitionRows' round-UP to chunk alignment
+  // cannot exceed it.
+  q.morsels = PartitionRows(ctx.total_rows_, workers, spill_cap,
                             q.vmo.interp.chunk_size);
   if (q.morsels.size() <= 1 && !spill) {
     q.morsels.clear();
@@ -978,8 +962,8 @@ Status Session::ProbeGpuOffload(QueryState& q, bool* offload) {
 
   std::lock_guard<std::mutex> lock(gpu_mu_);
   if (gpu_device_ == nullptr) {
-    gpu_device_ = std::make_unique<gpu::SimGpuDevice>(gpu::GpuDeviceParams{},
-                                                      &DevicePool());
+    gpu_device_ = std::make_unique<gpu::SimGpuDevice>(
+        gpu::GpuDeviceParams{}, &ThreadPool::Global());
     gpu_backend_ = std::make_unique<gpu::GpuBackend>(gpu_device_.get());
     gpu_placer_ =
         std::make_unique<gpu::AdaptivePlacer>(gpu_device_->params());

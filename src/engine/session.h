@@ -38,6 +38,7 @@
 #include <optional>
 
 #include "engine/exec_engine.h"
+#include "jit/trace_cache.h"
 #include "util/thread_annotations.h"
 
 namespace avm::gpu {
@@ -53,17 +54,16 @@ struct QueryState;
 struct Scheduler;
 }  // namespace internal
 
+/// Session-level knobs, fixed for the session's lifetime: how many morsel
+/// workers every query shares and how many queries run at once. Per-query
+/// knobs travel with each submission (QueryOptions).
 struct SessionOptions {
-  /// Morsel workers shared by all in-flight queries; 0 = hardware
-  /// concurrency. The session owns its worker pool.
+  /// Morsel workers shared by all in-flight queries; 1 = serial, 0 =
+  /// hardware concurrency. The session owns its worker pool.
   size_t num_workers = 0;
   /// Queries executing concurrently; later submissions wait in the
   /// admission queue. 0 = 2 × workers.
   size_t max_active_queries = 0;
-  /// Per-query defaults used by Submit(ctx) without explicit options.
-  QueryOptions defaults;
-  /// Auxiliary pool for the simulated GPU device; nullptr = Global().
-  ThreadPool* device_pool = nullptr;
 };
 
 /// Future-like handle to one submitted query. Cheap to copy; outlives the
@@ -106,6 +106,9 @@ class QueryHandle {
   std::shared_ptr<internal::QueryState> state_;
 };
 
+/// The engine's one entry point: a long-lived query service owning the
+/// shared TraceCache, the morsel workers and the admission queue (see the
+/// file comment). Every query runs through Submit or Run.
 class Session {
  public:
   explicit Session(SessionOptions options = {});
@@ -121,12 +124,12 @@ class Session {
   /// execution or admission (back-pressure parks the query; classification
   /// errors surface through the handle) — classification itself (program
   /// lowering + typecheck) does run synchronously on the submitting thread.
-  QueryHandle Submit(ExecContext& ctx);
-  QueryHandle Submit(ExecContext& ctx, const QueryOptions& options);
+  QueryHandle Submit(ExecContext& ctx, const QueryOptions& options = {});
 
-  /// Convenience: Submit + Wait.
-  Result<ExecReport> Run(ExecContext& ctx);
-  Result<ExecReport> Run(ExecContext& ctx, const QueryOptions& options);
+  /// Convenience: Submit + Wait. Must not be called from inside an engine
+  /// hook (inspector, task or finalize hook): the calling worker would
+  /// wait on itself.
+  Result<ExecReport> Run(ExecContext& ctx, const QueryOptions& options = {});
 
   size_t num_workers() const;
   const SessionOptions& options() const { return options_; }
@@ -157,7 +160,6 @@ class Session {
   Status RunMorselTask(internal::QueryState& q, const Morsel& m);
   void FinalizeLocked(internal::QueryState& q) AVM_NO_THREAD_SAFETY_ANALYSIS;
   void OnQueryDone(const std::shared_ptr<internal::QueryState>& q);
-  ThreadPool& DevicePool() const;
 
   SessionOptions options_;
   jit::TraceCache cache_;

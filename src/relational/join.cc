@@ -1,7 +1,6 @@
 #include "relational/join.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 
 #include "util/bits.h"
@@ -174,66 +173,6 @@ uint32_t AdaptiveSemijoinChain::FilterChunk(
   return cur_n;
 }
 
-Result<SemijoinScanResult> RunSemijoinScan(
-    const Table& probe, const std::vector<std::string>& key_columns,
-    const std::vector<const HashSetI64*>& filters,
-    AdaptiveSemijoinChain::OrderPolicy policy, size_t num_workers,
-    ThreadPool* pool) {
-  if (key_columns.size() != filters.size()) {
-    return Status::InvalidArgument(
-        "one key column per semijoin filter required");
-  }
-  std::vector<const Column*> columns(key_columns.size());
-  for (size_t f = 0; f < key_columns.size(); ++f) {
-    AVM_ASSIGN_OR_RETURN(columns[f], probe.ColumnByName(key_columns[f]));
-    if (columns[f]->type() != TypeId::kI64) {
-      return Status::TypeError("semijoin key column must be i64: " +
-                               key_columns[f]);
-    }
-  }
-
-  Stopwatch sw;
-  constexpr uint32_t kChunk = 4096;
-  if (num_workers == 0) num_workers = 1;
-  std::vector<engine::Morsel> morsels = engine::PartitionRows(
-      probe.num_rows(), num_workers, /*morsel_rows=*/0, kChunk);
-
-  std::atomic<uint64_t> survivors{0};
-  auto scan_morsel = [&](const engine::Morsel& m) -> Status {
-    // Each worker's chain is private: its adaptive reorderer tracks the
-    // selectivity it actually observes on its row ranges.
-    AdaptiveSemijoinChain chain(filters, policy);
-    std::vector<std::vector<int64_t>> key_bufs(
-        columns.size(), std::vector<int64_t>(kChunk));
-    std::vector<const int64_t*> key_ptrs(columns.size());
-    for (size_t f = 0; f < columns.size(); ++f) {
-      key_ptrs[f] = key_bufs[f].data();
-    }
-    std::vector<sel_t> out_sel(kChunk), scratch(kChunk);
-    uint64_t local = 0;
-    for (uint64_t pos = m.begin; pos < m.end; pos += kChunk) {
-      const uint32_t n =
-          static_cast<uint32_t>(std::min<uint64_t>(kChunk, m.end - pos));
-      for (size_t f = 0; f < columns.size(); ++f) {
-        AVM_RETURN_NOT_OK(columns[f]->Read(pos, n, key_bufs[f].data()));
-      }
-      local += chain.FilterChunk(key_ptrs, n, out_sel.data(), scratch.data());
-    }
-    survivors.fetch_add(local, std::memory_order_relaxed);
-    return Status::OK();
-  };
-
-  ThreadPool& tp = pool != nullptr ? *pool : ThreadPool::Global();
-  AVM_RETURN_NOT_OK(engine::RunMorsels(tp, num_workers, morsels, scan_morsel));
-
-  SemijoinScanResult result;
-  result.survivors = survivors.load();
-  result.morsels = morsels.size();
-  result.workers = std::min(num_workers, morsels.size());
-  result.wall_seconds = sw.ElapsedSeconds();
-  return result;
-}
-
 Result<engine::Query> MakeSemijoinQuery(
     const Table& probe, const std::vector<std::string>& key_columns,
     const std::vector<const HashSetI64*>& filters) {
@@ -314,38 +253,6 @@ Result<engine::Query> MakeJoinQuery(const Table& probe,
   qb.Sum("revenue", dsl::Var(probe_value) * dsl::Var(build_value))
       .Count("matches");
   return qb.Build();
-}
-
-Result<JoinEngineRun> RunJoinEngine(const Table& probe,
-                                    const std::string& probe_key,
-                                    const std::string& probe_value,
-                                    const Table& build,
-                                    const std::string& build_key,
-                                    const std::string& build_value,
-                                    engine::EngineOptions options) {
-  AVM_ASSIGN_OR_RETURN(
-      engine::Query query,
-      MakeJoinQuery(probe, probe_key, probe_value, build, build_key,
-                    build_value));
-  JoinEngineRun run;
-  AVM_ASSIGN_OR_RETURN(run.report,
-                       engine::ExecEngine::Execute(query.context(), options));
-  run.revenue = query.aggregate("revenue")[0];
-  run.matches = static_cast<uint64_t>(query.aggregate("matches")[0]);
-  return run;
-}
-
-Result<SemijoinEngineRun> RunSemijoinEngine(
-    const Table& probe, const std::vector<std::string>& key_columns,
-    const std::vector<const HashSetI64*>& filters,
-    engine::EngineOptions options) {
-  AVM_ASSIGN_OR_RETURN(engine::Query query,
-                       MakeSemijoinQuery(probe, key_columns, filters));
-  SemijoinEngineRun run;
-  AVM_ASSIGN_OR_RETURN(run.report,
-                       engine::ExecEngine::Execute(query.context(), options));
-  run.survivors = static_cast<uint64_t>(query.aggregate("survivors")[0]);
-  return run;
 }
 
 }  // namespace avm::relational

@@ -9,12 +9,10 @@
 #include <string>
 #include <vector>
 
-#include "engine/morsel.h"
 #include "engine/query_builder.h"
 #include "storage/table.h"
 #include "storage/types.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 #include "vm/reorder.h"
 
 namespace avm::relational {
@@ -113,31 +111,12 @@ class AdaptiveSemijoinChain {
   vm::SelectiveOpReorderer reorderer_;
 };
 
-/// Result of a (possibly parallel) semijoin-chain scan over a probe table.
-struct SemijoinScanResult {
-  uint64_t survivors = 0;
-  size_t morsels = 1;
-  size_t workers = 1;
-  double wall_seconds = 0;
-};
-
-/// Probe `key_columns` of `probe` through the semijoin chain, counting rows
-/// that survive every filter. Runs through the engine layer's morsel
-/// scheduler: with `num_workers > 1` the probe table is cut into row-range
-/// morsels, each worker clones the chain (its adaptive reorderer state is
-/// private, so per-worker selectivity drift is tracked independently) and
-/// survivor counts merge at the barrier. `filters[f]` guards
-/// `key_columns[f]`.
-Result<SemijoinScanResult> RunSemijoinScan(
-    const Table& probe, const std::vector<std::string>& key_columns,
-    const std::vector<const HashSetI64*>& filters,
-    AdaptiveSemijoinChain::OrderPolicy policy, size_t num_workers = 1,
-    ThreadPool* pool = nullptr);
-
-/// The same semijoin count as an engine::QueryBuilder query: each filter is
-/// densified into a shared membership array (`membership[key] != 0`) that
-/// the lowered program gathers from, so the scan runs through the engine's
-/// morsel scheduler and can interleave with other queries on a Session.
+/// The semijoin-chain count as an engine::QueryBuilder query: the rows of
+/// `probe` whose `key_columns[f]` is in `filters[f]` for every f. Each
+/// filter is densified into a shared membership array
+/// (`membership[key] != 0`) that the lowered program gathers from, so the
+/// scan runs through the Session's morsel scheduler and can interleave
+/// with other queries.
 /// Requires non-negative probe keys; each membership array is sized from
 /// its own probe column's largest key (rejected above ~16M to bound
 /// memory). Filter keys beyond that max are dropped — they cannot match
@@ -146,11 +125,6 @@ Result<SemijoinScanResult> RunSemijoinScan(
 Result<engine::Query> MakeSemijoinQuery(
     const Table& probe, const std::vector<std::string>& key_columns,
     const std::vector<const HashSetI64*>& filters);
-
-struct SemijoinEngineRun {
-  uint64_t survivors = 0;
-  engine::ExecReport report;
-};
 
 /// The star-schema probe workload as a QueryBuilder query: hash-join
 /// `probe` against the `build` dimension on
@@ -171,28 +145,5 @@ Result<engine::Query> MakeJoinQuery(const Table& probe,
                                     const std::string& build_key,
                                     const std::string& build_value,
                                     size_t num_groups = 1);
-
-struct JoinEngineRun {
-  int64_t revenue = 0;
-  uint64_t matches = 0;
-  engine::ExecReport report;
-};
-
-/// Convenience: build MakeJoinQuery (single group) and run it once on the
-/// blocking engine facade with the given options.
-Result<JoinEngineRun> RunJoinEngine(const Table& probe,
-                                    const std::string& probe_key,
-                                    const std::string& probe_value,
-                                    const Table& build,
-                                    const std::string& build_key,
-                                    const std::string& build_value,
-                                    engine::EngineOptions options = {});
-
-/// Convenience: build MakeSemijoinQuery and run it once on the blocking
-/// engine facade with the given options.
-Result<SemijoinEngineRun> RunSemijoinEngine(
-    const Table& probe, const std::vector<std::string>& key_columns,
-    const std::vector<const HashSetI64*>& filters,
-    engine::EngineOptions options = {});
 
 }  // namespace avm::relational

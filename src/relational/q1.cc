@@ -332,23 +332,4 @@ Q1Result Q1ResultFromQuery(const engine::Query& query) {
   return r;
 }
 
-Result<Q1DslRun> RunQ1Engine(const Table& lineitem,
-                             engine::EngineOptions options) {
-  AVM_ASSIGN_OR_RETURN(engine::Query query, MakeQ1Query(lineitem));
-  Q1DslRun out;
-  AVM_ASSIGN_OR_RETURN(out.report,
-                       engine::ExecEngine::Execute(query.context(), options));
-  out.result = Q1ResultFromQuery(query);
-  return out;
-}
-
-Result<Q1DslRun> RunQ1AdaptiveVm(const Table& lineitem, vm::VmOptions options) {
-  engine::EngineOptions eo;
-  eo.strategy = options.enable_jit ? engine::ExecutionStrategy::kAdaptiveJit
-                                   : engine::ExecutionStrategy::kInterpret;
-  eo.vm = options;
-  eo.num_workers = 1;
-  return RunQ1Engine(lineitem, eo);
-}
-
 }  // namespace avm::relational

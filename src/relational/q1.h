@@ -14,7 +14,6 @@
 #include <array>
 #include <cstdint>
 
-#include "engine/exec_engine.h"
 #include "engine/query_builder.h"
 #include "storage/datagen.h"
 #include "storage/table.h"
@@ -60,11 +59,6 @@ Result<Q1Result> RunQ1VectorizedCompact(
 /// JIT. Fails with CompilationError when no host compiler exists.
 Result<Q1Result> RunQ1CompiledWholeQuery(const Table& lineitem);
 
-struct Q1DslRun {
-  Q1Result result;
-  engine::ExecReport report;
-};
-
 /// Q1 as an engine::QueryBuilder query over `lineitem`: filter on shipdate,
 /// dp/ch projections, group by returnflag*2+linestatus, five aggregates
 /// (sum_qty, sum_base, sum_disc, sum_charge, count). The returned Query
@@ -74,20 +68,8 @@ struct Q1DslRun {
 Result<engine::Query> MakeQ1Query(const Table& lineitem);
 
 /// Copy a finished MakeQ1Query run's aggregates into the Q1Result layout.
-/// (Below-facade consumers that want the raw Q1 DSL program instantiate it
-/// via MakeQ1Query(...).ValueOrDie().MakeProgram(rows).)
+/// (Consumers below the Session that want the raw Q1 DSL program
+/// instantiate it via MakeQ1Query(...).ValueOrDie().MakeProgram(rows).)
 Q1Result Q1ResultFromQuery(const engine::Query& query);
-
-/// Q1 expressed as a DSL program executed through the ExecEngine facade.
-/// `options.num_workers > 1` runs morsel-parallel: row-range slices of
-/// lineitem per worker, a shared trace cache, and per-worker aggregate
-/// state merged at the barrier — bit-identical to the serial run.
-Result<Q1DslRun> RunQ1Engine(const Table& lineitem,
-                             engine::EngineOptions options = {});
-
-/// Back-compat wrapper: serial adaptive-VM run with the given VM knobs
-/// (traces get JIT-compiled and injected mid-run when options.enable_jit).
-Result<Q1DslRun> RunQ1AdaptiveVm(const Table& lineitem,
-                                 vm::VmOptions options = {});
 
 }  // namespace avm::relational

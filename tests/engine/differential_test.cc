@@ -466,7 +466,7 @@ void RunSeed(uint64_t seed, Tables& t, Session& parallel_session, int* built,
 
   // Every generated plan's lowered program must be verifier-clean
   // (docs/VERIFIER.md level 1). Build() already enforces this — the direct
-  // check keeps the assertion visible even if the facade wiring regresses.
+  // check keeps the assertion visible even if the builder wiring regresses.
   {
     Result<dsl::Program> prog = base.MakeProgram(4096);
     ASSERT_TRUE(prog.ok()) << repro << info.desc;
@@ -479,10 +479,9 @@ void RunSeed(uint64_t seed, Tables& t, Session& parallel_session, int* built,
 
   // Baseline: serial vectorized interpretation.
   {
-    EngineOptions eo;
-    eo.strategy = ExecutionStrategy::kInterpret;
-    eo.num_workers = 1;
-    auto r = ExecEngine::Execute(base.context(), eo);
+    QueryOptions qo;
+    qo.strategy = ExecutionStrategy::kInterpret;
+    auto r = Session({.num_workers = 1}).Run(base.context(), qo);
     ASSERT_TRUE(r.ok()) << repro << info.desc << ": " << r.status().ToString();
     if (verbose) std::fprintf(stderr, "  interp-serial ok\n");
   }
@@ -492,11 +491,10 @@ void RunSeed(uint64_t seed, Tables& t, Session& parallel_session, int* built,
   {
     PlanInfo i2;
     Query q = GeneratePlan(seed, t, &i2).ValueOrDie();
-    EngineOptions eo;
-    eo.strategy = ExecutionStrategy::kAdaptiveJit;
-    eo.num_workers = 1;
-    eo.vm.optimize_after_iterations = 2;
-    auto r = ExecEngine::Execute(q.context(), eo);
+    QueryOptions qo;
+    qo.strategy = ExecutionStrategy::kAdaptiveJit;
+    qo.vm.optimize_after_iterations = 2;
+    auto r = Session({.num_workers = 1}).Run(q.context(), qo);
     ASSERT_TRUE(r.ok()) << repro << info.desc << ": " << r.status().ToString();
     // Declines come from the JIT gate only; codegen never fails on a trace
     // the gate accepted (docs/VERIFIER.md).
@@ -539,11 +537,10 @@ void RunSeed(uint64_t seed, Tables& t, Session& parallel_session, int* built,
     {
       PlanInfo i4;
       Query q = GeneratePlan(seed, t, &i4).ValueOrDie();
-      EngineOptions eo;
-      eo.strategy = ExecutionStrategy::kInterpret;
-      eo.num_workers = 1;
-      eo.memory_budget = budget;
-      auto r = ExecEngine::Execute(q.context(), eo);
+      QueryOptions qo;
+      qo.strategy = ExecutionStrategy::kInterpret;
+      qo.memory_budget = budget;
+      auto r = Session({.num_workers = 1}).Run(q.context(), qo);
       ASSERT_TRUE(r.ok()) << repro << info.desc << blabel << ": "
                           << r.status().ToString();
       *spilled += r.ValueOrDie().bytes_spilled;
@@ -673,14 +670,13 @@ TEST(DifferentialTest, PinnedSpilledManyToManyJoinOrderBy) {
   ASSERT_NE(info.desc.find("JoinDup"), std::string::npos) << info.desc;
   ASSERT_NE(info.desc.find("OrderBy"), std::string::npos) << info.desc;
   {
-    EngineOptions eo;
-    eo.strategy = ExecutionStrategy::kInterpret;
-    eo.num_workers = 1;
+    QueryOptions qo;
+    qo.strategy = ExecutionStrategy::kInterpret;
     // Explicitly huge budget (not 0, which would fall back to a CI-forced
     // AVM_MEMORY_BUDGET): the baseline must stay resident even in the
     // spill-stress lane.
-    eo.memory_budget = uint64_t{1} << 40;
-    auto r = ExecEngine::Execute(base.context(), eo);
+    qo.memory_budget = uint64_t{1} << 40;
+    auto r = Session({.num_workers = 1}).Run(base.context(), qo);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ASSERT_EQ(r.ValueOrDie().bytes_spilled, 0u);
     ASSERT_GT(base.num_result_rows(), 0u) << info.desc;
@@ -689,11 +685,10 @@ TEST(DifferentialTest, PinnedSpilledManyToManyJoinOrderBy) {
   {
     PlanInfo i2;
     Query q = GeneratePlan(kSeed, t, &i2).ValueOrDie();
-    EngineOptions eo;
-    eo.strategy = ExecutionStrategy::kInterpret;
-    eo.num_workers = 1;
-    eo.memory_budget = kViableBudget;
-    auto r = ExecEngine::Execute(q.context(), eo);
+    QueryOptions qo;
+    qo.strategy = ExecutionStrategy::kInterpret;
+    qo.memory_budget = kViableBudget;
+    auto r = Session({.num_workers = 1}).Run(q.context(), qo);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_GT(r.ValueOrDie().bytes_spilled, 0u) << info.desc;
     EXPECT_GE(r.ValueOrDie().spill_runs, 2u) << info.desc;

@@ -7,6 +7,7 @@
 
 #include "dsl/builder.h"
 #include "dsl/typecheck.h"
+#include "engine/session.h"
 #include "jit/source_jit.h"
 #include "relational/q1.h"
 #include "storage/datagen.h"
@@ -14,9 +15,9 @@
 namespace avm::engine {
 namespace {
 
-using relational::Q1DslRun;
+using relational::MakeQ1Query;
 using relational::Q1Result;
-using relational::RunQ1Engine;
+using relational::Q1ResultFromQuery;
 using relational::RunQ1Scalar;
 
 std::unique_ptr<Table> SmallLineitem(uint64_t rows = 120'000) {
@@ -34,7 +35,7 @@ ExecContext::ProgramFactory TripleMapFactory() {
   };
 }
 
-TEST(ExecEngineTest, SerialInterpretedMapPipeline) {
+TEST(ExecContextTest, SerialInterpretedMapPipeline) {
   const int64_t n = 10'000;
   DataGen gen(3);
   auto data = gen.UniformI64(n, -100, 100);
@@ -44,9 +45,9 @@ TEST(ExecEngineTest, SerialInterpretedMapPipeline) {
   ctx.BindInput("src", interp::DataBinding::Raw(TypeId::kI64, data.data(), n));
   ctx.BindOutput("out",
                  interp::DataBinding::Raw(TypeId::kI64, out.data(), n, true));
-  EngineOptions opts;
+  QueryOptions opts;
   opts.strategy = ExecutionStrategy::kInterpret;
-  auto report = ExecEngine::Execute(ctx, opts);
+  auto report = Session({.num_workers = 1}).Run(ctx, opts);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report.value().workers, 1u);
   EXPECT_EQ(report.value().rows, static_cast<uint64_t>(n));
@@ -56,7 +57,7 @@ TEST(ExecEngineTest, SerialInterpretedMapPipeline) {
   }
 }
 
-TEST(ExecEngineTest, ReportRecordsResolvedKernelTier) {
+TEST(ExecContextTest, ReportRecordsResolvedKernelTier) {
   const int64_t n = 4'096;
   DataGen gen(5);
   auto data = gen.UniformI64(n, -100, 100);
@@ -68,10 +69,10 @@ TEST(ExecEngineTest, ReportRecordsResolvedKernelTier) {
                   interp::DataBinding::Raw(TypeId::kI64, data.data(), n));
     ctx.BindOutput(
         "out", interp::DataBinding::Raw(TypeId::kI64, out.data(), n, true));
-    EngineOptions opts;
+    QueryOptions opts;
     opts.strategy = ExecutionStrategy::kInterpret;
     opts.vm.interp.kernel_tier = tier;
-    auto report = ExecEngine::Execute(ctx, opts);
+    auto report = Session({.num_workers = 1}).Run(ctx, opts);
     EXPECT_TRUE(report.ok()) << report.status().ToString();
     return report.ok() ? report.value().kernel_tier : "";
   };
@@ -83,13 +84,13 @@ TEST(ExecEngineTest, ReportRecordsResolvedKernelTier) {
   EXPECT_EQ(run_with_tier(interp::KernelTier::kScalar), "scalar");
 }
 
-TEST(ExecEngineTest, ParallelMapPipelineMatchesSerial) {
+TEST(ExecContextTest, ParallelMapPipelineMatchesSerial) {
   const int64_t n = 500'000;
   DataGen gen(7);
   auto data = gen.UniformI64(n, -1000, 1000);
   std::vector<int64_t> serial_out(n), parallel_out(n);
 
-  EngineOptions opts;
+  QueryOptions opts;
   opts.strategy = ExecutionStrategy::kInterpret;
   {
     ExecContext ctx(TripleMapFactory(), n);
@@ -97,16 +98,15 @@ TEST(ExecEngineTest, ParallelMapPipelineMatchesSerial) {
                   interp::DataBinding::Raw(TypeId::kI64, data.data(), n));
     ctx.BindOutput("out", interp::DataBinding::Raw(
                               TypeId::kI64, serial_out.data(), n, true));
-    ASSERT_TRUE(ExecEngine::Execute(ctx, opts).ok());
+    ASSERT_TRUE(Session({.num_workers = 1}).Run(ctx, opts).ok());
   }
-  opts.num_workers = 4;
   {
     ExecContext ctx(TripleMapFactory(), n);
     ctx.BindInput("src",
                   interp::DataBinding::Raw(TypeId::kI64, data.data(), n));
     ctx.BindOutput("out", interp::DataBinding::Raw(
                               TypeId::kI64, parallel_out.data(), n, true));
-    auto report = ExecEngine::Execute(ctx, opts);
+    auto report = Session({.num_workers = 4}).Run(ctx, opts);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     EXPECT_GT(report.value().morsels, 1u);
     EXPECT_GT(report.value().workers, 1u);
@@ -114,13 +114,21 @@ TEST(ExecEngineTest, ParallelMapPipelineMatchesSerial) {
   EXPECT_EQ(serial_out, parallel_out);
 }
 
-TEST(ExecEngineTest, ParallelColumnInputSlicing) {
+TEST(ExecContextTest, ParallelColumnInputSlicing) {
   // Column-backed input: morsel slices must decode the right row ranges
   // even when morsel boundaries disagree with block boundaries.
   const uint64_t n = 200'000;
+  const uint32_t block_size = 8192;
+  // Precondition: the automatic 4-worker morsel size (13,312 rows) is not a
+  // multiple of the block size, so morsel boundaries fall inside blocks.
+  const std::vector<Morsel> planned =
+      PartitionRows(n, 4, /*morsel_rows=*/0, kDefaultChunkSize);
+  ASSERT_GE(planned.size(), 10u);
+  ASSERT_NE(planned[0].rows() % block_size, 0u);
+
   DataGen gen(11);
   auto values = gen.UniformI64(n, 0, 1 << 20);
-  Column col(TypeId::kI64, /*block_size=*/8192);
+  Column col(TypeId::kI64, block_size);
   ASSERT_TRUE(col.AppendValues(values.data(), static_cast<uint32_t>(n)).ok());
 
   std::vector<int64_t> out(n);
@@ -128,41 +136,39 @@ TEST(ExecEngineTest, ParallelColumnInputSlicing) {
   ctx.BindInputColumn("src", &col);
   ctx.BindOutput("out",
                  interp::DataBinding::Raw(TypeId::kI64, out.data(), n, true));
-  EngineOptions opts;
+  QueryOptions opts;
   opts.strategy = ExecutionStrategy::kInterpret;
-  opts.num_workers = 4;
-  opts.morsel_rows = 20'000;  // not block-aligned
-  auto report = ExecEngine::Execute(ctx, opts);
+  auto report = Session({.num_workers = 4}).Run(ctx, opts);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_GE(report.value().morsels, 10u);
+  EXPECT_EQ(report.value().morsels, planned.size());
   for (uint64_t i = 0; i < n; ++i) {
     ASSERT_EQ(out[i], values[i] * 3 + 1) << "row " << i;
   }
 }
 
-TEST(ExecEngineTest, ParallelQ1BitIdenticalToSingleThreaded) {
+TEST(ExecContextTest, ParallelQ1BitIdenticalToSingleThreaded) {
   auto table = SmallLineitem();
   auto oracle = RunQ1Scalar(*table);
   ASSERT_TRUE(oracle.ok());
 
-  EngineOptions serial;
-  serial.strategy = ExecutionStrategy::kInterpret;
-  auto s = RunQ1Engine(*table, serial);
+  QueryOptions opts;
+  opts.strategy = ExecutionStrategy::kInterpret;
+  Query serial = MakeQ1Query(*table).ValueOrDie();
+  auto s = Session({.num_workers = 1}).Run(serial.context(), opts);
   ASSERT_TRUE(s.ok()) << s.status().ToString();
-  EXPECT_EQ(s.value().result, oracle.value());
+  EXPECT_EQ(Q1ResultFromQuery(serial), oracle.value());
 
-  EngineOptions parallel = serial;
-  parallel.num_workers = 4;
-  auto p = RunQ1Engine(*table, parallel);
+  Query parallel = MakeQ1Query(*table).ValueOrDie();
+  auto p = Session({.num_workers = 4}).Run(parallel.context(), opts);
   ASSERT_TRUE(p.ok()) << p.status().ToString();
-  EXPECT_GT(p.value().report.morsels, 1u);
+  EXPECT_GT(p.value().morsels, 1u);
   // Integer aggregates: merge order cannot perturb the result — the
   // parallel run must be bit-identical to the serial one.
-  EXPECT_EQ(p.value().result, s.value().result);
-  EXPECT_EQ(p.value().result, oracle.value());
+  EXPECT_EQ(Q1ResultFromQuery(parallel), Q1ResultFromQuery(serial));
+  EXPECT_EQ(Q1ResultFromQuery(parallel), oracle.value());
 }
 
-TEST(ExecEngineTest, ParallelQ1WithSharedJitCache) {
+TEST(ExecContextTest, ParallelQ1WithSharedJitCache) {
   if (!jit::SourceJit::Available()) {
     GTEST_SKIP() << "no host compiler";
   }
@@ -170,24 +176,22 @@ TEST(ExecEngineTest, ParallelQ1WithSharedJitCache) {
   auto oracle = RunQ1Scalar(*table);
   ASSERT_TRUE(oracle.ok());
 
-  EngineOptions opts;
+  QueryOptions opts;
   opts.strategy = ExecutionStrategy::kAdaptiveJit;
-  opts.num_workers = 4;
   opts.vm.optimize_after_iterations = 2;
-  auto run = RunQ1Engine(*table, opts);
+  Query q = MakeQ1Query(*table).ValueOrDie();
+  auto run = Session({.num_workers = 4}).Run(q.context(), opts);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
-  EXPECT_EQ(run.value().result, oracle.value());
-  EXPECT_GT(run.value().report.injection_runs, 0u);
+  EXPECT_EQ(Q1ResultFromQuery(q), oracle.value());
+  EXPECT_GT(run.value().injection_runs, 0u);
   // The shared TraceCache means later workers reuse what the first worker
   // compiled instead of compiling their own copies: far fewer compilations
   // than workers * traces, and at least one cache reuse.
-  EXPECT_GT(run.value().report.traces_compiled +
-                run.value().report.disk_cache_hits,
-            0u);
-  EXPECT_GT(run.value().report.traces_reused, 0u);
+  EXPECT_GT(run.value().traces_compiled + run.value().disk_cache_hits, 0u);
+  EXPECT_GT(run.value().traces_reused, 0u);
 }
 
-TEST(ExecEngineTest, RepeatedRunsReuseEngineTraceCache) {
+TEST(ExecContextTest, RepeatedRunsReuseSessionTraceCache) {
   if (!jit::SourceJit::Available()) {
     GTEST_SKIP() << "no host compiler";
   }
@@ -199,10 +203,10 @@ TEST(ExecEngineTest, RepeatedRunsReuseEngineTraceCache) {
   auto data = gen.UniformI64(n, -100, 100);
   std::vector<int64_t> out(n);
 
-  EngineOptions opts;
+  QueryOptions opts;
   opts.strategy = ExecutionStrategy::kAdaptiveJit;
   opts.vm.optimize_after_iterations = 2;
-  ExecEngine engine(opts);
+  Session session({.num_workers = 1});
 
   auto run_once = [&]() -> Result<ExecReport> {
     // Re-create the context per run, like a repeated query would.
@@ -211,7 +215,7 @@ TEST(ExecEngineTest, RepeatedRunsReuseEngineTraceCache) {
                   interp::DataBinding::Raw(TypeId::kI64, data.data(), n));
     ctx.BindOutput("out", interp::DataBinding::Raw(TypeId::kI64, out.data(),
                                                    n, true));
-    return engine.Run(ctx);
+    return session.Run(ctx, opts);
   };
 
   auto first = run_once();
@@ -220,7 +224,7 @@ TEST(ExecEngineTest, RepeatedRunsReuseEngineTraceCache) {
   EXPECT_EQ(first.value().traces_compiled + first.value().disk_cache_hits, 1u);
   auto second = run_once();
   ASSERT_TRUE(second.ok()) << second.status().ToString();
-  // Second run of the same query shape: the trace comes from the engine's
+  // Second run of the same query shape: the trace comes from the session's
   // persistent cache, not a fresh compilation.
   EXPECT_GT(second.value().traces_reused, 0u);
   EXPECT_EQ(second.value().traces_compiled, 0u);
@@ -249,7 +253,7 @@ int64_t DeepMapReference(int64_t x) {
   return v;
 }
 
-TEST(ExecEngineTest, GpuOffloadRunsMapFragmentOnSimDevice) {
+TEST(ExecContextTest, GpuOffloadRunsMapFragmentOnSimDevice) {
   const int64_t n = 8 << 20;  // large enough that the placer picks the GPU
   DataGen gen(13);
   auto data = gen.UniformI64(n, -500, 500);
@@ -259,9 +263,9 @@ TEST(ExecEngineTest, GpuOffloadRunsMapFragmentOnSimDevice) {
   ctx.BindInput("src", interp::DataBinding::Raw(TypeId::kI64, data.data(), n));
   ctx.BindOutput("out",
                  interp::DataBinding::Raw(TypeId::kI64, out.data(), n, true));
-  EngineOptions opts;
+  QueryOptions opts;
   opts.strategy = ExecutionStrategy::kGpuOffload;
-  auto report = ExecEngine::Execute(ctx, opts);
+  auto report = Session({.num_workers = 1}).Run(ctx, opts);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report.value().device, "gpu-sim");
   EXPECT_GT(report.value().gpu_sim_seconds, 0.0);
@@ -270,22 +274,23 @@ TEST(ExecEngineTest, GpuOffloadRunsMapFragmentOnSimDevice) {
   }
 }
 
-TEST(ExecEngineTest, GpuOffloadFallsBackToCpuForUnsupportedShapes) {
+TEST(ExecContextTest, GpuOffloadFallsBackToCpuForUnsupportedShapes) {
   // Q1 (scatter aggregation) is not an offloadable map fragment: the
   // engine must transparently fall back to the CPU path.
   auto table = SmallLineitem(30'000);
   auto oracle = RunQ1Scalar(*table);
   ASSERT_TRUE(oracle.ok());
-  EngineOptions opts;
+  QueryOptions opts;
   opts.strategy = ExecutionStrategy::kGpuOffload;
   opts.vm.enable_jit = false;
-  auto run = RunQ1Engine(*table, opts);
+  Query q = MakeQ1Query(*table).ValueOrDie();
+  auto run = Session({.num_workers = 1}).Run(q.context(), opts);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
-  EXPECT_EQ(run.value().result, oracle.value());
-  EXPECT_EQ(run.value().report.device, "cpu");
+  EXPECT_EQ(Q1ResultFromQuery(q), oracle.value());
+  EXPECT_EQ(run.value().device, "cpu");
 }
 
-TEST(ExecEngineTest, UndersizedBindingRejectedNotHung) {
+TEST(ExecContextTest, UndersizedBindingRejectedNotHung) {
   // The engine chose the loop bound (total_rows); a shorter input binding
   // would spin the interpreter on empty reads forever. Must error instead.
   const int64_t n = 1000;
@@ -295,14 +300,14 @@ TEST(ExecEngineTest, UndersizedBindingRejectedNotHung) {
                 interp::DataBinding::Raw(TypeId::kI64, data.data(), 500));
   ctx.BindOutput("out",
                  interp::DataBinding::Raw(TypeId::kI64, out.data(), n, true));
-  EngineOptions opts;
+  QueryOptions opts;
   opts.strategy = ExecutionStrategy::kInterpret;
-  auto report = ExecEngine::Execute(ctx, opts);
+  auto report = Session({.num_workers = 1}).Run(ctx, opts);
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.status().ToString().find("src"), std::string::npos);
 }
 
-TEST(ExecEngineTest, CondensingProgramsForcedSerial) {
+TEST(ExecContextTest, CondensingProgramsForcedSerial) {
   // Condensed outputs land at data-dependent positions, so row-partitioned
   // parallelism would corrupt them: the engine must detect the condense and
   // fall back to a serial run even when workers were requested.
@@ -327,10 +332,9 @@ TEST(ExecEngineTest, CondensingProgramsForcedSerial) {
   ctx.set_inspector([&](const interp::Interpreter& in) {
     survivors = in.GetScalar("k").ValueOrDie().AsI64();
   });
-  EngineOptions opts;
+  QueryOptions opts;
   opts.strategy = ExecutionStrategy::kInterpret;
-  opts.num_workers = 4;
-  auto report = ExecEngine::Execute(ctx, opts);
+  auto report = Session({.num_workers = 4}).Run(ctx, opts);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report.value().morsels, 1u);
   EXPECT_EQ(report.value().workers, 1u);
@@ -349,7 +353,7 @@ TEST(ExecEngineTest, CondensingProgramsForcedSerial) {
   }
 }
 
-TEST(ExecEngineTest, FixedProgramContextReportsSerialReason) {
+TEST(ExecContextTest, FixedProgramContextReportsSerialReason) {
   // Fixed-program contexts cannot be morsel-partitioned (no per-morsel
   // factory): requesting workers must yield a report that says why the run
   // was serial instead of ignoring num_workers on the floor.
@@ -365,23 +369,21 @@ TEST(ExecEngineTest, FixedProgramContextReportsSerialReason) {
   ctx.BindInput("src", interp::DataBinding::Raw(TypeId::kI64, data.data(), n));
   ctx.BindOutput("out",
                  interp::DataBinding::Raw(TypeId::kI64, out.data(), n, true));
-  EngineOptions opts;
+  QueryOptions opts;
   opts.strategy = ExecutionStrategy::kInterpret;
-  opts.num_workers = 4;
-  auto report = ExecEngine::Execute(ctx, opts);
+  auto report = Session({.num_workers = 4}).Run(ctx, opts);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report.value().workers, 1u);
   EXPECT_NE(report.value().ran_serial_reason.find("fixed-program"),
             std::string::npos)
       << "reason: " << report.value().ran_serial_reason;
   // Serial runs that were never asked to parallelize stay silent.
-  opts.num_workers = 1;
-  auto serial = ExecEngine::Execute(ctx, opts);
+  auto serial = Session({.num_workers = 1}).Run(ctx, opts);
   ASSERT_TRUE(serial.ok());
   EXPECT_TRUE(serial.value().ran_serial_reason.empty());
 }
 
-TEST(ExecEngineTest, InspectorSeesEveryWorker) {
+TEST(ExecContextTest, InspectorSeesEveryWorker) {
   const int64_t n = 200'000;
   DataGen gen(17);
   auto data = gen.UniformI64(n, 0, 100);
@@ -392,10 +394,9 @@ TEST(ExecEngineTest, InspectorSeesEveryWorker) {
                  interp::DataBinding::Raw(TypeId::kI64, out.data(), n, true));
   int inspections = 0;
   ctx.set_inspector([&](const interp::Interpreter&) { ++inspections; });
-  EngineOptions opts;
+  QueryOptions opts;
   opts.strategy = ExecutionStrategy::kInterpret;
-  opts.num_workers = 4;
-  auto report = ExecEngine::Execute(ctx, opts);
+  auto report = Session({.num_workers = 4}).Run(ctx, opts);
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(static_cast<size_t>(inspections), report.value().morsels);
 }

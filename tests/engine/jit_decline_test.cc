@@ -62,19 +62,17 @@ struct Tables {
   }
 };
 
-EngineOptions JitSerial() {
-  EngineOptions eo;
-  eo.strategy = ExecutionStrategy::kAdaptiveJit;
-  eo.num_workers = 1;
-  eo.vm.optimize_after_iterations = 2;
-  return eo;
+QueryOptions Jit() {
+  QueryOptions qo;
+  qo.strategy = ExecutionStrategy::kAdaptiveJit;
+  qo.vm.optimize_after_iterations = 2;
+  return qo;
 }
 
-EngineOptions InterpSerial() {
-  EngineOptions eo;
-  eo.strategy = ExecutionStrategy::kInterpret;
-  eo.num_workers = 1;
-  return eo;
+QueryOptions Interp() {
+  QueryOptions qo;
+  qo.strategy = ExecutionStrategy::kInterpret;
+  return qo;
 }
 
 /// Runs `make()`'s query under kAdaptiveJit and asserts the lifted-shape
@@ -83,7 +81,7 @@ EngineOptions InterpSerial() {
 template <typename MakeFn>
 Query RunJitNoDecline(MakeFn make, const char* shape) {
   Query q = make();
-  auto r = ExecEngine::Execute(q.context(), JitSerial());
+  auto r = Session({.num_workers = 1}).Run(q.context(), Jit());
   EXPECT_TRUE(r.ok()) << shape << ": " << r.status().ToString();
   if (r.ok()) {
     EXPECT_TRUE(r.value().jit_declined.empty())
@@ -117,7 +115,7 @@ TEST(JitDeclineRegressionTest, GatherScatterTraceCompiles) {
   Query jit = RunJitNoDecline(make, "gather/scatter");
 
   Query interp = make();
-  ASSERT_TRUE(ExecEngine::Execute(interp.context(), InterpSerial()).ok());
+  ASSERT_TRUE(Session({.num_workers = 1}).Run(interp.context(), Interp()).ok());
   EXPECT_EQ(jit.aggregate("val_sum"), interp.aggregate("val_sum"));
   EXPECT_EQ(jit.aggregate("rows"), interp.aggregate("rows"));
 }
@@ -138,7 +136,7 @@ TEST(JitDeclineRegressionTest, LetBoundWriteCountTraceCompiles) {
   Query jit = RunJitNoDecline(make, "let-bound write count");
 
   Query interp = make();
-  ASSERT_TRUE(ExecEngine::Execute(interp.context(), InterpSerial()).ok());
+  ASSERT_TRUE(Session({.num_workers = 1}).Run(interp.context(), Interp()).ok());
   ASSERT_EQ(jit.num_result_rows(), interp.num_result_rows());
   EXPECT_EQ(jit.result_column("f_key").data, interp.result_column("f_key").data);
   EXPECT_EQ(jit.result_column("f_b").data, interp.result_column("f_b").data);
@@ -162,7 +160,7 @@ TEST(JitDeclineRegressionTest, SelectionCarryingInputTraceCompiles) {
   Query jit = RunJitNoDecline(make, "selection-carrying input");
 
   Query interp = make();
-  ASSERT_TRUE(ExecEngine::Execute(interp.context(), InterpSerial()).ok());
+  ASSERT_TRUE(Session({.num_workers = 1}).Run(interp.context(), Interp()).ok());
   EXPECT_EQ(jit.aggregate("score_sum"), interp.aggregate("score_sum"));
   EXPECT_EQ(jit.aggregate("rows"), interp.aggregate("rows"));
 }
@@ -185,7 +183,7 @@ TEST(JitDeclineRegressionTest, JoinOrderByPipelineCompilesAndMatches) {
   Query jit = RunJitNoDecline(make, "join+orderby pipeline");
 
   Query interp = make();
-  ASSERT_TRUE(ExecEngine::Execute(interp.context(), InterpSerial()).ok());
+  ASSERT_TRUE(Session({.num_workers = 1}).Run(interp.context(), Interp()).ok());
   ASSERT_EQ(jit.num_result_rows(), interp.num_result_rows());
   EXPECT_EQ(jit.result_column("gain").data, interp.result_column("gain").data);
   EXPECT_EQ(jit.result_column("f_key").data,
@@ -276,12 +274,11 @@ TEST(JitDeclineRegressionTest, GateDeclineReportedByRuleId) {
                                                    kN, true));
     ctx.BindOutput("out2", interp::DataBinding::Raw(TypeId::kI64,
                                                     out2->data(), kN, true));
-    EngineOptions eo;
-    eo.strategy = strategy;
-    eo.num_workers = 1;
-    eo.vm.optimize_after_iterations = 2;
-    eo.vm.min_cost_share = 0;
-    return ExecEngine::Execute(ctx, eo);
+    QueryOptions qo;
+    qo.strategy = strategy;
+    qo.vm.optimize_after_iterations = 2;
+    qo.vm.min_cost_share = 0;
+    return Session({.num_workers = 1}).Run(ctx, qo);
   };
 
   std::vector<int64_t> jit_out, jit_out2, interp_out, interp_out2;

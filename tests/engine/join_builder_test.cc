@@ -23,10 +23,9 @@ using dsl::Cast;
 using dsl::ConstI;
 using dsl::Var;
 
-EngineOptions Interp(size_t workers = 1) {
-  EngineOptions opts;
+QueryOptions Interp() {
+  QueryOptions opts;
   opts.strategy = ExecutionStrategy::kInterpret;
-  opts.num_workers = workers;
   return opts;
 }
 
@@ -150,7 +149,7 @@ TEST(JoinBuilderTest, JoinAggregatesMatchScalarOracleSerialAndParallel) {
         .Sum("sum_bv", Var("f_b") * Var("d_val"))
         .Count("n");
     Query q = qb.Build().ValueOrDie();
-    auto rep = ExecEngine::Execute(q.context(), Interp(workers));
+    auto rep = Session({.num_workers = workers}).Run(q.context(), Interp());
     ASSERT_TRUE(rep.ok()) << rep.status().ToString();
     if (workers > 1) {
       EXPECT_GT(rep.value().morsels, 1u);
@@ -168,7 +167,7 @@ TEST(JoinBuilderTest, EmptyBuildSideDropsEveryRow) {
   QueryBuilder qb(*probe.table);
   qb.Join(*build.table, "f_key", "d_key").Count("n");
   Query q = qb.Build().ValueOrDie();
-  ASSERT_TRUE(ExecEngine::Execute(q.context(), Interp(4)).ok());
+  ASSERT_TRUE(Session({.num_workers = 4}).Run(q.context(), Interp()).ok());
   EXPECT_EQ(q.aggregate("n")[0], 0);
 }
 
@@ -180,7 +179,7 @@ TEST(JoinBuilderTest, EmptyProbeSideProducesEmptyResults) {
     QueryBuilder qb(empty_probe);
     qb.Join(*build.table, "f_key", "d_key", {"d_val"}).Count("n");
     Query q = qb.Build().ValueOrDie();
-    ASSERT_TRUE(ExecEngine::Execute(q.context(), Interp(4)).ok());
+    ASSERT_TRUE(Session({.num_workers = 4}).Run(q.context(), Interp()).ok());
     EXPECT_EQ(q.aggregate("n")[0], 0);
   }
   {
@@ -189,7 +188,7 @@ TEST(JoinBuilderTest, EmptyProbeSideProducesEmptyResults) {
         .Output("d_val")
         .OrderBy("f_key");
     Query q = qb.Build().ValueOrDie();
-    ASSERT_TRUE(ExecEngine::Execute(q.context(), Interp(4)).ok());
+    ASSERT_TRUE(Session({.num_workers = 4}).Run(q.context(), Interp()).ok());
     EXPECT_EQ(q.num_result_rows(), 0u);
     EXPECT_TRUE(q.result_column("d_val").data.empty());
   }
@@ -208,7 +207,8 @@ TEST(JoinBuilderTest, AllDuplicateBuildKeysFanOutPerBuildRow) {
         .Sum("sum_v", Var("d_val"))
         .Count("n");
     Query q = qb.Build().ValueOrDie();
-    ASSERT_TRUE(ExecEngine::Execute(q.context(), Interp(workers)).ok());
+    ASSERT_TRUE(
+        Session({.num_workers = workers}).Run(q.context(), Interp()).ok());
     // One output pair per (probe row, matching build row): every probe hit
     // fans out across all 64 duplicate build rows.
     EXPECT_EQ(q.aggregate("n")[0], hits * 64) << "workers=" << workers;
@@ -246,7 +246,7 @@ TEST(JoinBuilderTest, DuplicateFanOutMatchesScalarOracle) {
         .Sum("s", Var("f_b") * Var("d_val"))
         .Count("n");
     Query q = qb.Build().ValueOrDie();
-    auto rep = ExecEngine::Execute(q.context(), Interp(workers));
+    auto rep = Session({.num_workers = workers}).Run(q.context(), Interp());
     ASSERT_TRUE(rep.ok()) << rep.status().ToString();
     if (workers > 1) {
       EXPECT_GT(rep.value().morsels, 1u);
@@ -303,7 +303,7 @@ TEST(JoinBuilderTest, NegativeSparseAndHugeBuildKeysJoinViaHashTable) {
         .Sum("s", Var("f_b") * Var("d_val"))
         .Count("n");
     Query q = qb.Build().ValueOrDie();
-    auto rep = ExecEngine::Execute(q.context(), Interp(workers));
+    auto rep = Session({.num_workers = workers}).Run(q.context(), Interp());
     ASSERT_TRUE(rep.ok()) << rep.status().ToString();
     EXPECT_EQ(q.aggregate("n")[0], expect_n) << "workers=" << workers;
     EXPECT_EQ(q.aggregate("s")[0], expect_sum) << "workers=" << workers;
@@ -326,7 +326,7 @@ TEST(JoinBuilderTest, DenseAndHashPathsBitIdentical) {
         .Output("d_val")
         .OrderBy("f_key");
     Query q = qb.Build().ValueOrDie();
-    auto rep = ExecEngine::Execute(q.context(), Interp(workers));
+    auto rep = Session({.num_workers = workers}).Run(q.context(), Interp());
     EXPECT_TRUE(rep.ok()) << rep.status().ToString();
     return q;
   };
@@ -360,7 +360,7 @@ TEST(JoinBuilderTest, DuplicateFanOutOrderedRowsBitIdenticalSerialVsParallel) {
         .Output("d_val")
         .OrderBy("f_key");
     Query q = qb.Build().ValueOrDie();
-    auto rep = ExecEngine::Execute(q.context(), Interp(workers));
+    auto rep = Session({.num_workers = workers}).Run(q.context(), Interp());
     EXPECT_TRUE(rep.ok()) << rep.status().ToString();
     return q;
   };
@@ -409,7 +409,7 @@ TEST(JoinBuilderTest, AbsentNegativeAndOutOfDomainProbeKeysAreDropped) {
   QueryBuilder qb(*probe.table);
   qb.Join(*build.table, "f_key", "d_key", {"d_val"}).Count("n");
   Query q = qb.Build().ValueOrDie();
-  auto rep = ExecEngine::Execute(q.context(), Interp(4));
+  auto rep = Session({.num_workers = 4}).Run(q.context(), Interp());
   ASSERT_TRUE(rep.ok()) << rep.status().ToString();
   int64_t expect = 0;
   for (int64_t k : probe.key) expect += (k >= 100 && k < 200) ? 1 : 0;
@@ -442,7 +442,7 @@ TEST(JoinBuilderTest, SelectionComposedProbeAndPostJoinFilter) {
         .Sum("s", Var("f_b") + Var("d_val"))
         .Count("n");
     Query q = qb.Build().ValueOrDie();
-    auto rep = ExecEngine::Execute(q.context(), Interp(workers));
+    auto rep = Session({.num_workers = workers}).Run(q.context(), Interp());
     ASSERT_TRUE(rep.ok()) << rep.status().ToString();
     EXPECT_EQ(q.aggregate("n")[0], expect_n) << "workers=" << workers;
     EXPECT_EQ(q.aggregate("s")[0], expect_sum) << "workers=" << workers;
@@ -468,7 +468,8 @@ TEST(JoinBuilderTest, JoinKeyProjectedAfterFilterWorks) {
         .Join(*build.table, "half", "d_key")
         .Count("n");
     Query q = qb.Build().ValueOrDie();
-    ASSERT_TRUE(ExecEngine::Execute(q.context(), Interp(workers)).ok());
+    ASSERT_TRUE(
+        Session({.num_workers = workers}).Run(q.context(), Interp()).ok());
     EXPECT_EQ(q.aggregate("n")[0], expect_n) << "workers=" << workers;
   }
 }
@@ -511,7 +512,7 @@ TEST(JoinBuilderTest, TwoJoinsSecondKeyedOnFirstJoinsPayload) {
         .Sum("s", Var("f_a") + Var("e_val"))
         .Count("n");
     Query q = qb.Build().ValueOrDie();
-    auto rep = ExecEngine::Execute(q.context(), Interp(workers));
+    auto rep = Session({.num_workers = workers}).Run(q.context(), Interp());
     ASSERT_TRUE(rep.ok()) << rep.status().ToString();
     EXPECT_EQ(q.aggregate("n")[0], expect_n) << "workers=" << workers;
     EXPECT_EQ(q.aggregate("s")[0], expect_sum) << "workers=" << workers;
@@ -543,7 +544,7 @@ TEST(JoinBuilderTest, BuildSideErrorsSurfaceAtBuild) {
     QueryBuilder qb(*probe.table);
     qb.Join(*build.table, "f_key", "d_key").Count("n");
     Query q = qb.Build().ValueOrDie();
-    ASSERT_TRUE(ExecEngine::Execute(q.context(), Interp()).ok());
+    ASSERT_TRUE(Session({.num_workers = 1}).Run(q.context(), Interp()).ok());
     int64_t expect = 0;
     for (int64_t k : probe.key) {
       expect += (k == 3 || k == -2 || k == 5) ? 1 : 0;
@@ -610,9 +611,9 @@ TEST(JoinBuilderTest, OrderedRowsBitIdenticalSerialVsParallel) {
                    [](const Row& x, const Row& y) { return x.score > y.score; });
 
   Query serial = build_query();
-  ASSERT_TRUE(ExecEngine::Execute(serial.context(), Interp(1)).ok());
+  ASSERT_TRUE(Session({.num_workers = 1}).Run(serial.context(), Interp()).ok());
   Query parallel = build_query();
-  auto rep = ExecEngine::Execute(parallel.context(), Interp(4));
+  auto rep = Session({.num_workers = 4}).Run(parallel.context(), Interp());
   ASSERT_TRUE(rep.ok()) << rep.status().ToString();
   EXPECT_GT(rep.value().morsels, 1u);
   EXPECT_TRUE(rep.value().ran_serial_reason.empty())
@@ -638,7 +639,8 @@ TEST(JoinBuilderTest, UnorderedOutputMaterializesInRowOrder) {
     QueryBuilder qb(*probe.table);
     qb.Filter(Var("f_b") < ConstI(250)).Output("f_a").Output("f_b");
     Query q = qb.Build().ValueOrDie();
-    ASSERT_TRUE(ExecEngine::Execute(q.context(), Interp(workers)).ok());
+    ASSERT_TRUE(
+        Session({.num_workers = workers}).Run(q.context(), Interp()).ok());
     std::vector<int64_t> ea, eb;
     for (size_t i = 0; i < probe.key.size(); ++i) {
       if (probe.b[i] < 250) {
@@ -669,9 +671,10 @@ TEST(JoinBuilderTest, OrderByF64PayloadRows) {
     return qb.Build().ValueOrDie();
   };
   Query serial = make();
-  ASSERT_TRUE(ExecEngine::Execute(serial.context(), Interp(1)).ok());
+  ASSERT_TRUE(Session({.num_workers = 1}).Run(serial.context(), Interp()).ok());
   Query parallel = make();
-  ASSERT_TRUE(ExecEngine::Execute(parallel.context(), Interp(4)).ok());
+  ASSERT_TRUE(
+      Session({.num_workers = 4}).Run(parallel.context(), Interp()).ok());
   ASSERT_GT(serial.num_result_rows(), 0u);
   EXPECT_EQ(serial.num_result_rows(), parallel.num_result_rows());
   EXPECT_EQ(serial.result_column("d_rate").data,
@@ -713,7 +716,8 @@ TEST(JoinBuilderTest, OrderByF64WithNaNsSortsThemLastWithoutUB) {
     QueryBuilder qb(t);
     qb.Output("tag").OrderBy("v", SortDir::kAscending);
     Query q = qb.Build().ValueOrDie();
-    ASSERT_TRUE(ExecEngine::Execute(q.context(), Interp(workers)).ok());
+    ASSERT_TRUE(
+        Session({.num_workers = workers}).Run(q.context(), Interp()).ok());
     ASSERT_EQ(q.num_result_rows(), n);
     const auto* keys = q.result_column("v").As<double>();
     for (uint64_t i = 0; i + 1 < n - nans; ++i) {
@@ -739,10 +743,9 @@ TEST(JoinBuilderTest, GpuOffloadDeclinesRowMaterialization) {
   QueryBuilder qb(t);
   qb.Project("p", Var("c") * ConstI(3) + ConstI(1)).Output("p");
   Query q = qb.Build().ValueOrDie();
-  EngineOptions eo;
-  eo.strategy = ExecutionStrategy::kGpuOffload;
-  eo.num_workers = 1;
-  auto rep = ExecEngine::Execute(q.context(), eo);
+  QueryOptions qo;
+  qo.strategy = ExecutionStrategy::kGpuOffload;
+  auto rep = Session({.num_workers = 1}).Run(q.context(), qo);
   ASSERT_TRUE(rep.ok()) << rep.status().ToString();
   EXPECT_EQ(rep.value().device, "cpu");
   ASSERT_EQ(q.num_result_rows(), n);
@@ -778,7 +781,8 @@ TEST(JoinBuilderTest, SumF64AndAvgF64MatchOracle) {
         .AvgF64("wavg", Cast(TypeId::kF64, Var("f_b")) * Var("d_rate"))
         .Count("n");
     Query q = qb.Build().ValueOrDie();
-    ASSERT_TRUE(ExecEngine::Execute(q.context(), Interp(workers)).ok());
+    ASSERT_TRUE(
+        Session({.num_workers = workers}).Run(q.context(), Interp()).ok());
     for (size_t g = 0; g < kGroups; ++g) {
       EXPECT_EQ(q.aggregate("n")[g], expect_n[g]) << "group " << g;
       // f64 addition is order-sensitive; parallel merges reorder it, so
@@ -803,7 +807,7 @@ TEST(JoinBuilderTest, GroupedOrderByMaterializesSortedGroupRows) {
       .Count("n")
       .OrderBy("sum_b", SortDir::kDescending);
   Query q = qb.Build().ValueOrDie();
-  ASSERT_TRUE(ExecEngine::Execute(q.context(), Interp(4)).ok());
+  ASSERT_TRUE(Session({.num_workers = 4}).Run(q.context(), Interp()).ok());
 
   std::vector<int64_t> expect_sum(kGroups, 0), expect_n(kGroups, 0);
   for (size_t i = 0; i < probe.key.size(); ++i) {

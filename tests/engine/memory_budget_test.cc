@@ -28,11 +28,10 @@ using dsl::Var;
 /// assertions would lie.
 constexpr uint64_t kUnlimited = uint64_t{1} << 40;
 
-EngineOptions Opts(size_t workers, uint64_t budget,
-                   ExecutionStrategy strategy = ExecutionStrategy::kInterpret) {
-  EngineOptions o;
+QueryOptions Opts(uint64_t budget,
+                  ExecutionStrategy strategy = ExecutionStrategy::kInterpret) {
+  QueryOptions o;
   o.strategy = strategy;
-  o.num_workers = workers;
   o.memory_budget = budget;
   return o;
 }
@@ -128,7 +127,8 @@ TEST(MemoryBudgetTest, SpilledJoinOrderByBitIdenticalToInMemory) {
   DupBuildTable build(799);
 
   Query golden = BuildJoinOrderBy(probe, build);
-  auto grep = ExecEngine::Execute(golden.context(), Opts(1, kUnlimited));
+  auto grep =
+      Session({.num_workers = 1}).Run(golden.context(), Opts(kUnlimited));
   ASSERT_TRUE(grep.ok()) << grep.status().ToString();
   EXPECT_EQ(grep.value().bytes_spilled, 0u);
   EXPECT_EQ(grep.value().spill_runs, 0u);
@@ -140,8 +140,8 @@ TEST(MemoryBudgetTest, SpilledJoinOrderByBitIdenticalToInMemory) {
        {ExecutionStrategy::kInterpret, ExecutionStrategy::kAdaptiveJit}) {
     for (size_t workers : {size_t{1}, size_t{4}}) {
       Query q = BuildJoinOrderBy(probe, build);
-      auto rep =
-          ExecEngine::Execute(q.context(), Opts(workers, kBudget, strategy));
+      auto rep = Session({.num_workers = workers})
+                     .Run(q.context(), Opts(kBudget, strategy));
       ASSERT_TRUE(rep.ok()) << rep.status().ToString();
       EXPECT_GT(rep.value().bytes_spilled, 0u)
           << "workers=" << workers << " strategy=" << StrategyName(strategy);
@@ -162,11 +162,13 @@ TEST(MemoryBudgetTest, SpilledUnorderedRowQueryMatchesInMemory) {
     return qb.Build().ValueOrDie();
   };
   Query golden = build_query();
-  ASSERT_TRUE(ExecEngine::Execute(golden.context(), Opts(1, kUnlimited)).ok());
+  ASSERT_TRUE(
+      Session({.num_workers = 1}).Run(golden.context(), Opts(kUnlimited)).ok());
 
   for (size_t workers : {size_t{1}, size_t{4}}) {
     Query q = build_query();
-    auto rep = ExecEngine::Execute(q.context(), Opts(workers, 64 * 1024));
+    auto rep =
+        Session({.num_workers = workers}).Run(q.context(), Opts(64 * 1024));
     ASSERT_TRUE(rep.ok()) << rep.status().ToString();
     EXPECT_GT(rep.value().bytes_spilled, 0u);
     ExpectSameColumns(q, golden);
@@ -183,11 +185,12 @@ TEST(MemoryBudgetTest, BudgetEdgeAtExactWindowBytes) {
   const uint64_t window_bytes = n * (8 + 8);
 
   Query golden = BuildRowOrderBy(probe);
-  ASSERT_TRUE(ExecEngine::Execute(golden.context(), Opts(1, kUnlimited)).ok());
+  ASSERT_TRUE(
+      Session({.num_workers = 1}).Run(golden.context(), Opts(kUnlimited)).ok());
 
   {
     Query q = BuildRowOrderBy(probe);
-    auto rep = ExecEngine::Execute(q.context(), Opts(1, window_bytes));
+    auto rep = Session({.num_workers = 1}).Run(q.context(), Opts(window_bytes));
     ASSERT_TRUE(rep.ok()) << rep.status().ToString();
     EXPECT_EQ(rep.value().bytes_spilled, 0u) << "budget exactly fits";
     EXPECT_EQ(rep.value().spill_runs, 0u);
@@ -195,7 +198,8 @@ TEST(MemoryBudgetTest, BudgetEdgeAtExactWindowBytes) {
   }
   {
     Query q = BuildRowOrderBy(probe);
-    auto rep = ExecEngine::Execute(q.context(), Opts(1, window_bytes - 1));
+    auto rep =
+        Session({.num_workers = 1}).Run(q.context(), Opts(window_bytes - 1));
     ASSERT_TRUE(rep.ok()) << rep.status().ToString();
     EXPECT_GT(rep.value().bytes_spilled, 0u) << "one byte short must spill";
     ExpectSameColumns(q, golden);
@@ -209,7 +213,7 @@ TEST(MemoryBudgetTest, BudgetSmallerThanOneMorselWindowFailsCleanly) {
   ProbeTable probe(20'000, 300);
   Query q = BuildRowOrderBy(probe);
   // One chunk (1024 rows) of the two i64 windows needs 16 KiB.
-  auto rep = ExecEngine::Execute(q.context(), Opts(1, 4096));
+  auto rep = Session({.num_workers = 1}).Run(q.context(), Opts(4096));
   ASSERT_FALSE(rep.ok());
   EXPECT_EQ(rep.status().code(), StatusCode::kResourceExhausted)
       << rep.status().ToString();
@@ -222,7 +226,8 @@ TEST(MemoryBudgetTest, BudgetSmallerThanOneMorselWindowFailsCleanly) {
 TEST(MemoryBudgetTest, ConcurrentQueriesShareSessionBudget) {
   ProbeTable probe(20'000, 300);
   Query golden = BuildRowOrderBy(probe);
-  ASSERT_TRUE(ExecEngine::Execute(golden.context(), Opts(1, kUnlimited)).ok());
+  ASSERT_TRUE(
+      Session({.num_workers = 1}).Run(golden.context(), Opts(kUnlimited)).ok());
 
   // Window bytes per query: 20'000 x 16 = 320'000; the shared budget fits
   // at most one query's resident windows.
@@ -266,12 +271,13 @@ TEST(MemoryBudgetTest, ConcurrentQueriesShareSessionBudget) {
 TEST(MemoryBudgetTest, ResubmissionSwitchesBetweenResidentAndSpilled) {
   ProbeTable probe(15'000, 200);
   Query golden = BuildRowOrderBy(probe);
-  ASSERT_TRUE(ExecEngine::Execute(golden.context(), Opts(1, kUnlimited)).ok());
+  ASSERT_TRUE(
+      Session({.num_workers = 1}).Run(golden.context(), Opts(kUnlimited)).ok());
 
   Query q = BuildRowOrderBy(probe);
   for (int round = 0; round < 3; ++round) {
     const uint64_t budget = (round % 2 == 0) ? 48 * 1024 : kUnlimited;
-    auto rep = ExecEngine::Execute(q.context(), Opts(1, budget));
+    auto rep = Session({.num_workers = 1}).Run(q.context(), Opts(budget));
     ASSERT_TRUE(rep.ok()) << "round " << round << ": "
                           << rep.status().ToString();
     if (budget != kUnlimited) {

@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <numeric>
-
 namespace avm::engine {
 namespace {
 
@@ -41,41 +38,6 @@ TEST(PartitionRowsTest, ExplicitMorselSizeHonored) {
 
 TEST(PartitionRowsTest, ZeroRowsIsEmpty) {
   EXPECT_TRUE(PartitionRows(0, 4, 0, 1024).empty());
-}
-
-TEST(RunMorselsTest, EveryMorselProcessedOnce) {
-  ThreadPool pool(4);
-  auto morsels = PartitionRows(100000, 4, 1000, 1);
-  std::vector<std::atomic<int>> hits(morsels.size());
-  Status st = RunMorsels(pool, 4, morsels, [&](const Morsel& m) {
-    hits[m.index].fetch_add(1);
-    return Status::OK();
-  });
-  ASSERT_TRUE(st.ok());
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(RunMorselsTest, FirstErrorPropagates) {
-  ThreadPool pool(4);
-  auto morsels = PartitionRows(1000, 4, 10, 1);
-  Status st = RunMorsels(pool, 4, morsels, [&](const Morsel& m) {
-    if (m.index == 42) return Status::Internal("boom");
-    return Status::OK();
-  });
-  EXPECT_FALSE(st.ok());
-  EXPECT_NE(st.ToString().find("boom"), std::string::npos);
-}
-
-TEST(RunMorselsTest, SerialFallbackWithOneWorker) {
-  ThreadPool pool(2);
-  auto morsels = PartitionRows(100, 1, 10, 1);
-  std::atomic<uint64_t> total{0};
-  Status st = RunMorsels(pool, 1, morsels, [&](const Morsel& m) {
-    total.fetch_add(m.rows());
-    return Status::OK();
-  });
-  ASSERT_TRUE(st.ok());
-  EXPECT_EQ(total.load(), 100u);
 }
 
 }  // namespace

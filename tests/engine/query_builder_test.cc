@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "engine/session.h"
 #include "relational/join.h"
 #include "relational/q1.h"
 #include "storage/datagen.h"
@@ -41,10 +42,9 @@ struct TinyTable {
   }
 };
 
-EngineOptions Interp(size_t workers = 1) {
-  EngineOptions opts;
+QueryOptions Interp() {
+  QueryOptions opts;
   opts.strategy = ExecutionStrategy::kInterpret;
-  opts.num_workers = workers;
   return opts;
 }
 
@@ -55,7 +55,7 @@ TEST(QueryBuilderTest, FilterSumCountSingleGroup) {
       .Sum("sum_b", Var("b"))
       .Count("rows");
   Query q = qb.Build().ValueOrDie();
-  ASSERT_TRUE(ExecEngine::Execute(q.context(), Interp()).ok());
+  ASSERT_TRUE(Session({.num_workers = 1}).Run(q.context(), Interp()).ok());
 
   int64_t expect_sum = 0, expect_count = 0;
   for (size_t i = 0; i < t.a.size(); ++i) {
@@ -80,7 +80,7 @@ TEST(QueryBuilderTest, MultiColumnPredicateAndChainedFilters) {
       .Sum("sum_d", Var("d"))
       .Count("rows");
   Query q = qb.Build().ValueOrDie();
-  ASSERT_TRUE(ExecEngine::Execute(q.context(), Interp()).ok());
+  ASSERT_TRUE(Session({.num_workers = 1}).Run(q.context(), Interp()).ok());
 
   int64_t expect_sum = 0, expect_count = 0;
   for (size_t i = 0; i < t.a.size(); ++i) {
@@ -104,9 +104,9 @@ TEST(QueryBuilderTest, GroupedAggregatesParallelMatchSerial) {
     return qb.Build().ValueOrDie();
   };
   Query serial = build();
-  ASSERT_TRUE(ExecEngine::Execute(serial.context(), Interp(1)).ok());
+  ASSERT_TRUE(Session({.num_workers = 1}).Run(serial.context(), Interp()).ok());
   Query parallel = build();
-  auto rep = ExecEngine::Execute(parallel.context(), Interp(4));
+  auto rep = Session({.num_workers = 4}).Run(parallel.context(), Interp());
   ASSERT_TRUE(rep.ok());
   EXPECT_GT(rep.value().morsels, 1u);
 
@@ -131,11 +131,11 @@ TEST(QueryBuilderTest, Q1ViaBuilderMatchesScalarOracle) {
   auto oracle = relational::RunQ1Scalar(*lineitem).ValueOrDie();
 
   Query q = relational::MakeQ1Query(*lineitem).ValueOrDie();
-  ASSERT_TRUE(ExecEngine::Execute(q.context(), Interp(4)).ok());
+  ASSERT_TRUE(Session({.num_workers = 4}).Run(q.context(), Interp()).ok());
   EXPECT_EQ(relational::Q1ResultFromQuery(q), oracle);
 }
 
-TEST(QueryBuilderTest, SemiJoinMatchesHashChainScan) {
+TEST(QueryBuilderTest, SemiJoinMatchesHashSetOracle) {
   const uint64_t n = 120'000;
   Schema schema({{"k0", TypeId::kI64}, {"k1", TypeId::kI64}});
   Table probe(schema);
@@ -153,27 +153,30 @@ TEST(QueryBuilderTest, SemiJoinMatchesHashChainScan) {
   for (int i = 0; i < 1500; ++i) f0.Insert(rng.NextInRange(0, 3000));
   for (int i = 0; i < 200; ++i) f1.Insert(rng.NextInRange(0, 3000));
 
-  auto hash_scan = relational::RunSemijoinScan(
-      probe, {"k0", "k1"}, {&f0, &f1},
-      relational::AdaptiveSemijoinChain::OrderPolicy::kFixed);
-  ASSERT_TRUE(hash_scan.ok());
+  // Oracle: the scalar HashSetI64 membership count.
+  int64_t expect = 0;
+  for (uint64_t i = 0; i < n; ++i) {
+    if (f0.Contains(k0[i]) && f1.Contains(k1[i])) ++expect;
+  }
 
-  auto serial =
-      relational::RunSemijoinEngine(probe, {"k0", "k1"}, {&f0, &f1},
-                                    Interp(1));
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  EXPECT_EQ(serial.value().survivors, hash_scan.value().survivors);
+  Query serial =
+      relational::MakeSemijoinQuery(probe, {"k0", "k1"}, {&f0, &f1})
+          .ValueOrDie();
+  auto s = Session({.num_workers = 1}).Run(serial.context(), Interp());
+  ASSERT_TRUE(s.ok()) << s.status().ToString();
+  EXPECT_EQ(serial.aggregate("survivors")[0], expect);
 
-  auto parallel =
-      relational::RunSemijoinEngine(probe, {"k0", "k1"}, {&f0, &f1},
-                                    Interp(4));
-  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-  EXPECT_EQ(parallel.value().survivors, hash_scan.value().survivors);
+  Query parallel =
+      relational::MakeSemijoinQuery(probe, {"k0", "k1"}, {&f0, &f1})
+          .ValueOrDie();
+  auto p = Session({.num_workers = 4}).Run(parallel.context(), Interp());
+  ASSERT_TRUE(p.ok()) << p.status().ToString();
+  EXPECT_EQ(parallel.aggregate("survivors")[0], expect);
   // Gathers read the shared membership arrays, scatters hit accumulators:
   // the query must actually run morsel-parallel, not fall back to serial.
-  EXPECT_GT(parallel.value().report.morsels, 1u);
-  EXPECT_TRUE(parallel.value().report.ran_serial_reason.empty())
-      << parallel.value().report.ran_serial_reason;
+  EXPECT_GT(p.value().morsels, 1u);
+  EXPECT_TRUE(p.value().ran_serial_reason.empty())
+      << p.value().ran_serial_reason;
 }
 
 TEST(QueryBuilderTest, ResetAggregatesAllowsRerun) {
@@ -181,12 +184,12 @@ TEST(QueryBuilderTest, ResetAggregatesAllowsRerun) {
   QueryBuilder qb(*t.table);
   qb.Filter(Var("a") < ConstI(500)).Count("n");
   Query q = qb.Build().ValueOrDie();
-  ASSERT_TRUE(ExecEngine::Execute(q.context(), Interp()).ok());
+  ASSERT_TRUE(Session({.num_workers = 1}).Run(q.context(), Interp()).ok());
   const int64_t once = q.aggregate("n")[0];
-  ASSERT_TRUE(ExecEngine::Execute(q.context(), Interp()).ok());
+  ASSERT_TRUE(Session({.num_workers = 1}).Run(q.context(), Interp()).ok());
   EXPECT_EQ(q.aggregate("n")[0], 2 * once);  // accumulators persist...
   q.ResetAggregates();
-  ASSERT_TRUE(ExecEngine::Execute(q.context(), Interp()).ok());
+  ASSERT_TRUE(Session({.num_workers = 1}).Run(q.context(), Interp()).ok());
   EXPECT_EQ(q.aggregate("n")[0], once);  // ...until explicitly reset
 }
 
@@ -197,7 +200,7 @@ TEST(QueryBuilderTest, OutOfRangeSemiJoinKeyFailsCleanly) {
   QueryBuilder qb(*t.table);
   qb.SemiJoin("a", std::vector<int64_t>(10, 1)).Count("n");
   Query q = qb.Build().ValueOrDie();
-  auto r = ExecEngine::Execute(q.context(), Interp());
+  auto r = Session({.num_workers = 1}).Run(q.context(), Interp());
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsOutOfRange()) << r.status().ToString();
 }
@@ -212,8 +215,8 @@ TEST(QueryBuilderTest, BuilderReusableAfterBuild) {
   qb.Sum("sum_b", Var("b"));
   Query second = qb.Build().ValueOrDie();
 
-  ASSERT_TRUE(ExecEngine::Execute(first.context(), Interp()).ok());
-  ASSERT_TRUE(ExecEngine::Execute(second.context(), Interp()).ok());
+  ASSERT_TRUE(Session({.num_workers = 1}).Run(first.context(), Interp()).ok());
+  ASSERT_TRUE(Session({.num_workers = 1}).Run(second.context(), Interp()).ok());
   int64_t expect_n = 0, expect_sum = 0;
   for (size_t i = 0; i < t.a.size(); ++i) {
     if (t.a[i] < 500) {
@@ -319,7 +322,7 @@ TEST(QueryBuilderTest, WiderSelectionOnAggregateValuesIsFine) {
       .Sum("s", Var("p"))
       .Count("n");
   Query q = qb.Build().ValueOrDie();
-  ASSERT_TRUE(ExecEngine::Execute(q.context(), Interp()).ok());
+  ASSERT_TRUE(Session({.num_workers = 1}).Run(q.context(), Interp()).ok());
   int64_t expect_sum = 0, expect_n = 0;
   for (size_t i = 0; i < t.a.size(); ++i) {
     if (t.a[i] < 500 && t.b[i] < 900) {

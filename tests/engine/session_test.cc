@@ -27,7 +27,6 @@ using relational::MakeSemijoinQuery;
 using relational::Q1Result;
 using relational::Q1ResultFromQuery;
 using relational::RunQ1Scalar;
-using relational::RunSemijoinScan;
 
 std::unique_ptr<Table> SmallLineitem(uint64_t rows = 120'000) {
   LineitemSpec spec;

@@ -4,7 +4,7 @@
 // to the cold run. Plus the robustness half: corrupt entries recompile, two
 // engines can share one directory, and hot traces upgrade tiers.
 //
-// "Process restart" is modeled as a fresh ExecEngine with a fresh
+// "Process restart" is modeled as a fresh engine::Session with a fresh
 // DiskTraceCache instance: a new in-memory TraceCache and new cache state,
 // with only the directory surviving — exactly what a restarted server sees.
 // (The CI warm job additionally runs the whole suite twice across real
@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "dsl/builder.h"
-#include "engine/exec_engine.h"
+#include "engine/session.h"
 #include "jit/disk_cache.h"
 #include "jit/source_jit.h"
 #include "storage/datagen.h"
@@ -68,7 +68,7 @@ struct RunOutput {
   std::vector<int64_t> out;
 };
 
-/// One "process lifetime": a fresh engine and a fresh disk-cache instance
+/// One "process lifetime": a fresh session and a fresh disk-cache instance
 /// over `dir`, running the map query once.
 Result<RunOutput> RunOnce(const std::string& dir, jit::TierPolicy policy,
                           const std::vector<int64_t>& data,
@@ -81,13 +81,13 @@ Result<RunOutput> RunOnce(const std::string& dir, jit::TierPolicy policy,
                            TypeId::kI64, const_cast<int64_t*>(data.data()), n));
   ctx.BindOutput(
       "out", interp::DataBinding::Raw(TypeId::kI64, r.out.data(), n, true));
-  EngineOptions opts;
+  QueryOptions opts;
   opts.strategy = ExecutionStrategy::kAdaptiveJit;
   opts.vm.optimize_after_iterations = 2;
   opts.vm.jit_tier_policy = policy;
   opts.vm.jit_upgrade_after = upgrade_after;
   opts.vm.disk_cache = std::make_shared<jit::DiskTraceCache>(dir, 64 << 20);
-  AVM_ASSIGN_OR_RETURN(r.report, ExecEngine::Execute(ctx, opts));
+  AVM_ASSIGN_OR_RETURN(r.report, Session({.num_workers = 1}).Run(ctx, opts));
   return r;
 }
 
@@ -276,10 +276,10 @@ TEST(WarmRestartTest, SharedEnvCacheDirContract) {
   ctx.BindInput("src", interp::DataBinding::Raw(TypeId::kI64, data.data(), n));
   ctx.BindOutput("out",
                  interp::DataBinding::Raw(TypeId::kI64, out.data(), n, true));
-  EngineOptions opts;  // disk cache resolved from the environment
+  QueryOptions opts;  // disk cache resolved from the environment
   opts.strategy = ExecutionStrategy::kAdaptiveJit;
   opts.vm.optimize_after_iterations = 2;
-  auto report = ExecEngine::Execute(ctx, opts);
+  auto report = Session({.num_workers = 1}).Run(ctx, opts);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   if (std::getenv("AVM_CI_EXPECT_WARM") != nullptr) {
     EXPECT_EQ(report.value().traces_compiled, 0u)

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
+#include "engine/session.h"
 #include "util/rng.h"
 
 namespace avm::relational {
@@ -164,9 +166,10 @@ TEST(SemijoinChainTest, AdaptiveMatchesFixedResults) {
   }
 }
 
-TEST(SemijoinScanTest, ParallelScanMatchesSerial) {
-  // Probe table with two i64 key columns; survivors of the chain must be
-  // identical no matter how many workers scan it.
+TEST(SemijoinScanTest, AdaptiveChainScanMatchesScalarCount) {
+  // Probe table with two i64 key columns, each guarded by its own filter:
+  // a chunked scan through the adaptive (reordering) chain must count
+  // exactly the rows whose k0 is in f0 and whose k1 is in f1.
   const uint64_t n = 200'000;
   Schema schema({{"k0", TypeId::kI64}, {"k1", TypeId::kI64}});
   Table probe(schema);
@@ -185,23 +188,27 @@ TEST(SemijoinScanTest, ParallelScanMatchesSerial) {
   for (int i = 0; i < 2500; ++i) f0.Insert(rng.NextInRange(0, 5000));
   for (int i = 0; i < 400; ++i) f1.Insert(rng.NextInRange(0, 5000));
 
-  auto serial = RunSemijoinScan(probe, {"k0", "k1"}, {&f0, &f1},
-                                AdaptiveSemijoinChain::OrderPolicy::kAdaptive,
-                                /*num_workers=*/1);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  auto parallel = RunSemijoinScan(
-      probe, {"k0", "k1"}, {&f0, &f1},
-      AdaptiveSemijoinChain::OrderPolicy::kAdaptive, /*num_workers=*/4);
-  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-  EXPECT_EQ(parallel.value().survivors, serial.value().survivors);
-  EXPECT_GT(parallel.value().morsels, 1u);
+  AdaptiveSemijoinChain chain({&f0, &f1},
+                              AdaptiveSemijoinChain::OrderPolicy::kAdaptive);
+  constexpr uint32_t kChunk = 4096;
+  std::vector<int64_t> b0(kChunk), b1(kChunk);
+  std::vector<sel_t> out(kChunk), scratch(kChunk);
+  uint64_t survivors = 0;
+  for (uint64_t pos = 0; pos < n; pos += kChunk) {
+    const auto m = static_cast<uint32_t>(std::min<uint64_t>(kChunk, n - pos));
+    ASSERT_TRUE(probe.column(0).Read(pos, m, b0.data()).ok());
+    ASSERT_TRUE(probe.column(1).Read(pos, m, b1.data()).ok());
+    survivors += chain.FilterChunk({b0.data(), b1.data()}, m, out.data(),
+                                   scratch.data());
+  }
 
   // Cross-check against a scalar count.
   uint64_t expect = 0;
   for (uint64_t i = 0; i < n; ++i) {
     if (f0.Contains(k0[i]) && f1.Contains(k1[i])) ++expect;
   }
-  EXPECT_EQ(serial.value().survivors, expect);
+  EXPECT_GT(expect, 0u);
+  EXPECT_EQ(survivors, expect);
 }
 
 TEST(JoinQueryTest, MakeJoinQueryMatchesHashJoinOracle) {
@@ -246,18 +253,22 @@ TEST(JoinQueryTest, MakeJoinQueryMatchesHashJoinOracle) {
     for (uint32_t h = 0; h < hits; ++h) expect_rev += fv[i] * dw[row[h]];
   }
 
+  engine::QueryOptions qo;
+  qo.strategy = engine::ExecutionStrategy::kInterpret;
   for (size_t workers : {size_t{1}, size_t{4}}) {
-    engine::EngineOptions eo;
-    eo.strategy = engine::ExecutionStrategy::kInterpret;
-    eo.num_workers = workers;
-    auto run = RunJoinEngine(probe, "f_key", "f_val", dim, "d_key", "d_w", eo);
+    engine::Query q =
+        MakeJoinQuery(probe, "f_key", "f_val", dim, "d_key", "d_w")
+            .ValueOrDie();
+    auto run = engine::Session({.num_workers = workers}).Run(q.context(), qo);
     ASSERT_TRUE(run.ok()) << run.status().ToString();
-    EXPECT_EQ(run.value().matches, expect_matches) << "workers=" << workers;
-    EXPECT_EQ(run.value().revenue, expect_rev) << "workers=" << workers;
+    EXPECT_EQ(static_cast<uint64_t>(q.aggregate("matches")[0]),
+              expect_matches)
+        << "workers=" << workers;
+    EXPECT_EQ(q.aggregate("revenue")[0], expect_rev) << "workers=" << workers;
     if (workers > 1) {
-      EXPECT_GT(run.value().report.morsels, 1u);
-      EXPECT_TRUE(run.value().report.ran_serial_reason.empty())
-          << run.value().report.ran_serial_reason;
+      EXPECT_GT(run.value().morsels, 1u);
+      EXPECT_TRUE(run.value().ran_serial_reason.empty())
+          << run.value().ran_serial_reason;
     }
   }
 
@@ -265,10 +276,8 @@ TEST(JoinQueryTest, MakeJoinQueryMatchesHashJoinOracle) {
   engine::Query grouped =
       MakeJoinQuery(probe, "f_key", "f_val", dim, "d_key", "d_w", 4)
           .ValueOrDie();
-  engine::EngineOptions eo;
-  eo.strategy = engine::ExecutionStrategy::kInterpret;
-  eo.num_workers = 4;
-  ASSERT_TRUE(engine::ExecEngine::Execute(grouped.context(), eo).ok());
+  ASSERT_TRUE(
+      engine::Session({.num_workers = 4}).Run(grouped.context(), qo).ok());
   std::vector<int64_t> expect_g(4, 0);
   for (uint64_t i = 0; i < n; ++i) {
     const uint32_t hits = ht.Probe(&fk[i], nullptr, 1, pos.data(), row.data());

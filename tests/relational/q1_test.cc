@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/session.h"
 #include "jit/source_jit.h"
 
 namespace avm::relational {
@@ -48,11 +49,13 @@ TEST(Q1AdaptiveVmTest, InterpretedDslMatchesOracle) {
   auto oracle = RunQ1Scalar(*table);
   ASSERT_TRUE(oracle.ok());
 
-  vm::VmOptions opts;
-  opts.enable_jit = false;
-  auto run = RunQ1AdaptiveVm(*table, opts);
+  engine::QueryOptions opts;
+  opts.strategy = engine::ExecutionStrategy::kInterpret;
+  opts.vm.enable_jit = false;
+  engine::Query q = MakeQ1Query(*table).ValueOrDie();
+  auto run = engine::Session({.num_workers = 1}).Run(q.context(), opts);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
-  EXPECT_EQ(run.value().result, oracle.value());
+  EXPECT_EQ(Q1ResultFromQuery(q), oracle.value());
 }
 
 TEST(Q1AdaptiveVmTest, JitCompiledDslMatchesOracle) {
@@ -63,16 +66,16 @@ TEST(Q1AdaptiveVmTest, JitCompiledDslMatchesOracle) {
   auto oracle = RunQ1Scalar(*table);
   ASSERT_TRUE(oracle.ok());
 
-  vm::VmOptions opts;
-  opts.enable_jit = true;
-  opts.optimize_after_iterations = 8;
-  auto run = RunQ1AdaptiveVm(*table, opts);
+  engine::QueryOptions opts;
+  opts.strategy = engine::ExecutionStrategy::kAdaptiveJit;
+  opts.vm.enable_jit = true;
+  opts.vm.optimize_after_iterations = 8;
+  engine::Query q = MakeQ1Query(*table).ValueOrDie();
+  auto run = engine::Session({.num_workers = 1}).Run(q.context(), opts);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
-  EXPECT_EQ(run.value().result, oracle.value());
-  EXPECT_GT(run.value().report.traces_compiled +
-                run.value().report.disk_cache_hits,
-            0u);
-  EXPECT_GT(run.value().report.injection_runs, 0u);
+  EXPECT_EQ(Q1ResultFromQuery(q), oracle.value());
+  EXPECT_GT(run.value().traces_compiled + run.value().disk_cache_hits, 0u);
+  EXPECT_GT(run.value().injection_runs, 0u);
 }
 
 TEST(Q1Test, GroupStructureMatchesGenerator) {

@@ -131,8 +131,11 @@ TEST(AdaptiveVmTest, SchemeChangeTriggersFallbackAndRespecialization) {
                   .ok());
   ASSERT_TRUE(vm.Run().ok());
   for (uint32_t i = 0; i < kHalf; ++i) ASSERT_EQ(out[i], narrow[i] * 2);
+  // The wide values run up to 2^63 - 1, so doubling them overflows: the
+  // engine wraps, and the expectation wraps the same way in unsigned math.
   for (uint32_t i = 0; i < kHalf; ++i) {
-    ASSERT_EQ(out[kHalf + i], wide[i] * 2);
+    ASSERT_EQ(out[kHalf + i],
+              static_cast<int64_t>(static_cast<uint64_t>(wide[i]) * 2u));
   }
   VmReport report = vm.Report();
   // Two situations compiled: FOR-specialized and plain.
