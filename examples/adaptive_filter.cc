@@ -48,7 +48,8 @@ double RunWith(interp::FilterFlavor flavor, const std::vector<int64_t>& data,
       .BindOutput("out", interp::DataBinding::Raw(TypeId::kI64, out.data(),
                                                   out.size(), true));
   if (final_choice != nullptr) {
-    ctx.set_inspector([&](const interp::Interpreter& in) {
+    ctx.set_task_hook([&](const interp::Interpreter& in,
+                          const engine::Morsel&) {
       // Find the filter node and ask what the chooser settled on.
       dsl::VisitExprs(in.program(), [&](const dsl::ExprPtr& e) {
         if (e->kind == dsl::ExprKind::kSkeleton &&
@@ -56,6 +57,7 @@ double RunWith(interp::FilterFlavor flavor, const std::vector<int64_t>& data,
           *final_choice = in.PreferredFilterFlavor(e->id);
         }
       });
+      return Status::OK();
     });
   }
 

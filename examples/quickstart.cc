@@ -186,9 +186,11 @@ loop
                   interp::DataBinding::Raw(TypeId::kI64, v.data(), fig_n, true))
       .BindOutput("w",
                   interp::DataBinding::Raw(TypeId::kI64, w.data(), fig_n, true))
-      .set_inspector([&](const interp::Interpreter& in) {
-        positives = in.GetScalar("k").ValueOrDie().AsI64();
-      });
+      .set_task_hook(
+          [&](const interp::Interpreter& in, const engine::Morsel&) {
+            positives = in.GetScalar("k").ValueOrDie().AsI64();
+            return Status::OK();
+          });
   engine::ExecReport fig2 = session.Run(ctx, qo).ValueOrDie();
   std::printf("=== Figure 2 through the same session ===\n");
   std::printf("processed %lld values; %lld positive results in w\n",

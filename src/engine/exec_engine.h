@@ -257,26 +257,18 @@ class ExecContext {
   ExecContext& BindPartialOutputScratch(const std::string& name, TypeId type,
                                         uint64_t row_scale = 1);
 
-  /// Optional observability hook: called (serially) with each worker's
-  /// interpreter after it finishes, before accumulator merge. Tests and
-  /// examples use it to read adaptive state (e.g. preferred filter flavor).
-  /// Not invoked when kGpuOffload executes the fragment on the simulated
-  /// device — there is no interpreter state to observe on that path. May
-  /// probe this query's handle (done()/TryGetReport()), but must not
-  /// Wait() on it or submit queries back into the engine — the calling
-  /// worker would wait on itself.
-  ExecContext& set_inspector(
-      std::function<void(const interp::Interpreter&)> fn) {
-    inspector_ = std::move(fn);
-    return *this;
-  }
-
-  /// Per-task hook: called after each task's interpreter finishes, with the
-  /// row range the task covered (serial runs see one task spanning every
-  /// row). Parallel runs call it under the query's merge mutex, so bodies
-  /// may mutate query-owned state without extra locking; cancelled or
-  /// failed tasks skip it. Queries with kPartialOutput windows use it to
-  /// read the per-morsel written count and partial-sort their window.
+  /// Per-task hook: called after each task's interpreter finishes, before
+  /// accumulator merge, with the row range the task covered (serial runs
+  /// see one task spanning every row). Parallel runs call it under the
+  /// query's merge mutex, so bodies may mutate query-owned state without
+  /// extra locking; cancelled or failed tasks skip it. Queries with
+  /// kPartialOutput windows use it to read the per-morsel written count and
+  /// partial-sort their window; tests and examples use it to read adaptive
+  /// interpreter state (e.g. the preferred filter flavor). A context with
+  /// a task hook never runs on the kGpuOffload device path, which has no
+  /// interpreter to hand it. The hook may probe this query's handle
+  /// (done()/TryGetReport()), but must not Wait() on it or submit queries
+  /// back into the engine — the calling worker would wait on itself.
   ExecContext& set_task_hook(
       std::function<Status(const interp::Interpreter&, const Morsel&)> fn) {
     task_hook_ = std::move(fn);
@@ -343,7 +335,6 @@ class ExecContext {
   const dsl::Program* fixed_program_ = nullptr;
   uint64_t total_rows_ = 0;
   std::vector<Bound> bound_;
-  std::function<void(const interp::Interpreter&)> inspector_;
   std::function<Status(const interp::Interpreter&, const Morsel&)> task_hook_;
   std::function<Status()> finalize_hook_;
   std::function<Status(const MemoryPlan&, PrepareOutcome*)> prepare_hook_;

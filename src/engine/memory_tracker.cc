@@ -1,5 +1,6 @@
 #include "engine/memory_tracker.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "util/string_util.h"
@@ -8,33 +9,39 @@ namespace avm::engine {
 
 Status MemoryTracker::TryCharge(uint64_t bytes, const char* what) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (budget_ > 0 && (bytes > budget_ || used_ > budget_ - bytes)) {
+  if (budget_ > 0 && (bytes > budget_ || persistent_ > budget_ - bytes)) {
     return Status::ResourceExhausted(StrFormat(
         "%s needs %llu bytes but only %llu of the %llu-byte memory budget "
         "remain",
         what, (unsigned long long)bytes,
-        (unsigned long long)(budget_ > used_ ? budget_ - used_ : 0),
+        (unsigned long long)(budget_ > persistent_ ? budget_ - persistent_
+                                                   : 0),
         (unsigned long long)budget_));
   }
-  used_ += bytes;
-  if (used_ > peak_) peak_ = used_;
+  persistent_ += bytes;
+  peak_ = std::max(peak_, persistent_ + transient_);
   return Status::OK();
-}
-
-void MemoryTracker::ChargeTransient(uint64_t bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  used_ += bytes;
-  if (used_ > peak_) peak_ = used_;
 }
 
 void MemoryTracker::Release(uint64_t bytes) {
   std::lock_guard<std::mutex> lock(mu_);
-  used_ = bytes > used_ ? 0 : used_ - bytes;
+  persistent_ -= std::min(bytes, persistent_);
+}
+
+void MemoryTracker::ChargeTransient(uint64_t bytes) {
+  std::lock_guard<std::mutex> lock(mu_);
+  transient_ += bytes;
+  peak_ = std::max(peak_, persistent_ + transient_);
+}
+
+void MemoryTracker::ReleaseTransient(uint64_t bytes) {
+  std::lock_guard<std::mutex> lock(mu_);
+  transient_ -= std::min(bytes, transient_);
 }
 
 uint64_t MemoryTracker::used() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return used_;
+  return persistent_ + transient_;
 }
 
 uint64_t MemoryTracker::peak() const {
@@ -44,8 +51,8 @@ uint64_t MemoryTracker::peak() const {
 
 uint64_t MemoryTracker::available() const {
   if (budget_ == 0) return UINT64_MAX;
-  std::lock_guard<std::mutex> lock(mu_);
-  return budget_ > used_ ? budget_ - used_ : 0;
+  const uint64_t in_use = used();
+  return budget_ > in_use ? budget_ - in_use : 0;
 }
 
 uint64_t MemoryTracker::EnvBudget() {

@@ -7,6 +7,8 @@
 #include <map>
 #include <numeric>
 #include <set>
+#include <type_traits>
+#include <utility>
 
 #include "analysis/verify_program.h"
 #include "dsl/typecheck.h"
@@ -77,68 +79,151 @@ Status ValidateScalarExpr(const dsl::Expr& e, const char* where) {
   return Status::OK();
 }
 
-/// NaN-aware float ordering: every NaN sorts AFTER every number, and all
-/// NaNs are equivalent — a strict weak ordering even on dirty data (raw
-/// operator< would hand std::stable_sort an intransitive comparator: UB).
-template <typename F>
-bool FloatLess(F a, F b) {
-  if (std::isnan(a)) return false;
-  if (std::isnan(b)) return true;
+/// The one ORDER BY key comparison: whether key `a` sorts strictly before
+/// key `b` in direction `dir`. Ascending order is `<` for integers and
+/// bools (false before true); for floats every NaN sorts after every
+/// number and all NaNs are equivalent, a strict weak ordering even on
+/// dirty data (raw operator< would hand std::stable_sort an intransitive
+/// comparator: UB). Descending reverses it.
+template <typename T>
+bool KeyBefore(T a, T b, SortDir dir) {
+  if (dir == SortDir::kDescending) std::swap(a, b);
+  if constexpr (std::is_floating_point_v<T>) {
+    if (std::isnan(a)) return false;
+    if (std::isnan(b)) return true;
+  }
   return a < b;
 }
 
-/// Element comparison inside a raw typed column buffer (result-row sorting).
-bool LessAt(TypeId t, const uint8_t* base, uint64_t a, uint64_t b) {
-  switch (t) {
-    case TypeId::kBool:
-    case TypeId::kI8:
-      return reinterpret_cast<const int8_t*>(base)[a] <
-             reinterpret_cast<const int8_t*>(base)[b];
-    case TypeId::kI16:
-      return reinterpret_cast<const int16_t*>(base)[a] <
-             reinterpret_cast<const int16_t*>(base)[b];
-    case TypeId::kI32:
-      return reinterpret_cast<const int32_t*>(base)[a] <
-             reinterpret_cast<const int32_t*>(base)[b];
-    case TypeId::kI64:
-      return reinterpret_cast<const int64_t*>(base)[a] <
-             reinterpret_cast<const int64_t*>(base)[b];
-    case TypeId::kF32:
-      return FloatLess(reinterpret_cast<const float*>(base)[a],
-                       reinterpret_cast<const float*>(base)[b]);
-    case TypeId::kF64:
-      return FloatLess(reinterpret_cast<const double*>(base)[a],
-                       reinterpret_cast<const double*>(base)[b]);
+/// The one row sort of ORDER BY, for per-morsel output windows and for
+/// grouped result rows: stably sorts `rows` rows stored column-wise at
+/// `bases` (column c typed types[c]) by column `key`. Ties keep input
+/// order, so merging sorted runs in input order equals one global stable
+/// sort.
+void SortRows(const std::vector<TypeId>& types,
+              const std::vector<uint8_t*>& bases, size_t key, SortDir dir,
+              uint64_t rows) {
+  if (rows < 2) return;
+  std::vector<uint64_t> perm(rows);
+  DispatchType(types[key], [&]<typename T>() {
+    using Keyed = std::pair<T, uint64_t>;
+    std::vector<Keyed> keyed(rows);
+    for (uint64_t r = 0; r < rows; ++r) {
+      std::memcpy(&keyed[r].first, bases[key] + r * sizeof(T), sizeof(T));
+      keyed[r].second = r;
+    }
+    std::stable_sort(keyed.begin(), keyed.end(),
+                     [dir](const Keyed& a, const Keyed& b) {
+                       return KeyBefore(a.first, b.first, dir);
+                     });
+    for (uint64_t r = 0; r < rows; ++r) perm[r] = keyed[r].second;
+  });
+  std::vector<uint8_t> tmp;
+  for (size_t c = 0; c < bases.size(); ++c) {
+    DispatchType(types[c], [&]<typename T>() {
+      tmp.resize(rows * sizeof(T));
+      for (uint64_t r = 0; r < rows; ++r) {
+        std::memcpy(&tmp[r * sizeof(T)], bases[c] + perm[r] * sizeof(T),
+                    sizeof(T));
+      }
+    });
+    std::memcpy(bases[c], tmp.data(), tmp.size());
   }
-  return false;
 }
 
-/// Single-value comparison across two buffers (k-way spilled-run merge,
-/// where each run streams through its own chunk buffer — LessAt above only
-/// compares indices within ONE base array).
-bool ValueLess(TypeId t, const uint8_t* a, const uint8_t* b) {
-  switch (t) {
-    case TypeId::kBool:
-    case TypeId::kI8:
-      return *reinterpret_cast<const int8_t*>(a) <
-             *reinterpret_cast<const int8_t*>(b);
-    case TypeId::kI16:
-      return *reinterpret_cast<const int16_t*>(a) <
-             *reinterpret_cast<const int16_t*>(b);
-    case TypeId::kI32:
-      return *reinterpret_cast<const int32_t*>(a) <
-             *reinterpret_cast<const int32_t*>(b);
-    case TypeId::kI64:
-      return *reinterpret_cast<const int64_t*>(a) <
-             *reinterpret_cast<const int64_t*>(b);
-    case TypeId::kF32:
-      return FloatLess(*reinterpret_cast<const float*>(a),
-                       *reinterpret_cast<const float*>(b));
-    case TypeId::kF64:
-      return FloatLess(*reinterpret_cast<const double*>(a),
-                       *reinterpret_cast<const double*>(b));
+/// Rows per read buffer of a spilled run during the merge.
+constexpr uint64_t kMergeChunkRows = 4096;
+
+/// Read cursor over one sorted run. `cols` holds one base per output
+/// column for the buffered run rows [buf_begin, buf_begin + buf_len): a
+/// resident run buffers its whole window slice as one chunk, a spilled run
+/// refills kMergeChunkRows-row buffers from its SpillFile.
+struct RunCursor {
+  uint64_t rows = 0;
+  uint64_t next = 0;  ///< next run row to emit
+  uint64_t buf_begin = 0;
+  uint64_t buf_len = 0;
+  std::vector<const uint8_t*> cols;
+  // Spilled runs only: the file, the run's index in it, and the buffers.
+  const storage::SpillFile* file = nullptr;
+  uint64_t spill_run = 0;
+  std::vector<std::vector<uint8_t>> bufs;
+
+  bool done() const { return next == rows; }
+
+  template <typename T>
+  T Key(size_t col) const {
+    T v;
+    std::memcpy(&v, cols[col] + (next - buf_begin) * sizeof(T), sizeof(T));
+    return v;
   }
-  return false;
+
+  Status Refill() {
+    buf_begin = next;
+    buf_len = std::min(kMergeChunkRows, rows - next);
+    bufs.resize(cols.size());
+    for (size_t c = 0; c < cols.size(); ++c) {
+      bufs[c].resize(buf_len * TypeWidth(file->col_types()[c]));
+      AVM_RETURN_NOT_OK(file->ReadRunChunk(spill_run, c, buf_begin, buf_len,
+                                           bufs[c].data()));
+      cols[c] = bufs[c].data();
+    }
+    return Status::OK();
+  }
+
+  Status Advance() {
+    ++next;
+    if (file == nullptr || done() || next < buf_begin + buf_len) {
+      return Status::OK();
+    }
+    return Refill();
+  }
+};
+
+/// The one run merge of row output: a tournament (loser tree) over `runs`,
+/// given in morsel order, writing `rows` rows into `out`. `before(a, b)`
+/// is true when run a's current key sorts strictly before run b's. An
+/// exhausted run loses, and a later run wins only with a strictly earlier
+/// key, so ties go to the earlier run and the output equals one global
+/// stable sort; with a `before` that is always false (unordered output)
+/// the runs drain in morsel order. Each row costs ceil(log2 k) matches.
+template <typename Before>
+Status MergeRuns(std::vector<RunCursor>& runs, Before before, uint64_t rows,
+                 std::vector<Query::ResultColumn>& out) {
+  auto first = [&](size_t a, size_t b) {
+    if (runs[a].done()) return false;
+    if (runs[b].done()) return true;
+    return a < b ? !before(runs[b], runs[a]) : before(runs[a], runs[b]);
+  };
+  // Leaf k + i is run i; inner node n in [1, k) keeps the loser of the
+  // match played there. The initial bottom-up pass records each node's
+  // winner in `win`; win[1] is the overall winner (run 0 when k == 1).
+  const size_t k = runs.size();
+  std::vector<size_t> loser(k);
+  std::vector<size_t> win(2 * k);
+  std::iota(win.begin() + static_cast<ptrdiff_t>(k), win.end(), size_t{0});
+  for (size_t n = k; n-- > 1;) {
+    const size_t a = win[2 * n], b = win[2 * n + 1];
+    const bool a_first = first(a, b);
+    win[n] = a_first ? a : b;
+    loser[n] = a_first ? b : a;
+  }
+  size_t winner = win[1];
+  std::vector<size_t> widths(out.size());
+  for (size_t c = 0; c < out.size(); ++c) widths[c] = TypeWidth(out[c].type);
+  for (uint64_t dst = 0; dst < rows; ++dst) {
+    RunCursor& rc = runs[winner];
+    const uint64_t off = rc.next - rc.buf_begin;
+    for (size_t c = 0; c < out.size(); ++c) {
+      std::memcpy(out[c].data.data() + dst * widths[c],
+                  rc.cols[c] + off * widths[c], widths[c]);
+    }
+    AVM_RETURN_NOT_OK(rc.Advance());
+    for (size_t n = (k + winner) / 2; n > 0; n /= 2) {
+      if (first(loser[n], winner)) std::swap(loser[n], winner);
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -1266,27 +1351,29 @@ struct Query::Impl {
   };
   std::vector<AggSlot> aggs;
 
-  /// Row mode: one window buffer per output column (parallel to
-  /// spec->out_cols); morsel m owns rows [m.begin, m.end) of each window.
-  struct OutCol {
-    TypeId type = TypeId::kI64;
-    std::vector<uint8_t> window;
-  };
-  std::vector<OutCol> outs;
-  /// One sorted run per completed morsel (task hook, engine-serialized).
+  /// Row mode with resident windows: one window buffer per output column
+  /// (parallel to spec->out_cols); morsel m owns rows [m.begin, m.end) x
+  /// fan_out of each window.
+  std::vector<std::vector<uint8_t>> windows;
+  /// One sorted run per morsel that produced rows (task hook,
+  /// engine-serialized); dropped by OnCleanup, so every submission merges
+  /// only its own runs.
   struct Run {
-    uint64_t begin = 0;
-    uint64_t rows = 0;
     size_t morsel = 0;
-    /// Spill mode: run index inside the SpillFile (begin is unused there —
-    /// the rows live on disk, not in a window).
-    uint64_t spill_run = UINT64_MAX;
+    uint64_t rows = 0;
+    uint64_t begin = 0;      ///< resident: first window row
+    uint64_t spill_run = 0;  ///< spilled: run index in the SpillFile
   };
   std::vector<Run> runs;
 
   /// Barrier-merged result rows.
   std::vector<Query::ResultColumn> result;
   uint64_t result_rows = 0;
+  /// The columns ResetAggregates dropped, whose buffers the next finalize
+  /// reuses: a re-submitted query then writes its result into the same
+  /// memory instead of churning multi-MiB buffers through the malloc arena
+  /// of whichever worker finalizes.
+  std::vector<Query::ResultColumn> spare;
 
   ExecContext ctx;
 
@@ -1312,16 +1399,14 @@ struct Query::Impl {
   Status OnPrepare(const MemoryPlan& plan, PrepareOutcome* out);
   void OnCleanup();
   Status OnTask(const interp::Interpreter& in, const Morsel& m);
-  void SortWindow(uint64_t begin, uint64_t rows);
-  void SortBases(const std::vector<uint8_t*>& bases, uint64_t rows);
   Status Finalize();
-  void FinalizeRowMode();
-  Status FinalizeSpilled();
-  void FinalizeAggMode();
+  Status FinalizeRows();
+  Status FinalizeAggMode();
+  void ResetResult(const std::vector<std::string>& names,
+                   const std::vector<TypeId>& types, uint64_t rows);
 };
 
 Status Query::Impl::OnTask(const interp::Interpreter& in, const Morsel& m) {
-  if (!spec->row_mode) return Status::OK();
   AVM_ASSIGN_OR_RETURN(interp::ScalarValue n, in.GetScalar("onum"));
   const int64_t count = n.AsI64();
   // This morsel's window spans [begin, end) x fan_out rows.
@@ -1331,286 +1416,108 @@ Status Query::Impl::OnTask(const interp::Interpreter& in, const Morsel& m) {
         StrFormat("morsel output count %lld out of range [0, %llu]",
                   (long long)count, (unsigned long long)limit));
   }
+  if (count == 0) return Status::OK();
+  const auto rows = static_cast<uint64_t>(count);
+  // The task's output window as bound to its interpreter: the resident
+  // window slice, or the spill-mode scratch window.
+  std::vector<uint8_t*> bases(spec->out_cols.size());
+  for (size_t c = 0; c < bases.size(); ++c) {
+    const interp::DataBinding* b =
+        in.FindBinding(Spec::OutName(spec->out_cols[c]));
+    if (b == nullptr || b->raw == nullptr) {
+      return Status::Internal("output window missing for column " +
+                              spec->out_cols[c]);
+    }
+    bases[c] = static_cast<uint8_t*>(b->raw);
+  }
+  if (spec->has_order) {
+    SortRows(spec->out_types, bases, spec->order_key_index, spec->order_dir,
+             rows);
+  }
+  Run run{m.index, rows, m.begin * spec->fan_out};
   if (spill_mode) {
-    // Spill path: sort this task's scratch window and seal it to disk as
-    // one run. Task hooks are engine-serialized (merge mutex), so the
-    // SpillFile and the context's spill counters need no extra locking.
-    if (count == 0) return Status::OK();
-    std::vector<uint8_t*> bases(outs.size());
-    for (size_t c = 0; c < outs.size(); ++c) {
-      const interp::DataBinding* b =
-          in.FindBinding(Spec::OutName(spec->out_cols[c]));
-      if (b == nullptr || b->raw == nullptr) {
-        return Status::Internal("scratch window missing for output column " +
-                                spec->out_cols[c]);
-      }
-      bases[c] = static_cast<uint8_t*>(b->raw);
-    }
-    if (spec->has_order && count > 1) {
-      SortBases(bases, static_cast<uint64_t>(count));
-    }
+    // Seal the sorted scratch window to disk as one run. Task hooks are
+    // engine-serialized (merge mutex), so the SpillFile and the context's
+    // spill counters need no extra locking.
     if (spill == nullptr) {
       AVM_ASSIGN_OR_RETURN(spill,
                            storage::SpillFile::Create(spec->out_types));
     }
-    const std::vector<const uint8_t*> cols(bases.begin(), bases.end());
     AVM_ASSIGN_OR_RETURN(
-        const uint64_t run_id,
-        spill->AppendRun(m.index, static_cast<uint64_t>(count), cols));
-    runs.push_back({0, static_cast<uint64_t>(count), m.index, run_id});
+        run.spill_run,
+        spill->AppendRun(m.index, rows, {bases.begin(), bases.end()}));
     ctx.spill_stats().spill_runs += 1;
     ctx.spill_stats().bytes_spilled = spill->bytes_written();
-    return Status::OK();
   }
-  runs.push_back(
-      {m.begin * spec->fan_out, static_cast<uint64_t>(count), m.index});
-  if (spec->has_order && count > 1) {
-    SortWindow(m.begin * spec->fan_out, static_cast<uint64_t>(count));
-  }
+  runs.push_back(run);
   return Status::OK();
-}
-
-void Query::Impl::SortWindow(uint64_t begin, uint64_t rows) {
-  std::vector<uint8_t*> bases(outs.size());
-  for (size_t c = 0; c < outs.size(); ++c) {
-    bases[c] = outs[c].window.data() + begin * TypeWidth(outs[c].type);
-  }
-  SortBases(bases, rows);
-}
-
-void Query::Impl::SortBases(const std::vector<uint8_t*>& bases,
-                            uint64_t rows) {
-  const TypeId kt = outs[spec->order_key_index].type;
-  const uint8_t* kbase = bases[spec->order_key_index];
-  std::vector<uint64_t> perm(rows);
-  std::iota(perm.begin(), perm.end(), uint64_t{0});
-  const bool asc = spec->order_dir == SortDir::kAscending;
-  // Stable in both directions: ties keep input-row order, which makes the
-  // merged result identical to a global stable sort regardless of how the
-  // input was cut into morsels.
-  std::stable_sort(perm.begin(), perm.end(), [&](uint64_t a, uint64_t b) {
-    return asc ? LessAt(kt, kbase, a, b) : LessAt(kt, kbase, b, a);
-  });
-  std::vector<uint8_t> tmp;
-  for (size_t c = 0; c < outs.size(); ++c) {
-    const size_t w = TypeWidth(outs[c].type);
-    uint8_t* base = bases[c];
-    tmp.resize(rows * w);
-    for (uint64_t r = 0; r < rows; ++r) {
-      std::memcpy(&tmp[r * w], base + static_cast<size_t>(perm[r]) * w, w);
-    }
-    std::memcpy(base, tmp.data(), tmp.size());
-  }
 }
 
 Status Query::Impl::Finalize() {
-  if (spec->row_mode) {
-    if (spill_mode) return FinalizeSpilled();
-    FinalizeRowMode();
-  } else {
-    FinalizeAggMode();
-  }
-  return Status::OK();
+  return spec->row_mode ? FinalizeRows() : FinalizeAggMode();
 }
 
-void Query::Impl::FinalizeRowMode() {
-  // Morsel order, not completion order: the merge below breaks ties toward
-  // the earlier run, so the result is deterministic (equal to the serial
-  // stable sort) for any morsel count.
+Status Query::Impl::FinalizeRows() {
+  // Morsel order, not completion order: the merge gives ties to the
+  // earlier run, so the result is the same at any worker count.
   std::sort(runs.begin(), runs.end(),
             [](const Run& a, const Run& b) { return a.morsel < b.morsel; });
   uint64_t total = 0;
   for (const Run& r : runs) total += r.rows;
+  const std::vector<TypeId>& types = spec->out_types;
+  ResetResult(spec->out_cols, types, total);
+  if (total == 0) return Status::OK();
 
-  result.clear();
-  result.reserve(outs.size());
-  for (size_t i = 0; i < outs.size(); ++i) {
-    result.push_back({spec->out_cols[i], outs[i].type,
-                      std::vector<uint8_t>(total * TypeWidth(outs[i].type))});
-  }
-  result_rows = total;
-
-  auto copy_row = [&](uint64_t src, uint64_t dst) {
-    for (size_t c = 0; c < outs.size(); ++c) {
-      const size_t w = TypeWidth(outs[c].type);
-      std::memcpy(&result[c].data[dst * w], &outs[c].window[src * w], w);
+  uint64_t row_bytes = 0;
+  for (TypeId t : types) row_bytes += TypeWidth(t);
+  if (spill_mode) {
+    if (spill == nullptr) {
+      return Status::Internal("spilled query finalized without a spill file");
     }
-  };
-
-  if (!spec->has_order) {
-    uint64_t dst = 0;
-    for (const Run& r : runs) {
-      for (uint64_t i = 0; i < r.rows; ++i) copy_row(r.begin + i, dst++);
-    }
-  } else {
-    const OutCol& kc = outs[spec->order_key_index];
-    const uint8_t* kbase = kc.window.data();
-    const bool asc = spec->order_dir == SortDir::kAscending;
-    // Balanced pairwise merge of the sorted runs' window indices:
-    // O(total · log runs), and taking the LEFT (earlier-run) side on ties
-    // keeps the result equal to a global stable sort.
-    std::vector<std::vector<uint64_t>> seqs;
-    seqs.reserve(runs.size());
-    for (const Run& r : runs) {
-      std::vector<uint64_t> s(r.rows);
-      std::iota(s.begin(), s.end(), r.begin);
-      seqs.push_back(std::move(s));
-    }
-    auto right_wins = [&](uint64_t l, uint64_t r) {
-      return asc ? LessAt(kc.type, kbase, r, l) : LessAt(kc.type, kbase, l, r);
-    };
-    while (seqs.size() > 1) {
-      std::vector<std::vector<uint64_t>> next;
-      next.reserve((seqs.size() + 1) / 2);
-      for (size_t p = 0; p + 1 < seqs.size(); p += 2) {
-        const std::vector<uint64_t>& a = seqs[p];
-        const std::vector<uint64_t>& b = seqs[p + 1];
-        std::vector<uint64_t> m;
-        m.reserve(a.size() + b.size());
-        size_t i = 0, j = 0;
-        while (i < a.size() && j < b.size()) {
-          if (right_wins(a[i], b[j])) {
-            m.push_back(b[j++]);
-          } else {
-            m.push_back(a[i++]);
-          }
-        }
-        m.insert(m.end(), a.begin() + static_cast<ptrdiff_t>(i), a.end());
-        m.insert(m.end(), b.begin() + static_cast<ptrdiff_t>(j), b.end());
-        next.push_back(std::move(m));
-      }
-      if (seqs.size() % 2 == 1) next.push_back(std::move(seqs.back()));
-      seqs = std::move(next);
-    }
-    if (!seqs.empty()) {
-      for (uint64_t dst = 0; dst < total; ++dst) {
-        copy_row(seqs[0][dst], dst);
-      }
-    }
+    AVM_RETURN_NOT_OK(spill->Seal());
+    AVM_RETURN_NOT_OK(spill->ValidateChecksums());
   }
-  runs.clear();
-}
-
-Status Query::Impl::FinalizeSpilled() {
-  // Morsel order for the same determinism argument as FinalizeRowMode: the
-  // k-way argmin below replaces its candidate only on STRICTLY better keys,
-  // so the earliest run wins ties and the merge equals a global stable
-  // sort — bit-identical to the in-memory path at any worker count.
-  std::sort(runs.begin(), runs.end(),
-            [](const Run& a, const Run& b) { return a.morsel < b.morsel; });
-  uint64_t total = 0;
-  for (const Run& r : runs) total += r.rows;
-
-  result.clear();
-  result.reserve(outs.size());
-  for (size_t i = 0; i < outs.size(); ++i) {
-    result.push_back({spec->out_cols[i], outs[i].type,
-                      std::vector<uint8_t>(total * TypeWidth(outs[i].type))});
-  }
-  result_rows = total;
-  if (total == 0) {
-    runs.clear();
-    return Status::OK();
-  }
-  if (spill == nullptr) {
-    return Status::Internal("spilled query finalized without a spill file");
-  }
-  AVM_RETURN_NOT_OK(spill->Seal());
-  AVM_RETURN_NOT_OK(spill->ValidateChecksums());
-
-  const size_t ncols = outs.size();
-  // Per-run streaming cursor: one merge-chunk buffer per column, refilled
-  // from the spill file as the merge consumes rows.
-  struct RunCursor {
-    uint64_t run_id = 0;
-    uint64_t rows = 0;
-    uint64_t next = 0;       // next run-relative row to consume
-    uint64_t buf_begin = 0;  // first run row currently buffered
-    uint64_t buf_len = 0;
-    std::vector<std::vector<uint8_t>> cols;
-  };
-  const uint64_t kMergeChunkRows = 4096;
+  // Spilled runs stream through bounded read buffers (runs x chunk rows):
+  // task-style scratch, so it is charged transiently.
+  ScopedTransientCharge merge_charge(
+      tracker.get(),
+      spill_mode ? kMergeChunkRows * row_bytes * runs.size() : 0);
   std::vector<RunCursor> cur(runs.size());
   for (size_t i = 0; i < runs.size(); ++i) {
-    cur[i].run_id = runs[i].spill_run;
-    cur[i].rows = runs[i].rows;
-    cur[i].cols.resize(ncols);
-  }
-  // The merge working set (runs x columns x chunk) is bounded task-style
-  // scratch: account it transiently so peak_tracked_bytes reflects it.
-  uint64_t row_bytes = 0;
-  for (size_t c = 0; c < ncols; ++c) row_bytes += TypeWidth(outs[c].type);
-  ScopedTransientCharge merge_charge(
-      tracker.get(), kMergeChunkRows * row_bytes * cur.size());
-
-  auto fill = [&](RunCursor& rc) -> Status {
-    rc.buf_begin = rc.next;
-    rc.buf_len = std::min(kMergeChunkRows, rc.rows - rc.next);
-    for (size_t c = 0; c < ncols; ++c) {
-      const size_t w = TypeWidth(outs[c].type);
-      rc.cols[c].resize(rc.buf_len * w);
-      AVM_RETURN_NOT_OK(spill->ReadRunChunk(rc.run_id, c, rc.buf_begin,
-                                            rc.buf_len, rc.cols[c].data()));
+    RunCursor& rc = cur[i];
+    rc.rows = runs[i].rows;
+    rc.cols.resize(types.size());
+    if (spill_mode) {
+      rc.file = spill.get();
+      rc.spill_run = runs[i].spill_run;
+      AVM_RETURN_NOT_OK(rc.Refill());
+    } else {
+      rc.buf_len = rc.rows;
+      for (size_t c = 0; c < types.size(); ++c) {
+        rc.cols[c] = windows[c].data() + runs[i].begin * TypeWidth(types[c]);
+      }
     }
-    return Status::OK();
-  };
+  }
 
   if (!spec->has_order) {
-    // Unordered: concatenate the runs in morsel order, chunk by chunk.
-    uint64_t dst = 0;
-    for (RunCursor& rc : cur) {
-      while (rc.next < rc.rows) {
-        AVM_RETURN_NOT_OK(fill(rc));
-        for (size_t c = 0; c < ncols; ++c) {
-          const size_t w = TypeWidth(outs[c].type);
-          std::memcpy(&result[c].data[dst * w], rc.cols[c].data(),
-                      rc.buf_len * w);
-        }
-        dst += rc.buf_len;
-        rc.next += rc.buf_len;
-      }
-    }
-  } else {
-    const TypeId kt = outs[spec->order_key_index].type;
-    const size_t kw = TypeWidth(kt);
-    const bool asc = spec->order_dir == SortDir::kAscending;
-    for (RunCursor& rc : cur) {
-      if (rc.rows > 0) AVM_RETURN_NOT_OK(fill(rc));
-    }
-    for (uint64_t dst = 0; dst < total; ++dst) {
-      size_t best = cur.size();
-      const uint8_t* best_key = nullptr;
-      for (size_t i = 0; i < cur.size(); ++i) {
-        RunCursor& rc = cur[i];
-        if (rc.next >= rc.rows) continue;
-        if (rc.next >= rc.buf_begin + rc.buf_len) {
-          AVM_RETURN_NOT_OK(fill(rc));
-        }
-        const uint8_t* k =
-            rc.cols[spec->order_key_index].data() + (rc.next - rc.buf_begin) * kw;
-        const bool better =
-            best == cur.size() ||
-            (asc ? ValueLess(kt, k, best_key) : ValueLess(kt, best_key, k));
-        if (better) {
-          best = i;
-          best_key = k;
-        }
-      }
-      RunCursor& rc = cur[best];
-      const uint64_t off = rc.next - rc.buf_begin;
-      for (size_t c = 0; c < ncols; ++c) {
-        const size_t w = TypeWidth(outs[c].type);
-        std::memcpy(&result[c].data[dst * w], &rc.cols[c][off * w], w);
-      }
-      ++rc.next;
-    }
+    return MergeRuns(
+        cur, [](const RunCursor&, const RunCursor&) { return false; }, total,
+        result);
   }
-  runs.clear();
-  return Status::OK();
+  const size_t key = spec->order_key_index;
+  const SortDir dir = spec->order_dir;
+  return DispatchType(types[key], [&]<typename T>() {
+    return MergeRuns(
+        cur,
+        [key, dir](const RunCursor& a, const RunCursor& b) {
+          return KeyBefore(a.Key<T>(key), b.Key<T>(key), dir);
+        },
+        total, result);
+  });
 }
 
 Status Query::Impl::OnPrepare(const MemoryPlan& plan, PrepareOutcome* out) {
-  OnCleanup();  // re-submission: drop the previous run's charges/spill file
+  OnCleanup();  // re-submission: drop the previous charges, runs, spill file
   tracker = plan.tracker;
   spill_mode = false;
 
@@ -1643,16 +1550,16 @@ Status Query::Impl::OnPrepare(const MemoryPlan& plan, PrepareOutcome* out) {
   Status st = tracker->TryCharge(window_bytes, "ORDER BY output windows");
   if (st.ok()) {
     persistent_charge += window_bytes;
-    outs.resize(s.out_cols.size());
+    windows.resize(s.out_cols.size());
     for (size_t i = 0; i < s.out_cols.size(); ++i) {
-      OutCol& oc = outs[i];
-      oc.type = s.out_types[i];
       // At least one element: an empty table still binds a non-null window
       // (zero-count writes are no-ops, but need a valid writable array).
-      oc.window.assign(std::max<uint64_t>(wrows, 1) * TypeWidth(oc.type), 0);
+      windows[i].assign(
+          std::max<uint64_t>(wrows, 1) * TypeWidth(s.out_types[i]), 0);
       ctx.BindPartialOutput(
           Spec::OutName(s.out_cols[i]),
-          interp::DataBinding::Raw(oc.type, oc.window.data(), wrows, true),
+          interp::DataBinding::Raw(s.out_types[i], windows[i].data(), wrows,
+                                   true),
           s.fan_out);
     }
     return Status::OK();
@@ -1682,11 +1589,9 @@ Status Query::Impl::OnPrepare(const MemoryPlan& plan, PrepareOutcome* out) {
   uint64_t cap = tracker->available() / workers / per_input_row;
   cap -= cap % chunk;
   if (cap == 0) cap = chunk;
-  outs.resize(s.out_cols.size());
+  // Drop any resident windows a previous in-memory submission left.
+  windows.clear();
   for (size_t i = 0; i < s.out_cols.size(); ++i) {
-    outs[i].type = s.out_types[i];
-    // Drop any resident window a previous in-memory submission left.
-    outs[i].window = std::vector<uint8_t>();
     ctx.BindPartialOutputScratch(Spec::OutName(s.out_cols[i]),
                                  s.out_types[i], s.fan_out);
   }
@@ -1696,6 +1601,9 @@ Status Query::Impl::OnPrepare(const MemoryPlan& plan, PrepareOutcome* out) {
 }
 
 void Query::Impl::OnCleanup() {
+  // A failed or cancelled submission never reaches the merge; its runs
+  // must not leak into the next submission's.
+  runs.clear();
   if (spill != nullptr) {
     spill->Close();
     spill.reset();
@@ -1706,7 +1614,7 @@ void Query::Impl::OnCleanup() {
   persistent_charge = 0;
 }
 
-void Query::Impl::FinalizeAggMode() {
+Status Query::Impl::FinalizeAggMode() {
   using AggKind = internal::QuerySpec::AggKind;
   const size_t groups = spec->num_groups;
   for (size_t a = 0; a < aggs.size(); ++a) {
@@ -1718,63 +1626,58 @@ void Query::Impl::FinalizeAggMode() {
               : 0.0;
     }
   }
-  if (!spec->has_order) return;
+  if (!spec->has_order) return Status::OK();
 
-  // Materialize the per-group rows, sorted: "group" plus one column per
-  // aggregate (finalized averages for AvgF64).
-  std::vector<uint32_t> perm(groups);
-  std::iota(perm.begin(), perm.end(), 0u);
-  const bool asc = spec->order_dir == SortDir::kAscending;
-  if (spec->order_by != "group") {
-    size_t key = 0;
-    for (size_t a = 0; a < aggs.size(); ++a) {
-      if (spec->aggs[a].name == spec->order_by) key = a;
-    }
-    const internal::QuerySpec::Agg& ka = spec->aggs[key];
-    auto key_less = [&](uint32_t x, uint32_t y) {
-      switch (ka.kind) {
-        case AggKind::kSum:
-        case AggKind::kCount:
-          return aggs[key].i64[x] < aggs[key].i64[y];
-        case AggKind::kSumF64:
-          return aggs[key].f64[x] < aggs[key].f64[y];
-        case AggKind::kAvgF64:
-          return aggs[key].fin[x] < aggs[key].fin[y];
-      }
-      return false;
-    };
-    std::stable_sort(perm.begin(), perm.end(), [&](uint32_t x, uint32_t y) {
-      return asc ? key_less(x, y) : key_less(y, x);
-    });
-  } else if (!asc) {
-    std::reverse(perm.begin(), perm.end());
-  }
-
-  result.clear();
-  result_rows = groups;
-  {
-    Query::ResultColumn gc{"group", TypeId::kI64,
-                           std::vector<uint8_t>(groups * sizeof(int64_t))};
-    auto* g64 = reinterpret_cast<int64_t*>(gc.data.data());
-    for (size_t g = 0; g < groups; ++g) g64[g] = perm[g];
-    result.push_back(std::move(gc));
-  }
+  // Materialize the group rows in group order, "group" plus one column per
+  // aggregate (finalized averages for AvgF64), then sort them like row
+  // output; ORDER BY "group" sorts on a unique key.
+  std::vector<int64_t> ids(groups);
+  std::iota(ids.begin(), ids.end(), int64_t{0});
+  std::vector<std::string> names = {"group"};
+  std::vector<TypeId> types = {TypeId::kI64};
+  std::vector<const void*> values = {ids.data()};
+  size_t key = 0;
   for (size_t a = 0; a < aggs.size(); ++a) {
     const internal::QuerySpec::Agg& sa = spec->aggs[a];
-    const bool f64 = sa.kind == AggKind::kSumF64 || sa.kind == AggKind::kAvgF64;
-    Query::ResultColumn rc{sa.name, f64 ? TypeId::kF64 : TypeId::kI64,
-                           std::vector<uint8_t>(groups * 8)};
-    for (size_t g = 0; g < groups; ++g) {
-      if (f64) {
-        reinterpret_cast<double*>(rc.data.data())[g] =
-            sa.kind == AggKind::kAvgF64 ? aggs[a].fin[perm[g]]
-                                        : aggs[a].f64[perm[g]];
-      } else {
-        reinterpret_cast<int64_t*>(rc.data.data())[g] = aggs[a].i64[perm[g]];
-      }
+    if (sa.name == spec->order_by) key = names.size();
+    names.push_back(sa.name);
+    switch (sa.kind) {
+      case AggKind::kSum:
+      case AggKind::kCount:
+        types.push_back(TypeId::kI64);
+        values.push_back(aggs[a].i64.data());
+        break;
+      case AggKind::kSumF64:
+        types.push_back(TypeId::kF64);
+        values.push_back(aggs[a].f64.data());
+        break;
+      case AggKind::kAvgF64:
+        types.push_back(TypeId::kF64);
+        values.push_back(aggs[a].fin.data());
+        break;
     }
-    result.push_back(std::move(rc));
   }
+  ResetResult(names, types, groups);
+  std::vector<uint8_t*> bases;
+  for (size_t c = 0; c < result.size(); ++c) {
+    std::memcpy(result[c].data.data(), values[c], result[c].data.size());
+    bases.push_back(result[c].data.data());
+  }
+  SortRows(types, bases, key, spec->order_dir, groups);
+  return Status::OK();
+}
+
+void Query::Impl::ResetResult(const std::vector<std::string>& names,
+                              const std::vector<TypeId>& types,
+                              uint64_t rows) {
+  if (result.empty()) result = std::move(spare);
+  result.resize(names.size());
+  for (size_t c = 0; c < names.size(); ++c) {
+    result[c].name = names[c];
+    result[c].type = types[c];
+    result[c].data.assign(rows * TypeWidth(types[c]), 0);
+  }
+  result_rows = rows;
 }
 
 Query::Query() = default;
@@ -1903,6 +1806,7 @@ void Query::ResetAggregates() {
     std::fill(a.fin.begin(), a.fin.end(), 0.0);
   }
   impl_->runs.clear();
+  impl_->spare = std::move(impl_->result);
   impl_->result.clear();
   impl_->result_rows = 0;
 }
@@ -2194,18 +2098,6 @@ Result<Query> QueryBuilder::Build() {
         break;
     }
   }
-  if (spec.row_mode) {
-    // Shape-only placeholders; the prepare hook below allocates and binds
-    // the actual windows per submission. Windows hold the worst case of
-    // every probe row matching the most duplicated build key: input rows x
-    // fan_out, morsel-partitioned at that same row scale (fan_out == 1
-    // without hash-table joins).
-    impl->outs.resize(spec.out_cols.size());
-    for (size_t i = 0; i < spec.out_cols.size(); ++i) {
-      impl->outs[i].type = spec.out_types[i];
-    }
-  }
-
   // Task + barrier + memory hooks give the query its materialization:
   // per-morsel output counts and partial sorts, the run merge / average
   // division at the Session barrier, and the budget decision (resident

@@ -218,6 +218,7 @@ class QueryBuilder {
   /// each morsel partial-sorts its output window and the sorted runs merge
   /// at the Session barrier. Aggregate queries: `key` is "group" or an
   /// aggregate name, and the per-group rows are materialized sorted.
+  /// f32/f64 keys put NaN after every number (first when descending).
   /// Ties keep input-row (or group) order, so results are deterministic —
   /// except that sorting by an f64 aggregate (SumF64/AvgF64) inherits the
   /// merge-order sensitivity of f64 addition: near-tie groups may swap

@@ -63,8 +63,8 @@ struct QueryState {
   /// Set at Submit; lets QueryHandle::Cancel() reach the admission queue.
   std::weak_ptr<Scheduler> sched;
 
-  /// Serializes inspector calls + accumulator merges across morsel workers.
-  /// Deliberately NOT `mu`: the inspector is user code that may probe the
+  /// Serializes task-hook calls + accumulator merges across morsel workers.
+  /// Deliberately NOT `mu`: the task hook is user code that may probe the
   /// query's own handle (done() / TryGetReport() lock `mu`).
   std::mutex merge_mu;
 
@@ -735,7 +735,6 @@ Status Session::RunSerialQuery(QueryState& q, ExecReport* report) {
     AVM_RETURN_NOT_OK(vmach.interpreter().BindData(b.name, b.binding));
   }
   AVM_RETURN_NOT_OK(vmach.Run());
-  if (ctx.inspector_) ctx.inspector_(vmach.interpreter());
   if (ctx.task_hook_) {
     AVM_RETURN_NOT_OK(
         ctx.task_hook_(vmach.interpreter(), Morsel{0, ctx.total_rows_, 0}));
@@ -821,7 +820,6 @@ Status Session::RunMorselTask(QueryState& q, const Morsel& m) {
   // A cancelled (or failed) query's results are discarded wholesale; do not
   // merge this morsel's partials into the caller-visible arrays.
   if (q.cancel.load(std::memory_order_relaxed)) return Status::OK();
-  if (ctx.inspector_) ctx.inspector_(in);
   if (ctx.task_hook_) AVM_RETURN_NOT_OK(ctx.task_hook_(in, m));
   size_t pi = 0;
   for (const ExecContext::Bound& b : ctx.bound_) {

@@ -127,8 +127,8 @@ class Session {
   QueryHandle Submit(ExecContext& ctx, const QueryOptions& options = {});
 
   /// Convenience: Submit + Wait. Must not be called from inside an engine
-  /// hook (inspector, task or finalize hook): the calling worker would
-  /// wait on itself.
+  /// hook (task or finalize hook): the calling worker would wait on
+  /// itself.
   Result<ExecReport> Run(ExecContext& ctx, const QueryOptions& options = {});
 
   size_t num_workers() const;

@@ -329,8 +329,9 @@ TEST(ExecContextTest, CondensingProgramsForcedSerial) {
   ctx.BindInput("src", interp::DataBinding::Raw(TypeId::kI64, data.data(), n));
   ctx.BindOutput("out",
                  interp::DataBinding::Raw(TypeId::kI64, out.data(), n, true));
-  ctx.set_inspector([&](const interp::Interpreter& in) {
+  ctx.set_task_hook([&](const interp::Interpreter& in, const Morsel&) {
     survivors = in.GetScalar("k").ValueOrDie().AsI64();
+    return Status::OK();
   });
   QueryOptions opts;
   opts.strategy = ExecutionStrategy::kInterpret;
@@ -383,7 +384,7 @@ TEST(ExecContextTest, FixedProgramContextReportsSerialReason) {
   EXPECT_TRUE(serial.value().ran_serial_reason.empty());
 }
 
-TEST(ExecContextTest, InspectorSeesEveryWorker) {
+TEST(ExecContextTest, TaskHookSeesEveryMorsel) {
   const int64_t n = 200'000;
   DataGen gen(17);
   auto data = gen.UniformI64(n, 0, 100);
@@ -392,13 +393,16 @@ TEST(ExecContextTest, InspectorSeesEveryWorker) {
   ctx.BindInput("src", interp::DataBinding::Raw(TypeId::kI64, data.data(), n));
   ctx.BindOutput("out",
                  interp::DataBinding::Raw(TypeId::kI64, out.data(), n, true));
-  int inspections = 0;
-  ctx.set_inspector([&](const interp::Interpreter&) { ++inspections; });
+  int task_calls = 0;
+  ctx.set_task_hook([&](const interp::Interpreter&, const Morsel&) {
+    ++task_calls;
+    return Status::OK();
+  });
   QueryOptions opts;
   opts.strategy = ExecutionStrategy::kInterpret;
   auto report = Session({.num_workers = 4}).Run(ctx, opts);
   ASSERT_TRUE(report.ok());
-  EXPECT_EQ(static_cast<size_t>(inspections), report.value().morsels);
+  EXPECT_EQ(static_cast<size_t>(task_calls), report.value().morsels);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <memory>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "engine/query_builder.h"
@@ -37,10 +38,6 @@ struct ProbeTable {
 
   explicit ProbeTable(uint64_t n = 60'000, int64_t key_lo = -5,
                       int64_t key_hi = 1'400, uint64_t seed = 7) {
-    Schema schema({{"f_key", TypeId::kI64},
-                   {"f_a", TypeId::kI64},
-                   {"f_b", TypeId::kI64}});
-    table = std::make_unique<Table>(schema);
     Rng rng(seed);
     key.resize(n);
     a.resize(n);
@@ -50,6 +47,16 @@ struct ProbeTable {
       a[i] = rng.NextInRange(0, 999);
       b[i] = rng.NextInRange(0, 999);
     }
+    Load();
+  }
+
+  /// (Re)builds `table` from key/a/b, so a test can edit values first.
+  void Load() {
+    Schema schema({{"f_key", TypeId::kI64},
+                   {"f_a", TypeId::kI64},
+                   {"f_b", TypeId::kI64}});
+    table = std::make_unique<Table>(schema);
+    const uint64_t n = key.size();
     EXPECT_TRUE(table->column(0)
                     .AppendValues(key.data(), static_cast<uint32_t>(n))
                     .ok());
@@ -586,51 +593,94 @@ struct MaterializedRows {
 };
 
 TEST(JoinBuilderTest, OrderedRowsBitIdenticalSerialVsParallel) {
+  // Two inputs. The default table: its 4-worker partition has a morsel
+  // count that is not a power of two, and its descending scores tie across
+  // runs. The same table with every row of its first two morsels filtered
+  // out: those morsels leave empty runs.
   ProbeTable probe;
-  auto build_query = [&] {
-    QueryBuilder qb(*probe.table);
-    qb.Filter(Var("f_a") < ConstI(400))
-        .Project("score", Var("f_b") * ConstI(3) - Var("f_a"))
-        .Output("f_key")
-        .OrderBy("score", SortDir::kDescending);
-    return qb.Build().ValueOrDie();
-  };
+  const std::vector<Morsel> planned =
+      PartitionRows(probe.key.size(), 4, /*morsel_rows=*/0, kDefaultChunkSize);
+  ASSERT_GT(planned.size(), 2u);
+  ASSERT_NE(planned.size() & (planned.size() - 1), 0u)
+      << planned.size() << " morsels is a power of two";
+  ProbeTable leading_empty;
+  for (uint64_t i = 0; i < planned[2].begin + 100; ++i) {
+    leading_empty.a[i] = 999;
+  }
+  leading_empty.Load();
 
-  // Oracle: stable sort of surviving rows by descending score.
-  struct Row {
-    int64_t score, key;
-    size_t pos;
-  };
-  std::vector<Row> oracle;
-  for (size_t i = 0; i < probe.key.size(); ++i) {
-    if (probe.a[i] < 400) {
-      oracle.push_back({probe.b[i] * 3 - probe.a[i], probe.key[i], i});
+  for (const ProbeTable* input : {&probe, &leading_empty}) {
+    auto build_query = [&] {
+      QueryBuilder qb(*input->table);
+      qb.Filter(Var("f_a") < ConstI(400))
+          .Project("score", Var("f_b") * ConstI(3) - Var("f_a"))
+          .Output("f_key")
+          .OrderBy("score", SortDir::kDescending);
+      return qb.Build().ValueOrDie();
+    };
+
+    // Oracle: stable sort of surviving rows by descending score.
+    struct Row {
+      int64_t score, key;
+      size_t pos;
+    };
+    std::vector<Row> oracle;
+    for (size_t i = 0; i < input->key.size(); ++i) {
+      if (input->a[i] < 400) {
+        oracle.push_back({input->b[i] * 3 - input->a[i], input->key[i], i});
+      }
+    }
+    std::stable_sort(
+        oracle.begin(), oracle.end(),
+        [](const Row& x, const Row& y) { return x.score > y.score; });
+    size_t ties = 0;
+    for (size_t i = 1; i < oracle.size(); ++i) {
+      ties += oracle[i].score == oracle[i - 1].score ? 1 : 0;
+    }
+    ASSERT_GT(ties, oracle.size() / 2);
+    if (input == &leading_empty) {
+      for (const Row& r : oracle) ASSERT_GE(r.pos, planned[1].end);
+    }
+
+    Query serial = build_query();
+    ASSERT_TRUE(
+        Session({.num_workers = 1}).Run(serial.context(), Interp()).ok());
+    Query parallel = build_query();
+    auto rep = Session({.num_workers = 4}).Run(parallel.context(), Interp());
+    ASSERT_TRUE(rep.ok()) << rep.status().ToString();
+    EXPECT_GT(rep.value().morsels, 1u);
+    EXPECT_EQ(rep.value().morsels, planned.size());
+    EXPECT_TRUE(rep.value().ran_serial_reason.empty())
+        << rep.value().ran_serial_reason;
+
+    ASSERT_EQ(serial.num_result_rows(), oracle.size());
+    ASSERT_EQ(parallel.num_result_rows(), oracle.size());
+    const auto& s_score = serial.result_column("score");
+    const auto& s_key = serial.result_column("f_key");
+    for (size_t i = 0; i < oracle.size(); ++i) {
+      ASSERT_EQ(s_score.As<int64_t>()[i], oracle[i].score) << "row " << i;
+      ASSERT_EQ(s_key.As<int64_t>()[i], oracle[i].key) << "row " << i;
+    }
+    // Parallel result must be BIT-identical to serial (stable per-morsel
+    // sort + run-order-tie-break merge == global stable sort).
+    EXPECT_EQ(parallel.result_column("score").data, s_score.data);
+    EXPECT_EQ(parallel.result_column("f_key").data, s_key.data);
+
+    // The same merge over spilled runs, serial and 4-worker.
+    for (size_t workers : {size_t{1}, size_t{4}}) {
+      QueryOptions budgeted = Interp();
+      budgeted.memory_budget = 64 * 1024;
+      Query spilled = build_query();
+      auto srep =
+          Session({.num_workers = workers}).Run(spilled.context(), budgeted);
+      ASSERT_TRUE(srep.ok()) << srep.status().ToString();
+      EXPECT_GT(srep.value().bytes_spilled, 0u) << "workers=" << workers;
+      EXPECT_EQ(spilled.result_column("score").data, s_score.data)
+          << "workers=" << workers;
+      EXPECT_EQ(spilled.result_column("f_key").data, s_key.data)
+          << "workers=" << workers;
     }
   }
-  std::stable_sort(oracle.begin(), oracle.end(),
-                   [](const Row& x, const Row& y) { return x.score > y.score; });
-
-  Query serial = build_query();
-  ASSERT_TRUE(Session({.num_workers = 1}).Run(serial.context(), Interp()).ok());
-  Query parallel = build_query();
-  auto rep = Session({.num_workers = 4}).Run(parallel.context(), Interp());
-  ASSERT_TRUE(rep.ok()) << rep.status().ToString();
-  EXPECT_GT(rep.value().morsels, 1u);
-  EXPECT_TRUE(rep.value().ran_serial_reason.empty())
-      << rep.value().ran_serial_reason;
-
-  ASSERT_EQ(serial.num_result_rows(), oracle.size());
-  ASSERT_EQ(parallel.num_result_rows(), oracle.size());
-  const auto& s_score = serial.result_column("score");
-  const auto& s_key = serial.result_column("f_key");
-  for (size_t i = 0; i < oracle.size(); ++i) {
-    ASSERT_EQ(s_score.As<int64_t>()[i], oracle[i].score) << "row " << i;
-    ASSERT_EQ(s_key.As<int64_t>()[i], oracle[i].key) << "row " << i;
-  }
-  // Parallel result must be BIT-identical to serial (stable per-morsel
-  // sort + run-order-tie-break merge == global stable sort).
-  EXPECT_EQ(parallel.result_column("score").data, s_score.data);
-  EXPECT_EQ(parallel.result_column("f_key").data, s_key.data);
 }
 
 TEST(JoinBuilderTest, UnorderedOutputMaterializesInRowOrder) {
@@ -824,6 +874,38 @@ TEST(JoinBuilderTest, GroupedOrderByMaterializesSortedGroupRows) {
     EXPECT_EQ(ns.As<int64_t>()[i], expect_n[g]);
     if (i > 0) {
       ASSERT_GE(sums.As<int64_t>()[i - 1], sums.As<int64_t>()[i]);
+    }
+  }
+}
+
+TEST(JoinBuilderTest, GroupedOrderByNaNAggregateSortsLikeRowOrderBy) {
+  // Group sums {3, 1, NaN, 2}: the NaN group sorts last ascending and first
+  // descending, as NaN keys do in row ORDER BY, and the other groups stay
+  // in key order.
+  Schema schema({{"g", TypeId::kI64}, {"v", TypeId::kF64}});
+  Table t(schema);
+  const std::vector<int64_t> g = {0, 1, 2, 3};
+  const std::vector<double> v = {3.0, 1.0, std::nan(""), 2.0};
+  ASSERT_TRUE(t.column(0).AppendValues(g.data(), 4).ok());
+  ASSERT_TRUE(t.column(1).AppendValues(v.data(), 4).ok());
+
+  for (const auto& [dir, want] :
+       {std::pair{SortDir::kAscending, std::vector<int64_t>{1, 3, 0, 2}},
+        std::pair{SortDir::kDescending, std::vector<int64_t>{2, 0, 3, 1}}}) {
+    QueryBuilder qb(t);
+    qb.Aggregate(Var("g"), 4).SumF64("s", Var("v")).OrderBy("s", dir);
+    Query q = qb.Build().ValueOrDie();
+    ASSERT_TRUE(Session({.num_workers = 1}).Run(q.context(), Interp()).ok());
+    ASSERT_EQ(q.num_result_rows(), 4u);
+    const int64_t* groups = q.result_column("group").As<int64_t>();
+    EXPECT_EQ(std::vector<int64_t>(groups, groups + 4), want);
+    const double* sums = q.result_column("s").As<double>();
+    for (size_t i = 0; i < 4; ++i) {
+      if (std::isnan(v[static_cast<size_t>(want[i])])) {
+        EXPECT_TRUE(std::isnan(sums[i])) << i;
+      } else {
+        EXPECT_EQ(sums[i], v[static_cast<size_t>(want[i])]) << i;
+      }
     }
   }
 }

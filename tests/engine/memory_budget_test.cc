@@ -2,17 +2,20 @@
 // ORDER BY over a table larger than its memory budget must spill sorted
 // runs to disk and still produce byte-identical output at any worker
 // count; budget edges (exactly-fits, one-byte-short, smaller than a
-// single morsel window) must behave deterministically; and concurrent
+// single morsel window) must behave deterministically; concurrent
 // queries sharing one session-wide AVM_MEMORY_BUDGET tracker must
-// complete without deadlock or wrong rows.
+// complete without deadlock or wrong rows; and a submission that fails
+// must leave nothing behind for the next one.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <memory>
 #include <vector>
 
+#include "engine/memory_tracker.h"
 #include "engine/query_builder.h"
 #include "engine/session.h"
+#include "storage/spill_file.h"
 #include "util/rng.h"
 
 namespace avm::engine {
@@ -153,7 +156,7 @@ TEST(MemoryBudgetTest, SpilledJoinOrderByBitIdenticalToInMemory) {
 }
 
 // An unordered row query (Output without OrderBy) takes the spill path
-// too — runs are concatenated in morsel order instead of merged.
+// too — the merge has no key, so the runs drain in morsel order.
 TEST(MemoryBudgetTest, SpilledUnorderedRowQueryMatchesInMemory) {
   ProbeTable probe(30'000, 500);
   auto build_query = [&] {
@@ -287,6 +290,59 @@ TEST(MemoryBudgetTest, ResubmissionSwitchesBetweenResidentAndSpilled) {
     }
     ExpectSameColumns(q, golden);
   }
+}
+
+// A submission that fails mid-spill leaves no runs behind: re-submitting
+// the same Query, resident or spilled, returns exactly the golden rows.
+TEST(MemoryBudgetTest, ResubmissionAfterFailedSpillMergesOnlyItsOwnRuns) {
+  ProbeTable probe(100'000, 300);
+  Query golden = BuildRowOrderBy(probe);
+  ASSERT_TRUE(
+      Session({.num_workers = 1}).Run(golden.context(), Opts(kUnlimited)).ok());
+
+  const uint64_t kBudget = 64 * 1024;
+  for (uint64_t resubmit_budget : {kUnlimited, kBudget}) {
+    Query q = BuildRowOrderBy(probe);
+    {
+      // The 64 KiB budget seals 64 KiB runs; the write limit fails the
+      // third append.
+      struct WriteLimit {
+        WriteLimit() {
+          storage::SpillFile::SetWriteLimitForTesting(3 * kBudget);
+        }
+        ~WriteLimit() { storage::SpillFile::SetWriteLimitForTesting(-1); }
+      } limit;
+      auto failed =
+          Session({.num_workers = 1}).Run(q.context(), Opts(kBudget));
+      ASSERT_FALSE(failed.ok());
+      EXPECT_EQ(failed.status().code(), StatusCode::kResourceExhausted)
+          << failed.status().ToString();
+      ASSERT_GE(q.context().spill_stats().spill_runs, 1u);
+    }
+    auto rep =
+        Session({.num_workers = 1}).Run(q.context(), Opts(resubmit_budget));
+    ASSERT_TRUE(rep.ok()) << rep.status().ToString();
+    EXPECT_EQ(rep.value().bytes_spilled > 0, resubmit_budget == kBudget);
+    ExpectSameColumns(q, golden);
+  }
+}
+
+// Transient scratch counts toward used() but never fails a persistent
+// charge; persistent charges still fail against each other.
+TEST(MemoryBudgetTest, TransientScratchNeverFailsPersistentCharges) {
+  MemoryTracker tracker(1000);
+  {
+    ScopedTransientCharge scratch(&tracker, 1000);
+    EXPECT_EQ(tracker.available(), 0u);
+    ASSERT_TRUE(tracker.TryCharge(10, "side table").ok());
+    EXPECT_EQ(tracker.used(), 1010u);
+    Status over = tracker.TryCharge(991, "output windows");
+    EXPECT_EQ(over.code(), StatusCode::kResourceExhausted) << over.ToString();
+  }
+  EXPECT_EQ(tracker.used(), 10u);
+  EXPECT_EQ(tracker.peak(), 1010u);
+  tracker.Release(10);
+  EXPECT_EQ(tracker.used(), 0u);
 }
 
 }  // namespace
