@@ -10,7 +10,7 @@
 #include "dsl/builder.h"
 #include "dsl/typecheck.h"
 #include "engine/session.h"
-#include "jit/source_jit.h"
+#include "jit/jit_backend.h"
 #include "storage/datagen.h"
 
 namespace {
@@ -66,7 +66,7 @@ BENCHMARK(BM_Amortize_InterpretOnly)
     ->UseRealTime();
 
 void BM_Amortize_CompileImmediately(benchmark::State& state) {
-  if (!jit::SourceJit::Available()) {
+  if (!jit::HostCompilerAvailable()) {
     state.SkipWithError("no host compiler");
     return;
   }
@@ -96,7 +96,7 @@ BENCHMARK(BM_Amortize_CompileImmediately)
     ->UseRealTime();
 
 void BM_Amortize_Adaptive(benchmark::State& state) {
-  if (!jit::SourceJit::Available()) {
+  if (!jit::HostCompilerAvailable()) {
     state.SkipWithError("no host compiler");
     return;
   }

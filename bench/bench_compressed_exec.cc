@@ -10,7 +10,7 @@
 #include "bench/bench_util.h"
 #include "dsl/builder.h"
 #include "engine/session.h"
-#include "jit/source_jit.h"
+#include "jit/jit_backend.h"
 #include "storage/datagen.h"
 
 namespace {
@@ -90,7 +90,7 @@ BENCHMARK(BM_CompressedExec_Interpreted)
     ->Arg(0)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_CompressedExec_JitPlainDecode(benchmark::State& state) {
-  if (!jit::SourceJit::Available()) {
+  if (!jit::HostCompilerAvailable()) {
     state.SkipWithError("no host compiler");
     return;
   }
@@ -101,7 +101,7 @@ BENCHMARK(BM_CompressedExec_JitPlainDecode)
     ->Arg(0)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_CompressedExec_JitForSpecialized(benchmark::State& state) {
-  if (!jit::SourceJit::Available()) {
+  if (!jit::HostCompilerAvailable()) {
     state.SkipWithError("no host compiler");
     return;
   }

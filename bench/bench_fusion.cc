@@ -13,7 +13,7 @@
 #include "bench/bench_util.h"
 #include "dsl/ast.h"
 #include "engine/session.h"
-#include "jit/source_jit.h"
+#include "jit/jit_backend.h"
 #include "storage/datagen.h"
 
 namespace {
@@ -87,7 +87,7 @@ BENCHMARK(BM_MapChain_Interpreted)
     ->UseRealTime();
 
 void BM_MapChain_FusedJit(benchmark::State& state) {
-  if (!jit::SourceJit::Available()) {
+  if (!jit::HostCompilerAvailable()) {
     state.SkipWithError("no host compiler");
     return;
   }

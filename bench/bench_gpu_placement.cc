@@ -1,10 +1,11 @@
 // E8 — adaptive device placement on heterogeneous hardware (Plan step 3).
 //
 // A streaming map+reduce fragment across data sizes. CPU time is measured;
-// GPU time is the simulated device clock (DESIGN.md substitution). Expected
-// shape: CPU wins small sizes (launch+PCIe dominate), the simulated GPU
-// wins large resident data, and the adaptive placer picks each side of the
-// crossover correctly — by a growing margin once columns stay resident.
+// GPU time is the simulated device clock (ARCHITECTURE.md §Substitutions).
+// Expected shape: CPU wins small sizes (launch+PCIe dominate), the
+// simulated GPU wins large resident data, and the adaptive placer picks each
+// side of the crossover correctly — by a growing margin once columns stay
+// resident.
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"

@@ -11,7 +11,7 @@
 #include "bench/bench_util.h"
 #include "dsl/builder.h"
 #include "engine/session.h"
-#include "jit/source_jit.h"
+#include "jit/jit_backend.h"
 #include "storage/datagen.h"
 
 namespace {
@@ -63,7 +63,7 @@ BENCHMARK(BM_ChunkSweep_Interpreted)
     ->UseRealTime();
 
 void BM_ChunkSweep_Jit(benchmark::State& state) {
-  if (!jit::SourceJit::Available()) {
+  if (!jit::HostCompilerAvailable()) {
     state.SkipWithError("no host compiler");
     return;
   }

@@ -22,7 +22,7 @@
 #include "dsl/ast.h"
 #include "dsl/typecheck.h"
 #include "ir/depgraph.h"
-#include "jit/source_jit.h"
+#include "jit/jit_backend.h"
 #include "storage/datagen.h"
 #include "vm/adaptive_vm.h"
 
@@ -75,7 +75,7 @@ Program MakeWideProgram() {
 }
 
 void BM_Partition_StreamBudget(benchmark::State& state) {
-  if (!jit::SourceJit::Available()) {
+  if (!jit::HostCompilerAvailable()) {
     state.SkipWithError("no host compiler");
     return;
   }

@@ -1,4 +1,5 @@
-// E1 — TPC-H Q1 analogue across execution strategies (DESIGN.md).
+// E1 — TPC-H Q1 analogue across execution strategies (ARCHITECTURE.md
+// §Benchmarks).
 //
 // Paper claims (§I, citing [12] vs [17]): tuple-at-a-time compiled code is
 // CPU-efficient, but vectorized execution *with adaptive optimizations*
@@ -13,7 +14,7 @@
 
 #include "bench/bench_util.h"
 #include "engine/session.h"
-#include "jit/source_jit.h"
+#include "jit/jit_backend.h"
 #include "relational/q1.h"
 
 namespace {
@@ -74,7 +75,7 @@ void BM_Q1_VectorizedCompact(benchmark::State& state) {
 BENCHMARK(BM_Q1_VectorizedCompact)->Arg(1024)->Unit(benchmark::kMillisecond);
 
 void BM_Q1_CompiledWholeQuery(benchmark::State& state) {
-  if (!jit::SourceJit::Available()) {
+  if (!jit::HostCompilerAvailable()) {
     state.SkipWithError("no host compiler");
     return;
   }
@@ -163,7 +164,7 @@ BENCHMARK(BM_Q1_EngineInterpretedParallel4)
     ->UseRealTime();
 
 void BM_Q1_EngineAdaptiveJit(benchmark::State& state) {
-  if (!jit::SourceJit::Available()) {
+  if (!jit::HostCompilerAvailable()) {
     state.SkipWithError("no host compiler");
     return;
   }
@@ -177,7 +178,7 @@ BENCHMARK(BM_Q1_EngineAdaptiveJit)
     ->UseRealTime();
 
 void BM_Q1_EngineAdaptiveJitParallel4(benchmark::State& state) {
-  if (!jit::SourceJit::Available()) {
+  if (!jit::HostCompilerAvailable()) {
     state.SkipWithError("no host compiler");
     return;
   }
@@ -244,7 +245,7 @@ BENCHMARK(BM_Q1_SessionConcurrentClients)
     ->UseRealTime();
 
 void BM_Q1_SessionConcurrentClientsJit(benchmark::State& state) {
-  if (!jit::SourceJit::Available()) {
+  if (!jit::HostCompilerAvailable()) {
     state.SkipWithError("no host compiler");
     return;
   }

@@ -18,7 +18,7 @@
 #include "analysis/verify_program.h"
 #include "dsl/builder.h"
 #include "dsl/typecheck.h"
-#include "jit/source_jit.h"
+#include "jit/jit_backend.h"
 #include "storage/datagen.h"
 #include "vm/adaptive_vm.h"
 
@@ -92,7 +92,7 @@ void BM_StateMachine_ProfiledInterpret(benchmark::State& state) {
 BENCHMARK(BM_StateMachine_ProfiledInterpret)->Unit(benchmark::kMillisecond);
 
 void BM_StateMachine_FullAdaptiveCycle(benchmark::State& state) {
-  if (!jit::SourceJit::Available()) {
+  if (!jit::HostCompilerAvailable()) {
     state.SkipWithError("no host compiler");
     return;
   }

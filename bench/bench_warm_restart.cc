@@ -28,7 +28,7 @@
 #include "engine/query_builder.h"
 #include "engine/session.h"
 #include "jit/disk_cache.h"
-#include "jit/source_jit.h"
+#include "jit/jit_backend.h"
 #include "relational/q1.h"
 #include "storage/datagen.h"
 #include "util/rng.h"
@@ -138,7 +138,7 @@ int RunChild(const std::string& dir, const char* task, const char* tier) {
 void RunProcessBench(benchmark::State& state, const char* task,
                      uint64_t tuples, bool warm, const char* tier,
                      const char* label) {
-  if (!jit::SourceJit::Available()) {
+  if (!jit::HostCompilerAvailable()) {
     state.SkipWithError("no host compiler");
     return;
   }
@@ -204,7 +204,7 @@ void BM_FirstQuery_Q1_InProcess(benchmark::State& state) {
   // populated dir, with the ReportJit counters attached so the JSON row
   // records compiles vs disk hits. (Backend memoization makes repeated
   // in-process "cold" runs free, hence cold has no in-process row.)
-  if (!jit::SourceJit::Available()) {
+  if (!jit::HostCompilerAvailable()) {
     state.SkipWithError("no host compiler");
     return;
   }

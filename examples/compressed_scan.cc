@@ -12,7 +12,7 @@
 
 #include "dsl/builder.h"
 #include "engine/session.h"
-#include "jit/source_jit.h"
+#include "jit/jit_backend.h"
 #include "storage/datagen.h"
 
 using namespace avm;
@@ -72,7 +72,7 @@ int main() {
               (unsigned long long)report.injection_runs);
   std::printf("fallback events : %llu (scheme mismatch -> interpret)\n",
               (unsigned long long)report.injection_fallbacks);
-  if (!jit::SourceJit::Available()) {
+  if (!jit::HostCompilerAvailable()) {
     std::printf("(no host compiler: everything was interpreted)\n");
   }
 

@@ -1,8 +1,8 @@
 // Heterogeneous placement demo (Plan step 3): map fragments submitted
 // to an engine::Session under the kGpuOffload strategy. The engine
 // recognizes offloadable map fragments, asks the adaptive placer to choose
-// between the CPU and the simulated GPU (DESIGN.md substitution), and
-// calibrates the placer's cost model from every observed run.
+// between the CPU and the simulated GPU (ARCHITECTURE.md §Substitutions),
+// and calibrates the placer's cost model from every observed run.
 //
 // Two fragments show the tradeoff:
 //   light (x*2+x)       — transfer-dominated: PCIe both ways costs more

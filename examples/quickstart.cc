@@ -18,7 +18,7 @@
 #include "dsl/typecheck.h"
 #include "engine/query_builder.h"
 #include "engine/session.h"
-#include "jit/source_jit.h"
+#include "jit/jit_backend.h"
 #include "storage/datagen.h"
 
 using namespace avm;
@@ -55,7 +55,7 @@ int main() {
   so.num_workers = 4;
   engine::Session session(so);
   engine::QueryOptions qo;
-  qo.strategy = jit::SourceJit::Available()
+  qo.strategy = jit::HostCompilerAvailable()
                     ? engine::ExecutionStrategy::kAdaptiveJit
                     : engine::ExecutionStrategy::kInterpret;
 
@@ -198,7 +198,7 @@ loop
   if (!fig2.ran_serial_reason.empty()) {
     std::printf("(ran serial: %s)\n", fig2.ran_serial_reason.c_str());
   }
-  if (!jit::SourceJit::Available()) {
+  if (!jit::HostCompilerAvailable()) {
     std::printf("(no host compiler found: the VM stayed in vectorized "
                 "interpretation)\n");
   }

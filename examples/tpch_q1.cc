@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "engine/session.h"
-#include "jit/source_jit.h"
+#include "jit/jit_backend.h"
 #include "relational/q1.h"
 #include "util/timer.h"
 
@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
                        [&] { return RunQ1Vectorized(*table); });
   Q1Result compact = Timed("vectorized + compact types", n,
                            [&] { return RunQ1VectorizedCompact(*table); });
-  if (jit::SourceJit::Available()) {
+  if (jit::HostCompilerAvailable()) {
     // First run includes the JIT compile; second shows steady state.
     Timed("compiled tuple-at-a-time*", n,
           [&] { return RunQ1CompiledWholeQuery(*table); });
@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
   }
   {
     engine::QueryOptions opts;
-    opts.strategy = jit::SourceJit::Available()
+    opts.strategy = jit::HostCompilerAvailable()
                         ? engine::ExecutionStrategy::kAdaptiveJit
                         : engine::ExecutionStrategy::kInterpret;
     Stopwatch sw;
@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
     so.num_workers = 4;
     engine::Session session(so);
     engine::QueryOptions qo;
-    qo.strategy = jit::SourceJit::Available()
+    qo.strategy = jit::HostCompilerAvailable()
                       ? engine::ExecutionStrategy::kAdaptiveJit
                       : engine::ExecutionStrategy::kInterpret;
     constexpr int kClients = 4;

@@ -10,8 +10,8 @@
 # exec_engine.h, query_builder.h) and the headers whose contracts the docs
 # (docs/TRACE_ABI.md, docs/TRACE_CACHE.md, docs/VERIFIER.md, docs/SPILL.md)
 # rely on: adaptive_vm.h, trace_abi.h, codegen.h (code generation from
-# verified traces only), trace_compiler.h, jit_backend.h, backend_cc.h,
-# disk_cache.h, the analysis headers, memory_tracker.h and spill_file.h.
+# verified traces only), trace_compiler.h, jit_backend.h, disk_cache.h,
+# the analysis headers, memory_tracker.h and spill_file.h.
 # CI fails the build on any finding.
 set -u
 
@@ -26,7 +26,6 @@ if [ ${#headers[@]} -eq 0 ]; then
     src/jit/codegen.h
     src/jit/trace_compiler.h
     src/jit/jit_backend.h
-    src/jit/backend_cc.h
     src/jit/disk_cache.h
     src/analysis/diagnostic.h
     src/analysis/verify_program.h

@@ -1,4 +1,5 @@
-// Simulated GPU device (substitution for real CUDA hardware — DESIGN.md §1).
+// Simulated GPU device (substitution for real CUDA hardware — see
+// ARCHITECTURE.md §Substitutions).
 //
 // The paper's third research target is *adaptive device placement*: deciding
 // per pipeline fragment whether CPU or GPU executes it. The decision-relevant

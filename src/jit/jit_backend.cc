@@ -9,7 +9,6 @@
 #include <cstdlib>
 #include <fstream>
 
-#include "jit/backend_cc.h"
 #include "jit/trace_abi.h"
 #include "util/hash.h"
 #include "util/logging.h"
@@ -18,13 +17,9 @@
 
 namespace avm::jit {
 
-namespace {
-
-// Process-wide scratch directory for compiler invocations and artifact
-// loads, created under $TMPDIR (fallback /tmp). Leaked (like every static
-// in this TU) so detached tier-upgrade threads can still compile while the
-// process is shutting down.
-const std::string& ScratchDir() {
+// Leaked (like every static in this TU) so detached tier-upgrade threads
+// can still compile while the process is shutting down.
+const std::string& JitScratchDir() {
   static const std::string* dir = [] {
     const char* env = std::getenv("TMPDIR");
     std::string base = env != nullptr && *env != '\0' ? env : "/tmp";
@@ -36,6 +31,8 @@ const std::string& ScratchDir() {
   return *dir;
 }
 
+namespace {
+
 Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
   std::ifstream f(path, std::ios::binary);
   if (!f) return Status::CompilationError("cannot read " + path);
@@ -45,8 +42,6 @@ Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
 }
 
 }  // namespace
-
-const std::string& JitScratchDir() { return ScratchDir(); }
 
 const char* TierName(JitTier t) {
   return t == JitTier::kFast ? "fast" : "opt";
@@ -74,10 +69,17 @@ TierPolicy ResolveTierPolicy(TierPolicy p) {
   return TierPolicy::kTiered;
 }
 
-JitBackend& BackendForTier(JitTier tier) {
-  return tier == JitTier::kFast ? CcBackendO0() : CcBackendO2();
+CcBackend& BackendForTier(JitTier tier) {
+  static CcBackend* fast = new CcBackend("cc-o0", JitTier::kFast, "-O0");
+  static CcBackend* optimized =
+      new CcBackend("cc-o2", JitTier::kOptimized, "-O2 -march=native");
+  return tier == JitTier::kFast ? *fast : *optimized;
 }
 
+namespace {
+
+// Path of the host C++ compiler: AVM_CXX if set, else the first of
+// c++/g++/clang++ on PATH; empty when none is found.
 const std::string& HostCompilerPath() {
   static const std::string* compiler = [] {
     const char* env = std::getenv("AVM_CXX");
@@ -91,6 +93,9 @@ const std::string& HostCompilerPath() {
   return *compiler;
 }
 
+// Identity line of the host compiler (`<path> --version`, first line).
+// Folded into every backend's version_hash so artifacts produced by a
+// different compiler (or version) never load from the disk cache.
 const std::string& HostCompilerIdentity() {
   static const std::string* identity = [] {
     const std::string& cc = HostCompilerPath();
@@ -113,25 +118,13 @@ const std::string& HostCompilerIdentity() {
   return *identity;
 }
 
-Result<std::vector<uint8_t>> CcCompileToBytes(const std::string& source,
-                                              const std::string& flags,
-                                              double* compile_seconds) {
-  const std::string& cc = HostCompilerPath();
-  if (cc.empty()) {
-    return Status::CompilationError("no host compiler available");
-  }
-  Stopwatch sw;
-  // The content hash makes scratch names readable in the scratch dir; the
-  // sequence number makes them unique. Hashing alone is not enough: two
-  // threads compiling the SAME source concurrently (upgrade threads of two
-  // engines sharing one process) would share paths, and whoever finishes
-  // first would delete the .so out from under the other.
-  static std::atomic<uint64_t> invocation_seq{0};
-  const uint64_t key = HashCombine(HashString(source), HashString(flags));
-  const std::string base =
-      StrFormat("%s/t%016llx_%llu", ScratchDir().c_str(),
-                (unsigned long long)key,
-                (unsigned long long)invocation_seq.fetch_add(1));
+// Write `source` to <base>.cc, compile it into <base>.so with the
+// compiler's output in <base>.log, and read the shared object back. The
+// caller removes the three files.
+Result<std::vector<uint8_t>> RunCompiler(const std::string& cc,
+                                         const std::string& source,
+                                         const std::string& flags,
+                                         const std::string& base) {
   const std::string src_path = base + ".cc";
   const std::string so_path = base + ".so";
   const std::string log_path = base + ".log";
@@ -150,13 +143,45 @@ Result<std::vector<uint8_t>> CcCompileToBytes(const std::string& source,
     while (std::getline(lf, line) && log.size() < 4000) log += line + "\n";
     return Status::CompilationError("compile failed:\n" + log);
   }
-  AVM_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadFileBytes(so_path));
-  std::remove(so_path.c_str());
-  std::remove(src_path.c_str());
-  std::remove(log_path.c_str());
-  if (compile_seconds != nullptr) *compile_seconds = sw.ElapsedSeconds();
+  return ReadFileBytes(so_path);
+}
+
+// Invoke the host compiler on `source` with `flags` and return the bytes
+// of the produced shared object. `compile_seconds`, when non-null,
+// receives the wall time of the compiler invocation.
+Result<std::vector<uint8_t>> CcCompileToBytes(const std::string& source,
+                                              const std::string& flags,
+                                              double* compile_seconds) {
+  const std::string& cc = HostCompilerPath();
+  if (cc.empty()) {
+    return Status::CompilationError("no host compiler available");
+  }
+  Stopwatch sw;
+  // The content hash makes scratch names readable in the scratch dir; the
+  // sequence number makes them unique. Hashing alone is not enough: two
+  // threads compiling the SAME source concurrently (upgrade threads of two
+  // engines sharing one process) would share paths, and whoever finishes
+  // first would delete the .so out from under the other.
+  static std::atomic<uint64_t> invocation_seq{0};
+  const uint64_t key = HashCombine(HashString(source), HashString(flags));
+  const std::string base =
+      StrFormat("%s/t%016llx_%llu", JitScratchDir().c_str(),
+                (unsigned long long)key,
+                (unsigned long long)invocation_seq.fetch_add(1));
+  Result<std::vector<uint8_t>> bytes = RunCompiler(cc, source, flags, base);
+  // Failed compiles included: nothing stays in the scratch dir.
+  for (const char* ext : {".cc", ".so", ".log"}) {
+    std::remove((base + ext).c_str());
+  }
+  if (bytes.ok() && compile_seconds != nullptr) {
+    *compile_seconds = sw.ElapsedSeconds();
+  }
   return bytes;
 }
+
+}  // namespace
+
+bool HostCompilerAvailable() { return !HostCompilerPath().empty(); }
 
 CcBackend::CcBackend(const char* name, JitTier tier, std::string flags,
                      size_t memo_max_entries, size_t memo_max_bytes)
@@ -179,8 +204,6 @@ size_t CcBackend::memo_bytes() {
   std::lock_guard<std::mutex> lock(mu_);
   return memo_bytes_;
 }
-
-bool CcBackend::Available() const { return !HostCompilerPath().empty(); }
 
 Result<JitArtifact> CcBackend::Compile(const std::string& source,
                                        const std::string& symbol,
@@ -221,7 +244,7 @@ Result<JitArtifact> CcBackend::Compile(const std::string& source,
 }
 
 ArtifactLoader::ArtifactLoader(size_t memo_limit)
-    : dir_(ScratchDir()), memo_limit_(std::max<size_t>(memo_limit, 1)) {}
+    : dir_(JitScratchDir()), memo_limit_(std::max<size_t>(memo_limit, 1)) {}
 
 size_t ArtifactLoader::memo_entries() {
   std::lock_guard<std::mutex> lock(mu_);

@@ -1,13 +1,19 @@
-// Pluggable JIT backend seam (ROADMAP direction 2).
+// Host-compiler JIT: compile generated C++ to artifact bytes, load bytes.
 //
-// The source JIT used to be one hard-wired "generate C++, shell out to the
-// host compiler at -O3, dlopen" pipeline. This header splits that into the
-// three orthogonal pieces a tiered JIT needs:
+// Substitution note (ARCHITECTURE.md §Substitutions): the paper assumes an
+// LLVM-style JIT; we generate specialized C++, compile it with the system
+// compiler into a shared object and dlopen it. This is a real production
+// technique (PostgreSQL pre-LLVM, and several engines' fallback paths) and
+// produces genuinely specialized machine code with realistic compile
+// latencies, which is exactly the interpret-vs-compile tension the paper
+// studies.
 //
-//  - JitBackend: compile source -> loadable artifact BYTES. Backends are
-//    interchangeable (the miniexpr dsl_jit_backend_{cc,libtcc,wasm32}
-//    architecture); today both concrete backends drive the host C++
-//    compiler, at different optimization tiers:
+// Every compile in the process — trace first compiles, tier upgrades, the
+// whole-query Q1 baseline — goes through the same two pieces:
+//
+//  - CcBackend: compile source -> loadable artifact BYTES. One instance
+//    per optimization tier (BackendForTier), both driving the host C++
+//    compiler:
 //      cc-o0 (JitTier::kFast)      cheap compiles for first executions
 //      cc-o2 (JitTier::kOptimized) the steady-state tier, swapped in
 //                                  asynchronously once a trace is hot
@@ -15,8 +21,6 @@
 //    dlsym), process-global so compiled traces stay mapped for the process
 //    lifetime wherever their bytes came from (a fresh compile or the
 //    persistent disk cache).
-//  - JitStats: the merged observability counters of the whole JIT stack
-//    (per-tier compiles and latency, disk-cache traffic, tier upgrades).
 //
 // Artifact bytes are the currency between the pieces: because a backend
 // returns relocatable bytes instead of a live function pointer, the bytes
@@ -43,6 +47,13 @@ namespace avm::jit {
 /// first use wins — for the process lifetime.
 const std::string& JitScratchDir();
 
+/// Whether this process can compile: true when a host C++ compiler was
+/// found (AVM_CXX if set, else the first of c++/g++/clang++ on PATH).
+/// Resolved once per process. When false, every compile fails with
+/// CompilationError("no host compiler available") and the VM stays
+/// interpreted.
+bool HostCompilerAvailable();
+
 /// Optimization tier of a compiled-trace artifact.
 enum class JitTier : uint8_t {
   kFast = 0,       ///< cheap compile (-O0): minimal latency to first run
@@ -58,7 +69,7 @@ enum class TierPolicy : uint8_t {
   /// the variable is unset or unrecognized.
   kDefault = 0,
   /// Compile kFast first so the first execution pays minimal JIT latency;
-  /// asynchronously upgrade hot traces to kOptimized (tiered_jit.h).
+  /// asynchronously upgrade hot traces to kOptimized (trace_compiler.h).
   kTiered,
   /// Only the fast tier, never upgraded (latency benchmarks, tests).
   kFastOnly,
@@ -82,66 +93,67 @@ struct JitArtifact {
   JitTier tier = JitTier::kFast;
 };
 
-/// Compiles a C++ translation unit into loadable artifact bytes.
-/// Implementations are thread-safe and memoize by (source, symbol), so
-/// concurrent identical compiles collapse into one backend invocation.
-class JitBackend {
+/// Compiles a C++ translation unit into loadable artifact bytes by
+/// shelling out to the host C++ compiler with a fixed flag set. Thread-safe;
+/// memoizes produced artifacts by (source, symbol), so repeated identical
+/// compiles invoke the compiler once.
+///
+/// The memo holds full artifact bytes, so it is bounded both by entry
+/// count and by total byte size (FIFO eviction). An evicted (source,
+/// symbol) pair simply recompiles on its next request — the memo is a
+/// latency optimization, never a correctness dependency.
+class CcBackend {
  public:
-  virtual ~JitBackend() = default;
+  static constexpr size_t kDefaultMemoEntries = 256;
+  static constexpr size_t kDefaultMemoBytes = size_t{64} << 20;  // 64 MiB
+
+  CcBackend(const char* name, JitTier tier, std::string flags,
+            size_t memo_max_entries = kDefaultMemoEntries,
+            size_t memo_max_bytes = kDefaultMemoBytes);
 
   /// Short backend identity ("cc-o0", "cc-o2").
-  virtual const char* name() const = 0;
+  const char* name() const { return name_; }
 
   /// Optimization tier of the artifacts this backend produces.
-  virtual JitTier tier() const = 0;
+  JitTier tier() const { return tier_; }
 
   /// Hash of everything that affects the produced machine code: compiler
   /// identity+version, flags, and the trace ABI version. Part of the
   /// on-disk cache key, so artifacts from a different compiler, flag set,
   /// or ABI revision silently miss (and recompile) instead of loading.
-  virtual uint64_t version_hash() const = 0;
-
-  /// Whether this backend can compile on this host.
-  virtual bool Available() const = 0;
+  uint64_t version_hash() const { return version_hash_; }
 
   /// Compile `source` (a complete TU exporting extern "C" `symbol`) into
   /// artifact bytes. `compile_seconds`, when non-null, receives the wall
-  /// time of the backend invocation (0 on a memo hit).
-  virtual Result<JitArtifact> Compile(const std::string& source,
-                                      const std::string& symbol,
-                                      double* compile_seconds = nullptr) = 0;
+  /// time of the compiler invocation (0 on a memo hit). A failed compile
+  /// is a CompilationError carrying the compiler's diagnostics and leaves
+  /// no files in JitScratchDir().
+  Result<JitArtifact> Compile(const std::string& source,
+                              const std::string& symbol,
+                              double* compile_seconds = nullptr);
+
+  /// Current memo occupancy (entries / summed artifact bytes), bounded by
+  /// the construction limits.
+  size_t memo_entries();
+  size_t memo_bytes();
+
+ private:
+  const char* name_;
+  JitTier tier_;
+  std::string flags_;
+  uint64_t version_hash_;
+  size_t memo_max_entries_;
+  size_t memo_max_bytes_;
+  std::mutex mu_;
+  std::unordered_map<uint64_t, JitArtifact> memo_ AVM_GUARDED_BY(mu_);
+  /// memo_ keys in insertion order.
+  std::deque<uint64_t> fifo_ AVM_GUARDED_BY(mu_);
+  size_t memo_bytes_ AVM_GUARDED_BY(mu_) = 0;
 };
 
-/// The process-wide backend instance for a tier.
-JitBackend& BackendForTier(JitTier tier);
-
-/// Merged observability counters of the JIT stack. SourceJit fills the
-/// first block; TieredJit::stats() additionally reports the per-tier,
-/// disk-cache, and tier-upgrade blocks (bench_util serializes them into
-/// BENCH_results.json rows).
-struct JitStats {
-  uint64_t compilations = 0;         ///< backend invocations (all tiers)
-  uint64_t cache_hits = 0;           ///< in-memory memo hits
-  double total_compile_seconds = 0;  ///< summed backend wall time
-
-  // Per-tier compile counts and latency (TieredJit).
-  uint64_t fast_compilations = 0;
-  uint64_t opt_compilations = 0;
-  double fast_compile_seconds = 0;
-  double opt_compile_seconds = 0;
-
-  // Persistent disk-cache traffic (TieredJit + DiskTraceCache).
-  uint64_t disk_hits = 0;
-  uint64_t disk_misses = 0;
-  uint64_t disk_corrupt_dropped = 0;  ///< checksum/load failures, recompiled
-  uint64_t disk_stores = 0;
-  uint64_t disk_evictions = 0;
-
-  // Hotness-triggered tier upgrades (fast -> optimized).
-  uint64_t upgrades_requested = 0;
-  uint64_t upgrades_completed = 0;
-  uint64_t upgrades_failed = 0;
-};
+/// The process-wide compiler for a tier: cc-o0 (-O0) for kFast, cc-o2
+/// (-O2 -march=native) for kOptimized.
+CcBackend& BackendForTier(JitTier tier);
 
 /// Loads artifact bytes into the process and resolves the entry symbol.
 /// Thread-safe; memoizes by (bytes hash, symbol) so one artifact loaded

@@ -6,22 +6,6 @@
 
 namespace avm::jit {
 
-SelectivityBucket BucketOf(double selectivity) {
-  if (selectivity < 0.25) return SelectivityBucket::kLow;
-  if (selectivity > 0.75) return SelectivityBucket::kHigh;
-  return SelectivityBucket::kMid;
-}
-
-const char* BucketName(SelectivityBucket b) {
-  switch (b) {
-    case SelectivityBucket::kAny: return "any";
-    case SelectivityBucket::kLow: return "low";
-    case SelectivityBucket::kMid: return "mid";
-    case SelectivityBucket::kHigh: return "high";
-  }
-  return "?";
-}
-
 uint64_t Situation::Key() const {
   uint64_t h = trace_fingerprint;
   for (const auto& [name, scheme] : schemes) {
@@ -32,7 +16,6 @@ uint64_t Situation::Key() const {
     h = HashCombine(h, HashString(name));
     h = HashCombine(h, uint64_t{0x5e1});
   }
-  h = HashCombine(h, static_cast<uint64_t>(selectivity));
   return h;
 }
 
@@ -45,7 +28,7 @@ std::string Situation::ToString() const {
   for (const auto& name : sel_inputs) {
     os << " sel:" << name;
   }
-  os << " sel=" << BucketName(selectivity) << "}";
+  os << "}";
   return os.str();
 }
 

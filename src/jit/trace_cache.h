@@ -6,8 +6,7 @@
 // learned about that situation, or falls back to interpretation."
 //
 // A situation is: the trace's node set, the compression schemes its reads
-// are specialized for, which chunk inputs carry a selection vector, and a
-// coarse selectivity bucket.
+// are specialized for, and which chunk inputs carry a selection vector.
 #pragma once
 
 #include <functional>
@@ -25,19 +24,6 @@
 
 namespace avm::jit {
 
-/// Coarse selectivity classes the VM specializes for (Section III-C:
-/// bitmap/full-compute when nearly nothing is filtered, selection vectors
-/// when selective).
-enum class SelectivityBucket : uint8_t {
-  kAny = 0,
-  kLow,    ///< < 25% survive
-  kMid,
-  kHigh,   ///< > 75% survive
-};
-
-SelectivityBucket BucketOf(double selectivity);
-const char* BucketName(SelectivityBucket b);
-
 struct Situation {
   uint64_t trace_fingerprint = 0;  ///< hash of node ids/labels
   std::map<std::string, Scheme> schemes;  ///< per read data array
@@ -47,7 +33,6 @@ struct Situation {
   /// entries, each applicable only when the runtime selection pattern
   /// matches its specialization.
   std::vector<std::string> sel_inputs;
-  SelectivityBucket selectivity = SelectivityBucket::kAny;
 
   uint64_t Key() const;
   std::string ToString() const;

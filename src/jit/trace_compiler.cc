@@ -80,7 +80,7 @@ void StartTierUpgrade(std::shared_ptr<TraceEntry> entry,
     opts.counters->requested.fetch_add(1, std::memory_order_relaxed);
   }
   std::thread([entry = std::move(entry), opts = std::move(opts)] {
-    JitBackend& backend = BackendForTier(JitTier::kOptimized);
+    CcBackend& backend = BackendForTier(JitTier::kOptimized);
     const uint64_t version = backend.version_hash();
     Result<JitArtifact> artifact = Status::NotFound("no persistent cache");
     if (opts.disk != nullptr) {
@@ -181,10 +181,7 @@ Result<TieredCompileOutcome> CompileTraceTiered(
                         << " dropped: " << sym.status().ToString();
     }
   }
-  JitBackend& backend = BackendForTier(initial);
-  if (!backend.Available()) {
-    return Status::CompilationError("no host compiler available");
-  }
+  CcBackend& backend = BackendForTier(initial);
   AVM_ASSIGN_OR_RETURN(
       JitArtifact artifact,
       backend.Compile(gen.source, gen.symbol, &out.compile_seconds));

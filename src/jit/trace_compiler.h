@@ -91,13 +91,17 @@ struct TierCounters {
   std::atomic<uint64_t> failed{0};
 };
 
+/// Default invocation count that makes a fast-tier entry hot enough for
+/// the background optimized-tier upgrade.
+inline constexpr uint64_t kDefaultUpgradeAfter = 32;
+
 /// Tier-upgrade policy an injection applies to its entry (the fast→opt
 /// state machine, docs/TRACE_CACHE.md).
 struct TraceTierOptions {
   /// Whether hot fast-tier entries upgrade at all (TierPolicy::kTiered).
   bool upgrade_enabled = false;
   /// Invocation count that makes an entry hot.
-  uint64_t upgrade_after = 32;
+  uint64_t upgrade_after = kDefaultUpgradeAfter;
   /// Persistent store upgrades probe first and publish into (may be null).
   std::shared_ptr<DiskTraceCache> disk;
   /// Observability sink (may be null).

@@ -55,8 +55,9 @@ Result<Q1Result> RunQ1Vectorized(const Table& lineitem,
 Result<Q1Result> RunQ1VectorizedCompact(
     const Table& lineitem, uint32_t chunk_size = kDefaultChunkSize);
 
-/// HyPer-style whole-query tuple-at-a-time compilation through the source
-/// JIT. Fails with CompilationError when no host compiler exists.
+/// HyPer-style whole-query tuple-at-a-time compilation through the JIT's
+/// optimized tier (jit::BackendForTier). Fails with CompilationError when
+/// no host compiler exists.
 Result<Q1Result> RunQ1CompiledWholeQuery(const Table& lineitem);
 
 /// Q1 as an engine::QueryBuilder query over `lineitem`: filter on shipdate,

@@ -233,7 +233,8 @@ Result<Block> EncodeBlock(Scheme scheme, TypeId t, const void* values,
 
   if (scheme == Scheme::kPlain) {
     b.data.resize(static_cast<size_t>(n) * TypeWidth(t));
-    std::memcpy(b.data.data(), values, b.data.size());
+    // An empty block has a null buffer, which memcpy must not see.
+    if (n > 0) std::memcpy(b.data.data(), values, b.data.size());
     return b;
   }
 
@@ -331,7 +332,9 @@ Status DecodeIntRange(const Block& b, uint32_t offset, uint32_t len,
         uint64_t d = ReadBits(b.data.data(),
                               static_cast<size_t>(offset + i) * b.bit_width,
                               b.bit_width);
-        out[i] = b.for_ref + static_cast<int64_t>(d);
+        // Unsigned add, wrapping like the encoder's subtraction: a block
+        // spanning the whole i64 range has deltas past INT64_MAX.
+        out[i] = static_cast<int64_t>(static_cast<uint64_t>(b.for_ref) + d);
       }
       return Status::OK();
     }

@@ -1,8 +1,9 @@
 // Deterministic workload/data generators.
 //
-// Substitution (see DESIGN.md §1): instead of official TPC-H data we generate
-// tables with the same column types, value domains and group cardinalities,
-// which is what governs the behaviour of the paper's Q1/Q6-style experiments.
+// Substitution (see ARCHITECTURE.md §Substitutions): instead of official
+// TPC-H data we generate tables with the same column types, value domains
+// and group cardinalities, which is what governs the behaviour of the
+// paper's Q1/Q6-style experiments.
 #pragma once
 
 #include <memory>

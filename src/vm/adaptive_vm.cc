@@ -2,29 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 #include "analysis/verify_trace.h"
-#include "jit/source_jit.h"
+#include "jit/jit_backend.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
 namespace avm::vm {
 
 using interp::Interpreter;
-
-namespace {
-
-uint64_t UpgradeAfterFromEnv() {
-  const char* env = std::getenv("AVM_JIT_UPGRADE_AFTER");
-  if (env != nullptr && *env != '\0') {
-    const long long v = std::atoll(env);
-    if (v > 0) return static_cast<uint64_t>(v);
-  }
-  return 32;
-}
-
-}  // namespace
 
 AdaptiveVm::AdaptiveVm(const dsl::Program* program, VmOptions options,
                        jit::TraceCache* shared_cache)
@@ -35,13 +21,8 @@ AdaptiveVm::AdaptiveVm(const dsl::Program* program, VmOptions options,
     return OnIteration(in, iteration);
   };
   tier_policy_ = jit::ResolveTierPolicy(options_.jit_tier_policy);
-  upgrade_after_ = options_.jit_upgrade_after != 0
-                       ? options_.jit_upgrade_after
-                       : UpgradeAfterFromEnv();
-  if (options_.enable_disk_cache) {
-    disk_ = options_.disk_cache != nullptr ? options_.disk_cache
-                                           : jit::DiskTraceCache::FromEnv();
-  }
+  disk_ = options_.disk_cache != nullptr ? options_.disk_cache
+                                         : jit::DiskTraceCache::FromEnv();
   tier_counters_ = std::make_shared<jit::TierCounters>();
   if (options_.enable_jit) {
     report_.jit_tier = jit::TierPolicyName(tier_policy_);
@@ -74,7 +55,7 @@ VmReport AdaptiveVm::Report() const {
 
 Status AdaptiveVm::OnIteration(Interpreter& in, uint64_t iteration) {
   if (!options_.enable_jit) return Status::OK();
-  if (!jit::SourceJit::Available()) return Status::OK();
+  if (!jit::HostCompilerAvailable()) return Status::OK();
   if (!optimized_once_ && iteration >= options_.optimize_after_iterations) {
     return OptimizePass(in, iteration);
   }
@@ -274,7 +255,7 @@ Status AdaptiveVm::InstallTrace(Interpreter& in, const ir::Trace& trace,
 
   jit::TraceTierOptions tier;
   tier.upgrade_enabled = tier_policy_ == jit::TierPolicy::kTiered;
-  tier.upgrade_after = upgrade_after_;
+  tier.upgrade_after = options_.jit_upgrade_after;
   tier.disk = disk_;
   tier.counters = tier_counters_;
   interp::InjectedTrace inj = jit::MakeInjection(

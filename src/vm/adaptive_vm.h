@@ -47,15 +47,11 @@ struct VmOptions {
   jit::TierPolicy jit_tier_policy = jit::TierPolicy::kDefault;
   /// Injection invocations that make a fast-tier trace hot enough for the
   /// background optimized-tier upgrade (tiered policy only).
-  /// 0 = AVM_JIT_UPGRADE_AFTER, default 32.
-  uint64_t jit_upgrade_after = 0;
+  uint64_t jit_upgrade_after = jit::kDefaultUpgradeAfter;
   /// Persistent compiled-artifact store consulted before any backend
   /// compile and populated after; nullptr = the AVM_TRACE_CACHE_DIR cache
   /// (DiskTraceCache::FromEnv), i.e. off unless that variable is set.
   std::shared_ptr<jit::DiskTraceCache> disk_cache;
-  /// Master switch for the persistent store (false ignores both the
-  /// disk_cache field and the environment).
-  bool enable_disk_cache = true;
 };
 
 /// Counters and diagnostics of one adaptive-VM run.
@@ -162,9 +158,8 @@ class AdaptiveVm {
   std::unordered_set<uint64_t> installed_;
   bool optimized_once_ = false;
   VmReport report_;
-  /// Tiering state resolved at construction (policy/threshold/env).
+  /// Tiering state resolved at construction (policy and disk store).
   jit::TierPolicy tier_policy_ = jit::TierPolicy::kOptimizedOnly;
-  uint64_t upgrade_after_ = 32;
   std::shared_ptr<jit::DiskTraceCache> disk_;
   /// Shared with the detached upgrade threads this VM's injections spawn
   /// (they may outlive the VM; Report() reads whatever completed by then).

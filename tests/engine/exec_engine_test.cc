@@ -8,7 +8,7 @@
 #include "dsl/builder.h"
 #include "dsl/typecheck.h"
 #include "engine/session.h"
-#include "jit/source_jit.h"
+#include "jit/jit_backend.h"
 #include "relational/q1.h"
 #include "storage/datagen.h"
 
@@ -169,7 +169,7 @@ TEST(ExecContextTest, ParallelQ1BitIdenticalToSingleThreaded) {
 }
 
 TEST(ExecContextTest, ParallelQ1WithSharedJitCache) {
-  if (!jit::SourceJit::Available()) {
+  if (!jit::HostCompilerAvailable()) {
     GTEST_SKIP() << "no host compiler";
   }
   auto table = SmallLineitem();
@@ -192,7 +192,7 @@ TEST(ExecContextTest, ParallelQ1WithSharedJitCache) {
 }
 
 TEST(ExecContextTest, RepeatedRunsReuseSessionTraceCache) {
-  if (!jit::SourceJit::Available()) {
+  if (!jit::HostCompilerAvailable()) {
     GTEST_SKIP() << "no host compiler";
   }
   // A single-map pipeline partitions into exactly one trace regardless of

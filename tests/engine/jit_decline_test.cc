@@ -17,7 +17,7 @@
 #include "dsl/typecheck.h"
 #include "engine/query_builder.h"
 #include "engine/session.h"
-#include "jit/source_jit.h"
+#include "jit/jit_backend.h"
 #include "util/rng.h"
 
 namespace avm::engine {
@@ -86,7 +86,7 @@ Query RunJitNoDecline(MakeFn make, const char* shape) {
   if (r.ok()) {
     EXPECT_TRUE(r.value().jit_declined.empty())
         << shape << " declined: " << r.value().jit_declined;
-    if (jit::SourceJit::Available()) {
+    if (jit::HostCompilerAvailable()) {
       EXPECT_GT(r.value().traces_compiled + r.value().traces_reused +
                     r.value().disk_cache_hits,
                 0u)
@@ -290,7 +290,7 @@ TEST(JitDeclineRegressionTest, GateDeclineReportedByRuleId) {
   EXPECT_EQ(jit_out2, interp_out2);
 
   // Without a host compiler the VM never optimizes, so nothing is gated.
-  if (!jit::SourceJit::Available()) return;
+  if (!jit::HostCompilerAvailable()) return;
   const ExecReport& rep = r.value();
   EXPECT_NE(rep.jit_declined.find("[gather-base-not-data]"), std::string::npos)
       << "jit_declined: " << rep.jit_declined;

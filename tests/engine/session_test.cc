@@ -12,7 +12,7 @@
 #include "dsl/builder.h"
 #include "dsl/typecheck.h"
 #include "engine/query_builder.h"
-#include "jit/source_jit.h"
+#include "jit/jit_backend.h"
 #include "relational/join.h"
 #include "relational/q1.h"
 #include "storage/datagen.h"
@@ -355,7 +355,7 @@ TEST(SessionTest, SubmitErrorSurfacesThroughHandle) {
 // miss into ONE host-compiler invocation, with all other workers reusing
 // the winner's trace.
 TEST(SessionTest, SingleFlightTraceCompilationUnderContention) {
-  if (!jit::SourceJit::Available()) {
+  if (!jit::HostCompilerAvailable()) {
     GTEST_SKIP() << "no host compiler";
   }
   const int64_t n = 400'000;
@@ -566,7 +566,7 @@ TEST(SessionTest, ConcurrentJoinBuildSubmitCancel) {
 // fingerprints) stable run-to-run: the second run of the same query shape
 // on one session must be served entirely from the cross-run TraceCache.
 TEST(SessionTest, Q1RepeatedRunsHitCrossRunTraceCache) {
-  if (!jit::SourceJit::Available()) {
+  if (!jit::HostCompilerAvailable()) {
     GTEST_SKIP() << "no host compiler";
   }
   auto lineitem = SmallLineitem(200'000);

@@ -24,7 +24,7 @@
 #include "dsl/builder.h"
 #include "engine/session.h"
 #include "jit/disk_cache.h"
-#include "jit/source_jit.h"
+#include "jit/jit_backend.h"
 #include "storage/datagen.h"
 
 namespace avm::engine {
@@ -92,7 +92,7 @@ Result<RunOutput> RunOnce(const std::string& dir, jit::TierPolicy policy,
 }
 
 TEST(WarmRestartTest, FreshEngineIsWarmFromPopulatedDir) {
-  if (!jit::SourceJit::Available()) GTEST_SKIP() << "no host compiler";
+  if (!jit::HostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
   const std::string dir = MakeTempDir();
   DataGen gen(41);
   auto data = gen.UniformI64(64'000, -1000, 1000);
@@ -117,7 +117,7 @@ TEST(WarmRestartTest, FreshEngineIsWarmFromPopulatedDir) {
 }
 
 TEST(WarmRestartTest, TieredPolicyRestartsAtStoredTier) {
-  if (!jit::SourceJit::Available()) GTEST_SKIP() << "no host compiler";
+  if (!jit::HostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
   const std::string dir = MakeTempDir();
   DataGen gen(43);
   auto data = gen.UniformI64(64'000, -1000, 1000);
@@ -137,7 +137,7 @@ TEST(WarmRestartTest, TieredPolicyRestartsAtStoredTier) {
 }
 
 TEST(WarmRestartTest, CorruptEntriesRecompiledNotLoaded) {
-  if (!jit::SourceJit::Available()) GTEST_SKIP() << "no host compiler";
+  if (!jit::HostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
   const std::string dir = MakeTempDir();
   DataGen gen(47);
   auto data = gen.UniformI64(64'000, -1000, 1000);
@@ -177,7 +177,7 @@ TEST(WarmRestartTest, CorruptEntriesRecompiledNotLoaded) {
 }
 
 TEST(WarmRestartTest, TwoEnginesShareOneCacheDirConcurrently) {
-  if (!jit::SourceJit::Available()) GTEST_SKIP() << "no host compiler";
+  if (!jit::HostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
   const std::string dir = MakeTempDir();
   DataGen gen(53);
   auto data = gen.UniformI64(48'000, -1000, 1000);
@@ -206,7 +206,7 @@ TEST(WarmRestartTest, TwoEnginesShareOneCacheDirConcurrently) {
 }
 
 TEST(WarmRestartTest, HotTraceUpgradesToOptimizedTier) {
-  if (!jit::SourceJit::Available()) GTEST_SKIP() << "no host compiler";
+  if (!jit::HostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
   const std::string dir = MakeTempDir();
   DataGen gen(59);
   auto data = gen.UniformI64(96'000, -1000, 1000);
@@ -254,7 +254,7 @@ TEST(WarmRestartTest, SharedEnvCacheDirContract) {
   // cold pass populates it, and the warm pass — a genuinely fresh process —
   // sets AVM_CI_EXPECT_WARM=1, turning this test into the hard contract:
   // zero backend compiles, all machine code from disk.
-  if (!jit::SourceJit::Available()) GTEST_SKIP() << "no host compiler";
+  if (!jit::HostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
   if (std::getenv("AVM_TRACE_CACHE_DIR") == nullptr) {
     GTEST_SKIP() << "AVM_TRACE_CACHE_DIR unset";
   }

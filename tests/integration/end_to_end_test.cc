@@ -6,7 +6,7 @@
 #include "dsl/parser.h"
 #include "dsl/printer.h"
 #include "dsl/typecheck.h"
-#include "jit/source_jit.h"
+#include "jit/jit_backend.h"
 #include "storage/datagen.h"
 #include "vm/adaptive_vm.h"
 
@@ -117,7 +117,7 @@ TEST(EndToEndTest, InterpretedOnly) {
 }
 
 TEST(EndToEndTest, AdaptiveJitMatchesInterpreter) {
-  if (!jit::SourceJit::Available()) GTEST_SKIP();
+  if (!jit::HostCompilerAvailable()) GTEST_SKIP();
   Column prices = MakePriceColumn(131072, false);
   vm::VmOptions interp_only;
   interp_only.enable_jit = false;
@@ -136,7 +136,7 @@ TEST(EndToEndTest, AdaptiveJitMatchesInterpreter) {
 }
 
 TEST(EndToEndTest, MixedSchemesForceFallbackAndStayCorrect) {
-  if (!jit::SourceJit::Available()) GTEST_SKIP();
+  if (!jit::HostCompilerAvailable()) GTEST_SKIP();
   Column prices = MakePriceColumn(262144, true);
   vm::VmOptions interp_only;
   interp_only.enable_jit = false;

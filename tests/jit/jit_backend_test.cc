@@ -1,15 +1,16 @@
-// Unit tests for the pluggable JIT backend seam: tier resolution, artifact
-// compilation/memoization, version hashing, and the process-global
-// ArtifactLoader.
+// Unit tests for the JIT compile path: tier resolution, host-compiler
+// availability, artifact compilation/memoization, version hashing, scratch
+// file cleanup, and the process-global ArtifactLoader.
 #include "jit/jit_backend.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
+#include <iterator>
 #include <string>
 #include <vector>
 
-#include "jit/backend_cc.h"
 #include "util/string_util.h"
 
 namespace avm::jit {
@@ -44,6 +45,17 @@ class ScopedEnv {
   bool had_old_ = false;
   std::string old_;
 };
+
+/// Entries currently in the process's JIT scratch directory.
+size_t ScratchEntries() {
+  std::filesystem::directory_iterator it(JitScratchDir());
+  return static_cast<size_t>(std::distance(begin(it), end(it)));
+}
+
+TEST(JitBackendTest, HostCompilerAvailableInBuildEnvironment) {
+  // The build environment compiled this test, so a compiler must exist.
+  EXPECT_TRUE(HostCompilerAvailable());
+}
 
 TEST(JitBackendTest, TierAndPolicyNames) {
   EXPECT_STREQ(TierName(JitTier::kFast), "fast");
@@ -90,14 +102,16 @@ TEST(JitBackendTest, BackendForTierDispatch) {
 TEST(JitBackendTest, VersionHashDistinguishesTiers) {
   // The two tiers compile with different flag sets, so their artifacts must
   // never satisfy each other's disk-cache lookups.
-  EXPECT_NE(CcBackendO0().version_hash(), CcBackendO2().version_hash());
+  EXPECT_NE(BackendForTier(JitTier::kFast).version_hash(),
+            BackendForTier(JitTier::kOptimized).version_hash());
   // Stable within a process: the hash is part of on-disk filenames.
-  EXPECT_EQ(CcBackendO0().version_hash(), CcBackendO0().version_hash());
+  EXPECT_EQ(BackendForTier(JitTier::kFast).version_hash(),
+            BackendForTier(JitTier::kFast).version_hash());
 }
 
 TEST(JitBackendTest, CompileProducesLoadableArtifact) {
-  JitBackend& backend = CcBackendO0();
-  if (!backend.Available()) GTEST_SKIP() << "no host compiler";
+  if (!HostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
+  CcBackend& backend = BackendForTier(JitTier::kFast);
   const std::string source =
       "extern \"C\" long long avm_backend_probe(long long x) {"
       " return x * 3 + 7; }";
@@ -117,8 +131,8 @@ TEST(JitBackendTest, CompileProducesLoadableArtifact) {
 }
 
 TEST(JitBackendTest, CompileMemoizesIdenticalSources) {
-  JitBackend& backend = CcBackendO2();
-  if (!backend.Available()) GTEST_SKIP() << "no host compiler";
+  if (!HostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
+  CcBackend& backend = BackendForTier(JitTier::kOptimized);
   const std::string source =
       "extern \"C\" long long avm_backend_memo(long long x) {"
       " return x - 9; }";
@@ -134,14 +148,27 @@ TEST(JitBackendTest, CompileMemoizesIdenticalSources) {
 }
 
 TEST(JitBackendTest, CompileFailureCarriesCompilerLog) {
-  JitBackend& backend = CcBackendO0();
-  if (!backend.Available()) GTEST_SKIP() << "no host compiler";
-  auto artifact =
-      backend.Compile("this is not C++ at all;", "nope", nullptr);
+  if (!HostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
+  auto artifact = BackendForTier(JitTier::kFast).Compile(
+      "this is not C++ at all;", "nope", nullptr);
   ASSERT_FALSE(artifact.ok());
+  EXPECT_TRUE(artifact.status().IsCompilationError());
   // The status must carry the compiler's diagnostics, not just "failed".
   EXPECT_NE(artifact.status().ToString().find("error"), std::string::npos)
       << artifact.status().ToString();
+}
+
+TEST(JitBackendTest, CompileLeavesNoScratchFiles) {
+  if (!HostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
+  CcBackend& backend = BackendForTier(JitTier::kFast);
+  const size_t before = ScratchEntries();
+  // A compiler error must not leave its .cc/.log behind.
+  ASSERT_FALSE(backend.Compile("this is not C++;", "nope", nullptr).ok());
+  EXPECT_EQ(ScratchEntries(), before);
+  const std::string source =
+      "extern \"C\" int avm_scratch_probe() { return 1; }";
+  ASSERT_TRUE(backend.Compile(source, "avm_scratch_probe", nullptr).ok());
+  EXPECT_EQ(ScratchEntries(), before);
 }
 
 TEST(JitBackendTest, LoaderRejectsEmptyArtifact) {
@@ -150,8 +177,18 @@ TEST(JitBackendTest, LoaderRejectsEmptyArtifact) {
   EXPECT_FALSE(sym.ok());
 }
 
+TEST(JitBackendTest, LoaderRejectsMissingSymbol) {
+  if (!HostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
+  auto artifact = BackendForTier(JitTier::kFast).Compile(
+      "extern \"C\" void avm_something_else() {}\n", "wrong_name", nullptr);
+  ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
+  auto sym = ArtifactLoader::Global().Load(artifact.value(), "wrong_name");
+  ASSERT_FALSE(sym.ok());
+  EXPECT_TRUE(sym.status().IsCompilationError());
+}
+
 TEST(JitBackendTest, BackendMemoBoundedByEntryCountWithEviction) {
-  if (!CcBackendO0().Available()) GTEST_SKIP() << "no host compiler";
+  if (!HostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
   // Private backend with a tiny memo: churning distinct traces past the
   // cap must evict oldest-first and keep compiling correctly.
   CcBackend backend("cc-test", JitTier::kFast, "-O0",
@@ -187,7 +224,7 @@ TEST(JitBackendTest, BackendMemoBoundedByEntryCountWithEviction) {
 }
 
 TEST(JitBackendTest, BackendMemoBoundedByTotalBytes) {
-  if (!CcBackendO0().Available()) GTEST_SKIP() << "no host compiler";
+  if (!HostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
   // A 1-byte cap means no artifact is ever retained — every compile evicts
   // itself — yet compilation keeps working.
   CcBackend backend("cc-test-bytes", JitTier::kFast, "-O0",
@@ -205,8 +242,8 @@ TEST(JitBackendTest, BackendMemoBoundedByTotalBytes) {
 }
 
 TEST(JitBackendTest, LoaderMemoBoundedWithReloadAfterEviction) {
-  JitBackend& backend = CcBackendO0();
-  if (!backend.Available()) GTEST_SKIP() << "no host compiler";
+  if (!HostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
+  CcBackend& backend = BackendForTier(JitTier::kFast);
   ArtifactLoader loader(/*memo_limit=*/2);
   std::vector<JitArtifact> artifacts;
   std::vector<std::string> symbols;
@@ -232,8 +269,8 @@ TEST(JitBackendTest, LoaderMemoBoundedWithReloadAfterEviction) {
 }
 
 TEST(JitBackendTest, LoaderMemoizesByBytesAndSymbol) {
-  JitBackend& backend = CcBackendO0();
-  if (!backend.Available()) GTEST_SKIP() << "no host compiler";
+  if (!HostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
+  CcBackend& backend = BackendForTier(JitTier::kFast);
   const std::string source =
       "extern \"C\" long long avm_loader_memo(long long x) {"
       " return x + 1; }";

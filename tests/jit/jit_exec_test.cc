@@ -9,7 +9,7 @@
 #include "util/rng.h"
 #include "dsl/typecheck.h"
 #include "interp/interpreter.h"
-#include "jit/source_jit.h"
+#include "jit/jit_backend.h"
 #include "jit/trace_compiler.h"
 
 namespace avm::jit {
@@ -52,7 +52,7 @@ Result<CompiledFixture> Compile(dsl::Program program, bool allow_filter,
 }
 
 TEST(JitExecTest, Figure2CompiledMatchesInterpreted) {
-  if (!SourceJit::Available()) GTEST_SKIP();
+  if (!HostCompilerAvailable()) GTEST_SKIP();
   const int64_t kN = 8192;
   std::vector<int64_t> data(kN);
   for (int64_t i = 0; i < kN; ++i) data[i] = (i % 7) - 3;
@@ -92,7 +92,7 @@ TEST(JitExecTest, Figure2CompiledMatchesInterpreted) {
 }
 
 TEST(JitExecTest, MapPipelineCompiled) {
-  if (!SourceJit::Available()) GTEST_SKIP();
+  if (!HostCompilerAvailable()) GTEST_SKIP();
   const int64_t kN = 5000;
   auto program = dsl::MakeMapPipeline(
       TypeId::kI64,
@@ -118,7 +118,7 @@ TEST(JitExecTest, MapPipelineCompiled) {
 }
 
 TEST(JitExecTest, HypotPipelineCompiledFloats) {
-  if (!SourceJit::Available()) GTEST_SKIP();
+  if (!HostCompilerAvailable()) GTEST_SKIP();
   const int64_t kN = 3000;
   auto fx = Compile(dsl::MakeHypotPipeline(kN), false);
   ASSERT_TRUE(fx.ok()) << fx.status().ToString();
@@ -146,7 +146,7 @@ TEST(JitExecTest, HypotPipelineCompiledFloats) {
 }
 
 TEST(JitExecTest, FoldTraceSetsScalarBinding) {
-  if (!SourceJit::Available()) GTEST_SKIP();
+  if (!HostCompilerAvailable()) GTEST_SKIP();
   const int64_t kN = 4096;
   auto fx = Compile(dsl::MakeSumPipeline(TypeId::kI64, kN), false);
   ASSERT_TRUE(fx.ok()) << fx.status().ToString();
@@ -177,7 +177,7 @@ TEST(JitExecTest, FoldTraceSetsScalarBinding) {
 }
 
 TEST(JitExecTest, ForSpecializedTraceOnCompressedColumn) {
-  if (!SourceJit::Available()) GTEST_SKIP();
+  if (!HostCompilerAvailable()) GTEST_SKIP();
   const uint32_t kN = 65536;  // exactly one FOR block at default block size
   Column col(TypeId::kI64, kDefaultBlockSize);
   std::vector<int64_t> data(kN);
@@ -213,7 +213,7 @@ TEST(JitExecTest, ForSpecializedTraceOnCompressedColumn) {
 }
 
 TEST(JitExecTest, SchemeMismatchFallsBackToInterpretation) {
-  if (!SourceJit::Available()) GTEST_SKIP();
+  if (!HostCompilerAvailable()) GTEST_SKIP();
   // Column with a PLAIN block: the FOR-specialized trace must not run.
   const uint32_t kN = 4096;
   Column col(TypeId::kI64, kN);
@@ -252,7 +252,7 @@ TEST(JitExecTest, SchemeMismatchFallsBackToInterpretation) {
 }
 
 TEST(JitExecTest, FilterPipelineCompiledWithCondense) {
-  if (!SourceJit::Available()) GTEST_SKIP();
+  if (!HostCompilerAvailable()) GTEST_SKIP();
   const int64_t kN = 6000;
   auto fx = Compile(
       dsl::MakeFilterPipeline(
@@ -388,7 +388,7 @@ Program MakeCondensingCursorPipeline(int64_t limit) {
 }  // namespace abi
 
 TEST(JitExecTest, GatherTraceCompiledMatchesInterpreted) {
-  if (!SourceJit::Available()) GTEST_SKIP();
+  if (!HostCompilerAvailable()) GTEST_SKIP();
   const int64_t kN = 8192, kBase = 512;
   auto fx = Compile(abi::MakeGatherPipeline(kN, kBase, true), false);
   ASSERT_TRUE(fx.ok()) << fx.status().ToString();
@@ -428,7 +428,7 @@ TEST(JitExecTest, GatherTraceCompiledMatchesInterpreted) {
 }
 
 TEST(JitExecTest, GatherFaultRaisesInterpreterIdenticalError) {
-  if (!SourceJit::Available()) GTEST_SKIP();
+  if (!HostCompilerAvailable()) GTEST_SKIP();
   const int64_t kN = 4096, kBase = 128;
   // UNclamped indices: both paths must fail with the SAME OutOfRange.
   auto fx = Compile(abi::MakeGatherPipeline(kN, kBase, false), false);
@@ -464,7 +464,7 @@ TEST(JitExecTest, GatherFaultRaisesInterpreterIdenticalError) {
 }
 
 TEST(JitExecTest, ScatterTraceCompiledMatchesInterpreted) {
-  if (!SourceJit::Available()) GTEST_SKIP();
+  if (!HostCompilerAvailable()) GTEST_SKIP();
   const int64_t kN = 8192, kGroups = 16;
   auto fx = Compile(abi::MakeScatterPipeline(kN, kGroups), false);
   ASSERT_TRUE(fx.ok()) << fx.status().ToString();
@@ -498,7 +498,7 @@ TEST(JitExecTest, ScatterTraceCompiledMatchesInterpreted) {
 }
 
 TEST(JitExecTest, LetBoundWriteCountPublishesCursorAdvance) {
-  if (!SourceJit::Available()) GTEST_SKIP();
+  if (!HostCompilerAvailable()) GTEST_SKIP();
   const int64_t kN = 8192;
   auto fx = Compile(abi::MakeCondensingCursorPipeline(kN),
                     /*allow_filter=*/true);
@@ -539,7 +539,7 @@ TEST(JitExecTest, FilterDependentScatterTraceCompiles) {
   // A scatter consuming the filtered value: the generated code must
   // declare/advance the guard-survivor counter `cnt` even though no
   // condensed buffer output exists (out_counts/scalars report it).
-  if (!SourceJit::Available()) GTEST_SKIP();
+  if (!HostCompilerAvailable()) GTEST_SKIP();
   using namespace dsl;
   const int64_t kN = 8192, kGroups = 8;
   Program p;

@@ -10,7 +10,6 @@
 #include <cstdlib>
 #include <string>
 
-#include "jit/backend_cc.h"
 #include "jit/jit_backend.h"
 
 namespace avm::jit {
@@ -39,8 +38,8 @@ TEST(ScratchDirTest, HonorsTmpdirAtFirstUse) {
 
   // The whole pipeline — compile scratch files, artifact materialization
   // for dlopen — works out of the redirected directory.
-  JitBackend& backend = CcBackendO0();
-  if (!backend.Available()) GTEST_SKIP() << "no host compiler";
+  if (!HostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
+  CcBackend& backend = BackendForTier(JitTier::kFast);
   const std::string source =
       "extern \"C\" long long avm_tmpdir_probe(long long x) {"
       " return x * 2 + 1; }";

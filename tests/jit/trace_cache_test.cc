@@ -9,18 +9,10 @@
 namespace avm::jit {
 namespace {
 
-TEST(SelectivityBucketTest, Buckets) {
-  EXPECT_EQ(BucketOf(0.01), SelectivityBucket::kLow);
-  EXPECT_EQ(BucketOf(0.5), SelectivityBucket::kMid);
-  EXPECT_EQ(BucketOf(0.99), SelectivityBucket::kHigh);
-  EXPECT_STREQ(BucketName(SelectivityBucket::kLow), "low");
-}
-
 TEST(SituationTest, KeyDependsOnEveryComponent) {
   Situation base;
   base.trace_fingerprint = 123;
   base.schemes["col"] = Scheme::kFor;
-  base.selectivity = SelectivityBucket::kMid;
 
   Situation other = base;
   other.trace_fingerprint = 124;
@@ -34,8 +26,10 @@ TEST(SituationTest, KeyDependsOnEveryComponent) {
   other.schemes["col2"] = Scheme::kRle;
   EXPECT_NE(base.Key(), other.Key());
 
+  // The positional and the selection-specialized variants of one trace
+  // are distinct entries.
   other = base;
-  other.selectivity = SelectivityBucket::kHigh;
+  other.sel_inputs = {"x"};
   EXPECT_NE(base.Key(), other.Key());
 
   EXPECT_EQ(base.Key(), base.Key());

@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "engine/session.h"
-#include "jit/source_jit.h"
+#include "jit/jit_backend.h"
 
 namespace avm::relational {
 namespace {
@@ -31,7 +31,7 @@ TEST_P(Q1Differential, AllStrategiesAgree) {
   ASSERT_TRUE(compact.ok()) << compact.status().ToString();
   EXPECT_EQ(compact.value(), oracle.value()) << "compact mismatch";
 
-  if (jit::SourceJit::Available()) {
+  if (jit::HostCompilerAvailable()) {
     auto compiled = RunQ1CompiledWholeQuery(*table);
     ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
     EXPECT_EQ(compiled.value(), oracle.value()) << "whole-query mismatch";
@@ -59,7 +59,7 @@ TEST(Q1AdaptiveVmTest, InterpretedDslMatchesOracle) {
 }
 
 TEST(Q1AdaptiveVmTest, JitCompiledDslMatchesOracle) {
-  if (!jit::SourceJit::Available()) GTEST_SKIP();
+  if (!jit::HostCompilerAvailable()) GTEST_SKIP();
   LineitemSpec spec;
   spec.num_rows = 120'000;
   auto table = MakeLineitem(spec);

@@ -4,7 +4,7 @@
 
 #include "dsl/builder.h"
 #include "dsl/typecheck.h"
-#include "jit/source_jit.h"
+#include "jit/jit_backend.h"
 #include "storage/datagen.h"
 
 namespace avm::vm {
@@ -53,7 +53,7 @@ TEST(AdaptiveVmTest, JitDisabledStillCorrect) {
 }
 
 TEST(AdaptiveVmTest, CompilesAndInjectsMidRun) {
-  if (!jit::SourceJit::Available()) GTEST_SKIP();
+  if (!jit::HostCompilerAvailable()) GTEST_SKIP();
   const int64_t kN = 64 * 1024;  // 64 chunks: warmup + compiled phase
   dsl::Program p = dsl::MakeFigure2Program(kN);
   ASSERT_TRUE(dsl::TypeCheck(&p).ok());
@@ -90,7 +90,7 @@ TEST(AdaptiveVmTest, CompilesAndInjectsMidRun) {
 }
 
 TEST(AdaptiveVmTest, SchemeChangeTriggersFallbackAndRespecialization) {
-  if (!jit::SourceJit::Available()) GTEST_SKIP();
+  if (!jit::HostCompilerAvailable()) GTEST_SKIP();
   // Column whose scheme flips from FOR to PLAIN mid-column: the FOR-
   // specialized trace must stop applying (fallback), and the recheck pass
   // must install a plain variant.
@@ -145,7 +145,7 @@ TEST(AdaptiveVmTest, SchemeChangeTriggersFallbackAndRespecialization) {
 }
 
 TEST(AdaptiveVmTest, TraceCacheReusedAcrossSituationRecurrence) {
-  if (!jit::SourceJit::Available()) GTEST_SKIP();
+  if (!jit::HostCompilerAvailable()) GTEST_SKIP();
   const int64_t kN = 96 * 1024;
   dsl::Program p = dsl::MakeFigure2Program(kN);
   ASSERT_TRUE(dsl::TypeCheck(&p).ok());
@@ -162,7 +162,7 @@ TEST(AdaptiveVmTest, TraceCacheReusedAcrossSituationRecurrence) {
 }
 
 TEST(AdaptiveVmTest, ShortRunStaysInterpreted) {
-  if (!jit::SourceJit::Available()) GTEST_SKIP();
+  if (!jit::HostCompilerAvailable()) GTEST_SKIP();
   // Fewer iterations than the optimize threshold: never compiles — the
   // paper's "interpret cold code and short-running programs".
   const int64_t kN = 2048;  // 2 iterations
