@@ -24,15 +24,20 @@
 
 namespace avm::analysis {
 
-/// How the engine binds a program-level data array — the analysis-layer
-/// mirror of engine::BindRole (analysis depends only on dsl/ir, so the
-/// engine translates its roles into these when calling the verifier).
+/// How the engine binds a program-level data array for a morsel-parallel
+/// run (engine::BindRole is this enum).
 enum class BindingRole : uint8_t {
-  kInput,          ///< read-only morsel-sliced column
-  kShared,         ///< read-only whole array (dims, join tables, payloads)
-  kOutput,         ///< writable whole array
-  kAccumulator,    ///< privatized per-worker zeroed copy, merged after
-  kPartialOutput,  ///< writable morsel-sliced row window
+  kInput,        ///< read-only, row-partitioned: worker w sees its slice
+  kShared,       ///< read-only, replicated: every worker sees the whole array
+  kOutput,       ///< writable, row-partitioned: worker w writes its slice
+  kAccumulator,  ///< writable, privatized: zeroed per-task copy, summed after
+  /// Writable, row-partitioned *window*: each morsel owns its slice but may
+  /// write any data-dependent PREFIX of it (condensing writes). The engine
+  /// does not stitch the prefixes together; the query's task hook records
+  /// each morsel's written count and its finalize hook merges the runs at
+  /// the barrier — this is how condensing/materializing pipelines (ORDER BY,
+  /// row output) run morsel-parallel instead of falling back to serial.
+  kPartialOutput,
 };
 
 /// One engine binding the program's data arrays resolve against.

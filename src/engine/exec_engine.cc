@@ -63,48 +63,6 @@ std::string ExecReport::ToString() const {
   return out;
 }
 
-void SumMerge(TypeId type, void* master, const void* partial, uint64_t len) {
-  switch (type) {
-    case TypeId::kBool:
-    case TypeId::kI8:
-      for (uint64_t i = 0; i < len; ++i) {
-        static_cast<int8_t*>(master)[i] +=
-            static_cast<const int8_t*>(partial)[i];
-      }
-      break;
-    case TypeId::kI16:
-      for (uint64_t i = 0; i < len; ++i) {
-        static_cast<int16_t*>(master)[i] +=
-            static_cast<const int16_t*>(partial)[i];
-      }
-      break;
-    case TypeId::kI32:
-      for (uint64_t i = 0; i < len; ++i) {
-        static_cast<int32_t*>(master)[i] +=
-            static_cast<const int32_t*>(partial)[i];
-      }
-      break;
-    case TypeId::kI64:
-      for (uint64_t i = 0; i < len; ++i) {
-        static_cast<int64_t*>(master)[i] +=
-            static_cast<const int64_t*>(partial)[i];
-      }
-      break;
-    case TypeId::kF32:
-      for (uint64_t i = 0; i < len; ++i) {
-        static_cast<float*>(master)[i] +=
-            static_cast<const float*>(partial)[i];
-      }
-      break;
-    case TypeId::kF64:
-      for (uint64_t i = 0; i < len; ++i) {
-        static_cast<double*>(master)[i] +=
-            static_cast<const double*>(partial)[i];
-      }
-      break;
-  }
-}
-
 // ------------------------------------------------------------- ExecContext
 
 ExecContext::ExecContext(ProgramFactory make_program, uint64_t total_rows)
@@ -116,7 +74,7 @@ ExecContext::ExecContext(const dsl::Program* program)
 ExecContext& ExecContext::BindInput(const std::string& name,
                                     interp::DataBinding b) {
   if (total_rows_ == 0) total_rows_ = b.len;
-  bound_.push_back({name, BindRole::kInput, b, nullptr});
+  bound_.push_back({name, BindRole::kInput, b});
   return *this;
 }
 
@@ -127,14 +85,14 @@ ExecContext& ExecContext::BindInputColumn(const std::string& name,
 
 ExecContext& ExecContext::BindShared(const std::string& name,
                                      interp::DataBinding b) {
-  bound_.push_back({name, BindRole::kShared, b, nullptr});
+  bound_.push_back({name, BindRole::kShared, b});
   return *this;
 }
 
 ExecContext& ExecContext::BindOutput(const std::string& name,
                                      interp::DataBinding b) {
   b.writable = true;
-  bound_.push_back({name, BindRole::kOutput, b, nullptr});
+  bound_.push_back({name, BindRole::kOutput, b});
   return *this;
 }
 
@@ -142,7 +100,7 @@ ExecContext& ExecContext::BindPartialOutput(const std::string& name,
                                             interp::DataBinding b,
                                             uint64_t row_scale) {
   b.writable = true;
-  Bound nb{name, BindRole::kPartialOutput, b, nullptr,
+  Bound nb{name, BindRole::kPartialOutput, b,
            std::max<uint64_t>(row_scale, 1), false};
   // Upsert: the prepare hook re-decides in-memory vs scratch windows per
   // submission, replacing the previous binding of the same name.
@@ -161,7 +119,7 @@ ExecContext& ExecContext::BindPartialOutputScratch(const std::string& name,
                                                    uint64_t row_scale) {
   // Shape-only binding: no storage; the engine allocates a window per task.
   interp::DataBinding b = interp::DataBinding::Raw(type, nullptr, 0, true);
-  Bound nb{name, BindRole::kPartialOutput, b, nullptr,
+  Bound nb{name, BindRole::kPartialOutput, b,
            std::max<uint64_t>(row_scale, 1), true};
   for (auto& existing : bound_) {
     if (existing.role == BindRole::kPartialOutput && existing.name == name) {
@@ -174,12 +132,17 @@ ExecContext& ExecContext::BindPartialOutputScratch(const std::string& name,
 }
 
 ExecContext& ExecContext::BindAccumulator(const std::string& name, TypeId type,
-                                          void* data, uint64_t len,
-                                          MergeFn merge) {
+                                          void* data, uint64_t len) {
   bound_.push_back({name, BindRole::kAccumulator,
-                    interp::DataBinding::Raw(type, data, len, true),
-                    std::move(merge)});
+                    interp::DataBinding::Raw(type, data, len, true)});
   return *this;
+}
+
+std::vector<analysis::BindingInfo> ExecContext::BindingTable() const {
+  std::vector<analysis::BindingInfo> table;
+  table.reserve(bound_.size());
+  for (const Bound& b : bound_) table.push_back({b.name, b.role, b.row_scale});
+  return table;
 }
 
 }  // namespace avm::engine

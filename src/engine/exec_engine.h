@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/verify_program.h"
 #include "engine/memory_tracker.h"
 #include "engine/morsel.h"
 #include "util/status.h"
@@ -55,9 +56,11 @@ struct QueryOptions {
   uint64_t memory_budget = 0;
 };
 
-/// Unified result of one engine run — the merger of the old ad-hoc
-/// VmReport / profiler-string plumbing, plus parallelism and device info.
-struct ExecReport {
+/// Unified result of one engine run: the adaptive-VM counters of every
+/// task (inherited from vm::VmReport, summed across the query's tasks;
+/// state_timeline and profile are the first morsel's worker's), plus
+/// parallelism, device and out-of-core info.
+struct ExecReport : vm::VmReport {
   ExecutionStrategy strategy = ExecutionStrategy::kAdaptiveJit;
   std::string device = "cpu";  ///< "cpu" or "gpu-sim"
   /// SIMD kernel tier the query's interpreters dispatched to ("scalar",
@@ -75,58 +78,6 @@ struct ExecReport {
   /// request on the floor.
   std::string ran_serial_reason;
 
-  // Merged adaptive-VM counters (summed across workers).
-  uint64_t iterations = 0;
-  uint64_t traces_compiled = 0;
-  uint64_t traces_reused = 0;
-  uint64_t injection_runs = 0;
-  uint64_t injection_fallbacks = 0;
-  double compile_seconds = 0;
-
-  /// JIT tier policy the query's VMs compiled under ("tiered", "fast",
-  /// "opt"): AVM_JIT_TIER / VmOptions::jit_tier_policy resolved.
-  std::string jit_tier;
-  /// Per-tier split of traces_compiled with backend wall time: fast (-O0)
-  /// first-execution compiles vs optimized (-O2) compiles.
-  uint64_t fast_compiles = 0;
-  uint64_t opt_compiles = 0;
-  double fast_compile_seconds = 0;
-  double opt_compile_seconds = 0;
-  /// Persistent trace-cache traffic (AVM_TRACE_CACHE_DIR): situations whose
-  /// machine code loaded from disk instead of compiling — disk hits do NOT
-  /// count into traces_compiled, which is exactly the warm-restart
-  /// guarantee (`traces_compiled == 0 && disk_cache_hits > 0` after a
-  /// restart) — plus probed-but-absent misses and corrupt entries detected,
-  /// deleted and recompiled.
-  uint64_t disk_cache_hits = 0;
-  uint64_t disk_cache_misses = 0;
-  uint64_t disk_cache_corrupt = 0;
-  /// Hotness-triggered background fast→optimized tier upgrades: requested
-  /// by this query's injections; completed = re-published by report time.
-  uint64_t tier_upgrades_requested = 0;
-  uint64_t tier_upgrades = 0;
-
-  /// Non-empty when the adaptive VM considered a hot trace but declined to
-  /// compile it (first reason observed). A shape decline is the JIT gate's
-  /// first diagnostic, rule id included ("[expand-in-trace] ..."); the rule
-  /// table in docs/VERIFIER.md lists the genuinely unsupported shapes
-  /// (merge/gen skeletons, chunk-array gather bases, multi-filter traces,
-  /// exotic scatter conflict functions, non-affine positions, ...). The
-  /// query still completes — uncompiled fragments run
-  /// vectorized-interpreted — but the decline is reported instead of
-  /// silently looking like "nothing was hot".
-  std::string jit_declined;
-
-  /// Candidate traces the JIT gate (analysis::VerifyTrace) checked,
-  /// summed across workers.
-  uint64_t verifier_checked = 0;
-
-  /// Fig. 1 state-machine timeline and profiler dump of the worker that
-  /// executed the first morsel (representative; per-worker dumps would be
-  /// near-identical).
-  std::string state_timeline;
-  std::string profile;
-
   /// Simulated device seconds consumed (kGpuOffload only).
   double gpu_sim_seconds = 0;
 
@@ -134,38 +85,18 @@ struct ExecReport {
   /// sorted-run payload the query wrote to its storage::SpillFile (0 when
   /// everything fit in budget). peak_tracked_bytes: high-water mark of the
   /// query's MemoryTracker — may exceed the budget by the documented
-  /// transient-scratch overshoot. chunks_streamed: compressed column blocks
-  /// decoded one super-chunk at a time by streaming scan cursors.
+  /// transient-scratch overshoot.
   uint64_t bytes_spilled = 0;
   uint64_t spill_runs = 0;
   uint64_t peak_tracked_bytes = 0;
-  uint64_t chunks_streamed = 0;
 
   std::string ToString() const;
 };
 
-/// How a bound array participates in a morsel-parallel run.
-enum class BindRole : uint8_t {
-  kInput,        ///< read-only, row-partitioned: worker w sees its slice
-  kShared,       ///< read-only, replicated: every worker sees the whole array
-  kOutput,       ///< writable, row-partitioned: worker w writes its slice
-  kAccumulator,  ///< writable, privatized: zeroed per-worker copy, merged
-  /// Writable, row-partitioned *window*: each morsel owns its slice but may
-  /// write any data-dependent PREFIX of it (condensing writes). The engine
-  /// does not stitch the prefixes together; the query's task hook records
-  /// each morsel's written count and its finalize hook merges the runs at
-  /// the barrier — this is how condensing/materializing pipelines (ORDER BY,
-  /// row output) run morsel-parallel instead of falling back to serial.
-  kPartialOutput,
-};
-
-/// Merges one worker's accumulator partial into the master array.
-using MergeFn = std::function<void(TypeId type, void* master,
-                                   const void* partial, uint64_t len)>;
-
-/// Element-wise sum — correct for additive aggregates (sums, counts), which
-/// is what kScatter/kFold accumulator programs produce.
-void SumMerge(TypeId type, void* master, const void* partial, uint64_t len);
+/// How a bound array participates in a morsel-parallel run; the verifier's
+/// enum, so the binding table needs no translation (see
+/// analysis::BindingRole for each role).
+using BindRole = analysis::BindingRole;
 
 /// Memory context the engine hands a query's prepare hook: the tracker its
 /// persistent charges go to, how many workers may run tasks concurrently
@@ -228,12 +159,11 @@ class ExecContext {
   /// slice. Only valid for programs whose output position tracks the input
   /// position (maps); condensing programs must run serially.
   ExecContext& BindOutput(const std::string& name, interp::DataBinding b);
-  /// Writable accumulator: each worker aggregates into a private zeroed
-  /// copy; partials are merged into the master at the barrier (default:
-  /// element-wise sum).
+  /// Writable accumulator: each task aggregates into a private zeroed
+  /// copy, summed element-wise into the master when the task succeeds
+  /// (additive aggregates: sums, counts).
   ExecContext& BindAccumulator(const std::string& name, TypeId type,
-                               void* data, uint64_t len,
-                               MergeFn merge = SumMerge);
+                               void* data, uint64_t len);
   /// Writable per-morsel window (see BindRole::kPartialOutput): worker w
   /// writes a data-dependent prefix of its row slice. Pair with a task hook
   /// that reads the written count and a finalize hook that merges the runs.
@@ -259,9 +189,10 @@ class ExecContext {
 
   /// Per-task hook: called after each task's interpreter finishes, before
   /// accumulator merge, with the row range the task covered (serial runs
-  /// see one task spanning every row). Parallel runs call it under the
+  /// see one task spanning every row). Every task calls it under the
   /// query's merge mutex, so bodies may mutate query-owned state without
-  /// extra locking; cancelled or failed tasks skip it. Queries with
+  /// extra locking; failed tasks skip it, and so does every task that
+  /// finishes after the query was cancelled. Queries with
   /// kPartialOutput windows use it to read the per-morsel written count and
   /// partial-sort their window; tests and examples use it to read adaptive
   /// interpreter state (e.g. the preferred filter flavor). A context with
@@ -316,6 +247,10 @@ class ExecContext {
   uint64_t total_rows() const { return total_rows_; }
   bool parallelizable() const { return make_program_ != nullptr; }
 
+  /// Every binding's (name, role, row_scale), in bind order: the table
+  /// analysis::VerifyProgram checks a program against.
+  std::vector<analysis::BindingInfo> BindingTable() const;
+
  private:
   friend class Session;
 
@@ -323,7 +258,6 @@ class ExecContext {
     std::string name;
     BindRole role;
     interp::DataBinding binding;  ///< full-extent binding
-    MergeFn merge;                ///< kAccumulator only
     /// kPartialOutput only: window rows per input row (fan-out factor).
     uint64_t row_scale = 1;
     /// kPartialOutput only: engine-allocated per-task scratch window

@@ -1971,60 +1971,10 @@ Result<Query> QueryBuilder::Build() {
   AVM_RETURN_NOT_OK(MutableSpec().Resolve());
 
   // Lower once now so shape/type errors surface at Build time instead of
-  // from a worker thread mid-query, then statically verify the lowered
-  // program against the roles this Build is about to bind (always on:
-  // docs/VERIFIER.md level 1). The probe is representative — lowering is
-  // deterministic and row-count-independent in shape.
-  {
-    AVM_ASSIGN_OR_RETURN(dsl::Program probe, spec_->Lower(4096));
-    AVM_RETURN_NOT_OK(dsl::TypeCheck(&probe));
-    const Spec& bspec = *spec_;
-    std::vector<analysis::BindingInfo> binds;
-    for (const auto& c : bspec.columns) {
-      binds.push_back({c, analysis::BindingRole::kInput, 1});
-    }
-    for (size_t i = 0; i < bspec.dims.size(); ++i) {
-      binds.push_back({bspec.DimName(i), analysis::BindingRole::kShared, 1});
-    }
-    for (size_t i = 0; i < bspec.joins.size(); ++i) {
-      const Spec::JoinDim& jd = bspec.joins[i];
-      if (jd.dense) {
-        binds.push_back(
-            {bspec.JoinMatchName(i), analysis::BindingRole::kShared, 1});
-      } else {
-        binds.push_back(
-            {bspec.JoinBucketName(i), analysis::BindingRole::kShared, 1});
-        binds.push_back(
-            {bspec.JoinEntKeyName(i), analysis::BindingRole::kShared, 1});
-        binds.push_back(
-            {bspec.JoinEntRowName(i), analysis::BindingRole::kShared, 1});
-      }
-      for (size_t j = 0; j < jd.pays.size(); ++j) {
-        binds.push_back(
-            {bspec.JoinPayName(i, j), analysis::BindingRole::kShared, 1});
-      }
-    }
-    for (const Spec::Agg& sa : bspec.aggs) {
-      binds.push_back(
-          {Spec::AccName(sa.name), analysis::BindingRole::kAccumulator, 1});
-      if (sa.kind == Spec::AggKind::kAvgF64) {
-        binds.push_back({Spec::AvgCntName(sa.name),
-                         analysis::BindingRole::kAccumulator, 1});
-      }
-    }
-    if (bspec.row_mode) {
-      for (const auto& oc : bspec.out_cols) {
-        binds.push_back({Spec::OutName(oc),
-                         analysis::BindingRole::kPartialOutput,
-                         bspec.fan_out});
-      }
-    }
-    analysis::VerifyResult vr = analysis::VerifyProgram(probe, binds);
-    if (!vr.clean()) {
-      return Status::InvalidArgument(
-          "lowered program failed static verification:\n" + vr.ToString());
-    }
-  }
+  // from a worker thread mid-query. The probe is representative — lowering
+  // is deterministic and row-count-independent in shape.
+  AVM_ASSIGN_OR_RETURN(dsl::Program probe, spec_->Lower(4096));
+  AVM_RETURN_NOT_OK(dsl::TypeCheck(&probe));
 
   auto impl = std::make_unique<Query::Impl>(spec_, spec_->table->num_rows());
   const Spec& spec = *impl->spec;
@@ -2097,6 +2047,22 @@ Result<Query> QueryBuilder::Build() {
                                   slot.cnt.data(), spec.num_groups);
         break;
     }
+  }
+  // Row-output windows are bound by shape here; the prepare hook rebinds
+  // them (resident or scratch) on every submission.
+  if (spec.row_mode) {
+    for (size_t i = 0; i < spec.out_cols.size(); ++i) {
+      impl->ctx.BindPartialOutputScratch(Spec::OutName(spec.out_cols[i]),
+                                         spec.out_types[i], spec.fan_out);
+    }
+  }
+  // Statically verify the probe against the roles just bound (always on:
+  // docs/VERIFIER.md level 1).
+  analysis::VerifyResult vr =
+      analysis::VerifyProgram(probe, impl->ctx.BindingTable());
+  if (!vr.clean()) {
+    return Status::InvalidArgument(
+        "lowered program failed static verification:\n" + vr.ToString());
   }
   // Task + barrier + memory hooks give the query its materialization:
   // per-morsel output counts and partial sorts, the run merge / average

@@ -26,10 +26,12 @@ struct QueryState {
   QueryOptions qo;
   vm::VmOptions vmo;  ///< effective VM options (JIT gating, scaled warmup)
 
-  bool single_task = false;  ///< serial CPU or GPU-device query
-  bool gpu_task = false;     ///< run on the simulated device
-  std::vector<Morsel> morsels;                 // parallel class only
-  std::map<uint64_t, dsl::Program> programs;   // per distinct morsel size
+  bool gpu_task = false;  ///< one task on the simulated device
+  /// CPU tasks: row-range morsels; a serial query is one morsel spanning
+  /// every row.
+  std::vector<Morsel> morsels;
+  /// Factory contexts: one program per distinct morsel size.
+  std::map<uint64_t, dsl::Program> programs;
   size_t total_tasks = 0;
   std::string serial_reason;
 
@@ -355,14 +357,8 @@ void Session::RunTask(const std::shared_ptr<QueryState>& q, size_t index) {
     }
   }
 
-  Status st;
-  ExecReport serial_report;
-  if (q->single_task) {
-    st = q->gpu_task ? RunGpuTask(*q, &serial_report)
-                     : RunSerialQuery(*q, &serial_report);
-  } else {
-    st = RunMorselTask(*q, q->morsels[index]);
-  }
+  const Status st =
+      q->gpu_task ? RunGpuTask(*q) : RunMorselTask(*q, q->morsels[index]);
 
   bool last = false;
   {
@@ -370,9 +366,8 @@ void Session::RunTask(const std::shared_ptr<QueryState>& q, size_t index) {
     if (!st.ok() && q->status.ok()) {
       q->status = st;
       // Drop this query's unclaimed morsels at the next claim.
-      if (!q->single_task) q->cancel.store(true, std::memory_order_relaxed);
+      q->cancel.store(true, std::memory_order_relaxed);
     }
-    if (st.ok() && q->single_task) q->report = std::move(serial_report);
     ++q->completed;
     last = q->completed + q->skipped == q->total_tasks;
   }
@@ -413,7 +408,7 @@ void Session::FinalizeLocked(QueryState& q) {
   r.strategy = q.qo.strategy;
   r.kernel_tier =
       interp::TierName(interp::ResolveKernelTier(q.qo.vm.interp.kernel_tier));
-  if (!q.single_task) {
+  if (!q.gpu_task) {
     r.workers = std::min(sched_->workers, q.morsels.size());
     r.morsels = q.morsels.size();
     r.rows = q.ctx->total_rows_;
@@ -485,26 +480,16 @@ Status ValidatePartitioned(const std::string& name,
   return Status::OK();
 }
 
-void MergeVmReport(const vm::VmReport& in, ExecReport* out) {
-  out->iterations += in.iterations;
-  out->chunks_streamed += in.chunks_streamed;
-  out->traces_compiled += in.traces_compiled;
-  out->traces_reused += in.traces_reused;
-  out->injection_runs += in.injection_runs;
-  out->injection_fallbacks += in.injection_fallbacks;
-  out->compile_seconds += in.compile_seconds;
-  if (out->jit_declined.empty()) out->jit_declined = in.jit_declined;
-  if (out->jit_tier.empty()) out->jit_tier = in.jit_tier;
-  out->fast_compiles += in.fast_compiles;
-  out->opt_compiles += in.opt_compiles;
-  out->fast_compile_seconds += in.fast_compile_seconds;
-  out->opt_compile_seconds += in.opt_compile_seconds;
-  out->disk_cache_hits += in.disk_cache_hits;
-  out->disk_cache_misses += in.disk_cache_misses;
-  out->disk_cache_corrupt += in.disk_cache_corrupt;
-  out->tier_upgrades_requested += in.tier_upgrades_requested;
-  out->tier_upgrades += in.tier_upgrades;
-  out->verifier_checked += in.verifier_checked;
+/// Element-wise sum of one task's accumulator partial into the master —
+/// correct for the additive aggregates (sums, counts) kScatter/kFold
+/// accumulator programs produce.
+void SumMerge(TypeId type, void* master, const void* partial, uint64_t len) {
+  if (type == TypeId::kBool) type = TypeId::kI8;  // bools add as bytes
+  DispatchType(type, [&]<typename T>() {
+    T* m = static_cast<T*>(master);
+    const T* p = static_cast<const T*>(partial);
+    for (uint64_t i = 0; i < len; ++i) m[i] += p[i];
+  });
 }
 
 /// Row-partitioning is only sound when every data access tracks the input
@@ -586,7 +571,6 @@ Status Session::Classify(QueryState& q) {
     bool offload = false;
     Status st = ProbeGpuOffload(q, &offload);
     if (st.ok() && offload) {
-      q.single_task = true;
       q.gpu_task = true;
       q.total_tasks = 1;
       return Status::OK();
@@ -603,10 +587,23 @@ Status Session::ClassifyCpu(QueryState& q) {
   const size_t workers = sched_->workers;
   const bool want_parallel = workers > 1;
 
-  auto serial = [&](std::string reason) {
-    q.single_task = true;
+  // A serial query is one morsel spanning every row, run like any other.
+  // A factory context lowers its program for the whole range here (or
+  // reuses the one the GPU probe lowered); a fixed program runs as given.
+  auto serial = [&](std::string reason) -> Status {
+    q.morsels = {Morsel{0, ctx.total_rows_, 0}};
     q.total_tasks = 1;
     if (want_parallel) q.serial_reason = std::move(reason);
+    if (!ctx.parallelizable()) return Status::OK();
+    if (q.gpu_program != nullptr) {
+      q.programs.emplace(ctx.total_rows_, std::move(*q.gpu_program));
+      return Status::OK();
+    }
+    AVM_ASSIGN_OR_RETURN(
+        dsl::Program program,
+        ctx.make_program_(static_cast<int64_t>(ctx.total_rows_)));
+    AVM_RETURN_NOT_OK(dsl::TypeCheck(&program));
+    q.programs.emplace(ctx.total_rows_, std::move(program));
     return Status::OK();
   };
 
@@ -632,11 +629,10 @@ Status Session::ClassifyCpu(QueryState& q) {
     }
     return serial("fixed-program context (no per-morsel program factory)");
   }
-  if (ctx.total_rows_ == 0) return serial("no input rows");
-  // Spill mode forces morsel-wise execution even on one worker: each task
-  // gets a budget-sized scratch window whose sorted run seals to disk.
-  if (!want_parallel && !spill) return serial("");
-
+  // The engine chose the loop bound (total_rows_), so undersized
+  // partitioned bindings would make the loop spin on empty reads forever
+  // — reject them up front. (Fixed programs own their loop bound; the
+  // engine cannot second-guess their binding lengths.)
   for (const ExecContext::Bound& b : ctx.bound_) {
     if (b.scratch) continue;  // engine-allocated per task; no extent yet
     if (b.role == BindRole::kInput || b.role == BindRole::kOutput ||
@@ -645,6 +641,10 @@ Status Session::ClassifyCpu(QueryState& q) {
                                             ctx.total_rows_ * b.row_scale));
     }
   }
+  if (ctx.total_rows_ == 0) return serial("no input rows");
+  // Spill mode forces morsel-wise execution even on one worker: each task
+  // gets a budget-sized scratch window whose sorted run seals to disk.
+  if (!want_parallel && !spill) return serial("");
 
   // 0 = auto size; in spill mode spill_cap is already chunk-aligned
   // (floored) by the hook, so PartitionRows' round-UP to chunk alignment
@@ -652,7 +652,6 @@ Status Session::ClassifyCpu(QueryState& q) {
   q.morsels = PartitionRows(ctx.total_rows_, workers, spill_cap,
                             q.vmo.interp.chunk_size);
   if (q.morsels.size() <= 1 && !spill) {
-    q.morsels.clear();
     return serial("input fits a single morsel");
   }
 
@@ -681,7 +680,6 @@ Status Session::ClassifyCpu(QueryState& q) {
     AVM_RETURN_NOT_OK(dsl::TypeCheck(&program));
     std::string blocker = RowPartitionBlocker(program, roles);
     if (!blocker.empty()) {
-      q.morsels.clear();
       q.programs.clear();
       if (spill) {
         // A serial fallback would need the whole output window resident,
@@ -700,63 +698,23 @@ Status Session::ClassifyCpu(QueryState& q) {
 
 // -------------------------------------------------------------- execution
 
-Status Session::RunSerialQuery(QueryState& q, ExecReport* report) {
-  ExecContext& ctx = *q.ctx;
-
-  dsl::Program local;
-  const dsl::Program* program = ctx.fixed_program_;
-  if (ctx.make_program_ != nullptr) {
-    // The engine chose the loop bound (total_rows_), so undersized
-    // partitioned bindings would make the loop spin on empty reads forever
-    // — reject them up front. (Fixed programs own their loop bound; the
-    // engine cannot second-guess their binding lengths.)
-    for (const ExecContext::Bound& b : ctx.bound_) {
-      if (b.scratch) continue;  // never reached serially; no extent to check
-      if (b.role == BindRole::kInput || b.role == BindRole::kOutput ||
-          b.role == BindRole::kPartialOutput) {
-        AVM_RETURN_NOT_OK(ValidatePartitioned(b.name, b.binding,
-                                              ctx.total_rows_ * b.row_scale));
-      }
-    }
-    if (q.gpu_program != nullptr) {
-      // GPU classification already instantiated + type-checked the program
-      // for the full row range; reuse it.
-      program = q.gpu_program.get();
-    } else {
-      AVM_ASSIGN_OR_RETURN(
-          local, ctx.make_program_(static_cast<int64_t>(ctx.total_rows_)));
-      AVM_RETURN_NOT_OK(dsl::TypeCheck(&local));
-      program = &local;
-    }
-  }
-
-  vm::AdaptiveVm vmach(program, q.vmo, &cache_);
-  for (const ExecContext::Bound& b : ctx.bound_) {
-    AVM_RETURN_NOT_OK(vmach.interpreter().BindData(b.name, b.binding));
-  }
-  AVM_RETURN_NOT_OK(vmach.Run());
-  if (ctx.task_hook_) {
-    AVM_RETURN_NOT_OK(
-        ctx.task_hook_(vmach.interpreter(), Morsel{0, ctx.total_rows_, 0}));
-  }
-
-  report->workers = 1;
-  report->morsels = 1;
-  report->rows = ctx.total_rows_;
-  vm::VmReport vr = vmach.Report();
-  MergeVmReport(vr, report);
-  report->state_timeline = std::move(vr.state_timeline);
-  report->profile = std::move(vr.profile);
-  return Status::OK();
-}
-
 Status Session::RunMorselTask(QueryState& q, const Morsel& m) {
   ExecContext& ctx = *q.ctx;
-  const dsl::Program& program = q.programs.at(m.rows());
+  const dsl::Program& program = ctx.fixed_program_ != nullptr
+                                    ? *ctx.fixed_program_
+                                    : q.programs.at(m.rows());
   vm::AdaptiveVm vmach(&program, q.vmo, &cache_);
   interp::Interpreter& in = vmach.interpreter();
+  // A query's only task binds whole arrays: a fixed program owns its loop
+  // bound and may address rows past total_rows. Each morsel of a
+  // multi-morsel query binds its row slice.
+  const bool whole = q.morsels.size() == 1;
+  auto slice = [&](const interp::DataBinding& b, uint64_t scale) {
+    return whole ? b : SliceBinding(b, m.begin * scale, m.rows() * scale);
+  };
 
-  // Private accumulator copies, merged into the master at the barrier.
+  // Private accumulator copies, summed into the master once the task
+  // succeeds.
   std::vector<std::vector<uint8_t>> privates;
   privates.reserve(ctx.bound_.size());
   // Spill-mode scratch windows: allocated per task, sealed to disk by the
@@ -768,8 +726,7 @@ Status Session::RunMorselTask(QueryState& q, const Morsel& m) {
     switch (b.role) {
       case BindRole::kInput:
       case BindRole::kOutput:
-        AVM_RETURN_NOT_OK(
-            in.BindData(b.name, SliceBinding(b.binding, m.begin, m.rows())));
+        AVM_RETURN_NOT_OK(in.BindData(b.name, slice(b.binding, 1)));
         // Column-backed inputs stream block-at-a-time through a decode
         // cache the interpreter owns; account one block of scratch.
         if (b.binding.column != nullptr) {
@@ -793,9 +750,8 @@ Status Session::RunMorselTask(QueryState& q, const Morsel& m) {
         } else {
           // Windows scale with the query's fan-out factor: this morsel
           // owns [begin*scale, end*scale) of the full window.
-          AVM_RETURN_NOT_OK(in.BindData(
-              b.name, SliceBinding(b.binding, m.begin * b.row_scale,
-                                   m.rows() * b.row_scale)));
+          AVM_RETURN_NOT_OK(
+              in.BindData(b.name, slice(b.binding, b.row_scale)));
         }
         break;
       case BindRole::kShared:
@@ -824,13 +780,13 @@ Status Session::RunMorselTask(QueryState& q, const Morsel& m) {
   size_t pi = 0;
   for (const ExecContext::Bound& b : ctx.bound_) {
     if (b.role != BindRole::kAccumulator) continue;
-    const MergeFn& merge = b.merge ? b.merge : SumMerge;
-    merge(b.binding.type, b.binding.raw, privates[pi].data(), b.binding.len);
+    SumMerge(b.binding.type, b.binding.raw, privates[pi].data(),
+             b.binding.len);
     ++pi;
   }
   vm::VmReport vr = vmach.Report();
   std::lock_guard<std::mutex> lock(q.mu);  // merge_mu -> mu, nowhere reversed
-  MergeVmReport(vr, &q.report);
+  q.report.Merge(vr);
   if (m.index == 0) {
     q.report.state_timeline = std::move(vr.state_timeline);
     q.report.profile = std::move(vr.profile);
@@ -987,7 +943,7 @@ Status Session::ProbeGpuOffload(QueryState& q, bool* offload) {
   return Status::OK();
 }
 
-Status Session::RunGpuTask(QueryState& q, ExecReport* report) {
+Status Session::RunGpuTask(QueryState& q) {
   const uint64_t rows = q.gpu_rows;
   const size_t in_width = TypeWidth(q.gpu_src.type);
   const size_t out_width = TypeWidth(q.gpu_out.type);
@@ -1031,11 +987,10 @@ Status Session::RunGpuTask(QueryState& q, ExecReport* report) {
     gpu_placer_->Observe(gpu::Device::kGpu, q.gpu_profile, sim_seconds);
   }
 
-  report->device = "gpu-sim";
-  report->workers = 1;
-  report->morsels = 1;
-  report->rows = rows;
-  report->gpu_sim_seconds = sim_seconds;
+  std::lock_guard<std::mutex> lock(q.mu);
+  q.report.device = "gpu-sim";
+  q.report.rows = rows;
+  q.report.gpu_sim_seconds = sim_seconds;
   return Status::OK();
 }
 

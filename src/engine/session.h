@@ -13,8 +13,8 @@
 // Scheduling model (the "N clients × M workers" step of the roadmap):
 //
 //  - Submit() classifies the query (serial / morsel-parallel / GPU
-//    fragment), partitions parallel queries into row-range morsels, and
-//    appends it to the run queue; when `max_active_queries` queries are
+//    fragment), partitions it into row-range morsels (a serial query is
+//    one morsel spanning every row), and appends it to the run queue; when `max_active_queries` queries are
 //    already in flight it parks in the admission queue instead.
 //  - The session's M workers pull tasks from the run queue ROUND-ROBIN
 //    ACROSS QUERIES (one morsel from query A, one from B, ...), so a long
@@ -23,8 +23,8 @@
 //  - All queries share the session's TraceCache: the first worker of any
 //    client to compile a trace for a situation serves every later query,
 //    with per-situation single-flight compilation under contention.
-//  - Per-query accumulators are privatized per morsel and merged at the
-//    query's barrier, exactly as in a single-query parallel run — a
+//  - Per-query accumulators are privatized per morsel and summed into the
+//    caller's arrays, exactly as in a single-query parallel run — a
 //    concurrent run stays bit-identical to its serial baseline.
 //
 // Cancel() drops a query's unclaimed morsels; tasks already running finish
@@ -93,11 +93,12 @@ class QueryHandle {
   /// Request cancellation: a query still parked in the admission queue
   /// completes with Cancelled immediately; otherwise its unclaimed work is
   /// dropped and it completes with Cancelled once in-flight tasks drain
-  /// (a query that already completed stays completed). Morsels running at
-  /// cancel time finish but skip their merge. The caller's bound
-  /// output/accumulator arrays are left in an UNDEFINED, partially-merged
-  /// state after a cancelled (or failed) parallel query — reset them
-  /// (Query::ResetAggregates) before reusing.
+  /// (a query that already completed stays completed). Tasks running at
+  /// cancel time finish but skip their merge. After a cancelled (or failed)
+  /// multi-morsel query the caller's bound output/accumulator arrays are
+  /// UNDEFINED, partially merged — reset them (Query::ResetAggregates)
+  /// before reusing. A one-task query merges nothing, so its accumulators
+  /// are untouched (arrays it writes in place may be partly written).
   void Cancel();
 
  private:
@@ -155,8 +156,7 @@ class Session {
   void SpawnPumpsLocked() AVM_NO_THREAD_SAFETY_ANALYSIS;
   void MarkSkipped(const std::shared_ptr<internal::QueryState>& q, size_t n);
   void RunTask(const std::shared_ptr<internal::QueryState>& q, size_t index);
-  Status RunSerialQuery(internal::QueryState& q, ExecReport* report);
-  Status RunGpuTask(internal::QueryState& q, ExecReport* report);
+  Status RunGpuTask(internal::QueryState& q);
   Status RunMorselTask(internal::QueryState& q, const Morsel& m);
   void FinalizeLocked(internal::QueryState& q) AVM_NO_THREAD_SAFETY_ANALYSIS;
   void OnQueryDone(const std::shared_ptr<internal::QueryState>& q);

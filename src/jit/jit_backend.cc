@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 
 #include "jit/trace_abi.h"
@@ -17,6 +18,26 @@
 
 namespace avm::jit {
 
+namespace {
+
+pid_t scratch_dir_owner = 0;  ///< process that created JitScratchDir()
+
+// atexit handler of the process that created the scratch directory: rename
+// it away first, so a compiler still running for an abandoned tier upgrade
+// cannot create files under the old path (its write fails and the upgrade
+// is dropped), then delete it. A forked child (a death-test child, say)
+// inherits the handler but not the directory, and skips it.
+void RemoveScratchDirAtExit() {
+  const std::string& dir = JitScratchDir();
+  if (::getpid() != scratch_dir_owner) return;
+  const std::string doomed = dir + ".exit";
+  if (std::rename(dir.c_str(), doomed.c_str()) != 0) return;  // already gone
+  std::error_code ec;
+  std::filesystem::remove_all(doomed, ec);
+}
+
+}  // namespace
+
 // Leaked (like every static in this TU) so detached tier-upgrade threads
 // can still compile while the process is shutting down.
 const std::string& JitScratchDir() {
@@ -25,8 +46,10 @@ const std::string& JitScratchDir() {
     std::string base = env != nullptr && *env != '\0' ? env : "/tmp";
     while (base.size() > 1 && base.back() == '/') base.pop_back();
     std::string tmpl = base + "/avm_jit_XXXXXX";
-    char* d = mkdtemp(tmpl.data());
-    return new std::string(d != nullptr ? d : base);
+    if (mkdtemp(tmpl.data()) == nullptr) return new std::string(base);
+    scratch_dir_owner = ::getpid();
+    std::atexit(RemoveScratchDirAtExit);
+    return new std::string(tmpl);
   }();
   return *dir;
 }

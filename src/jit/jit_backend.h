@@ -44,7 +44,9 @@ namespace avm::jit {
 /// The process-wide scratch directory for compiler invocations and
 /// artifact loads: a fresh mkdtemp directory under $TMPDIR (fallback
 /// /tmp), created lazily on first use and reused — the TMPDIR value at
-/// first use wins — for the process lifetime.
+/// first use wins — for the process lifetime. The creating process
+/// removes it at normal exit; a compile still running then cannot write
+/// its output, and that tier upgrade is dropped.
 const std::string& JitScratchDir();
 
 /// Whether this process can compile: true when a host C++ compiler was

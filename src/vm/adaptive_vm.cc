@@ -44,6 +44,28 @@ Status AdaptiveVm::Run() {
   return st;
 }
 
+void VmReport::Merge(const VmReport& other) {
+  iterations += other.iterations;
+  chunks_streamed += other.chunks_streamed;
+  traces_compiled += other.traces_compiled;
+  traces_reused += other.traces_reused;
+  injection_runs += other.injection_runs;
+  injection_fallbacks += other.injection_fallbacks;
+  compile_seconds += other.compile_seconds;
+  if (jit_declined.empty()) jit_declined = other.jit_declined;
+  if (jit_tier.empty()) jit_tier = other.jit_tier;
+  fast_compiles += other.fast_compiles;
+  opt_compiles += other.opt_compiles;
+  fast_compile_seconds += other.fast_compile_seconds;
+  opt_compile_seconds += other.opt_compile_seconds;
+  disk_cache_hits += other.disk_cache_hits;
+  disk_cache_misses += other.disk_cache_misses;
+  disk_cache_corrupt += other.disk_cache_corrupt;
+  tier_upgrades_requested += other.tier_upgrades_requested;
+  tier_upgrades += other.tier_upgrades;
+  verifier_checked += other.verifier_checked;
+}
+
 VmReport AdaptiveVm::Report() const {
   VmReport r = report_;
   // Upgrade threads run detached; snapshot whatever they finished by now.

@@ -58,7 +58,7 @@ struct VmOptions {
 struct VmReport {
   uint64_t iterations = 0;
   /// Compressed column blocks the interpreter's streaming scan cursors
-  /// decoded (one super-chunk per decode); see ExecReport::chunks_streamed.
+  /// decoded, one super-chunk at a time (docs/SPILL.md).
   uint64_t chunks_streamed = 0;
   uint64_t traces_compiled = 0;
   uint64_t traces_reused = 0;     ///< trace-cache hits on recompile checks
@@ -101,6 +101,11 @@ struct VmReport {
   /// Candidate traces the JIT gate (analysis::VerifyTrace) checked this
   /// run, accepted or declined.
   uint64_t verifier_checked = 0;
+
+  /// Fold another run's report in: counts and seconds add, jit_declined and
+  /// jit_tier keep the first non-empty value. state_timeline and profile
+  /// are left alone (the caller picks a representative run's).
+  void Merge(const VmReport& other);
 };
 
 /// The adaptive virtual machine (file comment above): a vectorized

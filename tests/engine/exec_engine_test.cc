@@ -384,6 +384,78 @@ TEST(ExecContextTest, FixedProgramContextReportsSerialReason) {
   EXPECT_TRUE(serial.value().ran_serial_reason.empty());
 }
 
+TEST(ExecContextTest, FixedProgramSingleTaskBindsWholeArrays) {
+  // A fixed program owns its loop bound and may address rows past the
+  // context's total_rows: this one copies each input chunk to out[i] and
+  // out[i + n]. Its one task must bind the whole 2n-row output; a slice of
+  // total_rows rows would fail the second write.
+  const int64_t n = 10'000;
+  DataGen gen(37);
+  auto data = gen.UniformI64(n, -100, 100);
+  std::vector<int64_t> out(2 * n);
+  using dsl::SkeletonKind;
+  using dsl::Var;
+  std::vector<dsl::StmtPtr> body;
+  body.push_back(dsl::Let(
+      "input", dsl::Skeleton(SkeletonKind::kRead, {Var("i"), Var("src")})));
+  body.push_back(dsl::ExprStmt(dsl::Skeleton(
+      SkeletonKind::kWrite, {Var("out"), Var("i"), Var("input")})));
+  body.push_back(dsl::ExprStmt(
+      dsl::Skeleton(SkeletonKind::kWrite,
+                    {Var("out"), Var("i") + dsl::ConstI(n), Var("input")})));
+  body.push_back(dsl::Assign(
+      "i", Var("i") + dsl::Skeleton(SkeletonKind::kLen, {Var("input")})));
+  body.push_back(dsl::If(Var("i") >= dsl::ConstI(n), {dsl::Break()}));
+  dsl::Program program;
+  program.data = {{"src", TypeId::kI64, false}, {"out", TypeId::kI64, true}};
+  program.stmts = {dsl::MutDef("i"), dsl::Assign("i", dsl::ConstI(0)),
+                   dsl::Loop(std::move(body))};
+  program.AssignIds();
+  ASSERT_TRUE(dsl::TypeCheck(&program).ok());
+
+  ExecContext ctx(&program);
+  ctx.BindInput("src", interp::DataBinding::Raw(TypeId::kI64, data.data(), n));
+  ctx.BindOutput("out", interp::DataBinding::Raw(TypeId::kI64, out.data(),
+                                                 2 * n, true));
+  QueryOptions opts;
+  opts.strategy = ExecutionStrategy::kInterpret;
+  auto report = Session({.num_workers = 4}).Run(ctx, opts);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report.value().morsels, 1u);
+  for (int64_t i = 0; i < n; ++i) {
+    ASSERT_EQ(out[i], data[i]) << "row " << i;
+    ASSERT_EQ(out[i + n], data[i]) << "row " << i + n;
+  }
+}
+
+TEST(ExecContextTest, GpuOffloadKeptOnCpuLowersOnce) {
+  // The placer keeps a light, transfer-dominated map on the CPU; the serial
+  // CPU run reuses the program the placement probe lowered.
+  const int64_t n = 64 << 10;
+  DataGen gen(19);
+  auto data = gen.UniformI64(n, -1000, 1000);
+  std::vector<int64_t> out(n);
+  int factory_calls = 0;
+  ExecContext ctx(
+      [&factory_calls](int64_t rows) {
+        ++factory_calls;
+        return TripleMapFactory()(rows);
+      },
+      n);
+  ctx.BindInput("src", interp::DataBinding::Raw(TypeId::kI64, data.data(), n));
+  ctx.BindOutput("out",
+                 interp::DataBinding::Raw(TypeId::kI64, out.data(), n, true));
+  QueryOptions opts;
+  opts.strategy = ExecutionStrategy::kGpuOffload;
+  auto report = Session({.num_workers = 1}).Run(ctx, opts);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report.value().device, "cpu");
+  EXPECT_EQ(factory_calls, 1);
+  for (int64_t i = 0; i < n; ++i) {
+    ASSERT_EQ(out[i], data[i] * 3 + 1) << "row " << i;
+  }
+}
+
 TEST(ExecContextTest, TaskHookSeesEveryMorsel) {
   const int64_t n = 200'000;
   DataGen gen(17);

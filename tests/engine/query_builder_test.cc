@@ -205,6 +205,27 @@ TEST(QueryBuilderTest, OutOfRangeSemiJoinKeyFailsCleanly) {
   EXPECT_TRUE(r.status().IsOutOfRange()) << r.status().ToString();
 }
 
+TEST(QueryBuilderTest, FailedSerialQueryLeavesAccumulatorsUntouched) {
+  // The out-of-range key sits in the last chunk, so the run fails after
+  // counting every earlier chunk. A failed task merges nothing: the
+  // caller's accumulator keeps its value instead of a partial count.
+  const uint64_t n = 10'000;
+  Table table(Schema({{"a", TypeId::kI64}}));
+  std::vector<int64_t> a(n);
+  for (uint64_t i = 0; i < n; ++i) a[i] = static_cast<int64_t>(i % 10);
+  a[n - 1] = 999;
+  ASSERT_TRUE(table.column(0)
+                  .AppendValues(a.data(), static_cast<uint32_t>(n))
+                  .ok());
+  QueryBuilder qb(table);
+  qb.SemiJoin("a", std::vector<int64_t>(10, 1)).Count("n");
+  Query q = qb.Build().ValueOrDie();
+  auto r = Session({.num_workers = 1}).Run(q.context(), Interp());
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsOutOfRange()) << r.status().ToString();
+  EXPECT_EQ(q.aggregate("n")[0], 0);
+}
+
 TEST(QueryBuilderTest, BuilderReusableAfterBuild) {
   TinyTable t(10'000);
   QueryBuilder qb(*t.table);

@@ -26,16 +26,10 @@
 #include "jit/disk_cache.h"
 #include "jit/jit_backend.h"
 #include "storage/datagen.h"
+#include "tests/temp_dir.h"
 
 namespace avm::engine {
 namespace {
-
-std::string MakeTempDir() {
-  char tmpl[] = "/tmp/avm_warm_restart_test_XXXXXX";
-  const char* dir = ::mkdtemp(tmpl);
-  EXPECT_NE(dir, nullptr);
-  return dir != nullptr ? dir : "";
-}
 
 /// A single-map pipeline partitions into exactly one trace with a stable
 /// situation fingerprint, so the cold run's entry is exactly what the warm
@@ -93,7 +87,8 @@ Result<RunOutput> RunOnce(const std::string& dir, jit::TierPolicy policy,
 
 TEST(WarmRestartTest, FreshEngineIsWarmFromPopulatedDir) {
   if (!jit::HostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
-  const std::string dir = MakeTempDir();
+  TempDir tmp("avm_warm_restart_test");
+  const std::string dir = tmp.path();
   DataGen gen(41);
   auto data = gen.UniformI64(64'000, -1000, 1000);
 
@@ -118,7 +113,8 @@ TEST(WarmRestartTest, FreshEngineIsWarmFromPopulatedDir) {
 
 TEST(WarmRestartTest, TieredPolicyRestartsAtStoredTier) {
   if (!jit::HostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
-  const std::string dir = MakeTempDir();
+  TempDir tmp("avm_warm_restart_test");
+  const std::string dir = tmp.path();
   DataGen gen(43);
   auto data = gen.UniformI64(64'000, -1000, 1000);
 
@@ -138,7 +134,8 @@ TEST(WarmRestartTest, TieredPolicyRestartsAtStoredTier) {
 
 TEST(WarmRestartTest, CorruptEntriesRecompiledNotLoaded) {
   if (!jit::HostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
-  const std::string dir = MakeTempDir();
+  TempDir tmp("avm_warm_restart_test");
+  const std::string dir = tmp.path();
   DataGen gen(47);
   auto data = gen.UniformI64(64'000, -1000, 1000);
 
@@ -178,7 +175,8 @@ TEST(WarmRestartTest, CorruptEntriesRecompiledNotLoaded) {
 
 TEST(WarmRestartTest, TwoEnginesShareOneCacheDirConcurrently) {
   if (!jit::HostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
-  const std::string dir = MakeTempDir();
+  TempDir tmp("avm_warm_restart_test");
+  const std::string dir = tmp.path();
   DataGen gen(53);
   auto data = gen.UniformI64(48'000, -1000, 1000);
 
@@ -207,7 +205,8 @@ TEST(WarmRestartTest, TwoEnginesShareOneCacheDirConcurrently) {
 
 TEST(WarmRestartTest, HotTraceUpgradesToOptimizedTier) {
   if (!jit::HostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
-  const std::string dir = MakeTempDir();
+  TempDir tmp("avm_warm_restart_test");
+  const std::string dir = tmp.path();
   DataGen gen(59);
   auto data = gen.UniformI64(96'000, -1000, 1000);
 

@@ -12,15 +12,10 @@
 #include <string>
 #include <vector>
 
+#include "tests/temp_dir.h"
+
 namespace avm::jit {
 namespace {
-
-std::string MakeTempDir() {
-  char tmpl[] = "/tmp/avm_disk_cache_test_XXXXXX";
-  const char* dir = ::mkdtemp(tmpl);
-  EXPECT_NE(dir, nullptr);
-  return dir != nullptr ? dir : "";
-}
 
 JitArtifact MakeArtifact(JitTier tier, size_t len, uint8_t seed) {
   JitArtifact a;
@@ -38,7 +33,8 @@ bool FileExists(const std::string& path) {
 }
 
 TEST(DiskCacheTest, StoreLoadRoundtrip) {
-  DiskTraceCache cache(MakeTempDir(), 64 << 20);
+  TempDir tmp("avm_disk_cache_test");
+  DiskTraceCache cache(tmp.path(), 64 << 20);
   JitArtifact art = MakeArtifact(JitTier::kOptimized, 4096, 7);
   ASSERT_TRUE(cache.Store(/*situation_key=*/11, /*source_hash=*/42,
                           /*version_hash=*/5, art)
@@ -54,7 +50,8 @@ TEST(DiskCacheTest, StoreLoadRoundtrip) {
 }
 
 TEST(DiskCacheTest, MissOnUnknownSituation) {
-  DiskTraceCache cache(MakeTempDir(), 64 << 20);
+  TempDir tmp("avm_disk_cache_test");
+  DiskTraceCache cache(tmp.path(), 64 << 20);
   auto loaded = cache.TryLoad(999, 42, JitTier::kFast, 5);
   EXPECT_FALSE(loaded.ok());
   EXPECT_TRUE(loaded.status().IsNotFound());
@@ -64,7 +61,8 @@ TEST(DiskCacheTest, MissOnUnknownSituation) {
 TEST(DiskCacheTest, VersionMismatchSilentlyMisses) {
   // A different compiler/flags/ABI revision hashes to a different filename:
   // the stale artifact must never load, and it is a miss — not corruption.
-  DiskTraceCache cache(MakeTempDir(), 64 << 20);
+  TempDir tmp("avm_disk_cache_test");
+  DiskTraceCache cache(tmp.path(), 64 << 20);
   ASSERT_TRUE(cache.Store(11, 42, /*version_hash=*/5,
                           MakeArtifact(JitTier::kFast, 512, 1))
                   .ok());
@@ -78,7 +76,8 @@ TEST(DiskCacheTest, SourceHashMismatchInvalidates) {
   // Same situation key but different generated source (e.g. a codegen
   // change that the version hash missed): the entry is stale, removed, and
   // reported as a miss so the caller recompiles.
-  DiskTraceCache cache(MakeTempDir(), 64 << 20);
+  TempDir tmp("avm_disk_cache_test");
+  DiskTraceCache cache(tmp.path(), 64 << 20);
   ASSERT_TRUE(
       cache.Store(11, /*source_hash=*/42, 5, MakeArtifact(JitTier::kFast, 512, 2))
           .ok());
@@ -88,7 +87,8 @@ TEST(DiskCacheTest, SourceHashMismatchInvalidates) {
 }
 
 TEST(DiskCacheTest, CorruptEntryDroppedAndDeleted) {
-  DiskTraceCache cache(MakeTempDir(), 64 << 20);
+  TempDir tmp("avm_disk_cache_test");
+  DiskTraceCache cache(tmp.path(), 64 << 20);
   ASSERT_TRUE(
       cache.Store(11, 42, 5, MakeArtifact(JitTier::kOptimized, 2048, 3)).ok());
   const std::string path = cache.EntryPath(11, JitTier::kOptimized, 5);
@@ -120,7 +120,8 @@ TEST(DiskCacheTest, CorruptEntryDroppedAndDeleted) {
 }
 
 TEST(DiskCacheTest, TruncatedEntryDropped) {
-  DiskTraceCache cache(MakeTempDir(), 64 << 20);
+  TempDir tmp("avm_disk_cache_test");
+  DiskTraceCache cache(tmp.path(), 64 << 20);
   ASSERT_TRUE(
       cache.Store(11, 42, 5, MakeArtifact(JitTier::kFast, 2048, 4)).ok());
   const std::string path = cache.EntryPath(11, JitTier::kFast, 5);
@@ -132,7 +133,8 @@ TEST(DiskCacheTest, TruncatedEntryDropped) {
 }
 
 TEST(DiskCacheTest, LoadBestHonorsCandidateOrder) {
-  DiskTraceCache cache(MakeTempDir(), 64 << 20);
+  TempDir tmp("avm_disk_cache_test");
+  DiskTraceCache cache(tmp.path(), 64 << 20);
   ASSERT_TRUE(
       cache.Store(11, 42, 5, MakeArtifact(JitTier::kFast, 512, 5)).ok());
   ASSERT_TRUE(
@@ -158,7 +160,8 @@ TEST(DiskCacheTest, LoadBestHonorsCandidateOrder) {
 TEST(DiskCacheTest, EvictsLeastRecentlyUsedOverBudget) {
   // Budget fits roughly two entries; storing four must evict the oldest.
   const size_t kPayload = 8192;
-  DiskTraceCache cache(MakeTempDir(), 2 * (kPayload + 256));
+  TempDir tmp("avm_disk_cache_test");
+  DiskTraceCache cache(tmp.path(), 2 * (kPayload + 256));
   for (uint64_t sit = 1; sit <= 4; ++sit) {
     ASSERT_TRUE(
         cache.Store(sit, 42, 5, MakeArtifact(JitTier::kFast, kPayload, 9)).ok());
@@ -175,13 +178,15 @@ TEST(DiskCacheTest, EvictsLeastRecentlyUsedOverBudget) {
 }
 
 TEST(DiskCacheTest, ForDirSharesOneInstancePerDirectory) {
-  const std::string dir = MakeTempDir();
+  TempDir tmp("avm_disk_cache_test");
+  const std::string dir = tmp.path();
   auto a = DiskTraceCache::ForDir(dir, 64 << 20);
   auto b = DiskTraceCache::ForDir(dir, 1 << 20);  // budget fixed by first call
   ASSERT_NE(a, nullptr);
   EXPECT_EQ(a.get(), b.get());
   EXPECT_EQ(b->budget_bytes(), static_cast<uint64_t>(64 << 20));
-  auto c = DiskTraceCache::ForDir(MakeTempDir(), 64 << 20);
+  TempDir other("avm_disk_cache_test");
+  auto c = DiskTraceCache::ForDir(other.path(), 64 << 20);
   EXPECT_NE(a.get(), c.get());
 }
 
@@ -189,7 +194,8 @@ TEST(DiskCacheTest, TwoInstancesShareOneDirectory) {
   // Two processes pointed at one directory are modeled by two independent
   // instances: writes publish atomically, reads verify checksums, so each
   // side always sees either nothing or a complete entry.
-  const std::string dir = MakeTempDir();
+  TempDir tmp("avm_disk_cache_test");
+  const std::string dir = tmp.path();
   DiskTraceCache a(dir, 64 << 20);
   DiskTraceCache b(dir, 64 << 20);
   JitArtifact art = MakeArtifact(JitTier::kOptimized, 1024, 12);

@@ -1,26 +1,45 @@
-// The JIT scratch directory must honor TMPDIR (fallback /tmp). This lives
-// in its own test binary: the scratch dir is a lazily-initialized
-// process-wide static, so TMPDIR has to be set before ANY JIT activity —
-// impossible to guarantee inside the shared jit_backend_test binary.
+// The JIT scratch directory must honor TMPDIR (fallback /tmp) and be
+// removed at process exit. This lives in its own test binary: the scratch
+// dir is a lazily-initialized process-wide static, so TMPDIR has to be set
+// before ANY JIT activity — impossible to guarantee inside the shared
+// jit_backend_test binary.
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <string>
 
 #include "jit/jit_backend.h"
+#include "tests/temp_dir.h"
 
 namespace avm::jit {
 namespace {
 
+// Death-test suites run first, so the child below is the process that
+// creates the scratch directory (this process has not touched the JIT).
+TEST(ScratchDirDeathTest, RemovedAtNormalExit) {
+  TempDir base("avm_scratch_base");
+  EXPECT_EXIT(
+      {
+        ::setenv("TMPDIR", base.path().c_str(), 1);
+        std::ofstream(JitScratchDir() + "/leftover.so") << "artifact";
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(0), "");
+  EXPECT_TRUE(std::filesystem::is_empty(base.path()))
+      << "the exited process left its scratch directory under "
+      << base.path();
+}
+
 TEST(ScratchDirTest, HonorsTmpdirAtFirstUse) {
   // Point TMPDIR at a private directory before the first JitScratchDir()
   // call of this process (trailing slash on purpose: it must be handled).
-  char base_tmpl[] = "/tmp/avm_scratch_base_XXXXXX";
-  ASSERT_NE(mkdtemp(base_tmpl), nullptr);
-  const std::string base = base_tmpl;
+  TempDir tmp("avm_scratch_base");
+  const std::string& base = tmp.path();
   ASSERT_EQ(::setenv("TMPDIR", (base + "/").c_str(), 1), 0);
 
   const std::string& dir = JitScratchDir();
