@@ -46,6 +46,10 @@ std::string ExecReport::ToString() const {
   if (gpu_sim_seconds > 0) {
     out += StrFormat(" gpu_sim=%.2fms", gpu_sim_seconds * 1e3);
   }
+  if (merge_parts > 0) {
+    out += StrFormat("\nrow merge: parts=%llu",
+                     (unsigned long long)merge_parts);
+  }
   if (bytes_spilled + spill_runs + peak_tracked_bytes + chunks_streamed > 0) {
     out += StrFormat(
         "\nout-of-core: spilled=%llu bytes in %llu runs peak_tracked=%llu "

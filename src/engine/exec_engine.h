@@ -89,6 +89,9 @@ struct ExecReport : vm::VmReport {
   uint64_t bytes_spilled = 0;
   uint64_t spill_runs = 0;
   uint64_t peak_tracked_bytes = 0;
+  /// Key-range parts the row-output merge ran in parallel (at least 1 for
+  /// a query with row output, 0 without).
+  uint64_t merge_parts = 0;
 
   std::string ToString() const;
 };
@@ -118,10 +121,12 @@ struct PrepareOutcome {
   uint64_t max_morsel_rows = 0;
 };
 
-/// Spill activity a query's hooks accumulate for the ExecReport.
+/// Spill and merge activity a query's hooks accumulate for the ExecReport
+/// (see its fields of the same names).
 struct SpillStats {
   uint64_t bytes_spilled = 0;
   uint64_t spill_runs = 0;
+  uint64_t merge_parts = 0;
 };
 
 /// A program shape plus data bindings, ready for the engine.
@@ -139,6 +144,10 @@ struct SpillStats {
 class ExecContext {
  public:
   using ProgramFactory = std::function<Result<dsl::Program>(int64_t rows)>;
+  /// Runs fn(i) for every i in [0, n) on the Session's workers and returns
+  /// when all calls are done; the calling worker runs indexes too.
+  using ParallelFor =
+      std::function<void(size_t n, const std::function<void(size_t)>& fn)>;
 
   /// Row-parameterized program over `total_rows` input rows; this is the
   /// parallelizable form. The factory's result is type-checked by the
@@ -189,12 +198,13 @@ class ExecContext {
 
   /// Per-task hook: called after each task's interpreter finishes, before
   /// accumulator merge, with the row range the task covered (serial runs
-  /// see one task spanning every row). Every task calls it under the
-  /// query's merge mutex, so bodies may mutate query-owned state without
-  /// extra locking; failed tasks skip it, and so does every task that
-  /// finishes after the query was cancelled. Queries with
-  /// kPartialOutput windows use it to read the per-morsel written count and
-  /// partial-sort their window; tests and examples use it to read adaptive
+  /// see one task spanning every row). The hooks of one query run
+  /// concurrently, each on its task's worker and outside any engine lock:
+  /// a body that touches state shared across tasks locks it itself. Failed
+  /// tasks skip it, and so does every task that finishes after the query
+  /// was cancelled. Queries with kPartialOutput windows use it to read the
+  /// per-morsel written count and sort their window on the task's own
+  /// worker; tests and examples use it to read adaptive
   /// interpreter state (e.g. the preferred filter flavor). A context with
   /// a task hook never runs on the kGpuOffload device path, which has no
   /// interpreter to hand it. The hook may probe this query's handle
@@ -209,9 +219,13 @@ class ExecContext {
   /// Barrier hook: called exactly once, after the last task completed
   /// successfully (all accumulator merges and task hooks done) and before
   /// the query's handle reports completion. A returned error fails the
-  /// query. Not called for cancelled or failed queries. Queries with
-  /// ordered/materialized output use it to merge per-morsel sorted runs.
-  ExecContext& set_finalize_hook(std::function<Status()> fn) {
+  /// query. Not called for cancelled or failed queries. It receives a
+  /// parallel-for over the Session's own workers: the calling worker takes
+  /// parts too, and runs every part itself when no other worker is free.
+  /// Queries with ordered/materialized output use it to merge per-morsel
+  /// sorted runs in key-range parts.
+  ExecContext& set_finalize_hook(
+      std::function<Status(const ParallelFor&)> fn) {
     finalize_hook_ = std::move(fn);
     return *this;
   }
@@ -239,9 +253,9 @@ class ExecContext {
     return *this;
   }
 
-  /// Spill counters the query's hooks accumulate (task hooks run under the
-  /// query's merge serialization); the engine copies them into the
-  /// ExecReport at finalize.
+  /// Spill and merge counters the query's hooks accumulate (task hooks run
+  /// concurrently, so a hook updating them locks them itself); the engine
+  /// copies them into the ExecReport at finalize.
   SpillStats& spill_stats() { return spill_stats_; }
 
   uint64_t total_rows() const { return total_rows_; }
@@ -270,7 +284,7 @@ class ExecContext {
   uint64_t total_rows_ = 0;
   std::vector<Bound> bound_;
   std::function<Status(const interp::Interpreter&, const Morsel&)> task_hook_;
-  std::function<Status()> finalize_hook_;
+  std::function<Status(const ParallelFor&)> finalize_hook_;
   std::function<Status(const MemoryPlan&, PrepareOutcome*)> prepare_hook_;
   std::function<void()> cleanup_hook_;
   SpillStats spill_stats_;

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <map>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <type_traits>
@@ -131,36 +132,85 @@ void SortRows(const std::vector<TypeId>& types,
   }
 }
 
-/// Rows per read buffer of a spilled run during the merge.
+/// Rows per read buffer of a spilled run during the merge, summed over the
+/// merge's parts: each part buffers kMergeChunkRows / parts rows per run.
 constexpr uint64_t kMergeChunkRows = 4096;
 
-/// Read cursor over one sorted run. `cols` holds one base per output
-/// column for the buffered run rows [buf_begin, buf_begin + buf_len): a
-/// resident run buffers its whole window slice as one chunk, a spilled run
-/// refills kMergeChunkRows-row buffers from its SpillFile.
+/// Fewest output rows worth a merge part of their own: row output merges
+/// in min(workers, rows / kMinMergePartRows) key-range parts, at least one.
+constexpr uint64_t kMinMergePartRows = 16384;
+
+/// Evenly spaced ORDER BY keys each sorted run records; the merge picks its
+/// key-range splitters from the pooled samples of every run.
+constexpr uint64_t kRunSamples = 64;
+
+/// Row of sample j of a run of `rows` rows that records `samples` samples
+/// (samples <= rows, so consecutive samples sit on distinct rows).
+uint64_t SampleRow(uint64_t j, uint64_t samples, uint64_t rows) {
+  return j * rows / samples;
+}
+
+/// Value `i` of a column of T stored at `base`.
+template <typename T>
+T LoadKey(const uint8_t* base, uint64_t i) {
+  T v;
+  std::memcpy(&v, base + i * sizeof(T), sizeof(T));
+  return v;
+}
+
+/// First index in [lo, hi) whose key does not sort before `s`; key_at(i)
+/// must be non-decreasing in KeyBefore order over the range.
+template <typename T, typename KeyAt>
+uint64_t LowerBound(uint64_t lo, uint64_t hi, T s, SortDir dir,
+                    KeyAt key_at) {
+  while (lo < hi) {
+    const uint64_t mid = lo + (hi - lo) / 2;
+    if (KeyBefore(key_at(mid), s, dir)) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+/// Copies one value; a fixed-size memcpy per width compiles to one move.
+void CopyValue(uint8_t* dst, const uint8_t* src, size_t width) {
+  switch (width) {
+    case 8: std::memcpy(dst, src, 8); return;
+    case 4: std::memcpy(dst, src, 4); return;
+    case 2: std::memcpy(dst, src, 2); return;
+    default: std::memcpy(dst, src, 1); return;
+  }
+}
+
+/// Read cursor over the rows [next, end) of one sorted run that one merge
+/// part emits. `cols` holds one base per output column for the buffered
+/// run rows [buf_begin, buf_begin + buf_len): a resident run buffers its
+/// whole window slice as one chunk, a spilled run refills `chunk_rows`-row
+/// buffers from its SpillFile.
 struct RunCursor {
-  uint64_t rows = 0;
   uint64_t next = 0;  ///< next run row to emit
+  uint64_t end = 0;   ///< one past the last run row to emit
   uint64_t buf_begin = 0;
   uint64_t buf_len = 0;
   std::vector<const uint8_t*> cols;
   // Spilled runs only: the file, the run's index in it, and the buffers.
   const storage::SpillFile* file = nullptr;
   uint64_t spill_run = 0;
+  uint64_t chunk_rows = 0;
   std::vector<std::vector<uint8_t>> bufs;
 
-  bool done() const { return next == rows; }
+  bool done() const { return next == end; }
 
   template <typename T>
   T Key(size_t col) const {
-    T v;
-    std::memcpy(&v, cols[col] + (next - buf_begin) * sizeof(T), sizeof(T));
-    return v;
+    return LoadKey<T>(cols[col], next - buf_begin);
   }
 
   Status Refill() {
     buf_begin = next;
-    buf_len = std::min(kMergeChunkRows, rows - next);
+    buf_len = std::min(chunk_rows, end - next);
     bufs.resize(cols.size());
     for (size_t c = 0; c < cols.size(); ++c) {
       bufs[c].resize(buf_len * TypeWidth(file->col_types()[c]));
@@ -181,24 +231,36 @@ struct RunCursor {
 };
 
 /// The one run merge of row output: a tournament (loser tree) over `runs`,
-/// given in morsel order, writing `rows` rows into `out`. `before(a, b)`
-/// is true when run a's current key sorts strictly before run b's. An
-/// exhausted run loses, and a later run wins only with a strictly earlier
-/// key, so ties go to the earlier run and the output equals one global
-/// stable sort; with a `before` that is always false (unordered output)
-/// the runs drain in morsel order. Each row costs ceil(log2 k) matches.
-template <typename Before>
-Status MergeRuns(std::vector<RunCursor>& runs, Before before, uint64_t rows,
-                 std::vector<Query::ResultColumn>& out) {
+/// given in morsel order, writing every row the cursors hold to the column
+/// bases `out` (column c is widths[c] bytes wide). `key_of(run)` reads a
+/// run's current key, and `before(a, b)` is true when key a sorts strictly
+/// before key b; each live run's current key sits in one flat array, so a
+/// match compares two entries. An exhausted run loses, and a later run
+/// wins only with a strictly earlier key, so ties go to the earlier run and
+/// the output equals one stable sort of the cursors' rows; with a `before`
+/// that is always false (unordered output) the runs drain in morsel order.
+/// Each row costs ceil(log2 k) matches.
+template <typename KeyOf, typename Before>
+Status MergeRuns(std::vector<RunCursor>& runs, KeyOf key_of, Before before,
+                 const std::vector<uint8_t*>& out,
+                 const std::vector<size_t>& widths) {
+  const size_t k = runs.size();
+  std::vector<decltype(key_of(runs[0]))> head(k);
+  std::vector<uint8_t> live(k);
+  uint64_t rows = 0;
+  for (size_t i = 0; i < k; ++i) {
+    live[i] = runs[i].done() ? 0 : 1;
+    if (live[i]) head[i] = key_of(runs[i]);
+    rows += runs[i].end - runs[i].next;
+  }
   auto first = [&](size_t a, size_t b) {
-    if (runs[a].done()) return false;
-    if (runs[b].done()) return true;
-    return a < b ? !before(runs[b], runs[a]) : before(runs[a], runs[b]);
+    if (!live[a]) return false;
+    if (!live[b]) return true;
+    return a < b ? !before(head[b], head[a]) : before(head[a], head[b]);
   };
   // Leaf k + i is run i; inner node n in [1, k) keeps the loser of the
   // match played there. The initial bottom-up pass records each node's
   // winner in `win`; win[1] is the overall winner (run 0 when k == 1).
-  const size_t k = runs.size();
   std::vector<size_t> loser(k);
   std::vector<size_t> win(2 * k);
   std::iota(win.begin() + static_cast<ptrdiff_t>(k), win.end(), size_t{0});
@@ -209,16 +271,19 @@ Status MergeRuns(std::vector<RunCursor>& runs, Before before, uint64_t rows,
     loser[n] = a_first ? b : a;
   }
   size_t winner = win[1];
-  std::vector<size_t> widths(out.size());
-  for (size_t c = 0; c < out.size(); ++c) widths[c] = TypeWidth(out[c].type);
   for (uint64_t dst = 0; dst < rows; ++dst) {
     RunCursor& rc = runs[winner];
     const uint64_t off = rc.next - rc.buf_begin;
     for (size_t c = 0; c < out.size(); ++c) {
-      std::memcpy(out[c].data.data() + dst * widths[c],
-                  rc.cols[c] + off * widths[c], widths[c]);
+      CopyValue(out[c] + dst * widths[c], rc.cols[c] + off * widths[c],
+                widths[c]);
     }
     AVM_RETURN_NOT_OK(rc.Advance());
+    if (rc.done()) {
+      live[winner] = 0;
+    } else {
+      head[winner] = key_of(rc);
+    }
     for (size_t n = (k + winner) / 2; n > 0; n /= 2) {
       if (first(loser[n], winner)) std::swap(loser[n], winner);
     }
@@ -1355,16 +1420,22 @@ struct Query::Impl {
   /// (parallel to spec->out_cols); morsel m owns rows [m.begin, m.end) x
   /// fan_out of each window.
   std::vector<std::vector<uint8_t>> windows;
-  /// One sorted run per morsel that produced rows (task hook,
-  /// engine-serialized); dropped by OnCleanup, so every submission merges
-  /// only its own runs.
+  /// One sorted run per morsel that produced rows, recorded by the task
+  /// hooks under run_mu and read by the finalize hook after the barrier;
+  /// dropped by OnCleanup, so every submission merges only its own runs.
   struct Run {
     size_t morsel = 0;
     uint64_t rows = 0;
     uint64_t begin = 0;      ///< resident: first window row
     uint64_t spill_run = 0;  ///< spilled: run index in the SpillFile
+    /// Ordered output: min(kRunSamples, rows) ORDER BY keys, sample j taken
+    /// from run row SampleRow(j, ...), as raw key bytes.
+    std::vector<uint8_t> samples;
   };
   std::vector<Run> runs;
+  /// Serializes the task hooks' run records, spill appends and spill
+  /// counters; the sorts before them run concurrently.
+  std::mutex run_mu;
 
   /// Barrier-merged result rows.
   std::vector<Query::ResultColumn> result;
@@ -1386,6 +1457,9 @@ struct Query::Impl {
   /// Whether the current submission runs with per-task scratch windows
   /// whose sorted runs are sealed to disk.
   bool spill_mode = false;
+  /// The current submission's worker count (at least 1), which caps the
+  /// merge's parts.
+  size_t workers = 1;
   /// Lazily created by the first spilled run; closed (unlinked) by
   /// OnCleanup.
   std::unique_ptr<storage::SpillFile> spill;
@@ -1399,8 +1473,18 @@ struct Query::Impl {
   Status OnPrepare(const MemoryPlan& plan, PrepareOutcome* out);
   void OnCleanup();
   Status OnTask(const interp::Interpreter& in, const Morsel& m);
-  Status Finalize();
-  Status FinalizeRows();
+  Status Finalize(const ExecContext::ParallelFor& parallel_for);
+  Status FinalizeRows(const ExecContext::ParallelFor& parallel_for);
+  /// Fills cuts[p][i], the first row of run i that merge part p emits, for
+  /// p in [1, parts); cuts[0] and cuts[parts] are preset to 0 and the run
+  /// lengths.
+  Status CutRuns(std::vector<std::vector<uint64_t>>& cuts) const;
+  template <typename T>
+  Status CutRunsByKey(std::vector<std::vector<uint64_t>>& cuts) const;
+  /// Merges, from each run i, rows [lo[i], hi[i]) into the result rows
+  /// that start at the sum of `lo`; spilled runs buffer `chunk_rows` rows.
+  Status MergePart(const std::vector<uint64_t>& lo,
+                   const std::vector<uint64_t>& hi, uint64_t chunk_rows);
   Status FinalizeAggMode();
   void ResetResult(const std::vector<std::string>& names,
                    const std::vector<TypeId>& types, uint64_t rows);
@@ -1430,15 +1514,23 @@ Status Query::Impl::OnTask(const interp::Interpreter& in, const Morsel& m) {
     }
     bases[c] = static_cast<uint8_t*>(b->raw);
   }
+  // The window is this task's alone, so it sorts without a lock, on the
+  // task's own worker.
+  Run run{m.index, rows, m.begin * spec->fan_out, 0, {}};
   if (spec->has_order) {
-    SortRows(spec->out_types, bases, spec->order_key_index, spec->order_dir,
-             rows);
+    const size_t key = spec->order_key_index;
+    SortRows(spec->out_types, bases, key, spec->order_dir, rows);
+    const size_t width = TypeWidth(spec->out_types[key]);
+    const uint64_t samples = std::min(kRunSamples, rows);
+    run.samples.resize(samples * width);
+    for (uint64_t j = 0; j < samples; ++j) {
+      std::memcpy(&run.samples[j * width],
+                  bases[key] + SampleRow(j, samples, rows) * width, width);
+    }
   }
-  Run run{m.index, rows, m.begin * spec->fan_out};
+  std::lock_guard<std::mutex> lock(run_mu);
   if (spill_mode) {
-    // Seal the sorted scratch window to disk as one run. Task hooks are
-    // engine-serialized (merge mutex), so the SpillFile and the context's
-    // spill counters need no extra locking.
+    // Seal the sorted scratch window to disk as one run.
     if (spill == nullptr) {
       AVM_ASSIGN_OR_RETURN(spill,
                            storage::SpillFile::Create(spec->out_types));
@@ -1449,15 +1541,15 @@ Status Query::Impl::OnTask(const interp::Interpreter& in, const Morsel& m) {
     ctx.spill_stats().spill_runs += 1;
     ctx.spill_stats().bytes_spilled = spill->bytes_written();
   }
-  runs.push_back(run);
+  runs.push_back(std::move(run));
   return Status::OK();
 }
 
-Status Query::Impl::Finalize() {
-  return spec->row_mode ? FinalizeRows() : FinalizeAggMode();
+Status Query::Impl::Finalize(const ExecContext::ParallelFor& parallel_for) {
+  return spec->row_mode ? FinalizeRows(parallel_for) : FinalizeAggMode();
 }
 
-Status Query::Impl::FinalizeRows() {
+Status Query::Impl::FinalizeRows(const ExecContext::ParallelFor& parallel_for) {
   // Morsel order, not completion order: the merge gives ties to the
   // earlier run, so the result is the same at any worker count.
   std::sort(runs.begin(), runs.end(),
@@ -1466,6 +1558,9 @@ Status Query::Impl::FinalizeRows() {
   for (const Run& r : runs) total += r.rows;
   const std::vector<TypeId>& types = spec->out_types;
   ResetResult(spec->out_cols, types, total);
+  const uint64_t parts =
+      std::clamp<uint64_t>(total / kMinMergePartRows, 1, workers);
+  ctx.spill_stats().merge_parts = parts;
   if (total == 0) return Status::OK();
 
   uint64_t row_bytes = 0;
@@ -1477,42 +1572,145 @@ Status Query::Impl::FinalizeRows() {
     AVM_RETURN_NOT_OK(spill->Seal());
     AVM_RETURN_NOT_OK(spill->ValidateChecksums());
   }
-  // Spilled runs stream through bounded read buffers (runs x chunk rows):
-  // task-style scratch, so it is charged transiently.
+  // Spilled runs stream through bounded read buffers (runs x chunk rows,
+  // split across the parts): task-style scratch, so it is charged
+  // transiently.
   ScopedTransientCharge merge_charge(
       tracker.get(),
       spill_mode ? kMergeChunkRows * row_bytes * runs.size() : 0);
+  // cuts[p][i]: first row of run i that part p merges. Every part writes
+  // its own slice of the one result buffer, so the parts run concurrently.
+  std::vector<std::vector<uint64_t>> cuts(parts + 1,
+                                          std::vector<uint64_t>(runs.size()));
+  for (size_t i = 0; i < runs.size(); ++i) cuts[parts][i] = runs[i].rows;
+  AVM_RETURN_NOT_OK(CutRuns(cuts));
+  const uint64_t chunk_rows = std::max<uint64_t>(kMergeChunkRows / parts, 1);
+  std::vector<Status> part_status(parts);
+  parallel_for(parts, [&](size_t p) {
+    part_status[p] = MergePart(cuts[p], cuts[p + 1], chunk_rows);
+  });
+  for (const Status& st : part_status) AVM_RETURN_NOT_OK(st);
+  return Status::OK();
+}
+
+Status Query::Impl::CutRuns(std::vector<std::vector<uint64_t>>& cuts) const {
+  const size_t parts = cuts.size() - 1;
+  if (spec->has_order) {
+    return DispatchType(spec->out_types[spec->order_key_index],
+                        [&]<typename T>() { return CutRunsByKey<T>(cuts); });
+  }
+  // Unordered output is the runs concatenated in morsel order: part p
+  // takes the rows [total * p / parts, total * (p + 1) / parts) of it.
+  uint64_t total = 0;
+  for (const Run& r : runs) total += r.rows;
+  for (size_t p = 1; p < parts; ++p) {
+    const uint64_t at = total * p / parts;
+    uint64_t run_begin = 0;
+    for (size_t i = 0; i < runs.size(); ++i) {
+      cuts[p][i] = std::clamp(at, run_begin, run_begin + runs[i].rows) -
+                   run_begin;
+      run_begin += runs[i].rows;
+    }
+  }
+  return Status::OK();
+}
+
+template <typename T>
+Status Query::Impl::CutRunsByKey(
+    std::vector<std::vector<uint64_t>>& cuts) const {
+  // Splitters: every (samples / parts)-th of the pooled run samples in
+  // KeyBefore order. A run's cut is the splitter's lower bound in it, so
+  // rows with equivalent keys (every NaN; -0.0 and +0.0) land in one part,
+  // rows of part p sort before those of part p + 1, and merging each part
+  // stably writes exactly its slice of the global stable sort. Skewed keys
+  // only make parts uneven; equal splitters leave a part empty.
+  const SortDir dir = spec->order_dir;
+  std::vector<T> pooled;
+  for (const Run& r : runs) {
+    for (uint64_t j = 0; j < r.samples.size() / sizeof(T); ++j) {
+      pooled.push_back(LoadKey<T>(r.samples.data(), j));
+    }
+  }
+  std::sort(pooled.begin(), pooled.end(),
+            [dir](T a, T b) { return KeyBefore(a, b, dir); });
+  const size_t parts = cuts.size() - 1;
+  const size_t key = spec->order_key_index;
+  std::vector<uint8_t> keys;  // a spilled run's bracketed keys
+  for (size_t p = 1; p < parts; ++p) {
+    const T splitter = pooled[p * pooled.size() / parts];
+    for (size_t i = 0; i < runs.size(); ++i) {
+      // The run's samples bracket the lower bound between two sampled
+      // rows; only the keys in between are read (one chunk read of a
+      // spilled run).
+      const Run& r = runs[i];
+      const uint64_t ns = r.samples.size() / sizeof(T);
+      const uint64_t j =
+          LowerBound(0, ns, splitter, dir, [&](uint64_t x) {
+            return LoadKey<T>(r.samples.data(), x);
+          });
+      const uint64_t lo = j == 0 ? 0 : SampleRow(j - 1, ns, r.rows) + 1;
+      const uint64_t hi = j == ns ? r.rows : SampleRow(j, ns, r.rows);
+      const uint8_t* bracket =
+          spill_mode ? nullptr
+                     : windows[key].data() + (r.begin + lo) * sizeof(T);
+      if (spill_mode) {
+        keys.resize((hi - lo) * sizeof(T));
+        if (hi > lo) {
+          AVM_RETURN_NOT_OK(spill->ReadRunChunk(r.spill_run, key, lo,
+                                                hi - lo, keys.data()));
+        }
+        bracket = keys.data();
+      }
+      cuts[p][i] = lo + LowerBound(0, hi - lo, splitter, dir, [&](uint64_t x) {
+                     return LoadKey<T>(bracket, x);
+                   });
+    }
+  }
+  return Status::OK();
+}
+
+Status Query::Impl::MergePart(const std::vector<uint64_t>& lo,
+                              const std::vector<uint64_t>& hi,
+                              uint64_t chunk_rows) {
+  const std::vector<TypeId>& types = spec->out_types;
+  std::vector<size_t> widths(types.size());
+  for (size_t c = 0; c < types.size(); ++c) widths[c] = TypeWidth(types[c]);
+  uint64_t first_row = 0;
   std::vector<RunCursor> cur(runs.size());
   for (size_t i = 0; i < runs.size(); ++i) {
+    first_row += lo[i];
     RunCursor& rc = cur[i];
-    rc.rows = runs[i].rows;
+    rc.next = lo[i];
+    rc.end = hi[i];
     rc.cols.resize(types.size());
     if (spill_mode) {
       rc.file = spill.get();
       rc.spill_run = runs[i].spill_run;
-      AVM_RETURN_NOT_OK(rc.Refill());
+      rc.chunk_rows = chunk_rows;
+      if (!rc.done()) AVM_RETURN_NOT_OK(rc.Refill());
     } else {
-      rc.buf_len = rc.rows;
+      rc.buf_len = runs[i].rows;
       for (size_t c = 0; c < types.size(); ++c) {
-        rc.cols[c] = windows[c].data() + runs[i].begin * TypeWidth(types[c]);
+        rc.cols[c] = windows[c].data() + runs[i].begin * widths[c];
       }
     }
+  }
+  std::vector<uint8_t*> out(types.size());
+  for (size_t c = 0; c < types.size(); ++c) {
+    out[c] = result[c].data.data() + first_row * widths[c];
   }
 
   if (!spec->has_order) {
     return MergeRuns(
-        cur, [](const RunCursor&, const RunCursor&) { return false; }, total,
-        result);
+        cur, [](const RunCursor&) { return uint8_t{0}; },
+        [](uint8_t, uint8_t) { return false; }, out, widths);
   }
   const size_t key = spec->order_key_index;
   const SortDir dir = spec->order_dir;
   return DispatchType(types[key], [&]<typename T>() {
     return MergeRuns(
-        cur,
-        [key, dir](const RunCursor& a, const RunCursor& b) {
-          return KeyBefore(a.Key<T>(key), b.Key<T>(key), dir);
-        },
-        total, result);
+        cur, [key](const RunCursor& rc) { return rc.Key<T>(key); },
+        [dir](T a, T b) { return KeyBefore(a, b, dir); }, out, widths);
   });
 }
 
@@ -1520,6 +1718,7 @@ Status Query::Impl::OnPrepare(const MemoryPlan& plan, PrepareOutcome* out) {
   OnCleanup();  // re-submission: drop the previous charges, runs, spill file
   tracker = plan.tracker;
   spill_mode = false;
+  workers = std::max<size_t>(plan.workers, 1);
 
   const Spec& s = *spec;
   // Persistent side tables: semijoin dims, join lookup structures and
@@ -1571,7 +1770,6 @@ Status Query::Impl::OnPrepare(const MemoryPlan& plan, PrepareOutcome* out) {
   // budget, floor-aligned to the chunk size (PartitionRows rounds morsels
   // UP to chunk alignment, so a floor-aligned cap stays within budget).
   const uint64_t per_input_row = std::max<uint64_t>(width_sum * s.fan_out, 1);
-  const uint64_t workers = std::max<size_t>(plan.workers, 1);
   const uint32_t chunk = std::max<uint32_t>(plan.chunk_size, 1);
   // The viability check is against the BUDGET, not currently-available
   // bytes: a budget that cannot hold even one chunk-sized morsel window is
@@ -2081,7 +2279,10 @@ Result<Query> QueryBuilder::Build() {
           return self->OnTask(in, m);
         });
   }
-  impl->ctx.set_finalize_hook([self] { return self->Finalize(); });
+  impl->ctx.set_finalize_hook(
+      [self](const ExecContext::ParallelFor& parallel_for) {
+        return self->Finalize(parallel_for);
+      });
 
   // The builder stays reusable: the built query shares this spec, and the
   // next mutating call (or Build) forks it copy-on-write.

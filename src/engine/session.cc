@@ -65,9 +65,9 @@ struct QueryState {
   /// Set at Submit; lets QueryHandle::Cancel() reach the admission queue.
   std::weak_ptr<Scheduler> sched;
 
-  /// Serializes task-hook calls + accumulator merges across morsel workers.
-  /// Deliberately NOT `mu`: the task hook is user code that may probe the
-  /// query's own handle (done() / TryGetReport() lock `mu`).
+  /// Serializes the accumulator sums and report merges of the query's
+  /// tasks. Task hooks run before it is taken, concurrently. Deliberately
+  /// NOT `mu`, which the report merge takes inside it.
   std::mutex merge_mu;
 
   // ----- result (guarded by mu) ------------------------------------------
@@ -387,7 +387,13 @@ void Session::RunTask(const std::shared_ptr<QueryState>& q, size_t index) {
     run_finalize = q->status.ok() && q->ctx->finalize_hook_ != nullptr;
   }
   if (run_finalize) {
-    Status fst = q->ctx->finalize_hook_();
+    // Merge parts run on this Session's workers only; the pool is
+    // immutable while any query is active.
+    ThreadPool* pool = sched_->pool.get();
+    Status fst = q->ctx->finalize_hook_(
+        [pool](size_t n, const std::function<void(size_t)>& fn) {
+          pool->ParallelFor(n, fn);
+        });
     if (!fst.ok()) {
       std::lock_guard<std::mutex> lock(q->mu);
       if (q->status.ok()) q->status = fst;
@@ -416,6 +422,7 @@ void Session::FinalizeLocked(QueryState& q) {
   r.ran_serial_reason = q.serial_reason;
   r.bytes_spilled = q.ctx->spill_stats_.bytes_spilled;
   r.spill_runs = q.ctx->spill_stats_.spill_runs;
+  r.merge_parts = q.ctx->spill_stats_.merge_parts;
   if (q.tracker != nullptr) r.peak_tracked_bytes = q.tracker->peak();
   if (q.started) r.wall_seconds = q.wall.ElapsedSeconds();
   if (q.calibrate_cpu && q.status.ok()) {
@@ -772,11 +779,14 @@ Status Session::RunMorselTask(QueryState& q, const Morsel& m) {
   ScopedTransientCharge task_charge(q.tracker.get(), transient_bytes);
   AVM_RETURN_NOT_OK(vmach.Run());
 
-  std::lock_guard<std::mutex> merge_lock(q.merge_mu);
   // A cancelled (or failed) query's results are discarded wholesale; do not
-  // merge this morsel's partials into the caller-visible arrays.
+  // hand this morsel to the hook or merge its partials into the
+  // caller-visible arrays. The hook runs on this worker, concurrently with
+  // the other tasks' hooks (it sorts the task's output window).
   if (q.cancel.load(std::memory_order_relaxed)) return Status::OK();
   if (ctx.task_hook_) AVM_RETURN_NOT_OK(ctx.task_hook_(in, m));
+  std::lock_guard<std::mutex> merge_lock(q.merge_mu);
+  if (q.cancel.load(std::memory_order_relaxed)) return Status::OK();
   size_t pi = 0;
   for (const ExecContext::Bound& b : ctx.bound_) {
     if (b.role != BindRole::kAccumulator) continue;

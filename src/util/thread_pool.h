@@ -26,6 +26,8 @@ class ThreadPool {
   std::future<void> Submit(std::function<void()> fn);
 
   /// Run fn(i) for i in [0, n) across the pool and wait for completion.
+  /// The caller runs indexes too, so the call completes even when no pool
+  /// thread is free — it may be made from a thread of this pool.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
   size_t num_threads() const { return threads_.size(); }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <vector>
 
@@ -465,7 +466,8 @@ TEST(ExecContextTest, TaskHookSeesEveryMorsel) {
   ctx.BindInput("src", interp::DataBinding::Raw(TypeId::kI64, data.data(), n));
   ctx.BindOutput("out",
                  interp::DataBinding::Raw(TypeId::kI64, out.data(), n, true));
-  int task_calls = 0;
+  // Task hooks run concurrently, one per task's worker.
+  std::atomic<int> task_calls{0};
   ctx.set_task_hook([&](const interp::Interpreter&, const Morsel&) {
     ++task_calls;
     return Status::OK();

@@ -8,14 +8,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "engine/query_builder.h"
 #include "engine/session.h"
 #include "util/rng.h"
+#include "util/string_util.h"
 
 namespace avm::engine {
 namespace {
@@ -704,6 +707,158 @@ TEST(JoinBuilderTest, UnorderedOutputMaterializesInRowOrder) {
     for (size_t i = 0; i < ea.size(); ++i) {
       ASSERT_EQ(ca.As<int64_t>()[i], ea[i]) << "row " << i;
       ASSERT_EQ(cb.As<int64_t>()[i], eb[i]) << "row " << i;
+    }
+  }
+}
+
+/// First row at which two result columns of 8-byte values differ, or -1
+/// when they are bit-identical (a size mismatch differs at the shorter
+/// length).
+int64_t FirstDiffRow(const std::vector<uint8_t>& got,
+                     const std::vector<uint8_t>& want) {
+  const size_t n = std::min(got.size(), want.size());
+  for (size_t b = 0; b < n; b += 8) {
+    if (std::memcmp(&got[b], &want[b], 8) != 0) {
+      return static_cast<int64_t>(b / 8);
+    }
+  }
+  return got.size() == want.size() ? -1 : static_cast<int64_t>(n / 8);
+}
+
+TEST(JoinBuilderTest, MultiPartMergeMatchesStableSortAtEveryWorkerCount) {
+  // Each case yields enough rows for four key-range merge parts at four
+  // workers, and runs at 1, 2 and 4 workers, resident and spilled (64 KiB
+  // budget). Every run must equal a std::stable_sort oracle and the
+  // 1-worker resident run bit for bit; "tag" is the input row, so rows
+  // with equivalent keys must keep input order.
+  enum class Case {
+    kThreeValues,     // 5/8 of rows 0, 2/8 1, 1/8 2: two splitters are 0
+    kConstantKey,     // every splitter equal: one part holds every row
+    kDescendingTies,  // 1,000 values, ties across every run
+    kF64NaNAndZeros,  // a splitter among -0.0/+0.0, NaNs at the end
+    kUnordered,       // no ORDER BY: parts split the runs' concatenation
+  };
+  constexpr uint64_t kRows = 80'000;
+  for (Case c : {Case::kThreeValues, Case::kConstantKey,
+                 Case::kDescendingTies, Case::kF64NaNAndZeros,
+                 Case::kUnordered}) {
+    SCOPED_TRACE("case " + std::to_string(static_cast<int>(c)));
+    const bool f64 = c == Case::kF64NaNAndZeros;
+    std::vector<int64_t> ik(kRows), tag(kRows);
+    std::vector<double> fk(kRows);
+    Rng rng(19);
+    for (uint64_t i = 0; i < kRows; ++i) {
+      tag[i] = static_cast<int64_t>(i);
+      const int64_t r = rng.NextInRange(0, 999);
+      switch (c) {
+        case Case::kThreeValues:
+          ik[i] = r < 625 ? 0 : (r < 875 ? 1 : 2);
+          break;
+        case Case::kConstantKey:
+          ik[i] = 7;
+          break;
+        case Case::kDescendingTies:
+        case Case::kUnordered:
+          ik[i] = r;
+          break;
+        case Case::kF64NaNAndZeros:
+          // 20% distinct negatives, 25% zeros of either sign, 30% distinct
+          // positives, 25% NaN.
+          if (r < 200) {
+            fk[i] = -static_cast<double>(i + 1) / 4.0;
+          } else if (r < 450) {
+            fk[i] = r % 2 == 0 ? 0.0 : -0.0;
+          } else if (r < 750) {
+            fk[i] = static_cast<double>(i + 1) / 4.0;
+          } else {
+            fk[i] = std::nan("");
+          }
+          break;
+      }
+    }
+    Table t(Schema({{"k", f64 ? TypeId::kF64 : TypeId::kI64},
+                    {"tag", TypeId::kI64}}));
+    ASSERT_TRUE(t.column(0)
+                    .AppendValues(f64 ? static_cast<const void*>(fk.data())
+                                      : static_cast<const void*>(ik.data()),
+                                  static_cast<uint32_t>(kRows))
+                    .ok());
+    ASSERT_TRUE(
+        t.column(1).AppendValues(tag.data(), static_cast<uint32_t>(kRows))
+            .ok());
+    if (f64) {
+      // The keys must reach the engine bit for bit. A dictionary or RLE
+      // block would fold -0.0 into +0.0; the distinct numbers keep every
+      // block plain.
+      std::vector<double> stored(kRows);
+      ASSERT_TRUE(
+          t.column(0).Read(0, static_cast<uint32_t>(kRows), stored.data())
+              .ok());
+      ASSERT_EQ(std::memcmp(stored.data(), fk.data(), kRows * sizeof(double)),
+                0);
+    }
+    auto build_query = [&] {
+      QueryBuilder qb(t);
+      if (c == Case::kUnordered) {
+        qb.Filter(Var("k") < ConstI(900)).Output("k").Output("tag");
+      } else {
+        qb.Output("tag").OrderBy("k", c == Case::kDescendingTies
+                                          ? SortDir::kDescending
+                                          : SortDir::kAscending);
+      }
+      return qb.Build().ValueOrDie();
+    };
+
+    // Oracle: the surviving input rows, stably sorted (NaN after every
+    // number, -0.0 equivalent to +0.0).
+    std::vector<uint64_t> order;
+    for (uint64_t i = 0; i < kRows; ++i) {
+      if (c != Case::kUnordered || ik[i] < 900) order.push_back(i);
+    }
+    if (c != Case::kUnordered) {
+      std::stable_sort(order.begin(), order.end(), [&](uint64_t a,
+                                                       uint64_t b) {
+        if (f64) {
+          if (std::isnan(fk[a])) return false;
+          if (std::isnan(fk[b])) return true;
+          return fk[a] < fk[b];
+        }
+        return c == Case::kDescendingTies ? ik[a] > ik[b] : ik[a] < ik[b];
+      });
+    }
+    ASSERT_GE(order.size(), 4 * 16'384u);
+    std::vector<uint8_t> want_k(order.size() * 8), want_tag(order.size() * 8);
+    for (size_t r = 0; r < order.size(); ++r) {
+      std::memcpy(&want_k[r * 8],
+                  f64 ? static_cast<const void*>(&fk[order[r]])
+                      : static_cast<const void*>(&ik[order[r]]),
+                  8);
+      std::memcpy(&want_tag[r * 8], &tag[order[r]], 8);
+    }
+
+    std::vector<uint8_t> golden_k, golden_tag;  // 1 worker, resident
+    for (bool spilled : {false, true}) {
+      for (size_t workers : {size_t{1}, size_t{2}, size_t{4}}) {
+        SCOPED_TRACE(StrFormat("%s, %zu workers",
+                               spilled ? "spilled" : "resident", workers));
+        QueryOptions opts = Interp();
+        opts.memory_budget = spilled ? 64 * 1024 : uint64_t{1} << 40;
+        Query q = build_query();
+        auto rep = Session({.num_workers = workers}).Run(q.context(), opts);
+        ASSERT_TRUE(rep.ok()) << rep.status().ToString();
+        EXPECT_EQ(rep.value().bytes_spilled > 0, spilled);
+        EXPECT_EQ(rep.value().merge_parts, workers);
+        const auto& got_k = q.result_column("k").data;
+        const auto& got_tag = q.result_column("tag").data;
+        EXPECT_EQ(FirstDiffRow(got_k, want_k), -1);
+        EXPECT_EQ(FirstDiffRow(got_tag, want_tag), -1);
+        if (golden_k.empty()) {
+          golden_k = got_k;
+          golden_tag = got_tag;
+        }
+        EXPECT_EQ(FirstDiffRow(got_k, golden_k), -1);
+        EXPECT_EQ(FirstDiffRow(got_tag, golden_tag), -1);
+      }
     }
   }
 }

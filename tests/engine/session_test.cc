@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -592,6 +593,61 @@ TEST(SessionTest, Q1RepeatedRunsHitCrossRunTraceCache) {
   EXPECT_EQ(r2.value().traces_compiled, 0u)
       << "partition drifted between identical runs";
   EXPECT_GT(r2.value().traces_reused, 0u);
+}
+
+TEST(SessionTest, ConcurrentOrderByFinalizesMergeInPartsOnEveryWorker) {
+  // Four clients each submit an ORDER BY query big enough for four merge
+  // parts to one 4-worker Session at the same time, for three rounds: the
+  // queries finish together, so several workers finalize at once and each
+  // runs its merge parts through the pool it is a thread of. Every result
+  // must be bit-identical to a 1-worker run.
+  constexpr uint64_t kRows = 80'000;
+  constexpr size_t kClients = 4;
+  Table t(Schema({{"k", TypeId::kI64}, {"v", TypeId::kI64}}));
+  Rng rng(23);
+  std::vector<int64_t> k(kRows), v(kRows);
+  for (uint64_t i = 0; i < kRows; ++i) {
+    k[i] = rng.NextInRange(0, 4999);
+    v[i] = static_cast<int64_t>(i);
+  }
+  ASSERT_TRUE(
+      t.column(0).AppendValues(k.data(), static_cast<uint32_t>(kRows)).ok());
+  ASSERT_TRUE(
+      t.column(1).AppendValues(v.data(), static_cast<uint32_t>(kRows)).ok());
+  auto build_query = [&] {
+    QueryBuilder qb(t);
+    qb.Output("v").OrderBy("k", SortDir::kAscending);
+    return qb.Build().ValueOrDie();
+  };
+  QueryOptions opts;
+  opts.strategy = ExecutionStrategy::kInterpret;
+  Query golden = build_query();
+  ASSERT_TRUE(Session({.num_workers = 1}).Run(golden.context(), opts).ok());
+  ASSERT_EQ(golden.num_result_rows(), kRows);
+
+  Session session({.num_workers = 4});
+  std::vector<Query> queries;
+  for (size_t c = 0; c < kClients; ++c) queries.push_back(build_query());
+  for (int round = 0; round < 3; ++round) {
+    std::vector<std::optional<Result<ExecReport>>> reports(kClients);
+    std::vector<std::thread> clients;
+    for (size_t c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        reports[c] = session.Submit(queries[c].context(), opts).Wait();
+      });
+    }
+    for (std::thread& th : clients) th.join();
+    for (size_t c = 0; c < kClients; ++c) {
+      ASSERT_TRUE(reports[c]->ok()) << reports[c]->status().ToString();
+      EXPECT_GT(reports[c]->value().merge_parts, 1u) << "client " << c;
+      EXPECT_TRUE(queries[c].result_column("k").data ==
+                  golden.result_column("k").data)
+          << "round " << round << " client " << c;
+      EXPECT_TRUE(queries[c].result_column("v").data ==
+                  golden.result_column("v").data)
+          << "round " << round << " client " << c;
+    }
+  }
 }
 
 }  // namespace

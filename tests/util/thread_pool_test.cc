@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
+#include <chrono>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
 
 namespace avm {
@@ -37,6 +40,18 @@ TEST(ThreadPoolTest, ParallelForZeroAndOne) {
     ++calls;
   });
   EXPECT_EQ(calls, 1);
+}
+
+TEST(ThreadPoolTest, ParallelForRethrowsAfterEveryIndexRan) {
+  ThreadPool pool(4);
+  std::atomic<int> ran{0};
+  EXPECT_THROW(pool.ParallelFor(64,
+                                [&](size_t i) {
+                                  ran.fetch_add(1);
+                                  if (i == 5) throw std::runtime_error("5");
+                                }),
+               std::runtime_error);
+  EXPECT_EQ(ran.load(), 64);
 }
 
 TEST(ThreadPoolTest, ZeroThreadsClampsToOne) {
@@ -85,6 +100,41 @@ TEST(ThreadPoolStressTest, RepeatedParallelForBursts) {
     pool.ParallelFor(997, [&](size_t i) { total.fetch_add(i + 1); });
     ASSERT_EQ(total.load(), uint64_t{997} * 998 / 2) << "round " << round;
   }
+}
+
+TEST(ThreadPoolStressTest, ParallelForFromEveryPoolThreadAtOnce) {
+  // Every pool thread calls ParallelFor at the same moment, so no thread is
+  // free to start a helper: each caller must run its own indexes. The
+  // state lives on the heap and the pool is leaked if the calls deadlock
+  // (a deadlocked pool cannot be joined), so a failure cannot hang or
+  // crash the binary.
+  constexpr size_t kThreads = 4;
+  constexpr size_t kIndexes = 8;
+  struct Probe {
+    std::barrier<> meet{kThreads};
+    std::atomic<size_t> calls{0};
+  };
+  auto* pool = new ThreadPool(kThreads);
+  auto* probe = new Probe;
+  std::vector<std::future<void>> outer;
+  for (size_t t = 0; t < kThreads; ++t) {
+    outer.push_back(pool->Submit([pool, probe] {
+      probe->meet.arrive_and_wait();
+      pool->ParallelFor(kIndexes, [probe](size_t) { probe->calls++; });
+    }));
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  bool finished = true;
+  for (auto& f : outer) {
+    finished = finished &&
+               f.wait_until(deadline) == std::future_status::ready;
+  }
+  ASSERT_TRUE(finished) << probe->calls.load() << " of "
+                        << kThreads * kIndexes << " calls ran";
+  EXPECT_EQ(probe->calls.load(), kThreads * kIndexes);
+  delete pool;
+  delete probe;
 }
 
 }  // namespace
