@@ -11,7 +11,9 @@
 # (docs/TRACE_ABI.md, docs/TRACE_CACHE.md, docs/VERIFIER.md, docs/SPILL.md)
 # rely on: adaptive_vm.h, trace_abi.h, codegen.h (code generation from
 # verified traces only), trace_compiler.h, jit_backend.h, disk_cache.h,
-# the analysis headers, memory_tracker.h and spill_file.h.
+# the analysis headers, memory_tracker.h and spill_file.h — plus the
+# storage codec headers (compression.h, bitpack.h) and the partitioner
+# (depgraph.h).
 # CI fails the build on any finding.
 set -u
 
@@ -32,6 +34,9 @@ if [ ${#headers[@]} -eq 0 ]; then
     src/analysis/verify_trace.h
     src/engine/memory_tracker.h
     src/storage/spill_file.h
+    src/storage/compression.h
+    src/storage/bitpack.h
+    src/ir/depgraph.h
   )
 fi
 

@@ -107,8 +107,22 @@ Scheme Interpreter::LastSchemeOf(const std::string& name) const {
   return it == last_scheme_.end() ? Scheme::kPlain : it->second;
 }
 
-void Interpreter::AddInjection(InjectedTrace trace) {
-  injections_.push_back(std::move(trace));
+std::vector<InjectedTrace> Interpreter::AddInjection(InjectedTrace trace) {
+  auto overlaps = [&](const InjectedTrace& old) {
+    if (old.covered_stmt_ids == trace.covered_stmt_ids) return false;
+    for (uint32_t id : old.covered_stmt_ids) {
+      if (trace.covered_stmt_ids.contains(id)) return true;
+    }
+    return false;
+  };
+  std::vector<InjectedTrace> removed;
+  std::vector<InjectedTrace> kept;
+  for (auto& old : injections_) {
+    (overlaps(old) ? removed : kept).push_back(std::move(old));
+  }
+  kept.push_back(std::move(trace));
+  injections_ = std::move(kept);
+  return removed;
 }
 
 void Interpreter::ClearInjections() { injections_.clear(); }

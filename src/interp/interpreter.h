@@ -156,7 +156,15 @@ class Interpreter {
   uint64_t chunks_streamed() const;
 
   // --- adaptivity hooks -----------------------------------------------------
-  void AddInjection(InjectedTrace trace);
+  /// Install `trace`. Installed injections cover equal statement sets
+  /// (variants of one region, told apart by `applicable`) or disjoint
+  /// ones: a trace publishes only the values that statements outside its
+  /// own coverage name, so a trace anchored in another's statement span
+  /// that shares statements with it could read a value the other left
+  /// stale. Every installed injection whose covered statements intersect
+  /// `trace`'s without being the same set is therefore removed first;
+  /// the removed injections are returned with their counters.
+  std::vector<InjectedTrace> AddInjection(InjectedTrace trace);
   void ClearInjections();
   const std::vector<InjectedTrace>& injections() const { return injections_; }
 

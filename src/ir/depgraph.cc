@@ -252,10 +252,11 @@ std::string DepGraph::ToDot() const {
 
 namespace {
 
-bool NodeEligible(const DepNode& n, const PartitionConstraints& c) {
+bool NodeEligible(const DepNode& n, const PartitionConstraints& c,
+                  bool filters) {
   switch (n.kind) {
     case SkeletonKind::kFilter:
-      return c.allow_filter;
+      return filters;
     case SkeletonKind::kCondense:
       return c.allow_condense;
     case SkeletonKind::kGather:
@@ -362,8 +363,84 @@ std::vector<std::string> Trace::ChunkVarInputs(
   return out;
 }
 
+namespace {
+
+bool HoldsFilter(const DepGraph& graph, const std::set<uint32_t>& region) {
+  for (uint32_t id : region) {
+    if (graph.nodes()[id].kind == SkeletonKind::kFilter) return true;
+  }
+  return false;
+}
+
+// Grow a region from `seed`: repeatedly add the highest-cost unvisited
+// eligible neighbor that keeps the stream budget and statement convexity.
+// `filters` says whether filter nodes are eligible.
+std::set<uint32_t> GrowRegion(const DepGraph& graph, uint32_t seed,
+                              const std::vector<bool>& visited,
+                              const PartitionConstraints& constraints,
+                              bool filters) {
+  const auto& nodes = graph.nodes();
+  std::set<uint32_t> region{seed};
+  while (region.size() < constraints.max_nodes) {
+    int best = -1;
+    for (uint32_t id : region) {
+      auto consider = [&](uint32_t cand) {
+        if (visited[cand] || region.contains(cand)) return;
+        if (!NodeEligible(nodes[cand], constraints, filters)) return;
+        std::set<uint32_t> tentative = region;
+        tentative.insert(cand);
+        if (CountStreams(graph, tentative) > constraints.max_streams) return;
+        if (StmtConvexityViolation(graph, tentative) >= 0) return;
+        if (best < 0 ||
+            nodes[cand].cost > nodes[static_cast<size_t>(best)].cost) {
+          best = static_cast<int>(cand);
+        }
+      };
+      for (uint32_t in : nodes[id].inputs) consider(in);
+      for (uint32_t c : nodes[id].consumers) consider(c);
+    }
+    if (best < 0) break;
+    region.insert(static_cast<uint32_t>(best));
+  }
+  return region;
+}
+
+// The trace of a region: its nodes in topological order, its cost, and the
+// names crossing its boundary.
+Trace MakeTrace(const DepGraph& graph, const std::set<uint32_t>& region,
+                const std::vector<uint32_t>& topo_pos) {
+  const auto& nodes = graph.nodes();
+  Trace t;
+  for (uint32_t id : region) {
+    t.total_cost += nodes[id].cost;
+    t.node_ids.push_back(id);
+  }
+  std::sort(t.node_ids.begin(), t.node_ids.end(),
+            [&](uint32_t a, uint32_t b) { return topo_pos[a] < topo_pos[b]; });
+  std::set<std::string> ins, outs;
+  for (uint32_t id : region) {
+    const DepNode& n = nodes[id];
+    for (const auto& r : n.external_reads) ins.insert(r);
+    for (const auto& w : n.external_writes) outs.insert(w);
+    for (uint32_t in : n.inputs) {
+      if (!region.contains(in)) ins.insert(graph.OutputNameOf(in));
+    }
+    bool escapes = false;
+    for (uint32_t c : n.consumers) {
+      if (!region.contains(c)) escapes = true;
+    }
+    if (escapes) outs.insert(graph.OutputNameOf(id));
+  }
+  t.inputs.assign(ins.begin(), ins.end());
+  t.outputs.assign(outs.begin(), outs.end());
+  return t;
+}
+
+}  // namespace
+
 std::vector<Trace> GreedyPartition(const DepGraph& graph,
-                                   const PartitionConstraints& constraints) {
+                                   const PartitionConstraints& constraints,
+                                   const TraceAcceptor& accept) {
   const auto& nodes = graph.nodes();
   std::vector<bool> visited(nodes.size(), false);
   std::vector<Trace> traces;
@@ -376,63 +453,28 @@ std::vector<Trace> GreedyPartition(const DepGraph& graph,
     // Seed: most expensive unvisited eligible node.
     int seed = -1;
     for (const auto& n : nodes) {
-      if (visited[n.id] || !NodeEligible(n, constraints)) continue;
+      if (visited[n.id] || !NodeEligible(n, constraints, true)) continue;
       if (seed < 0 || n.cost > nodes[static_cast<size_t>(seed)].cost) {
         seed = static_cast<int>(n.id);
       }
     }
     if (seed < 0) break;
+    const uint32_t s = static_cast<uint32_t>(seed);
 
-    std::set<uint32_t> region{static_cast<uint32_t>(seed)};
-    while (region.size() < constraints.max_nodes) {
-      // Candidate = highest-cost unvisited eligible neighbor that keeps the
-      // stream budget.
-      int best = -1;
-      for (uint32_t id : region) {
-        auto consider = [&](uint32_t cand) {
-          if (visited[cand] || region.contains(cand)) return;
-          if (!NodeEligible(nodes[cand], constraints)) return;
-          std::set<uint32_t> tentative = region;
-          tentative.insert(cand);
-          if (CountStreams(graph, tentative) > constraints.max_streams) return;
-          if (StmtConvexityViolation(graph, tentative) >= 0) return;
-          if (best < 0 ||
-              nodes[cand].cost > nodes[static_cast<size_t>(best)].cost) {
-            best = static_cast<int>(cand);
-          }
-        };
-        for (uint32_t in : nodes[id].inputs) consider(in);
-        for (uint32_t c : nodes[id].consumers) consider(c);
+    std::set<uint32_t> region =
+        GrowRegion(graph, s, visited, constraints, /*filters=*/true);
+    Trace t = MakeTrace(graph, region, topo_pos);
+    if (accept && HoldsFilter(graph, region) && !accept(t)) {
+      // Rejected with a filter in it: a filter seed stays interpreted;
+      // any other seed grows again without filters (the §III-B region).
+      if (nodes[s].kind == SkeletonKind::kFilter) {
+        visited[s] = true;
+        continue;
       }
-      if (best < 0) break;
-      region.insert(static_cast<uint32_t>(best));
+      region = GrowRegion(graph, s, visited, constraints, /*filters=*/false);
+      t = MakeTrace(graph, region, topo_pos);
     }
-
-    Trace t;
-    for (uint32_t id : region) {
-      visited[id] = true;
-      t.total_cost += nodes[id].cost;
-      t.node_ids.push_back(id);
-    }
-    std::sort(t.node_ids.begin(), t.node_ids.end(),
-              [&](uint32_t a, uint32_t b) { return topo_pos[a] < topo_pos[b]; });
-    // Boundary names.
-    std::set<std::string> ins, outs;
-    for (uint32_t id : region) {
-      const DepNode& n = nodes[id];
-      for (const auto& r : n.external_reads) ins.insert(r);
-      for (const auto& w : n.external_writes) outs.insert(w);
-      for (uint32_t in : n.inputs) {
-        if (!region.contains(in)) ins.insert(graph.OutputNameOf(in));
-      }
-      bool escapes = false;
-      for (uint32_t c : n.consumers) {
-        if (!region.contains(c)) escapes = true;
-      }
-      if (escapes) outs.insert(graph.OutputNameOf(id));
-    }
-    t.inputs.assign(ins.begin(), ins.end());
-    t.outputs.assign(outs.begin(), outs.end());
+    for (uint32_t id : region) visited[id] = true;
     if (t.total_cost >= constraints.min_trace_cost) {
       traces.push_back(std::move(t));
     }

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <set>
 #include <string>
 #include <vector>
@@ -40,6 +41,9 @@ struct DepNode {
   uint32_t num_prims = 1;
 };
 
+/// The dependency graph of one loop body: a DepNode per skeleton
+/// application, def-use edges through `let` bindings, and the names of the
+/// values the nodes produce.
 class DepGraph {
  public:
   /// Build the graph for the (first) loop body of a type-checked program.
@@ -73,13 +77,12 @@ class DepGraph {
 /// Heuristic constraints of the greedy partitioner (paper §III-B):
 ///  - `max_streams`: no more than n inputs+intermediates per function,
 ///    derived from the TLB size (prevents TLB thrashing);
-///  - `allow_filter`: when false, filter ops are not merged into functions
-///    (restricting branch-misprediction impact / selection-vector data
-///    dependencies to dedicated functions);
 ///  - `min_trace_cost`: traces cheaper than this are not worth compiling.
+/// Filters may always join a function; GreedyPartition's acceptor decides
+/// whether a region holding one stays fused (an acceptor that rejects
+/// every such region gives the paper's filter-excluding split).
 struct PartitionConstraints {
   size_t max_streams = 12;
-  bool allow_filter = false;
   bool allow_condense = true;
   bool allow_scatter_gather = true;
   double min_trace_cost = 0.0;
@@ -130,12 +133,25 @@ int StmtConvexityViolation(const DepGraph& graph,
 int StmtConvexityViolation(const DepGraph& graph,
                            const std::vector<uint32_t>& region);
 
+/// Acceptance predicate of GreedyPartition: whether a grown region that
+/// holds a filter may stay one trace. The VM passes one that checks the
+/// filters' observed selectivity and runs the JIT gate
+/// (analysis::VerifyTrace); taking it as a predicate keeps `ir` below
+/// `analysis` and the profile.
+using TraceAcceptor = std::function<bool(const Trace&)>;
+
 /// Greedy partitioning: repeatedly seed with the most expensive unvisited
 /// node and grow along edges while constraints hold. Regions are kept
-/// statement-convex (StmtConvexityViolation). Returns traces sorted by
-/// descending total cost. Traces may not cover the whole graph (remaining
-/// nodes stay interpreted) — exactly as the paper allows.
+/// statement-convex (StmtConvexityViolation). When `accept` is set and
+/// rejects a grown region that holds a filter, the region grows again from
+/// the same seed with filters excluded (a rejected filter seed stays
+/// interpreted), so the acceptor never costs a plan compiled coverage.
+/// Deterministic in the graph, its node costs, the constraints and the
+/// acceptor's answers. Returns traces sorted by descending total cost.
+/// Traces may not cover the whole graph (remaining nodes stay interpreted)
+/// — exactly as the paper allows.
 std::vector<Trace> GreedyPartition(const DepGraph& graph,
-                                   const PartitionConstraints& constraints);
+                                   const PartitionConstraints& constraints,
+                                   const TraceAcceptor& accept = nullptr);
 
 }  // namespace avm::ir

@@ -1,5 +1,6 @@
 #include "jit/codegen.h"
 
+#include <functional>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -55,6 +56,31 @@ Result<PrimProgram> NormalizeVerified(const Expr& lambda,
                             prog.status().message());
   }
   return prog;
+}
+
+// Every name the statements a trace does not cover refer to. Those
+// statements run interpreted and read values from the environment by name,
+// so a trace value they name must be published.
+std::unordered_set<std::string> NamesOutside(
+    const dsl::Program& program, const std::vector<uint32_t>& covered) {
+  const std::unordered_set<uint32_t> skip(covered.begin(), covered.end());
+  std::unordered_set<std::string> names;
+  std::function<void(const Expr&)> walk_expr = [&](const Expr& e) {
+    if (e.kind == ExprKind::kVarRef) names.insert(e.var);
+    for (const auto& a : e.args) walk_expr(*a);
+    if (e.body) walk_expr(*e.body);
+  };
+  std::function<void(const std::vector<dsl::StmtPtr>&)> walk_stmts =
+      [&](const std::vector<dsl::StmtPtr>& stmts) {
+        for (const auto& s : stmts) {
+          if (skip.contains(s->id)) continue;
+          if (s->expr) walk_expr(*s->expr);
+          walk_stmts(s->body);
+          walk_stmts(s->else_body);
+        }
+      };
+  walk_stmts(program.stmts);
+  return names;
 }
 
 // The scalar helper library every generated translation unit carries,
@@ -278,6 +304,8 @@ Status TraceEmitter::AssignInputsOutputs() {
   };
 
   // Outputs: data writes/scatters + escaping values + fold scalars.
+  const std::unordered_set<std::string> named_outside =
+      NamesOutside(program_, facts_.covered_stmt_ids);
   for (uint32_t id : trace_.node_ids) {
     const DepNode& n = graph_.nodes()[id];
     if (n.kind == SkeletonKind::kWrite) {
@@ -327,7 +355,9 @@ Status TraceEmitter::AssignInputsOutputs() {
       out_.outputs.push_back(std::move(spec));
       continue;
     }
-    // Escaping array value?
+    // Escaping array value? A graph consumer outside the trace reads it, or
+    // a statement the trace does not cover names it (e.g. `len(a)`); every
+    // other value lives only inside the fused loop and is not published.
     std::string name = graph_.OutputNameOf(id);
     bool is_traced_output = false;
     for (const auto& o : trace_.outputs) {
@@ -337,11 +367,8 @@ Status TraceEmitter::AssignInputsOutputs() {
     for (uint32_t c : n.consumers) {
       if (!InTrace(c)) consumed_outside = true;
     }
-    // A value also escapes when scalar statements outside the graph use it
-    // (e.g. len(a)) — conservatively, every let-bound trace value escapes so
-    // the environment stays consistent after injection.
-    bool let_bound = facts_.let_types.contains(name);
-    if (is_traced_output || consumed_outside || let_bound) {
+    if (is_traced_output || consumed_outside ||
+        named_outside.contains(name)) {
       bool condensed = n.kind == SkeletonKind::kCondense;
       TraceOutputSpec spec;
       spec.kind = TraceOutputSpec::Kind::kArrayVar;

@@ -153,12 +153,10 @@ Status ReadAsI32(const Column& col, uint64_t pos, uint32_t m, int32_t* out,
         b->for_ref >= INT32_MIN && b->for_ref <= INT32_MAX) {
       const int32_t ref = static_cast<int32_t>(b->for_ref);
       // Narrow decode: unpack deltas straight into i32 and add the ref.
-      for (uint32_t i = 0; i < m; ++i) {
-        out[i] = ref + static_cast<int32_t>(ReadBits(
-                           b->data.data(),
-                           static_cast<size_t>(off + i) * b->bit_width,
-                           b->bit_width));
-      }
+      BitUnpackEach(b->data.data(), b->data.size(), off, m, b->bit_width,
+                    [&](size_t i, uint64_t d) {
+                      out[i] = ref + static_cast<int32_t>(d);
+                    });
       return Status::OK();
     }
   }

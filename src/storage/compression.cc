@@ -1,6 +1,7 @@
 #include "storage/compression.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <unordered_map>
@@ -26,6 +27,10 @@ namespace {
 
 constexpr uint32_t kDistinctCap = 4096;
 
+/// Same-width unsigned type of a float, its bit pattern's type.
+template <typename T>
+using FloatBits = std::conditional_t<sizeof(T) == 4, uint32_t, uint64_t>;
+
 template <typename T>
 BlockStats ComputeStatsTyped(const T* v, uint32_t n) {
   BlockStats s;
@@ -43,7 +48,14 @@ BlockStats ComputeStatsTyped(const T* v, uint32_t n) {
       if (v[i] != v[i - 1]) ++runs;
     }
     if (track_distinct) {
-      distinct.insert(static_cast<int64_t>(v[i]));
+      // Floats count distinct bit patterns, like their dictionary keys
+      // (and a NaN never reaches a float-to-integer conversion).
+      if constexpr (std::is_floating_point_v<T>) {
+        distinct.insert(
+            static_cast<int64_t>(std::bit_cast<FloatBits<T>>(v[i])));
+      } else {
+        distinct.insert(static_cast<int64_t>(v[i]));
+      }
       if (distinct.size() > kDistinctCap) track_distinct = false;
     }
   }
@@ -67,11 +79,6 @@ BlockStats ComputeStatsTyped(const T* v, uint32_t n) {
 template <typename T>
 void Widen(const T* in, uint32_t n, int64_t* out) {
   for (uint32_t i = 0; i < n; ++i) out[i] = static_cast<int64_t>(in[i]);
-}
-
-template <typename T>
-void Narrow(const int64_t* in, uint32_t n, T* out) {
-  for (uint32_t i = 0; i < n; ++i) out[i] = static_cast<T>(in[i]);
 }
 
 Status EncodeRleInt(const int64_t* v, uint32_t n, Block* b) {
@@ -136,7 +143,11 @@ Status EncodeDeltaInt(const int64_t* v, uint32_t n, Block* b) {
   std::vector<uint64_t> zz(n - 1);
   uint64_t maxzz = 0;
   for (uint32_t i = 1; i < n; ++i) {
-    zz[i - 1] = ZigzagEncode(v[i] - v[i - 1]);
+    // Wrapping subtraction: neighbours more than INT64_MAX apart (a sorted
+    // block spanning the i64 range) overflow a signed one. The decoder
+    // wraps back.
+    zz[i - 1] = ZigzagEncode(static_cast<int64_t>(
+        static_cast<uint64_t>(v[i]) - static_cast<uint64_t>(v[i - 1])));
     maxzz = std::max(maxzz, zz[i - 1]);
   }
   b->bit_width = bits::BitWidth(maxzz);
@@ -145,6 +156,11 @@ Status EncodeDeltaInt(const int64_t* v, uint32_t n, Block* b) {
 }
 
 // ---------- float codecs ----------
+//
+// Runs and dictionary entries are keyed by bit pattern, not by `==`: -0.0
+// and +0.0 stay apart (they compare equal), and equal NaNs share one entry
+// (a NaN compares unequal to itself), so a block decodes its input bit for
+// bit.
 
 template <typename T>
 Status EncodeRleFloat(const T* v, uint32_t n, Block* b) {
@@ -153,7 +169,10 @@ Status EncodeRleFloat(const T* v, uint32_t n, Block* b) {
   uint32_t i = 0;
   while (i < n) {
     uint32_t j = i + 1;
-    while (j < n && v[j] == v[i]) ++j;
+    while (j < n && std::bit_cast<FloatBits<T>>(v[j]) ==
+                        std::bit_cast<FloatBits<T>>(v[i])) {
+      ++j;
+    }
     values.push_back(v[i]);
     lengths.push_back(j - i);
     i = j;
@@ -169,10 +188,11 @@ Status EncodeRleFloat(const T* v, uint32_t n, Block* b) {
 template <typename T>
 Status EncodeDictFloat(const T* v, uint32_t n, Block* b) {
   std::vector<T> dict;
-  std::unordered_map<T, uint32_t> index;
+  std::unordered_map<FloatBits<T>, uint32_t> index;
   std::vector<uint64_t> codes(n);
   for (uint32_t i = 0; i < n; ++i) {
-    auto [it, inserted] = index.try_emplace(v[i], dict.size());
+    auto [it, inserted] =
+        index.try_emplace(std::bit_cast<FloatBits<T>>(v[i]), dict.size());
     if (inserted) dict.push_back(v[i]);
     codes[i] = it->second;
   }
@@ -297,9 +317,24 @@ Result<Block> EncodeBlockAuto(TypeId t, const void* values, uint32_t n) {
 
 namespace {
 
-// Decode [offset, offset+len) of an integer-family block into int64.
-Status DecodeIntRange(const Block& b, uint32_t offset, uint32_t len,
-                      int64_t* out) {
+/// The packed bytes of a FOR, Dict or Delta block: after the dictionary of
+/// a Dict block (`value_width` bytes per entry), the whole payload
+/// otherwise.
+struct Packed {
+  const uint8_t* data;
+  size_t size;
+};
+
+Packed PackedOf(const Block& b, size_t value_width) {
+  const size_t skip =
+      b.scheme == Scheme::kDict ? b.dict_size * value_width : 0;
+  return {b.data.data() + skip, b.data.size() - skip};
+}
+
+// Decode [offset, offset+len) of an integer-family block straight into its
+// column type `T` (int8_t for bool columns).
+template <typename T>
+Status DecodeIntRange(const Block& b, uint32_t offset, uint32_t len, T* out) {
   switch (b.scheme) {
     case Scheme::kRle: {
       const auto* values = reinterpret_cast<const int64_t*>(b.data.data());
@@ -311,45 +346,46 @@ Status DecodeIntRange(const Block& b, uint32_t offset, uint32_t len,
         // Emit the overlap of [pos, run_end) with [offset, offset+len).
         uint32_t lo = std::max(pos, offset);
         uint32_t hi = std::min(run_end, offset + len);
-        for (uint32_t i = lo; i < hi; ++i) out[o++] = values[r];
+        const T v = static_cast<T>(values[r]);
+        for (uint32_t i = lo; i < hi; ++i) out[o++] = v;
         pos = run_end;
       }
       return Status::OK();
     }
     case Scheme::kDict: {
       const auto* dict = reinterpret_cast<const int64_t*>(b.data.data());
-      const uint8_t* packed = b.data.data() + b.dict_size * sizeof(int64_t);
-      for (uint32_t i = 0; i < len; ++i) {
-        uint64_t code = ReadBits(packed,
-                                 static_cast<size_t>(offset + i) * b.bit_width,
-                                 b.bit_width);
-        out[i] = dict[code];
-      }
+      const Packed p = PackedOf(b, sizeof(int64_t));
+      BitUnpackEach(p.data, p.size, offset, len, b.bit_width,
+                    [&](size_t i, uint64_t code) {
+                      out[i] = static_cast<T>(dict[code]);
+                    });
       return Status::OK();
     }
     case Scheme::kFor: {
-      for (uint32_t i = 0; i < len; ++i) {
-        uint64_t d = ReadBits(b.data.data(),
-                              static_cast<size_t>(offset + i) * b.bit_width,
-                              b.bit_width);
-        // Unsigned add, wrapping like the encoder's subtraction: a block
-        // spanning the whole i64 range has deltas past INT64_MAX.
-        out[i] = static_cast<int64_t>(static_cast<uint64_t>(b.for_ref) + d);
-      }
+      // Unsigned add, wrapping like the encoder's subtraction: a block
+      // spanning the whole i64 range has deltas past INT64_MAX.
+      const uint64_t ref = static_cast<uint64_t>(b.for_ref);
+      BitUnpackEach(b.data.data(), b.data.size(), offset, len, b.bit_width,
+                    [&](size_t i, uint64_t d) {
+                      out[i] = static_cast<T>(ref + d);
+                    });
       return Status::OK();
     }
     case Scheme::kDelta: {
       // Sequential dependency: reconstruct the prefix up to offset+len.
-      int64_t cur = b.delta_first;
-      uint32_t o = 0;
-      if (offset == 0 && len > 0) out[o++] = cur;
-      for (uint32_t i = 1; i < b.count && o < len; ++i) {
-        uint64_t zz = ReadBits(b.data.data(),
-                               static_cast<size_t>(i - 1) * b.bit_width,
-                               b.bit_width);
-        cur += ZigzagDecode(zz);
-        if (i >= offset) out[o++] = cur;
-      }
+      if (len == 0) return Status::OK();
+      uint64_t cur = static_cast<uint64_t>(b.delta_first);
+      if (offset == 0) out[0] = static_cast<T>(cur);
+      // Packed delta k takes value k to value k + 1 (wrapping, like the
+      // encoder's subtraction).
+      const uint32_t deltas = offset + len - 1;
+      BitUnpackEach(b.data.data(), b.data.size(), 0, deltas, b.bit_width,
+                    [&](size_t k, uint64_t zz) {
+                      cur += static_cast<uint64_t>(ZigzagDecode(zz));
+                      if (k + 1 >= offset) {
+                        out[k + 1 - offset] = static_cast<T>(cur);
+                      }
+                    });
       return Status::OK();
     }
     default:
@@ -372,53 +408,37 @@ Status DecodeBlockRange(const Block& b, uint32_t offset, uint32_t len,
                 static_cast<size_t>(len) * w);
     return Status::OK();
   }
-  if (IsFloatType(b.type)) {
-    return DispatchType(b.type, [&]<typename T>() -> Status {
-      if constexpr (std::is_floating_point_v<T>) {
-        T* o = static_cast<T*>(out);
-        if (b.scheme == Scheme::kRle) {
-          const T* values = reinterpret_cast<const T*>(b.data.data());
-          const auto* lengths = reinterpret_cast<const uint32_t*>(
-              b.data.data() + b.run_count * sizeof(T));
-          uint32_t pos = 0, emitted = 0;
-          for (uint32_t r = 0; r < b.run_count && emitted < len; ++r) {
-            uint32_t run_end = pos + lengths[r];
-            uint32_t lo = std::max(pos, offset);
-            uint32_t hi = std::min(run_end, offset + len);
-            for (uint32_t i = lo; i < hi; ++i) o[emitted++] = values[r];
-            pos = run_end;
-          }
-          return Status::OK();
+  return DispatchType(b.type, [&]<typename T>() -> Status {
+    if constexpr (std::is_same_v<T, bool>) {
+      return DecodeIntRange(b, offset, len, static_cast<int8_t*>(out));
+    } else if constexpr (!std::is_floating_point_v<T>) {
+      return DecodeIntRange(b, offset, len, static_cast<T*>(out));
+    } else {
+      T* o = static_cast<T*>(out);
+      if (b.scheme == Scheme::kRle) {
+        const T* values = reinterpret_cast<const T*>(b.data.data());
+        const auto* lengths = reinterpret_cast<const uint32_t*>(
+            b.data.data() + b.run_count * sizeof(T));
+        uint32_t pos = 0, emitted = 0;
+        for (uint32_t r = 0; r < b.run_count && emitted < len; ++r) {
+          uint32_t run_end = pos + lengths[r];
+          uint32_t lo = std::max(pos, offset);
+          uint32_t hi = std::min(run_end, offset + len);
+          for (uint32_t i = lo; i < hi; ++i) o[emitted++] = values[r];
+          pos = run_end;
         }
-        if (b.scheme == Scheme::kDict) {
-          const T* dict = reinterpret_cast<const T*>(b.data.data());
-          const uint8_t* packed = b.data.data() + b.dict_size * sizeof(T);
-          for (uint32_t i = 0; i < len; ++i) {
-            uint64_t code =
-                ReadBits(packed, static_cast<size_t>(offset + i) * b.bit_width,
-                         b.bit_width);
-            o[i] = dict[code];
-          }
-          return Status::OK();
-        }
-        return Status::Internal("unhandled float scheme");
+        return Status::OK();
       }
-      return Status::Internal("unreachable");
-    });
-  }
-  // Integer family: decode via int64 then narrow.
-  std::vector<int64_t> wide(len);
-  AVM_RETURN_NOT_OK(DecodeIntRange(b, offset, len, wide.data()));
-  DispatchType(b.type, [&]<typename T>() {
-    if constexpr (!std::is_floating_point_v<T>) {
-      if constexpr (std::is_same_v<T, bool>) {
-        Narrow(wide.data(), len, static_cast<int8_t*>(out));
-      } else {
-        Narrow(wide.data(), len, static_cast<T*>(out));
+      if (b.scheme == Scheme::kDict) {
+        const T* dict = reinterpret_cast<const T*>(b.data.data());
+        const Packed p = PackedOf(b, sizeof(T));
+        BitUnpackEach(p.data, p.size, offset, len, b.bit_width,
+                      [&](size_t i, uint64_t code) { o[i] = dict[code]; });
+        return Status::OK();
       }
+      return Status::Internal("unhandled float scheme");
     }
   });
-  return Status::OK();
 }
 
 Status DecodeBlock(const Block& b, void* out) {
@@ -429,7 +449,7 @@ Status DecodeForDeltas(const Block& b, uint64_t* out) {
   if (b.scheme != Scheme::kFor) {
     return Status::InvalidArgument("DecodeForDeltas on non-FOR block");
   }
-  BitUnpack(b.data.data(), b.count, b.bit_width, out);
+  BitUnpack(b.data.data(), b.data.size(), 0, b.count, b.bit_width, out);
   return Status::OK();
 }
 
@@ -442,11 +462,10 @@ Status DecodeForDeltasRange32(const Block& b, uint32_t offset, uint32_t len,
     return Status::InvalidArgument("FOR deltas wider than 32 bits");
   }
   if (offset + len > b.count) return Status::OutOfRange("delta range");
-  for (uint32_t i = 0; i < len; ++i) {
-    out[i] = static_cast<uint32_t>(
-        ReadBits(b.data.data(),
-                 static_cast<size_t>(offset + i) * b.bit_width, b.bit_width));
-  }
+  BitUnpackEach(b.data.data(), b.data.size(), offset, len, b.bit_width,
+                [out](size_t i, uint64_t d) {
+                  out[i] = static_cast<uint32_t>(d);
+                });
   return Status::OK();
 }
 
@@ -482,13 +501,12 @@ Status DecodeDictCodes(const Block& b, uint32_t* codes) {
   if (b.scheme != Scheme::kDict) {
     return Status::InvalidArgument("DecodeDictCodes on non-dict block");
   }
-  const size_t value_width =
-      IsFloatType(b.type) ? TypeWidth(b.type) : sizeof(int64_t);
-  const uint8_t* packed = b.data.data() + b.dict_size * value_width;
-  for (uint32_t i = 0; i < b.count; ++i) {
-    codes[i] = static_cast<uint32_t>(
-        ReadBits(packed, static_cast<size_t>(i) * b.bit_width, b.bit_width));
-  }
+  const Packed p = PackedOf(
+      b, IsFloatType(b.type) ? TypeWidth(b.type) : sizeof(int64_t));
+  BitUnpackEach(p.data, p.size, 0, b.count, b.bit_width,
+                [codes](size_t i, uint64_t code) {
+                  codes[i] = static_cast<uint32_t>(code);
+                });
   return Status::OK();
 }
 

@@ -16,6 +16,7 @@
 
 namespace avm {
 
+/// Block compression scheme: how a Block's payload encodes its values.
 enum class Scheme : uint8_t {
   kPlain = 0,  ///< raw values
   kRle,        ///< (value, run-length) pairs
@@ -25,6 +26,7 @@ enum class Scheme : uint8_t {
 };
 
 constexpr size_t kNumSchemes = 5;
+/// Lower-case scheme name ("plain", "rle", "dict", "for", "delta").
 const char* SchemeName(Scheme s);
 
 /// Per-block statistics, collected at encode time. The compact-data-types

@@ -35,8 +35,8 @@ Status AdaptiveVm::Run() {
   report_.chunks_streamed = interp_->chunks_streamed();
   report_.state_timeline = sm_.Timeline();
   report_.profile = interp_->profiler().ToString();
-  report_.injection_runs = 0;
-  report_.injection_fallbacks = 0;
+  report_.injection_runs = retired_runs_;
+  report_.injection_fallbacks = retired_fallbacks_;
   for (const auto& tr : interp_->injections()) {
     report_.injection_runs += tr.invocations;
     report_.injection_fallbacks += tr.fallbacks;
@@ -85,8 +85,9 @@ Status AdaptiveVm::OnIteration(Interpreter& in, uint64_t iteration) {
       iteration % options_.recheck_interval == 0) {
     // Situation drift check: when the compression scheme under a trace's
     // reads changed, compile (or fetch from cache) a variant for the new
-    // situation. Injections for stale situations stay installed; their
-    // applicability checks simply stop matching.
+    // situation. Injections for stale situations of the same region stay
+    // installed; their applicability checks simply stop matching. A trace
+    // of a new partition replaces installed ones it partly overlaps.
     return OptimizePass(in, iteration);
   }
   return Status::OK();
@@ -132,6 +133,16 @@ double BucketCostShare(double units, double total_units) {
   return std::exp2(std::round(std::log2(q)));
 }
 
+/// A filter fused into a trace is a branch per row (`if (!(p)) continue;`).
+/// Strictly between these observed selectivities it mispredicts on more
+/// than ~15% of the rows of unordered data, and the interpreter's
+/// selection-vector kernel followed by a compiled selection loop wins: in
+/// bench_fusion's BM_FilterFusion_* sweep the split ran 1.3-2x faster at
+/// 0.5 and 0.7 and the fused loop 1.1-2.3x faster at 0.9 and 0.98, while
+/// 0.02, 0.1, 0.2 and 0.8 went either way between runs.
+constexpr double kFuseFilterAtMost = 0.15;
+constexpr double kFuseFilterAtLeast = 0.85;
+
 }  // namespace
 
 Status AdaptiveVm::OptimizePass(Interpreter& in, uint64_t iteration) {
@@ -163,13 +174,55 @@ Status AdaptiveVm::OptimizePass(Interpreter& in, uint64_t iteration) {
     total_units += units[node.id];
   }
   double total_cost = 0;
+  std::vector<double> costs;
+  costs.reserve(graph_.size());
   for (auto& node : graph_.nodes()) {
     if (units[node.id] > 0 && total_units > 0) {
       node.cost = BucketCostShare(units[node.id], total_units);
     }
     total_cost += node.cost;
+    costs.push_back(node.cost);
   }
-  traces_ = ir::GreedyPartition(graph_, options_.constraints);
+  // Filters whose observed selectivity would make the fused branch
+  // unpredictable stay out of traces.
+  std::set<uint32_t> unfused;
+  for (const auto& node : graph_.nodes()) {
+    if (node.kind != dsl::SkeletonKind::kFilter) continue;
+    const interp::OpStats* s = in.profiler().Find(node.expr->id);
+    if (s == nullptr || s->tuples == 0) continue;
+    const double selectivity = s->Selectivity();
+    if (selectivity > kFuseFilterAtMost && selectivity < kFuseFilterAtLeast) {
+      unfused.insert(node.id);
+    }
+  }
+  // Partition again only when an input of the last partition moved: the
+  // bucketed costs, the unfused filters, or the selections a region the
+  // gate judged carries now. GreedyPartition is deterministic in those, so
+  // otherwise it would grow the same traces, whose installed or declined
+  // situations are skipped below anyway.
+  bool reuse = costs == partition_costs_ && unfused == unfused_filters_;
+  for (size_t i = 0; reuse && i < judged_.size(); ++i) {
+    reuse = ObserveSelections(in, judged_[i].first) == judged_[i].second;
+  }
+  if (!reuse) {
+    // A region that fuses a filter stays one trace only if the filter's
+    // branch is predictable and the gate accepts the region under the
+    // selections its inputs carry now; otherwise the partitioner falls
+    // back to the filter-excluding region.
+    judged_.clear();
+    traces_ = ir::GreedyPartition(
+        graph_, options_.constraints, [&](const ir::Trace& region) {
+          for (uint32_t id : region.node_ids) {
+            if (unfused.contains(id)) return false;
+          }
+          analysis::TraceContext ctx;
+          ctx.sel_inputs = ObserveSelections(in, region);
+          judged_.emplace_back(region, ctx.sel_inputs);
+          return analysis::VerifyTrace(*program_, graph_, region, ctx).clean();
+        });
+    partition_costs_ = std::move(costs);
+    unfused_filters_ = std::move(unfused);
+  }
 
   bool any_compiled = false;
   size_t installed_this_pass = 0;
@@ -219,8 +272,8 @@ Status AdaptiveVm::InstallTrace(Interpreter& in, const ir::Trace& trace,
   situation.sel_inputs.assign(sel_inputs.begin(), sel_inputs.end());
 
   const uint64_t key = situation.Key();
-  if (installed_.contains(key)) {
-    return Status::NotFound("already installed");  // benign skip
+  if (installed_.contains(key) || declined_.contains(key)) {
+    return Status::NotFound("already tried");  // benign skip
   }
 
   // The JIT gate (docs/VERIFIER.md): every compilability rule lives in
@@ -231,7 +284,10 @@ Status AdaptiveVm::InstallTrace(Interpreter& in, const ir::Trace& trace,
   const analysis::TraceVerification verified =
       analysis::VerifyTrace(*program_, graph_, trace, vctx);
   ++report_.verifier_checked;
-  AVM_RETURN_NOT_OK(verified.AsStatus());
+  if (!verified.clean()) {
+    declined_.insert(key);
+    return verified.AsStatus();
+  }
 
   bool compiled_fresh = false;
   jit::TieredCompileOutcome outcome;
@@ -251,7 +307,10 @@ Status AdaptiveVm::InstallTrace(Interpreter& in, const ir::Trace& trace,
         return std::move(outcome.trace);
       },
       &compiled_fresh);
-  if (!got.ok()) return got.status();
+  if (!got.ok()) {
+    declined_.insert(key);
+    return got.status();
+  }
   std::shared_ptr<jit::TraceEntry> entry = std::move(got).ValueOrDie();
   if (compiled_fresh) {
     report_.disk_cache_corrupt += outcome.disk_corrupt;
@@ -284,8 +343,18 @@ Status AdaptiveVm::InstallTrace(Interpreter& in, const ir::Trace& trace,
       std::move(entry), options_.interp.chunk_size, std::move(tier));
   AVM_LOG(kDebug) << "inject " << inj.name << " at iter " << iteration << " "
                   << situation.ToString();
-  in.AddInjection(std::move(inj));
-  installed_.insert(key);
+  std::unordered_set<uint32_t> covered = inj.covered_stmt_ids;
+  for (const interp::InjectedTrace& old : in.AddInjection(std::move(inj))) {
+    // A trace of an earlier partition that shares statements with this
+    // one: its counts stay in the report, and its situations may install
+    // again if a later partition grows its region again.
+    retired_runs_ += old.invocations;
+    retired_fallbacks_ += old.fallbacks;
+    std::erase_if(installed_, [&](const auto& entry) {
+      return entry.second == old.covered_stmt_ids;
+    });
+  }
+  installed_.emplace(key, std::move(covered));
   return Status::OK();
 }
 

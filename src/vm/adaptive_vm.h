@@ -12,6 +12,7 @@
 
 #include <memory>
 #include <set>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -98,8 +99,10 @@ struct VmReport {
   /// ends is requested-but-not-completed.
   uint64_t tier_upgrades_requested = 0;
   uint64_t tier_upgrades = 0;
-  /// Candidate traces the JIT gate (analysis::VerifyTrace) checked this
-  /// run, accepted or declined.
+  /// Candidate trace situations the JIT gate (analysis::VerifyTrace)
+  /// checked for installation this run, accepted or declined; each is
+  /// checked once per run. The partitioner's acceptor checks are not
+  /// counted.
   uint64_t verifier_checked = 0;
 
   /// Fold another run's report in: counts and seconds add, jit_declined and
@@ -160,7 +163,25 @@ class AdaptiveVm {
   jit::TraceCache own_cache_;
   jit::TraceCache* cache_ = &own_cache_;  ///< points at own_cache_ or shared
   std::vector<ir::Trace> traces_;
-  std::unordered_set<uint64_t> installed_;
+  /// What traces_ was partitioned from: the bucketed node costs, the
+  /// filter nodes kept out of traces for their observed selectivity, and
+  /// each region the gate judged with the selections its inputs carried.
+  /// A pass that observes the same reuses traces_ instead of partitioning
+  /// again.
+  std::vector<double> partition_costs_;
+  std::set<uint32_t> unfused_filters_;
+  std::vector<std::pair<ir::Trace, std::set<std::string>>> judged_;
+  /// Situations whose injection is installed, with the statements it
+  /// covers (the interpreter drops an injection that a newer, partly
+  /// overlapping one replaces; its keys are dropped with it).
+  std::unordered_map<uint64_t, std::unordered_set<uint32_t>> installed_;
+  /// Invocations and fallbacks of replaced injections.
+  uint64_t retired_runs_ = 0;
+  uint64_t retired_fallbacks_ = 0;
+  /// Situations the gate declined or whose compile failed: skipped for the
+  /// rest of this VM's run instead of re-verified and recompiled at every
+  /// recheck. The next query's VM tries them again.
+  std::unordered_set<uint64_t> declined_;
   bool optimized_once_ = false;
   VmReport report_;
   /// Tiering state resolved at construction (policy and disk store).

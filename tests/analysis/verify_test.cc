@@ -728,12 +728,12 @@ TEST(VerifyTraceTest, PinnedMiscompileFamiliesRejected) {
 // ===========================================================================
 
 TEST(VerifyTraceTest, PartitionedTracesVerifyAndGenerate) {
-  for (bool allow_filter : {false, true}) {
+  for (bool fuse_filters : {false, true}) {
     Program p = MakeFigure2Program(4096);
     ir::DepGraph g = BuildGraph(&p);
-    ir::PartitionConstraints c;
-    c.allow_filter = allow_filter;
-    const std::vector<ir::Trace> traces = ir::GreedyPartition(g, c);
+    ir::TraceAcceptor accept;
+    if (!fuse_filters) accept = [](const ir::Trace&) { return false; };
+    const std::vector<ir::Trace> traces = ir::GreedyPartition(g, {}, accept);
     ASSERT_FALSE(traces.empty());
     size_t verified = 0;
     for (const ir::Trace& tr : traces) {
@@ -742,10 +742,10 @@ TEST(VerifyTraceTest, PartitionedTracesVerifyAndGenerate) {
       ++verified;
       auto gen = jit::GenerateTrace(p, g, tr, vr);
       EXPECT_TRUE(gen.ok()) << "codegen failed on a verified trace "
-                            << "(allow_filter=" << allow_filter
+                            << "(fuse_filters=" << fuse_filters
                             << "): " << gen.status().ToString();
     }
-    EXPECT_GT(verified, 0u) << "allow_filter=" << allow_filter;
+    EXPECT_GT(verified, 0u) << "fuse_filters=" << fuse_filters;
   }
 }
 

@@ -209,60 +209,65 @@ TEST(JitDeclineRegressionTest, JoinOrderByPipelineCompilesAndMatches) {
 
 // A hot region the gate rejects: the gather's base `t` is a let-bound chunk
 // array (rule gather-base-not-data), while an independent second pipeline
-// over src2 compiles. The decline must surface through ExecReport by rule
-// id, must not count as a compiled trace, and must leave the rows equal to
-// pure interpretation.
-TEST(JitDeclineRegressionTest, GateDeclineReportedByRuleId) {
-  using dsl::Lambda;
-  using dsl::Let;
-  using dsl::Skeleton;
-  using dsl::SkeletonKind;
-  constexpr int64_t kN = 16 * 1024;  // 16 chunks
+// over src2 compiles.
+struct GatherOfChunkArrayPlan {
+  static constexpr int64_t kN = 16 * 1024;  // 16 chunks
   dsl::Program p;
-  p.data = {{"src", TypeId::kI64, false},
-            {"src2", TypeId::kI64, false},
-            {"out", TypeId::kI64, true},
-            {"out2", TypeId::kI64, true}};
-  std::vector<dsl::StmtPtr> body;
-  body.push_back(
-      Let("v", Skeleton(SkeletonKind::kRead, {Var("i"), Var("src")})));
-  body.push_back(Let("t", Skeleton(SkeletonKind::kMap,
-                                   {Lambda({"x"}, Var("x") * ConstI(2)),
-                                    Var("v")})));
-  body.push_back(Let(
-      "idx", Skeleton(SkeletonKind::kMap,
-                      {Lambda({"x"}, dsl::Call(dsl::ScalarOp::kMod,
-                                               {dsl::Call(dsl::ScalarOp::kAbs,
-                                                          {Var("x")}),
-                                                ConstI(8)})),
-                       Var("v")})));
-  body.push_back(
-      Let("gv", Skeleton(SkeletonKind::kGather, {Var("t"), Var("idx")})));
-  body.push_back(dsl::ExprStmt(
-      Skeleton(SkeletonKind::kWrite, {Var("out"), Var("i"), Var("gv")})));
-  body.push_back(
-      Let("u", Skeleton(SkeletonKind::kRead, {Var("i"), Var("src2")})));
-  body.push_back(Let("y", Skeleton(SkeletonKind::kMap,
-                                   {Lambda({"x"}, Var("x") * ConstI(3) +
-                                                      ConstI(1)),
-                                    Var("u")})));
-  body.push_back(dsl::ExprStmt(
-      Skeleton(SkeletonKind::kWrite, {Var("out2"), Var("i"), Var("y")})));
-  body.push_back(dsl::Assign(
-      "i", Var("i") + Skeleton(SkeletonKind::kLen, {Var("v")})));
-  body.push_back(dsl::If(dsl::Call(dsl::ScalarOp::kGe, {Var("i"), ConstI(kN)}),
-                         {dsl::Break()}));
-  p.stmts = {dsl::MutDef("i"), dsl::Assign("i", ConstI(0)),
-             dsl::Loop(std::move(body))};
-  p.AssignIds();
-  ASSERT_TRUE(dsl::TypeCheck(&p).ok());
+  std::vector<int64_t> src, src2;
 
-  Rng rng(5);
-  std::vector<int64_t> src(kN), src2(kN);
-  for (auto& x : src) x = rng.NextInRange(-1000, 1000);
-  for (auto& x : src2) x = rng.NextInRange(-1000, 1000);
-  auto run = [&](ExecutionStrategy strategy, std::vector<int64_t>* out,
-                 std::vector<int64_t>* out2) -> Result<ExecReport> {
+  GatherOfChunkArrayPlan() : src(kN), src2(kN) {
+    using dsl::Lambda;
+    using dsl::Let;
+    using dsl::Skeleton;
+    using dsl::SkeletonKind;
+    p.data = {{"src", TypeId::kI64, false},
+              {"src2", TypeId::kI64, false},
+              {"out", TypeId::kI64, true},
+              {"out2", TypeId::kI64, true}};
+    std::vector<dsl::StmtPtr> body;
+    body.push_back(
+        Let("v", Skeleton(SkeletonKind::kRead, {Var("i"), Var("src")})));
+    body.push_back(Let("t", Skeleton(SkeletonKind::kMap,
+                                     {Lambda({"x"}, Var("x") * ConstI(2)),
+                                      Var("v")})));
+    body.push_back(Let(
+        "idx",
+        Skeleton(SkeletonKind::kMap,
+                 {Lambda({"x"}, dsl::Call(dsl::ScalarOp::kMod,
+                                          {dsl::Call(dsl::ScalarOp::kAbs,
+                                                     {Var("x")}),
+                                           ConstI(8)})),
+                  Var("v")})));
+    body.push_back(
+        Let("gv", Skeleton(SkeletonKind::kGather, {Var("t"), Var("idx")})));
+    body.push_back(dsl::ExprStmt(
+        Skeleton(SkeletonKind::kWrite, {Var("out"), Var("i"), Var("gv")})));
+    body.push_back(
+        Let("u", Skeleton(SkeletonKind::kRead, {Var("i"), Var("src2")})));
+    body.push_back(Let("y", Skeleton(SkeletonKind::kMap,
+                                     {Lambda({"x"}, Var("x") * ConstI(3) +
+                                                        ConstI(1)),
+                                      Var("u")})));
+    body.push_back(dsl::ExprStmt(
+        Skeleton(SkeletonKind::kWrite, {Var("out2"), Var("i"), Var("y")})));
+    body.push_back(dsl::Assign(
+        "i", Var("i") + Skeleton(SkeletonKind::kLen, {Var("v")})));
+    body.push_back(dsl::If(
+        dsl::Call(dsl::ScalarOp::kGe, {Var("i"), ConstI(kN)}),
+        {dsl::Break()}));
+    p.stmts = {dsl::MutDef("i"), dsl::Assign("i", ConstI(0)),
+               dsl::Loop(std::move(body))};
+    p.AssignIds();
+    EXPECT_TRUE(dsl::TypeCheck(&p).ok());
+
+    Rng rng(5);
+    for (auto& x : src) x = rng.NextInRange(-1000, 1000);
+    for (auto& x : src2) x = rng.NextInRange(-1000, 1000);
+  }
+
+  Result<ExecReport> Run(ExecutionStrategy strategy,
+                         uint64_t recheck_interval, std::vector<int64_t>* out,
+                         std::vector<int64_t>* out2) {
     out->assign(kN, 0);
     out2->assign(kN, 0);
     ExecContext ctx(&p);
@@ -277,15 +282,25 @@ TEST(JitDeclineRegressionTest, GateDeclineReportedByRuleId) {
     QueryOptions qo;
     qo.strategy = strategy;
     qo.vm.optimize_after_iterations = 2;
+    qo.vm.recheck_interval = recheck_interval;
     qo.vm.min_cost_share = 0;
     return Session({.num_workers = 1}).Run(ctx, qo);
-  };
+  }
+};
 
+// The decline must surface through ExecReport by rule id, must not count
+// as a compiled trace, and must leave the rows equal to pure
+// interpretation.
+TEST(JitDeclineRegressionTest, GateDeclineReportedByRuleId) {
+  GatherOfChunkArrayPlan plan;
+  const uint64_t recheck = vm::VmOptions{}.recheck_interval;
   std::vector<int64_t> jit_out, jit_out2, interp_out, interp_out2;
-  auto r = run(ExecutionStrategy::kAdaptiveJit, &jit_out, &jit_out2);
+  auto r = plan.Run(ExecutionStrategy::kAdaptiveJit, recheck, &jit_out,
+                    &jit_out2);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  ASSERT_TRUE(
-      run(ExecutionStrategy::kInterpret, &interp_out, &interp_out2).ok());
+  ASSERT_TRUE(plan.Run(ExecutionStrategy::kInterpret, recheck, &interp_out,
+                       &interp_out2)
+                  .ok());
   EXPECT_EQ(jit_out, interp_out);
   EXPECT_EQ(jit_out2, interp_out2);
 
@@ -301,6 +316,22 @@ TEST(JitDeclineRegressionTest, GateDeclineReportedByRuleId) {
       << "compiled " << rep.traces_compiled << ", reused "
       << rep.traces_reused << ", disk " << rep.disk_cache_hits;
   EXPECT_GT(rep.injection_runs, 0u);
+}
+
+// A declined situation is verified once per run, not again at every
+// recheck: with a recheck every 2 of the 16 iterations, the gate sees the
+// declined trace and the compiled one once each.
+TEST(JitDeclineRegressionTest, DeclinedSituationVerifiedOncePerRun) {
+  if (!jit::HostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
+  GatherOfChunkArrayPlan plan;
+  std::vector<int64_t> out, out2;
+  auto r = plan.Run(ExecutionStrategy::kAdaptiveJit, /*recheck_interval=*/2,
+                    &out, &out2);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_NE(r.value().jit_declined.find("[gather-base-not-data]"),
+            std::string::npos)
+      << "jit_declined: " << r.value().jit_declined;
+  EXPECT_EQ(r.value().verifier_checked, 2u);
 }
 
 }  // namespace

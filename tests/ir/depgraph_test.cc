@@ -118,8 +118,13 @@ TEST(DepGraphTest, ToDotRendersAllNodes) {
 // Greedy partitioning (Fig. 3)
 // ---------------------------------------------------------------------------
 
+// The paper's §III-B heuristic as an acceptor: GreedyPartition asks only
+// about regions that hold a filter, so rejecting every one keeps filters
+// out of all traces.
+bool RejectFilters(const Trace&) { return false; }
+
 TEST(PartitionTest, Figure3TwoFunctionSplit) {
-  // With filters excluded (the default heuristic), Fig. 2's graph
+  // With filters excluded (the paper's heuristic), Fig. 2's graph
   // partitions into {read, map, write v} and singletons left interpreted —
   // matching the paper's "functions do not necessarily cover the whole
   // program". With filters allowed, the filter-side function appears too.
@@ -127,8 +132,7 @@ TEST(PartitionTest, Figure3TwoFunctionSplit) {
   auto gr = BuildFig2Graph(&p);
   ASSERT_TRUE(gr.ok());
 
-  PartitionConstraints strict;  // filters not fusable
-  auto traces = GreedyPartition(gr.value(), strict);
+  auto traces = GreedyPartition(gr.value(), {}, RejectFilters);
   ASSERT_FALSE(traces.empty());
   // The top trace must contain the map (hottest) and the read.
   const Trace& top = traces[0];
@@ -141,9 +145,7 @@ TEST(PartitionTest, Figure3TwoFunctionSplit) {
     EXPECT_FALSE(t.Contains(static_cast<uint32_t>(filter)));
   }
 
-  PartitionConstraints loose;
-  loose.allow_filter = true;
-  auto traces2 = GreedyPartition(gr.value(), loose);
+  auto traces2 = GreedyPartition(gr.value(), {});
   bool filter_somewhere = false;
   for (const auto& t : traces2) {
     filter_somewhere |= t.Contains(static_cast<uint32_t>(filter));
@@ -156,7 +158,6 @@ TEST(PartitionTest, StreamBudgetLimitsGrowth) {
   auto gr = BuildFig2Graph(&p);
   ASSERT_TRUE(gr.ok());
   PartitionConstraints c;
-  c.allow_filter = true;
   c.max_streams = 2;  // extremely tight: almost nothing can merge
   auto traces = GreedyPartition(gr.value(), c);
   for (const auto& t : traces) {
@@ -169,7 +170,6 @@ TEST(PartitionTest, MaxNodesRespected) {
   auto gr = BuildFig2Graph(&p);
   ASSERT_TRUE(gr.ok());
   PartitionConstraints c;
-  c.allow_filter = true;
   c.max_nodes = 1;
   auto traces = GreedyPartition(gr.value(), c);
   for (const auto& t : traces) EXPECT_EQ(t.node_ids.size(), 1u);
@@ -202,19 +202,54 @@ TEST(PartitionTest, ProfiledCostsChangeSeedSelection) {
   // Make the condense node overwhelmingly hot.
   int condense = FindNode(g, SkeletonKind::kCondense);
   g.nodes()[condense].cost = 1e9;
-  PartitionConstraints c;
-  c.allow_filter = false;
-  auto traces = GreedyPartition(g, c);
+  auto traces = GreedyPartition(g, {}, RejectFilters);
   ASSERT_FALSE(traces.empty());
   EXPECT_TRUE(traces[0].Contains(static_cast<uint32_t>(condense)));
+}
+
+// A rejected filter-holding region grows again without filters: every
+// node except the filters still lands in exactly one trace, so the
+// acceptor never costs the plan compiled coverage.
+TEST(PartitionTest, RejectedFilterRegionsFallBackToFilterFreeSplit) {
+  dsl::Program p;
+  auto gr = BuildFig2Graph(&p);
+  ASSERT_TRUE(gr.ok());
+  const DepGraph& g = gr.value();
+
+  int calls = 0;
+  const std::vector<Trace> got =
+      GreedyPartition(g, PartitionConstraints{}, [&](const Trace& t) {
+        ++calls;
+        bool has_filter = false;
+        for (uint32_t id : t.node_ids) {
+          has_filter |= g.nodes()[id].kind == SkeletonKind::kFilter;
+        }
+        EXPECT_TRUE(has_filter) << "acceptor asked about a filter-free region";
+        return false;
+      });
+  EXPECT_GT(calls, 0);
+  for (const DepNode& n : g.nodes()) {
+    int holders = 0;
+    for (const Trace& t : got) holders += t.Contains(n.id) ? 1 : 0;
+    EXPECT_EQ(holders, n.kind == SkeletonKind::kFilter ? 0 : 1)
+        << "node " << n.label;
+  }
+
+  // Accepting everything is the same as passing no acceptor.
+  const std::vector<Trace> fused = GreedyPartition(gr.value(), {});
+  const std::vector<Trace> accepted = GreedyPartition(
+      gr.value(), {}, [](const Trace&) { return true; });
+  ASSERT_EQ(accepted.size(), fused.size());
+  for (size_t i = 0; i < fused.size(); ++i) {
+    EXPECT_EQ(accepted[i].node_ids, fused[i].node_ids) << "trace " << i;
+  }
 }
 
 TEST(PartitionTest, TraceBoundariesNamed) {
   dsl::Program p;
   auto gr = BuildFig2Graph(&p);
   ASSERT_TRUE(gr.ok());
-  PartitionConstraints c;
-  auto traces = GreedyPartition(gr.value(), c);
+  auto traces = GreedyPartition(gr.value(), {}, RejectFilters);
   ASSERT_FALSE(traces.empty());
   const Trace& top = traces[0];
   // {read, map, write v} reads some_data, writes v, and exposes 'a' and

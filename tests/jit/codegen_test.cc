@@ -40,16 +40,18 @@ struct Fixture {
   std::vector<ir::Trace> traces;
 };
 
-Fixture MakeFig2Fixture(bool allow_filter) {
+/// Fig. 2 partitioned with filters fused into traces, or (the paper's
+/// §III-B heuristic) with every filter-holding region rejected.
+Fixture MakeFig2Fixture(bool fuse_filters) {
   Fixture fx;
   fx.program = dsl::MakeFigure2Program(4096);
   EXPECT_TRUE(dsl::TypeCheck(&fx.program).ok());
   auto g = ir::DepGraph::Build(fx.program);
   EXPECT_TRUE(g.ok());
   fx.graph = std::move(g).value();
-  ir::PartitionConstraints c;
-  c.allow_filter = allow_filter;
-  fx.traces = ir::GreedyPartition(fx.graph, c);
+  ir::TraceAcceptor accept;
+  if (!fuse_filters) accept = [](const ir::Trace&) { return false; };
+  fx.traces = ir::GreedyPartition(fx.graph, {}, accept);
   return fx;
 }
 

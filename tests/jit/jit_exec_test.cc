@@ -27,15 +27,17 @@ struct CompiledFixture {
 /// Partition `program` and compile every trace the JIT gate accepts the
 /// way AdaptiveVm does (VerifyTrace, then CompileTraceTiered), at the
 /// optimized tier with no persistent cache.
-Result<CompiledFixture> Compile(dsl::Program program, bool allow_filter,
+Result<CompiledFixture> Compile(dsl::Program program, bool fuse_filters,
                                 const CodegenOptions& cg = {}) {
   CompiledFixture fx;
   fx.program = std::move(program);
   AVM_RETURN_NOT_OK(dsl::TypeCheck(&fx.program));
   AVM_ASSIGN_OR_RETURN(fx.graph, ir::DepGraph::Build(fx.program));
-  ir::PartitionConstraints c;
-  c.allow_filter = allow_filter;
-  auto traces = ir::GreedyPartition(fx.graph, c);
+  // Without filter fusion every filter-holding region is rejected (the
+  // paper's §III-B split).
+  ir::TraceAcceptor accept;
+  if (!fuse_filters) accept = [](const ir::Trace&) { return false; };
+  auto traces = ir::GreedyPartition(fx.graph, {}, accept);
   for (const auto& t : traces) {
     const analysis::TraceVerification verified =
         analysis::VerifyTrace(fx.program, fx.graph, t);
@@ -59,7 +61,7 @@ TEST(JitExecTest, Figure2CompiledMatchesInterpreted) {
 
   auto run = [&](bool inject, std::vector<int64_t>* v,
                  std::vector<int64_t>* w) -> uint64_t {
-    auto fx = Compile(dsl::MakeFigure2Program(kN), /*allow_filter=*/true);
+    auto fx = Compile(dsl::MakeFigure2Program(kN), /*fuse_filters=*/true);
     EXPECT_TRUE(fx.ok()) << fx.status().ToString();
     EXPECT_FALSE(fx.value().compiled.empty());
     Interpreter in(&fx.value().program);
@@ -260,7 +262,7 @@ TEST(JitExecTest, FilterPipelineCompiledWithCondense) {
           dsl::Lambda({"x"}, dsl::Call(dsl::ScalarOp::kGt,
                                        {dsl::Var("x"), dsl::ConstI(50)})),
           kN),
-      /*allow_filter=*/true);
+      /*fuse_filters=*/true);
   ASSERT_TRUE(fx.ok()) << fx.status().ToString();
   ASSERT_FALSE(fx.value().compiled.empty());
   std::vector<int64_t> data(kN), out(kN, -7);
@@ -501,7 +503,7 @@ TEST(JitExecTest, LetBoundWriteCountPublishesCursorAdvance) {
   if (!HostCompilerAvailable()) GTEST_SKIP();
   const int64_t kN = 8192;
   auto fx = Compile(abi::MakeCondensingCursorPipeline(kN),
-                    /*allow_filter=*/true);
+                    /*fuse_filters=*/true);
   ASSERT_TRUE(fx.ok()) << fx.status().ToString();
   ASSERT_FALSE(fx.value().compiled.empty());
 
@@ -568,7 +570,7 @@ TEST(JitExecTest, FilterDependentScatterTraceCompiles) {
   p.stmts = {MutDef("i"), Assign("i", ConstI(0)), Loop(std::move(body))};
   p.AssignIds();
 
-  auto fx = Compile(std::move(p), /*allow_filter=*/true);
+  auto fx = Compile(std::move(p), /*fuse_filters=*/true);
   ASSERT_TRUE(fx.ok()) << fx.status().ToString();
   ASSERT_FALSE(fx.value().compiled.empty());
 
@@ -661,6 +663,121 @@ TEST(JitExecTest, SelWriteBypassingInTraceFilterDeclined) {
   EXPECT_TRUE(decline.IsNotImplemented()) << decline.ToString();
   EXPECT_NE(decline.message().find("[condense-bypass]"), std::string::npos)
       << decline.ToString();
+}
+
+TEST(JitExecTest, OverlappingTraceReplacesEarlierOne) {
+  // Two traces of different partitions that share a statement, installed
+  // mid-run as a recheck would: `first` covers {x = read(a), y = map(x)}
+  // around the independent `u = read(b)`, `second` covers {u, y, z, write}
+  // and is anchored in `first`'s span. `first` publishes y (the interpreted
+  // z names it) but not x, which only its own y reads, so while both are
+  // installed `second` would read the x of the last interpreted chunk.
+  // Installing `second` removes `first`; rows match interpretation.
+  if (!HostCompilerAvailable()) GTEST_SKIP();
+  using namespace dsl;
+  const int64_t kN = 8 * 1024;
+  Program p;
+  p.data = {{"a", TypeId::kI64, false},
+            {"b", TypeId::kI64, false},
+            {"dst", TypeId::kI64, true}};
+  std::vector<StmtPtr> body;
+  body.push_back(Let("x", Skeleton(SkeletonKind::kRead,
+                                   {Var("i"), Var("a")})));
+  body.push_back(Let("u", Skeleton(SkeletonKind::kRead,
+                                   {Var("i"), Var("b")})));
+  body.push_back(Let("y", Skeleton(SkeletonKind::kMap,
+                                   {Lambda({"v"}, Var("v") * ConstI(3)),
+                                    Var("x")})));
+  body.push_back(Let(
+      "z", Skeleton(SkeletonKind::kMap,
+                    {Lambda({"s", "t"}, Var("s") + Var("t")), Var("y"),
+                     Var("u")})));
+  body.push_back(ExprStmt(Skeleton(SkeletonKind::kWrite,
+                                   {Var("dst"), Var("i"), Var("z")})));
+  body.push_back(Assign("i", Var("i") + Skeleton(SkeletonKind::kLen,
+                                                 {Var("u")})));
+  body.push_back(If(Call(ScalarOp::kGe, {Var("i"), ConstI(kN)}),
+                    {Break()}));
+  p.stmts = {MutDef("i"), Assign("i", ConstI(0)), Loop(std::move(body))};
+  p.AssignIds();
+  ASSERT_TRUE(dsl::TypeCheck(&p).ok());
+  auto g = ir::DepGraph::Build(p);
+  ASSERT_TRUE(g.ok());
+  auto node = [&](SkeletonKind kind, const std::string& out) -> uint32_t {
+    for (const auto& n : g.value().nodes()) {
+      if (n.kind != kind) continue;
+      if (out.empty() || g.value().OutputNameOf(n.id) == out) return n.id;
+    }
+    ADD_FAILURE() << "no node " << out;
+    return 0;
+  };
+  ir::Trace first;
+  first.node_ids = {node(SkeletonKind::kRead, "x"),
+                    node(SkeletonKind::kMap, "y")};
+  first.inputs = {"a"};
+  first.outputs = {"y"};
+  ir::Trace second;
+  second.node_ids = {node(SkeletonKind::kRead, "u"),
+                     node(SkeletonKind::kMap, "y"),
+                     node(SkeletonKind::kMap, "z"),
+                     node(SkeletonKind::kWrite, "")};
+  std::sort(second.node_ids.begin(), second.node_ids.end());
+  second.inputs = {"b", "x"};
+  second.outputs = {"dst"};
+  std::vector<std::shared_ptr<TraceEntry>> entries;
+  for (const ir::Trace* t : {&first, &second}) {
+    const analysis::TraceVerification verified =
+        analysis::VerifyTrace(p, g.value(), *t);
+    ASSERT_TRUE(verified.clean()) << verified.ToString();
+    auto compiled = CompileTraceTiered(p, g.value(), *t, verified, {},
+                                       TierPolicy::kOptimizedOnly,
+                                       /*disk=*/nullptr, /*situation_key=*/0);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    entries.push_back(
+        std::make_shared<TraceEntry>(std::move(compiled).value().trace, 0));
+  }
+
+  std::vector<int64_t> a(kN), b(kN);
+  for (int64_t i = 0; i < kN; ++i) {
+    a[i] = i;
+    b[i] = 1000 * i;
+  }
+  auto run = [&](bool inject, std::vector<int64_t>* dst,
+                 std::vector<size_t>* removed) -> uint64_t {
+    Interpreter in(&p);
+    EXPECT_TRUE(
+        in.BindData("a", DataBinding::Raw(TypeId::kI64, a.data(), kN)).ok());
+    EXPECT_TRUE(
+        in.BindData("b", DataBinding::Raw(TypeId::kI64, b.data(), kN)).ok());
+    EXPECT_TRUE(in.BindData("dst", DataBinding::Raw(TypeId::kI64, dst->data(),
+                                                    kN, true))
+                    .ok());
+    // Two interpreted chunks first, so x holds a value before the traces
+    // arrive (a VM's warm-up does the same).
+    in.iteration_hook = [&](Interpreter& it, uint64_t iteration) {
+      if (inject && iteration == 2) {
+        for (const auto& e : entries) {
+          removed->push_back(
+              it.AddInjection(MakeInjection(e, it.chunk_size())).size());
+        }
+      }
+      return Status::OK();
+    };
+    EXPECT_TRUE(in.Run().ok());
+    uint64_t runs = 0;
+    for (const auto& tr : in.injections()) runs += tr.invocations;
+    if (inject) EXPECT_EQ(in.injections().size(), 1u);
+    return runs;
+  };
+  std::vector<int64_t> want(kN, -1), got(kN, -1);
+  std::vector<size_t> removed;
+  run(false, &want, &removed);
+  const uint64_t runs = run(true, &got, &removed);
+  EXPECT_EQ(removed, (std::vector<size_t>{0, 1}));
+  EXPECT_GT(runs, 0u);
+  for (int64_t i = 0; i < kN; ++i) {
+    ASSERT_EQ(got[i], want[i]) << "row " << i;
+  }
 }
 
 

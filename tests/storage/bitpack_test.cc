@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+
 #include "util/rng.h"
 
 namespace avm {
@@ -22,7 +25,7 @@ TEST_P(BitPackWidthTest, RoundTripsRandomValues) {
   std::vector<uint8_t> packed;
   BitPack(values.data(), n, width, &packed);
   std::vector<uint64_t> decoded(n, 0xdeadbeef);
-  BitUnpack(packed.data(), n, width, decoded.data());
+  BitUnpack(packed.data(), packed.size(), 0, n, width, decoded.data());
   EXPECT_EQ(values, decoded) << "width=" << width;
 }
 
@@ -39,8 +42,60 @@ TEST_P(BitPackWidthTest, RandomAccessDecode) {
   BitPack(values.data(), n, width, &packed);
   // Decode a middle range only.
   std::vector<uint64_t> part(20);
-  BitUnpackAt(packed.data(), 37, 20, width, part.data());
+  BitUnpack(packed.data(), packed.size(), 37, 20, width, part.data());
   for (size_t i = 0; i < 20; ++i) EXPECT_EQ(part[i], values[37 + i]);
+}
+
+// BitUnpackEach against ReadBits at every width, over a buffer sized to
+// the packed bits alone (no slack byte) so an 8-byte load past the last
+// value would leave it: windows from value 0, from a mid-byte value, and
+// ending at the buffer's last value, where the word loads must fall back.
+TEST_P(BitPackWidthTest, WordUnpackMatchesReadBits) {
+  const uint32_t width = GetParam();
+  Rng rng(width * 13 + 5);
+  const size_t n = 203;
+  const uint64_t mask =
+      width == 64 ? ~uint64_t{0}
+                  : (width == 0 ? 0 : (uint64_t{1} << width) - 1);
+  std::vector<uint64_t> values(n);
+  for (auto& v : values) v = rng.Next() & mask;
+  values[0] = mask;  // every width is used in full
+  values[n - 1] = mask;
+  std::vector<uint8_t> packed;
+  BitPack(values.data(), n, width, &packed);
+
+  const size_t size = (n * width + 7) / 8;
+  auto exact = std::make_unique<uint8_t[]>(size + 1);  // +1: never empty
+  if (size > 0) std::memcpy(exact.get(), packed.data(), size);
+
+  // First value whose bit offset is not a byte boundary (3 when every
+  // offset is aligned, i.e. width % 8 == 0).
+  size_t mid = 3;
+  for (size_t k = 1; k < n; ++k) {
+    if ((k * width) % 8 != 0) {
+      mid = k;
+      break;
+    }
+  }
+  const std::vector<std::pair<size_t, size_t>> windows = {
+      {0, n}, {0, 1}, {mid, 40}, {mid, n - mid}, {n - 1, 1}, {n - 9, 9}};
+  for (auto [first, len] : windows) {
+    std::vector<uint64_t> out(len, 0xdeadbeef);
+    size_t next = 0;
+    BitUnpackEach(exact.get(), size, first, len, width,
+                  [&](size_t i, uint64_t v) {
+                    EXPECT_EQ(i, next++);
+                    out[i] = v;
+                  });
+    ASSERT_EQ(next, len);
+    for (size_t i = 0; i < len; ++i) {
+      const uint64_t want =
+          width == 0 ? 0 : ReadBits(exact.get(), (first + i) * width, width);
+      ASSERT_EQ(out[i], want) << "width=" << width << " first=" << first
+                              << " i=" << i;
+      ASSERT_EQ(out[i], values[first + i]);
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWidths, BitPackWidthTest,
@@ -52,7 +107,7 @@ TEST(BitPackTest, WidthZeroDecodesZeros) {
   BitPack(v, 4, 0, &packed);
   EXPECT_TRUE(packed.empty());
   uint64_t out[4] = {9, 9, 9, 9};
-  BitUnpack(packed.data(), 4, 0, out);
+  BitUnpack(packed.data(), packed.size(), 0, 4, 0, out);
   for (uint64_t x : out) EXPECT_EQ(x, 0u);
 }
 
@@ -63,7 +118,7 @@ TEST(BitPackTest, AppendsToExistingBuffer) {
   EXPECT_EQ(buf[0], 0xff);
   EXPECT_EQ(buf[1], 0xee);
   uint64_t out[2];
-  BitUnpack(buf.data() + 2, 2, 4, out);
+  BitUnpack(buf.data() + 2, buf.size() - 2, 0, 2, 4, out);
   EXPECT_EQ(out[0], 5u);
   EXPECT_EQ(out[1], 6u);
 }

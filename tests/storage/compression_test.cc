@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstring>
+#include <limits>
+
 #include "storage/datagen.h"
+#include "util/rng.h"
 
 namespace avm {
 namespace {
@@ -229,6 +234,73 @@ TEST(FloatTest, RleAndDictRoundTrip) {
   }
 }
 
+// Dict and RLE keep a float block's values bit for bit: -0.0 next to +0.0
+// (equal under ==) and NaNs (unequal to themselves), one with a payload.
+template <typename T>
+void ExpectFloatBitsRoundTrip() {
+  using Bits = std::conditional_t<sizeof(T) == 4, uint32_t, uint64_t>;
+  const T qnan = std::numeric_limits<T>::quiet_NaN();
+  const T payload_nan =
+      std::bit_cast<T>(static_cast<Bits>(std::bit_cast<Bits>(qnan) | 0x5));
+  const std::vector<T> v{T(-0.0), T(0.0),    T(0.0),      T(-0.0),
+                         qnan,    qnan,      payload_nan, payload_nan,
+                         T(1.5),  T(-0.0),   payload_nan, qnan};
+  const uint32_t n = static_cast<uint32_t>(v.size());
+  const TypeId type = sizeof(T) == 4 ? TypeId::kF32 : TypeId::kF64;
+  for (Scheme s : {Scheme::kDict, Scheme::kRle}) {
+    auto blk = EncodeBlock(s, type, v.data(), n);
+    ASSERT_TRUE(blk.ok()) << SchemeName(s);
+    std::vector<T> out(n);
+    ASSERT_TRUE(DecodeBlock(blk.value(), out.data()).ok());
+    EXPECT_EQ(std::memcmp(v.data(), out.data(), n * sizeof(T)), 0)
+        << SchemeName(s) << " " << TypeName(type);
+  }
+}
+
+TEST(FloatTest, DictAndRleKeepZeroSignsAndNaNsBitForBit) {
+  ExpectFloatBitsRoundTrip<float>();
+  ExpectFloatBitsRoundTrip<double>();
+}
+
+// Every integer column type under every bit-packing and run scheme decodes
+// windows that reach the block's end — where the unpacker's 8-byte loads
+// fall back to byte reads — straight into the column type. `T` is the
+// column's storage type (int8_t for bool).
+template <typename T>
+void ExpectTypedWindowsRoundTrip(TypeId type, int64_t lo, int64_t hi) {
+  constexpr uint32_t kN = 1000;
+  Rng rng(static_cast<uint64_t>(type) + 11);
+  std::vector<T> v(kN);
+  for (uint32_t i = 0; i < kN; ++i) {
+    // Runs of 3 keep RLE meaningful; the spread exercises every width.
+    v[i] = i % 3 == 0 ? static_cast<T>(rng.NextInRange(lo, hi)) : v[i - 1];
+  }
+  for (Scheme s : {Scheme::kFor, Scheme::kDict, Scheme::kDelta, Scheme::kRle}) {
+    auto blk = EncodeBlock(s, type, v.data(), kN);
+    ASSERT_TRUE(blk.ok()) << SchemeName(s) << " " << TypeName(type);
+    for (uint32_t len : {1u, 7u, 64u, 333u, kN}) {
+      for (uint32_t off : {0u, kN - len}) {
+        std::vector<T> out(len);
+        ASSERT_TRUE(DecodeBlockRange(blk.value(), off, len, out.data()).ok());
+        for (uint32_t i = 0; i < len; ++i) {
+          ASSERT_EQ(out[i], v[off + i])
+              << SchemeName(s) << " " << TypeName(type) << " off=" << off
+              << " len=" << len << " i=" << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(TypedDecodeTest, EveryIntegerTypeAndSchemeRoundTripsToBlockEnd) {
+  ExpectTypedWindowsRoundTrip<int8_t>(TypeId::kBool, 0, 1);
+  ExpectTypedWindowsRoundTrip<int8_t>(TypeId::kI8, INT8_MIN, INT8_MAX);
+  ExpectTypedWindowsRoundTrip<int16_t>(TypeId::kI16, INT16_MIN, INT16_MAX);
+  ExpectTypedWindowsRoundTrip<int32_t>(TypeId::kI32, INT32_MIN, INT32_MAX);
+  ExpectTypedWindowsRoundTrip<int64_t>(TypeId::kI64, INT64_MIN / 4,
+                                       INT64_MAX / 4);
+}
+
 TEST(FloatTest, ForRejectedForFloats) {
   std::vector<double> v{1.0, 2.0};
   EXPECT_FALSE(EncodeBlock(Scheme::kFor, TypeId::kF64, v.data(), 2).ok());
@@ -257,6 +329,18 @@ TEST(EdgeTest, ExtremeValuesFor) {
   auto blk = EncodeBlock(Scheme::kFor, TypeId::kI64, v.data(), 2);
   ASSERT_TRUE(blk.ok());
   std::vector<int64_t> out(2);
+  ASSERT_TRUE(DecodeBlock(blk.value(), out.data()).ok());
+  EXPECT_EQ(v, out);
+}
+
+// Neighbours more than INT64_MAX apart (as in a sorted block spanning the
+// i64 range, which the auto chooser encodes as Delta): the differences
+// must wrap, not overflow (UBSan reports the overflow).
+TEST(EdgeTest, ExtremeValuesDelta) {
+  std::vector<int64_t> v{INT64_MIN, -1, INT64_MAX, INT64_MIN, 0};
+  auto blk = EncodeBlock(Scheme::kDelta, TypeId::kI64, v.data(), 5);
+  ASSERT_TRUE(blk.ok());
+  std::vector<int64_t> out(5);
   ASSERT_TRUE(DecodeBlock(blk.value(), out.data()).ok());
   EXPECT_EQ(v, out);
 }

@@ -177,5 +177,151 @@ TEST(AdaptiveVmTest, ShortRunStaysInterpreted) {
   EXPECT_EQ(vm.Report().traces_compiled, 0u);
 }
 
+TEST(AdaptiveVmTest, FilterFusesOnlyAtPredictableSelectivity) {
+  // A fused filter is a branch per row: at ~98% selectivity it joins the
+  // trace of its read, condense and write; at ~50% it stays interpreted
+  // and the regions around it compile without it.
+  if (!jit::HostCompilerAvailable()) GTEST_SKIP();
+  const int64_t kN = 32 * 1024;
+  std::vector<int64_t> data(kN);
+  Rng rng(5);
+  for (auto& x : data) x = rng.NextInRange(0, 99);
+  for (int64_t keep_above : {int64_t{1}, int64_t{49}}) {
+    dsl::Program p = dsl::MakeFilterPipeline(
+        TypeId::kI64,
+        dsl::Lambda({"x"}, dsl::Call(dsl::ScalarOp::kGt,
+                                     {dsl::Var("x"), dsl::ConstI(keep_above)})),
+        kN);
+    ASSERT_TRUE(dsl::TypeCheck(&p).ok());
+    AdaptiveVm vm(&p, {});
+    std::vector<int64_t> out(kN, -1);
+    interp::Interpreter& in = vm.interpreter();
+    ASSERT_TRUE(
+        in.BindData("src", DataBinding::Raw(TypeId::kI64, data.data(), kN))
+            .ok());
+    ASSERT_TRUE(
+        in.BindData("out", DataBinding::Raw(TypeId::kI64, out.data(), kN, true))
+            .ok());
+    ASSERT_TRUE(vm.Run().ok());
+    std::vector<int64_t> want;
+    for (int64_t x : data) {
+      if (x > keep_above) want.push_back(x);
+    }
+    out.resize(want.size());
+    EXPECT_EQ(out, want) << "keep_above " << keep_above;
+    EXPECT_GT(vm.Report().injection_runs, 0u) << "keep_above " << keep_above;
+    bool filter_fused = false;
+    for (const auto& tr : in.injections()) {
+      filter_fused |= tr.name.find("filter") != std::string::npos;
+    }
+    EXPECT_EQ(filter_fused, keep_above == 1) << "keep_above " << keep_above;
+  }
+}
+
+TEST(AdaptiveVmTest, SelectionChangeBetweenPassesPartitionsAgain) {
+  // x = gather(base, read(idx)) stays interpreted (gathers are kept out of
+  // traces here), so the fused region {y = map(x), write(d2, y),
+  // filter(y), condense, write(d1)} takes x as a chunk input; the filter
+  // keeps ~95% of the rows, so its branch may fuse. The gate
+  // accepts it while x is positional and rejects it while x carries a
+  // selection: y would carry it too, and its write would bypass the
+  // in-trace filter [condense-bypass]. The first pass sees x positional
+  // and installs the fused trace; before the recheck one iteration later
+  // (same bucketed costs) x is given a selection. The pass must partition
+  // again, through the acceptor, instead of reusing the fused region and
+  // declining it.
+  if (!jit::HostCompilerAvailable()) GTEST_SKIP();
+  using namespace dsl;
+  const int64_t kN = 16 * 1024;
+  Program p;
+  p.data = {{"idx", TypeId::kI64, false},
+            {"base", TypeId::kI64, false},
+            {"d1", TypeId::kI64, true},
+            {"d2", TypeId::kI64, true}};
+  std::vector<StmtPtr> body;
+  body.push_back(Let("iv", Skeleton(SkeletonKind::kRead,
+                                    {Var("i"), Var("idx")})));
+  body.push_back(Let("x", Skeleton(SkeletonKind::kGather,
+                                   {Var("base"), Var("iv")})));
+  body.push_back(Let("y", Skeleton(SkeletonKind::kMap,
+                                   {Lambda({"v"}, Var("v") + ConstI(1)),
+                                    Var("x")})));
+  body.push_back(ExprStmt(Skeleton(SkeletonKind::kWrite,
+                                   {Var("d2"), Var("i"), Var("y")})));
+  body.push_back(Let(
+      "f", Skeleton(SkeletonKind::kFilter,
+                    {Lambda({"v"}, Call(ScalarOp::kGt, {Var("v"), ConstI(5)})),
+                     Var("y")})));
+  body.push_back(Let("c", Skeleton(SkeletonKind::kCondense, {Var("f")})));
+  body.push_back(Let("w", Skeleton(SkeletonKind::kWrite,
+                                   {Var("d1"), Var("onum"), Var("c")})));
+  body.push_back(Assign("onum", Var("onum") + Var("w")));
+  body.push_back(Assign("i", Var("i") + Skeleton(SkeletonKind::kLen,
+                                                 {Var("iv")})));
+  body.push_back(If(Call(ScalarOp::kGe, {Var("i"), ConstI(kN)}),
+                    {Break()}));
+  p.stmts = {MutDef("i"), Assign("i", ConstI(0)), MutDef("onum"),
+             Assign("onum", ConstI(0)), Loop(std::move(body))};
+  p.AssignIds();
+  ASSERT_TRUE(TypeCheck(&p).ok());
+
+  std::vector<int64_t> idx(kN), base(kN);
+  Rng rng(11);
+  for (int64_t i = 0; i < kN; ++i) {
+    idx[i] = (i * 7) % kN;
+    base[i] = rng.NextInRange(0, 100);
+  }
+  auto run = [&](bool jit, std::vector<int64_t>* d1, std::vector<int64_t>* d2,
+                 VmReport* report) {
+    VmOptions opts;
+    opts.enable_jit = jit;
+    opts.optimize_after_iterations = 8;
+    opts.recheck_interval = 9;
+    opts.constraints.allow_scatter_gather = false;
+    AdaptiveVm vm(&p, opts);
+    interp::Interpreter& in = vm.interpreter();
+    ASSERT_TRUE(
+        in.BindData("idx", DataBinding::Raw(TypeId::kI64, idx.data(), kN))
+            .ok());
+    ASSERT_TRUE(
+        in.BindData("base", DataBinding::Raw(TypeId::kI64, base.data(), kN))
+            .ok());
+    ASSERT_TRUE(
+        in.BindData("d1", DataBinding::Raw(TypeId::kI64, d1->data(), kN, true))
+            .ok());
+    ASSERT_TRUE(
+        in.BindData("d2", DataBinding::Raw(TypeId::kI64, d2->data(), kN, true))
+            .ok());
+    auto vm_hook = in.iteration_hook;
+    in.iteration_hook = [&, vm_hook](interp::Interpreter& it,
+                                     uint64_t iteration) -> Status {
+      if (iteration == 9) {
+        // Select every row of this chunk's x: the next iteration computes
+        // x afresh, so only the recheck pass observes the selection.
+        Result<interp::Value> x = it.GetVar("x");
+        if (!x.ok() || !x.value().is_array()) {
+          return Status::Internal("x not bound");
+        }
+        interp::ArrayValue& a = *x.value().array;
+        a.sel.MakeIdentity(a.len);
+      }
+      return vm_hook(it, iteration);
+    };
+    ASSERT_TRUE(vm.Run().ok());
+    *report = vm.Report();
+  };
+  std::vector<int64_t> want1(kN, -1), want2(kN, -1), got1(kN, -1),
+      got2(kN, -1);
+  VmReport interpreted, report;
+  run(false, &want1, &want2, &interpreted);
+  run(true, &got1, &got2, &report);
+  EXPECT_EQ(got1, want1);
+  EXPECT_EQ(got2, want2);
+  EXPECT_GT(report.injection_runs, 0u);
+  EXPECT_EQ(report.jit_declined, "");
+  // The fused region, then the filter-free regions the recheck grew.
+  EXPECT_GT(report.traces_compiled + report.disk_cache_hits, 2u);
+}
+
 }  // namespace
 }  // namespace avm::vm

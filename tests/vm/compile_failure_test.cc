@@ -1,0 +1,67 @@
+// Host-compiler failure path. CMakeLists.txt runs this binary with
+// AVM_CXX=/bin/false, so every compile the JIT attempts fails. A failing
+// situation must cost one compile attempt per VM run — not one per recheck
+// pass — and the query must still return the interpreter's rows and leave
+// no compiler files behind.
+#include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <filesystem>
+#include <string>
+
+#include "engine/session.h"
+#include "jit/jit_backend.h"
+#include "relational/q1.h"
+
+namespace avm::vm {
+namespace {
+
+TEST(CompileFailureTest, FailingSituationCompilesOncePerRun) {
+  // Precondition: without the variable the test would pass vacuously.
+  const char* cxx = std::getenv("AVM_CXX");
+  ASSERT_NE(cxx, nullptr) << "run through ctest, which sets AVM_CXX";
+  ASSERT_EQ(std::string(cxx), "/bin/false");
+  ASSERT_TRUE(jit::HostCompilerAvailable());
+
+  LineitemSpec spec;
+  spec.num_rows = 100'000;  // ~98 chunks
+  auto table = MakeLineitem(spec);
+  auto oracle = relational::RunQ1Scalar(*table);
+  ASSERT_TRUE(oracle.ok());
+
+  // One optimize pass and no recheck: every situation is tried once.
+  // A recheck every 2 iterations must not try any of them again.
+  uint64_t checked_once = 0;
+  for (uint64_t recheck : {uint64_t{0}, uint64_t{2}}) {
+    engine::QueryOptions opts;
+    opts.strategy = engine::ExecutionStrategy::kAdaptiveJit;
+    opts.vm.recheck_interval = recheck;
+    engine::Query q = relational::MakeQ1Query(*table).ValueOrDie();
+    auto run = engine::Session({.num_workers = 1}).Run(q.context(), opts);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    EXPECT_EQ(relational::Q1ResultFromQuery(q), oracle.value());
+    const engine::ExecReport& rep = run.value();
+    EXPECT_EQ(rep.traces_compiled, 0u);
+    EXPECT_EQ(rep.injection_runs, 0u);
+    EXPECT_FALSE(rep.jit_declined.empty());
+    EXPECT_GT(rep.verifier_checked, 0u);
+    if (recheck == 0) {
+      checked_once = rep.verifier_checked;
+    } else {
+      EXPECT_EQ(rep.verifier_checked, checked_once)
+          << "a failed situation was compiled again at a recheck";
+    }
+  }
+
+  // Failed compiles leave no source, log or object in the scratch dir.
+  size_t entries = 0;
+  for (const auto& e :
+       std::filesystem::directory_iterator(jit::JitScratchDir())) {
+    ADD_FAILURE() << "left behind: " << e.path();
+    ++entries;
+  }
+  EXPECT_EQ(entries, 0u);
+}
+
+}  // namespace
+}  // namespace avm::vm
