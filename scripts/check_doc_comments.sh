@@ -12,8 +12,8 @@
 # rely on: adaptive_vm.h, trace_abi.h, codegen.h (code generation from
 # verified traces only), trace_compiler.h, jit_backend.h, disk_cache.h,
 # the analysis headers, memory_tracker.h and spill_file.h — plus the
-# storage codec headers (compression.h, bitpack.h) and the partitioner
-# (depgraph.h).
+# storage codec headers (compression.h, bitpack.h), the column and its
+# scan cursor (column.h) and the partitioner (depgraph.h).
 # CI fails the build on any finding.
 set -u
 
@@ -36,6 +36,7 @@ if [ ${#headers[@]} -eq 0 ]; then
     src/storage/spill_file.h
     src/storage/compression.h
     src/storage/bitpack.h
+    src/storage/column.h
     src/ir/depgraph.h
   )
 fi

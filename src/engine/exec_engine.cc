@@ -22,10 +22,11 @@ std::string ExecReport::ToString() const {
       StrategyName(strategy), device.c_str(), kernel_tier.c_str(), workers,
       morsels, (unsigned long long)rows, wall_seconds * 1e3);
   out += StrFormat(
-      "iterations=%llu traces: compiled=%llu reused=%llu "
+      "iterations=%llu partitions=%llu traces: compiled=%llu reused=%llu "
       "injected_runs=%llu fallbacks=%llu compile=%.1fms",
-      (unsigned long long)iterations, (unsigned long long)traces_compiled,
-      (unsigned long long)traces_reused, (unsigned long long)injection_runs,
+      (unsigned long long)iterations, (unsigned long long)partitions,
+      (unsigned long long)traces_compiled, (unsigned long long)traces_reused,
+      (unsigned long long)injection_runs,
       (unsigned long long)injection_fallbacks, compile_seconds * 1e3);
   if (!jit_tier.empty()) {
     out += StrFormat(

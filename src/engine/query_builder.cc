@@ -1753,8 +1753,10 @@ Status Query::Impl::OnPrepare(const MemoryPlan& plan, PrepareOutcome* out) {
     for (size_t i = 0; i < s.out_cols.size(); ++i) {
       // At least one element: an empty table still binds a non-null window
       // (zero-count writes are no-ops, but need a valid writable array).
-      windows[i].assign(
-          std::max<uint64_t>(wrows, 1) * TypeWidth(s.out_types[i]), 0);
+      // Not cleared: nothing reads a window past a morsel's output count,
+      // so a re-submission reuses the rows as they are.
+      windows[i].resize(std::max<uint64_t>(wrows, 1) *
+                        TypeWidth(s.out_types[i]));
       ctx.BindPartialOutput(
           Spec::OutName(s.out_cols[i]),
           interp::DataBinding::Raw(s.out_types[i], windows[i].data(), wrows,
@@ -1873,7 +1875,9 @@ void Query::Impl::ResetResult(const std::vector<std::string>& names,
   for (size_t c = 0; c < names.size(); ++c) {
     result[c].name = names[c];
     result[c].type = types[c];
-    result[c].data.assign(rows * TypeWidth(types[c]), 0);
+    // Every row is written by the merge or the group copy; a reused
+    // buffer keeps its bytes until then.
+    result[c].data.resize(rows * TypeWidth(types[c]));
   }
   result_rows = rows;
 }

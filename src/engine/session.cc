@@ -45,6 +45,10 @@ struct QueryState {
   gpu::FragmentProfile gpu_profile;
   bool calibrate_cpu = false;  ///< placer chose CPU: observe the CPU run
 
+  /// Partitions the query's morsel VMs computed, shared between them like
+  /// the session's TraceCache (thread-safe on its own).
+  vm::PartitionMemo partitions;
+
   // ----- scheduling progress (guarded by Scheduler::mu) ------------------
   size_t issued = 0;  ///< tasks handed to workers
 
@@ -710,7 +714,7 @@ Status Session::RunMorselTask(QueryState& q, const Morsel& m) {
   const dsl::Program& program = ctx.fixed_program_ != nullptr
                                     ? *ctx.fixed_program_
                                     : q.programs.at(m.rows());
-  vm::AdaptiveVm vmach(&program, q.vmo, &cache_);
+  vm::AdaptiveVm vmach(&program, q.vmo, &cache_, &q.partitions);
   interp::Interpreter& in = vmach.interpreter();
   // A query's only task binds whole arrays: a fixed program owns its loop
   // bound and may address rows past total_rows. Each morsel of a
@@ -726,16 +730,18 @@ Status Session::RunMorselTask(QueryState& q, const Morsel& m) {
   privates.reserve(ctx.bound_.size());
   // Spill-mode scratch windows: allocated per task, sealed to disk by the
   // task hook, discarded here. Charged transiently — the overshoot is
-  // bounded by workers x one morsel's scratch (see MemoryTracker).
-  std::vector<std::vector<uint8_t>> scratch_windows;
+  // bounded by workers x one morsel's scratch (see MemoryTracker). Left
+  // uninitialized: nothing reads a window past the rows the task wrote.
+  std::vector<std::unique_ptr<uint8_t[]>> scratch_windows;
   uint64_t transient_bytes = 0;
   for (const ExecContext::Bound& b : ctx.bound_) {
     switch (b.role) {
       case BindRole::kInput:
       case BindRole::kOutput:
         AVM_RETURN_NOT_OK(in.BindData(b.name, slice(b.binding, 1)));
-        // Column-backed inputs stream block-at-a-time through a decode
-        // cache the interpreter owns; account one block of scratch.
+        // Column-backed inputs stream through a cursor that decodes only
+        // the rows it reads, caching at most one Delta or RLE block;
+        // account one block of scratch as the upper bound.
         if (b.binding.column != nullptr) {
           transient_bytes += static_cast<uint64_t>(
                                  b.binding.column->block_size()) *
@@ -747,12 +753,13 @@ Status Session::RunMorselTask(QueryState& q, const Morsel& m) {
           const uint64_t wrows = m.rows() * b.row_scale;
           const size_t bytes =
               static_cast<size_t>(wrows) * TypeWidth(b.binding.type);
-          scratch_windows.emplace_back(bytes);
+          scratch_windows.push_back(
+              std::make_unique_for_overwrite<uint8_t[]>(bytes));
           transient_bytes += bytes;
           AVM_RETURN_NOT_OK(in.BindData(
               b.name,
               interp::DataBinding::Raw(b.binding.type,
-                                       scratch_windows.back().data(), wrows,
+                                       scratch_windows.back().get(), wrows,
                                        true)));
         } else {
           // Windows scale with the query's fan-out factor: this morsel

@@ -22,7 +22,9 @@
 //    their morsels fairly over the shared worker pool.
 //  - All queries share the session's TraceCache: the first worker of any
 //    client to compile a trace for a situation serves every later query,
-//    with per-situation single-flight compilation under contention.
+//    with per-situation single-flight compilation under contention. The
+//    morsel VMs of one query also share one vm::PartitionMemo, so a
+//    partition one of them computed serves the others.
 //  - Per-query accumulators are privatized per morsel and summed into the
 //    caller's arrays, exactly as in a single-query parallel run — a
 //    concurrent run stays bit-identical to its serial baseline.

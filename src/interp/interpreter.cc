@@ -90,7 +90,7 @@ const DataBinding* Interpreter::FindBinding(const std::string& name) const {
 uint64_t Interpreter::chunks_streamed() const {
   uint64_t n = 0;
   for (const auto& [name, cursor] : column_cursors_) {
-    n += cursor.blocks_decoded();
+    n += cursor.blocks_read();
   }
   return n;
 }
@@ -355,8 +355,8 @@ Result<Value> Interpreter::EvalRead(const Expr& e) {
   const uint32_t take = static_cast<uint32_t>(
       std::min<uint64_t>(options_.chunk_size, b->len - pos));
   if (b->column != nullptr) {
-    // Stream through the per-binding cursor: one compressed block decoded
-    // at a time, cached across the sequential chunk reads of a scan.
+    // Stream through the per-binding cursor, which decodes only this
+    // chunk's rows (a Delta or RLE block once, for the reads it serves).
     ColumnChunkCursor& cursor = column_cursors_[name];
     if (cursor.column() != b->column) cursor = ColumnChunkCursor(b->column);
     Scheme s = Scheme::kPlain;

@@ -148,11 +148,11 @@ class Interpreter {
   /// (kPlain for raw bindings).
   Scheme LastSchemeOf(const std::string& name) const;
 
-  /// Compressed column blocks decoded by this interpreter's streaming scan
-  /// cursors — each `read` of a column binding goes through a per-binding
-  /// ColumnChunkCursor that decodes one super-chunk at a time (scheme
-  /// changes still flow through LastSchemeOf re-specialization). Summed
-  /// into ExecReport::chunks_streamed.
+  /// Compressed column blocks this interpreter's streaming scan cursors
+  /// read from — each `read` of a column binding goes through a
+  /// per-binding ColumnChunkCursor that decodes only the rows it reads
+  /// (scheme changes still flow through LastSchemeOf re-specialization).
+  /// Summed into ExecReport::chunks_streamed.
   uint64_t chunks_streamed() const;
 
   // --- adaptivity hooks -----------------------------------------------------

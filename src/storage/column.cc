@@ -105,56 +105,22 @@ double Column::CompressionRatio() const {
   return enc == 0 ? 1.0 : static_cast<double>(raw) / static_cast<double>(enc);
 }
 
-ColumnScanner::ColumnScanner(const Column* column) : column_(column) {}
-
-Status ColumnScanner::EnsureBlockDecoded(size_t block_idx) {
-  if (cached_block_ == block_idx) return Status::OK();
-  const Block& b = column_->block(block_idx);
-  cache_.resize(static_cast<size_t>(b.count) * TypeWidth(b.type));
-  AVM_RETURN_NOT_OK(DecodeBlock(b, cache_.data()));
-  cached_block_ = block_idx;
-  return Status::OK();
-}
-
-Result<uint32_t> ColumnScanner::Next(uint32_t len, void* out, Scheme* scheme) {
-  const size_t w = TypeWidth(column_->type());
-  auto* dst = static_cast<uint8_t*>(out);
-  uint32_t produced = 0;
-  bool first = true;
-  while (produced < len && row_ < column_->num_rows()) {
-    // Locate the block containing row_ by cumulative walk from the cached
-    // position (blocks can have heterogeneous counts).
-    uint64_t pos = 0;
-    size_t bi = 0;
-    while (bi < column_->num_blocks() &&
-           pos + column_->block(bi).count <= row_) {
-      pos += column_->block(bi).count;
-      ++bi;
-    }
-    const Block& b = column_->block(bi);
-    if (first && scheme != nullptr) *scheme = b.scheme;
-    first = false;
-    AVM_RETURN_NOT_OK(EnsureBlockDecoded(bi));
-    uint32_t off = static_cast<uint32_t>(row_ - pos);
-    uint32_t take = std::min(len - produced, b.count - off);
-    std::memcpy(dst + static_cast<size_t>(produced) * w,
-                cache_.data() + static_cast<size_t>(off) * w,
-                static_cast<size_t>(take) * w);
-    produced += take;
-    row_ += take;
+Status ColumnChunkCursor::ReadBlockRange(size_t bi, uint32_t off,
+                                         uint32_t len, uint8_t* dst) {
+  const Block& b = column_->block(bi);
+  if (b.scheme != Scheme::kDelta && b.scheme != Scheme::kRle) {
+    values_decoded_ += len;
+    return DecodeBlockRange(b, off, len, dst);
   }
-  return produced;
-}
-
-Status ColumnChunkCursor::EnsureBlockDecoded(size_t block_idx,
-                                             uint64_t block_start) {
-  if (cached_block_ == block_idx) return Status::OK();
-  const Block& b = column_->block(block_idx);
-  cache_.resize(static_cast<size_t>(b.count) * TypeWidth(b.type));
-  AVM_RETURN_NOT_OK(DecodeBlock(b, cache_.data()));
-  cached_block_ = block_idx;
-  cached_start_ = block_start;
-  ++blocks_decoded_;
+  const size_t w = TypeWidth(b.type);
+  if (cached_block_ != bi) {
+    cache_.resize(static_cast<size_t>(b.count) * w);
+    AVM_RETURN_NOT_OK(DecodeBlock(b, cache_.data()));
+    cached_block_ = bi;
+    values_decoded_ += b.count;
+  }
+  std::memcpy(dst, cache_.data() + static_cast<size_t>(off) * w,
+              static_cast<size_t>(len) * w);
   return Status::OK();
 }
 
@@ -170,13 +136,13 @@ Status ColumnChunkCursor::ReadAt(uint64_t row, uint32_t len, void* out,
   const size_t w = TypeWidth(column_->type());
   auto* dst = static_cast<uint8_t*>(out);
   // Walk blocks by cumulative count (counts can be heterogeneous), starting
-  // from the cached block when the read is at or past it — the sequential
-  // morsel pattern then skips the walk entirely.
+  // from the previous read's block when the read is at or past it — the
+  // sequential morsel pattern then skips the walk entirely.
   uint64_t pos = 0;
   size_t bi = 0;
-  if (cached_block_ != SIZE_MAX && row >= cached_start_) {
-    pos = cached_start_;
-    bi = cached_block_;
+  if (last_block_ != SIZE_MAX && row >= last_start_) {
+    pos = last_start_;
+    bi = last_block_;
   }
   while (bi < column_->num_blocks() && pos + column_->block(bi).count <= row) {
     pos += column_->block(bi).count;
@@ -192,11 +158,14 @@ Status ColumnChunkCursor::ReadAt(uint64_t row, uint32_t len, void* out,
     const Block& b = column_->block(bi);
     if (first && scheme != nullptr) *scheme = b.scheme;
     first = false;
-    AVM_RETURN_NOT_OK(EnsureBlockDecoded(bi, pos));
-    uint32_t off = static_cast<uint32_t>(cur - pos);
-    uint32_t take = std::min(remaining, b.count - off);
-    std::memcpy(dst, cache_.data() + static_cast<size_t>(off) * w,
-                static_cast<size_t>(take) * w);
+    if (bi != last_block_) {
+      ++blocks_read_;
+      last_block_ = bi;
+      last_start_ = pos;
+    }
+    const auto off = static_cast<uint32_t>(cur - pos);
+    const uint32_t take = std::min(remaining, b.count - off);
+    AVM_RETURN_NOT_OK(ReadBlockRange(bi, off, take, dst));
     dst += static_cast<size_t>(take) * w;
     cur += take;
     remaining -= take;

@@ -61,37 +61,13 @@ class Column {
   std::vector<Block> blocks_;
 };
 
-/// Sequential reader that decompresses block-at-a-time into an internal
-/// buffer and serves chunk-sized slices; the common scan access path.
-class ColumnScanner {
- public:
-  explicit ColumnScanner(const Column* column);
-
-  /// Copy the next `len` values into `out`; returns values produced
-  /// (< len at end of column). Also reports the scheme of the block the
-  /// read started in, so the VM can detect scheme changes.
-  Result<uint32_t> Next(uint32_t len, void* out, Scheme* scheme = nullptr);
-
-  void SeekToStart() { row_ = 0; cached_block_ = SIZE_MAX; }
-  uint64_t position() const { return row_; }
-  bool AtEnd() const { return row_ >= column_->num_rows(); }
-
- private:
-  Status EnsureBlockDecoded(size_t block_idx);
-
-  const Column* column_;
-  uint64_t row_ = 0;
-  size_t cached_block_ = SIZE_MAX;
-  std::vector<uint8_t> cache_;  // decoded current block
-};
-
-/// Seekable block-at-a-time decoder for the streamed-scan path: decodes one
-/// compressed block ("super-chunk") into an internal cache and serves
-/// arbitrary [row, row+len) reads from it, re-decoding only on block
-/// changes. Unlike Column::Read — which re-decodes the containing range on
-/// every call — morsel-sized reads walking forward decode each block exactly
-/// once; blocks_decoded() exposes the streaming cost (surfaced as
-/// ExecReport::chunks_streamed).
+/// Seekable reader of the streamed-scan path: serves arbitrary
+/// [row, row+len) reads of a compressed column, decoding only the rows it
+/// reads. Plain, FOR and Dict blocks decode the requested range straight
+/// into the caller's buffer. Delta and RLE blocks, whose range decode runs
+/// from the block start, decode once into a one-block cache that serves
+/// every later read of the same block. Reads walking forward find their
+/// block from the previous read's, so a scan never re-walks the column.
 class ColumnChunkCursor {
  public:
   /// Default-constructed cursors stream nothing until assigned.
@@ -104,23 +80,33 @@ class ColumnChunkCursor {
 
   /// Decode `len` values starting at global row `row` into `out`, reporting
   /// the scheme of the block the read started in (so the VM can detect
-  /// situation changes). Crossing a block boundary decodes the next block
-  /// into the cache.
+  /// situation changes).
   Status ReadAt(uint64_t row, uint32_t len, void* out,
                 Scheme* scheme = nullptr);
 
-  /// Block decodes performed (cache misses) over the cursor's lifetime —
-  /// one compressed super-chunk streamed per decode.
-  uint64_t blocks_decoded() const { return blocks_decoded_; }
+  /// Blocks the cursor's reads came from, a block counted again only when
+  /// a read of another block came in between: a forward scan counts every
+  /// block it touches once (surfaced as ExecReport::chunks_streamed).
+  uint64_t blocks_read() const { return blocks_read_; }
+
+  /// Values decoded so far: the rows read from Plain, FOR and Dict blocks,
+  /// plus every value of each Delta or RLE block decoded into the cache.
+  uint64_t values_decoded() const { return values_decoded_; }
 
  private:
-  Status EnsureBlockDecoded(size_t block_idx, uint64_t block_start);
+  /// Decode rows [off, off+len) of block `bi` into `dst`.
+  Status ReadBlockRange(size_t bi, uint32_t off, uint32_t len, uint8_t* dst);
 
   const Column* column_ = nullptr;
+  /// Block the previous read ended in and its first global row: the next
+  /// read at or past that row walks on from there.
+  size_t last_block_ = SIZE_MAX;
+  uint64_t last_start_ = 0;
+  /// Delta or RLE block decoded into cache_ (SIZE_MAX = none).
   size_t cached_block_ = SIZE_MAX;
-  uint64_t cached_start_ = 0;   // global row of the cached block's first value
-  std::vector<uint8_t> cache_;  // decoded current block
-  uint64_t blocks_decoded_ = 0;
+  std::vector<uint8_t> cache_;
+  uint64_t blocks_read_ = 0;
+  uint64_t values_decoded_ = 0;
 };
 
 }  // namespace avm

@@ -73,43 +73,4 @@ class Table {
   std::vector<std::unique_ptr<Column>> columns_;
 };
 
-/// Chunk-iterator source over a table: one streaming ColumnChunkCursor per
-/// column, so scan morsels decode one compressed super-chunk at a time into
-/// caller scratch instead of requiring fully-decoded resident columns
-/// (docs/SPILL.md, "Streamed scans").
-class TableChunkSource {
- public:
-  /// Build cursors over every column of `table` (not owned; must outlive
-  /// the source).
-  explicit TableChunkSource(const Table* table) {
-    cursors_.reserve(table->num_columns());
-    for (size_t i = 0; i < table->num_columns(); ++i) {
-      cursors_.emplace_back(&table->column(i));
-    }
-  }
-
-  /// Decode `len` values of column `col` starting at global row `row` into
-  /// `out`, reporting the compression scheme the read started in.
-  Status ReadChunk(size_t col, uint64_t row, uint32_t len, void* out,
-                   Scheme* scheme = nullptr) {
-    if (col >= cursors_.size()) {
-      return Status::OutOfRange("TableChunkSource: no such column");
-    }
-    return cursors_[col].ReadAt(row, len, out, scheme);
-  }
-
-  /// Streaming cursor for column `col` (e.g. to hand to a scan binding).
-  ColumnChunkCursor& cursor(size_t col) { return cursors_[col]; }
-
-  /// Total block decodes across all columns — compressed chunks streamed.
-  uint64_t blocks_decoded() const {
-    uint64_t n = 0;
-    for (const auto& c : cursors_) n += c.blocks_decoded();
-    return n;
-  }
-
- private:
-  std::vector<ColumnChunkCursor> cursors_;
-};
-
 }  // namespace avm

@@ -12,10 +12,43 @@ namespace avm::vm {
 
 using interp::Interpreter;
 
+std::shared_ptr<const PartitionMemo::Entry> PartitionMemo::Find(
+    const dsl::Program* program, const std::vector<double>& costs,
+    const std::set<uint32_t>& unfused,
+    const SelectionsOf& selections_of) const {
+  std::vector<std::shared_ptr<const Entry>> candidates;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto& e : entries_) {
+      if (e->program == program && e->costs == costs &&
+          e->unfused_filters == unfused) {
+        candidates.push_back(e);
+      }
+    }
+  }
+  // The selections are the caller's interpreter state: observed outside
+  // the lock.
+  for (auto& e : candidates) {
+    if (std::ranges::all_of(e->judged, [&](const auto& region) {
+          return selections_of(region.first) == region.second;
+        })) {
+      return e;
+    }
+  }
+  return nullptr;
+}
+
+void PartitionMemo::Publish(std::shared_ptr<const Entry> entry) {
+  std::lock_guard<std::mutex> lock(mu_);
+  entries_.push_back(std::move(entry));
+}
+
 AdaptiveVm::AdaptiveVm(const dsl::Program* program, VmOptions options,
-                       jit::TraceCache* shared_cache)
+                       jit::TraceCache* shared_cache,
+                       PartitionMemo* shared_memo)
     : program_(program), options_(std::move(options)) {
   if (shared_cache != nullptr) cache_ = shared_cache;
+  if (shared_memo != nullptr) memo_ = shared_memo;
   interp_ = std::make_unique<Interpreter>(program_, options_.interp);
   interp_->iteration_hook = [this](Interpreter& in, uint64_t iteration) {
     return OnIteration(in, iteration);
@@ -47,6 +80,7 @@ Status AdaptiveVm::Run() {
 void VmReport::Merge(const VmReport& other) {
   iterations += other.iterations;
   chunks_streamed += other.chunks_streamed;
+  partitions += other.partitions;
   traces_compiled += other.traces_compiled;
   traces_reused += other.traces_reused;
   injection_runs += other.injection_runs;
@@ -195,38 +229,43 @@ Status AdaptiveVm::OptimizePass(Interpreter& in, uint64_t iteration) {
       unfused.insert(node.id);
     }
   }
-  // Partition again only when an input of the last partition moved: the
-  // bucketed costs, the unfused filters, or the selections a region the
-  // gate judged carries now. GreedyPartition is deterministic in those, so
-  // otherwise it would grow the same traces, whose installed or declined
-  // situations are skipped below anyway.
-  bool reuse = costs == partition_costs_ && unfused == unfused_filters_;
-  for (size_t i = 0; reuse && i < judged_.size(); ++i) {
-    reuse = ObserveSelections(in, judged_[i].first) == judged_[i].second;
-  }
-  if (!reuse) {
+  // Partition only when no partition in the memo was computed from what
+  // this pass observes: the bucketed costs, the unfused filters, and the
+  // selections every region the gate judged carries now. GreedyPartition
+  // is deterministic in those, so it would grow the same traces, whose
+  // installed or declined situations are skipped below anyway.
+  auto selections_of = [&](const ir::Trace& region) {
+    return ObserveSelections(in, region);
+  };
+  std::shared_ptr<const PartitionMemo::Entry> partition =
+      memo_->Find(program_, costs, unfused, selections_of);
+  if (partition == nullptr) {
     // A region that fuses a filter stays one trace only if the filter's
     // branch is predictable and the gate accepts the region under the
     // selections its inputs carry now; otherwise the partitioner falls
     // back to the filter-excluding region.
-    judged_.clear();
-    traces_ = ir::GreedyPartition(
+    auto entry = std::make_shared<PartitionMemo::Entry>();
+    entry->traces = ir::GreedyPartition(
         graph_, options_.constraints, [&](const ir::Trace& region) {
           for (uint32_t id : region.node_ids) {
             if (unfused.contains(id)) return false;
           }
           analysis::TraceContext ctx;
-          ctx.sel_inputs = ObserveSelections(in, region);
-          judged_.emplace_back(region, ctx.sel_inputs);
+          ctx.sel_inputs = selections_of(region);
+          entry->judged.emplace_back(region, ctx.sel_inputs);
           return analysis::VerifyTrace(*program_, graph_, region, ctx).clean();
         });
-    partition_costs_ = std::move(costs);
-    unfused_filters_ = std::move(unfused);
+    ++report_.partitions;
+    entry->program = program_;
+    entry->costs = std::move(costs);
+    entry->unfused_filters = std::move(unfused);
+    memo_->Publish(entry);
+    partition = std::move(entry);
   }
 
   bool any_compiled = false;
   size_t installed_this_pass = 0;
-  for (const auto& trace : traces_) {
+  for (const auto& trace : partition->traces) {
     if (installed_this_pass >= options_.max_traces_per_pass) break;
     if (total_cost > 0 &&
         trace.total_cost / total_cost < options_.min_cost_share) {

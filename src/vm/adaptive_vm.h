@@ -10,7 +10,9 @@
 // situation, reusing the trace cache when the situation recurs.
 #pragma once
 
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
@@ -19,6 +21,7 @@
 #include "interp/interpreter.h"
 #include "ir/depgraph.h"
 #include "jit/trace_cache.h"
+#include "util/thread_annotations.h"
 #include "vm/state_machine.h"
 
 namespace avm::vm {
@@ -59,8 +62,12 @@ struct VmOptions {
 struct VmReport {
   uint64_t iterations = 0;
   /// Compressed column blocks the interpreter's streaming scan cursors
-  /// decoded, one super-chunk at a time (docs/SPILL.md).
+  /// read from, each counted once per forward scan; the cursors decode
+  /// only the rows they read (docs/SPILL.md §6).
   uint64_t chunks_streamed = 0;
+  /// Greedy partitions (§III-B) this run computed. A pass whose inputs
+  /// match a partition in the VM's PartitionMemo reuses it uncounted.
+  uint64_t partitions = 0;
   uint64_t traces_compiled = 0;
   uint64_t traces_reused = 0;     ///< trace-cache hits on recompile checks
   uint64_t injection_runs = 0;
@@ -111,6 +118,53 @@ struct VmReport {
   void Merge(const VmReport& other);
 };
 
+/// Greedy partitions (§III-B) with the inputs each was computed from, so
+/// that an optimize pass observing the same inputs reuses a partition
+/// instead of partitioning again. GreedyPartition is deterministic in the
+/// program's graph, the constraints, the bucketed node costs and its
+/// acceptor's answers; the acceptor's answers follow from the unfused
+/// filters and the selections the judged regions carry. A Session gives
+/// every morsel VM of one query the same memo, so the query partitions
+/// about once instead of once per morsel; a VM without a shared memo keeps
+/// a private one. Thread-safe. Entries are keyed by program address: the
+/// programs must outlive the memo, and VMs sharing one must partition
+/// under the same PartitionConstraints.
+class PartitionMemo {
+ public:
+  /// One partition and the inputs it was computed from.
+  struct Entry {
+    const dsl::Program* program = nullptr;
+    /// Bucketed node costs, indexed by graph node id.
+    std::vector<double> costs;
+    /// Filter nodes kept out of traces for their observed selectivity.
+    std::set<uint32_t> unfused_filters;
+    /// Each region the acceptor judged, with the selection-carrying chunk
+    /// inputs it was judged under.
+    std::vector<std::pair<ir::Trace, std::set<std::string>>> judged;
+    /// The traces, by descending total cost.
+    std::vector<ir::Trace> traces;
+  };
+  /// The selection-carrying chunk inputs of a region as a VM observes
+  /// them now.
+  using SelectionsOf =
+      std::function<std::set<std::string>(const ir::Trace& region)>;
+
+  /// A published entry of `program` computed from `costs` and `unfused`
+  /// whose every judged region carries `selections_of(region)` now; null
+  /// when there is none.
+  std::shared_ptr<const Entry> Find(const dsl::Program* program,
+                                    const std::vector<double>& costs,
+                                    const std::set<uint32_t>& unfused,
+                                    const SelectionsOf& selections_of) const;
+
+  /// Make `entry` visible to every later Find.
+  void Publish(std::shared_ptr<const Entry> entry);
+
+ private:
+  mutable std::mutex mu_;
+  std::vector<std::shared_ptr<const Entry>> entries_ AVM_GUARDED_BY(mu_);
+};
+
 /// The adaptive virtual machine (file comment above): a vectorized
 /// interpreter plus the Optimize/GenerateCode/InjectFunctions loop that
 /// JIT-compiles hot traces specialized for the current situation
@@ -121,9 +175,12 @@ class AdaptiveVm {
   /// `program` must be type-checked and outlive the VM. When `shared_cache`
   /// is non-null the VM compiles into / reuses that (thread-safe) cache
   /// instead of a private one — this is how morsel workers of a parallel run
-  /// share each other's compiled traces.
+  /// share each other's compiled traces. Likewise a non-null `shared_memo`
+  /// replaces the VM's private PartitionMemo, so morsel workers of one
+  /// query share each other's partitions.
   AdaptiveVm(const dsl::Program* program, VmOptions options = {},
-             jit::TraceCache* shared_cache = nullptr);
+             jit::TraceCache* shared_cache = nullptr,
+             PartitionMemo* shared_memo = nullptr);
 
   /// Access the embedded interpreter to bind data (before Run).
   interp::Interpreter& interpreter() { return *interp_; }
@@ -162,15 +219,8 @@ class AdaptiveVm {
   StateMachine sm_;
   jit::TraceCache own_cache_;
   jit::TraceCache* cache_ = &own_cache_;  ///< points at own_cache_ or shared
-  std::vector<ir::Trace> traces_;
-  /// What traces_ was partitioned from: the bucketed node costs, the
-  /// filter nodes kept out of traces for their observed selectivity, and
-  /// each region the gate judged with the selections its inputs carried.
-  /// A pass that observes the same reuses traces_ instead of partitioning
-  /// again.
-  std::vector<double> partition_costs_;
-  std::set<uint32_t> unfused_filters_;
-  std::vector<std::pair<ir::Trace, std::set<std::string>>> judged_;
+  PartitionMemo own_memo_;
+  PartitionMemo* memo_ = &own_memo_;  ///< points at own_memo_ or shared
   /// Situations whose injection is installed, with the statements it
   /// covers (the interpreter drops an injection that a newer, partly
   /// overlapping one replaces; its keys are dropped with it).

@@ -595,6 +595,30 @@ TEST(SessionTest, Q1RepeatedRunsHitCrossRunTraceCache) {
   EXPECT_GT(r2.value().traces_reused, 0u);
 }
 
+// The morsel VMs of one query share its partitions: a 4-worker Q1 over 16
+// morsels partitions fewer times than it has morsels (VMs whose first
+// optimize passes overlap may each partition once), and its groups stay
+// exact.
+TEST(SessionTest, MorselVmsOfAQueryShareItsPartitions) {
+  if (!jit::HostCompilerAvailable()) {
+    GTEST_SKIP() << "no host compiler";
+  }
+  // 16 morsels of 8 chunks at 4 workers.
+  auto lineitem = SmallLineitem(16 * 8 * 1024);
+  Q1Result oracle = RunQ1Scalar(*lineitem).ValueOrDie();
+  Session session({.num_workers = 4});
+  QueryOptions qo;
+  qo.strategy = ExecutionStrategy::kAdaptiveJit;
+  Query q = MakeQ1Query(*lineitem).ValueOrDie();
+  auto r = session.Run(q.context(), qo);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(Q1ResultFromQuery(q), oracle);
+  EXPECT_EQ(r.value().morsels, 16u);
+  EXPECT_GE(r.value().partitions, 1u);
+  EXPECT_LT(r.value().partitions, r.value().morsels);
+  EXPECT_GT(r.value().injection_runs, 0u);
+}
+
 TEST(SessionTest, ConcurrentOrderByFinalizesMergeInPartsOnEveryWorker) {
   // Four clients each submit an ORDER BY query big enough for four merge
   // parts to one 4-worker Session at the same time, for three rounds: the

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "dsl/builder.h"
 #include "dsl/typecheck.h"
 #include "jit/jit_backend.h"
@@ -35,6 +38,100 @@ Status BindFig2(interp::Interpreter& in, Fig2Data* d) {
   AVM_RETURN_NOT_OK(
       in.BindData("w", DataBinding::Raw(TypeId::kI64, d->w.data(), n, true)));
   return Status::OK();
+}
+
+/// iv = read(idx); x = gather(base, iv); y = map(x + 1); write(d2, y);
+/// f = filter(y > 5); write(d1, onum, condense(f)) over `n` rows. With
+/// gathers kept out of traces, x is a chunk input of the fused region
+/// {y, write d2, f, condense, write d1}, which the gate accepts while x is
+/// positional and rejects while x carries a selection [condense-bypass].
+dsl::Program GatherFilterProgram(int64_t n) {
+  using namespace dsl;
+  Program p;
+  p.data = {{"idx", TypeId::kI64, false},
+            {"base", TypeId::kI64, false},
+            {"d1", TypeId::kI64, true},
+            {"d2", TypeId::kI64, true}};
+  std::vector<StmtPtr> body;
+  body.push_back(Let("iv", Skeleton(SkeletonKind::kRead,
+                                    {Var("i"), Var("idx")})));
+  body.push_back(Let("x", Skeleton(SkeletonKind::kGather,
+                                   {Var("base"), Var("iv")})));
+  body.push_back(Let("y", Skeleton(SkeletonKind::kMap,
+                                   {Lambda({"v"}, Var("v") + ConstI(1)),
+                                    Var("x")})));
+  body.push_back(ExprStmt(Skeleton(SkeletonKind::kWrite,
+                                   {Var("d2"), Var("i"), Var("y")})));
+  body.push_back(Let(
+      "f", Skeleton(SkeletonKind::kFilter,
+                    {Lambda({"v"}, Call(ScalarOp::kGt, {Var("v"), ConstI(5)})),
+                     Var("y")})));
+  body.push_back(Let("c", Skeleton(SkeletonKind::kCondense, {Var("f")})));
+  body.push_back(Let("w", Skeleton(SkeletonKind::kWrite,
+                                   {Var("d1"), Var("onum"), Var("c")})));
+  body.push_back(Assign("onum", Var("onum") + Var("w")));
+  body.push_back(Assign("i", Var("i") + Skeleton(SkeletonKind::kLen,
+                                                 {Var("iv")})));
+  body.push_back(If(Call(ScalarOp::kGe, {Var("i"), ConstI(n)}),
+                    {Break()}));
+  p.stmts = {MutDef("i"), Assign("i", ConstI(0)), MutDef("onum"),
+             Assign("onum", ConstI(0)), Loop(std::move(body))};
+  p.AssignIds();
+  return p;
+}
+
+/// Output of one GatherFilterProgram run.
+struct GatherFilterRun {
+  std::vector<int64_t> d1, d2;
+  VmReport report;
+};
+
+/// Runs `p` = GatherFilterProgram(n) over fixed data (~95% of y passes the
+/// filter), with gathers kept out of traces and the VM sharing `memo` when
+/// it is non-null. After iteration `select_at` (0 = never) x's chunk gets
+/// an identity selection before the VM's hook runs: the next iteration
+/// computes x afresh, so only an optimize pass at `select_at` observes it.
+GatherFilterRun RunGatherFilter(const dsl::Program& p, int64_t n,
+                                VmOptions opts, uint64_t select_at,
+                                PartitionMemo* memo = nullptr) {
+  std::vector<int64_t> idx(n), base(n);
+  Rng rng(11);
+  for (int64_t i = 0; i < n; ++i) {
+    idx[i] = (i * 7) % n;
+    base[i] = rng.NextInRange(0, 100);
+  }
+  GatherFilterRun out{std::vector<int64_t>(n, -1),
+                      std::vector<int64_t>(n, -1), {}};
+  opts.constraints.allow_scatter_gather = false;
+  AdaptiveVm vm(&p, opts, nullptr, memo);
+  interp::Interpreter& in = vm.interpreter();
+  EXPECT_TRUE(
+      in.BindData("idx", DataBinding::Raw(TypeId::kI64, idx.data(), n)).ok());
+  EXPECT_TRUE(
+      in.BindData("base", DataBinding::Raw(TypeId::kI64, base.data(), n))
+          .ok());
+  EXPECT_TRUE(
+      in.BindData("d1", DataBinding::Raw(TypeId::kI64, out.d1.data(), n, true))
+          .ok());
+  EXPECT_TRUE(
+      in.BindData("d2", DataBinding::Raw(TypeId::kI64, out.d2.data(), n, true))
+          .ok());
+  auto vm_hook = in.iteration_hook;
+  in.iteration_hook = [select_at, vm_hook](interp::Interpreter& it,
+                                           uint64_t iteration) -> Status {
+    if (iteration == select_at) {
+      Result<interp::Value> x = it.GetVar("x");
+      if (!x.ok() || !x.value().is_array()) {
+        return Status::Internal("x not bound");
+      }
+      interp::ArrayValue& a = *x.value().array;
+      a.sel.MakeIdentity(a.len);
+    }
+    return vm_hook(it, iteration);
+  };
+  EXPECT_TRUE(vm.Run().ok());
+  out.report = vm.Report();
+  return out;
 }
 
 TEST(AdaptiveVmTest, JitDisabledStillCorrect) {
@@ -231,96 +328,141 @@ TEST(AdaptiveVmTest, SelectionChangeBetweenPassesPartitionsAgain) {
   // again, through the acceptor, instead of reusing the fused region and
   // declining it.
   if (!jit::HostCompilerAvailable()) GTEST_SKIP();
-  using namespace dsl;
   const int64_t kN = 16 * 1024;
-  Program p;
-  p.data = {{"idx", TypeId::kI64, false},
-            {"base", TypeId::kI64, false},
-            {"d1", TypeId::kI64, true},
-            {"d2", TypeId::kI64, true}};
-  std::vector<StmtPtr> body;
-  body.push_back(Let("iv", Skeleton(SkeletonKind::kRead,
-                                    {Var("i"), Var("idx")})));
-  body.push_back(Let("x", Skeleton(SkeletonKind::kGather,
-                                   {Var("base"), Var("iv")})));
-  body.push_back(Let("y", Skeleton(SkeletonKind::kMap,
-                                   {Lambda({"v"}, Var("v") + ConstI(1)),
-                                    Var("x")})));
-  body.push_back(ExprStmt(Skeleton(SkeletonKind::kWrite,
-                                   {Var("d2"), Var("i"), Var("y")})));
-  body.push_back(Let(
-      "f", Skeleton(SkeletonKind::kFilter,
-                    {Lambda({"v"}, Call(ScalarOp::kGt, {Var("v"), ConstI(5)})),
-                     Var("y")})));
-  body.push_back(Let("c", Skeleton(SkeletonKind::kCondense, {Var("f")})));
-  body.push_back(Let("w", Skeleton(SkeletonKind::kWrite,
-                                   {Var("d1"), Var("onum"), Var("c")})));
-  body.push_back(Assign("onum", Var("onum") + Var("w")));
-  body.push_back(Assign("i", Var("i") + Skeleton(SkeletonKind::kLen,
-                                                 {Var("iv")})));
-  body.push_back(If(Call(ScalarOp::kGe, {Var("i"), ConstI(kN)}),
-                    {Break()}));
-  p.stmts = {MutDef("i"), Assign("i", ConstI(0)), MutDef("onum"),
-             Assign("onum", ConstI(0)), Loop(std::move(body))};
-  p.AssignIds();
-  ASSERT_TRUE(TypeCheck(&p).ok());
+  dsl::Program p = GatherFilterProgram(kN);
+  ASSERT_TRUE(dsl::TypeCheck(&p).ok());
 
-  std::vector<int64_t> idx(kN), base(kN);
-  Rng rng(11);
-  for (int64_t i = 0; i < kN; ++i) {
-    idx[i] = (i * 7) % kN;
-    base[i] = rng.NextInRange(0, 100);
-  }
-  auto run = [&](bool jit, std::vector<int64_t>* d1, std::vector<int64_t>* d2,
-                 VmReport* report) {
-    VmOptions opts;
-    opts.enable_jit = jit;
-    opts.optimize_after_iterations = 8;
-    opts.recheck_interval = 9;
-    opts.constraints.allow_scatter_gather = false;
-    AdaptiveVm vm(&p, opts);
-    interp::Interpreter& in = vm.interpreter();
-    ASSERT_TRUE(
-        in.BindData("idx", DataBinding::Raw(TypeId::kI64, idx.data(), kN))
-            .ok());
-    ASSERT_TRUE(
-        in.BindData("base", DataBinding::Raw(TypeId::kI64, base.data(), kN))
-            .ok());
-    ASSERT_TRUE(
-        in.BindData("d1", DataBinding::Raw(TypeId::kI64, d1->data(), kN, true))
-            .ok());
-    ASSERT_TRUE(
-        in.BindData("d2", DataBinding::Raw(TypeId::kI64, d2->data(), kN, true))
-            .ok());
-    auto vm_hook = in.iteration_hook;
-    in.iteration_hook = [&, vm_hook](interp::Interpreter& it,
-                                     uint64_t iteration) -> Status {
-      if (iteration == 9) {
-        // Select every row of this chunk's x: the next iteration computes
-        // x afresh, so only the recheck pass observes the selection.
-        Result<interp::Value> x = it.GetVar("x");
-        if (!x.ok() || !x.value().is_array()) {
-          return Status::Internal("x not bound");
-        }
-        interp::ArrayValue& a = *x.value().array;
-        a.sel.MakeIdentity(a.len);
-      }
-      return vm_hook(it, iteration);
-    };
-    ASSERT_TRUE(vm.Run().ok());
-    *report = vm.Report();
-  };
-  std::vector<int64_t> want1(kN, -1), want2(kN, -1), got1(kN, -1),
-      got2(kN, -1);
-  VmReport interpreted, report;
-  run(false, &want1, &want2, &interpreted);
-  run(true, &got1, &got2, &report);
-  EXPECT_EQ(got1, want1);
-  EXPECT_EQ(got2, want2);
+  VmOptions opts;
+  opts.optimize_after_iterations = 8;
+  opts.recheck_interval = 9;
+  opts.enable_jit = false;
+  const GatherFilterRun want = RunGatherFilter(p, kN, opts, 9);
+  opts.enable_jit = true;
+  const GatherFilterRun got = RunGatherFilter(p, kN, opts, 9);
+  EXPECT_EQ(got.d1, want.d1);
+  EXPECT_EQ(got.d2, want.d2);
+  const VmReport& report = got.report;
   EXPECT_GT(report.injection_runs, 0u);
   EXPECT_EQ(report.jit_declined, "");
+  EXPECT_EQ(report.partitions, 2u);
   // The fused region, then the filter-free regions the recheck grew.
   EXPECT_GT(report.traces_compiled + report.disk_cache_hits, 2u);
+}
+
+/// Names of the traces installed in `vm`'s interpreter.
+std::set<std::string> InstalledTraces(AdaptiveVm& vm) {
+  std::set<std::string> names;
+  for (const auto& tr : vm.interpreter().injections()) names.insert(tr.name);
+  return names;
+}
+
+TEST(AdaptiveVmTest, VmSharingAPartitionMemoReusesItsPartition) {
+  // A second VM of the same program over the same data observes the same
+  // inputs at its optimize pass: it takes the first VM's partition from
+  // the shared memo instead of partitioning, and installs the same traces.
+  if (!jit::HostCompilerAvailable()) GTEST_SKIP();
+  const int64_t kN = 32 * 1024;
+  dsl::Program p = dsl::MakeFigure2Program(kN);
+  ASSERT_TRUE(dsl::TypeCheck(&p).ok());
+  VmOptions opts;
+  opts.optimize_after_iterations = 4;
+  PartitionMemo memo;
+  std::vector<VmReport> reports;
+  std::vector<std::set<std::string>> installed;
+  for (int run = 0; run < 2; ++run) {
+    AdaptiveVm vm(&p, opts, nullptr, &memo);
+    Fig2Data d = MakeData(kN);
+    ASSERT_TRUE(BindFig2(vm.interpreter(), &d).ok());
+    ASSERT_TRUE(vm.Run().ok());
+    for (int64_t i = 0; i < kN; ++i) ASSERT_EQ(d.v[i], 2 * d.data[i]);
+    reports.push_back(vm.Report());
+    installed.push_back(InstalledTraces(vm));
+  }
+  EXPECT_EQ(reports[0].partitions, 1u);
+  EXPECT_EQ(reports[1].partitions, 0u);
+  EXPECT_FALSE(installed[0].empty());
+  EXPECT_EQ(installed[1], installed[0]);
+  // Without a shared memo each VM partitions for itself.
+  AdaptiveVm alone(&p, opts);
+  Fig2Data d = MakeData(kN);
+  ASSERT_TRUE(BindFig2(alone.interpreter(), &d).ok());
+  ASSERT_TRUE(alone.Run().ok());
+  EXPECT_EQ(alone.Report().partitions, 1u);
+  EXPECT_EQ(InstalledTraces(alone), installed[0]);
+}
+
+TEST(AdaptiveVmTest, SharedMemoPartitionsAgainForANewSelection) {
+  // The first VM judges the fused filter region with x positional. A
+  // second VM whose x carries a selection at its optimize pass sees the
+  // same costs and unfused filters, but not the judged region's
+  // selections: it partitions for itself (the gate rejects the fused
+  // region there) and still matches interpretation. A third VM like the
+  // first reuses the first one's partition.
+  if (!jit::HostCompilerAvailable()) GTEST_SKIP();
+  const int64_t kN = 16 * 1024;
+  dsl::Program p = GatherFilterProgram(kN);
+  ASSERT_TRUE(dsl::TypeCheck(&p).ok());
+  VmOptions opts;
+  opts.optimize_after_iterations = 8;
+  opts.enable_jit = false;
+  const GatherFilterRun want = RunGatherFilter(p, kN, opts, 8);
+  opts.enable_jit = true;
+  PartitionMemo memo;
+  const GatherFilterRun first = RunGatherFilter(p, kN, opts, 0, &memo);
+  const GatherFilterRun selected = RunGatherFilter(p, kN, opts, 8, &memo);
+  const GatherFilterRun again = RunGatherFilter(p, kN, opts, 0, &memo);
+  EXPECT_EQ(first.report.partitions, 1u);
+  EXPECT_EQ(selected.report.partitions, 1u);
+  EXPECT_EQ(again.report.partitions, 0u);
+  EXPECT_EQ(selected.d1, want.d1);
+  EXPECT_EQ(selected.d2, want.d2);
+  EXPECT_EQ(selected.report.jit_declined, "");
+  EXPECT_GT(selected.report.injection_runs, 0u);
+  EXPECT_EQ(again.d1, want.d1);
+  EXPECT_EQ(again.d2, want.d2);
+}
+
+TEST(AdaptiveVmTest, SharedMemoPartitionsAgainForAnUnpredictableFilter) {
+  // Same program, two inputs: on the first the filter keeps ~90% of the
+  // rows and fuses; on the second it keeps ~83%, inside the unfused band,
+  // with the same bucketed costs. The second VM must not take the fused
+  // partition from the memo.
+  if (!jit::HostCompilerAvailable()) GTEST_SKIP();
+  const int64_t kN = 32 * 1024;
+  dsl::Program p = dsl::MakeFilterPipeline(
+      TypeId::kI64,
+      dsl::Lambda({"x"},
+                  dsl::Call(dsl::ScalarOp::kGt, {dsl::Var("x"), dsl::ConstI(1)})),
+      kN);
+  ASSERT_TRUE(dsl::TypeCheck(&p).ok());
+  PartitionMemo memo;
+  for (int64_t hi : {int64_t{19}, int64_t{11}}) {
+    std::vector<int64_t> data(kN);
+    Rng rng(5);
+    for (auto& x : data) x = rng.NextInRange(0, hi);
+    AdaptiveVm vm(&p, {}, nullptr, &memo);
+    std::vector<int64_t> out(kN, -1);
+    interp::Interpreter& in = vm.interpreter();
+    ASSERT_TRUE(
+        in.BindData("src", DataBinding::Raw(TypeId::kI64, data.data(), kN))
+            .ok());
+    ASSERT_TRUE(
+        in.BindData("out", DataBinding::Raw(TypeId::kI64, out.data(), kN, true))
+            .ok());
+    ASSERT_TRUE(vm.Run().ok());
+    std::vector<int64_t> want;
+    for (int64_t x : data) {
+      if (x > 1) want.push_back(x);
+    }
+    out.resize(want.size());
+    EXPECT_EQ(out, want) << "values up to " << hi;
+    EXPECT_EQ(vm.Report().partitions, 1u) << "values up to " << hi;
+    bool filter_fused = false;
+    for (const auto& tr : in.injections()) {
+      filter_fused |= tr.name.find("filter") != std::string::npos;
+    }
+    EXPECT_EQ(filter_fused, hi == 19) << "values up to " << hi;
+  }
 }
 
 }  // namespace
