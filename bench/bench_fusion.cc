@@ -154,7 +154,7 @@ void RunFilteredSum(benchmark::State& state, bool fuse) {
   auto graph = ir::DepGraph::Build(p).ValueOrDie();
   ir::TraceAcceptor accept;
   if (!fuse) accept = [](const ir::Trace&) { return false; };
-  std::vector<std::shared_ptr<jit::TraceEntry>> entries;
+  std::vector<std::shared_ptr<const jit::CompiledTrace>> entries;
   for (const ir::Trace& t : ir::GreedyPartition(graph, {}, accept)) {
     analysis::TraceContext ctx;
     for (const std::string& in : t.ChunkVarInputs(p)) {
@@ -163,15 +163,14 @@ void RunFilteredSum(benchmark::State& state, bool fuse) {
     const analysis::TraceVerification verified =
         analysis::VerifyTrace(p, graph, t, ctx);
     if (!verified.clean()) continue;
-    auto compiled = jit::CompileTraceTiered(
-        p, graph, t, verified, {}, jit::TierPolicy::kOptimizedOnly,
-        /*disk=*/nullptr, /*situation_key=*/0);
+    auto compiled = jit::CompileTrace(p, graph, t, verified, {},
+                                      /*disk=*/nullptr, /*situation_key=*/0);
     if (!compiled.ok()) {
       state.SkipWithError(compiled.status().ToString().c_str());
       return;
     }
-    entries.push_back(std::make_shared<jit::TraceEntry>(
-        std::move(compiled).ValueOrDie().trace, 0));
+    entries.push_back(std::make_shared<const jit::CompiledTrace>(
+        std::move(compiled).ValueOrDie().trace));
   }
   int64_t expect = 0;
   for (int64_t x : data) expect += x < permille ? x * 3 + 1 : 0;

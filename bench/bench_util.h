@@ -36,25 +36,13 @@ inline void ReportTuples(benchmark::State& state, uint64_t tuples_per_iter,
   if (!strategy.empty()) state.SetLabel(strategy);
 }
 
-/// Attach the JIT observability block of an ExecReport/VmReport-shaped
-/// struct to a run. Counters prefixed "jit_" or "disk_" are serialized into
-/// the run's BENCH_results.json row (per-tier compile latency, disk-cache
-/// traffic, tier upgrades), so cached-vs-compiled runs are distinguishable
-/// in the tracked results. Templated to keep this header engine-agnostic.
+/// Attach the JIT's disk-cache block of an ExecReport/VmReport-shaped
+/// struct to a run. Counters prefixed "disk_" are serialized into the
+/// run's BENCH_results.json row, so cached-vs-compiled runs are
+/// distinguishable in the tracked results. Templated to keep this header
+/// engine-agnostic.
 template <typename Report>
 inline void ReportJit(benchmark::State& state, const Report& r) {
-  state.counters["jit_fast_compiles"] =
-      benchmark::Counter(static_cast<double>(r.fast_compiles));
-  state.counters["jit_opt_compiles"] =
-      benchmark::Counter(static_cast<double>(r.opt_compiles));
-  state.counters["jit_fast_compile_ms"] =
-      benchmark::Counter(r.fast_compile_seconds * 1e3);
-  state.counters["jit_opt_compile_ms"] =
-      benchmark::Counter(r.opt_compile_seconds * 1e3);
-  state.counters["jit_upgrades_requested"] =
-      benchmark::Counter(static_cast<double>(r.tier_upgrades_requested));
-  state.counters["jit_upgrades"] =
-      benchmark::Counter(static_cast<double>(r.tier_upgrades));
   state.counters["disk_hits"] =
       benchmark::Counter(static_cast<double>(r.disk_cache_hits));
   state.counters["disk_misses"] =
@@ -110,7 +98,7 @@ class CollectingReporter : public benchmark::ConsoleReporter {
       if (it == run.counters.end()) it = run.counters.find("rows/s");
       if (it != run.counters.end()) rec.tuples_per_sec = it->second.value;
       for (const auto& [cname, counter] : run.counters) {
-        if (cname.rfind("jit_", 0) == 0 || cname.rfind("disk_", 0) == 0 ||
+        if (cname.rfind("disk_", 0) == 0 ||
             cname.rfind("spill_", 0) == 0 || cname.rfind("mem_", 0) == 0) {
           rec.extras.emplace_back(cname, counter.value);
         }

@@ -9,11 +9,11 @@
 // subprocess is the honest way to measure this — in-process "restarts"
 // would hit the process-global backend memo and ArtifactLoader, making cold
 // runs free after the first. Queries: the TPC-H Q1 analogue and a
-// join + ORDER BY; a third row pins the fast (-O0) tier only.
+// join + ORDER BY.
 //
 // In-process rows (first_query_inproc) additionally attach the ReportJit
-// counters, so BENCH_results.json records per-tier compiles and disk-cache
-// traffic next to the latency.
+// counters, so BENCH_results.json records disk-cache traffic next to the
+// latency.
 #include <benchmark/benchmark.h>
 
 #include <dirent.h>
@@ -125,19 +125,17 @@ void WipeCacheDir(const std::string& dir) {
 
 /// Spawn one child process running `task` against `dir`. Returns the
 /// child's exit status (0 = query succeeded).
-int RunChild(const std::string& dir, const char* task, const char* tier) {
-  std::string cmd = "AVM_TRACE_CACHE_DIR='" + dir + "' AVM_BENCH_CHILD=" +
-                    task;
-  if (tier != nullptr) cmd += std::string(" AVM_JIT_TIER=") + tier;
-  cmd += " '" + SelfPath() + "' > /dev/null 2>&1";
+int RunChild(const std::string& dir, const char* task) {
+  const std::string cmd = "AVM_TRACE_CACHE_DIR='" + dir +
+                          "' AVM_BENCH_CHILD=" + task + " '" + SelfPath() +
+                          "' > /dev/null 2>&1";
   return std::system(cmd.c_str());
 }
 
 /// Core loop shared by every cold/warm row: `warm` decides whether the
 /// cache dir is wiped before each iteration or pre-populated once.
 void RunProcessBench(benchmark::State& state, const char* task,
-                     uint64_t tuples, bool warm, const char* tier,
-                     const char* label) {
+                     uint64_t tuples, bool warm, const char* label) {
   if (!jit::HostCompilerAvailable()) {
     state.SkipWithError("no host compiler");
     return;
@@ -147,7 +145,7 @@ void RunProcessBench(benchmark::State& state, const char* task,
     state.SkipWithError("mkdtemp failed");
     return;
   }
-  if (warm && RunChild(dir, task, tier) != 0) {
+  if (warm && RunChild(dir, task) != 0) {
     state.SkipWithError("priming child run failed");
     return;
   }
@@ -157,7 +155,7 @@ void RunProcessBench(benchmark::State& state, const char* task,
       WipeCacheDir(dir);
       state.ResumeTiming();
     }
-    if (RunChild(dir, task, tier) != 0) {
+    if (RunChild(dir, task) != 0) {
       state.SkipWithError("child run failed");
       return;
     }
@@ -169,7 +167,7 @@ void RunProcessBench(benchmark::State& state, const char* task,
 
 void BM_FirstQuery_Q1(benchmark::State& state) {
   const bool warm = state.range(0) != 0;
-  RunProcessBench(state, "q1", kQ1Rows, warm, nullptr,
+  RunProcessBench(state, "q1", kQ1Rows, warm,
                   warm ? "warm-process" : "cold-process");
 }
 BENCHMARK(BM_FirstQuery_Q1)
@@ -180,22 +178,12 @@ BENCHMARK(BM_FirstQuery_Q1)
 
 void BM_FirstQuery_JoinOrderBy(benchmark::State& state) {
   const bool warm = state.range(0) != 0;
-  RunProcessBench(state, "join", kProbeRows, warm, nullptr,
+  RunProcessBench(state, "join", kProbeRows, warm,
                   warm ? "warm-process" : "cold-process");
 }
 BENCHMARK(BM_FirstQuery_JoinOrderBy)
     ->Arg(0)
     ->Arg(1)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(3);
-
-void BM_FirstQuery_Q1_FastTierOnly(benchmark::State& state) {
-  // The -O0 tier only: how much first-execution latency the cheap tier
-  // shaves off a cold process relative to the optimized-compile row above.
-  RunProcessBench(state, "q1", kQ1Rows, /*warm=*/false, "fast",
-                  "cold-process-o0");
-}
-BENCHMARK(BM_FirstQuery_Q1_FastTierOnly)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(3);
 

@@ -28,15 +28,6 @@ std::string ExecReport::ToString() const {
       (unsigned long long)traces_compiled, (unsigned long long)traces_reused,
       (unsigned long long)injection_runs,
       (unsigned long long)injection_fallbacks, compile_seconds * 1e3);
-  if (!jit_tier.empty()) {
-    out += StrFormat(
-        "\njit tier=%s fast=%llu (%.1fms) opt=%llu (%.1fms) "
-        "upgrades=%llu/%llu",
-        jit_tier.c_str(), (unsigned long long)fast_compiles,
-        fast_compile_seconds * 1e3, (unsigned long long)opt_compiles,
-        opt_compile_seconds * 1e3, (unsigned long long)tier_upgrades,
-        (unsigned long long)tier_upgrades_requested);
-  }
   if (disk_cache_hits + disk_cache_misses + disk_cache_corrupt > 0) {
     out += StrFormat(
         "\ndisk cache: hits=%llu misses=%llu corrupt_recompiled=%llu",

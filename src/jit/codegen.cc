@@ -87,55 +87,84 @@ std::unordered_set<std::string> NamesOutside(
 // followed by a textual copy of the trace ABI structs. The struct
 // definitions MUST stay layout-identical to src/jit/trace_abi.h — the
 // generated code is compiled standalone and cannot include it.
+//
+// The only header is <cstdint>: parsing <cmath>, <limits> and
+// <type_traits> took longer than a whole header-free -O2 compile of a
+// trace does (docs/TRACE_CACHE.md §1). So sqrt, fmod and fabs are compiler
+// builtins, and avm_num spells out what the helpers need to know of each
+// type CType emits. A type without an avm_num entry fails to compile
+// rather than taking the wrong branch (on LP64, int64_t is long, not long
+// long). The helpers match src/interp/kernel_ops.h bit for bit.
 const char* kPreamble = R"(#include <cstdint>
-#include <cmath>
-#include <limits>
-#include <type_traits>
 
 namespace {
+template <class T> struct avm_num;
+template <class T, class UT, T kLo> struct avm_int {
+  static constexpr bool kInt = true;
+  static constexpr T kMin = kLo;  // 0 exactly for unsigned types
+  using U = UT;
+};
+struct avm_flt { static constexpr bool kInt = false; };
+template <> struct avm_num<int8_t> : avm_int<int8_t, uint8_t, INT8_MIN> {};
+template <> struct avm_num<int16_t> : avm_int<int16_t, uint16_t, INT16_MIN> {};
+template <> struct avm_num<int32_t> : avm_int<int32_t, uint32_t, INT32_MIN> {};
+template <> struct avm_num<int64_t> : avm_int<int64_t, uint64_t, INT64_MIN> {};
+template <> struct avm_num<uint8_t> : avm_int<uint8_t, uint8_t, 0> {};
+template <> struct avm_num<float> : avm_flt {};
+template <> struct avm_num<double> : avm_flt {};
+
+inline float avm_fmod(float a, float b) { return __builtin_fmodf(a, b); }
+inline double avm_fmod(double a, double b) { return __builtin_fmod(a, b); }
+inline float avm_fabs(float a) { return __builtin_fabsf(a); }
+inline double avm_fabs(double a) { return __builtin_fabs(a); }
+
 template <class T> inline T avm_addw(T a, T b) {
-  if constexpr (std::is_integral<T>::value) {
-    using U = typename std::make_unsigned<T>::type;
+  if constexpr (avm_num<T>::kInt) {
+    using U = typename avm_num<T>::U;
     return T(U(a) + U(b));
   } else { return a + b; }
 }
 template <class T> inline T avm_subw(T a, T b) {
-  if constexpr (std::is_integral<T>::value) {
-    using U = typename std::make_unsigned<T>::type;
+  if constexpr (avm_num<T>::kInt) {
+    using U = typename avm_num<T>::U;
     return T(U(a) - U(b));
   } else { return a - b; }
 }
 template <class T> inline T avm_mulw(T a, T b) {
-  if constexpr (std::is_integral<T>::value) {
-    using U = typename std::make_unsigned<T>::type;
+  if constexpr (avm_num<T>::kInt) {
+    using U = typename avm_num<T>::U;
     return T(U(a) * U(b));
   } else { return a * b; }
 }
 template <class T> inline T avm_div(T a, T b) {
-  if constexpr (std::is_integral<T>::value) {
+  if constexpr (avm_num<T>::kInt) {
     if (b == 0) return T(0);
-    if constexpr (std::is_signed<T>::value) {
+    if constexpr (avm_num<T>::kMin != 0) {
       if (b == T(-1)) {
-        return a == std::numeric_limits<T>::min() ? a : T(-a);
+        return a == avm_num<T>::kMin ? a : T(-a);
       }
     }
     return T(a / b);
   } else { return a / b; }
 }
 template <class T> inline T avm_mod(T a, T b) {
-  if constexpr (std::is_integral<T>::value) {
+  if constexpr (avm_num<T>::kInt) {
     if (b == 0) return T(0);
-    if constexpr (std::is_signed<T>::value) { if (b == T(-1)) return T(0); }
+    if constexpr (avm_num<T>::kMin != 0) { if (b == T(-1)) return T(0); }
     return T(a % b);
-  } else { return T(std::fmod(a, b)); }
+  } else { return T(avm_fmod(a, b)); }
 }
 template <class T> inline T avm_neg(T a) {
-  if constexpr (std::is_integral<T>::value) {
-    using U = typename std::make_unsigned<T>::type;
+  if constexpr (avm_num<T>::kInt) {
+    using U = typename avm_num<T>::U;
     return T(U(0) - U(a));
   } else { return -a; }
 }
-template <class T> inline T avm_abs(T a) { return a < T(0) ? avm_neg(a) : a; }
+template <class T> inline T avm_abs(T a) {
+  if constexpr (avm_num<T>::kInt) {
+    return a < T(0) ? avm_neg(a) : a;
+  } else { return avm_fabs(a); }
+}
 inline long long avm_hash(long long k0) {
   unsigned long long k = (unsigned long long)k0;
   k ^= k >> 33; k *= 0xff51afd7ed558ccdULL;
@@ -466,8 +495,8 @@ Result<std::string> TraceEmitter::EmitPrim(
       case ScalarOp::kAbs: expr = StrFormat("avm_abs<%s>(%s)", it, a.c_str()); break;
       case ScalarOp::kSqrt:
         expr = instr.out_type == TypeId::kF32
-                   ? StrFormat("std::sqrt((float)%s)", a.c_str())
-                   : StrFormat("std::sqrt((double)%s)", a.c_str());
+                   ? StrFormat("__builtin_sqrtf((float)%s)", a.c_str())
+                   : StrFormat("__builtin_sqrt((double)%s)", a.c_str());
         break;
       case ScalarOp::kCast: expr = a; break;
       case ScalarOp::kHash:

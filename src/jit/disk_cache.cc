@@ -31,8 +31,7 @@ struct EntryHeader {
   uint64_t version_hash;
   uint64_t situation_key;
   uint64_t source_hash;
-  uint32_t tier;
-  uint32_t reserved;
+  uint64_t reserved;  // written as zero, not checksummed
   uint64_t payload_len;
   uint64_t checksum;
 };
@@ -44,7 +43,6 @@ uint64_t EntryChecksum(const EntryHeader& h,
   c = HashCombine(c, h.version_hash);
   c = HashCombine(c, h.situation_key);
   c = HashCombine(c, h.source_hash);
-  c = HashCombine(c, HashInt64(h.tier));
   return HashCombine(c, h.payload_len);
 }
 
@@ -85,7 +83,8 @@ DiskTraceCache::DiskTraceCache(std::string dir, uint64_t budget_bytes)
 std::shared_ptr<DiskTraceCache> DiskTraceCache::ForDir(const std::string& dir,
                                                        uint64_t budget_bytes) {
   // Leaked registry: one instance per directory, alive for the process so
-  // detached tier-upgrade threads can still store into it during shutdown.
+  // a Session's worker still compiling while exit() runs static destructors
+  // can store into it.
   static std::mutex* mu = new std::mutex();
   static auto* registry =
       new std::map<std::string, std::shared_ptr<DiskTraceCache>>();
@@ -103,19 +102,18 @@ std::shared_ptr<DiskTraceCache> DiskTraceCache::FromEnv() {
   return ForDir(env, DefaultBudget());
 }
 
-std::string DiskTraceCache::EntryPath(uint64_t situation_key, JitTier tier,
+std::string DiskTraceCache::EntryPath(uint64_t situation_key,
                                       uint64_t version_hash) const {
-  return StrFormat("%s/t%016llxv%016llx.%s.avmtc", dir_.c_str(),
+  return StrFormat("%s/t%016llxv%016llx.avmtc", dir_.c_str(),
                    (unsigned long long)situation_key,
-                   (unsigned long long)version_hash, TierName(tier));
+                   (unsigned long long)version_hash);
 }
 
 Result<JitArtifact> DiskTraceCache::LoadEntry(uint64_t situation_key,
                                               uint64_t source_hash,
-                                              JitTier tier,
                                               uint64_t version_hash,
                                               uint64_t* corrupt_dropped) {
-  const std::string path = EntryPath(situation_key, tier, version_hash);
+  const std::string path = EntryPath(situation_key, version_hash);
   std::ifstream f(path, std::ios::binary);
   if (!f) return Status::NotFound(path);
 
@@ -144,43 +142,27 @@ Result<JitArtifact> DiskTraceCache::LoadEntry(uint64_t situation_key,
   // Defense in depth: the filename already encodes situation and version,
   // but a renamed/cross-linked file must not load into the wrong trace.
   if (h.version_hash != version_hash || h.situation_key != situation_key ||
-      h.source_hash != source_hash ||
-      h.tier != static_cast<uint32_t>(tier)) {
+      h.source_hash != source_hash) {
     std::remove(path.c_str());
     return Status::NotFound(path + " (stale key, dropped)");
   }
   // Touch so LRU eviction sees the hit.
   (void)utimensat(AT_FDCWD, path.c_str(), nullptr, 0);
-  return JitArtifact{std::move(payload), tier};
+  return JitArtifact{std::move(payload)};
 }
 
 Result<JitArtifact> DiskTraceCache::TryLoad(uint64_t situation_key,
-                                            uint64_t source_hash, JitTier tier,
-                                            uint64_t version_hash) {
+                                            uint64_t source_hash,
+                                            uint64_t version_hash,
+                                            uint64_t* corrupt_dropped) {
   Result<JitArtifact> r =
-      LoadEntry(situation_key, source_hash, tier, version_hash, nullptr);
+      LoadEntry(situation_key, source_hash, version_hash, corrupt_dropped);
   if (r.ok()) {
     ++hits_;
   } else {
     ++misses_;
   }
   return r;
-}
-
-Result<JitArtifact> DiskTraceCache::LoadBest(
-    uint64_t situation_key, uint64_t source_hash,
-    const std::vector<TierVersion>& candidates, uint64_t* corrupt_dropped) {
-  for (const auto& [tier, version_hash] : candidates) {
-    Result<JitArtifact> r =
-        LoadEntry(situation_key, source_hash, tier, version_hash,
-                  corrupt_dropped);
-    if (r.ok()) {
-      ++hits_;
-      return r;
-    }
-  }
-  ++misses_;
-  return Status::NotFound("no cached artifact for situation");
 }
 
 Status DiskTraceCache::Store(uint64_t situation_key, uint64_t source_hash,
@@ -191,12 +173,10 @@ Status DiskTraceCache::Store(uint64_t situation_key, uint64_t source_hash,
   h.version_hash = version_hash;
   h.situation_key = situation_key;
   h.source_hash = source_hash;
-  h.tier = static_cast<uint32_t>(artifact.tier);
   h.payload_len = artifact.bytes.size();
   h.checksum = EntryChecksum(h, artifact.bytes);
 
-  const std::string path =
-      EntryPath(situation_key, artifact.tier, version_hash);
+  const std::string path = EntryPath(situation_key, version_hash);
   // Unique temp name per (process, store): concurrent writers of the same
   // entry each publish a complete file; last rename wins with identical
   // content.

@@ -1,9 +1,9 @@
 // Persistent on-disk compiled-trace cache (ROADMAP direction 2).
 //
 // Stores JitArtifact bytes under a directory (AVM_TRACE_CACHE_DIR), one
-// file per (situation, version, tier):
+// file per (situation, version):
 //
-//   t<situation_key:016x>v<version_hash:016x>.<fast|opt>.avmtc
+//   t<situation_key:016x>v<version_hash:016x>.avmtc
 //
 // so a restarted process finds the machine code for every trace it has ever
 // compiled and is warm from its first query — the payoff of PR 5's
@@ -33,8 +33,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "jit/jit_backend.h"
 #include "util/status.h"
@@ -50,10 +48,6 @@ struct DiskCacheStats {
   uint64_t stores = 0;           ///< entries published
   uint64_t evictions = 0;        ///< entries removed by the LRU budget
 };
-
-/// A (tier, version_hash) pair identifying one loadable flavor of an entry;
-/// LoadBest probes a caller-ordered list of these.
-using TierVersion = std::pair<JitTier, uint64_t>;
 
 /// Directory-backed artifact store. Thread-safe; safe to share one
 /// directory across processes (atomic-rename publication, checksummed
@@ -75,31 +69,24 @@ class DiskTraceCache {
   /// caching off — the default).
   static std::shared_ptr<DiskTraceCache> FromEnv();
 
-  /// Load the entry for (situation_key, tier, version_hash), verifying the
+  /// Load the entry for (situation_key, version_hash), verifying the
   /// checksum and that it was generated from `source_hash`. Counts one hit
   /// or miss. NotFound on miss; corrupt entries are deleted and reported as
-  /// NotFound.
+  /// NotFound. `corrupt_dropped`, when non-null, is incremented when this
+  /// probe deletes a corrupt entry (per-query observability; the instance
+  /// counter advances regardless).
   Result<JitArtifact> TryLoad(uint64_t situation_key, uint64_t source_hash,
-                              JitTier tier, uint64_t version_hash);
+                              uint64_t version_hash,
+                              uint64_t* corrupt_dropped = nullptr);
 
-  /// Probe `candidates` in caller-preference order and return the first
-  /// loadable artifact. Counts ONE logical hit or miss regardless of how
-  /// many flavors were probed. `corrupt_dropped`, when non-null, is
-  /// incremented per corrupt entry deleted during this probe (per-query
-  /// observability; the instance counter advances regardless).
-  Result<JitArtifact> LoadBest(uint64_t situation_key, uint64_t source_hash,
-                               const std::vector<TierVersion>& candidates,
-                               uint64_t* corrupt_dropped = nullptr);
-
-  /// Publish an artifact for (situation_key, version_hash, artifact.tier),
-  /// then evict over-budget entries. Failure is returned but callers treat
-  /// the cache as best-effort (a failed store never fails a query).
+  /// Publish an artifact for (situation_key, version_hash), then evict
+  /// over-budget entries. Failure is returned but callers treat the cache
+  /// as best-effort (a failed store never fails a query).
   Status Store(uint64_t situation_key, uint64_t source_hash,
                uint64_t version_hash, const JitArtifact& artifact);
 
   /// Path of the entry file for a key (tests corrupt entries through this).
-  std::string EntryPath(uint64_t situation_key, JitTier tier,
-                        uint64_t version_hash) const;
+  std::string EntryPath(uint64_t situation_key, uint64_t version_hash) const;
 
   /// Lifetime counters of this instance.
   DiskCacheStats stats() const;
@@ -112,7 +99,7 @@ class DiskTraceCache {
 
  private:
   Result<JitArtifact> LoadEntry(uint64_t situation_key, uint64_t source_hash,
-                                JitTier tier, uint64_t version_hash,
+                                uint64_t version_hash,
                                 uint64_t* corrupt_dropped);
   void EvictOverBudget() AVM_EXCLUDES(mu_);
 

@@ -23,10 +23,11 @@ namespace {
 pid_t scratch_dir_owner = 0;  ///< process that created JitScratchDir()
 
 // atexit handler of the process that created the scratch directory: rename
-// it away first, so a compiler still running for an abandoned tier upgrade
-// cannot create files under the old path (its write fails and the upgrade
-// is dropped), then delete it. A forked child (a death-test child, say)
-// inherits the handler but not the directory, and skips it.
+// it away first, so a compiler that a live Session's worker is still
+// running when exit() is called cannot create files under the old path
+// (its write fails, and so does that compile), then delete it. A forked
+// child (a death-test child, say) inherits the handler but not the
+// directory, and skips it.
 void RemoveScratchDirAtExit() {
   const std::string& dir = JitScratchDir();
   if (::getpid() != scratch_dir_owner) return;
@@ -38,8 +39,8 @@ void RemoveScratchDirAtExit() {
 
 }  // namespace
 
-// Leaked (like every static in this TU) so detached tier-upgrade threads
-// can still compile while the process is shutting down.
+// Leaked (like every static in this TU): a Session's worker may still be
+// compiling or loading while exit() runs static destructors.
 const std::string& JitScratchDir() {
   static const std::string* dir = [] {
     const char* env = std::getenv("TMPDIR");
@@ -65,39 +66,6 @@ Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
 }
 
 }  // namespace
-
-const char* TierName(JitTier t) {
-  return t == JitTier::kFast ? "fast" : "opt";
-}
-
-const char* TierPolicyName(TierPolicy p) {
-  switch (p) {
-    case TierPolicy::kFastOnly:
-      return "fast";
-    case TierPolicy::kOptimizedOnly:
-      return "opt";
-    default:
-      return "tiered";
-  }
-}
-
-TierPolicy ResolveTierPolicy(TierPolicy p) {
-  if (p != TierPolicy::kDefault) return p;
-  const char* env = std::getenv("AVM_JIT_TIER");
-  if (env != nullptr) {
-    const std::string v(env);
-    if (v == "fast") return TierPolicy::kFastOnly;
-    if (v == "opt") return TierPolicy::kOptimizedOnly;
-  }
-  return TierPolicy::kTiered;
-}
-
-CcBackend& BackendForTier(JitTier tier) {
-  static CcBackend* fast = new CcBackend("cc-o0", JitTier::kFast, "-O0");
-  static CcBackend* optimized =
-      new CcBackend("cc-o2", JitTier::kOptimized, "-O2 -march=native");
-  return tier == JitTier::kFast ? *fast : *optimized;
-}
 
 namespace {
 
@@ -182,9 +150,9 @@ Result<std::vector<uint8_t>> CcCompileToBytes(const std::string& source,
   Stopwatch sw;
   // The content hash makes scratch names readable in the scratch dir; the
   // sequence number makes them unique. Hashing alone is not enough: two
-  // threads compiling the SAME source concurrently (upgrade threads of two
-  // engines sharing one process) would share paths, and whoever finishes
-  // first would delete the .so out from under the other.
+  // threads compiling the SAME source concurrently (workers of two Sessions
+  // in one process miss one backend memo together) would share paths, and
+  // whoever finishes first would delete the .so out from under the other.
   static std::atomic<uint64_t> invocation_seq{0};
   const uint64_t key = HashCombine(HashString(source), HashString(flags));
   const std::string base =
@@ -206,16 +174,20 @@ Result<std::vector<uint8_t>> CcCompileToBytes(const std::string& source,
 
 bool HostCompilerAvailable() { return !HostCompilerPath().empty(); }
 
-CcBackend::CcBackend(const char* name, JitTier tier, std::string flags,
+CcBackend::CcBackend(const char* name, std::string flags,
                      size_t memo_max_entries, size_t memo_max_bytes)
     : name_(name),
-      tier_(tier),
       flags_(std::move(flags)),
       memo_max_entries_(std::max<size_t>(memo_max_entries, 1)),
       memo_max_bytes_(memo_max_bytes) {
   version_hash_ = HashCombine(
       HashCombine(HashInt64(kTraceAbiVersion), HashString(flags_)),
       HashString(HostCompilerIdentity()));
+}
+
+CcBackend& CcBackend::Global() {
+  static CcBackend* backend = new CcBackend("cc-o2", "-O2 -march=native");
+  return *backend;
 }
 
 size_t CcBackend::memo_entries() {
@@ -240,7 +212,7 @@ Result<JitArtifact> CcBackend::Compile(const std::string& source,
   }
   AVM_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
                        CcCompileToBytes(source, flags_, compile_seconds));
-  JitArtifact artifact{std::move(bytes), tier_};
+  JitArtifact artifact{std::move(bytes)};
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (memo_.emplace(key, artifact).second) {

@@ -8,15 +8,15 @@
 // latencies, which is exactly the interpret-vs-compile tension the paper
 // studies.
 //
-// Every compile in the process — trace first compiles, tier upgrades, the
-// whole-query Q1 baseline — goes through the same two pieces:
+// Every compile in the process — trace compiles and the whole-query Q1
+// baseline — goes through the same two pieces:
 //
-//  - CcBackend: compile source -> loadable artifact BYTES. One instance
-//    per optimization tier (BackendForTier), both driving the host C++
-//    compiler:
-//      cc-o0 (JitTier::kFast)      cheap compiles for first executions
-//      cc-o2 (JitTier::kOptimized) the steady-state tier, swapped in
-//                                  asynchronously once a trace is hot
+//  - CcBackend: compile source -> loadable artifact BYTES by driving the
+//    host C++ compiler. CcBackend::Global() is the one instance every
+//    compile uses, at -O2 -march=native. There is no cheaper tier: a
+//    generated trace includes only <cstdint>, so an optimized compile
+//    costs less than an unoptimized one did while traces parsed
+//    <cmath>, <limits> and <type_traits> (docs/TRACE_CACHE.md §1).
 //  - ArtifactLoader: artifact bytes -> executable entry point (dlopen +
 //    dlsym), process-global so compiled traces stay mapped for the process
 //    lifetime wherever their bytes came from (a fresh compile or the
@@ -45,8 +45,8 @@ namespace avm::jit {
 /// artifact loads: a fresh mkdtemp directory under $TMPDIR (fallback
 /// /tmp), created lazily on first use and reused — the TMPDIR value at
 /// first use wins — for the process lifetime. The creating process
-/// removes it at normal exit; a compile still running then cannot write
-/// its output, and that tier upgrade is dropped.
+/// removes it at normal exit; a compile that a live Session's worker is
+/// still running then cannot write its output and fails.
 const std::string& JitScratchDir();
 
 /// Whether this process can compile: true when a host C++ compiler was
@@ -56,43 +56,11 @@ const std::string& JitScratchDir();
 /// interpreted.
 bool HostCompilerAvailable();
 
-/// Optimization tier of a compiled-trace artifact.
-enum class JitTier : uint8_t {
-  kFast = 0,       ///< cheap compile (-O0): minimal latency to first run
-  kOptimized = 1,  ///< full optimization (-O2): steady-state code quality
-};
-
-/// Human-readable tier name ("fast", "opt").
-const char* TierName(JitTier t);
-
-/// Which tiers a query's traces may use (VmOptions::jit_tier_policy).
-enum class TierPolicy : uint8_t {
-  /// Resolve from AVM_JIT_TIER ("tiered" | "fast" | "opt"); kTiered when
-  /// the variable is unset or unrecognized.
-  kDefault = 0,
-  /// Compile kFast first so the first execution pays minimal JIT latency;
-  /// asynchronously upgrade hot traces to kOptimized (trace_compiler.h).
-  kTiered,
-  /// Only the fast tier, never upgraded (latency benchmarks, tests).
-  kFastOnly,
-  /// Compile at kOptimized immediately (the pre-tiering behavior).
-  kOptimizedOnly,
-};
-
-/// Resolve kDefault against AVM_JIT_TIER; other values pass through.
-TierPolicy ResolveTierPolicy(TierPolicy p);
-
-/// Human-readable policy name ("tiered", "fast", "opt").
-const char* TierPolicyName(TierPolicy p);
-
 /// A compiled, relocatable artifact: the bytes of a shared object exporting
 /// one extern "C" symbol. Load with ArtifactLoader; persist with
-/// DiskTraceCache. `tier` records the optimization level the bytes were
-/// produced at (the tier-upgrade state machine and the disk cache both key
-/// on it).
+/// DiskTraceCache.
 struct JitArtifact {
   std::vector<uint8_t> bytes;
-  JitTier tier = JitTier::kFast;
 };
 
 /// Compiles a C++ translation unit into loadable artifact bytes by
@@ -109,15 +77,16 @@ class CcBackend {
   static constexpr size_t kDefaultMemoEntries = 256;
   static constexpr size_t kDefaultMemoBytes = size_t{64} << 20;  // 64 MiB
 
-  CcBackend(const char* name, JitTier tier, std::string flags,
+  CcBackend(const char* name, std::string flags,
             size_t memo_max_entries = kDefaultMemoEntries,
             size_t memo_max_bytes = kDefaultMemoBytes);
 
-  /// Short backend identity ("cc-o0", "cc-o2").
-  const char* name() const { return name_; }
+  /// The process-wide compiler every trace and the Q1 whole-query baseline
+  /// go through: "cc-o2", flags -O2 -march=native.
+  static CcBackend& Global();
 
-  /// Optimization tier of the artifacts this backend produces.
-  JitTier tier() const { return tier_; }
+  /// Short backend identity ("cc-o2").
+  const char* name() const { return name_; }
 
   /// Hash of everything that affects the produced machine code: compiler
   /// identity+version, flags, and the trace ABI version. Part of the
@@ -141,7 +110,6 @@ class CcBackend {
 
  private:
   const char* name_;
-  JitTier tier_;
   std::string flags_;
   uint64_t version_hash_;
   size_t memo_max_entries_;
@@ -152,10 +120,6 @@ class CcBackend {
   std::deque<uint64_t> fifo_ AVM_GUARDED_BY(mu_);
   size_t memo_bytes_ AVM_GUARDED_BY(mu_) = 0;
 };
-
-/// The process-wide compiler for a tier: cc-o0 (-O0) for kFast, cc-o2
-/// (-O2 -march=native) for kOptimized.
-CcBackend& BackendForTier(JitTier tier);
 
 /// Loads artifact bytes into the process and resolves the entry symbol.
 /// Thread-safe; memoizes by (bytes hash, symbol) so one artifact loaded

@@ -22,7 +22,7 @@ namespace avm::jit {
 /// TraceStatus contract, or the generated preamble changes shape, and every
 /// persisted artifact compiled against the old contract silently invalidates
 /// (is recompiled) instead of being called through a stale frame layout.
-inline constexpr uint32_t kTraceAbiVersion = 1;
+inline constexpr uint32_t kTraceAbiVersion = 2;
 
 /// Status codes a compiled trace can return. Anything non-zero aborts the
 /// call; the injection harness translates the fault into the exact Status

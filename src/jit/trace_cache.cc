@@ -41,7 +41,8 @@ uint64_t TraceFingerprint(const ir::DepGraph& graph, const ir::Trace& trace) {
   return h;
 }
 
-std::shared_ptr<TraceEntry> TraceCache::Find(const Situation& s) const {
+std::shared_ptr<const CompiledTrace> TraceCache::Find(
+    const Situation& s) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(s.Key());
   if (it == entries_.end()) {
@@ -52,28 +53,28 @@ std::shared_ptr<TraceEntry> TraceCache::Find(const Situation& s) const {
   return it->second;
 }
 
-std::shared_ptr<TraceEntry> TraceCache::Insert(const Situation& s,
-                                               CompiledTrace trace) {
-  auto entry = std::make_shared<TraceEntry>(std::move(trace), s.Key());
+std::shared_ptr<const CompiledTrace> TraceCache::Insert(const Situation& s,
+                                                        CompiledTrace trace) {
+  auto entry = std::make_shared<const CompiledTrace>(std::move(trace));
   std::lock_guard<std::mutex> lock(mu_);
   entries_[s.Key()] = entry;
   return entry;
 }
 
-std::shared_ptr<TraceEntry> TraceCache::Lookup(uint64_t key) const {
+std::shared_ptr<const CompiledTrace> TraceCache::Lookup(uint64_t key) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(key);
   return it == entries_.end() ? nullptr : it->second;
 }
 
-Result<std::shared_ptr<TraceEntry>> TraceCache::GetOrCompile(
+Result<std::shared_ptr<const CompiledTrace>> TraceCache::GetOrCompile(
     const Situation& s, const std::function<Result<CompiledTrace>()>& compile,
     bool* compiled_fresh) {
   *compiled_fresh = false;
   const uint64_t key = s.Key();
   // One counted probe per logical lookup; the re-check and insert below go
   // through the uncounted paths so hits()/misses() stay meaningful.
-  if (std::shared_ptr<TraceEntry> hit = Find(s)) return hit;
+  if (std::shared_ptr<const CompiledTrace> hit = Find(s)) return hit;
 
   // Per-key in-flight lock: duplicate compiles of one situation are
   // deduplicated without serializing compiles of distinct situations.
@@ -86,9 +87,9 @@ Result<std::shared_ptr<TraceEntry>> TraceCache::GetOrCompile(
   }
   std::lock_guard<std::mutex> compile_lock(*key_mu);
   // A concurrent winner may have inserted while we waited for the lock.
-  if (std::shared_ptr<TraceEntry> hit = Lookup(key)) return hit;
+  if (std::shared_ptr<const CompiledTrace> hit = Lookup(key)) return hit;
   Result<CompiledTrace> fresh = compile();
-  std::shared_ptr<TraceEntry> entry;
+  std::shared_ptr<const CompiledTrace> entry;
   if (fresh.ok()) entry = Insert(s, std::move(fresh).value());
   {
     // Erased after the insert so a latecomer that misses the in-flight map

@@ -43,19 +43,17 @@ uint64_t TraceFingerprint(const ir::DepGraph& graph, const ir::Trace& trace);
 
 /// Thread-safe: a single cache is shared by all workers of a parallel
 /// (morsel-driven) run, so one worker's compiled trace serves every clone.
-/// Entries are handed out as shared_ptr<TraceEntry> so a reader is never
-/// invalidated by a concurrent insert; an entry's metadata is immutable,
-/// while its machine code may be re-published in place by the asynchronous
-/// tier upgrade (TraceEntry) — which is exactly how upgraded code reaches
-/// both running injections and future cache hits without re-insertion.
+/// Entries are immutable and handed out as shared_ptr<const CompiledTrace>,
+/// so a reader is never invalidated by a concurrent insert.
 class TraceCache {
  public:
-  /// Find the entry compiled for exactly this situation.
-  std::shared_ptr<TraceEntry> Find(const Situation& s) const;
+  /// Find the trace compiled for exactly this situation.
+  std::shared_ptr<const CompiledTrace> Find(const Situation& s) const;
 
   /// Insert (overwrites an existing entry for the same situation).
-  /// Returns the inserted entry.
-  std::shared_ptr<TraceEntry> Insert(const Situation& s, CompiledTrace trace);
+  /// Returns the inserted trace.
+  std::shared_ptr<const CompiledTrace> Insert(const Situation& s,
+                                              CompiledTrace trace);
 
   /// Single-flight lookup-or-compile: returns the cached entry for `s`, or
   /// runs `compile` and inserts its result. Compilation is serialized *per
@@ -65,8 +63,8 @@ class TraceCache {
   /// winner's trace), while distinct situations compile concurrently.
   /// `*compiled_fresh` reports whether this call ran `compile` (which may
   /// itself have loaded the artifact from the persistent disk cache rather
-  /// than invoking a backend — CompileTraceTiered reports which).
-  Result<std::shared_ptr<TraceEntry>> GetOrCompile(
+  /// than invoking a backend — CompileTrace reports which).
+  Result<std::shared_ptr<const CompiledTrace>> GetOrCompile(
       const Situation& s,
       const std::function<Result<CompiledTrace>()>& compile,
       bool* compiled_fresh);
@@ -77,7 +75,7 @@ class TraceCache {
 
  private:
   /// Find without touching the hit/miss counters (internal re-checks).
-  std::shared_ptr<TraceEntry> Lookup(uint64_t key) const;
+  std::shared_ptr<const CompiledTrace> Lookup(uint64_t key) const;
 
   mutable std::mutex mu_;
   /// Per-situation in-flight compile locks (single-flight). The map itself
@@ -85,7 +83,7 @@ class TraceCache {
   /// mu_, never while holding it.
   std::unordered_map<uint64_t, std::shared_ptr<std::mutex>> compiling_
       AVM_GUARDED_BY(mu_);
-  std::unordered_map<uint64_t, std::shared_ptr<TraceEntry>> entries_
+  std::unordered_map<uint64_t, std::shared_ptr<const CompiledTrace>> entries_
       AVM_GUARDED_BY(mu_);
   mutable uint64_t hits_ AVM_GUARDED_BY(mu_) = 0;
   mutable uint64_t misses_ AVM_GUARDED_BY(mu_) = 0;

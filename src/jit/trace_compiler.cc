@@ -4,7 +4,6 @@
 #include <array>
 #include <cstdio>
 #include <cstring>
-#include <thread>
 
 #include "util/hash.h"
 #include "util/logging.h"
@@ -67,104 +66,29 @@ bool IsSelInput(const GeneratedTrace& meta, const std::string& name) {
          meta.sel_inputs.end();
 }
 
-// The one-shot fast→optimized upgrade, on a detached thread so no worker
-// ever blocks on the optimized compile. Probes the persistent cache first
-// (a previous process may have upgraded this trace already), compiles on
-// miss, publishes the new fn into the entry in place, and stores a freshly
-// compiled artifact back to disk. Everything captured is shared_ptr-owned
-// or process-leaked, so the thread may outlive the VM, the Session, and
-// even main().
-void StartTierUpgrade(std::shared_ptr<TraceEntry> entry,
-                      TraceTierOptions opts) {
-  if (opts.counters != nullptr) {
-    opts.counters->requested.fetch_add(1, std::memory_order_relaxed);
-  }
-  std::thread([entry = std::move(entry), opts = std::move(opts)] {
-    CcBackend& backend = BackendForTier(JitTier::kOptimized);
-    const uint64_t version = backend.version_hash();
-    Result<JitArtifact> artifact = Status::NotFound("no persistent cache");
-    if (opts.disk != nullptr) {
-      artifact = opts.disk->TryLoad(entry->situation_key(),
-                                    entry->source_hash(),
-                                    JitTier::kOptimized, version);
-    }
-    bool fresh = false;
-    if (!artifact.ok()) {
-      artifact = backend.Compile(entry->meta().source, entry->meta().symbol,
-                                 nullptr);
-      fresh = artifact.ok();
-    }
-    Result<void*> sym = artifact.ok()
-                            ? ArtifactLoader::Global().Load(
-                                  artifact.value(), entry->meta().symbol)
-                            : Result<void*>(artifact.status());
-    if (!sym.ok()) {
-      if (opts.counters != nullptr) {
-        opts.counters->failed.fetch_add(1, std::memory_order_relaxed);
-      }
-      AVM_LOG(kWarning) << "tier upgrade of " << entry->meta().name
-                        << " failed: " << sym.status().ToString();
-      return;
-    }
-    entry->Publish(reinterpret_cast<TraceFn>(sym.value()),
-                   JitTier::kOptimized);
-    if (fresh && opts.disk != nullptr) {
-      (void)opts.disk->Store(entry->situation_key(), entry->source_hash(),
-                             version, artifact.value());
-    }
-    if (opts.counters != nullptr) {
-      opts.counters->completed.fetch_add(1, std::memory_order_relaxed);
-    }
-    AVM_LOG(kDebug) << "tier upgrade of " << entry->meta().name
-                    << " published";
-  }).detach();
-}
-
 }  // namespace
 
-TraceEntry::TraceEntry(CompiledTrace trace, uint64_t situation_key)
-    : trace_(std::move(trace)),
-      situation_key_(situation_key),
-      source_hash_(HashString(trace_.meta.source)),
-      fn_(trace_.fn),
-      tier_(static_cast<uint8_t>(trace_.tier)) {}
-
-Result<TieredCompileOutcome> CompileTraceTiered(
+Result<CompileOutcome> CompileTrace(
     const dsl::Program& program, const ir::DepGraph& graph,
     const ir::Trace& trace, const analysis::TraceVerification& verified,
-    const CodegenOptions& options, TierPolicy policy,
+    const CodegenOptions& options,
     const std::shared_ptr<DiskTraceCache>& disk, uint64_t situation_key) {
-  TieredCompileOutcome out;
+  CompileOutcome out;
   AVM_ASSIGN_OR_RETURN(
       GeneratedTrace gen,
       GenerateTrace(program, graph, trace, verified, options));
   const uint64_t source_hash = HashString(gen.source);
-  policy = ResolveTierPolicy(policy);
-  const JitTier initial = policy == TierPolicy::kOptimizedOnly
-                              ? JitTier::kOptimized
-                              : JitTier::kFast;
+  CcBackend& backend = CcBackend::Global();
   if (disk != nullptr) {
     out.disk_probed = true;
-    // Best tier the policy allows first: a warm restart of a tiered engine
-    // resumes at whatever tier the previous process reached.
-    std::vector<TierVersion> candidates;
-    if (policy != TierPolicy::kFastOnly) {
-      candidates.emplace_back(JitTier::kOptimized,
-                              BackendForTier(JitTier::kOptimized)
-                                  .version_hash());
-    }
-    if (policy != TierPolicy::kOptimizedOnly) {
-      candidates.emplace_back(JitTier::kFast,
-                              BackendForTier(JitTier::kFast).version_hash());
-    }
-    Result<JitArtifact> art = disk->LoadBest(situation_key, source_hash,
-                                             candidates, &out.disk_corrupt);
+    Result<JitArtifact> art = disk->TryLoad(situation_key, source_hash,
+                                            backend.version_hash(),
+                                            &out.disk_corrupt);
     if (art.ok()) {
       Result<void*> sym =
           ArtifactLoader::Global().Load(art.value(), gen.symbol);
       if (sym.ok()) {
         out.trace.fn = reinterpret_cast<TraceFn>(sym.value());
-        out.trace.tier = art.value().tier;
         out.trace.meta = std::move(gen);
         out.from_disk = true;
         return out;
@@ -173,15 +97,12 @@ Result<TieredCompileOutcome> CompileTraceTiered(
       // (e.g. stored by an incompatibly-built binary with a colliding
       // version hash). Drop the entry and recompile.
       ++out.disk_corrupt;
-      std::remove(disk->EntryPath(situation_key, art.value().tier,
-                                  BackendForTier(art.value().tier)
-                                      .version_hash())
-                      .c_str());
+      std::remove(
+          disk->EntryPath(situation_key, backend.version_hash()).c_str());
       AVM_LOG(kWarning) << "trace cache: unloadable entry for " << gen.name
                         << " dropped: " << sym.status().ToString();
     }
   }
-  CcBackend& backend = BackendForTier(initial);
   AVM_ASSIGN_OR_RETURN(
       JitArtifact artifact,
       backend.Compile(gen.source, gen.symbol, &out.compile_seconds));
@@ -198,16 +119,14 @@ Result<TieredCompileOutcome> CompileTraceTiered(
     }
   }
   out.trace.fn = reinterpret_cast<TraceFn>(sym);
-  out.trace.tier = initial;
   out.trace.meta = std::move(gen);
   return out;
 }
 
-interp::InjectedTrace MakeInjection(std::shared_ptr<TraceEntry> entry,
-                                    uint32_t chunk_size,
-                                    TraceTierOptions tier) {
+interp::InjectedTrace MakeInjection(
+    std::shared_ptr<const CompiledTrace> trace, uint32_t chunk_size) {
   auto state = std::make_shared<RunState>();
-  const GeneratedTrace& meta = entry->meta();
+  const GeneratedTrace& meta = trace->meta;
 
   InjectedTrace inj;
   inj.name = meta.name;
@@ -215,8 +134,8 @@ interp::InjectedTrace MakeInjection(std::shared_ptr<TraceEntry> entry,
   inj.covered_stmt_ids.insert(meta.covered_stmt_ids.begin(),
                               meta.covered_stmt_ids.end());
 
-  inj.applicable = [entry](Interpreter& in) -> bool {
-    const GeneratedTrace& meta = entry->meta();
+  inj.applicable = [trace](Interpreter& in) -> bool {
+    const GeneratedTrace& meta = trace->meta;
     // Selection situation check: the trace was specialized for a specific
     // set of selection-carrying chunk inputs, and every carrier must share
     // ONE selection (the interpreter's CommonSelection rule).
@@ -284,16 +203,8 @@ interp::InjectedTrace MakeInjection(std::shared_ptr<TraceEntry> entry,
     return true;
   };
 
-  inj.run = [entry, tier, state, chunk_size](Interpreter& in) -> Status {
-    const GeneratedTrace& meta = entry->meta();
-    // Load the entry point per call (acquire): an asynchronous tier upgrade
-    // publishing mid-query takes effect on the very next chunk.
-    const TraceFn fn = entry->fn();
-    const uint64_t invocation = entry->OnInvocation();
-    if (tier.upgrade_enabled && invocation >= tier.upgrade_after &&
-        entry->tier() == JitTier::kFast && entry->TryClaimUpgrade()) {
-      StartTierUpgrade(entry, tier);
-    }
+  inj.run = [trace, state, chunk_size](Interpreter& in) -> Status {
+    const GeneratedTrace& meta = trace->meta;
     RunState& st = *state;
     st.in_ptrs.assign(meta.inputs.size(), nullptr);
     st.in_lens.assign(meta.inputs.size(), 0);
@@ -501,7 +412,7 @@ interp::InjectedTrace MakeInjection(std::shared_ptr<TraceEntry> entry,
     args.out_counts = st.out_counts.data();
     args.scalars = st.out_scalars.data();
     args.fault = &fault;
-    const int32_t rc = fn(&args);
+    const int32_t rc = trace->fn(&args);
     switch (rc) {
       case kTraceOk:
         break;

@@ -277,8 +277,7 @@ extern "C" void avm_q1_whole(const int64_t* qty, const int64_t* price,
                         const int32_t*, uint64_t, int64_t*);
   AVM_ASSIGN_OR_RETURN(
       jit::JitArtifact artifact,
-      jit::BackendForTier(jit::JitTier::kOptimized).Compile(source,
-                                                            "avm_q1_whole"));
+      jit::CcBackend::Global().Compile(source, "avm_q1_whole"));
   AVM_ASSIGN_OR_RETURN(
       void* sym, jit::ArtifactLoader::Global().Load(artifact, "avm_q1_whole"));
   int64_t acc[40] = {0};

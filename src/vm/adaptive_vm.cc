@@ -53,13 +53,9 @@ AdaptiveVm::AdaptiveVm(const dsl::Program* program, VmOptions options,
   interp_->iteration_hook = [this](Interpreter& in, uint64_t iteration) {
     return OnIteration(in, iteration);
   };
-  tier_policy_ = jit::ResolveTierPolicy(options_.jit_tier_policy);
   disk_ = options_.disk_cache != nullptr ? options_.disk_cache
                                          : jit::DiskTraceCache::FromEnv();
-  tier_counters_ = std::make_shared<jit::TierCounters>();
-  if (options_.enable_jit) {
-    report_.jit_tier = jit::TierPolicyName(tier_policy_);
-  }
+  if (options_.enable_jit) report_.jit_tier = "opt";
 }
 
 Status AdaptiveVm::Run() {
@@ -88,26 +84,14 @@ void VmReport::Merge(const VmReport& other) {
   compile_seconds += other.compile_seconds;
   if (jit_declined.empty()) jit_declined = other.jit_declined;
   if (jit_tier.empty()) jit_tier = other.jit_tier;
-  fast_compiles += other.fast_compiles;
-  opt_compiles += other.opt_compiles;
-  fast_compile_seconds += other.fast_compile_seconds;
   opt_compile_seconds += other.opt_compile_seconds;
   disk_cache_hits += other.disk_cache_hits;
   disk_cache_misses += other.disk_cache_misses;
   disk_cache_corrupt += other.disk_cache_corrupt;
-  tier_upgrades_requested += other.tier_upgrades_requested;
-  tier_upgrades += other.tier_upgrades;
   verifier_checked += other.verifier_checked;
 }
 
-VmReport AdaptiveVm::Report() const {
-  VmReport r = report_;
-  // Upgrade threads run detached; snapshot whatever they finished by now.
-  r.tier_upgrades_requested =
-      tier_counters_->requested.load(std::memory_order_relaxed);
-  r.tier_upgrades = tier_counters_->completed.load(std::memory_order_relaxed);
-  return r;
-}
+VmReport AdaptiveVm::Report() const { return report_; }
 
 Status AdaptiveVm::OnIteration(Interpreter& in, uint64_t iteration) {
   if (!options_.enable_jit) return Status::OK();
@@ -329,8 +313,8 @@ Status AdaptiveVm::InstallTrace(Interpreter& in, const ir::Trace& trace,
   }
 
   bool compiled_fresh = false;
-  jit::TieredCompileOutcome outcome;
-  Result<std::shared_ptr<jit::TraceEntry>> got = cache_->GetOrCompile(
+  jit::CompileOutcome outcome;
+  Result<std::shared_ptr<const jit::CompiledTrace>> got = cache_->GetOrCompile(
       situation,
       // The callback loads from the persistent disk cache when one is
       // configured, and only invokes a backend on a true cold miss;
@@ -341,8 +325,8 @@ Status AdaptiveVm::InstallTrace(Interpreter& in, const ir::Trace& trace,
         cg.scheme_specialization = situation.schemes;
         AVM_ASSIGN_OR_RETURN(
             outcome,
-            jit::CompileTraceTiered(*program_, graph_, trace, verified, cg,
-                                    tier_policy_, disk_, key));
+            jit::CompileTrace(*program_, graph_, trace, verified, cg, disk_,
+                              key));
         return std::move(outcome.trace);
       },
       &compiled_fresh);
@@ -350,7 +334,8 @@ Status AdaptiveVm::InstallTrace(Interpreter& in, const ir::Trace& trace,
     declined_.insert(key);
     return got.status();
   }
-  std::shared_ptr<jit::TraceEntry> entry = std::move(got).ValueOrDie();
+  std::shared_ptr<const jit::CompiledTrace> compiled =
+      std::move(got).ValueOrDie();
   if (compiled_fresh) {
     report_.disk_cache_corrupt += outcome.disk_corrupt;
     if (outcome.from_disk) {
@@ -360,26 +345,15 @@ Status AdaptiveVm::InstallTrace(Interpreter& in, const ir::Trace& trace,
     } else {
       if (outcome.disk_probed) ++report_.disk_cache_misses;
       report_.compile_seconds += outcome.compile_seconds;
+      report_.opt_compile_seconds += outcome.compile_seconds;
       ++report_.traces_compiled;
-      if (entry->tier() == jit::JitTier::kFast) {
-        ++report_.fast_compiles;
-        report_.fast_compile_seconds += outcome.compile_seconds;
-      } else {
-        ++report_.opt_compiles;
-        report_.opt_compile_seconds += outcome.compile_seconds;
-      }
     }
   } else {
     ++report_.traces_reused;
   }
 
-  jit::TraceTierOptions tier;
-  tier.upgrade_enabled = tier_policy_ == jit::TierPolicy::kTiered;
-  tier.upgrade_after = options_.jit_upgrade_after;
-  tier.disk = disk_;
-  tier.counters = tier_counters_;
-  interp::InjectedTrace inj = jit::MakeInjection(
-      std::move(entry), options_.interp.chunk_size, std::move(tier));
+  interp::InjectedTrace inj =
+      jit::MakeInjection(std::move(compiled), options_.interp.chunk_size);
   AVM_LOG(kDebug) << "inject " << inj.name << " at iter " << iteration << " "
                   << situation.ToString();
   std::unordered_set<uint32_t> covered = inj.covered_stmt_ids;

@@ -45,13 +45,6 @@ struct VmOptions {
   bool specialize_compression = true;
   /// Only compile traces whose profiled cost share exceeds this fraction.
   double min_cost_share = 0.05;
-  /// Which JIT tier(s) compiled traces use. kDefault resolves AVM_JIT_TIER
-  /// ("tiered" | "fast" | "opt"); tiered compiles the cheap -O0 tier first
-  /// and upgrades hot traces to the optimized tier asynchronously.
-  jit::TierPolicy jit_tier_policy = jit::TierPolicy::kDefault;
-  /// Injection invocations that make a fast-tier trace hot enough for the
-  /// background optimized-tier upgrade (tiered policy only).
-  uint64_t jit_upgrade_after = jit::kDefaultUpgradeAfter;
   /// Persistent compiled-artifact store consulted before any backend
   /// compile and populated after; nullptr = the AVM_TRACE_CACHE_DIR cache
   /// (DiskTraceCache::FromEnv), i.e. off unless that variable is set.
@@ -83,15 +76,15 @@ struct VmReport {
   std::string state_timeline;
   std::string profile;
 
-  /// Resolved tier policy this run compiled under ("tiered"/"fast"/"opt").
+  /// The JIT's one tier, "opt" (-O2), when the JIT is enabled; empty
+  /// otherwise. The benchmark driver (perfbench/) reads this and the next
+  /// three fields: every compile is optimized, so opt_compile_seconds
+  /// equals compile_seconds, and fast_compile_seconds and
+  /// tier_upgrades_requested stay 0.
   std::string jit_tier;
-  /// Per-tier split of traces_compiled, with backend wall time: compiles
-  /// that produced fast (-O0) vs optimized (-O2) code. Background tier
-  /// upgrades are counted separately below, not here.
-  uint64_t fast_compiles = 0;
-  uint64_t opt_compiles = 0;
   double fast_compile_seconds = 0;
   double opt_compile_seconds = 0;
+  uint64_t tier_upgrades_requested = 0;
   /// Persistent-cache traffic of this run: situations whose machine code
   /// was loaded from AVM_TRACE_CACHE_DIR instead of compiled (hits — these
   /// do NOT count into traces_compiled), situations probed without a
@@ -100,12 +93,6 @@ struct VmReport {
   uint64_t disk_cache_hits = 0;
   uint64_t disk_cache_misses = 0;
   uint64_t disk_cache_corrupt = 0;
-  /// Hotness-triggered fast→optimized upgrades: claimed by this run's
-  /// injections, and completed (published) by the time the report was
-  /// taken — an upgrade still compiling in the background when the run
-  /// ends is requested-but-not-completed.
-  uint64_t tier_upgrades_requested = 0;
-  uint64_t tier_upgrades = 0;
   /// Candidate trace situations the JIT gate (analysis::VerifyTrace)
   /// checked for installation this run, accepted or declined; each is
   /// checked once per run. The partitioner's acceptor checks are not
@@ -234,12 +221,8 @@ class AdaptiveVm {
   std::unordered_set<uint64_t> declined_;
   bool optimized_once_ = false;
   VmReport report_;
-  /// Tiering state resolved at construction (policy and disk store).
-  jit::TierPolicy tier_policy_ = jit::TierPolicy::kOptimizedOnly;
+  /// Persistent store resolved at construction (options or environment).
   std::shared_ptr<jit::DiskTraceCache> disk_;
-  /// Shared with the detached upgrade threads this VM's injections spawn
-  /// (they may outlive the VM; Report() reads whatever completed by then).
-  std::shared_ptr<jit::TierCounters> tier_counters_;
 };
 
 }  // namespace avm::vm

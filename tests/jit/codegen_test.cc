@@ -250,6 +250,39 @@ TEST(CodegenTest, SymbolsAreContentDeterministic) {
   EXPECT_NE(a.value().symbol, c.value().symbol);
 }
 
+TEST(CodegenTest, GeneratedUnitIncludesOnlyCstdint) {
+  // Header parsing is most of a trace compile's cost, so a generated unit
+  // includes <cstdint> and nothing else, and names nothing from std::
+  // (sqrt and fmod are compiler builtins, the type facts are spelled out).
+  std::vector<GeneratedTrace> units;
+  for (bool fuse : {false, true}) {
+    Fixture fx = MakeFig2Fixture(fuse);
+    for (const ir::Trace& t : fx.traces) {
+      auto gen = Generate(fx.program, fx.graph, t);
+      if (gen.ok()) units.push_back(std::move(gen).value());
+    }
+  }
+  dsl::Program hypot = dsl::MakeHypotPipeline(4096);
+  ASSERT_TRUE(dsl::TypeCheck(&hypot).ok());
+  auto g = ir::DepGraph::Build(hypot);
+  ASSERT_TRUE(g.ok());
+  for (const ir::Trace& t : ir::GreedyPartition(g.value(), {})) {
+    auto gen = Generate(hypot, g.value(), t);
+    ASSERT_TRUE(gen.ok()) << gen.status().ToString();
+    EXPECT_NE(gen.value().source.find("__builtin_sqrt("), std::string::npos);
+    units.push_back(std::move(gen).value());
+  }
+  ASSERT_GE(units.size(), 3u);
+  for (const GeneratedTrace& u : units) {
+    const size_t first = u.source.find("#include");
+    EXPECT_EQ(u.source.compare(first, 19, "#include <cstdint>\n"), 0)
+        << u.name;
+    EXPECT_EQ(u.source.find("#include", first + 1), std::string::npos)
+        << u.name;
+    EXPECT_EQ(u.source.find("std::"), std::string::npos) << u.name;
+  }
+}
+
 TEST(CodegenTest, StaleInTraceCaptureDeclined) {
   // A map capturing the let-bound count of a write in the SAME trace: the
   // capture resolves before the call (previous iteration's value), while

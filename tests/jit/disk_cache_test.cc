@@ -17,9 +17,8 @@
 namespace avm::jit {
 namespace {
 
-JitArtifact MakeArtifact(JitTier tier, size_t len, uint8_t seed) {
+JitArtifact MakeArtifact(size_t len, uint8_t seed) {
   JitArtifact a;
-  a.tier = tier;
   a.bytes.resize(len);
   for (size_t i = 0; i < len; ++i) {
     a.bytes[i] = static_cast<uint8_t>(seed + i * 31);
@@ -35,14 +34,19 @@ bool FileExists(const std::string& path) {
 TEST(DiskCacheTest, StoreLoadRoundtrip) {
   TempDir tmp("avm_disk_cache_test");
   DiskTraceCache cache(tmp.path(), 64 << 20);
-  JitArtifact art = MakeArtifact(JitTier::kOptimized, 4096, 7);
+  JitArtifact art = MakeArtifact(4096, 7);
   ASSERT_TRUE(cache.Store(/*situation_key=*/11, /*source_hash=*/42,
                           /*version_hash=*/5, art)
                   .ok());
-  auto loaded = cache.TryLoad(11, 42, JitTier::kOptimized, 5);
+  auto loaded = cache.TryLoad(11, 42, 5);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded.value().bytes, art.bytes);
-  EXPECT_EQ(loaded.value().tier, JitTier::kOptimized);
+  // One file per (situation, version): a 56-byte header, then the payload.
+  const std::string path = cache.EntryPath(11, 5);
+  EXPECT_EQ(path, tmp.path() + "/t000000000000000bv0000000000000005.avmtc");
+  struct stat st;
+  ASSERT_EQ(::stat(path.c_str(), &st), 0);
+  EXPECT_EQ(st.st_size, 56 + 4096);
   DiskCacheStats stats = cache.stats();
   EXPECT_EQ(stats.stores, 1u);
   EXPECT_EQ(stats.hits, 1u);
@@ -52,7 +56,7 @@ TEST(DiskCacheTest, StoreLoadRoundtrip) {
 TEST(DiskCacheTest, MissOnUnknownSituation) {
   TempDir tmp("avm_disk_cache_test");
   DiskTraceCache cache(tmp.path(), 64 << 20);
-  auto loaded = cache.TryLoad(999, 42, JitTier::kFast, 5);
+  auto loaded = cache.TryLoad(999, 42, 5);
   EXPECT_FALSE(loaded.ok());
   EXPECT_TRUE(loaded.status().IsNotFound());
   EXPECT_EQ(cache.stats().misses, 1u);
@@ -64,9 +68,9 @@ TEST(DiskCacheTest, VersionMismatchSilentlyMisses) {
   TempDir tmp("avm_disk_cache_test");
   DiskTraceCache cache(tmp.path(), 64 << 20);
   ASSERT_TRUE(cache.Store(11, 42, /*version_hash=*/5,
-                          MakeArtifact(JitTier::kFast, 512, 1))
+                          MakeArtifact(512, 1))
                   .ok());
-  auto loaded = cache.TryLoad(11, 42, JitTier::kFast, /*version_hash=*/6);
+  auto loaded = cache.TryLoad(11, 42, /*version_hash=*/6);
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().corrupt_dropped, 0u);
@@ -79,19 +83,19 @@ TEST(DiskCacheTest, SourceHashMismatchInvalidates) {
   TempDir tmp("avm_disk_cache_test");
   DiskTraceCache cache(tmp.path(), 64 << 20);
   ASSERT_TRUE(
-      cache.Store(11, /*source_hash=*/42, 5, MakeArtifact(JitTier::kFast, 512, 2))
+      cache.Store(11, /*source_hash=*/42, 5, MakeArtifact(512, 2))
           .ok());
-  auto loaded = cache.TryLoad(11, /*source_hash=*/43, JitTier::kFast, 5);
+  auto loaded = cache.TryLoad(11, /*source_hash=*/43, 5);
   EXPECT_FALSE(loaded.ok());
-  EXPECT_FALSE(FileExists(cache.EntryPath(11, JitTier::kFast, 5)));
+  EXPECT_FALSE(FileExists(cache.EntryPath(11, 5)));
 }
 
 TEST(DiskCacheTest, CorruptEntryDroppedAndDeleted) {
   TempDir tmp("avm_disk_cache_test");
   DiskTraceCache cache(tmp.path(), 64 << 20);
   ASSERT_TRUE(
-      cache.Store(11, 42, 5, MakeArtifact(JitTier::kOptimized, 2048, 3)).ok());
-  const std::string path = cache.EntryPath(11, JitTier::kOptimized, 5);
+      cache.Store(11, 42, 5, MakeArtifact(2048, 3)).ok());
+  const std::string path = cache.EntryPath(11, 5);
   ASSERT_TRUE(FileExists(path));
 
   // Flip one payload byte: the checksum must catch it.
@@ -106,8 +110,7 @@ TEST(DiskCacheTest, CorruptEntryDroppedAndDeleted) {
     std::fclose(f);
   }
   uint64_t corrupt_dropped = 0;
-  auto loaded = cache.LoadBest(
-      11, 42, {{JitTier::kOptimized, 5}}, &corrupt_dropped);
+  auto loaded = cache.TryLoad(11, 42, 5, &corrupt_dropped);
   EXPECT_FALSE(loaded.ok());
   EXPECT_TRUE(loaded.status().IsNotFound());
   EXPECT_EQ(corrupt_dropped, 1u);
@@ -115,46 +118,21 @@ TEST(DiskCacheTest, CorruptEntryDroppedAndDeleted) {
   // The poisoned file is gone: the recompiled artifact can be re-stored.
   EXPECT_FALSE(FileExists(path));
   ASSERT_TRUE(
-      cache.Store(11, 42, 5, MakeArtifact(JitTier::kOptimized, 2048, 3)).ok());
-  EXPECT_TRUE(cache.TryLoad(11, 42, JitTier::kOptimized, 5).ok());
+      cache.Store(11, 42, 5, MakeArtifact(2048, 3)).ok());
+  EXPECT_TRUE(cache.TryLoad(11, 42, 5).ok());
 }
 
 TEST(DiskCacheTest, TruncatedEntryDropped) {
   TempDir tmp("avm_disk_cache_test");
   DiskTraceCache cache(tmp.path(), 64 << 20);
   ASSERT_TRUE(
-      cache.Store(11, 42, 5, MakeArtifact(JitTier::kFast, 2048, 4)).ok());
-  const std::string path = cache.EntryPath(11, JitTier::kFast, 5);
+      cache.Store(11, 42, 5, MakeArtifact(2048, 4)).ok());
+  const std::string path = cache.EntryPath(11, 5);
   ASSERT_EQ(::truncate(path.c_str(), 300), 0);
-  auto loaded = cache.TryLoad(11, 42, JitTier::kFast, 5);
+  auto loaded = cache.TryLoad(11, 42, 5);
   EXPECT_FALSE(loaded.ok());
   EXPECT_GE(cache.stats().corrupt_dropped, 1u);
   EXPECT_FALSE(FileExists(path));
-}
-
-TEST(DiskCacheTest, LoadBestHonorsCandidateOrder) {
-  TempDir tmp("avm_disk_cache_test");
-  DiskTraceCache cache(tmp.path(), 64 << 20);
-  ASSERT_TRUE(
-      cache.Store(11, 42, 5, MakeArtifact(JitTier::kFast, 512, 5)).ok());
-  ASSERT_TRUE(
-      cache.Store(11, 42, 6, MakeArtifact(JitTier::kOptimized, 512, 6)).ok());
-
-  // Both flavors exist: the caller prefers optimized.
-  auto best = cache.LoadBest(
-      11, 42, {{JitTier::kOptimized, 6}, {JitTier::kFast, 5}});
-  ASSERT_TRUE(best.ok()) << best.status().ToString();
-  EXPECT_EQ(best.value().tier, JitTier::kOptimized);
-  // One logical lookup, one hit — not one per flavor probed.
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 0u);
-
-  // Only the fast flavor survives: LoadBest falls through to it.
-  ASSERT_EQ(::remove(cache.EntryPath(11, JitTier::kOptimized, 6).c_str()), 0);
-  best = cache.LoadBest(11, 42,
-                        {{JitTier::kOptimized, 6}, {JitTier::kFast, 5}});
-  ASSERT_TRUE(best.ok()) << best.status().ToString();
-  EXPECT_EQ(best.value().tier, JitTier::kFast);
 }
 
 TEST(DiskCacheTest, EvictsLeastRecentlyUsedOverBudget) {
@@ -164,15 +142,15 @@ TEST(DiskCacheTest, EvictsLeastRecentlyUsedOverBudget) {
   DiskTraceCache cache(tmp.path(), 2 * (kPayload + 256));
   for (uint64_t sit = 1; sit <= 4; ++sit) {
     ASSERT_TRUE(
-        cache.Store(sit, 42, 5, MakeArtifact(JitTier::kFast, kPayload, 9)).ok());
+        cache.Store(sit, 42, 5, MakeArtifact(kPayload, 9)).ok());
   }
   EXPECT_GE(cache.stats().evictions, 2u);
   // The newest entry always survives its own store's eviction pass.
-  EXPECT_TRUE(FileExists(cache.EntryPath(4, JitTier::kFast, 5)));
+  EXPECT_TRUE(FileExists(cache.EntryPath(4, 5)));
   // At least one of the older entries is gone.
   int survivors = 0;
   for (uint64_t sit = 1; sit <= 4; ++sit) {
-    if (FileExists(cache.EntryPath(sit, JitTier::kFast, 5))) ++survivors;
+    if (FileExists(cache.EntryPath(sit, 5))) ++survivors;
   }
   EXPECT_LE(survivors, 2);
 }
@@ -198,9 +176,9 @@ TEST(DiskCacheTest, TwoInstancesShareOneDirectory) {
   const std::string dir = tmp.path();
   DiskTraceCache a(dir, 64 << 20);
   DiskTraceCache b(dir, 64 << 20);
-  JitArtifact art = MakeArtifact(JitTier::kOptimized, 1024, 12);
+  JitArtifact art = MakeArtifact(1024, 12);
   ASSERT_TRUE(a.Store(21, 42, 5, art).ok());
-  auto loaded = b.TryLoad(21, 42, JitTier::kOptimized, 5);
+  auto loaded = b.TryLoad(21, 42, 5);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded.value().bytes, art.bytes);
 }

@@ -1,11 +1,10 @@
-// Unit tests for the JIT compile path: tier resolution, host-compiler
-// availability, artifact compilation/memoization, version hashing, scratch
-// file cleanup, and the process-global ArtifactLoader.
+// Unit tests for the JIT compile path: host-compiler availability,
+// artifact compilation/memoization, scratch file cleanup, and the
+// process-global ArtifactLoader.
 #include "jit/jit_backend.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <iterator>
 #include <string>
@@ -15,36 +14,6 @@
 
 namespace avm::jit {
 namespace {
-
-/// RAII guard that sets an environment variable for one test and restores
-/// the previous value (or unsets) on destruction.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) {
-      had_old_ = true;
-      old_ = old;
-    }
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      ::setenv(name_, old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  bool had_old_ = false;
-  std::string old_;
-};
 
 /// Entries currently in the process's JIT scratch directory.
 size_t ScratchEntries() {
@@ -57,61 +26,9 @@ TEST(JitBackendTest, HostCompilerAvailableInBuildEnvironment) {
   EXPECT_TRUE(HostCompilerAvailable());
 }
 
-TEST(JitBackendTest, TierAndPolicyNames) {
-  EXPECT_STREQ(TierName(JitTier::kFast), "fast");
-  EXPECT_STREQ(TierName(JitTier::kOptimized), "opt");
-  EXPECT_STREQ(TierPolicyName(TierPolicy::kTiered), "tiered");
-  EXPECT_STREQ(TierPolicyName(TierPolicy::kFastOnly), "fast");
-  EXPECT_STREQ(TierPolicyName(TierPolicy::kOptimizedOnly), "opt");
-}
-
-TEST(JitBackendTest, ResolveTierPolicyReadsEnv) {
-  {
-    ScopedEnv env("AVM_JIT_TIER", nullptr);
-    EXPECT_EQ(ResolveTierPolicy(TierPolicy::kDefault), TierPolicy::kTiered);
-  }
-  {
-    ScopedEnv env("AVM_JIT_TIER", "fast");
-    EXPECT_EQ(ResolveTierPolicy(TierPolicy::kDefault), TierPolicy::kFastOnly);
-  }
-  {
-    ScopedEnv env("AVM_JIT_TIER", "opt");
-    EXPECT_EQ(ResolveTierPolicy(TierPolicy::kDefault),
-              TierPolicy::kOptimizedOnly);
-  }
-  {
-    ScopedEnv env("AVM_JIT_TIER", "tiered");
-    EXPECT_EQ(ResolveTierPolicy(TierPolicy::kDefault), TierPolicy::kTiered);
-  }
-  // Explicit policies pass through untouched regardless of the env.
-  {
-    ScopedEnv env("AVM_JIT_TIER", "fast");
-    EXPECT_EQ(ResolveTierPolicy(TierPolicy::kOptimizedOnly),
-              TierPolicy::kOptimizedOnly);
-    EXPECT_EQ(ResolveTierPolicy(TierPolicy::kTiered), TierPolicy::kTiered);
-  }
-}
-
-TEST(JitBackendTest, BackendForTierDispatch) {
-  EXPECT_EQ(BackendForTier(JitTier::kFast).tier(), JitTier::kFast);
-  EXPECT_EQ(BackendForTier(JitTier::kOptimized).tier(), JitTier::kOptimized);
-  EXPECT_STREQ(BackendForTier(JitTier::kFast).name(), "cc-o0");
-  EXPECT_STREQ(BackendForTier(JitTier::kOptimized).name(), "cc-o2");
-}
-
-TEST(JitBackendTest, VersionHashDistinguishesTiers) {
-  // The two tiers compile with different flag sets, so their artifacts must
-  // never satisfy each other's disk-cache lookups.
-  EXPECT_NE(BackendForTier(JitTier::kFast).version_hash(),
-            BackendForTier(JitTier::kOptimized).version_hash());
-  // Stable within a process: the hash is part of on-disk filenames.
-  EXPECT_EQ(BackendForTier(JitTier::kFast).version_hash(),
-            BackendForTier(JitTier::kFast).version_hash());
-}
-
 TEST(JitBackendTest, CompileProducesLoadableArtifact) {
   if (!HostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
-  CcBackend& backend = BackendForTier(JitTier::kFast);
+  CcBackend& backend = CcBackend::Global();
   const std::string source =
       "extern \"C\" long long avm_backend_probe(long long x) {"
       " return x * 3 + 7; }";
@@ -119,7 +36,6 @@ TEST(JitBackendTest, CompileProducesLoadableArtifact) {
   auto artifact = backend.Compile(source, "avm_backend_probe", &seconds);
   ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
   EXPECT_FALSE(artifact.value().bytes.empty());
-  EXPECT_EQ(artifact.value().tier, JitTier::kFast);
   EXPECT_GT(seconds, 0.0);
 
   auto sym =
@@ -132,7 +48,7 @@ TEST(JitBackendTest, CompileProducesLoadableArtifact) {
 
 TEST(JitBackendTest, CompileMemoizesIdenticalSources) {
   if (!HostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
-  CcBackend& backend = BackendForTier(JitTier::kOptimized);
+  CcBackend& backend = CcBackend::Global();
   const std::string source =
       "extern \"C\" long long avm_backend_memo(long long x) {"
       " return x - 9; }";
@@ -144,12 +60,11 @@ TEST(JitBackendTest, CompileMemoizesIdenticalSources) {
   // Memo hit: identical bytes, no compiler invocation charged.
   EXPECT_EQ(second.value().bytes, first.value().bytes);
   EXPECT_EQ(seconds, 0.0);
-  EXPECT_EQ(second.value().tier, JitTier::kOptimized);
 }
 
 TEST(JitBackendTest, CompileFailureCarriesCompilerLog) {
   if (!HostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
-  auto artifact = BackendForTier(JitTier::kFast).Compile(
+  auto artifact = CcBackend::Global().Compile(
       "this is not C++ at all;", "nope", nullptr);
   ASSERT_FALSE(artifact.ok());
   EXPECT_TRUE(artifact.status().IsCompilationError());
@@ -160,7 +75,7 @@ TEST(JitBackendTest, CompileFailureCarriesCompilerLog) {
 
 TEST(JitBackendTest, CompileLeavesNoScratchFiles) {
   if (!HostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
-  CcBackend& backend = BackendForTier(JitTier::kFast);
+  CcBackend& backend = CcBackend::Global();
   const size_t before = ScratchEntries();
   // A compiler error must not leave its .cc/.log behind.
   ASSERT_FALSE(backend.Compile("this is not C++;", "nope", nullptr).ok());
@@ -179,7 +94,7 @@ TEST(JitBackendTest, LoaderRejectsEmptyArtifact) {
 
 TEST(JitBackendTest, LoaderRejectsMissingSymbol) {
   if (!HostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
-  auto artifact = BackendForTier(JitTier::kFast).Compile(
+  auto artifact = CcBackend::Global().Compile(
       "extern \"C\" void avm_something_else() {}\n", "wrong_name", nullptr);
   ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
   auto sym = ArtifactLoader::Global().Load(artifact.value(), "wrong_name");
@@ -191,7 +106,7 @@ TEST(JitBackendTest, BackendMemoBoundedByEntryCountWithEviction) {
   if (!HostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
   // Private backend with a tiny memo: churning distinct traces past the
   // cap must evict oldest-first and keep compiling correctly.
-  CcBackend backend("cc-test", JitTier::kFast, "-O0",
+  CcBackend backend("cc-test", "-O0",
                     /*memo_max_entries=*/3);
   auto source_for = [](int i) {
     return StrFormat(
@@ -227,7 +142,7 @@ TEST(JitBackendTest, BackendMemoBoundedByTotalBytes) {
   if (!HostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
   // A 1-byte cap means no artifact is ever retained — every compile evicts
   // itself — yet compilation keeps working.
-  CcBackend backend("cc-test-bytes", JitTier::kFast, "-O0",
+  CcBackend backend("cc-test-bytes", "-O0",
                     /*memo_max_entries=*/64, /*memo_max_bytes=*/1);
   const std::string source =
       "extern \"C\" long long avm_bytecap(long long x) { return x; }";
@@ -243,7 +158,7 @@ TEST(JitBackendTest, BackendMemoBoundedByTotalBytes) {
 
 TEST(JitBackendTest, LoaderMemoBoundedWithReloadAfterEviction) {
   if (!HostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
-  CcBackend& backend = BackendForTier(JitTier::kFast);
+  CcBackend& backend = CcBackend::Global();
   ArtifactLoader loader(/*memo_limit=*/2);
   std::vector<JitArtifact> artifacts;
   std::vector<std::string> symbols;
@@ -270,7 +185,7 @@ TEST(JitBackendTest, LoaderMemoBoundedWithReloadAfterEviction) {
 
 TEST(JitBackendTest, LoaderMemoizesByBytesAndSymbol) {
   if (!HostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
-  CcBackend& backend = BackendForTier(JitTier::kFast);
+  CcBackend& backend = CcBackend::Global();
   const std::string source =
       "extern \"C\" long long avm_loader_memo(long long x) {"
       " return x + 1; }";

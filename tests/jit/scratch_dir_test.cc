@@ -58,7 +58,7 @@ TEST(ScratchDirTest, HonorsTmpdirAtFirstUse) {
   // The whole pipeline — compile scratch files, artifact materialization
   // for dlopen — works out of the redirected directory.
   if (!HostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
-  CcBackend& backend = BackendForTier(JitTier::kFast);
+  CcBackend& backend = CcBackend::Global();
   const std::string source =
       "extern \"C\" long long avm_tmpdir_probe(long long x) {"
       " return x * 2 + 1; }";

@@ -56,10 +56,9 @@ TEST(TraceCacheTest, InsertFindHitMissCounters) {
   CompiledTrace t;
   t.meta.name = "trace-a";
   cache.Insert(a, std::move(t));
-  std::shared_ptr<TraceEntry> found = cache.Find(a);
+  std::shared_ptr<const CompiledTrace> found = cache.Find(a);
   ASSERT_NE(found, nullptr);
-  EXPECT_EQ(found->meta().name, "trace-a");
-  EXPECT_EQ(found->situation_key(), a.Key());
+  EXPECT_EQ(found->meta.name, "trace-a");
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.Find(b), nullptr);
   EXPECT_EQ(cache.misses(), 2u);
@@ -77,7 +76,7 @@ TEST(TraceCacheTest, OverwriteSameSituation) {
   cache.Insert(s, std::move(t1));
   cache.Insert(s, std::move(t2));
   EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.Find(s)->meta().name, "v2");
+  EXPECT_EQ(cache.Find(s)->meta.name, "v2");
 }
 
 TEST(TraceCacheTest, ConcurrentInsertAndFind) {
@@ -103,10 +102,10 @@ TEST(TraceCacheTest, ConcurrentInsertAndFind) {
              probe += 17) {
           Situation q;
           q.trace_fingerprint = static_cast<uint64_t>(probe);
-          std::shared_ptr<TraceEntry> hit = cache.Find(q);
+          std::shared_ptr<const CompiledTrace> hit = cache.Find(q);
           if (hit != nullptr) {
             found.fetch_add(1);
-            ASSERT_FALSE(hit->meta().name.empty());
+            ASSERT_FALSE(hit->meta.name.empty());
           }
         }
       }
@@ -136,7 +135,7 @@ TEST(TraceCacheTest, ConcurrentSameSituationOverwrite) {
         cache.Insert(s, std::move(trace));
         auto hit = cache.Find(s);
         ASSERT_NE(hit, nullptr);
-        ASSERT_EQ(hit->meta().name.rfind("worker", 0), 0u);
+        ASSERT_EQ(hit->meta.name.rfind("worker", 0), 0u);
       }
     });
   }
