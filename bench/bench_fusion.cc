@@ -164,7 +164,7 @@ void RunFilteredSum(benchmark::State& state, bool fuse) {
         analysis::VerifyTrace(p, graph, t, ctx);
     if (!verified.clean()) continue;
     auto compiled = jit::CompileTrace(p, graph, t, verified, {},
-                                      /*disk=*/nullptr, /*situation_key=*/0);
+                                      /*disk=*/nullptr);
     if (!compiled.ok()) {
       state.SkipWithError(compiled.status().ToString().c_str());
       return;

@@ -195,7 +195,8 @@ BENCHMARK(BM_Q1_EngineAdaptiveJitParallel4)
 //
 // Each iteration submits `clients` independent Q1 queries to a single
 // 4-worker Session; the fair morsel scheduler interleaves them and they
-// share one TraceCache. Throughput counts every client's rows.
+// share machine code through the process's jit::CodeCache. Throughput
+// counts every client's rows.
 
 void RunSessionClientsBench(benchmark::State& state, engine::QueryOptions qo,
                             const char* strategy_label) {

@@ -7,13 +7,12 @@
 // AVM_BENCH_CHILD set (the bench_util.h hook): the child builds its data,
 // runs ONE adaptive-JIT query against AVM_TRACE_CACHE_DIR, and exits. A
 // subprocess is the honest way to measure this — in-process "restarts"
-// would hit the process-global backend memo and ArtifactLoader, making cold
-// runs free after the first. Queries: the TPC-H Q1 analogue and a
-// join + ORDER BY.
+// would hit the process-wide code cache (jit::CodeCache), making cold runs
+// free after the first. Queries: the TPC-H Q1 analogue and a join +
+// ORDER BY.
 //
-// In-process rows (first_query_inproc) additionally attach the ReportJit
-// counters, so BENCH_results.json records disk-cache traffic next to the
-// latency.
+// The in-process row (warm-inproc) additionally attaches the ReportJit
+// disk-cache counters to its BENCH_results.json row.
 #include <benchmark/benchmark.h>
 
 #include <dirent.h>
@@ -189,9 +188,11 @@ BENCHMARK(BM_FirstQuery_JoinOrderBy)
 
 void BM_FirstQuery_Q1_InProcess(benchmark::State& state) {
   // In-process companion row: a fresh session per iteration over one shared
-  // populated dir, with the ReportJit counters attached so the JSON row
-  // records compiles vs disk hits. (Backend memoization makes repeated
-  // in-process "cold" runs free, hence cold has no in-process row.)
+  // populated dir, with the ReportJit counters attached. Every timed run
+  // takes its machine code from the process's code cache, not from disk
+  // (its disk_hits read 0): only a new process reads the directory. (For
+  // the same reason repeated in-process "cold" runs are free, hence cold
+  // has no in-process row.)
   if (!jit::HostCompilerAvailable()) {
     state.SkipWithError("no host compiler");
     return;

@@ -45,9 +45,9 @@ struct QueryState {
   gpu::FragmentProfile gpu_profile;
   bool calibrate_cpu = false;  ///< placer chose CPU: observe the CPU run
 
-  /// Partitions the query's morsel VMs computed, shared between them like
-  /// the session's TraceCache (thread-safe on its own).
-  vm::PartitionMemo partitions;
+  /// Partitions and trace decisions the query's morsel VMs made, shared
+  /// between them (thread-safe on its own).
+  vm::TracePlan plan;
 
   // ----- scheduling progress (guarded by Scheduler::mu) ------------------
   size_t issued = 0;  ///< tasks handed to workers
@@ -714,7 +714,7 @@ Status Session::RunMorselTask(QueryState& q, const Morsel& m) {
   const dsl::Program& program = ctx.fixed_program_ != nullptr
                                     ? *ctx.fixed_program_
                                     : q.programs.at(m.rows());
-  vm::AdaptiveVm vmach(&program, q.vmo, &cache_, &q.partitions);
+  vm::AdaptiveVm vmach(&program, q.vmo, &q.plan);
   interp::Interpreter& in = vmach.interpreter();
   // A query's only task binds whole arrays: a fixed program owns its loop
   // bound and may address rows past total_rows. Each morsel of a

@@ -1,9 +1,9 @@
 // engine::Session — the engine as a long-lived, shared service.
 //
 // The adaptive VM amortizes profiling and JIT cost across queries, which
-// only pays off when the engine outlives a single call: a Session owns the
-// shared TraceCache, a crew of M morsel workers, and an admission queue, and
-// serves N concurrent clients:
+// only pays off when the engine outlives a single call: a Session owns a
+// crew of M morsel workers and an admission queue, and serves N concurrent
+// clients:
 //
 //   engine::Session session({.num_workers = 8});
 //   engine::QueryHandle h = session.Submit(ctx);   // returns immediately
@@ -20,11 +20,11 @@
 //    ACROSS QUERIES (one morsel from query A, one from B, ...), so a long
 //    scan cannot starve a short aggregate: in-flight queries interleave
 //    their morsels fairly over the shared worker pool.
-//  - All queries share the session's TraceCache: the first worker of any
-//    client to compile a trace for a situation serves every later query,
-//    with per-situation single-flight compilation under contention. The
-//    morsel VMs of one query also share one vm::PartitionMemo, so a
-//    partition one of them computed serves the others.
+//  - The morsel VMs of one query share one vm::TracePlan: a partition or
+//    trace decision one of them made serves the others, so each situation
+//    is verified and compiled once per query. Machine code is shared by
+//    source across every query and Session of the process through
+//    jit::CodeCache, single-flight under contention.
 //  - Per-query accumulators are privatized per morsel and summed into the
 //    caller's arrays, exactly as in a single-query parallel run — a
 //    concurrent run stays bit-identical to its serial baseline.
@@ -40,7 +40,6 @@
 #include <optional>
 
 #include "engine/exec_engine.h"
-#include "jit/trace_cache.h"
 #include "util/thread_annotations.h"
 
 namespace avm::gpu {
@@ -110,8 +109,8 @@ class QueryHandle {
 };
 
 /// The engine's one entry point: a long-lived query service owning the
-/// shared TraceCache, the morsel workers and the admission queue (see the
-/// file comment). Every query runs through Submit or Run.
+/// morsel workers and the admission queue (see the file comment). Every
+/// query runs through Submit or Run.
 class Session {
  public:
   explicit Session(SessionOptions options = {});
@@ -136,7 +135,6 @@ class Session {
 
   size_t num_workers() const;
   const SessionOptions& options() const { return options_; }
-  const jit::TraceCache& trace_cache() const { return cache_; }
 
   /// Lifetime counters (monotonic).
   struct Stats {
@@ -164,7 +162,6 @@ class Session {
   void OnQueryDone(const std::shared_ptr<internal::QueryState>& q);
 
   SessionOptions options_;
-  jit::TraceCache cache_;
   /// Session-wide memory budget from AVM_MEMORY_BUDGET (docs/SPILL.md):
   /// shared by every query submitted without its own
   /// QueryOptions::memory_budget. Null when the variable is unset — those

@@ -11,6 +11,9 @@
 namespace avm::interp {
 
 namespace {
+/// Safety valve for the infinite `loop` construct.
+constexpr uint64_t kMaxLoopIterations = uint64_t{1} << 32;
+
 using dsl::Expr;
 using dsl::ExprKind;
 using dsl::ScalarOp;
@@ -199,7 +202,7 @@ Status Interpreter::ExecStmt(const Stmt& s, Control* ctl) {
       return Status::OK();
     }
     case StmtKind::kLoop: {
-      for (uint64_t iter = 0; iter < options_.max_loop_iterations; ++iter) {
+      for (uint64_t iter = 0; iter < kMaxLoopIterations; ++iter) {
         Control inner = Control::kNext;
         AVM_RETURN_NOT_OK(ExecBlock(s.body, &inner));
         ++loop_iterations_;

@@ -111,8 +111,6 @@ struct InterpreterOptions {
   /// process-wide active tier (AVM_KERNEL_TIER override, else best
   /// supported); explicit requests clamp to what host + build can run.
   KernelTier kernel_tier = KernelTier::kAuto;
-  /// Safety valve for the infinite `loop` construct.
-  uint64_t max_loop_iterations = 1ull << 32;
 };
 
 class Interpreter {

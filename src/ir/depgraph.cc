@@ -257,8 +257,6 @@ bool NodeEligible(const DepNode& n, const PartitionConstraints& c,
   switch (n.kind) {
     case SkeletonKind::kFilter:
       return filters;
-    case SkeletonKind::kCondense:
-      return c.allow_condense;
     case SkeletonKind::kGather:
     case SkeletonKind::kScatter:
       return c.allow_scatter_gather;

@@ -83,7 +83,6 @@ class DepGraph {
 /// every such region gives the paper's filter-excluding split).
 struct PartitionConstraints {
   size_t max_streams = 12;
-  bool allow_condense = true;
   bool allow_scatter_gather = true;
   double min_trace_cost = 0.0;
   size_t max_nodes = 64;
@@ -107,7 +106,7 @@ struct Trace {
   /// opposed to `data` arrays accessed through read windows): the inputs
   /// that may carry a selection vector at run time. The VM observes their
   /// selection state to pick the trace variant to compile (the
-  /// selection-carrying part of a jit::Situation).
+  /// selection-carrying part of a vm::TracePlan::Situation).
   std::vector<std::string> ChunkVarInputs(const dsl::Program& program) const;
 };
 

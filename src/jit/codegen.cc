@@ -860,10 +860,7 @@ Result<GeneratedTrace> TraceEmitter::Run() {
   out_.name += "]";
 
   std::ostringstream src;
-  src << kPreamble;
-  if (options_.emit_debug_comments) {
-    src << "// trace: " << out_.name << "\n";
-  }
+  src << kPreamble << "// trace: " << out_.name << "\n";
   src << "extern \"C\" int32_t " << out_.symbol
       << "(const TraceCallArgs* args) {\n"
       << "  const void* const* in = args->in; (void)in;\n"

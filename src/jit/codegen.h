@@ -26,10 +26,9 @@
 namespace avm::jit {
 
 /// Self-contained read/write position: a scalar variable of the environment
-/// or a constant. Deliberately NOT a pointer into the program AST — compiled
-/// traces outlive the program they were generated from (the shared
-/// TraceCache serves them to other morsel workers and to later runs of the
-/// same query shape).
+/// or a constant. Deliberately NOT a pointer into the program AST — a
+/// compiled trace is self-contained data that a query's vm::TracePlan hands
+/// to every morsel VM of its program.
 struct PosRef {
   enum class Kind : uint8_t { kNone = 0, kConst, kVar };
   Kind kind = Kind::kNone;
@@ -120,8 +119,6 @@ struct CodegenOptions {
   /// (currently kFor: operate on narrow deltas + reference; paper §III-C
   /// compressed execution). Missing entries decode to plain values.
   std::map<std::string, Scheme> scheme_specialization;
-  /// Emit a bounds comment header with the trace's dependency info.
-  bool emit_debug_comments = true;
 };
 
 /// Generate the source of a verified trace. `verified` must be the clean

@@ -29,9 +29,9 @@ constexpr char kMagic[8] = {'A', 'V', 'M', 'T', 'R', 'C', '1', '\0'};
 struct EntryHeader {
   char magic[8];
   uint64_t version_hash;
-  uint64_t situation_key;
+  uint64_t reserved0;  // written as zero, not checksummed
   uint64_t source_hash;
-  uint64_t reserved;  // written as zero, not checksummed
+  uint64_t reserved1;  // written as zero, not checksummed
   uint64_t payload_len;
   uint64_t checksum;
 };
@@ -41,7 +41,6 @@ uint64_t EntryChecksum(const EntryHeader& h,
                        const std::vector<uint8_t>& payload) {
   uint64_t c = HashBytes(payload.data(), payload.size());
   c = HashCombine(c, h.version_hash);
-  c = HashCombine(c, h.situation_key);
   c = HashCombine(c, h.source_hash);
   return HashCombine(c, h.payload_len);
 }
@@ -102,18 +101,17 @@ std::shared_ptr<DiskTraceCache> DiskTraceCache::FromEnv() {
   return ForDir(env, DefaultBudget());
 }
 
-std::string DiskTraceCache::EntryPath(uint64_t situation_key,
+std::string DiskTraceCache::EntryPath(uint64_t source_hash,
                                       uint64_t version_hash) const {
-  return StrFormat("%s/t%016llxv%016llx.avmtc", dir_.c_str(),
-                   (unsigned long long)situation_key,
+  return StrFormat("%s/s%016llxv%016llx.avmtc", dir_.c_str(),
+                   (unsigned long long)source_hash,
                    (unsigned long long)version_hash);
 }
 
-Result<JitArtifact> DiskTraceCache::LoadEntry(uint64_t situation_key,
-                                              uint64_t source_hash,
+Result<JitArtifact> DiskTraceCache::LoadEntry(uint64_t source_hash,
                                               uint64_t version_hash,
                                               uint64_t* corrupt_dropped) {
-  const std::string path = EntryPath(situation_key, version_hash);
+  const std::string path = EntryPath(source_hash, version_hash);
   std::ifstream f(path, std::ios::binary);
   if (!f) return Status::NotFound(path);
 
@@ -139,10 +137,9 @@ Result<JitArtifact> DiskTraceCache::LoadEntry(uint64_t situation_key,
     AVM_LOG(kWarning) << "trace cache: dropped corrupt entry " << path;
     return Status::NotFound(path + " (corrupt, dropped)");
   }
-  // Defense in depth: the filename already encodes situation and version,
+  // Defense in depth: the filename already encodes source and version,
   // but a renamed/cross-linked file must not load into the wrong trace.
-  if (h.version_hash != version_hash || h.situation_key != situation_key ||
-      h.source_hash != source_hash) {
+  if (h.version_hash != version_hash || h.source_hash != source_hash) {
     std::remove(path.c_str());
     return Status::NotFound(path + " (stale key, dropped)");
   }
@@ -151,12 +148,10 @@ Result<JitArtifact> DiskTraceCache::LoadEntry(uint64_t situation_key,
   return JitArtifact{std::move(payload)};
 }
 
-Result<JitArtifact> DiskTraceCache::TryLoad(uint64_t situation_key,
-                                            uint64_t source_hash,
+Result<JitArtifact> DiskTraceCache::TryLoad(uint64_t source_hash,
                                             uint64_t version_hash,
                                             uint64_t* corrupt_dropped) {
-  Result<JitArtifact> r =
-      LoadEntry(situation_key, source_hash, version_hash, corrupt_dropped);
+  Result<JitArtifact> r = LoadEntry(source_hash, version_hash, corrupt_dropped);
   if (r.ok()) {
     ++hits_;
   } else {
@@ -165,18 +160,16 @@ Result<JitArtifact> DiskTraceCache::TryLoad(uint64_t situation_key,
   return r;
 }
 
-Status DiskTraceCache::Store(uint64_t situation_key, uint64_t source_hash,
-                             uint64_t version_hash,
+Status DiskTraceCache::Store(uint64_t source_hash, uint64_t version_hash,
                              const JitArtifact& artifact) {
   EntryHeader h{};
   std::memcpy(h.magic, kMagic, sizeof kMagic);
   h.version_hash = version_hash;
-  h.situation_key = situation_key;
   h.source_hash = source_hash;
   h.payload_len = artifact.bytes.size();
   h.checksum = EntryChecksum(h, artifact.bytes);
 
-  const std::string path = EntryPath(situation_key, version_hash);
+  const std::string path = EntryPath(source_hash, version_hash);
   // Unique temp name per (process, store): concurrent writers of the same
   // entry each publish a complete file; last rename wins with identical
   // content.

@@ -1,13 +1,13 @@
-// Persistent on-disk compiled-trace cache (ROADMAP direction 2).
+// Persistent on-disk machine-code cache (docs/TRACE_CACHE.md §4).
 //
 // Stores JitArtifact bytes under a directory (AVM_TRACE_CACHE_DIR), one
-// file per (situation, version):
+// file per (source, compiler version):
 //
-//   t<situation_key:016x>v<version_hash:016x>.avmtc
+//   s<source_hash:016x>v<version_hash:016x>.avmtc
 //
-// so a restarted process finds the machine code for every trace it has ever
-// compiled and is warm from its first query — the payoff of PR 5's
-// bit-stable trace fingerprints. Design properties (the miniexpr
+// so a restarted process finds the machine code for every source it has
+// ever compiled and is warm from its first query. jit::CodeCache probes it
+// on a miss, before compiling. Design properties (the miniexpr
 // dsl_jit_runtime_cache architecture):
 //
 //  - Crash-safe writes: entries are written to a temp file in the same
@@ -17,7 +17,7 @@
 //    its payload and header; corrupt or truncated entries are detected,
 //    deleted, and reported as misses (the caller recompiles) — never
 //    loaded.
-//  - Version keying: the backend's version_hash (trace ABI version +
+//  - Version keying: jit::CompilerVersionHash (trace ABI version +
 //    compiler identity + flags) is part of the filename and the header, so
 //    artifacts from a different compiler, flag set, or ABI revision
 //    silently miss instead of being dlopen'd into the wrong contract.
@@ -69,24 +69,23 @@ class DiskTraceCache {
   /// caching off — the default).
   static std::shared_ptr<DiskTraceCache> FromEnv();
 
-  /// Load the entry for (situation_key, version_hash), verifying the
-  /// checksum and that it was generated from `source_hash`. Counts one hit
-  /// or miss. NotFound on miss; corrupt entries are deleted and reported as
+  /// Load the entry for (source_hash, version_hash), verifying the
+  /// checksum and that its header names the same key. Counts one hit or
+  /// miss. NotFound on miss; corrupt entries are deleted and reported as
   /// NotFound. `corrupt_dropped`, when non-null, is incremented when this
   /// probe deletes a corrupt entry (per-query observability; the instance
   /// counter advances regardless).
-  Result<JitArtifact> TryLoad(uint64_t situation_key, uint64_t source_hash,
-                              uint64_t version_hash,
+  Result<JitArtifact> TryLoad(uint64_t source_hash, uint64_t version_hash,
                               uint64_t* corrupt_dropped = nullptr);
 
-  /// Publish an artifact for (situation_key, version_hash), then evict
+  /// Publish an artifact for (source_hash, version_hash), then evict
   /// over-budget entries. Failure is returned but callers treat the cache
   /// as best-effort (a failed store never fails a query).
-  Status Store(uint64_t situation_key, uint64_t source_hash,
-               uint64_t version_hash, const JitArtifact& artifact);
+  Status Store(uint64_t source_hash, uint64_t version_hash,
+               const JitArtifact& artifact);
 
   /// Path of the entry file for a key (tests corrupt entries through this).
-  std::string EntryPath(uint64_t situation_key, uint64_t version_hash) const;
+  std::string EntryPath(uint64_t source_hash, uint64_t version_hash) const;
 
   /// Lifetime counters of this instance.
   DiskCacheStats stats() const;
@@ -98,8 +97,7 @@ class DiskTraceCache {
   uint64_t budget_bytes() const { return budget_bytes_; }
 
  private:
-  Result<JitArtifact> LoadEntry(uint64_t situation_key, uint64_t source_hash,
-                                uint64_t version_hash,
+  Result<JitArtifact> LoadEntry(uint64_t source_hash, uint64_t version_hash,
                                 uint64_t* corrupt_dropped);
   void EvictOverBudget() AVM_EXCLUDES(mu_);
 

@@ -84,29 +84,25 @@ const std::string& HostCompilerPath() {
   return *compiler;
 }
 
-// Identity line of the host compiler (`<path> --version`, first line).
-// Folded into every backend's version_hash so artifacts produced by a
-// different compiler (or version) never load from the disk cache.
-const std::string& HostCompilerIdentity() {
-  static const std::string* identity = [] {
-    const std::string& cc = HostCompilerPath();
-    if (cc.empty()) return new std::string("<none>");
-    std::string line = cc;
-    const std::string cmd = StrFormat("%s --version 2> /dev/null", cc.c_str());
-    if (FILE* pipe = popen(cmd.c_str(), "r")) {
-      char buf[256];
-      if (std::fgets(buf, sizeof buf, pipe) != nullptr) {
-        line += " ";
-        line += buf;
-        while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
-          line.pop_back();
-        }
+// Identity line of the host compiler (`<path> --version`, first line),
+// folded into CompilerVersionHash.
+std::string HostCompilerIdentity() {
+  const std::string& cc = HostCompilerPath();
+  if (cc.empty()) return "<none>";
+  std::string line = cc;
+  const std::string cmd = StrFormat("%s --version 2> /dev/null", cc.c_str());
+  if (FILE* pipe = popen(cmd.c_str(), "r")) {
+    char buf[256];
+    if (std::fgets(buf, sizeof buf, pipe) != nullptr) {
+      line += " ";
+      line += buf;
+      while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
+        line.pop_back();
       }
-      pclose(pipe);
     }
-    return new std::string(std::move(line));
-  }();
-  return *identity;
+    pclose(pipe);
+  }
+  return line;
 }
 
 // Write `source` to <base>.cc, compile it into <base>.so with the
@@ -137,142 +133,54 @@ Result<std::vector<uint8_t>> RunCompiler(const std::string& cc,
   return ReadFileBytes(so_path);
 }
 
-// Invoke the host compiler on `source` with `flags` and return the bytes
-// of the produced shared object. `compile_seconds`, when non-null,
-// receives the wall time of the compiler invocation.
-Result<std::vector<uint8_t>> CcCompileToBytes(const std::string& source,
-                                              const std::string& flags,
-                                              double* compile_seconds) {
+constexpr char kCompileFlags[] = "-O2 -march=native";
+
+}  // namespace
+
+bool HostCompilerAvailable() { return !HostCompilerPath().empty(); }
+
+Result<JitArtifact> CompileArtifact(const std::string& source,
+                                    double* compile_seconds) {
   const std::string& cc = HostCompilerPath();
   if (cc.empty()) {
     return Status::CompilationError("no host compiler available");
   }
   Stopwatch sw;
   // The content hash makes scratch names readable in the scratch dir; the
-  // sequence number makes them unique. Hashing alone is not enough: two
-  // threads compiling the SAME source concurrently (workers of two Sessions
-  // in one process miss one backend memo together) would share paths, and
-  // whoever finishes first would delete the .so out from under the other.
+  // sequence number makes them unique, so two threads compiling one source
+  // never share (and delete) each other's files.
   static std::atomic<uint64_t> invocation_seq{0};
-  const uint64_t key = HashCombine(HashString(source), HashString(flags));
   const std::string base =
       StrFormat("%s/t%016llx_%llu", JitScratchDir().c_str(),
-                (unsigned long long)key,
+                (unsigned long long)HashString(source),
                 (unsigned long long)invocation_seq.fetch_add(1));
-  Result<std::vector<uint8_t>> bytes = RunCompiler(cc, source, flags, base);
+  Result<std::vector<uint8_t>> bytes =
+      RunCompiler(cc, source, kCompileFlags, base);
   // Failed compiles included: nothing stays in the scratch dir.
   for (const char* ext : {".cc", ".so", ".log"}) {
     std::remove((base + ext).c_str());
   }
-  if (bytes.ok() && compile_seconds != nullptr) {
-    *compile_seconds = sw.ElapsedSeconds();
-  }
-  return bytes;
+  AVM_RETURN_NOT_OK(bytes.status());
+  const double seconds = sw.ElapsedSeconds();
+  if (compile_seconds != nullptr) *compile_seconds = seconds;
+  AVM_LOG(kDebug) << "compiled " << bytes.value().size() << " bytes in "
+                  << seconds << " s";
+  return JitArtifact{std::move(bytes).value()};
 }
 
-}  // namespace
-
-bool HostCompilerAvailable() { return !HostCompilerPath().empty(); }
-
-CcBackend::CcBackend(const char* name, std::string flags,
-                     size_t memo_max_entries, size_t memo_max_bytes)
-    : name_(name),
-      flags_(std::move(flags)),
-      memo_max_entries_(std::max<size_t>(memo_max_entries, 1)),
-      memo_max_bytes_(memo_max_bytes) {
-  version_hash_ = HashCombine(
-      HashCombine(HashInt64(kTraceAbiVersion), HashString(flags_)),
-      HashString(HostCompilerIdentity()));
-}
-
-CcBackend& CcBackend::Global() {
-  static CcBackend* backend = new CcBackend("cc-o2", "-O2 -march=native");
-  return *backend;
-}
-
-size_t CcBackend::memo_entries() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return memo_.size();
-}
-
-size_t CcBackend::memo_bytes() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return memo_bytes_;
-}
-
-Result<JitArtifact> CcBackend::Compile(const std::string& source,
-                                       const std::string& symbol,
-                                       double* compile_seconds) {
-  if (compile_seconds != nullptr) *compile_seconds = 0;
-  const uint64_t key = HashCombine(HashString(source), HashString(symbol));
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = memo_.find(key);
-    if (it != memo_.end()) return it->second;
-  }
-  AVM_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
-                       CcCompileToBytes(source, flags_, compile_seconds));
-  JitArtifact artifact{std::move(bytes)};
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (memo_.emplace(key, artifact).second) {
-      fifo_.push_back(key);
-      memo_bytes_ += artifact.bytes.size();
-      // Bounded memo: evict oldest-first until both the entry-count and
-      // total-bytes caps hold again. An artifact larger than the byte cap
-      // drains the memo entirely, itself included — it is simply never
-      // cached.
-      while (!fifo_.empty() && (memo_.size() > memo_max_entries_ ||
-                                memo_bytes_ > memo_max_bytes_)) {
-        auto victim = memo_.find(fifo_.front());
-        fifo_.pop_front();
-        if (victim != memo_.end()) {
-          memo_bytes_ -= victim->second.bytes.size();
-          memo_.erase(victim);
-        }
-      }
-    }
-  }
-  AVM_LOG(kDebug) << name_ << " compiled " << symbol << " ("
-                  << artifact.bytes.size() << " bytes)";
-  return artifact;
-}
-
-ArtifactLoader::ArtifactLoader(size_t memo_limit)
-    : dir_(JitScratchDir()), memo_limit_(std::max<size_t>(memo_limit, 1)) {}
-
-size_t ArtifactLoader::memo_entries() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return cache_.size();
-}
-
-ArtifactLoader& ArtifactLoader::Global() {
-  static ArtifactLoader* loader = new ArtifactLoader();
-  return *loader;
-}
-
-Result<void*> ArtifactLoader::Load(const JitArtifact& artifact,
-                                   const std::string& symbol) {
+Result<void*> LoadArtifact(const JitArtifact& artifact,
+                           const std::string& symbol) {
   if (artifact.bytes.empty()) {
     return Status::CompilationError("empty artifact for " + symbol);
   }
-  const uint64_t key =
-      HashCombine(HashBytes(artifact.bytes.data(), artifact.bytes.size()),
-                  HashString(symbol));
-  uint64_t seq;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = cache_.find(key);
-    if (it != cache_.end()) return it->second;
-    seq = seq_++;
-  }
   // dlopen needs a file path; materialize the bytes in the private scratch
-  // dir. The sequence number keeps concurrent loads of the same artifact
-  // from racing on one path (both land in cache_; one handle is redundant
-  // but harmless for the process lifetime).
+  // dir under a name no concurrent load shares.
+  static std::atomic<uint64_t> load_seq{0};
   const std::string so_path =
-      StrFormat("%s/l%016llx_%llu.so", dir_.c_str(), (unsigned long long)key,
-                (unsigned long long)seq);
+      StrFormat("%s/l%016llx_%llu.so", JitScratchDir().c_str(),
+                (unsigned long long)HashBytes(artifact.bytes.data(),
+                                              artifact.bytes.size()),
+                (unsigned long long)load_seq.fetch_add(1));
   {
     std::ofstream f(so_path, std::ios::binary);
     if (!f) return Status::CompilationError("cannot write " + so_path);
@@ -289,21 +197,15 @@ Result<void*> ArtifactLoader::Load(const JitArtifact& artifact,
     dlclose(handle);
     return Status::CompilationError("symbol not found: " + symbol);
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    handles_.push_back(handle);
-    if (cache_.emplace(key, sym).second) {
-      fifo_.push_back(key);
-      // Bounded memo: drop the oldest entries. Their handles stay mapped
-      // (pointers already handed out must survive); re-loading an evicted
-      // artifact just dlopens a fresh copy.
-      while (cache_.size() > memo_limit_ && !fifo_.empty()) {
-        cache_.erase(fifo_.front());
-        fifo_.pop_front();
-      }
-    }
-  }
   return sym;
+}
+
+uint64_t CompilerVersionHash() {
+  static const uint64_t hash =
+      HashCombine(HashCombine(HashInt64(kTraceAbiVersion),
+                              HashString(kCompileFlags)),
+                  HashString(HostCompilerIdentity()));
+  return hash;
 }
 
 }  // namespace avm::jit

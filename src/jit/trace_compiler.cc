@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdio>
 #include <cstring>
 
-#include "util/hash.h"
-#include "util/logging.h"
 #include "util/string_util.h"
 
 namespace avm::jit {
@@ -68,58 +65,20 @@ bool IsSelInput(const GeneratedTrace& meta, const std::string& name) {
 
 }  // namespace
 
-Result<CompileOutcome> CompileTrace(
-    const dsl::Program& program, const ir::DepGraph& graph,
-    const ir::Trace& trace, const analysis::TraceVerification& verified,
-    const CodegenOptions& options,
-    const std::shared_ptr<DiskTraceCache>& disk, uint64_t situation_key) {
+Result<CompileOutcome> CompileTrace(const dsl::Program& program,
+                                    const ir::DepGraph& graph,
+                                    const ir::Trace& trace,
+                                    const analysis::TraceVerification& verified,
+                                    const CodegenOptions& options,
+                                    DiskTraceCache* disk) {
   CompileOutcome out;
   AVM_ASSIGN_OR_RETURN(
-      GeneratedTrace gen,
-      GenerateTrace(program, graph, trace, verified, options));
-  const uint64_t source_hash = HashString(gen.source);
-  CcBackend& backend = CcBackend::Global();
-  if (disk != nullptr) {
-    out.disk_probed = true;
-    Result<JitArtifact> art = disk->TryLoad(situation_key, source_hash,
-                                            backend.version_hash(),
-                                            &out.disk_corrupt);
-    if (art.ok()) {
-      Result<void*> sym =
-          ArtifactLoader::Global().Load(art.value(), gen.symbol);
-      if (sym.ok()) {
-        out.trace.fn = reinterpret_cast<TraceFn>(sym.value());
-        out.trace.meta = std::move(gen);
-        out.from_disk = true;
-        return out;
-      }
-      // Checksum passed but the bytes are not loadable into this process
-      // (e.g. stored by an incompatibly-built binary with a colliding
-      // version hash). Drop the entry and recompile.
-      ++out.disk_corrupt;
-      std::remove(
-          disk->EntryPath(situation_key, backend.version_hash()).c_str());
-      AVM_LOG(kWarning) << "trace cache: unloadable entry for " << gen.name
-                        << " dropped: " << sym.status().ToString();
-    }
-  }
-  AVM_ASSIGN_OR_RETURN(
-      JitArtifact artifact,
-      backend.Compile(gen.source, gen.symbol, &out.compile_seconds));
-  AVM_ASSIGN_OR_RETURN(void* sym,
-                       ArtifactLoader::Global().Load(artifact, gen.symbol));
-  if (disk != nullptr) {
-    // Best-effort: a full disk or unwritable directory must not fail the
-    // query; the artifact simply is not persisted.
-    Status st =
-        disk->Store(situation_key, source_hash, backend.version_hash(),
-                    artifact);
-    if (!st.ok()) {
-      AVM_LOG(kWarning) << "trace cache store failed: " << st.ToString();
-    }
-  }
-  out.trace.fn = reinterpret_cast<TraceFn>(sym);
-  out.trace.meta = std::move(gen);
+      out.trace.meta, GenerateTrace(program, graph, trace, verified, options));
+  AVM_ASSIGN_OR_RETURN(void* fn,
+                       CodeCache::Global().Get(out.trace.meta.source,
+                                               out.trace.meta.symbol, disk,
+                                               &out.origin));
+  out.trace.fn = reinterpret_cast<TraceFn>(fn);
   return out;
 }
 

@@ -5,41 +5,40 @@
 #include <memory>
 
 #include "interp/interpreter.h"
+#include "jit/code_cache.h"
 #include "jit/codegen.h"
-#include "jit/disk_cache.h"
-#include "jit/jit_backend.h"
 
 namespace avm::jit {
 
 /// A fully compiled trace: generation metadata plus the machine-code entry.
-/// Immutable once compiled; TraceCache hands it out as
-/// shared_ptr<const CompiledTrace>.
+/// Immutable once compiled; a query's vm::TracePlan hands it to every
+/// morsel VM of the trace's program as shared_ptr<const CompiledTrace>.
+/// Its metadata (statement ids, binding names) belongs to that one
+/// program; only the entry point is shared across programs, through
+/// CodeCache.
 struct CompiledTrace {
   GeneratedTrace meta;
   TraceFn fn = nullptr;
 };
 
-/// Result of one compile-or-load: the trace plus where it came from and
-/// what it cost (the VM's per-query observability counters).
+/// Result of one compile-or-load: the trace plus where its machine code
+/// came from and what it cost (the VM's per-query observability counters).
 struct CompileOutcome {
   CompiledTrace trace;
-  bool from_disk = false;      ///< loaded from the persistent cache
-  bool disk_probed = false;    ///< a persistent cache was consulted
-  uint64_t disk_corrupt = 0;   ///< corrupt entries dropped while probing
-  double compile_seconds = 0;  ///< backend wall time (0 on disk hit)
+  CodeOrigin origin;
 };
 
 /// Generate a verified trace (GenerateTrace: `verified` must be the clean
-/// analysis::VerifyTrace result for `trace`), then obtain its machine code
-/// the cheapest honest way: consult `disk` (when non-null) for an artifact
-/// of CcBackend::Global()'s version before invoking it; on a miss compile
-/// and publish the artifact back to `disk`. `situation_key` keys the
-/// persistent entry.
-Result<CompileOutcome> CompileTrace(
-    const dsl::Program& program, const ir::DepGraph& graph,
-    const ir::Trace& trace, const analysis::TraceVerification& verified,
-    const CodegenOptions& options,
-    const std::shared_ptr<DiskTraceCache>& disk, uint64_t situation_key);
+/// analysis::VerifyTrace result for `trace`), then take its machine code
+/// from CodeCache::Global() by source: a source loaded before costs a
+/// lookup; otherwise `disk` (when non-null) is probed before the compiler
+/// runs, and receives the compiled artifact.
+Result<CompileOutcome> CompileTrace(const dsl::Program& program,
+                                    const ir::DepGraph& graph,
+                                    const ir::Trace& trace,
+                                    const analysis::TraceVerification& verified,
+                                    const CodegenOptions& options,
+                                    DiskTraceCache* disk);
 
 /// Build the interpreter injection over a compiled trace. The injection:
 ///  - gathers input pointers + lengths (chunk variables, data-read windows,

@@ -5,7 +5,7 @@
 
 #include "dsl/typecheck.h"
 #include "interp/kernels.h"
-#include "jit/jit_backend.h"
+#include "jit/code_cache.h"
 #include "storage/bitpack.h"
 #include "util/string_util.h"
 
@@ -275,11 +275,10 @@ extern "C" void avm_q1_whole(const int64_t* qty, const int64_t* price,
   using Q1Fn = void (*)(const int64_t*, const int64_t*, const int64_t*,
                         const int64_t*, const int8_t*, const int8_t*,
                         const int32_t*, uint64_t, int64_t*);
-  AVM_ASSIGN_OR_RETURN(
-      jit::JitArtifact artifact,
-      jit::CcBackend::Global().Compile(source, "avm_q1_whole"));
-  AVM_ASSIGN_OR_RETURN(
-      void* sym, jit::ArtifactLoader::Global().Load(artifact, "avm_q1_whole"));
+  jit::CodeOrigin origin;
+  AVM_ASSIGN_OR_RETURN(void* sym,
+                       jit::CodeCache::Global().Get(source, "avm_q1_whole",
+                                                    /*disk=*/nullptr, &origin));
   int64_t acc[40] = {0};
   reinterpret_cast<Q1Fn>(sym)(qty.data(), price.data(), disc.data(),
                               tax.data(), rf.data(), ls.data(), sd.data(), n,

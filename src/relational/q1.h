@@ -56,8 +56,8 @@ Result<Q1Result> RunQ1VectorizedCompact(
     const Table& lineitem, uint32_t chunk_size = kDefaultChunkSize);
 
 /// HyPer-style whole-query tuple-at-a-time compilation through the JIT's
-/// one backend (jit::CcBackend::Global(), -O2). Fails with
-/// CompilationError when no host compiler exists.
+/// process-wide jit::CodeCache (-O2; compiled once per process). Fails
+/// with CompilationError when no host compiler exists.
 Result<Q1Result> RunQ1CompiledWholeQuery(const Table& lineitem);
 
 /// Q1 as an engine::QueryBuilder query over `lineitem`: filter on shipdate,

@@ -6,13 +6,12 @@
 #include "analysis/verify_trace.h"
 #include "jit/jit_backend.h"
 #include "util/logging.h"
-#include "util/timer.h"
 
 namespace avm::vm {
 
 using interp::Interpreter;
 
-std::shared_ptr<const PartitionMemo::Entry> PartitionMemo::Find(
+std::shared_ptr<const TracePlan::Entry> TracePlan::Find(
     const dsl::Program* program, const std::vector<double>& costs,
     const std::set<uint32_t>& unfused,
     const SelectionsOf& selections_of) const {
@@ -38,17 +37,36 @@ std::shared_ptr<const PartitionMemo::Entry> PartitionMemo::Find(
   return nullptr;
 }
 
-void PartitionMemo::Publish(std::shared_ptr<const Entry> entry) {
+void TracePlan::Publish(std::shared_ptr<const Entry> entry) {
   std::lock_guard<std::mutex> lock(mu_);
   entries_.push_back(std::move(entry));
 }
 
+TracePlan::Decision TracePlan::Decide(const Situation& situation,
+                                      const std::function<Decision()>& decide,
+                                      bool* decided) {
+  *decided = false;
+  std::shared_ptr<Slot> slot;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    std::shared_ptr<Slot>& s = decisions_[situation];
+    if (s == nullptr) s = std::make_shared<Slot>();
+    slot = s;
+  }
+  // A slot's mutex is never taken while mu_ is held.
+  std::lock_guard<std::mutex> lock(slot->mu);
+  if (!slot->done) {
+    slot->decision = decide();
+    slot->done = true;
+    *decided = true;
+  }
+  return slot->decision;
+}
+
 AdaptiveVm::AdaptiveVm(const dsl::Program* program, VmOptions options,
-                       jit::TraceCache* shared_cache,
-                       PartitionMemo* shared_memo)
+                       TracePlan* plan)
     : program_(program), options_(std::move(options)) {
-  if (shared_cache != nullptr) cache_ = shared_cache;
-  if (shared_memo != nullptr) memo_ = shared_memo;
+  if (plan != nullptr) plan_ = plan;
   interp_ = std::make_unique<Interpreter>(program_, options_.interp);
   interp_->iteration_hook = [this](Interpreter& in, uint64_t iteration) {
     return OnIteration(in, iteration);
@@ -178,7 +196,7 @@ Status AdaptiveVm::OptimizePass(Interpreter& in, uint64_t iteration) {
   // by its profiled tuple count. Tuple counts depend only on the data and
   // the iteration the pass runs at — unlike cycle counts, which wobble
   // with machine load by more than the log2 bucket width and would reseed
-  // the partition (and miss the cross-run TraceCache) on a loaded host.
+  // the partition (and so miss the code cache) on a loaded host.
   // Selectivity still steers the partition: post-filter operators see
   // fewer tuples and weigh less.
   double total_units = 0;
@@ -213,22 +231,22 @@ Status AdaptiveVm::OptimizePass(Interpreter& in, uint64_t iteration) {
       unfused.insert(node.id);
     }
   }
-  // Partition only when no partition in the memo was computed from what
+  // Partition only when no partition in the plan was computed from what
   // this pass observes: the bucketed costs, the unfused filters, and the
   // selections every region the gate judged carries now. GreedyPartition
   // is deterministic in those, so it would grow the same traces, whose
-  // installed or declined situations are skipped below anyway.
+  // situations are decided once per plan anyway.
   auto selections_of = [&](const ir::Trace& region) {
     return ObserveSelections(in, region);
   };
-  std::shared_ptr<const PartitionMemo::Entry> partition =
-      memo_->Find(program_, costs, unfused, selections_of);
+  std::shared_ptr<const TracePlan::Entry> partition =
+      plan_->Find(program_, costs, unfused, selections_of);
   if (partition == nullptr) {
     // A region that fuses a filter stays one trace only if the filter's
     // branch is predictable and the gate accepts the region under the
     // selections its inputs carry now; otherwise the partitioner falls
     // back to the filter-excluding region.
-    auto entry = std::make_shared<PartitionMemo::Entry>();
+    auto entry = std::make_shared<TracePlan::Entry>();
     entry->traces = ir::GreedyPartition(
         graph_, options_.constraints, [&](const ir::Trace& region) {
           for (uint32_t id : region.node_ids) {
@@ -243,7 +261,7 @@ Status AdaptiveVm::OptimizePass(Interpreter& in, uint64_t iteration) {
     entry->program = program_;
     entry->costs = std::move(costs);
     entry->unfused_filters = std::move(unfused);
-    memo_->Publish(entry);
+    plan_->Publish(entry);
     partition = std::move(entry);
   }
 
@@ -284,78 +302,25 @@ Status AdaptiveVm::OptimizePass(Interpreter& in, uint64_t iteration) {
 
 Status AdaptiveVm::InstallTrace(Interpreter& in, const ir::Trace& trace,
                                 uint64_t iteration) {
-  jit::Situation situation;
-  situation.trace_fingerprint = jit::TraceFingerprint(graph_, trace);
-  situation.schemes = ObserveSchemes(in, trace);
   // The selection pattern of the trace's chunk inputs is part of the
   // situation, like compression schemes: post-filter iterations compile a
   // selection-carrying variant, pre-filter shapes a positional one, and
-  // both can coexist for the same fingerprint.
-  std::set<std::string> sel_inputs = ObserveSelections(in, trace);
-  situation.sel_inputs.assign(sel_inputs.begin(), sel_inputs.end());
-
-  const uint64_t key = situation.Key();
-  if (installed_.contains(key) || declined_.contains(key)) {
-    return Status::NotFound("already tried");  // benign skip
+  // both can coexist for one trace.
+  TracePlan::Situation situation{program_, trace.node_ids,
+                                 ObserveSchemes(in, trace),
+                                 ObserveSelections(in, trace)};
+  if (installed_.contains(situation)) {
+    return Status::NotFound("already installed");  // benign skip
   }
+  bool decided = false;
+  TracePlan::Decision decision = plan_->Decide(
+      situation, [&] { return Decide(trace, situation); }, &decided);
+  AVM_RETURN_NOT_OK(decision.status);
+  if (!decided) ++report_.traces_reused;
 
-  // The JIT gate (docs/VERIFIER.md): every compilability rule lives in
-  // analysis::VerifyTrace. A reject is the decline, reported by its first
-  // rule id; a clean verification hands codegen the facts it emits from.
-  analysis::TraceContext vctx;
-  vctx.sel_inputs = sel_inputs;
-  const analysis::TraceVerification verified =
-      analysis::VerifyTrace(*program_, graph_, trace, vctx);
-  ++report_.verifier_checked;
-  if (!verified.clean()) {
-    declined_.insert(key);
-    return verified.AsStatus();
-  }
-
-  bool compiled_fresh = false;
-  jit::CompileOutcome outcome;
-  Result<std::shared_ptr<const jit::CompiledTrace>> got = cache_->GetOrCompile(
-      situation,
-      // The callback loads from the persistent disk cache when one is
-      // configured, and only invokes a backend on a true cold miss;
-      // `outcome` reports which happened (timed inside the callback so
-      // waiting on the cache's compile lock is not charged).
-      [&]() -> Result<jit::CompiledTrace> {
-        jit::CodegenOptions cg;
-        cg.scheme_specialization = situation.schemes;
-        AVM_ASSIGN_OR_RETURN(
-            outcome,
-            jit::CompileTrace(*program_, graph_, trace, verified, cg, disk_,
-                              key));
-        return std::move(outcome.trace);
-      },
-      &compiled_fresh);
-  if (!got.ok()) {
-    declined_.insert(key);
-    return got.status();
-  }
-  std::shared_ptr<const jit::CompiledTrace> compiled =
-      std::move(got).ValueOrDie();
-  if (compiled_fresh) {
-    report_.disk_cache_corrupt += outcome.disk_corrupt;
-    if (outcome.from_disk) {
-      // Machine code came from AVM_TRACE_CACHE_DIR: the warm-restart path.
-      // Deliberately NOT a traces_compiled — no backend ran.
-      ++report_.disk_cache_hits;
-    } else {
-      if (outcome.disk_probed) ++report_.disk_cache_misses;
-      report_.compile_seconds += outcome.compile_seconds;
-      report_.opt_compile_seconds += outcome.compile_seconds;
-      ++report_.traces_compiled;
-    }
-  } else {
-    ++report_.traces_reused;
-  }
-
-  interp::InjectedTrace inj =
-      jit::MakeInjection(std::move(compiled), options_.interp.chunk_size);
-  AVM_LOG(kDebug) << "inject " << inj.name << " at iter " << iteration << " "
-                  << situation.ToString();
+  interp::InjectedTrace inj = jit::MakeInjection(std::move(decision.trace),
+                                                 options_.interp.chunk_size);
+  AVM_LOG(kDebug) << "inject " << inj.name << " at iter " << iteration;
   std::unordered_set<uint32_t> covered = inj.covered_stmt_ids;
   for (const interp::InjectedTrace& old : in.AddInjection(std::move(inj))) {
     // A trace of an earlier partition that shares statements with this
@@ -367,8 +332,47 @@ Status AdaptiveVm::InstallTrace(Interpreter& in, const ir::Trace& trace,
       return entry.second == old.covered_stmt_ids;
     });
   }
-  installed_.emplace(key, std::move(covered));
+  installed_.emplace(std::move(situation), std::move(covered));
   return Status::OK();
+}
+
+TracePlan::Decision AdaptiveVm::Decide(const ir::Trace& trace,
+                                       const TracePlan::Situation& situation) {
+  // The JIT gate (docs/VERIFIER.md): every compilability rule lives in
+  // analysis::VerifyTrace. A reject is the decline, reported by its first
+  // rule id; a clean verification hands codegen the facts it emits from.
+  analysis::TraceContext vctx;
+  vctx.sel_inputs = situation.sel_inputs;
+  const analysis::TraceVerification verified =
+      analysis::VerifyTrace(*program_, graph_, trace, vctx);
+  ++report_.verifier_checked;
+  if (!verified.clean()) return {verified.AsStatus(), nullptr};
+
+  jit::CodegenOptions cg;
+  cg.scheme_specialization = situation.schemes;
+  Result<jit::CompileOutcome> outcome = jit::CompileTrace(
+      *program_, graph_, trace, verified, cg, disk_.get());
+  if (!outcome.ok()) return {outcome.status(), nullptr};
+  const jit::CodeOrigin& origin = outcome.value().origin;
+  report_.disk_cache_corrupt += origin.disk_corrupt;
+  if (origin.disk_missed) ++report_.disk_cache_misses;
+  switch (origin.from) {
+    case jit::CodeOrigin::From::kCache:
+      ++report_.traces_reused;
+      break;
+    case jit::CodeOrigin::From::kDisk:
+      // The warm-restart path: machine code from AVM_TRACE_CACHE_DIR.
+      // Deliberately NOT a traces_compiled — no compiler ran.
+      ++report_.disk_cache_hits;
+      break;
+    case jit::CodeOrigin::From::kCompiler:
+      report_.compile_seconds += origin.compile_seconds;
+      report_.opt_compile_seconds += origin.compile_seconds;
+      ++report_.traces_compiled;
+      break;
+  }
+  return {Status::OK(), std::make_shared<const jit::CompiledTrace>(
+                            std::move(outcome).ValueOrDie().trace)};
 }
 
 }  // namespace avm::vm

@@ -7,20 +7,23 @@
 // into the interpreter, and keep watching: when a block's compression
 // scheme changes the injected trace's applicability check fails, the VM
 // falls back to interpretation and compiles a new variant for the new
-// situation, reusing the trace cache when the situation recurs.
+// situation. The morsel VMs of one query decide each situation once, in
+// the query's TracePlan, and machine code is shared by source through
+// jit::CodeCache (docs/TRACE_CACHE.md §2).
 #pragma once
 
+#include <compare>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "interp/interpreter.h"
 #include "ir/depgraph.h"
-#include "jit/trace_cache.h"
+#include "jit/trace_compiler.h"
 #include "util/thread_annotations.h"
 #include "vm/state_machine.h"
 
@@ -45,9 +48,9 @@ struct VmOptions {
   bool specialize_compression = true;
   /// Only compile traces whose profiled cost share exceeds this fraction.
   double min_cost_share = 0.05;
-  /// Persistent compiled-artifact store consulted before any backend
-  /// compile and populated after; nullptr = the AVM_TRACE_CACHE_DIR cache
-  /// (DiskTraceCache::FromEnv), i.e. off unless that variable is set.
+  /// Persistent compiled-artifact store that a jit::CodeCache miss probes
+  /// before compiling and fills after; nullptr = the AVM_TRACE_CACHE_DIR
+  /// cache (DiskTraceCache::FromEnv), i.e. off unless that variable is set.
   std::shared_ptr<jit::DiskTraceCache> disk_cache;
 };
 
@@ -59,10 +62,13 @@ struct VmReport {
   /// only the rows they read (docs/SPILL.md §6).
   uint64_t chunks_streamed = 0;
   /// Greedy partitions (§III-B) this run computed. A pass whose inputs
-  /// match a partition in the VM's PartitionMemo reuses it uncounted.
+  /// match a partition in the VM's TracePlan reuses it uncounted.
   uint64_t partitions = 0;
+  /// Compiler runs: traces whose machine code this run compiled.
   uint64_t traces_compiled = 0;
-  uint64_t traces_reused = 0;     ///< trace-cache hits on recompile checks
+  /// Traces installed without compiling or loading: taken from the
+  /// query's TracePlan, or machine code found in jit::CodeCache.
+  uint64_t traces_reused = 0;
   uint64_t injection_runs = 0;
   uint64_t injection_fallbacks = 0;
   double compile_seconds = 0;
@@ -85,18 +91,18 @@ struct VmReport {
   double fast_compile_seconds = 0;
   double opt_compile_seconds = 0;
   uint64_t tier_upgrades_requested = 0;
-  /// Persistent-cache traffic of this run: situations whose machine code
-  /// was loaded from AVM_TRACE_CACHE_DIR instead of compiled (hits — these
-  /// do NOT count into traces_compiled), situations probed without a
-  /// loadable artifact (misses), and corrupt entries detected, deleted and
+  /// Persistent-cache traffic of this run: traces whose machine code was
+  /// loaded from AVM_TRACE_CACHE_DIR instead of compiled (hits — these do
+  /// NOT count into traces_compiled), traces probed without a loadable
+  /// artifact (misses), and corrupt entries detected, deleted and
   /// recompiled along the way.
   uint64_t disk_cache_hits = 0;
   uint64_t disk_cache_misses = 0;
   uint64_t disk_cache_corrupt = 0;
   /// Candidate trace situations the JIT gate (analysis::VerifyTrace)
   /// checked for installation this run, accepted or declined; each is
-  /// checked once per run. The partitioner's acceptor checks are not
-  /// counted.
+  /// checked once per TracePlan, by the VM that decides it. The
+  /// partitioner's acceptor checks are not counted.
   uint64_t verifier_checked = 0;
 
   /// Fold another run's report in: counts and seconds add, jit_declined and
@@ -105,18 +111,28 @@ struct VmReport {
   void Merge(const VmReport& other);
 };
 
-/// Greedy partitions (§III-B) with the inputs each was computed from, so
-/// that an optimize pass observing the same inputs reuses a partition
-/// instead of partitioning again. GreedyPartition is deterministic in the
-/// program's graph, the constraints, the bucketed node costs and its
-/// acceptor's answers; the acceptor's answers follow from the unfused
-/// filters and the selections the judged regions carry. A Session gives
-/// every morsel VM of one query the same memo, so the query partitions
-/// about once instead of once per morsel; a VM without a shared memo keeps
-/// a private one. Thread-safe. Entries are keyed by program address: the
-/// programs must outlive the memo, and VMs sharing one must partition
-/// under the same PartitionConstraints.
-class PartitionMemo {
+/// The trace plan of one query: what its morsel VMs decided, kept so that
+/// each decision is made once per query instead of once per VM.
+///
+///  - Greedy partitions (§III-B), each with the inputs it was computed
+///    from, so that an optimize pass observing the same inputs reuses a
+///    partition instead of partitioning again. GreedyPartition is
+///    deterministic in the program's graph, the constraints, the bucketed
+///    node costs and its acceptor's answers; the acceptor's answers follow
+///    from the unfused filters and the selections the judged regions
+///    carry.
+///  - For each situation of each program instance, the JIT gate's verdict
+///    and the compiled trace. The first VM that needs a situation decides
+///    it (verification, code generation, then jit::CodeCache); VMs asking
+///    meanwhile wait, and every later VM installs the decision. A decline
+///    or a failed compile is kept too: the plan's query does not try the
+///    situation again, the next query's plan does.
+///
+/// A Session gives every morsel VM of one query the same plan; a VM
+/// without a shared plan keeps a private one. Thread-safe. Entries are
+/// keyed by program address: the programs must outlive the plan, and VMs
+/// sharing one must run under the same VmOptions.
+class TracePlan {
  public:
   /// One partition and the inputs it was computed from.
   struct Entry {
@@ -136,6 +152,25 @@ class PartitionMemo {
   using SelectionsOf =
       std::function<std::set<std::string>(const ir::Trace& region)>;
 
+  /// One situation of one program instance (§III-C): the trace's graph
+  /// nodes, the compression schemes its reads are specialized for, and the
+  /// chunk inputs that carry a selection. Within one program these
+  /// determine the generated code exactly.
+  struct Situation {
+    const dsl::Program* program = nullptr;
+    std::vector<uint32_t> node_ids;
+    std::map<std::string, Scheme> schemes;
+    std::set<std::string> sel_inputs;
+    auto operator<=>(const Situation&) const = default;
+  };
+
+  /// What was decided for one situation: OK and the compiled trace, or the
+  /// gate's decline or the failed compile's status.
+  struct Decision {
+    Status status;
+    std::shared_ptr<const jit::CompiledTrace> trace;
+  };
+
   /// A published entry of `program` computed from `costs` and `unfused`
   /// whose every judged region carries `selections_of(region)` now; null
   /// when there is none.
@@ -147,9 +182,23 @@ class PartitionMemo {
   /// Make `entry` visible to every later Find.
   void Publish(std::shared_ptr<const Entry> entry);
 
+  /// The decision for `situation`. The first call runs `decide` while
+  /// concurrent calls for the situation wait; every call returns its
+  /// result. `*decided` reports whether this call ran `decide`.
+  Decision Decide(const Situation& situation,
+                  const std::function<Decision()>& decide, bool* decided);
+
  private:
+  /// One situation's decision; its mutex is held while `decide` runs.
+  struct Slot {
+    std::mutex mu;
+    bool done AVM_GUARDED_BY(mu) = false;
+    Decision decision AVM_GUARDED_BY(mu);
+  };
+
   mutable std::mutex mu_;
   std::vector<std::shared_ptr<const Entry>> entries_ AVM_GUARDED_BY(mu_);
+  std::map<Situation, std::shared_ptr<Slot>> decisions_ AVM_GUARDED_BY(mu_);
 };
 
 /// The adaptive virtual machine (file comment above): a vectorized
@@ -159,15 +208,11 @@ class PartitionMemo {
 /// and falls back to interpretation when a situation stops matching.
 class AdaptiveVm {
  public:
-  /// `program` must be type-checked and outlive the VM. When `shared_cache`
-  /// is non-null the VM compiles into / reuses that (thread-safe) cache
-  /// instead of a private one — this is how morsel workers of a parallel run
-  /// share each other's compiled traces. Likewise a non-null `shared_memo`
-  /// replaces the VM's private PartitionMemo, so morsel workers of one
-  /// query share each other's partitions.
+  /// `program` must be type-checked and outlive the VM. A non-null `plan`
+  /// replaces the VM's private TracePlan: morsel VMs of one query share
+  /// its partitions and trace decisions through it.
   AdaptiveVm(const dsl::Program* program, VmOptions options = {},
-             jit::TraceCache* shared_cache = nullptr,
-             PartitionMemo* shared_memo = nullptr);
+             TracePlan* plan = nullptr);
 
   /// Access the embedded interpreter to bind data (before Run).
   interp::Interpreter& interpreter() { return *interp_; }
@@ -177,21 +222,24 @@ class AdaptiveVm {
 
   VmReport Report() const;
   const StateMachine& state_machine() const { return sm_; }
-  const jit::TraceCache& trace_cache() const { return *cache_; }
 
  private:
   Status OnIteration(interp::Interpreter& in, uint64_t iteration);
   Status OptimizePass(interp::Interpreter& in, uint64_t iteration);
   Status InstallTrace(interp::Interpreter& in, const ir::Trace& trace,
                       uint64_t iteration);
+  /// Verify, generate and compile (or load) `trace` for `situation`: the
+  /// decision the VM makes when it is the first to need the situation.
+  TracePlan::Decision Decide(const ir::Trace& trace,
+                             const TracePlan::Situation& situation);
   /// Current compression situation of the data arrays a trace reads.
   std::map<std::string, Scheme> ObserveSchemes(interp::Interpreter& in,
                                                const ir::Trace& trace) const;
   /// Chunk-variable trace inputs currently carrying a selection vector —
   /// the selection part of the situation. Each morsel worker observes its
   /// own environment; since workers of one query run the same program
-  /// shape, they observe the same pattern and share the compiled variant
-  /// through the (shared) TraceCache.
+  /// shape, they observe the same pattern and share the decision through
+  /// the query's TracePlan.
   std::set<std::string> ObserveSelections(interp::Interpreter& in,
                                           const ir::Trace& trace) const;
 
@@ -204,21 +252,15 @@ class AdaptiveVm {
   /// deterministic (tuple-count-based) profile refresh applies.
   std::vector<double> static_cost_;
   StateMachine sm_;
-  jit::TraceCache own_cache_;
-  jit::TraceCache* cache_ = &own_cache_;  ///< points at own_cache_ or shared
-  PartitionMemo own_memo_;
-  PartitionMemo* memo_ = &own_memo_;  ///< points at own_memo_ or shared
+  TracePlan own_plan_;
+  TracePlan* plan_ = &own_plan_;  ///< points at own_plan_ or shared
   /// Situations whose injection is installed, with the statements it
   /// covers (the interpreter drops an injection that a newer, partly
-  /// overlapping one replaces; its keys are dropped with it).
-  std::unordered_map<uint64_t, std::unordered_set<uint32_t>> installed_;
+  /// overlapping one replaces; its situations are dropped with it).
+  std::map<TracePlan::Situation, std::unordered_set<uint32_t>> installed_;
   /// Invocations and fallbacks of replaced injections.
   uint64_t retired_runs_ = 0;
   uint64_t retired_fallbacks_ = 0;
-  /// Situations the gate declined or whose compile failed: skipped for the
-  /// rest of this VM's run instead of re-verified and recompiled at every
-  /// recheck. The next query's VM tries them again.
-  std::unordered_set<uint64_t> declined_;
   bool optimized_once_ = false;
   VmReport report_;
   /// Persistent store resolved at construction (options or environment).

@@ -3,7 +3,7 @@
 // starts no background compile that could outlive the Session (or write
 // into the JIT scratch directory after process exit has removed it). The
 // test has a binary of its own so that its compiles cannot be served from
-// a compiler memo warmed by an earlier test of the same process.
+// the process's code cache (jit::CodeCache), warmed by an earlier test.
 #include <dirent.h>
 #include <gtest/gtest.h>
 

@@ -185,20 +185,22 @@ TEST(ExecContextTest, ParallelQ1WithSharedJitCache) {
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_EQ(Q1ResultFromQuery(q), oracle.value());
   EXPECT_GT(run.value().injection_runs, 0u);
-  // The shared TraceCache means later workers reuse what the first worker
-  // compiled instead of compiling their own copies: far fewer compilations
-  // than workers * traces, and at least one cache reuse.
-  EXPECT_GT(run.value().traces_compiled + run.value().disk_cache_hits, 0u);
+  // The query's shared TracePlan means later workers install what the
+  // first worker compiled instead of compiling their own copies: far fewer
+  // compilations than workers * traces, and at least one reuse.
+  EXPECT_GT(run.value().traces_compiled + run.value().traces_reused +
+                run.value().disk_cache_hits,
+            0u);
   EXPECT_GT(run.value().traces_reused, 0u);
 }
 
-TEST(ExecContextTest, RepeatedRunsReuseSessionTraceCache) {
+TEST(ExecContextTest, RepeatedRunsReuseCompiledCode) {
   if (!jit::HostCompilerAvailable()) {
     GTEST_SKIP() << "no host compiler";
   }
   // A single-map pipeline partitions into exactly one trace regardless of
-  // profiled costs, so its situation fingerprint is stable run-over-run
-  // (Q1's multi-trace partition can shift with cycle noise).
+  // profiled costs, so its generated source is stable run-over-run. No
+  // earlier test in this binary compiles it.
   const int64_t n = 64'000;
   DataGen gen(23);
   auto data = gen.UniformI64(n, -100, 100);
@@ -225,8 +227,8 @@ TEST(ExecContextTest, RepeatedRunsReuseSessionTraceCache) {
   EXPECT_EQ(first.value().traces_compiled + first.value().disk_cache_hits, 1u);
   auto second = run_once();
   ASSERT_TRUE(second.ok()) << second.status().ToString();
-  // Second run of the same query shape: the trace comes from the session's
-  // persistent cache, not a fresh compilation.
+  // Second run of the same query shape: the machine code comes from the
+  // process's code cache, not a fresh compilation.
   EXPECT_GT(second.value().traces_reused, 0u);
   EXPECT_EQ(second.value().traces_compiled, 0u);
   for (int64_t i = 0; i < n; ++i) {

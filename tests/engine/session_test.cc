@@ -1,7 +1,7 @@
 // Multi-query concurrency on engine::Session: N in-flight queries over M
 // shared workers, differentially checked bit-identical against serial
-// baselines; admission, cancellation, and single-flight trace compilation
-// under contention.
+// baselines; admission, cancellation, single-flight trace compilation
+// under contention, and machine code shared only between equal sources.
 #include "engine/session.h"
 
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "dsl/builder.h"
+#include "dsl/parser.h"
 #include "dsl/typecheck.h"
 #include "engine/query_builder.h"
 #include "jit/jit_backend.h"
@@ -351,10 +352,11 @@ TEST(SessionTest, SubmitErrorSurfacesThroughHandle) {
   EXPECT_NE(r.status().ToString().find("src"), std::string::npos);
 }
 
-// Many same-shape adaptive-JIT queries racing on one cold cache: the
-// per-situation single-flight in TraceCache must collapse every concurrent
-// miss into ONE host-compiler invocation, with all other workers reusing
-// the winner's trace.
+// Many same-shape adaptive-JIT queries racing on a cold process: each
+// query decides its situation once (its TracePlan), and the code cache's
+// per-source single-flight collapses the queries' concurrent misses into
+// ONE host-compiler invocation, with all other workers reusing the
+// winner's machine code. No earlier test in this binary compiles the map.
 TEST(SessionTest, SingleFlightTraceCompilationUnderContention) {
   if (!jit::HostCompilerAvailable()) {
     GTEST_SKIP() << "no host compiler";
@@ -563,10 +565,10 @@ TEST(SessionTest, ConcurrentJoinBuildSubmitCancel) {
   EXPECT_EQ(session.stats().completed, static_cast<uint64_t>(2 * kPerThread));
 }
 
-// Cost bucketing makes Q1's greedy partition (and so its trace
-// fingerprints) stable run-to-run: the second run of the same query shape
-// on one session must be served entirely from the cross-run TraceCache.
-TEST(SessionTest, Q1RepeatedRunsHitCrossRunTraceCache) {
+// Cost bucketing makes Q1's greedy partition (and so its generated source)
+// stable run-to-run: the second run of the same query shape on one session
+// must take all of its machine code from the process's code cache.
+TEST(SessionTest, Q1RepeatedRunsReuseCompiledCode) {
   if (!jit::HostCompilerAvailable()) {
     GTEST_SKIP() << "no host compiler";
   }
@@ -584,7 +586,9 @@ TEST(SessionTest, Q1RepeatedRunsHitCrossRunTraceCache) {
   auto r1 = session.Run(first.context(), qo);
   ASSERT_TRUE(r1.ok()) << r1.status().ToString();
   EXPECT_EQ(Q1ResultFromQuery(first), oracle);
-  EXPECT_GT(r1.value().traces_compiled + r1.value().disk_cache_hits, 0u);
+  EXPECT_GT(r1.value().traces_compiled + r1.value().traces_reused +
+                r1.value().disk_cache_hits,
+            0u);
 
   Query second = MakeQ1Query(*lineitem).ValueOrDie();
   auto r2 = session.Run(second.context(), qo);
@@ -595,10 +599,10 @@ TEST(SessionTest, Q1RepeatedRunsHitCrossRunTraceCache) {
   EXPECT_GT(r2.value().traces_reused, 0u);
 }
 
-// The morsel VMs of one query share its partitions: a 4-worker Q1 over 16
+// The morsel VMs of one query share its trace plan: a 4-worker Q1 over 16
 // morsels partitions fewer times than it has morsels (VMs whose first
-// optimize passes overlap may each partition once), and its groups stay
-// exact.
+// optimize passes overlap may each partition once), verifies its one
+// situation once, and its groups stay exact.
 TEST(SessionTest, MorselVmsOfAQueryShareItsPartitions) {
   if (!jit::HostCompilerAvailable()) {
     GTEST_SKIP() << "no host compiler";
@@ -616,7 +620,149 @@ TEST(SessionTest, MorselVmsOfAQueryShareItsPartitions) {
   EXPECT_EQ(r.value().morsels, 16u);
   EXPECT_GE(r.value().partitions, 1u);
   EXPECT_LT(r.value().partitions, r.value().morsels);
+  EXPECT_EQ(r.value().verifier_checked, 1u);
+  EXPECT_EQ(r.value().traces_compiled + r.value().traces_reused +
+                r.value().disk_cache_hits,
+            r.value().morsels);
   EXPECT_GT(r.value().injection_runs, 0u);
+}
+
+// A query run on a second Session of the process takes its machine code
+// from the process's code cache: no compiler run, no disk load.
+TEST(SessionTest, SecondSessionReusesTheFirstSessionsCode) {
+  if (!jit::HostCompilerAvailable()) {
+    GTEST_SKIP() << "no host compiler";
+  }
+  const int64_t n = 64'000;
+  DataGen gen(27);
+  auto data = gen.UniformI64(n, -100, 100);
+  QueryOptions qo;
+  qo.strategy = ExecutionStrategy::kAdaptiveJit;
+  qo.vm.optimize_after_iterations = 2;
+  std::vector<ExecReport> reports;
+  for (int run = 0; run < 2; ++run) {
+    std::vector<int64_t> out(n);
+    // A map no other test in this binary compiles.
+    ExecContext ctx(
+        [](int64_t rows) -> Result<dsl::Program> {
+          return dsl::MakeMapPipeline(
+              TypeId::kI64,
+              dsl::Lambda({"x"}, dsl::Var("x") * dsl::ConstI(11) +
+                                     dsl::ConstI(4)),
+              rows);
+        },
+        n);
+    ctx.BindInput("src",
+                  interp::DataBinding::Raw(TypeId::kI64, data.data(), n));
+    ctx.BindOutput(
+        "out", interp::DataBinding::Raw(TypeId::kI64, out.data(), n, true));
+    auto r = Session({.num_workers = 1}).Run(ctx, qo);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    for (int64_t i = 0; i < n; ++i) {
+      ASSERT_EQ(out[i], data[i] * 11 + 4) << "run " << run << " row " << i;
+    }
+    reports.push_back(r.value());
+  }
+  EXPECT_EQ(reports[0].traces_compiled + reports[0].disk_cache_hits, 1u);
+  EXPECT_EQ(reports[1].traces_compiled, 0u);
+  EXPECT_EQ(reports[1].disk_cache_hits, 0u);
+  EXPECT_EQ(reports[1].compile_seconds, 0.0);
+  EXPECT_GT(reports[1].traces_reused, 0u);
+}
+
+/// Output column of the fixed program `program` over the i64 `inputs`
+/// (bound by name, 65,536 rows each) on `session`, which must write "out".
+std::vector<int64_t> RunFixedProgram(
+    Session& session, const dsl::Program& program,
+    const std::vector<std::pair<std::string, std::vector<int64_t>*>>& inputs,
+    ExecutionStrategy strategy) {
+  constexpr int64_t kRows = 65'536;
+  std::vector<int64_t> out(kRows, 0);
+  ExecContext ctx(&program);
+  for (const auto& [name, column] : inputs) {
+    ctx.BindInput(name, interp::DataBinding::Raw(TypeId::kI64,
+                                                 column->data(), kRows));
+  }
+  ctx.BindOutput("out",
+                 interp::DataBinding::Raw(TypeId::kI64, out.data(), kRows,
+                                          true));
+  QueryOptions qo;
+  qo.strategy = strategy;
+  qo.vm.optimize_after_iterations = 2;
+  auto r = session.Run(ctx, qo);
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  if (r.ok() && strategy == ExecutionStrategy::kAdaptiveJit &&
+      jit::HostCompilerAvailable()) {
+    EXPECT_GT(r.value().injection_runs, 0u);
+  }
+  return out;
+}
+
+/// Rows of `got` that differ from `want`.
+size_t DifferingRows(const std::vector<int64_t>& got,
+                     const std::vector<int64_t>& want) {
+  size_t differ = 0;
+  for (size_t i = 0; i < want.size(); ++i) differ += got[i] != want[i];
+  return differ;
+}
+
+// Two maps whose constants differ only past the 21 characters a node label
+// keeps of a lambda body: their traces look alike, but the second program
+// on one Session must run its own machine code, not the first's.
+TEST(SessionTest, MapConstantsDifferingPastTheLabelCutDoNotShareCode) {
+  const int64_t n = 65'536;
+  std::vector<int64_t> src = DataGen(29).UniformI64(n, -1000, 1000);
+  Session session({.num_workers = 1});
+  for (int64_t add : {int64_t{1'000'000'001}, int64_t{1'000'000'002}}) {
+    dsl::Program p = dsl::MakeMapPipeline(
+        TypeId::kI64,
+        dsl::Lambda({"v"}, dsl::Var("v") * dsl::ConstI(1'000'000) +
+                               dsl::ConstI(add)),
+        n);
+    ASSERT_TRUE(dsl::TypeCheck(&p).ok());
+    const std::vector<int64_t> want = RunFixedProgram(
+        session, p, {{"src", &src}}, ExecutionStrategy::kInterpret);
+    const std::vector<int64_t> got = RunFixedProgram(
+        session, p, {{"src", &src}}, ExecutionStrategy::kAdaptiveJit);
+    EXPECT_EQ(DifferingRows(got, want), 0u) << "constant " << add;
+  }
+}
+
+// One subtraction reading its two columns in swapped roles: no node label
+// names the data array a read reads, so the traces look alike, but the
+// second program on one Session must run its own machine code.
+TEST(SessionTest, SwappedColumnRolesDoNotShareCode) {
+  const int64_t n = 65'536;
+  std::vector<int64_t> aa = DataGen(31).UniformI64(n, -1000, 1000);
+  std::vector<int64_t> bb = DataGen(37).UniformI64(n, -1000, 1000);
+  Session session({.num_workers = 1});
+  for (const auto& [first, second] :
+       {std::pair<std::string, std::string>{"aa", "bb"}, {"bb", "aa"}}) {
+    auto parsed = dsl::ParseProgram(
+        "data aa : i64\n"
+        "data bb : i64\n"
+        "data out : i64 writable\n"
+        "mut i\n"
+        "i := 0\n"
+        "loop\n"
+        "  let x = read i " + first + " in\n"
+        "  let y = read i " + second + " in\n"
+        "  let d = map (\\p q -> p - q) x y in\n"
+        "  write out i d\n"
+        "  i := i + (len x)\n"
+        "  if i >= 65536 then\n"
+        "    break\n");
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    dsl::Program p = std::move(parsed).value();
+    ASSERT_TRUE(dsl::TypeCheck(&p).ok());
+    const std::vector<int64_t> want =
+        RunFixedProgram(session, p, {{"aa", &aa}, {"bb", &bb}},
+                        ExecutionStrategy::kInterpret);
+    const std::vector<int64_t> got =
+        RunFixedProgram(session, p, {{"aa", &aa}, {"bb", &bb}},
+                        ExecutionStrategy::kAdaptiveJit);
+    EXPECT_EQ(DifferingRows(got, want), 0u) << "x reads " << first;
+  }
 }
 
 TEST(SessionTest, ConcurrentOrderByFinalizesMergeInPartsOnEveryWorker) {

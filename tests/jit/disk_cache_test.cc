@@ -35,15 +35,13 @@ TEST(DiskCacheTest, StoreLoadRoundtrip) {
   TempDir tmp("avm_disk_cache_test");
   DiskTraceCache cache(tmp.path(), 64 << 20);
   JitArtifact art = MakeArtifact(4096, 7);
-  ASSERT_TRUE(cache.Store(/*situation_key=*/11, /*source_hash=*/42,
-                          /*version_hash=*/5, art)
-                  .ok());
-  auto loaded = cache.TryLoad(11, 42, 5);
+  ASSERT_TRUE(cache.Store(/*source_hash=*/42, /*version_hash=*/5, art).ok());
+  auto loaded = cache.TryLoad(42, 5);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded.value().bytes, art.bytes);
-  // One file per (situation, version): a 56-byte header, then the payload.
-  const std::string path = cache.EntryPath(11, 5);
-  EXPECT_EQ(path, tmp.path() + "/t000000000000000bv0000000000000005.avmtc");
+  // One file per (source, version): a 56-byte header, then the payload.
+  const std::string path = cache.EntryPath(42, 5);
+  EXPECT_EQ(path, tmp.path() + "/s000000000000002av0000000000000005.avmtc");
   struct stat st;
   ASSERT_EQ(::stat(path.c_str(), &st), 0);
   EXPECT_EQ(st.st_size, 56 + 4096);
@@ -53,10 +51,10 @@ TEST(DiskCacheTest, StoreLoadRoundtrip) {
   EXPECT_EQ(stats.misses, 0u);
 }
 
-TEST(DiskCacheTest, MissOnUnknownSituation) {
+TEST(DiskCacheTest, MissOnUnknownSource) {
   TempDir tmp("avm_disk_cache_test");
   DiskTraceCache cache(tmp.path(), 64 << 20);
-  auto loaded = cache.TryLoad(999, 42, 5);
+  auto loaded = cache.TryLoad(999, 5);
   EXPECT_FALSE(loaded.ok());
   EXPECT_TRUE(loaded.status().IsNotFound());
   EXPECT_EQ(cache.stats().misses, 1u);
@@ -67,35 +65,33 @@ TEST(DiskCacheTest, VersionMismatchSilentlyMisses) {
   // the stale artifact must never load, and it is a miss — not corruption.
   TempDir tmp("avm_disk_cache_test");
   DiskTraceCache cache(tmp.path(), 64 << 20);
-  ASSERT_TRUE(cache.Store(11, 42, /*version_hash=*/5,
-                          MakeArtifact(512, 1))
-                  .ok());
-  auto loaded = cache.TryLoad(11, 42, /*version_hash=*/6);
+  ASSERT_TRUE(cache.Store(42, /*version_hash=*/5, MakeArtifact(512, 1)).ok());
+  auto loaded = cache.TryLoad(42, /*version_hash=*/6);
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().corrupt_dropped, 0u);
 }
 
 TEST(DiskCacheTest, SourceHashMismatchInvalidates) {
-  // Same situation key but different generated source (e.g. a codegen
-  // change that the version hash missed): the entry is stale, removed, and
-  // reported as a miss so the caller recompiles.
+  // An entry whose header names another source than its filename (a
+  // renamed or cross-linked file) is stale: removed and reported as a
+  // miss, so the caller recompiles instead of loading foreign code.
   TempDir tmp("avm_disk_cache_test");
   DiskTraceCache cache(tmp.path(), 64 << 20);
-  ASSERT_TRUE(
-      cache.Store(11, /*source_hash=*/42, 5, MakeArtifact(512, 2))
-          .ok());
-  auto loaded = cache.TryLoad(11, /*source_hash=*/43, 5);
+  ASSERT_TRUE(cache.Store(/*source_hash=*/42, 5, MakeArtifact(512, 2)).ok());
+  ASSERT_EQ(std::rename(cache.EntryPath(42, 5).c_str(),
+                        cache.EntryPath(43, 5).c_str()),
+            0);
+  auto loaded = cache.TryLoad(/*source_hash=*/43, 5);
   EXPECT_FALSE(loaded.ok());
-  EXPECT_FALSE(FileExists(cache.EntryPath(11, 5)));
+  EXPECT_FALSE(FileExists(cache.EntryPath(43, 5)));
 }
 
 TEST(DiskCacheTest, CorruptEntryDroppedAndDeleted) {
   TempDir tmp("avm_disk_cache_test");
   DiskTraceCache cache(tmp.path(), 64 << 20);
-  ASSERT_TRUE(
-      cache.Store(11, 42, 5, MakeArtifact(2048, 3)).ok());
-  const std::string path = cache.EntryPath(11, 5);
+  ASSERT_TRUE(cache.Store(42, 5, MakeArtifact(2048, 3)).ok());
+  const std::string path = cache.EntryPath(42, 5);
   ASSERT_TRUE(FileExists(path));
 
   // Flip one payload byte: the checksum must catch it.
@@ -110,26 +106,24 @@ TEST(DiskCacheTest, CorruptEntryDroppedAndDeleted) {
     std::fclose(f);
   }
   uint64_t corrupt_dropped = 0;
-  auto loaded = cache.TryLoad(11, 42, 5, &corrupt_dropped);
+  auto loaded = cache.TryLoad(42, 5, &corrupt_dropped);
   EXPECT_FALSE(loaded.ok());
   EXPECT_TRUE(loaded.status().IsNotFound());
   EXPECT_EQ(corrupt_dropped, 1u);
   EXPECT_EQ(cache.stats().corrupt_dropped, 1u);
   // The poisoned file is gone: the recompiled artifact can be re-stored.
   EXPECT_FALSE(FileExists(path));
-  ASSERT_TRUE(
-      cache.Store(11, 42, 5, MakeArtifact(2048, 3)).ok());
-  EXPECT_TRUE(cache.TryLoad(11, 42, 5).ok());
+  ASSERT_TRUE(cache.Store(42, 5, MakeArtifact(2048, 3)).ok());
+  EXPECT_TRUE(cache.TryLoad(42, 5).ok());
 }
 
 TEST(DiskCacheTest, TruncatedEntryDropped) {
   TempDir tmp("avm_disk_cache_test");
   DiskTraceCache cache(tmp.path(), 64 << 20);
-  ASSERT_TRUE(
-      cache.Store(11, 42, 5, MakeArtifact(2048, 4)).ok());
-  const std::string path = cache.EntryPath(11, 5);
+  ASSERT_TRUE(cache.Store(42, 5, MakeArtifact(2048, 4)).ok());
+  const std::string path = cache.EntryPath(42, 5);
   ASSERT_EQ(::truncate(path.c_str(), 300), 0);
-  auto loaded = cache.TryLoad(11, 42, 5);
+  auto loaded = cache.TryLoad(42, 5);
   EXPECT_FALSE(loaded.ok());
   EXPECT_GE(cache.stats().corrupt_dropped, 1u);
   EXPECT_FALSE(FileExists(path));
@@ -140,17 +134,16 @@ TEST(DiskCacheTest, EvictsLeastRecentlyUsedOverBudget) {
   const size_t kPayload = 8192;
   TempDir tmp("avm_disk_cache_test");
   DiskTraceCache cache(tmp.path(), 2 * (kPayload + 256));
-  for (uint64_t sit = 1; sit <= 4; ++sit) {
-    ASSERT_TRUE(
-        cache.Store(sit, 42, 5, MakeArtifact(kPayload, 9)).ok());
+  for (uint64_t source = 1; source <= 4; ++source) {
+    ASSERT_TRUE(cache.Store(source, 5, MakeArtifact(kPayload, 9)).ok());
   }
   EXPECT_GE(cache.stats().evictions, 2u);
   // The newest entry always survives its own store's eviction pass.
   EXPECT_TRUE(FileExists(cache.EntryPath(4, 5)));
   // At least one of the older entries is gone.
   int survivors = 0;
-  for (uint64_t sit = 1; sit <= 4; ++sit) {
-    if (FileExists(cache.EntryPath(sit, 5))) ++survivors;
+  for (uint64_t source = 1; source <= 4; ++source) {
+    if (FileExists(cache.EntryPath(source, 5))) ++survivors;
   }
   EXPECT_LE(survivors, 2);
 }
@@ -177,8 +170,8 @@ TEST(DiskCacheTest, TwoInstancesShareOneDirectory) {
   DiskTraceCache a(dir, 64 << 20);
   DiskTraceCache b(dir, 64 << 20);
   JitArtifact art = MakeArtifact(1024, 12);
-  ASSERT_TRUE(a.Store(21, 42, 5, art).ok());
-  auto loaded = b.TryLoad(21, 42, 5);
+  ASSERT_TRUE(a.Store(42, 5, art).ok());
+  auto loaded = b.TryLoad(42, 5);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded.value().bytes, art.bytes);
 }

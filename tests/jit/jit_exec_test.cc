@@ -47,7 +47,7 @@ Result<CompiledFixture> Compile(dsl::Program program, bool fuse_filters,
         analysis::VerifyTrace(fx.program, fx.graph, t);
     if (!verified.clean()) continue;
     auto compiled = CompileTrace(fx.program, fx.graph, t, verified, cg,
-                                 /*disk=*/nullptr, /*situation_key=*/0);
+                                 /*disk=*/nullptr);
     if (compiled.ok()) {
       fx.compiled.push_back(std::make_shared<const CompiledTrace>(
           std::move(compiled).value().trace));
@@ -733,7 +733,7 @@ TEST(JitExecTest, OverlappingTraceReplacesEarlierOne) {
         analysis::VerifyTrace(p, g.value(), *t);
     ASSERT_TRUE(verified.clean()) << verified.ToString();
     auto compiled = CompileTrace(p, g.value(), *t, verified, {},
-                                 /*disk=*/nullptr, /*situation_key=*/0);
+                                 /*disk=*/nullptr);
     ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
     entries.push_back(std::make_shared<const CompiledTrace>(
         std::move(compiled).value().trace));

@@ -58,13 +58,12 @@ TEST(ScratchDirTest, HonorsTmpdirAtFirstUse) {
   // The whole pipeline — compile scratch files, artifact materialization
   // for dlopen — works out of the redirected directory.
   if (!HostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
-  CcBackend& backend = CcBackend::Global();
   const std::string source =
       "extern \"C\" long long avm_tmpdir_probe(long long x) {"
       " return x * 2 + 1; }";
-  auto artifact = backend.Compile(source, "avm_tmpdir_probe", nullptr);
+  auto artifact = CompileArtifact(source);
   ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
-  auto sym = ArtifactLoader::Global().Load(artifact.value(), "avm_tmpdir_probe");
+  auto sym = LoadArtifact(artifact.value(), "avm_tmpdir_probe");
   ASSERT_TRUE(sym.ok()) << sym.status().ToString();
   auto fn = reinterpret_cast<long long (*)(long long)>(sym.value());
   EXPECT_EQ(fn(20), 41);

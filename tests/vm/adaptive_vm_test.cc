@@ -87,13 +87,13 @@ struct GatherFilterRun {
 };
 
 /// Runs `p` = GatherFilterProgram(n) over fixed data (~95% of y passes the
-/// filter), with gathers kept out of traces and the VM sharing `memo` when
+/// filter), with gathers kept out of traces and the VM sharing `plan` when
 /// it is non-null. After iteration `select_at` (0 = never) x's chunk gets
 /// an identity selection before the VM's hook runs: the next iteration
 /// computes x afresh, so only an optimize pass at `select_at` observes it.
 GatherFilterRun RunGatherFilter(const dsl::Program& p, int64_t n,
                                 VmOptions opts, uint64_t select_at,
-                                PartitionMemo* memo = nullptr) {
+                                TracePlan* plan = nullptr) {
   std::vector<int64_t> idx(n), base(n);
   Rng rng(11);
   for (int64_t i = 0; i < n; ++i) {
@@ -103,7 +103,7 @@ GatherFilterRun RunGatherFilter(const dsl::Program& p, int64_t n,
   GatherFilterRun out{std::vector<int64_t>(n, -1),
                       std::vector<int64_t>(n, -1), {}};
   opts.constraints.allow_scatter_gather = false;
-  AdaptiveVm vm(&p, opts, nullptr, memo);
+  AdaptiveVm vm(&p, opts, plan);
   interp::Interpreter& in = vm.interpreter();
   EXPECT_TRUE(
       in.BindData("idx", DataBinding::Raw(TypeId::kI64, idx.data(), n)).ok());
@@ -241,7 +241,7 @@ TEST(AdaptiveVmTest, SchemeChangeTriggersFallbackAndRespecialization) {
   EXPECT_GT(report.injection_runs, 0u);
 }
 
-TEST(AdaptiveVmTest, TraceCacheReusedAcrossSituationRecurrence) {
+TEST(AdaptiveVmTest, PlanReusedAcrossSituationRecurrence) {
   if (!jit::HostCompilerAvailable()) GTEST_SKIP();
   const int64_t kN = 96 * 1024;
   dsl::Program p = dsl::MakeFigure2Program(kN);
@@ -255,7 +255,7 @@ TEST(AdaptiveVmTest, TraceCacheReusedAcrossSituationRecurrence) {
   ASSERT_TRUE(vm.Run().ok());
   // Recurrent passes must not recompile identical situations.
   EXPECT_LE(vm.Report().traces_compiled, 4u);
-  EXPECT_GE(vm.trace_cache().size(), 1u);
+  EXPECT_GT(vm.Report().injection_runs, 0u);
 }
 
 TEST(AdaptiveVmTest, ShortRunStaysInterpreted) {
@@ -356,21 +356,22 @@ std::set<std::string> InstalledTraces(AdaptiveVm& vm) {
   return names;
 }
 
-TEST(AdaptiveVmTest, VmSharingAPartitionMemoReusesItsPartition) {
+TEST(AdaptiveVmTest, VmSharingATracePlanReusesItsDecisions) {
   // A second VM of the same program over the same data observes the same
-  // inputs at its optimize pass: it takes the first VM's partition from
-  // the shared memo instead of partitioning, and installs the same traces.
+  // inputs at its optimize pass: it takes the first VM's partition and
+  // trace decisions from the shared plan instead of partitioning,
+  // verifying and compiling, and installs the same traces.
   if (!jit::HostCompilerAvailable()) GTEST_SKIP();
   const int64_t kN = 32 * 1024;
   dsl::Program p = dsl::MakeFigure2Program(kN);
   ASSERT_TRUE(dsl::TypeCheck(&p).ok());
   VmOptions opts;
   opts.optimize_after_iterations = 4;
-  PartitionMemo memo;
+  TracePlan plan;
   std::vector<VmReport> reports;
   std::vector<std::set<std::string>> installed;
   for (int run = 0; run < 2; ++run) {
-    AdaptiveVm vm(&p, opts, nullptr, &memo);
+    AdaptiveVm vm(&p, opts, &plan);
     Fig2Data d = MakeData(kN);
     ASSERT_TRUE(BindFig2(vm.interpreter(), &d).ok());
     ASSERT_TRUE(vm.Run().ok());
@@ -380,9 +381,13 @@ TEST(AdaptiveVmTest, VmSharingAPartitionMemoReusesItsPartition) {
   }
   EXPECT_EQ(reports[0].partitions, 1u);
   EXPECT_EQ(reports[1].partitions, 0u);
+  EXPECT_GT(reports[0].verifier_checked, 0u);
+  EXPECT_EQ(reports[1].verifier_checked, 0u);
+  EXPECT_EQ(reports[1].traces_compiled + reports[1].disk_cache_hits, 0u);
+  EXPECT_GE(reports[1].traces_reused, installed[0].size());
   EXPECT_FALSE(installed[0].empty());
   EXPECT_EQ(installed[1], installed[0]);
-  // Without a shared memo each VM partitions for itself.
+  // Without a shared plan each VM partitions for itself.
   AdaptiveVm alone(&p, opts);
   Fig2Data d = MakeData(kN);
   ASSERT_TRUE(BindFig2(alone.interpreter(), &d).ok());
@@ -391,7 +396,7 @@ TEST(AdaptiveVmTest, VmSharingAPartitionMemoReusesItsPartition) {
   EXPECT_EQ(InstalledTraces(alone), installed[0]);
 }
 
-TEST(AdaptiveVmTest, SharedMemoPartitionsAgainForANewSelection) {
+TEST(AdaptiveVmTest, SharedPlanPartitionsAgainForANewSelection) {
   // The first VM judges the fused filter region with x positional. A
   // second VM whose x carries a selection at its optimize pass sees the
   // same costs and unfused filters, but not the judged region's
@@ -407,10 +412,10 @@ TEST(AdaptiveVmTest, SharedMemoPartitionsAgainForANewSelection) {
   opts.enable_jit = false;
   const GatherFilterRun want = RunGatherFilter(p, kN, opts, 8);
   opts.enable_jit = true;
-  PartitionMemo memo;
-  const GatherFilterRun first = RunGatherFilter(p, kN, opts, 0, &memo);
-  const GatherFilterRun selected = RunGatherFilter(p, kN, opts, 8, &memo);
-  const GatherFilterRun again = RunGatherFilter(p, kN, opts, 0, &memo);
+  TracePlan plan;
+  const GatherFilterRun first = RunGatherFilter(p, kN, opts, 0, &plan);
+  const GatherFilterRun selected = RunGatherFilter(p, kN, opts, 8, &plan);
+  const GatherFilterRun again = RunGatherFilter(p, kN, opts, 0, &plan);
   EXPECT_EQ(first.report.partitions, 1u);
   EXPECT_EQ(selected.report.partitions, 1u);
   EXPECT_EQ(again.report.partitions, 0u);
@@ -422,11 +427,11 @@ TEST(AdaptiveVmTest, SharedMemoPartitionsAgainForANewSelection) {
   EXPECT_EQ(again.d2, want.d2);
 }
 
-TEST(AdaptiveVmTest, SharedMemoPartitionsAgainForAnUnpredictableFilter) {
+TEST(AdaptiveVmTest, SharedPlanPartitionsAgainForAnUnpredictableFilter) {
   // Same program, two inputs: on the first the filter keeps ~90% of the
   // rows and fuses; on the second it keeps ~83%, inside the unfused band,
   // with the same bucketed costs. The second VM must not take the fused
-  // partition from the memo.
+  // partition from the plan.
   if (!jit::HostCompilerAvailable()) GTEST_SKIP();
   const int64_t kN = 32 * 1024;
   dsl::Program p = dsl::MakeFilterPipeline(
@@ -435,12 +440,12 @@ TEST(AdaptiveVmTest, SharedMemoPartitionsAgainForAnUnpredictableFilter) {
                   dsl::Call(dsl::ScalarOp::kGt, {dsl::Var("x"), dsl::ConstI(1)})),
       kN);
   ASSERT_TRUE(dsl::TypeCheck(&p).ok());
-  PartitionMemo memo;
+  TracePlan plan;
   for (int64_t hi : {int64_t{19}, int64_t{11}}) {
     std::vector<int64_t> data(kN);
     Rng rng(5);
     for (auto& x : data) x = rng.NextInRange(0, hi);
-    AdaptiveVm vm(&p, {}, nullptr, &memo);
+    AdaptiveVm vm(&p, {}, &plan);
     std::vector<int64_t> out(kN, -1);
     interp::Interpreter& in = vm.interpreter();
     ASSERT_TRUE(
