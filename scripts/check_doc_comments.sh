@@ -10,10 +10,12 @@
 # exec_engine.h, query_builder.h) and the headers whose contracts the docs
 # (docs/TRACE_ABI.md, docs/TRACE_CACHE.md, docs/VERIFIER.md, docs/SPILL.md)
 # rely on: adaptive_vm.h, trace_abi.h, codegen.h (code generation from
-# verified traces only), trace_compiler.h, jit_backend.h, code_cache.h,
-# disk_cache.h, the analysis headers, memory_tracker.h and spill_file.h —
-# plus the storage codec headers (compression.h, bitpack.h), the column and
-# its scan cursor (column.h) and the partitioner (depgraph.h).
+# verified traces only), trace_compiler.h, interpreter.h (InjectedTrace,
+# the one decline contract of a compiled trace), jit_backend.h,
+# code_cache.h, disk_cache.h, the analysis headers, memory_tracker.h and
+# spill_file.h — plus the storage codec headers (compression.h,
+# bitpack.h), the column and its scan cursor (column.h) and the
+# partitioner (depgraph.h).
 # CI fails the build on any finding.
 set -u
 
@@ -27,6 +29,7 @@ if [ ${#headers[@]} -eq 0 ]; then
     src/jit/trace_abi.h
     src/jit/codegen.h
     src/jit/trace_compiler.h
+    src/interp/interpreter.h
     src/jit/jit_backend.h
     src/jit/code_cache.h
     src/jit/disk_cache.h

@@ -128,8 +128,6 @@ std::vector<InjectedTrace> Interpreter::AddInjection(InjectedTrace trace) {
   return removed;
 }
 
-void Interpreter::ClearInjections() { injections_.clear(); }
-
 Result<const ir::PrimProgram*> Interpreter::PreparedLambda(
     const Expr& lambda, const std::vector<TypeId>& input_types) {
   auto it = lambda_cache_.find(lambda.id);
@@ -153,33 +151,27 @@ Status Interpreter::ExecBlock(const std::vector<dsl::StmtPtr>& stmts,
   std::unordered_set<uint32_t> skip;
   for (const auto& s : stmts) {
     if (skip.contains(s->id)) continue;
-    // Injection check: a compiled trace may replace this statement (and the
-    // others it covers) for this iteration.
+    // Injection: the first trace installed at this statement whose `run`
+    // accepts the chunk replaces it (and the others it covers) for this
+    // iteration. When all decline, the chunk is interpreted and counts one
+    // fallback, on the first of them.
     bool injected = false;
+    InjectedTrace* declined = nullptr;
     for (auto& tr : injections_) {
       if (tr.anchor_stmt_id != s->id) continue;
-      if (tr.applicable && !tr.applicable(*this)) {
-        ++tr.fallbacks;
-        continue;
-      }
-      uint64_t t0 = ReadCycleCounter();
       Status st = tr.run(*this);
       if (st.IsUnavailable()) {
-        // The trace discovered (side-effect-free) that its preconditions
-        // do not hold for this iteration — e.g. a selection reaching past
-        // the clamped chunk window. Fall back to interpretation, exactly
-        // like a failed `applicable` check.
-        ++tr.fallbacks;
+        if (declined == nullptr) declined = &tr;
         continue;
       }
       AVM_RETURN_NOT_OK(st);
-      tr.cycles += ReadCycleCounter() - t0;
       ++tr.invocations;
       for (uint32_t id : tr.covered_stmt_ids) skip.insert(id);
       injected = true;
       break;
     }
     if (injected) continue;
+    if (declined != nullptr) ++declined->fallbacks;
     AVM_RETURN_NOT_OK(ExecStmt(*s, ctl));
     if (*ctl == Control::kBreak) return Status::OK();
   }

@@ -74,23 +74,24 @@ struct DataBinding {
 class Interpreter;
 
 /// A compiled trace injected into the interpreter. When the interpreter is
-/// about to execute the statement with id `anchor_stmt_id` and `applicable`
-/// holds, it calls `run` (which computes the bindings the covered statements
-/// would have produced) and skips all statements in `covered_stmt_ids`.
-/// `run` may return StatusCode::kUnavailable *before producing any side
-/// effect* to signal that a precondition only discoverable mid-preparation
-/// (e.g. a selection index past the clamped window) does not hold: the
-/// interpreter counts a fallback and executes the covered statements
-/// normally, as if `applicable` had said no.
+/// about to execute the statement with id `anchor_stmt_id`, it calls `run`,
+/// which computes the bindings the covered statements would have produced,
+/// and skips every statement in `covered_stmt_ids`. `run` is the trace's
+/// one applicability check: it returns StatusCode::kUnavailable *before
+/// producing any side effect* when the trace does not apply to the current
+/// chunk, and the interpreter then tries the next trace installed at the
+/// anchor. When every one declines, the covered statements are interpreted
+/// and the chunk counts one fallback, on the first trace installed there.
+/// Any other error fails the run.
 struct InjectedTrace {
   std::string name;
   uint32_t anchor_stmt_id = 0;
   std::unordered_set<uint32_t> covered_stmt_ids;
   std::function<Status(Interpreter&)> run;
-  std::function<bool(Interpreter&)> applicable;  // null = always
+  /// Chunks this trace ran.
   uint64_t invocations = 0;
-  uint64_t cycles = 0;
-  /// Times the anchor was reached but `applicable` said no (the VM's
+  /// Chunks interpreted while this was the first trace installed at its
+  /// anchor: every trace there declined (the VM's
   /// fallback-to-interpretation counter).
   uint64_t fallbacks = 0;
 };
@@ -103,6 +104,9 @@ enum class FilterFlavor : uint8_t {
   kAdaptive,        ///< per-filter-node micro-adaptive choice among the above
 };
 
+/// Settings of one Interpreter: its chunk size (rows per `read`), whether
+/// it profiles each operation for the VM, its filter flavor and its
+/// kernel tier.
 struct InterpreterOptions {
   uint32_t chunk_size = kDefaultChunkSize;
   bool enable_profiling = true;
@@ -113,6 +117,10 @@ struct InterpreterOptions {
   KernelTier kernel_tier = KernelTier::kAuto;
 };
 
+/// Executes one type-checked DSL program chunk at a time over the data
+/// bound to it (file comment above). Installed traces run in place of the
+/// statements they cover, each chunk for which their `run` accepts it
+/// (InjectedTrace). Single-threaded: one interpreter per morsel VM.
 class Interpreter {
  public:
   /// `program` must be type-checked and outlive the interpreter.
@@ -155,7 +163,7 @@ class Interpreter {
 
   // --- adaptivity hooks -----------------------------------------------------
   /// Install `trace`. Installed injections cover equal statement sets
-  /// (variants of one region, told apart by `applicable`) or disjoint
+  /// (variants of one region, told apart by their `run`) or disjoint
   /// ones: a trace publishes only the values that statements outside its
   /// own coverage name, so a trace anchored in another's statement span
   /// that shares statements with it could read a value the other left
@@ -163,7 +171,6 @@ class Interpreter {
   /// `trace`'s without being the same set is therefore removed first;
   /// the removed injections are returned with their counters.
   std::vector<InjectedTrace> AddInjection(InjectedTrace trace);
-  void ClearInjections();
   const std::vector<InjectedTrace>& injections() const { return injections_; }
 
   /// Called after every loop iteration — the VM state machine's heartbeat.

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <string_view>
 
 #include "jit/trace_abi.h"
 #include "util/hash.h"
@@ -69,15 +70,36 @@ Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
 
 namespace {
 
-// Path of the host C++ compiler: AVM_CXX if set, else the first of
-// c++/g++/clang++ on PATH; empty when none is found.
+// Whether a directory of $PATH holds an executable regular file `name`,
+// the search a shell makes to run it (an empty entry is the current
+// directory; an unset PATH searches the C library's default, /bin:/usr/bin).
+bool OnPath(const std::string& name) {
+  const char* env = std::getenv("PATH");
+  std::string_view dirs = env != nullptr ? env : "/bin:/usr/bin";
+  while (true) {
+    const size_t colon = dirs.find(':');
+    const std::string_view dir = dirs.substr(0, colon);
+    const std::string file =
+        (dir.empty() ? std::string(".") : std::string(dir)) + "/" + name;
+    struct stat st{};
+    if (::stat(file.c_str(), &st) == 0 && S_ISREG(st.st_mode) &&
+        ::access(file.c_str(), X_OK) == 0) {
+      return true;
+    }
+    if (colon == std::string_view::npos) return false;
+    dirs.remove_prefix(colon + 1);
+  }
+}
+
+// Name of the host C++ compiler: AVM_CXX if set, else the first of
+// c++/g++/clang++ on PATH; empty when none is found. Compile commands run
+// it by this name through the shell.
 const std::string& HostCompilerPath() {
   static const std::string* compiler = [] {
     const char* env = std::getenv("AVM_CXX");
     if (env != nullptr && *env != '\0') return new std::string(env);
     for (const char* c : {"c++", "g++", "clang++"}) {
-      std::string cmd = StrFormat("command -v %s > /dev/null 2>&1", c);
-      if (std::system(cmd.c_str()) == 0) return new std::string(c);
+      if (OnPath(c)) return new std::string(c);
     }
     return new std::string();
   }();

@@ -40,23 +40,30 @@ Result<CompileOutcome> CompileTrace(const dsl::Program& program,
                                     const CodegenOptions& options,
                                     DiskTraceCache* disk);
 
-/// Build the interpreter injection over a compiled trace. The injection:
-///  - gathers input pointers + lengths (chunk variables, data-read windows,
-///    FOR-compressed delta windows, whole-array gather bases),
-///  - resolves captured scalars from the environment,
-///  - passes the shared selection of the trace's selection-carrying inputs
-///    as TraceCallArgs::sel (selection-specialized variants only),
+/// Build the interpreter injection over a compiled trace. Its `run` is the
+/// one check of whether the trace runs on the current chunk. Each call:
+///  - resolves every input and destination once and checks, before any
+///    side effect, that the trace applies: every chunk input is an array
+///    no longer than the chunk window that carries a selection exactly
+///    when it is one of the variant's `sel_inputs`, and the carriers share
+///    one selection; every data array is bound, every read position lies
+///    in [0, end) and no write position is negative; every FOR input's
+///    block is FOR with at most 32 bits; every gather base is a raw array
+///    and every write or scatter destination a writable one; every
+///    selected row lies inside the clamped window. A failed check returns
+///    Unavailable, and the interpreter interprets the chunk instead
+///    (paper §III-C);
+///  - fills the call frame from what the check resolved: chunk variables,
+///    data-read windows, FOR-compressed delta windows with their reference
+///    values, whole-array gather bases, captured scalars, and the shared
+///    selection as TraceCallArgs::sel (selection-specialized variants);
 ///  - allocates output buffers (data writes land in scratch and publish
 ///    after a bounds check) and calls the compiled function,
 ///  - translates a returned TraceFault into the exact OutOfRange status
 ///    the interpreter's own gather/scatter/write bounds checks raise,
 ///  - publishes escaping values, fold scalars, and the scalar state of
 ///    let-bound writes/scatters (cursor advances) into the environment.
-/// Its `applicable` check verifies positions are in range, compression
-/// scheme requirements hold, and the runtime selection pattern matches the
-/// variant's specialization; when it fails the interpreter transparently
-/// falls back to vectorized interpretation (paper §III-C). See
-/// docs/TRACE_ABI.md for the full contract.
+/// See docs/TRACE_ABI.md for the full contract.
 interp::InjectedTrace MakeInjection(
     std::shared_ptr<const CompiledTrace> trace, uint32_t chunk_size);
 

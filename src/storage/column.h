@@ -44,12 +44,6 @@ class Column {
   /// Block containing `row`, plus the row's offset within it.
   Result<std::pair<const Block*, uint32_t>> BlockAt(uint64_t row) const;
 
-  /// Global row -> (block index, offset inside block).
-  std::pair<size_t, uint32_t> Locate(uint64_t row) const {
-    return {static_cast<size_t>(row / block_size_),
-            static_cast<uint32_t>(row % block_size_)};
-  }
-
   /// Total encoded payload bytes across blocks.
   size_t EncodedBytes() const;
   double CompressionRatio() const;

@@ -8,8 +8,6 @@
 #include <chrono>
 #include <cstdint>
 
-#include "util/macros.h"
-
 #if defined(__x86_64__)
 #include <x86intrin.h>
 #endif
@@ -36,7 +34,6 @@ class Stopwatch {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
   double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
-  double ElapsedMicros() const { return ElapsedSeconds() * 1e6; }
   uint64_t ElapsedNanos() const {
     return static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
@@ -47,19 +44,6 @@ class Stopwatch {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// RAII cycle-accumulator: adds elapsed cycles to `*sink` on destruction.
-class ScopedCycleTimer {
- public:
-  explicit ScopedCycleTimer(uint64_t* sink)
-      : sink_(sink), start_(ReadCycleCounter()) {}
-  ~ScopedCycleTimer() { *sink_ += ReadCycleCounter() - start_; }
-  AVM_DISALLOW_COPY_AND_ASSIGN(ScopedCycleTimer);
-
- private:
-  uint64_t* sink_;
-  uint64_t start_;
 };
 
 }  // namespace avm

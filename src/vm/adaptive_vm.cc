@@ -11,56 +11,41 @@ namespace avm::vm {
 
 using interp::Interpreter;
 
-std::shared_ptr<const TracePlan::Entry> TracePlan::Find(
-    const dsl::Program* program, const std::vector<double>& costs,
-    const std::set<uint32_t>& unfused,
-    const SelectionsOf& selections_of) const {
-  std::vector<std::shared_ptr<const Entry>> candidates;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& e : entries_) {
-      if (e->program == program && e->costs == costs &&
-          e->unfused_filters == unfused) {
-        candidates.push_back(e);
-      }
-    }
-  }
-  // The selections are the caller's interpreter state: observed outside
-  // the lock.
-  for (auto& e : candidates) {
-    if (std::ranges::all_of(e->judged, [&](const auto& region) {
-          return selections_of(region.first) == region.second;
-        })) {
-      return e;
-    }
-  }
-  return nullptr;
+namespace {
+
+// The slot of `key` in `slots`, created on first use. Called with the
+// plan's mutex held; a slot's own mutex is never taken while it is held.
+template <typename K, typename V>
+std::shared_ptr<V> SlotOf(std::map<K, std::shared_ptr<V>>& slots,
+                          const K& key) {
+  std::shared_ptr<V>& slot = slots[key];
+  if (slot == nullptr) slot = std::make_shared<V>();
+  return slot;
 }
 
-void TracePlan::Publish(std::shared_ptr<const Entry> entry) {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.push_back(std::move(entry));
+}  // namespace
+
+std::vector<ir::Trace> TracePlan::Partition(
+    const PartitionKey& key,
+    const std::function<std::vector<ir::Trace>()>& partition,
+    bool* partitioned) {
+  std::shared_ptr<Slot<std::vector<ir::Trace>>> slot;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    slot = SlotOf(partitions_, key);
+  }
+  return slot->Get(partition, partitioned);
 }
 
 TracePlan::Decision TracePlan::Decide(const Situation& situation,
                                       const std::function<Decision()>& decide,
                                       bool* decided) {
-  *decided = false;
-  std::shared_ptr<Slot> slot;
+  std::shared_ptr<Slot<Decision>> slot;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    std::shared_ptr<Slot>& s = decisions_[situation];
-    if (s == nullptr) s = std::make_shared<Slot>();
-    slot = s;
+    slot = SlotOf(decisions_, situation);
   }
-  // A slot's mutex is never taken while mu_ is held.
-  std::lock_guard<std::mutex> lock(slot->mu);
-  if (!slot->done) {
-    slot->decision = decide();
-    slot->done = true;
-    *decided = true;
-  }
-  return slot->decision;
+  return slot->Get(decide, decided);
 }
 
 AdaptiveVm::AdaptiveVm(const dsl::Program* program, VmOptions options,
@@ -122,8 +107,8 @@ Status AdaptiveVm::OnIteration(Interpreter& in, uint64_t iteration) {
     // Situation drift check: when the compression scheme under a trace's
     // reads changed, compile (or fetch from cache) a variant for the new
     // situation. Injections for stale situations of the same region stay
-    // installed; their applicability checks simply stop matching. A trace
-    // of a new partition replaces installed ones it partly overlaps.
+    // installed and decline the chunks they do not match. A trace of a new
+    // partition replaces installed ones it partly overlaps.
     return OptimizePass(in, iteration);
   }
   return Status::OK();
@@ -145,14 +130,23 @@ std::map<std::string, Scheme> AdaptiveVm::ObserveSchemes(
   return schemes;
 }
 
-std::set<std::string> AdaptiveVm::ObserveSelections(
-    Interpreter& in, const ir::Trace& trace) const {
-  std::set<std::string> sel_inputs;
-  for (const std::string& name : trace.ChunkVarInputs(*program_)) {
+std::set<std::string> AdaptiveVm::ObserveSelected(Interpreter& in) const {
+  std::set<std::string> selected;
+  for (const auto& node : graph_.nodes()) {
+    const std::string name = graph_.OutputNameOf(node.id);
     Result<interp::Value> v = in.GetVar(name);
     if (v.ok() && v.value().is_array() && v.value().array->has_sel()) {
-      sel_inputs.insert(name);
+      selected.insert(name);
     }
+  }
+  return selected;
+}
+
+std::set<std::string> AdaptiveVm::SelectionsOf(
+    const ir::Trace& trace, const std::set<std::string>& selected) const {
+  std::set<std::string> sel_inputs;
+  for (const std::string& name : trace.ChunkVarInputs(*program_)) {
+    if (selected.contains(name)) sel_inputs.insert(name);
   }
   return sel_inputs;
 }
@@ -231,49 +225,42 @@ Status AdaptiveVm::OptimizePass(Interpreter& in, uint64_t iteration) {
       unfused.insert(node.id);
     }
   }
-  // Partition only when no partition in the plan was computed from what
-  // this pass observes: the bucketed costs, the unfused filters, and the
-  // selections every region the gate judged carries now. GreedyPartition
-  // is deterministic in those, so it would grow the same traces, whose
-  // situations are decided once per plan anyway.
-  auto selections_of = [&](const ir::Trace& region) {
-    return ObserveSelections(in, region);
-  };
-  std::shared_ptr<const TracePlan::Entry> partition =
-      plan_->Find(program_, costs, unfused, selections_of);
-  if (partition == nullptr) {
-    // A region that fuses a filter stays one trace only if the filter's
-    // branch is predictable and the gate accepts the region under the
-    // selections its inputs carry now; otherwise the partitioner falls
-    // back to the filter-excluding region.
-    auto entry = std::make_shared<TracePlan::Entry>();
-    entry->traces = ir::GreedyPartition(
-        graph_, options_.constraints, [&](const ir::Trace& region) {
-          for (uint32_t id : region.node_ids) {
-            if (unfused.contains(id)) return false;
-          }
-          analysis::TraceContext ctx;
-          ctx.sel_inputs = selections_of(region);
-          entry->judged.emplace_back(region, ctx.sel_inputs);
-          return analysis::VerifyTrace(*program_, graph_, region, ctx).clean();
-        });
-    ++report_.partitions;
-    entry->program = program_;
-    entry->costs = std::move(costs);
-    entry->unfused_filters = std::move(unfused);
-    plan_->Publish(entry);
-    partition = std::move(entry);
-  }
+  // The partition of what this pass observes: the bucketed costs, the
+  // unfused filters and the selections the node outputs carry now. The
+  // query's plan partitions once per key.
+  const TracePlan::PartitionKey key{program_, std::move(costs),
+                                    std::move(unfused), ObserveSelected(in)};
+  bool partitioned = false;
+  const std::vector<ir::Trace> traces = plan_->Partition(
+      key,
+      [&] {
+        // A region that fuses a filter stays one trace only if the
+        // filter's branch is predictable and the gate accepts the region
+        // under the selections its inputs carry now; otherwise the
+        // partitioner falls back to the filter-excluding region.
+        return ir::GreedyPartition(
+            graph_, options_.constraints, [&](const ir::Trace& region) {
+              for (uint32_t id : region.node_ids) {
+                if (key.unfused_filters.contains(id)) return false;
+              }
+              analysis::TraceContext ctx;
+              ctx.sel_inputs = SelectionsOf(region, key.selected);
+              return analysis::VerifyTrace(*program_, graph_, region, ctx)
+                  .clean();
+            });
+      },
+      &partitioned);
+  if (partitioned) ++report_.partitions;
 
   bool any_compiled = false;
   size_t installed_this_pass = 0;
-  for (const auto& trace : partition->traces) {
+  for (const auto& trace : traces) {
     if (installed_this_pass >= options_.max_traces_per_pass) break;
     if (total_cost > 0 &&
         trace.total_cost / total_cost < options_.min_cost_share) {
       continue;
     }
-    Status st = InstallTrace(in, trace, iteration);
+    Status st = InstallTrace(in, trace, key.selected, iteration);
     if (st.ok()) {
       ++installed_this_pass;
       any_compiled = true;
@@ -301,6 +288,7 @@ Status AdaptiveVm::OptimizePass(Interpreter& in, uint64_t iteration) {
 }
 
 Status AdaptiveVm::InstallTrace(Interpreter& in, const ir::Trace& trace,
+                                const std::set<std::string>& selected,
                                 uint64_t iteration) {
   // The selection pattern of the trace's chunk inputs is part of the
   // situation, like compression schemes: post-filter iterations compile a
@@ -308,7 +296,7 @@ Status AdaptiveVm::InstallTrace(Interpreter& in, const ir::Trace& trace,
   // both can coexist for one trace.
   TracePlan::Situation situation{program_, trace.node_ids,
                                  ObserveSchemes(in, trace),
-                                 ObserveSelections(in, trace)};
+                                 SelectionsOf(trace, selected)};
   if (installed_.contains(situation)) {
     return Status::NotFound("already installed");  // benign skip
   }

@@ -5,10 +5,10 @@
 // dependency graph into traces (§III-B), JIT-compile them specialized for
 // the current situation (input compression schemes, §III-C), inject them
 // into the interpreter, and keep watching: when a block's compression
-// scheme changes the injected trace's applicability check fails, the VM
-// falls back to interpretation and compiles a new variant for the new
-// situation. The morsel VMs of one query decide each situation once, in
-// the query's TracePlan, and machine code is shared by source through
+// scheme changes, the injected trace declines its chunks, the VM falls back
+// to interpretation and compiles a new variant for the new situation. The
+// morsel VMs of one query partition and decide each situation once, in the
+// query's TracePlan, and machine code is shared by source through
 // jit::CodeCache (docs/TRACE_CACHE.md §2).
 #pragma once
 
@@ -61,8 +61,9 @@ struct VmReport {
   /// read from, each counted once per forward scan; the cursors decode
   /// only the rows they read (docs/SPILL.md §6).
   uint64_t chunks_streamed = 0;
-  /// Greedy partitions (§III-B) this run computed. A pass whose inputs
-  /// match a partition in the VM's TracePlan reuses it uncounted.
+  /// Greedy partitions (§III-B) this run computed. A pass whose
+  /// TracePlan::PartitionKey the VM's plan has seen takes that partition
+  /// uncounted.
   uint64_t partitions = 0;
   /// Compiler runs: traces whose machine code this run compiled.
   uint64_t traces_compiled = 0;
@@ -114,13 +115,9 @@ struct VmReport {
 /// The trace plan of one query: what its morsel VMs decided, kept so that
 /// each decision is made once per query instead of once per VM.
 ///
-///  - Greedy partitions (§III-B), each with the inputs it was computed
-///    from, so that an optimize pass observing the same inputs reuses a
-///    partition instead of partitioning again. GreedyPartition is
-///    deterministic in the program's graph, the constraints, the bucketed
-///    node costs and its acceptor's answers; the acceptor's answers follow
-///    from the unfused filters and the selections the judged regions
-///    carry.
+///  - Greedy partitions (§III-B), one per PartitionKey: the first VM whose
+///    optimize pass observes a key partitions, VMs asking meanwhile wait,
+///    and every later VM takes the partition.
 ///  - For each situation of each program instance, the JIT gate's verdict
 ///    and the compiled trace. The first VM that needs a situation decides
 ///    it (verification, code generation, then jit::CodeCache); VMs asking
@@ -134,23 +131,22 @@ struct VmReport {
 /// sharing one must run under the same VmOptions.
 class TracePlan {
  public:
-  /// One partition and the inputs it was computed from.
-  struct Entry {
+  /// What one greedy partition is computed from. GreedyPartition is
+  /// deterministic in the program's graph, the constraints, the bucketed
+  /// node costs and its acceptor's answers. An answer depends only on the
+  /// unfused filters and on the selections that a region's chunk inputs
+  /// carry, and those inputs are node outputs of the graph. So one key
+  /// gives one partition.
+  struct PartitionKey {
     const dsl::Program* program = nullptr;
     /// Bucketed node costs, indexed by graph node id.
     std::vector<double> costs;
     /// Filter nodes kept out of traces for their observed selectivity.
     std::set<uint32_t> unfused_filters;
-    /// Each region the acceptor judged, with the selection-carrying chunk
-    /// inputs it was judged under.
-    std::vector<std::pair<ir::Trace, std::set<std::string>>> judged;
-    /// The traces, by descending total cost.
-    std::vector<ir::Trace> traces;
+    /// The graph's node outputs that carry a selection now.
+    std::set<std::string> selected;
+    auto operator<=>(const PartitionKey&) const = default;
   };
-  /// The selection-carrying chunk inputs of a region as a VM observes
-  /// them now.
-  using SelectionsOf =
-      std::function<std::set<std::string>(const ir::Trace& region)>;
 
   /// One situation of one program instance (§III-C): the trace's graph
   /// nodes, the compression schemes its reads are specialized for, and the
@@ -171,34 +167,45 @@ class TracePlan {
     std::shared_ptr<const jit::CompiledTrace> trace;
   };
 
-  /// A published entry of `program` computed from `costs` and `unfused`
-  /// whose every judged region carries `selections_of(region)` now; null
-  /// when there is none.
-  std::shared_ptr<const Entry> Find(const dsl::Program* program,
-                                    const std::vector<double>& costs,
-                                    const std::set<uint32_t>& unfused,
-                                    const SelectionsOf& selections_of) const;
+  /// The partition for `key`, traces by descending total cost. The first
+  /// call runs `partition` while concurrent calls for the key wait; every
+  /// call returns its result. `*partitioned` reports whether this call ran
+  /// `partition`.
+  std::vector<ir::Trace> Partition(
+      const PartitionKey& key,
+      const std::function<std::vector<ir::Trace>()>& partition,
+      bool* partitioned);
 
-  /// Make `entry` visible to every later Find.
-  void Publish(std::shared_ptr<const Entry> entry);
-
-  /// The decision for `situation`. The first call runs `decide` while
-  /// concurrent calls for the situation wait; every call returns its
-  /// result. `*decided` reports whether this call ran `decide`.
+  /// The decision for `situation`, single-flight like Partition.
+  /// `*decided` reports whether this call ran `decide`.
   Decision Decide(const Situation& situation,
                   const std::function<Decision()>& decide, bool* decided);
 
  private:
-  /// One situation's decision; its mutex is held while `decide` runs.
+  /// One key's result. The first Get runs `compute` with the slot's mutex
+  /// held, so concurrent callers wait for it.
+  template <typename V>
   struct Slot {
     std::mutex mu;
     bool done AVM_GUARDED_BY(mu) = false;
-    Decision decision AVM_GUARDED_BY(mu);
+    V value AVM_GUARDED_BY(mu);
+
+    V Get(const std::function<V()>& compute, bool* computed) {
+      std::lock_guard<std::mutex> lock(mu);
+      *computed = !done;
+      if (!done) {
+        value = compute();
+        done = true;
+      }
+      return value;
+    }
   };
 
-  mutable std::mutex mu_;
-  std::vector<std::shared_ptr<const Entry>> entries_ AVM_GUARDED_BY(mu_);
-  std::map<Situation, std::shared_ptr<Slot>> decisions_ AVM_GUARDED_BY(mu_);
+  std::mutex mu_;
+  std::map<PartitionKey, std::shared_ptr<Slot<std::vector<ir::Trace>>>>
+      partitions_ AVM_GUARDED_BY(mu_);
+  std::map<Situation, std::shared_ptr<Slot<Decision>>> decisions_
+      AVM_GUARDED_BY(mu_);
 };
 
 /// The adaptive virtual machine (file comment above): a vectorized
@@ -227,6 +234,7 @@ class AdaptiveVm {
   Status OnIteration(interp::Interpreter& in, uint64_t iteration);
   Status OptimizePass(interp::Interpreter& in, uint64_t iteration);
   Status InstallTrace(interp::Interpreter& in, const ir::Trace& trace,
+                      const std::set<std::string>& selected,
                       uint64_t iteration);
   /// Verify, generate and compile (or load) `trace` for `situation`: the
   /// decision the VM makes when it is the first to need the situation.
@@ -235,13 +243,16 @@ class AdaptiveVm {
   /// Current compression situation of the data arrays a trace reads.
   std::map<std::string, Scheme> ObserveSchemes(interp::Interpreter& in,
                                                const ir::Trace& trace) const;
-  /// Chunk-variable trace inputs currently carrying a selection vector —
-  /// the selection part of the situation. Each morsel worker observes its
+  /// The graph's node outputs whose value carries a selection vector now
+  /// (TracePlan::PartitionKey::selected). Each morsel worker observes its
   /// own environment; since workers of one query run the same program
-  /// shape, they observe the same pattern and share the decision through
-  /// the query's TracePlan.
-  std::set<std::string> ObserveSelections(interp::Interpreter& in,
-                                          const ir::Trace& trace) const;
+  /// shape, they observe the same pattern and share their partitions and
+  /// decisions through the query's TracePlan.
+  std::set<std::string> ObserveSelected(interp::Interpreter& in) const;
+  /// The chunk-variable inputs of `trace` among `selected`: the selection
+  /// part of its situation.
+  std::set<std::string> SelectionsOf(
+      const ir::Trace& trace, const std::set<std::string>& selected) const;
 
   const dsl::Program* program_;
   VmOptions options_;

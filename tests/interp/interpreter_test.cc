@@ -394,8 +394,7 @@ TEST(InterpreterTest, InjectionFallbackWhenNotApplicable) {
   tr.name = "never-applicable";
   tr.anchor_stmt_id = loop->body[1]->id;
   tr.covered_stmt_ids = {loop->body[1]->id};
-  tr.applicable = [](Interpreter&) { return false; };
-  tr.run = [](Interpreter&) { return Status::Internal("must not run"); };
+  tr.run = [](Interpreter&) { return Status::Unavailable("never applies"); };
   in.AddInjection(std::move(tr));
   ASSERT_TRUE(in.Run().ok());
   EXPECT_EQ(v[0], 2);  // interpreted path

@@ -5,12 +5,15 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
+#include <set>
 #include <string>
 #include <type_traits>
 
 #include "dsl/builder.h"
 #include "util/rng.h"
+#include "util/string_util.h"
 #include "dsl/typecheck.h"
 #include "interp/interpreter.h"
 #include "jit/jit_backend.h"
@@ -932,6 +935,215 @@ TEST(JitExecTest, ScalarHelpersMatchInterpreterBitForBit) {
   CheckScalarHelpers<int64_t>(TypeId::kI64);
   CheckScalarHelpers<float>(TypeId::kF32);
   CheckScalarHelpers<double>(TypeId::kF64);
+}
+
+/// What `name` is bound to in `in`: nothing, an array (by identity) or a
+/// scalar (by value).
+std::string BindingOf(const Interpreter& in, const std::string& name) {
+  Result<interp::Value> v = in.GetVar(name);
+  if (!v.ok()) return "unbound";
+  if (v.value().is_array()) {
+    return StrFormat("array %p", static_cast<void*>(v.value().array.get()));
+  }
+  return StrFormat("scalar %lld", (long long)v.value().scalar.AsI64());
+}
+
+/// A chunk of `len` int64 values 0, 1, ... bound to `name`; returns it.
+interp::ArrayPtr SetChunk(Interpreter& in, const std::string& name,
+                          uint32_t len) {
+  interp::ArrayPtr a = in.NewArray(TypeId::kI64);
+  for (uint32_t k = 0; k < len; ++k) a->vec.Data<int64_t>()[k] = k;
+  a->len = len;
+  in.SetVar(name, interp::Value::A(a));
+  return a;
+}
+
+TEST(JitExecTest, RunDeclinesEveryFailedCheckBeforeAnySideEffect) {
+  // `run` is a compiled trace's one applicability check. For each check,
+  // one chunk state fails it and only it: `run` must return Unavailable
+  // and leave every name the trace publishes and every destination as it
+  // was. The same state without the fault must run. The FOR-block check
+  // is covered by SchemeMismatchFallsBackToInterpretation.
+  if (!HostCompilerAvailable()) GTEST_SKIP();
+  using dsl::Var;
+  const int64_t kN = 4096;
+  const uint32_t kChunk = 1024;
+  std::vector<int64_t> src(kN), src2(kN), dst(kN);
+  for (int64_t i = 0; i < kN; ++i) {
+    src[i] = i % 100 - 30;
+    src2[i] = 7 * i;
+  }
+  auto bind = [&](Interpreter& in, const std::string& name,
+                  std::vector<int64_t>* data, bool writable) {
+    ASSERT_TRUE(in.BindData(name, DataBinding::Raw(TypeId::kI64, data->data(),
+                                                   kN, writable))
+                    .ok());
+  };
+  auto set_i = [](Interpreter& in, const std::string& name, int64_t v) {
+    in.SetVar(name, interp::Value::S(interp::ScalarValue::I(v)));
+  };
+
+  // The map and write of out = va + vb, with the reads left interpreted:
+  // va and vb are chunk inputs, selection-free or both carrying one.
+  auto binary = Compile(
+      MakeBinaryMap(TypeId::kI64,
+                    dsl::Lambda({"x", "y"}, Var("x") + Var("y")), kN),
+      false);
+  ASSERT_TRUE(binary.ok()) << binary.status().ToString();
+  const dsl::Program& bp = binary.value().program;
+  const ir::DepGraph& bg = binary.value().graph;
+  ir::Trace region;
+  for (const auto& node : bg.nodes()) {
+    if (node.kind != dsl::SkeletonKind::kRead) region.node_ids.push_back(node.id);
+  }
+  region.inputs = {"va", "vb"};
+  region.outputs = {"out"};
+  auto compile_region = [&](std::set<std::string> sel_inputs)
+      -> std::shared_ptr<const CompiledTrace> {
+    analysis::TraceContext ctx;
+    ctx.sel_inputs = std::move(sel_inputs);
+    const analysis::TraceVerification verified =
+        analysis::VerifyTrace(bp, bg, region, ctx);
+    EXPECT_TRUE(verified.clean()) << verified.ToString();
+    auto compiled = CompileTrace(bp, bg, region, verified, {}, nullptr);
+    EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
+    if (!compiled.ok()) return nullptr;
+    return std::make_shared<const CompiledTrace>(
+        std::move(compiled).value().trace);
+  };
+  const auto positional = compile_region({});
+  const auto selected = compile_region({"va", "vb"});
+  ASSERT_NE(positional, nullptr);
+  ASSERT_NE(selected, nullptr);
+
+  auto map = Compile(
+      dsl::MakeMapPipeline(TypeId::kI64,
+                           dsl::Lambda({"x"}, Var("x") * dsl::ConstI(2)), kN),
+      false);
+  auto cursor = Compile(abi::MakeCondensingCursorPipeline(kN), true);
+  auto scatter = Compile(abi::MakeScatterPipeline(kN, 16), false);
+  auto gather = Compile(abi::MakeGatherPipeline(kN, kN, true), false);
+  for (auto* fx : {&map, &cursor, &scatter, &gather}) {
+    ASSERT_TRUE(fx->ok()) << fx->status().ToString();
+    ASSERT_EQ(fx->value().compiled.size(), 1u);
+  }
+  Column base_column(TypeId::kI64, kDefaultBlockSize);
+  ASSERT_TRUE(base_column.AppendValues(src2.data(), kN).ok());
+
+  struct Case {
+    std::string check;
+    const dsl::Program* program;
+    std::shared_ptr<const CompiledTrace> trace;
+    /// Binds the data and sets the chunk state; with `fault`, breaks the
+    /// one property `check` tests.
+    std::function<void(Interpreter&, bool fault)> setup;
+  };
+  auto binary_setup = [&](Interpreter& in) {
+    bind(in, "a", &src, false);
+    bind(in, "b", &src2, false);
+    bind(in, "out", &dst, true);
+    set_i(in, "i", 0);
+  };
+  const std::vector<Case> cases = {
+      {"unexpected selection", &bp, positional,
+       [&](Interpreter& in, bool fault) {
+         binary_setup(in);
+         interp::ArrayPtr va = SetChunk(in, "va", kChunk);
+         SetChunk(in, "vb", kChunk);
+         if (fault) va->sel.MakeIdentity(kChunk);
+       }},
+      {"unshared selection", &bp, selected,
+       [&](Interpreter& in, bool fault) {
+         binary_setup(in);
+         SetChunk(in, "va", kChunk)->sel.MakeIdentity(kChunk);
+         interp::ArrayPtr vb = SetChunk(in, "vb", kChunk);
+         vb->sel.MakeIdentity(kChunk);
+         if (fault) vb->sel.set_count(kChunk - 1);
+       }},
+      {"unbound array", &map.value().program, map.value().compiled[0],
+       [&](Interpreter& in, bool fault) {
+         if (!fault) bind(in, "src", &src, false);
+         bind(in, "out", &dst, true);
+         set_i(in, "i", 0);
+       }},
+      {"position past the end", &map.value().program,
+       map.value().compiled[0],
+       [&](Interpreter& in, bool fault) {
+         bind(in, "src", &src, false);
+         bind(in, "out", &dst, true);
+         set_i(in, "i", fault ? kN : kN - kChunk);
+       }},
+      {"read-only destination", &map.value().program,
+       map.value().compiled[0],
+       [&](Interpreter& in, bool fault) {
+         bind(in, "src", &src, false);
+         bind(in, "out", &dst, true);
+         // BindData refuses a read-only binding of an array the program
+         // writes, so only a binding changed afterwards reaches the check.
+         in.FindBinding("out")->writable = !fault;
+         set_i(in, "i", 0);
+       }},
+      {"negative write position", &cursor.value().program,
+       cursor.value().compiled[0],
+       [&](Interpreter& in, bool fault) {
+         bind(in, "src", &src, false);
+         bind(in, "out", &dst, true);
+         set_i(in, "i", 0);
+         set_i(in, "onum", fault ? -1 : 0);
+       }},
+      {"read-only scatter target", &scatter.value().program,
+       scatter.value().compiled[0],
+       [&](Interpreter& in, bool fault) {
+         bind(in, "src", &src, false);
+         bind(in, "acc", &dst, true);
+         in.FindBinding("acc")->writable = !fault;
+         set_i(in, "i", 0);
+       }},
+      {"gather base not a raw array", &gather.value().program,
+       gather.value().compiled[0],
+       [&](Interpreter& in, bool fault) {
+         bind(in, "idx", &src, false);
+         if (fault) {
+           ASSERT_TRUE(
+               in.BindData("base", DataBinding::FromColumn(&base_column))
+                   .ok());
+         } else {
+           bind(in, "base", &src2, false);
+         }
+         bind(in, "out", &dst, true);
+         set_i(in, "i", 0);
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.check);
+    std::vector<std::string> published;
+    for (const TraceOutputSpec& spec : c.trace->meta.outputs) {
+      if (spec.kind == TraceOutputSpec::Kind::kArrayVar ||
+          spec.kind == TraceOutputSpec::Kind::kFoldScalar) {
+        published.push_back(spec.name);
+      }
+      if (!spec.result_var.empty()) published.push_back(spec.result_var);
+    }
+    {
+      Interpreter in(c.program);
+      c.setup(in, /*fault=*/true);
+      std::vector<std::string> before;
+      for (const std::string& name : published) {
+        before.push_back(BindingOf(in, name));
+      }
+      std::fill(dst.begin(), dst.end(), -7);
+      const Status st = MakeInjection(c.trace, in.chunk_size()).run(in);
+      EXPECT_TRUE(st.IsUnavailable()) << st.ToString();
+      for (size_t k = 0; k < published.size(); ++k) {
+        EXPECT_EQ(BindingOf(in, published[k]), before[k]) << published[k];
+      }
+      EXPECT_EQ(std::count(dst.begin(), dst.end(), -7), kN);
+    }
+    Interpreter in(c.program);
+    c.setup(in, /*fault=*/false);
+    const Status st = MakeInjection(c.trace, in.chunk_size()).run(in);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+  }
 }
 
 }  // namespace
