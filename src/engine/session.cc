@@ -21,6 +21,8 @@ namespace internal {
 /// One submitted query: classification result + scheduling progress +
 /// the eventual report. Shared by the session scheduler and every handle.
 struct QueryState {
+  explicit QueryState(jit::CompilerThread* compiler) : plan(compiler) {}
+
   // ----- immutable after Classify ---------------------------------------
   ExecContext* ctx = nullptr;
   QueryOptions qo;
@@ -46,7 +48,8 @@ struct QueryState {
   bool calibrate_cpu = false;  ///< placer chose CPU: observe the CPU run
 
   /// Partitions and trace decisions the query's morsel VMs made, shared
-  /// between them (thread-safe on its own).
+  /// between them (thread-safe on its own). Its code-cache misses queue on
+  /// the Session's compiler thread.
   vm::TracePlan plan;
 
   // ----- scheduling progress (guarded by Scheduler::mu) ------------------
@@ -153,13 +156,17 @@ Session::~Session() {
   }
   // Joins the worker threads; every pump has exited (no work left).
   sched_->pool.reset();
+  // compiler_'s destructor then finishes every queued compile and joins
+  // its thread, so no compiler process outlives the Session.
 }
 
 size_t Session::num_workers() const { return sched_->workers; }
 
 Session::Stats Session::stats() const {
+  const jit::CompilerThread::Stats cs = compiler_.stats();
   std::lock_guard<std::mutex> lock(sched_->mu);
-  return Stats{sched_->submitted, sched_->completed, sched_->cancelled};
+  return Stats{sched_->submitted, sched_->completed, sched_->cancelled,
+               cs.pending,        cs.compiled,       cs.compile_seconds};
 }
 
 // ----------------------------------------------------------- query handle
@@ -233,7 +240,7 @@ void QueryHandle::Cancel() {
 // ------------------------------------------------------------------ submit
 
 QueryHandle Session::Submit(ExecContext& ctx, const QueryOptions& options) {
-  auto q = std::make_shared<QueryState>();
+  auto q = std::make_shared<QueryState>(&compiler_);
   q->ctx = &ctx;
   q->qo = options;
   q->cleanup = ctx.cleanup_hook_;

@@ -22,17 +22,27 @@
 //    their morsels fairly over the shared worker pool.
 //  - The morsel VMs of one query share one vm::TracePlan: a partition or
 //    trace decision one of them made serves the others, so each situation
-//    is verified and compiled once per query. Machine code is shared by
+//    is verified and requested once per query. Machine code is shared by
 //    source across every query and Session of the process through
 //    jit::CodeCache, single-flight under contention.
+//  - The session owns one compiler thread. A query that misses the code
+//    cache queues the compile there and keeps interpreting; each morsel
+//    VM installs the trace at the first chunk boundary after the machine
+//    code lands, so no worker waits for a compiler run. Compiles run one
+//    at a time, in the order they were requested, so they take at most
+//    one CPU from the workers. A code-cache or disk-cache hit installs at
+//    the VM's optimize pass.
 //  - Per-query accumulators are privatized per morsel and summed into the
 //    caller's arrays, exactly as in a single-query parallel run — a
 //    concurrent run stays bit-identical to its serial baseline.
 //
 // Cancel() drops a query's unclaimed morsels; tasks already running finish
 // but skip their merge, so a cancelled query's result arrays are undefined
-// (see QueryHandle::Cancel). Destroying the session drains all submitted
-// queries first.
+// (see QueryHandle::Cancel). A cancelled query does not wait for its
+// pending compiles. Destroying the session drains all submitted queries
+// first, then finishes every queued compile and joins the compiler thread:
+// no compiler process outlives its Session, and a Session created later
+// finds every machine code the destroyed one requested.
 #pragma once
 
 #include <memory>
@@ -115,7 +125,8 @@ class Session {
  public:
   explicit Session(SessionOptions options = {});
   // Drains: blocks until every submitted query completed (condition-variable
-  // wait via std::unique_lock, unmodeled by the thread-safety analysis).
+  // wait via std::unique_lock, unmodeled by the thread-safety analysis),
+  // then until every queued compile finished.
   ~Session() AVM_NO_THREAD_SAFETY_ANALYSIS;
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
@@ -136,11 +147,20 @@ class Session {
   size_t num_workers() const;
   const SessionOptions& options() const { return options_; }
 
-  /// Lifetime counters (monotonic).
+  /// Lifetime counters (monotonic), and the compiler thread's queue.
   struct Stats {
     uint64_t submitted = 0;
     uint64_t completed = 0;  ///< includes failed and cancelled
     uint64_t cancelled = 0;
+    /// Compiles queued or running on the Session's compiler thread now.
+    uint64_t compiles_pending = 0;
+    /// Compiler runs the thread finished, failed ones included, whichever
+    /// query requested them and whether or not it was still running.
+    uint64_t traces_compiled = 0;
+    /// Their summed wall time: the Session's whole compile time, which
+    /// ExecReport::compile_seconds counts only for code that landed while
+    /// its query ran.
+    double compile_seconds = 0;
   };
   Stats stats() const;
 
@@ -185,6 +205,10 @@ class Session {
   std::unique_ptr<gpu::SimGpuDevice> gpu_device_;
   std::unique_ptr<gpu::GpuBackend> gpu_backend_;
   std::unique_ptr<gpu::AdaptivePlacer> gpu_placer_ AVM_GUARDED_BY(gpu_mu_);
+
+  /// Runs the compiles every query's TracePlan queues. Destroyed after the
+  /// destructor's drain: it finishes every queued compile, then joins.
+  jit::CompilerThread compiler_;
 };
 
 }  // namespace avm::engine

@@ -148,9 +148,20 @@ CaptureResolver Interpreter::MakeCaptureResolver() {
 
 Status Interpreter::ExecBlock(const std::vector<dsl::StmtPtr>& stmts,
                               Control* ctl) {
-  std::unordered_set<uint32_t> skip;
-  for (const auto& s : stmts) {
-    if (skip.contains(s->id)) continue;
+  // This execution's marks take stmts.size() bytes on top of skip_; the
+  // stack keeps its capacity, so a block execution allocates nothing.
+  const size_t base = skip_.size();
+  skip_.resize(base + stmts.size(), 0);
+  Status st = ExecStmts(stmts, base, ctl);
+  skip_.resize(base);
+  return st;
+}
+
+Status Interpreter::ExecStmts(const std::vector<dsl::StmtPtr>& stmts,
+                              size_t base, Control* ctl) {
+  for (size_t i = 0; i < stmts.size(); ++i) {
+    if (skip_[base + i] != 0) continue;
+    const dsl::Stmt& s = *stmts[i];
     // Injection: the first trace installed at this statement whose `run`
     // accepts the chunk replaces it (and the others it covers) for this
     // iteration. When all decline, the chunk is interpreted and counts one
@@ -158,7 +169,7 @@ Status Interpreter::ExecBlock(const std::vector<dsl::StmtPtr>& stmts,
     bool injected = false;
     InjectedTrace* declined = nullptr;
     for (auto& tr : injections_) {
-      if (tr.anchor_stmt_id != s->id) continue;
+      if (tr.anchor_stmt_id != s.id) continue;
       Status st = tr.run(*this);
       if (st.IsUnavailable()) {
         if (declined == nullptr) declined = &tr;
@@ -166,13 +177,16 @@ Status Interpreter::ExecBlock(const std::vector<dsl::StmtPtr>& stmts,
       }
       AVM_RETURN_NOT_OK(st);
       ++tr.invocations;
-      for (uint32_t id : tr.covered_stmt_ids) skip.insert(id);
+      // The statements after the anchor that the trace covers are done.
+      for (size_t j = i + 1; j < stmts.size(); ++j) {
+        if (tr.covered_stmt_ids.contains(stmts[j]->id)) skip_[base + j] = 1;
+      }
       injected = true;
       break;
     }
     if (injected) continue;
     if (declined != nullptr) ++declined->fallbacks;
-    AVM_RETURN_NOT_OK(ExecStmt(*s, ctl));
+    AVM_RETURN_NOT_OK(ExecStmt(s, ctl));
     if (*ctl == Control::kBreak) return Status::OK();
   }
   return Status::OK();

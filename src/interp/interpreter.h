@@ -196,6 +196,9 @@ class Interpreter {
   enum class Control : uint8_t { kNext, kBreak };
 
   Status ExecBlock(const std::vector<dsl::StmtPtr>& stmts, Control* ctl);
+  /// ExecBlock's loop; stmts[i] is skipped when skip_[base + i] is set.
+  Status ExecStmts(const std::vector<dsl::StmtPtr>& stmts, size_t base,
+                   Control* ctl);
   Status ExecStmt(const dsl::Stmt& s, Control* ctl);
   Result<Value> EvalExpr(const dsl::Expr& e);
   Result<ScalarValue> EvalScalarExpr(const dsl::Expr& e);
@@ -225,6 +228,13 @@ class Interpreter {
   std::unordered_map<std::string, Scheme> last_scheme_;
   std::unordered_map<uint32_t, ir::PrimProgram> lambda_cache_;
   std::vector<InjectedTrace> injections_;
+  /// One byte per statement of each block being executed, nested blocks
+  /// on top: set when a trace that ran in that block execution covers the
+  /// statement. A trace's anchor is the first statement it covers
+  /// (analysis::VerifyTrace), and installed traces cover equal or disjoint
+  /// sets (AddInjection), so each statement after an anchor is tested
+  /// against the one trace that ran there.
+  std::vector<uint8_t> skip_;
   std::unordered_map<uint32_t, MicroAdaptiveChooser> filter_choosers_;
   const KernelRegistry* kernels_;
   PrimExecutor prim_exec_;

@@ -82,8 +82,8 @@ DiskTraceCache::DiskTraceCache(std::string dir, uint64_t budget_bytes)
 std::shared_ptr<DiskTraceCache> DiskTraceCache::ForDir(const std::string& dir,
                                                        uint64_t budget_bytes) {
   // Leaked registry: one instance per directory, alive for the process so
-  // a Session's worker still compiling while exit() runs static destructors
-  // can store into it.
+  // a compile still running while exit() runs static destructors can store
+  // into it.
   static std::mutex* mu = new std::mutex();
   static auto* registry =
       new std::map<std::string, std::shared_ptr<DiskTraceCache>>();

@@ -24,9 +24,9 @@ namespace {
 pid_t scratch_dir_owner = 0;  ///< process that created JitScratchDir()
 
 // atexit handler of the process that created the scratch directory: rename
-// it away first, so a compiler that a live Session's worker is still
-// running when exit() is called cannot create files under the old path
-// (its write fails, and so does that compile), then delete it. A forked
+// it away first, so a compiler that a live Session's compiler thread is
+// still running when exit() is called cannot create files under the old
+// path (its write fails, and so does that compile), then delete it. A forked
 // child (a death-test child, say) inherits the handler but not the
 // directory, and skips it.
 void RemoveScratchDirAtExit() {

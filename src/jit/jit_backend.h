@@ -40,8 +40,8 @@ namespace avm::jit {
 /// artifact loads: a fresh mkdtemp directory under $TMPDIR (fallback
 /// /tmp), created lazily on first use and reused — the TMPDIR value at
 /// first use wins — for the process lifetime. The creating process
-/// removes it at normal exit; a compile that a live Session's worker is
-/// still running then cannot write its output and fails.
+/// removes it at normal exit; a compile that a live Session's compiler
+/// thread is still running then cannot write its output and fails.
 const std::string& JitScratchDir();
 
 /// Whether this process can compile: true when a host C++ compiler was

@@ -93,20 +93,21 @@ struct RunState {
 
 }  // namespace
 
-Result<CompileOutcome> CompileTrace(const dsl::Program& program,
-                                    const ir::DepGraph& graph,
-                                    const ir::Trace& trace,
-                                    const analysis::TraceVerification& verified,
-                                    const CodegenOptions& options,
-                                    DiskTraceCache* disk) {
+Result<CompileOutcome> CompileTrace(
+    const dsl::Program& program, const ir::DepGraph& graph,
+    const ir::Trace& trace, const analysis::TraceVerification& verified,
+    const CodegenOptions& options, const std::shared_ptr<DiskTraceCache>& disk,
+    CompilerThread* compiler) {
   CompileOutcome out;
   AVM_ASSIGN_OR_RETURN(
       out.trace.meta, GenerateTrace(program, graph, trace, verified, options));
-  AVM_ASSIGN_OR_RETURN(void* fn,
-                       CodeCache::Global().Get(out.trace.meta.source,
-                                               out.trace.meta.symbol, disk,
-                                               &out.origin));
-  out.trace.fn = reinterpret_cast<TraceFn>(fn);
+  AVM_ASSIGN_OR_RETURN(CodeRequest req,
+                       CodeCache::Global().Request(out.trace.meta.source,
+                                                   out.trace.meta.symbol,
+                                                   disk, compiler));
+  out.trace.fn = reinterpret_cast<TraceFn>(req.fn);
+  out.pending = std::move(req.pending);
+  out.origin = req.origin;
   return out;
 }
 

@@ -23,22 +23,25 @@ struct CompiledTrace {
 
 /// Result of one compile-or-load: the trace plus where its machine code
 /// came from and what it cost (the VM's per-query observability counters).
+/// While the compile is queued, `trace.fn` is null and `pending` is the
+/// source's CodeSlot, which holds the entry point once it lands.
 struct CompileOutcome {
   CompiledTrace trace;
+  std::shared_ptr<CodeSlot> pending;
   CodeOrigin origin;
 };
 
 /// Generate a verified trace (GenerateTrace: `verified` must be the clean
-/// analysis::VerifyTrace result for `trace`), then take its machine code
-/// from CodeCache::Global() by source: a source loaded before costs a
+/// analysis::VerifyTrace result for `trace`), then request its machine
+/// code from CodeCache::Global() by source: a source loaded before costs a
 /// lookup; otherwise `disk` (when non-null) is probed before the compiler
-/// runs, and receives the compiled artifact.
-Result<CompileOutcome> CompileTrace(const dsl::Program& program,
-                                    const ir::DepGraph& graph,
-                                    const ir::Trace& trace,
-                                    const analysis::TraceVerification& verified,
-                                    const CodegenOptions& options,
-                                    DiskTraceCache* disk);
+/// runs, and receives the compiled artifact. The compile runs inline when
+/// `compiler` is null and is queued on it otherwise (CodeCache::Request).
+Result<CompileOutcome> CompileTrace(
+    const dsl::Program& program, const ir::DepGraph& graph,
+    const ir::Trace& trace, const analysis::TraceVerification& verified,
+    const CodegenOptions& options, const std::shared_ptr<DiskTraceCache>& disk,
+    CompilerThread* compiler = nullptr);
 
 /// Build the interpreter injection over a compiled trace. Its `run` is the
 /// one check of whether the trace runs on the current chunk. Each call:

@@ -275,12 +275,12 @@ extern "C" void avm_q1_whole(const int64_t* qty, const int64_t* price,
   using Q1Fn = void (*)(const int64_t*, const int64_t*, const int64_t*,
                         const int64_t*, const int8_t*, const int8_t*,
                         const int32_t*, uint64_t, int64_t*);
-  jit::CodeOrigin origin;
-  AVM_ASSIGN_OR_RETURN(void* sym,
-                       jit::CodeCache::Global().Get(source, "avm_q1_whole",
-                                                    /*disk=*/nullptr, &origin));
+  AVM_ASSIGN_OR_RETURN(
+      jit::CodeRequest code,
+      jit::CodeCache::Global().Request(source, "avm_q1_whole", /*disk=*/nullptr,
+                                       /*compiler=*/nullptr));
   int64_t acc[40] = {0};
-  reinterpret_cast<Q1Fn>(sym)(qty.data(), price.data(), disc.data(),
+  reinterpret_cast<Q1Fn>(code.fn)(qty.data(), price.data(), disc.data(),
                               tax.data(), rf.data(), ls.data(), sd.data(), n,
                               acc);
   Q1Result r;

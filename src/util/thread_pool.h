@@ -1,5 +1,6 @@
 // Fixed-size thread pool used by the simulated GPU backend (SM-level
-// parallelism) and by morsel-style parallel scans.
+// parallelism), by morsel-style parallel scans, and, with one thread, as a
+// Session's compiler thread (jit::CompilerThread).
 #pragma once
 
 #include <condition_variable>

@@ -98,6 +98,12 @@ VmReport AdaptiveVm::Report() const { return report_; }
 
 Status AdaptiveVm::OnIteration(Interpreter& in, uint64_t iteration) {
   if (!options_.enable_jit) return Status::OK();
+  if (!pending_.empty()) {
+    // GenerateCode: interpret until the code lands, and install each trace
+    // at the first chunk boundary after its code did.
+    PollPending(in, iteration);
+    return Status::OK();
+  }
   if (!jit::HostCompilerAvailable()) return Status::OK();
   if (!optimized_once_ && iteration >= options_.optimize_after_iterations) {
     return OptimizePass(in, iteration);
@@ -177,6 +183,7 @@ constexpr double kFuseFilterAtLeast = 0.85;
 
 Status AdaptiveVm::OptimizePass(Interpreter& in, uint64_t iteration) {
   sm_.Advance(VmState::kOptimize, iteration);
+  injected_ = false;
   if (!graph_built_) {
     AVM_ASSIGN_OR_RETURN(graph_, ir::DepGraph::Build(*program_));
     graph_built_ = true;
@@ -252,39 +259,64 @@ Status AdaptiveVm::OptimizePass(Interpreter& in, uint64_t iteration) {
       &partitioned);
   if (partitioned) ++report_.partitions;
 
-  bool any_compiled = false;
-  size_t installed_this_pass = 0;
+  // A trace installed or pending counts toward max_traces_per_pass.
+  size_t taken_this_pass = 0;
   for (const auto& trace : traces) {
-    if (installed_this_pass >= options_.max_traces_per_pass) break;
+    if (taken_this_pass >= options_.max_traces_per_pass) break;
     if (total_cost > 0 &&
         trace.total_cost / total_cost < options_.min_cost_share) {
       continue;
     }
     Status st = InstallTrace(in, trace, key.selected, iteration);
     if (st.ok()) {
-      ++installed_this_pass;
-      any_compiled = true;
+      ++taken_this_pass;
     } else if (!st.IsNotFound()) {
-      // Surface the first decline through the report: consumers asking for
-      // kAdaptiveJit should see WHY a hot fragment stayed interpreted
-      // instead of inferring it from a zero compile count.
-      if (report_.jit_declined.empty()) {
-        report_.jit_declined = st.ToString();
-      }
-      AVM_LOG(kDebug) << "trace skipped: " << st.ToString();
+      RecordDecline(st);
     }
   }
   optimized_once_ = true;
-  if (any_compiled) {
-    if (sm_.state() == VmState::kOptimize) {
-      sm_.Advance(VmState::kGenerateCode, iteration);
-    }
-    sm_.Advance(VmState::kInjectFunctions, iteration);
-    sm_.Advance(VmState::kInterpret, iteration);
-  } else {
-    sm_.Advance(VmState::kInterpret, iteration);
+  if (!pending_.empty()) {
+    // Fig. 1's GenerateCode, until the last pending trace lands.
+    sm_.Advance(VmState::kGenerateCode, iteration);
+    return Status::OK();
   }
+  FinishPass(iteration);
   return Status::OK();
+}
+
+void AdaptiveVm::PollPending(Interpreter& in, uint64_t iteration) {
+  for (size_t i = 0; i < pending_.size();) {
+    if (!pending_[i].decision.pending->done()) {
+      ++i;
+      continue;
+    }
+    PendingTrace landed = std::move(pending_[i]);
+    pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
+    Status st =
+        Inject(in, std::move(landed.situation), landed.decision, iteration);
+    if (!st.ok()) RecordDecline(st);
+  }
+  if (pending_.empty()) FinishPass(iteration);
+}
+
+void AdaptiveVm::FinishPass(uint64_t iteration) {
+  if (!injected_) {
+    sm_.Advance(VmState::kInterpret, iteration);
+    return;
+  }
+  if (sm_.state() == VmState::kOptimize) {
+    sm_.Advance(VmState::kGenerateCode, iteration);
+  }
+  sm_.Advance(VmState::kInjectFunctions, iteration);
+  sm_.Advance(VmState::kInterpret, iteration);
+}
+
+void AdaptiveVm::RecordDecline(const Status& st) {
+  // Surface the first decline through the report: consumers asking for
+  // kAdaptiveJit should see WHY a hot fragment stayed interpreted instead
+  // of inferring it from a zero compile count.
+  if (report_.jit_declined.empty()) report_.jit_declined = st.ToString();
+  AVM_LOG(kDebug) << "trace skipped: " << st.ToString();
 }
 
 Status AdaptiveVm::InstallTrace(Interpreter& in, const ir::Trace& trace,
@@ -304,10 +336,38 @@ Status AdaptiveVm::InstallTrace(Interpreter& in, const ir::Trace& trace,
   TracePlan::Decision decision = plan_->Decide(
       situation, [&] { return Decide(trace, situation); }, &decided);
   AVM_RETURN_NOT_OK(decision.status);
+  const bool pending =
+      decision.pending != nullptr && !decision.pending->done();
+  if (decision.pending != nullptr && !pending) {
+    // A compile that failed since the decision is its decline.
+    AVM_RETURN_NOT_OK(decision.pending->Wait().status());
+  }
   if (!decided) ++report_.traces_reused;
+  if (pending) {
+    pending_.push_back({std::move(situation), std::move(decision)});
+    return Status::OK();
+  }
+  return Inject(in, std::move(situation), decision, iteration);
+}
 
-  interp::InjectedTrace inj = jit::MakeInjection(std::move(decision.trace),
-                                                 options_.interp.chunk_size);
+Status AdaptiveVm::Inject(Interpreter& in, TracePlan::Situation situation,
+                          const TracePlan::Decision& decision,
+                          uint64_t iteration) {
+  std::shared_ptr<const jit::CompiledTrace> compiled = decision.trace;
+  if (decision.pending != nullptr) {
+    // Machine code that landed after the decision was made.
+    if (decision.requested) {
+      const double seconds = decision.pending->TakeCompileSeconds();
+      report_.compile_seconds += seconds;
+      report_.opt_compile_seconds += seconds;
+    }
+    AVM_ASSIGN_OR_RETURN(void* fn, decision.pending->Wait());
+    auto landed = std::make_shared<jit::CompiledTrace>(*decision.trace);
+    landed->fn = reinterpret_cast<jit::TraceFn>(fn);
+    compiled = std::move(landed);
+  }
+  interp::InjectedTrace inj =
+      jit::MakeInjection(std::move(compiled), options_.interp.chunk_size);
   AVM_LOG(kDebug) << "inject " << inj.name << " at iter " << iteration;
   std::unordered_set<uint32_t> covered = inj.covered_stmt_ids;
   for (const interp::InjectedTrace& old : in.AddInjection(std::move(inj))) {
@@ -321,6 +381,7 @@ Status AdaptiveVm::InstallTrace(Interpreter& in, const ir::Trace& trace,
     });
   }
   installed_.emplace(std::move(situation), std::move(covered));
+  injected_ = true;
   return Status::OK();
 }
 
@@ -334,14 +395,14 @@ TracePlan::Decision AdaptiveVm::Decide(const ir::Trace& trace,
   const analysis::TraceVerification verified =
       analysis::VerifyTrace(*program_, graph_, trace, vctx);
   ++report_.verifier_checked;
-  if (!verified.clean()) return {verified.AsStatus(), nullptr};
+  if (!verified.clean()) return {verified.AsStatus(), nullptr, nullptr, false};
 
   jit::CodegenOptions cg;
   cg.scheme_specialization = situation.schemes;
   Result<jit::CompileOutcome> outcome = jit::CompileTrace(
-      *program_, graph_, trace, verified, cg, disk_.get());
-  if (!outcome.ok()) return {outcome.status(), nullptr};
-  const jit::CodeOrigin& origin = outcome.value().origin;
+      *program_, graph_, trace, verified, cg, disk_, plan_->compiler());
+  if (!outcome.ok()) return {outcome.status(), nullptr, nullptr, false};
+  const jit::CodeOrigin origin = outcome.value().origin;
   report_.disk_cache_corrupt += origin.disk_corrupt;
   if (origin.disk_missed) ++report_.disk_cache_misses;
   switch (origin.from) {
@@ -354,13 +415,18 @@ TracePlan::Decision AdaptiveVm::Decide(const ir::Trace& trace,
       ++report_.disk_cache_hits;
       break;
     case jit::CodeOrigin::From::kCompiler:
+      // Counted at the request: a queued compile's time counts when a VM
+      // of this query sees its code land (Inject).
       report_.compile_seconds += origin.compile_seconds;
       report_.opt_compile_seconds += origin.compile_seconds;
       ++report_.traces_compiled;
       break;
   }
-  return {Status::OK(), std::make_shared<const jit::CompiledTrace>(
-                            std::move(outcome).ValueOrDie().trace)};
+  jit::CompileOutcome out = std::move(outcome).ValueOrDie();
+  const bool requested = origin.from == jit::CodeOrigin::From::kCompiler;
+  return {Status::OK(),
+          std::make_shared<const jit::CompiledTrace>(std::move(out.trace)),
+          std::move(out.pending), requested};
 }
 
 }  // namespace avm::vm

@@ -9,7 +9,10 @@
 // to interpretation and compiles a new variant for the new situation. The
 // morsel VMs of one query partition and decide each situation once, in the
 // query's TracePlan, and machine code is shared by source through
-// jit::CodeCache (docs/TRACE_CACHE.md §2).
+// jit::CodeCache (docs/TRACE_CACHE.md §2). On a Session the compile runs on
+// the Session's compiler thread: the VM keeps interpreting in GenerateCode
+// and injects the trace at the first chunk boundary after its code landed
+// (docs/TRACE_CACHE.md §3).
 #pragma once
 
 #include <compare>
@@ -65,13 +68,23 @@ struct VmReport {
   /// TracePlan::PartitionKey the VM's plan has seen takes that partition
   /// uncounted.
   uint64_t partitions = 0;
-  /// Compiler runs: traces whose machine code this run compiled.
+  /// Compiler runs this run requested: traces whose machine code it
+  /// compiled inline or queued on its Session's compiler thread, counted
+  /// when the request is made, whether or not the code lands before the
+  /// run ends.
   uint64_t traces_compiled = 0;
-  /// Traces installed without compiling or loading: taken from the
-  /// query's TracePlan, or machine code found in jit::CodeCache.
+  /// Traces taken without compiling or loading: from the query's
+  /// TracePlan, or machine code jit::CodeCache held or was compiling for
+  /// another request. Counted when the VM takes the trace; one still
+  /// pending then installs when its code lands.
   uint64_t traces_reused = 0;
   uint64_t injection_runs = 0;
   uint64_t injection_fallbacks = 0;
+  /// Wall time of the compiles counted in traces_compiled: an inline
+  /// compile's when it returns, a queued compile's once a VM of the
+  /// requesting query sees its code land (each compile counts once per
+  /// query; a compile landing after the query ended counts in its
+  /// Session's Stats only).
   double compile_seconds = 0;
   /// First reason a candidate trace was declined (not compiled) this run;
   /// empty when every considered trace compiled. A shape decline is the
@@ -120,13 +133,17 @@ struct VmReport {
 ///    and every later VM takes the partition.
 ///  - For each situation of each program instance, the JIT gate's verdict
 ///    and the compiled trace. The first VM that needs a situation decides
-///    it (verification, code generation, then jit::CodeCache); VMs asking
-///    meanwhile wait, and every later VM installs the decision. A decline
-///    or a failed compile is kept too: the plan's query does not try the
-///    situation again, the next query's plan does.
+///    it (verification, code generation, then a jit::CodeCache request);
+///    VMs asking meanwhile wait, and every later VM installs the decision.
+///    A decline or a failed compile is kept too: the plan's query does not
+///    try the situation again, the next query's plan does.
 ///
-/// A Session gives every morsel VM of one query the same plan; a VM
-/// without a shared plan keeps a private one. Thread-safe. Entries are
+/// A Session builds each query's plan with the Session's compiler thread:
+/// a code-cache miss is queued there, the decision carries the pending
+/// slot, and deciding takes verification, code generation and the request
+/// only. Without a compiler thread a miss compiles inline, inside the
+/// decision. A Session gives every morsel VM of one query the same plan; a
+/// VM without a shared plan keeps a private one. Thread-safe. Entries are
 /// keyed by program address: the programs must outlive the plan, and VMs
 /// sharing one must run under the same VmOptions.
 class TracePlan {
@@ -161,11 +178,26 @@ class TracePlan {
   };
 
   /// What was decided for one situation: OK and the compiled trace, or the
-  /// gate's decline or the failed compile's status.
+  /// gate's decline or the failed compile's status. A trace whose compile
+  /// was queued carries a null `fn` and the pending code slot, which holds
+  /// the entry point, or the failure, once the compiler thread is done.
   struct Decision {
     Status status;
     std::shared_ptr<const jit::CompiledTrace> trace;
+    std::shared_ptr<jit::CodeSlot> pending;
+    /// This plan's query queued the pending compile (VmReport counts its
+    /// compile_seconds).
+    bool requested = false;
   };
+
+  /// A plan whose misses compile inline, or, given `compiler`, are queued
+  /// on it. `compiler` must outlive every Decide.
+  explicit TracePlan(jit::CompilerThread* compiler = nullptr)
+      : compiler_(compiler) {}
+
+  /// The compiler thread the plan's misses queue on; null when they
+  /// compile inline.
+  jit::CompilerThread* compiler() const { return compiler_; }
 
   /// The partition for `key`, traces by descending total cost. The first
   /// call runs `partition` while concurrent calls for the key wait; every
@@ -201,6 +233,7 @@ class TracePlan {
     }
   };
 
+  jit::CompilerThread* const compiler_;
   std::mutex mu_;
   std::map<PartitionKey, std::shared_ptr<Slot<std::vector<ir::Trace>>>>
       partitions_ AVM_GUARDED_BY(mu_);
@@ -217,7 +250,8 @@ class AdaptiveVm {
  public:
   /// `program` must be type-checked and outlive the VM. A non-null `plan`
   /// replaces the VM's private TracePlan: morsel VMs of one query share
-  /// its partitions and trace decisions through it.
+  /// its partitions and trace decisions through it. The private plan has
+  /// no compiler thread, so a VM without a shared plan compiles inline.
   AdaptiveVm(const dsl::Program* program, VmOptions options = {},
              TracePlan* plan = nullptr);
 
@@ -231,11 +265,32 @@ class AdaptiveVm {
   const StateMachine& state_machine() const { return sm_; }
 
  private:
+  /// A situation whose machine code was still compiling when the VM took
+  /// its decision.
+  struct PendingTrace {
+    TracePlan::Situation situation;
+    TracePlan::Decision decision;
+  };
+
   Status OnIteration(interp::Interpreter& in, uint64_t iteration);
   Status OptimizePass(interp::Interpreter& in, uint64_t iteration);
+  /// Take the plan's decision for `trace` in the current situation and
+  /// install it, or, while its code compiles, add it to pending_.
   Status InstallTrace(interp::Interpreter& in, const ir::Trace& trace,
                       const std::set<std::string>& selected,
                       uint64_t iteration);
+  /// Inject a decision whose machine code is ready (or whose compile
+  /// failed: its status is returned).
+  Status Inject(interp::Interpreter& in, TracePlan::Situation situation,
+                const TracePlan::Decision& decision, uint64_t iteration);
+  /// Install every pending trace whose code landed and record every failed
+  /// compile; once none is left, leave GenerateCode.
+  void PollPending(interp::Interpreter& in, uint64_t iteration);
+  /// Leave Optimize or GenerateCode for Interpret, through InjectFunctions
+  /// when a trace was injected since the pass began.
+  void FinishPass(uint64_t iteration);
+  /// Report `st` as the run's decline unless one is recorded.
+  void RecordDecline(const Status& st);
   /// Verify, generate and compile (or load) `trace` for `situation`: the
   /// decision the VM makes when it is the first to need the situation.
   TracePlan::Decision Decide(const ir::Trace& trace,
@@ -269,6 +324,12 @@ class AdaptiveVm {
   /// covers (the interpreter drops an injection that a newer, partly
   /// overlapping one replaces; its situations are dropped with it).
   std::map<TracePlan::Situation, std::unordered_set<uint32_t>> installed_;
+  /// Decisions whose code is compiling. While any is left the VM stays in
+  /// GenerateCode and interprets; OnIteration polls each at every chunk
+  /// boundary and runs no optimize pass.
+  std::vector<PendingTrace> pending_;
+  /// A trace was injected since the current optimize pass began.
+  bool injected_ = false;
   /// Invocations and fallbacks of replaced injections.
   uint64_t retired_runs_ = 0;
   uint64_t retired_fallbacks_ = 0;

@@ -15,19 +15,23 @@
 //   AVM_DIFF_PLANS=<n>                                overrides the count.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/verify_program.h"
 #include "dsl/typecheck.h"
 #include "engine/query_builder.h"
 #include "engine/session.h"
+#include "jit/jit_backend.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/string_util.h"
+#include "tests/wait_for_compiles.h"
 
 namespace avm::engine {
 namespace {
@@ -83,7 +87,7 @@ struct Tables {
     EXPECT_TRUE((*out)->column(2).AppendValues(dr.data(), n).ok());
   }
 
-  Tables() {
+  explicit Tables(uint32_t rows = kProbeRows) {
     Schema ps({{"k", TypeId::kI64},
                {"a", TypeId::kI64},
                {"b", TypeId::kI64},
@@ -91,18 +95,18 @@ struct Tables {
                {"k2", TypeId::kI64}});
     probe = std::make_unique<Table>(ps);
     Rng rng(2024);
-    std::vector<int64_t> k(kProbeRows), a(kProbeRows), b(kProbeRows);
-    std::vector<double> w(kProbeRows);
-    for (uint64_t i = 0; i < kProbeRows; ++i) {
+    std::vector<int64_t> k(rows), a(rows), b(rows);
+    std::vector<double> w(rows);
+    for (uint32_t i = 0; i < rows; ++i) {
       k[i] = rng.NextInRange(0, kKeyDomain);
       a[i] = rng.NextInRange(0, 999);
       b[i] = rng.NextInRange(0, 999);
       w[i] = static_cast<double>(rng.NextInRange(-500, 500)) / 16.0;
     }
-    EXPECT_TRUE(probe->column(0).AppendValues(k.data(), kProbeRows).ok());
-    EXPECT_TRUE(probe->column(1).AppendValues(a.data(), kProbeRows).ok());
-    EXPECT_TRUE(probe->column(2).AppendValues(b.data(), kProbeRows).ok());
-    EXPECT_TRUE(probe->column(3).AppendValues(w.data(), kProbeRows).ok());
+    EXPECT_TRUE(probe->column(0).AppendValues(k.data(), rows).ok());
+    EXPECT_TRUE(probe->column(1).AppendValues(a.data(), rows).ok());
+    EXPECT_TRUE(probe->column(2).AppendValues(b.data(), rows).ok());
+    EXPECT_TRUE(probe->column(3).AppendValues(w.data(), rows).ok());
 
     std::vector<int64_t> dk(static_cast<size_t>(kBuildKeys) + 50);
     for (size_t i = 0; i < dk.size(); ++i) {
@@ -117,14 +121,14 @@ struct Tables {
     Rng rng2(2025);
     const std::vector<int64_t>& domain = SparseKeyDomain();
     const auto dmax = static_cast<int64_t>(domain.size()) - 1;
-    std::vector<int64_t> k2(kProbeRows);
-    for (uint64_t i = 0; i < kProbeRows; ++i) {
+    std::vector<int64_t> k2(rows);
+    for (uint32_t i = 0; i < rows; ++i) {
       // ~60% of probes draw from the sparse domain; the rest miss.
       k2[i] = rng2.NextInRange(0, 99) < 60
                   ? domain[static_cast<size_t>(rng2.NextInRange(0, dmax))]
                   : rng2.NextInRange(1'000'000, 2'000'000);
     }
-    EXPECT_TRUE(probe->column(4).AppendValues(k2.data(), kProbeRows).ok());
+    EXPECT_TRUE(probe->column(4).AppendValues(k2.data(), rows).ok());
 
     std::vector<int64_t> dup_dk;
     for (int64_t key = 0; key <= kKeyDomain; ++key) {
@@ -428,13 +432,23 @@ bool DeclineNamesVerifierRule(const std::string& declined) {
           declined.find("] ", prefix.size()) != std::string::npos);
 }
 
+/// What a sweep of seeded plans did, summed over its plans.
+struct SweepCounts {
+  int built = 0;
+  int skipped = 0;  ///< plans the builder rejected identically
+  uint64_t spilled = 0;
+  /// Compiled-trace runs of the JIT configs' second passes.
+  uint64_t injection_runs = 0;
+};
+
 /// Runs one seeded plan under all three configs, plus the out-of-core
 /// family (the same plan under a side-stream-chosen memory budget), and
-/// compares. Increments *built / *skipped accordingly; accumulates spilled
-/// bytes into *spilled. Used by the random sweep and by the pinned
-/// regression seeds.
-void RunSeed(uint64_t seed, Tables& t, Session& parallel_session, int* built,
-             int* skipped, uint64_t* spilled) {
+/// compares. A JIT config runs the plan twice on its Session: first while
+/// the compiles it requests are pending, so traces may land mid-query,
+/// then after the Session finished them, with compiled code. Used by the
+/// random sweep and by the pinned regression seeds.
+void RunSeed(uint64_t seed, Tables& t, Session& parallel_session,
+             SweepCounts* counts) {
   const std::string repro =
       StrFormat("[plan seed %llu: rerun with AVM_DIFF_SEED=%llu] ",
                 (unsigned long long)seed, (unsigned long long)seed);
@@ -458,10 +472,10 @@ void RunSeed(uint64_t seed, Tables& t, Session& parallel_session, int* built,
     ASSERT_FALSE(q3.ok()) << repro << info.desc;
     ASSERT_EQ(base_q.status().ToString(), q2.status().ToString())
         << repro << info.desc;
-    ++*skipped;
+    ++counts->skipped;
     return;
   }
-  ++*built;
+  ++counts->built;
   Query base = std::move(base_q.value());
 
   // Every generated plan's lowered program must be verifier-clean
@@ -486,39 +500,43 @@ void RunSeed(uint64_t seed, Tables& t, Session& parallel_session, int* built,
     if (verbose) std::fprintf(stderr, "  interp-serial ok\n");
   }
 
+  // One JIT config: both passes on `session`, each compared with the
+  // baseline. Declines come from the JIT gate only; codegen never fails on
+  // a trace the gate accepted (docs/VERIFIER.md). `spilled` (when
+  // non-null) sums the passes' spilled bytes.
+  auto run_jit = [&](Session& session, const QueryOptions& qo,
+                     const std::string& label, uint64_t* spilled) {
+    for (int pass = 0; pass < 2; ++pass) {
+      PlanInfo pi;
+      Query q = GeneratePlan(seed, t, &pi).ValueOrDie();
+      auto r = session.Submit(q.context(), qo).Wait();
+      ASSERT_TRUE(r.ok()) << repro << info.desc << label << ": "
+                          << r.status().ToString();
+      ASSERT_TRUE(DeclineNamesVerifierRule(r.ValueOrDie().jit_declined))
+          << repro << info.desc << label
+          << " jit_declined: " << r.ValueOrDie().jit_declined;
+      CompareQueries(base, q, info, repro + info.desc + label);
+      if (spilled != nullptr) *spilled += r.ValueOrDie().bytes_spilled;
+      if (pass == 1) counts->injection_runs += r.ValueOrDie().injection_runs;
+      WaitForCompiles(session);
+    }
+  };
+  QueryOptions jit;
+  jit.strategy = ExecutionStrategy::kAdaptiveJit;
+  jit.vm.optimize_after_iterations = 2;
+
   // Serial adaptive JIT (falls back to interpretation without a host
   // compiler — the comparison holds either way).
   {
-    PlanInfo i2;
-    Query q = GeneratePlan(seed, t, &i2).ValueOrDie();
-    QueryOptions qo;
-    qo.strategy = ExecutionStrategy::kAdaptiveJit;
-    qo.vm.optimize_after_iterations = 2;
-    auto r = Session({.num_workers = 1}).Run(q.context(), qo);
-    ASSERT_TRUE(r.ok()) << repro << info.desc << ": " << r.status().ToString();
-    // Declines come from the JIT gate only; codegen never fails on a trace
-    // the gate accepted (docs/VERIFIER.md).
-    ASSERT_TRUE(DeclineNamesVerifierRule(r.ValueOrDie().jit_declined))
-        << repro << info.desc
-        << " jit_declined: " << r.ValueOrDie().jit_declined;
-    CompareQueries(base, q, info, repro + info.desc + " [jit-serial]");
+    Session serial({.num_workers = 1});
+    run_jit(serial, jit, " [jit-serial]", nullptr);
+    if (::testing::Test::HasFatalFailure()) return;
     if (verbose) std::fprintf(stderr, "  jit-serial ok\n");
   }
 
   // 4-worker session, morsel-parallel adaptive JIT.
-  {
-    PlanInfo i3;
-    Query q = GeneratePlan(seed, t, &i3).ValueOrDie();
-    QueryOptions qo;
-    qo.strategy = ExecutionStrategy::kAdaptiveJit;
-    qo.vm.optimize_after_iterations = 2;
-    auto r = parallel_session.Submit(q.context(), qo).Wait();
-    ASSERT_TRUE(r.ok()) << repro << info.desc << ": " << r.status().ToString();
-    ASSERT_TRUE(DeclineNamesVerifierRule(r.ValueOrDie().jit_declined))
-        << repro << info.desc
-        << " jit_declined: " << r.ValueOrDie().jit_declined;
-    CompareQueries(base, q, info, repro + info.desc + " [session-4w]");
-  }
+  run_jit(parallel_session, jit, " [session-4w]", nullptr);
+  if (::testing::Test::HasFatalFailure()) return;
 
   // Out-of-core family: the same plan under a memory budget, serial and on
   // the 4-worker session. The budget tier comes from a SIDE stream (like
@@ -543,7 +561,7 @@ void RunSeed(uint64_t seed, Tables& t, Session& parallel_session, int* built,
       auto r = Session({.num_workers = 1}).Run(q.context(), qo);
       ASSERT_TRUE(r.ok()) << repro << info.desc << blabel << ": "
                           << r.status().ToString();
-      *spilled += r.ValueOrDie().bytes_spilled;
+      counts->spilled += r.ValueOrDie().bytes_spilled;
       CompareQueries(base, q, info,
                      repro + info.desc + " [spill-serial" + blabel + "]");
       if (verbose) {
@@ -551,21 +569,20 @@ void RunSeed(uint64_t seed, Tables& t, Session& parallel_session, int* built,
                      (unsigned long long)r.ValueOrDie().bytes_spilled);
       }
     }
-    {
-      PlanInfo i5;
-      Query q = GeneratePlan(seed, t, &i5).ValueOrDie();
-      QueryOptions qo;
-      qo.strategy = ExecutionStrategy::kAdaptiveJit;
-      qo.vm.optimize_after_iterations = 2;
-      qo.memory_budget = budget;
-      auto r = parallel_session.Submit(q.context(), qo).Wait();
-      ASSERT_TRUE(r.ok()) << repro << info.desc << blabel << ": "
-                          << r.status().ToString();
-      *spilled += r.ValueOrDie().bytes_spilled;
-      CompareQueries(base, q, info,
-                     repro + info.desc + " [spill-session-4w" + blabel + "]");
-    }
+    QueryOptions qo = jit;
+    qo.memory_budget = budget;
+    run_jit(parallel_session, qo, " [spill-session-4w" + blabel + "]",
+            &counts->spilled);
   }
+}
+
+/// The guard that the JIT configs still run compiled code: without it, a
+/// change that kept every trace from landing would leave the differential
+/// comparison interpreted on every side.
+void ExpectCompiledRuns(const SweepCounts& counts) {
+  if (!jit::HostCompilerAvailable()) return;
+  EXPECT_GT(counts.injection_runs, 0u)
+      << "no JIT config ran a compiled trace";
 }
 
 TEST(DifferentialTest, RandomPlansAgreeAcrossStrategiesAndWorkers) {
@@ -588,13 +605,14 @@ TEST(DifferentialTest, RandomPlansAgreeAcrossStrategiesAndWorkers) {
   so.num_workers = 4;
   Session parallel_session(so);
 
-  int built = 0, skipped = 0;
-  uint64_t spilled = 0;
+  SweepCounts counts;
   for (int p = 0; p < plans; ++p) {
     RunSeed(first_seed + static_cast<uint64_t>(p), t, parallel_session,
-            &built, &skipped, &spilled);
+            &counts);
     if (::testing::Test::HasFatalFailure()) return;
   }
+  const int built = counts.built;
+  ExpectCompiledRuns(counts);
   // The generator is tuned to produce mostly-buildable plans; if that
   // drifts, the differential coverage silently evaporates — fail loudly
   // instead.
@@ -604,12 +622,14 @@ TEST(DifferentialTest, RandomPlansAgreeAcrossStrategiesAndWorkers) {
   // must actually have taken the spill path, or the budget knob has
   // silently stopped biting.
   if (plans >= 50) {
-    EXPECT_GT(spilled, 0u) << "no plan in the sweep spilled a single byte";
+    EXPECT_GT(counts.spilled, 0u)
+        << "no plan in the sweep spilled a single byte";
   }
   std::printf(
       "differential: %d plans built, %d rejected identically, "
-      "%llu bytes spilled\n",
-      built, skipped, (unsigned long long)spilled);
+      "%llu bytes spilled, %llu compiled-trace runs\n",
+      built, counts.skipped, (unsigned long long)counts.spilled,
+      (unsigned long long)counts.injection_runs);
 }
 
 // Pinned seeds for the shape families the JIT used to decline (and, before
@@ -638,15 +658,15 @@ TEST(DifferentialTest, PinnedSeedsForPreviouslyDeclinedShapes) {
   // 24: Project JoinDup SemiJoin Filter Output OrderBy (duplicate
   //     fan-out feeding a post-join selection and an ordered, condensing
   //     row materialization — the many-to-many pair-domain shape)
-  int built = 0, skipped = 0;
-  uint64_t spilled = 0;
+  SweepCounts counts;
   for (uint64_t seed : {6ull, 9ull, 12ull, 20ull, 24ull}) {
-    RunSeed(seed, t, parallel_session, &built, &skipped, &spilled);
+    RunSeed(seed, t, parallel_session, &counts);
     if (::testing::Test::HasFatalFailure()) return;
   }
   // All five seeds must BUILD — a generator change that invalidates one
   // must re-pin an equivalent plan, not silently skip the family.
-  EXPECT_EQ(built, 5) << "pinned differential seeds no longer build";
+  EXPECT_EQ(counts.built, 5) << "pinned differential seeds no longer build";
+  ExpectCompiledRuns(counts);
 }
 
 // Pinned out-of-core seed: a duplicate-fan-out (many-to-many) join feeding
@@ -709,6 +729,120 @@ TEST(DifferentialTest, PinnedSpilledManyToManyJoinOrderBy) {
     EXPECT_GT(r.ValueOrDie().bytes_spilled, 0u) << info.desc;
     CompareQueries(base, q, info, info.desc + " [pinned-spill-session-4w]");
   }
+}
+
+// Traces that land mid-query. CMakeLists.txt runs this case as its own
+// ctest entry with AVM_CXX set to tests/jit/slow_cxx.sh, which sleeps 0-300
+// ms (derived from SLOW_CXX_SEED) before each compile, so a Session's
+// compiles land at chunk boundaries the seed picks. Three clients submit
+// their plans to one 4-worker Session again and again until no compile is
+// pending; every result must equal the plan's serial interpretation, and
+// at least one query must have run compiled on some, but not all, of the
+// chunks after its first optimize pass. Each morsel VM takes one trace per
+// optimize pass here, so that is a run with compiled-trace runs, but fewer
+// than a run of its plan that started with the code landed, whose VMs all
+// install the trace at their first optimize pass.
+TEST(DifferentialTest, TracesLandingMidQueryKeepResults) {
+  const char* seed_env = std::getenv("SLOW_CXX_SEED");
+  if (seed_env == nullptr) GTEST_SKIP() << "run through ctest, which sets it";
+  // Served from a disk cache, every trace would be ready at its first
+  // optimize pass.
+  ASSERT_EQ(::unsetenv("AVM_TRACE_CACHE_DIR"), 0);
+  if (!jit::HostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
+  int plans = 9;
+  if (const char* p = std::getenv("AVM_DIFF_PLANS")) plans = std::atoi(p);
+
+  // 96 chunks per query, so a compile can land while a query runs, cut
+  // into 16 equal morsels: one program instance per plan.
+  Tables t(16 * 6 * 1024);
+  Session session({.num_workers = 4});
+  QueryOptions jit;
+  jit.strategy = ExecutionStrategy::kAdaptiveJit;
+  jit.vm.optimize_after_iterations = 2;
+  jit.vm.max_traces_per_pass = 1;
+  // Resident even where AVM_MEMORY_BUDGET forces spilling: this case is
+  // about where traces land, not about budgets.
+  jit.memory_budget = uint64_t{1} << 40;
+  QueryOptions interp = jit;
+  interp.strategy = ExecutionStrategy::kInterpret;
+
+  constexpr int kClients = 3;
+  struct Client {
+    uint64_t seed = 0;
+    PlanInfo info;
+    std::unique_ptr<Query> base;
+    std::vector<ExecReport> reports;  ///< of each JIT run
+  };
+  int one_compile = 0;  ///< plans whose runs requested one compile
+  int landed_mid_query = 0;  ///< of those, plans with a partly compiled run
+  uint64_t next_seed = std::strtoull(seed_env, nullptr, 10) * 1000 + 1;
+  for (int done = 0; done < plans;) {
+    // The next kClients plans that build, with their serial baselines.
+    std::vector<Client> clients(kClients);
+    for (Client& c : clients) {
+      for (;;) {
+        c.seed = next_seed++;
+        Result<Query> q = GeneratePlan(c.seed, t, &c.info);
+        if (!q.ok()) continue;
+        c.base = std::make_unique<Query>(std::move(q).ValueOrDie());
+        break;
+      }
+      auto r = Session({.num_workers = 1}).Run(c.base->context(), interp);
+      ASSERT_TRUE(r.ok()) << c.info.desc << ": " << r.status().ToString();
+    }
+    // Each client runs its plan until a run starts with no compile pending
+    // after every client's first run requested its compiles.
+    std::atomic<int> first_runs{0};
+    auto client_loop = [&](Client& c) {
+      const std::string label =
+          StrFormat("[mid-query plan seed %llu] ",
+                    (unsigned long long)c.seed) + c.info.desc;
+      for (int run = 0; run < 1000; ++run) {
+        const bool last = first_runs.load() == kClients &&
+                          session.stats().compiles_pending == 0;
+        PlanInfo pi;
+        Query q = GeneratePlan(c.seed, t, &pi).ValueOrDie();
+        auto r = session.Run(q.context(), jit);
+        ASSERT_TRUE(r.ok()) << label << ": " << r.status().ToString();
+        CompareQueries(*c.base, q, c.info, label);
+        c.reports.push_back(r.ValueOrDie());
+        if (run == 0) ++first_runs;
+        if (last) return;
+      }
+      ADD_FAILURE() << label << ": compiles never finished";
+    };
+    std::vector<std::thread> threads;
+    for (Client& c : clients) threads.emplace_back(client_loop, std::ref(c));
+    for (std::thread& th : threads) th.join();
+    if (::testing::Test::HasFatalFailure()) return;
+    // A plan whose first run requested one compile and whose later runs
+    // requested none: its runs before the landing install nothing, its
+    // runs after it install the trace at every VM's first optimize pass,
+    // and a run between runs it on part of its chunks. The last run
+    // started with the code landed. Chunks a trace declined count with
+    // the ones it ran.
+    auto visits = [](const ExecReport& r) {
+      return r.injection_runs + r.injection_fallbacks;
+    };
+    for (const Client& c : clients) {
+      uint64_t requested = 0;
+      for (const ExecReport& r : c.reports) requested += r.traces_compiled;
+      if (requested != 1 || c.reports.front().traces_compiled != 1) continue;
+      ++one_compile;
+      const uint64_t full = visits(c.reports.back());
+      bool partial = false;
+      for (const ExecReport& r : c.reports) {
+        partial |= visits(r) > 0 && visits(r) < full;
+      }
+      landed_mid_query += partial;
+    }
+    done += kClients;
+  }
+  EXPECT_GT(landed_mid_query, 0)
+      << "no query ran compiled on only part of its chunks (" << one_compile
+      << " plans requested one compile)";
+  std::printf("mid-query: %d of %d one-compile plans landed mid-query\n",
+              landed_mid_query, one_compile);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "jit/jit_backend.h"
 #include "relational/q1.h"
 #include "storage/datagen.h"
+#include "tests/wait_for_compiles.h"
 
 namespace avm::engine {
 namespace {
@@ -180,8 +181,14 @@ TEST(ExecContextTest, ParallelQ1WithSharedJitCache) {
   QueryOptions opts;
   opts.strategy = ExecutionStrategy::kAdaptiveJit;
   opts.vm.optimize_after_iterations = 2;
+  Session session({.num_workers = 4});
+  // The first query requests the compile; the second installs its code.
+  Query warm = MakeQ1Query(*table).ValueOrDie();
+  ASSERT_TRUE(session.Run(warm.context(), opts).ok());
+  EXPECT_EQ(Q1ResultFromQuery(warm), oracle.value());
+  WaitForCompiles(session);
   Query q = MakeQ1Query(*table).ValueOrDie();
-  auto run = Session({.num_workers = 4}).Run(q.context(), opts);
+  auto run = session.Run(q.context(), opts);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_EQ(Q1ResultFromQuery(q), oracle.value());
   EXPECT_GT(run.value().injection_runs, 0u);

@@ -77,9 +77,19 @@ QueryOptions Interp() {
 
 /// Runs `make()`'s query under kAdaptiveJit and asserts the lifted-shape
 /// contract: no decline, and (with a host compiler) real compiled-trace
-/// executions. Returns the query for result comparison.
+/// executions. A first run on its own Session requests the shape's
+/// compiles, which that Session finishes before it is destroyed; the
+/// second run, on a fresh Session, installs their machine code. Returns
+/// the second query for result comparison.
 template <typename MakeFn>
 Query RunJitNoDecline(MakeFn make, const char* shape) {
+  Query warm = make();
+  auto w = Session({.num_workers = 1}).Run(warm.context(), Jit());
+  EXPECT_TRUE(w.ok()) << shape << ": " << w.status().ToString();
+  if (w.ok()) {
+    EXPECT_TRUE(w.value().jit_declined.empty())
+        << shape << " declined: " << w.value().jit_declined;
+  }
   Query q = make();
   auto r = Session({.num_workers = 1}).Run(q.context(), Jit());
   EXPECT_TRUE(r.ok()) << shape << ": " << r.status().ToString();
@@ -295,12 +305,20 @@ TEST(JitDeclineRegressionTest, GateDeclineReportedByRuleId) {
   GatherOfChunkArrayPlan plan;
   const uint64_t recheck = vm::VmOptions{}.recheck_interval;
   std::vector<int64_t> jit_out, jit_out2, interp_out, interp_out2;
-  auto r = plan.Run(ExecutionStrategy::kAdaptiveJit, recheck, &jit_out,
-                    &jit_out2);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  // Each Run has a Session of its own, which finishes the compiles the
+  // run requested: the first run warms the code cache, the second
+  // installs the src2 pipeline's machine code.
+  ASSERT_TRUE(plan.Run(ExecutionStrategy::kAdaptiveJit, recheck, &jit_out,
+                       &jit_out2)
+                  .ok());
   ASSERT_TRUE(plan.Run(ExecutionStrategy::kInterpret, recheck, &interp_out,
                        &interp_out2)
                   .ok());
+  EXPECT_EQ(jit_out, interp_out);
+  EXPECT_EQ(jit_out2, interp_out2);
+  auto r = plan.Run(ExecutionStrategy::kAdaptiveJit, recheck, &jit_out,
+                    &jit_out2);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(jit_out, interp_out);
   EXPECT_EQ(jit_out2, interp_out2);
 

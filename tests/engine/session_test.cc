@@ -19,6 +19,7 @@
 #include "relational/q1.h"
 #include "storage/datagen.h"
 #include "util/rng.h"
+#include "tests/wait_for_compiles.h"
 
 namespace avm::engine {
 namespace {
@@ -602,7 +603,8 @@ TEST(SessionTest, Q1RepeatedRunsReuseCompiledCode) {
 // The morsel VMs of one query share its trace plan: a 4-worker Q1 over 16
 // morsels partitions once (VMs whose first optimize passes overlap wait
 // for the first), verifies its one situation once, and its groups stay
-// exact.
+// exact. A first query warms the code cache, so every morsel VM of the
+// second installs the trace at its first optimize pass.
 TEST(SessionTest, MorselVmsOfAQueryShareItsPartitions) {
   if (!jit::HostCompilerAvailable()) {
     GTEST_SKIP() << "no host compiler";
@@ -613,6 +615,10 @@ TEST(SessionTest, MorselVmsOfAQueryShareItsPartitions) {
   Session session({.num_workers = 4});
   QueryOptions qo;
   qo.strategy = ExecutionStrategy::kAdaptiveJit;
+  Query warm = MakeQ1Query(*lineitem).ValueOrDie();
+  ASSERT_TRUE(session.Run(warm.context(), qo).ok());
+  EXPECT_EQ(Q1ResultFromQuery(warm), oracle);
+  WaitForCompiles(session);
   Query q = MakeQ1Query(*lineitem).ValueOrDie();
   auto r = session.Run(q.context(), qo);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -671,30 +677,43 @@ TEST(SessionTest, SecondSessionReusesTheFirstSessionsCode) {
 
 /// Output column of the fixed program `program` over the i64 `inputs`
 /// (bound by name, 65,536 rows each) on `session`, which must write "out".
+/// Under kAdaptiveJit the program runs twice, the second time after the
+/// Session's compiles finished, which must run compiled code and write
+/// the same column.
 std::vector<int64_t> RunFixedProgram(
     Session& session, const dsl::Program& program,
     const std::vector<std::pair<std::string, std::vector<int64_t>*>>& inputs,
     ExecutionStrategy strategy) {
   constexpr int64_t kRows = 65'536;
-  std::vector<int64_t> out(kRows, 0);
-  ExecContext ctx(&program);
-  for (const auto& [name, column] : inputs) {
-    ctx.BindInput(name, interp::DataBinding::Raw(TypeId::kI64,
-                                                 column->data(), kRows));
-  }
-  ctx.BindOutput("out",
-                 interp::DataBinding::Raw(TypeId::kI64, out.data(), kRows,
-                                          true));
   QueryOptions qo;
   qo.strategy = strategy;
   qo.vm.optimize_after_iterations = 2;
-  auto r = session.Run(ctx, qo);
-  EXPECT_TRUE(r.ok()) << r.status().ToString();
-  if (r.ok() && strategy == ExecutionStrategy::kAdaptiveJit &&
-      jit::HostCompilerAvailable()) {
-    EXPECT_GT(r.value().injection_runs, 0u);
+  auto run = [&](ExecReport* report) {
+    std::vector<int64_t> out(kRows, 0);
+    ExecContext ctx(&program);
+    for (const auto& [name, column] : inputs) {
+      ctx.BindInput(name, interp::DataBinding::Raw(TypeId::kI64,
+                                                   column->data(), kRows));
+    }
+    ctx.BindOutput("out",
+                   interp::DataBinding::Raw(TypeId::kI64, out.data(), kRows,
+                                            true));
+    auto r = session.Run(ctx, qo);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    if (r.ok()) *report = r.value();
+    return out;
+  };
+  ExecReport report;
+  std::vector<int64_t> out = run(&report);
+  if (strategy != ExecutionStrategy::kAdaptiveJit ||
+      !jit::HostCompilerAvailable()) {
+    return out;
   }
-  return out;
+  WaitForCompiles(session);
+  std::vector<int64_t> compiled = run(&report);
+  EXPECT_GT(report.injection_runs, 0u);
+  EXPECT_EQ(compiled, out);
+  return compiled;
 }
 
 /// Rows of `got` that differ from `want`.

@@ -46,7 +46,9 @@ INSTANTIATE_TEST_SUITE_P(
 // arithmetic and five grouped scatters — runs as one fused trace: a
 // 1-worker session compiles exactly one trace and declines none. It is the
 // first test of this binary to compile Q1, so its one trace is a compile
-// (or, with a populated AVM_TRACE_CACHE_DIR, a disk load).
+// (or, with a populated AVM_TRACE_CACHE_DIR, a disk load). The Session
+// finishes that compile before it is destroyed, and a query on a fresh
+// Session runs the trace.
 TEST(Q1AdaptiveVmTest, LoopBodyCompilesAsOneTrace) {
   if (!jit::HostCompilerAvailable()) GTEST_SKIP();
   LineitemSpec spec;
@@ -67,7 +69,15 @@ TEST(Q1AdaptiveVmTest, LoopBodyCompilesAsOneTrace) {
   EXPECT_EQ(rep.traces_compiled + rep.disk_cache_hits, 1u)
       << "compiled " << rep.traces_compiled << ", disk "
       << rep.disk_cache_hits;
-  EXPECT_GT(rep.injection_runs, 0u);
+
+  engine::Query again = MakeQ1Query(*table).ValueOrDie();
+  auto rerun = engine::Session({.num_workers = 1}).Run(again.context(), opts);
+  ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
+  EXPECT_EQ(Q1ResultFromQuery(again), oracle.value());
+  EXPECT_TRUE(rerun.value().jit_declined.empty()) << rerun.value().jit_declined;
+  EXPECT_EQ(rerun.value().traces_compiled, 0u);
+  EXPECT_EQ(rerun.value().traces_reused, 1u);
+  EXPECT_GT(rerun.value().injection_runs, 0u);
 }
 
 TEST(Q1AdaptiveVmTest, InterpretedDslMatchesOracle) {

@@ -2,13 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <memory>
 #include <set>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "dsl/builder.h"
 #include "dsl/typecheck.h"
 #include "jit/jit_backend.h"
 #include "storage/datagen.h"
+#include "tests/temp_dir.h"
 
 namespace avm::vm {
 namespace {
@@ -476,6 +481,93 @@ TEST(AdaptiveVmTest, SharedPlanPartitionsAgainForAnUnpredictableFilter) {
     }
     EXPECT_EQ(filter_fused, hi == 19) << "values up to " << hi;
   }
+}
+
+TEST(AdaptiveVmTest, PendingTraceInstallsAtTheChunkItsCodeLands) {
+  // With a compiler thread, the plan queues the compile and the VM keeps
+  // interpreting in GenerateCode, running no recheck; the test holds the
+  // VM at chunk 6 until the compile finished, so the trace lands there:
+  // Fig. 1's "code ready" edge at chunk 6, and chunks 7-16 compiled. A
+  // VM of the plan that starts after the landing installs the trace at
+  // its first optimize pass.
+  if (!jit::HostCompilerAvailable()) GTEST_SKIP();
+  const int64_t kN = 16 * 1024;
+  // A map no other test in this binary compiles, and a private disk cache
+  // that holds nothing yet.
+  dsl::Program p = dsl::MakeMapPipeline(
+      TypeId::kI64,
+      dsl::Lambda({"x"}, dsl::Var("x") * dsl::ConstI(7) + dsl::ConstI(3)),
+      kN);
+  ASSERT_TRUE(dsl::TypeCheck(&p).ok());
+  TempDir disk_dir("adaptive_vm_test");
+  VmOptions opts;
+  opts.optimize_after_iterations = 2;
+  opts.recheck_interval = 4;
+  opts.disk_cache =
+      std::make_shared<jit::DiskTraceCache>(disk_dir.path(), 64 << 20);
+  jit::CompilerThread compiler;
+  TracePlan plan(&compiler);
+  std::vector<int64_t> src = DataGen(43).UniformI64(kN, -1000, 1000);
+
+  auto run = [&](AdaptiveVm& vm) {
+    std::vector<int64_t> out(kN, 0);
+    EXPECT_TRUE(vm.interpreter()
+                    .BindData("src", DataBinding::Raw(TypeId::kI64,
+                                                      src.data(), kN))
+                    .ok());
+    EXPECT_TRUE(vm.interpreter()
+                    .BindData("out", DataBinding::Raw(TypeId::kI64,
+                                                      out.data(), kN, true))
+                    .ok());
+    EXPECT_TRUE(vm.Run().ok());
+    for (int64_t i = 0; i < kN; ++i) ASSERT_EQ(out[i], src[i] * 7 + 3) << i;
+  };
+  using T = StateMachine::Transition;
+  auto same = [](const T& a, const T& b) {
+    return a.from == b.from && a.to == b.to && a.iteration == b.iteration;
+  };
+
+  AdaptiveVm first(&p, opts, &plan);
+  auto step = first.interpreter().iteration_hook;
+  first.interpreter().iteration_hook = [&](interp::Interpreter& in,
+                                           uint64_t iteration) {
+    if (iteration == 6) {
+      EXPECT_EQ(first.state_machine().state(), VmState::kGenerateCode);
+      while (compiler.stats().pending > 0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+    return step(in, iteration);
+  };
+  run(first);
+  const VmReport r1 = first.Report();
+  EXPECT_EQ(r1.traces_compiled, 1u);
+  EXPECT_EQ(r1.disk_cache_misses, 1u);
+  EXPECT_GT(r1.compile_seconds, 0.0);
+  EXPECT_EQ(r1.iterations, 16u);
+  EXPECT_EQ(r1.injection_runs + r1.injection_fallbacks, 10u);
+  const std::vector<T>& t1 = first.state_machine().transitions();
+  ASSERT_GE(t1.size(), 4u);
+  EXPECT_TRUE(same(t1[0], {VmState::kInterpret, VmState::kOptimize, 2}));
+  EXPECT_TRUE(same(t1[1], {VmState::kOptimize, VmState::kGenerateCode, 2}));
+  EXPECT_TRUE(
+      same(t1[2], {VmState::kGenerateCode, VmState::kInjectFunctions, 6}));
+  EXPECT_TRUE(same(t1[3], {VmState::kInjectFunctions, VmState::kInterpret, 6}))
+      << first.state_machine().Timeline();
+
+  AdaptiveVm second(&p, opts, &plan);
+  run(second);
+  const VmReport r2 = second.Report();
+  EXPECT_EQ(r2.traces_compiled, 0u);
+  EXPECT_EQ(r2.traces_reused, 1u);
+  // The compile counted once, in the VM that saw it land.
+  EXPECT_EQ(r2.compile_seconds, 0.0);
+  EXPECT_EQ(r2.injection_runs + r2.injection_fallbacks, 14u);
+  const std::vector<T>& t2 = second.state_machine().transitions();
+  ASSERT_GE(t2.size(), 4u);
+  EXPECT_TRUE(
+      same(t2[2], {VmState::kGenerateCode, VmState::kInjectFunctions, 2}))
+      << second.state_machine().Timeline();
 }
 
 }  // namespace
