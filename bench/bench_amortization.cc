@@ -31,8 +31,7 @@ std::unique_ptr<Pipeline> MakePipeline(int64_t rows, uint64_t salt) {
   p->program = dsl::MakeMapPipeline(
       TypeId::kI64,
       dsl::Lambda({"x"}, dsl::Var("x") * dsl::ConstI(3) +
-                             dsl::ConstI(static_cast<int64_t>(salt))),
-      rows);
+                             dsl::ConstI(static_cast<int64_t>(salt))));
   dsl::TypeCheck(&p->program).Abort();
   DataGen gen(17);
   p->data = gen.UniformI64(static_cast<size_t>(rows), -1000, 1000);
@@ -43,7 +42,7 @@ std::unique_ptr<Pipeline> MakePipeline(int64_t rows, uint64_t salt) {
 void RunOnce(Pipeline& p, const engine::QueryOptions& opts,
              engine::ExecReport* report) {
   const uint64_t n = p.data.size();
-  engine::ExecContext ctx(&p.program);
+  engine::ExecContext ctx(p.program);
   ctx.BindInput("src", DataBinding::Raw(TypeId::kI64, p.data.data(), n));
   ctx.BindOutput("out", DataBinding::Raw(TypeId::kI64, p.out.data(), n, true));
   *report =

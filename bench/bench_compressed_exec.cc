@@ -9,6 +9,7 @@
 
 #include "bench/bench_util.h"
 #include "dsl/builder.h"
+#include "dsl/typecheck.h"
 #include "engine/session.h"
 #include "jit/jit_backend.h"
 #include "storage/datagen.h"
@@ -49,16 +50,12 @@ void RunVm(benchmark::State& state, const Column& col, bool jit,
   opts.vm.optimize_after_iterations = 4;
   opts.vm.recheck_interval = 16;
   uint64_t fallbacks = 0, runs = 0, compiled = 0;
+  dsl::Program program = dsl::MakeMapPipeline(
+      TypeId::kI64,
+      dsl::Lambda({"x"}, dsl::Var("x") * dsl::ConstI(3) + dsl::ConstI(1)));
+  dsl::TypeCheck(&program).Abort();
   for (auto _ : state) {
-    engine::ExecContext ctx(
-        [](int64_t rows) -> Result<dsl::Program> {
-          return dsl::MakeMapPipeline(
-              TypeId::kI64,
-              dsl::Lambda({"x"},
-                          dsl::Var("x") * dsl::ConstI(3) + dsl::ConstI(1)),
-              rows);
-        },
-        kRows);
+    engine::ExecContext ctx(program);
     ctx.BindInputColumn("src", &col);
     ctx.BindOutput("out",
                    DataBinding::Raw(TypeId::kI64, out.data(), kRows, true));

@@ -34,7 +34,7 @@ using interp::DataBinding;
 constexpr int64_t kRows = 1 << 20;
 
 // depth separate `let mK = map (\x -> x*3+1) m{K-1}` statements.
-Program MakeChain(int depth, int64_t rows) {
+Program MakeChain(int depth) {
   Program p;
   p.data = {{"src", TypeId::kI64, false}, {"out", TypeId::kI64, true}};
   std::vector<StmtPtr> body;
@@ -52,8 +52,8 @@ Program MakeChain(int depth, int64_t rows) {
       {Var("out"), Var("i"), Var("m" + std::to_string(depth))})));
   body.push_back(Assign("i", Var("i") + Skeleton(SkeletonKind::kLen,
                                                  {Var("m0")})));
-  body.push_back(If(Call(ScalarOp::kGe, {Var("i"), ConstI(rows)}),
-                    {Break()}));
+  body.push_back(
+      If(Var("i") >= Skeleton(SkeletonKind::kLen, {Var("src")}), {Break()}));
   p.stmts = {MutDef("i"), Assign("i", ConstI(0)), Loop(std::move(body))};
   p.AssignIds();
   return p;
@@ -69,12 +69,10 @@ void RunChain(benchmark::State& state, bool jit) {
                       : engine::ExecutionStrategy::kInterpret;
   opts.vm.optimize_after_iterations = 2;
   opts.vm.constraints.max_streams = 16;
+  Program program = MakeChain(depth);
+  dsl::TypeCheck(&program).Abort();
   for (auto _ : state) {
-    engine::ExecContext ctx(
-        [depth](int64_t rows) -> Result<Program> {
-          return MakeChain(depth, rows);
-        },
-        kRows);
+    engine::ExecContext ctx(program);
     ctx.BindInput("src", DataBinding::Raw(TypeId::kI64, data.data(), kRows));
     ctx.BindOutput("out",
                    DataBinding::Raw(TypeId::kI64, out.data(), kRows, true));

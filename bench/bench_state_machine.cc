@@ -30,7 +30,7 @@ using interp::DataBinding;
 constexpr int64_t kN = 1 << 20;
 
 struct Fig2Fixture {
-  dsl::Program program = dsl::MakeFigure2Program(kN);
+  dsl::Program program = dsl::MakeFigure2Program();
   std::vector<int64_t> data, v, w;
   Fig2Fixture() {
     dsl::TypeCheck(&program).Abort();

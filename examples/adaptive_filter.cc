@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "dsl/builder.h"
+#include "dsl/typecheck.h"
 #include "engine/session.h"
 #include "storage/datagen.h"
 
@@ -28,20 +29,16 @@ const char* FlavorName(interp::FilterFlavor f) {
 
 double RunWith(interp::FilterFlavor flavor, const std::vector<int64_t>& data,
                interp::FilterFlavor* final_choice) {
-  const int64_t n = static_cast<int64_t>(data.size());
   std::vector<int64_t> out(data.size());
 
   // Filter pipelines condense their output, so the row-partitioned form
   // does not apply: the engine runs this context serially.
-  engine::ExecContext ctx(
-      [](int64_t rows) -> Result<dsl::Program> {
-        return dsl::MakeFilterPipeline(
-            TypeId::kI64,
-            dsl::Lambda({"x"}, dsl::Call(dsl::ScalarOp::kLt,
-                                         {dsl::Var("x"), dsl::ConstI(500)})),
-            rows);
-      },
-      n);
+  dsl::Program program = dsl::MakeFilterPipeline(
+      TypeId::kI64, dsl::Lambda({"x"}, dsl::Call(dsl::ScalarOp::kLt,
+                                                 {dsl::Var("x"),
+                                                  dsl::ConstI(500)})));
+  dsl::TypeCheck(&program).Abort("type check");
+  engine::ExecContext ctx(std::move(program));
   ctx.BindInput("src", interp::DataBinding::Raw(
                            TypeId::kI64,
                            const_cast<int64_t*>(data.data()), data.size()))

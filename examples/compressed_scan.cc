@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "dsl/builder.h"
+#include "dsl/typecheck.h"
 #include "engine/session.h"
 #include "jit/jit_backend.h"
 #include "storage/datagen.h"
@@ -42,15 +43,11 @@ int main() {
   std::printf("compression ratio: %.2fx\n\n", prices.CompressionRatio());
 
   std::vector<int64_t> out(kRows);
-  engine::ExecContext ctx(
-      [](int64_t rows) -> Result<dsl::Program> {
-        return dsl::MakeMapPipeline(
-            TypeId::kI64,
-            dsl::Lambda({"x"}, dsl::Var("x") * dsl::ConstI(110) /
-                                   dsl::ConstI(100)),
-            rows);
-      },
-      kRows);
+  dsl::Program program = dsl::MakeMapPipeline(
+      TypeId::kI64,
+      dsl::Lambda({"x"}, dsl::Var("x") * dsl::ConstI(110) / dsl::ConstI(100)));
+  dsl::TypeCheck(&program).Abort("type check");
+  engine::ExecContext ctx(std::move(program));
   ctx.BindInputColumn("src", &prices)
       .BindOutput("out", interp::DataBinding::Raw(TypeId::kI64, out.data(),
                                                   kRows, true));

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "dsl/builder.h"
+#include "dsl/typecheck.h"
 #include "engine/session.h"
 #include "storage/datagen.h"
 
@@ -22,14 +23,13 @@ using namespace avm;
 
 namespace {
 
-engine::ExecContext::ProgramFactory MapFactory(int depth) {
-  return [depth](int64_t rows) -> Result<dsl::Program> {
-    using namespace dsl;
-    ExprPtr body = Var("x");
-    for (int d = 0; d < depth; ++d) body = body * ConstI(3) + Var("x");
-    return MakeMapPipeline(TypeId::kI64, Lambda({"x"}, std::move(body)),
-                           rows);
-  };
+dsl::Program MapProgram(int depth) {
+  using namespace dsl;
+  ExprPtr body = Var("x");
+  for (int d = 0; d < depth; ++d) body = body * ConstI(3) + Var("x");
+  Program p = MakeMapPipeline(TypeId::kI64, Lambda({"x"}, std::move(body)));
+  TypeCheck(&p).Abort("type check");
+  return p;
 }
 
 int64_t Reference(int depth, int64_t x) {
@@ -51,7 +51,7 @@ int RunSweep(const char* label, int depth) {
   for (uint32_t n : {64u << 10, 1u << 20, 8u << 20}) {
     auto col = gen.UniformI64(n, -1000, 1000);
     std::vector<int64_t> out(n);
-    engine::ExecContext ctx(MapFactory(depth), n);
+    engine::ExecContext ctx(MapProgram(depth));
     ctx.BindInput("src",
                   interp::DataBinding::Raw(TypeId::kI64, col.data(), n))
         .BindOutput("out", interp::DataBinding::Raw(TypeId::kI64, out.data(),

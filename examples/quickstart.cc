@@ -170,7 +170,7 @@ loop
   write w k b
   i := i + len(a)
   k := k + len(b)
-  if i >= 65536 then
+  if i >= len(some_data) then
     break
 )";
   dsl::Program program = dsl::ParseProgram(kFigure2).ValueOrDie();
@@ -179,7 +179,7 @@ loop
   std::vector<int64_t> data(fig_n), v(fig_n), w(fig_n);
   for (int64_t i = 0; i < fig_n; ++i) data[i] = (i % 11) - 5;
   int64_t positives = 0;
-  engine::ExecContext ctx(&program);
+  engine::ExecContext ctx(program);
   ctx.BindInput("some_data",
                 interp::DataBinding::Raw(TypeId::kI64, data.data(), fig_n))
       .BindOutput("v",

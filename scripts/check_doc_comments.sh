@@ -7,7 +7,9 @@
 #   scripts/check_doc_comments.sh [header...]
 #
 # With no arguments it checks the engine's entry point (session.h,
-# exec_engine.h, query_builder.h) and the headers whose contracts the docs
+# exec_engine.h, query_builder.h, and morsel.h, whose row ranges each run
+# the query's one program), the DSL builders (builder.h, whose loops end
+# at len of their first input) and the headers whose contracts the docs
 # (docs/TRACE_ABI.md, docs/TRACE_CACHE.md, docs/VERIFIER.md, docs/SPILL.md)
 # rely on: adaptive_vm.h, trace_abi.h, codegen.h (code generation from
 # verified traces only), trace_compiler.h, interpreter.h (InjectedTrace,
@@ -25,6 +27,8 @@ if [ ${#headers[@]} -eq 0 ]; then
     src/engine/session.h
     src/engine/exec_engine.h
     src/engine/query_builder.h
+    src/engine/morsel.h
+    src/dsl/builder.h
     src/vm/adaptive_vm.h
     src/jit/trace_abi.h
     src/jit/codegen.h

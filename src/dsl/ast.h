@@ -54,7 +54,8 @@ enum class SkeletonKind : uint8_t {
   kExpand,    ///< fan out: counts[i] copies per selected row (offsets, or a
               ///< second argument's values replicated) — hash-join probe
   kMerge,     ///< abstract merge (join/union/diff of sorted inputs)
-  kLen,       ///< scalar length of a vector (flow control helper, Fig. 2)
+  kLen,       ///< scalar length of a vector, or the rows bound to a data
+              ///< array (flow control helper, Fig. 2)
 };
 
 const char* SkeletonName(SkeletonKind k);

@@ -2,7 +2,14 @@
 
 namespace avm::dsl {
 
-Program MakeFigure2Program(int64_t limit) {
+namespace {
+/// `if i >= len(<data>) then break`.
+StmtPtr BreakAtEndOf(const std::string& data) {
+  return If(Var("i") >= Skeleton(SkeletonKind::kLen, {Var(data)}), {Break()});
+}
+}  // namespace
+
+Program MakeFigure2Program() {
   Program p;
   p.data = {{"some_data", TypeId::kI64, false},
             {"v", TypeId::kI64, true},
@@ -29,8 +36,7 @@ Program MakeFigure2Program(int64_t limit) {
       "i", Var("i") + Skeleton(SkeletonKind::kLen, {Var("a")})));
   body.push_back(Assign(
       "k", Var("k") + Skeleton(SkeletonKind::kLen, {Var("b")})));
-  body.push_back(If(Call(ScalarOp::kGe, {Var("i"), ConstI(limit)}),
-                    {Break()}));
+  body.push_back(BreakAtEndOf("some_data"));
 
   p.stmts = {MutDef("i"), MutDef("k"), Assign("i", ConstI(0)),
              Assign("k", ConstI(0)), Loop(std::move(body))};
@@ -38,7 +44,7 @@ Program MakeFigure2Program(int64_t limit) {
   return p;
 }
 
-Program MakeMapPipeline(TypeId type, ExprPtr lambda, int64_t limit) {
+Program MakeMapPipeline(TypeId type, ExprPtr lambda) {
   Program p;
   p.data = {{"src", type, false}, {"out", type, true}};
   std::vector<StmtPtr> body;
@@ -50,14 +56,13 @@ Program MakeMapPipeline(TypeId type, ExprPtr lambda, int64_t limit) {
       Skeleton(SkeletonKind::kWrite, {Var("out"), Var("i"), Var("mapped")})));
   body.push_back(
       Assign("i", Var("i") + Skeleton(SkeletonKind::kLen, {Var("mapped")})));
-  body.push_back(If(Call(ScalarOp::kGe, {Var("i"), ConstI(limit)}),
-                    {Break()}));
+  body.push_back(BreakAtEndOf("src"));
   p.stmts = {MutDef("i"), Assign("i", ConstI(0)), Loop(std::move(body))};
   p.AssignIds();
   return p;
 }
 
-Program MakeFilterPipeline(TypeId type, ExprPtr pred, int64_t limit) {
+Program MakeFilterPipeline(TypeId type, ExprPtr pred) {
   Program p;
   p.data = {{"src", type, false}, {"out", type, true}};
   std::vector<StmtPtr> body;
@@ -72,15 +77,14 @@ Program MakeFilterPipeline(TypeId type, ExprPtr pred, int64_t limit) {
       Assign("i", Var("i") + Skeleton(SkeletonKind::kLen, {Var("input")})));
   body.push_back(
       Assign("k", Var("k") + Skeleton(SkeletonKind::kLen, {Var("dense")})));
-  body.push_back(If(Call(ScalarOp::kGe, {Var("i"), ConstI(limit)}),
-                    {Break()}));
+  body.push_back(BreakAtEndOf("src"));
   p.stmts = {MutDef("i"), MutDef("k"), Assign("i", ConstI(0)),
              Assign("k", ConstI(0)), Loop(std::move(body))};
   p.AssignIds();
   return p;
 }
 
-Program MakeSumPipeline(TypeId type, int64_t limit) {
+Program MakeSumPipeline(TypeId type) {
   Program p;
   p.data = {{"src", type, false}, {"out", TypeId::kI64, true}};
   std::vector<StmtPtr> body;
@@ -93,8 +97,7 @@ Program MakeSumPipeline(TypeId type, int64_t limit) {
   body.push_back(Assign("total", Var("total") + Var("s")));
   body.push_back(
       Assign("i", Var("i") + Skeleton(SkeletonKind::kLen, {Var("input")})));
-  body.push_back(If(Call(ScalarOp::kGe, {Var("i"), ConstI(limit)}),
-                    {Break()}));
+  body.push_back(BreakAtEndOf("src"));
   std::vector<StmtPtr> tail;
   // Write the final total to out[0] via a 1-element generated array.
   tail.push_back(Let("result", Skeleton(SkeletonKind::kGen,
@@ -110,7 +113,7 @@ Program MakeSumPipeline(TypeId type, int64_t limit) {
   return p;
 }
 
-Program MakeHypotPipeline(int64_t limit) {
+Program MakeHypotPipeline() {
   Program p;
   p.data = {{"a", TypeId::kF64, false},
             {"b", TypeId::kF64, false},
@@ -128,8 +131,7 @@ Program MakeHypotPipeline(int64_t limit) {
       Skeleton(SkeletonKind::kWrite, {Var("out"), Var("i"), Var("h")})));
   body.push_back(
       Assign("i", Var("i") + Skeleton(SkeletonKind::kLen, {Var("h")})));
-  body.push_back(If(Call(ScalarOp::kGe, {Var("i"), ConstI(limit)}),
-                    {Break()}));
+  body.push_back(BreakAtEndOf("a"));
   p.stmts = {MutDef("i"), Assign("i", ConstI(0)), Loop(std::move(body))};
   p.AssignIds();
   return p;

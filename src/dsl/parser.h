@@ -9,7 +9,7 @@
 //     let a = map (\x -> 2*x) input in
 //     write v i a
 //     i := i + len(a)
-//     if i >= 4096 then
+//     if i >= len(some_data) then
 //       break
 //
 // Blocks are indentation-delimited (spaces; a tab counts as 8). `in` after a

@@ -61,15 +61,11 @@ std::string ExecReport::ToString() const {
 
 // ------------------------------------------------------------- ExecContext
 
-ExecContext::ExecContext(ProgramFactory make_program, uint64_t total_rows)
-    : make_program_(std::move(make_program)), total_rows_(total_rows) {}
-
-ExecContext::ExecContext(const dsl::Program* program)
-    : fixed_program_(program) {}
+ExecContext::ExecContext(dsl::Program program)
+    : program_(std::move(program)) {}
 
 ExecContext& ExecContext::BindInput(const std::string& name,
                                     interp::DataBinding b) {
-  if (total_rows_ == 0) total_rows_ = b.len;
   bound_.push_back({name, BindRole::kInput, b});
   return *this;
 }

@@ -73,9 +73,9 @@ struct ExecReport : vm::VmReport {
   double wall_seconds = 0;
 
   /// Non-empty when parallel execution was requested (workers > 1) but the
-  /// query ran serially anyway; says why (fixed program, condensing
-  /// pipeline, single morsel, ...), instead of silently dropping the
-  /// request on the floor.
+  /// query ran serially anyway; says why (a loop bound that is not len of
+  /// an input, condensing pipeline, single morsel, ...), instead of
+  /// silently dropping the request on the floor.
   std::string ran_serial_reason;
 
   /// Simulated device seconds consumed (kGpuOffload only).
@@ -129,34 +129,30 @@ struct SpillStats {
   uint64_t merge_parts = 0;
 };
 
-/// A program shape plus data bindings, ready for the engine.
+/// A type-checked program plus its data bindings, ready for the engine.
 ///
-/// Programs loop over their input with a baked-in row limit, so a parallel
-/// run needs one program instance per morsel: the context is constructed
-/// with a *factory* `make_program(rows)` that the engine invokes per morsel
-/// (and once with the total row count for serial runs). Programs whose row
-/// count is fixed can use the single-program constructor; those contexts
-/// always run serially.
+/// Every task of the query runs the context's one program. A loop that
+/// exits at `if <pos> >= len(<input>) then break` for a kInput binding runs
+/// over a morsel's row slice (`len` of a data array is the rows bound to
+/// it), so the engine may partition the query; the context's rows are that
+/// binding's length. Any other program owns its loop bound and runs as one
+/// task over the whole arrays.
 ///
 /// A context describes ONE in-flight query: it (and everything it binds)
 /// must stay alive until the query's handle reports completion, and the
 /// same context must not be submitted again while still running.
 class ExecContext {
  public:
-  using ProgramFactory = std::function<Result<dsl::Program>(int64_t rows)>;
   /// Runs fn(i) for every i in [0, n) on the Session's workers and returns
   /// when all calls are done; the calling worker runs indexes too.
   using ParallelFor =
       std::function<void(size_t n, const std::function<void(size_t)>& fn)>;
 
-  /// Row-parameterized program over `total_rows` input rows; this is the
-  /// parallelizable form. The factory's result is type-checked by the
-  /// engine.
-  ExecContext(ProgramFactory make_program, uint64_t total_rows);
+  /// `program` must be type-checked; the engine runs it as given.
+  explicit ExecContext(dsl::Program program);
 
-  /// Fixed, already type-checked program (must outlive the context). Runs
-  /// serially regardless of the session's worker count.
-  explicit ExecContext(const dsl::Program* program);
+  /// The program every task of the query runs.
+  const dsl::Program& program() const { return program_; }
 
   /// Read-only input, partitioned by rows across morsels.
   ExecContext& BindInput(const std::string& name, interp::DataBinding b);
@@ -258,9 +254,6 @@ class ExecContext {
   /// copies them into the ExecReport at finalize.
   SpillStats& spill_stats() { return spill_stats_; }
 
-  uint64_t total_rows() const { return total_rows_; }
-  bool parallelizable() const { return make_program_ != nullptr; }
-
   /// Every binding's (name, role, row_scale), in bind order: the table
   /// analysis::VerifyProgram checks a program against.
   std::vector<analysis::BindingInfo> BindingTable() const;
@@ -279,9 +272,7 @@ class ExecContext {
     bool scratch = false;
   };
 
-  ProgramFactory make_program_;         // null for fixed-program contexts
-  const dsl::Program* fixed_program_ = nullptr;
-  uint64_t total_rows_ = 0;
+  dsl::Program program_;
   std::vector<Bound> bound_;
   std::function<Status(const interp::Interpreter&, const Morsel&)> task_hook_;
   std::function<Status(const ParallelFor&)> finalize_hook_;

@@ -14,7 +14,8 @@ std::vector<Morsel> PartitionRows(uint64_t rows, size_t num_workers,
     morsel_rows = (rows + num_workers * 4 - 1) / (num_workers * 4);
   }
   // Round up to the chunk size so every morsel but the tail runs whole
-  // chunks (identical program shapes maximize trace-cache sharing).
+  // chunks: chunk boundaries stay morsel-aligned, and each morsel VM's
+  // profiled chunks match the others'.
   morsel_rows = ((morsel_rows + align - 1) / align) * align;
   for (uint64_t begin = 0; begin < rows; begin += morsel_rows) {
     Morsel m;

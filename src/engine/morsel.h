@@ -1,7 +1,8 @@
 // Morsel-driven parallelism primitives (Leis et al.-style): the total row
 // range is cut into cache-friendly row-range morsels, and engine::Session's
 // workers pull them from a shared run queue until it is drained, so skew in
-// per-morsel cost self-balances.
+// per-morsel cost self-balances. Each morsel runs the query's one program
+// over its row slice.
 #pragma once
 
 #include <cstddef>

@@ -386,7 +386,7 @@ struct internal::QuerySpec {
 
   Status Resolve();
   Status BuildJoinDim(JoinDim& jd) const;
-  Result<dsl::Program> Lower(int64_t rows) const;
+  Result<dsl::Program> Lower() const;
 };
 
 namespace {
@@ -756,7 +756,7 @@ Status internal::QuerySpec::Resolve() {
   // the written value expressions.
   if (row_mode) {
     out_types.assign(out_cols.size(), TypeId::kI64);
-    AVM_ASSIGN_OR_RETURN(dsl::Program probe, Lower(4096));
+    AVM_ASSIGN_OR_RETURN(dsl::Program probe, Lower());
     AVM_RETURN_NOT_OK(dsl::TypeCheck(&probe));
     dsl::VisitExprs(probe, [&](const dsl::ExprPtr& e) {
       if (e->kind != dsl::ExprKind::kSkeleton ||
@@ -959,7 +959,7 @@ struct Lowering {
 
 }  // namespace
 
-Result<dsl::Program> internal::QuerySpec::Lower(int64_t rows) const {
+Result<dsl::Program> internal::QuerySpec::Lower() const {
   using namespace dsl;
   const Schema& schema = table->schema();
   Program p;
@@ -1389,7 +1389,8 @@ Result<dsl::Program> internal::QuerySpec::Lower(int64_t rows) const {
   lo.Emit(Assign(
       "i", Var("i") + Skeleton(SkeletonKind::kLen,
                                {Var(ColValue(columns[0]))})));
-  lo.Emit(If(Call(dsl::ScalarOp::kGe, {Var("i"), ConstI(rows)}), {Break()}));
+  lo.Emit(If(Var("i") >= Skeleton(SkeletonKind::kLen, {Var(columns[0])}),
+             {Break()}));
 
   p.stmts = {MutDef("i"), Assign("i", ConstI(0))};
   if (row_mode) {
@@ -1464,10 +1465,8 @@ struct Query::Impl {
   /// OnCleanup.
   std::unique_ptr<storage::SpillFile> spill;
 
-  Impl(std::shared_ptr<const internal::QuerySpec> s, uint64_t total_rows)
-      : spec(std::move(s)),
-        ctx([spec = spec](int64_t rows) { return spec->Lower(rows); },
-            total_rows) {}
+  Impl(std::shared_ptr<const internal::QuerySpec> s, dsl::Program program)
+      : spec(std::move(s)), ctx(std::move(program)) {}
   ~Impl() { OnCleanup(); }
 
   Status OnPrepare(const MemoryPlan& plan, PrepareOutcome* out);
@@ -1904,11 +1903,11 @@ ExecContext& Query::context() {
   return impl_->ctx;
 }
 
-Result<dsl::Program> Query::MakeProgram(int64_t rows) const {
+Result<dsl::Program> Query::MakeProgram(int64_t /*rows*/) const {
   if (impl_ == nullptr) {
     return Status::InvalidArgument("Query is empty (not built)");
   }
-  return impl_->spec->Lower(rows);
+  return impl_->spec->Lower();
 }
 
 size_t Query::num_groups() const {
@@ -2172,13 +2171,13 @@ Result<Query> QueryBuilder::Build() {
   // earlier Build() handed out.
   AVM_RETURN_NOT_OK(MutableSpec().Resolve());
 
-  // Lower once now so shape/type errors surface at Build time instead of
-  // from a worker thread mid-query. The probe is representative — lowering
-  // is deterministic and row-count-independent in shape.
-  AVM_ASSIGN_OR_RETURN(dsl::Program probe, spec_->Lower(4096));
-  AVM_RETURN_NOT_OK(dsl::TypeCheck(&probe));
+  // Lower and type-check the query's one program here, so shape and type
+  // errors surface at Build time instead of from a worker thread
+  // mid-query; the context runs this program on every submission.
+  AVM_ASSIGN_OR_RETURN(dsl::Program program, spec_->Lower());
+  AVM_RETURN_NOT_OK(dsl::TypeCheck(&program));
 
-  auto impl = std::make_unique<Query::Impl>(spec_, spec_->table->num_rows());
+  auto impl = std::make_unique<Query::Impl>(spec_, std::move(program));
   const Spec& spec = *impl->spec;
   for (size_t i = 0; i < spec.columns.size(); ++i) {
     impl->ctx.BindInputColumn(spec.columns[i], spec.column_ptrs[i]);
@@ -2258,10 +2257,10 @@ Result<Query> QueryBuilder::Build() {
                                          spec.out_types[i], spec.fan_out);
     }
   }
-  // Statically verify the probe against the roles just bound (always on:
-  // docs/VERIFIER.md level 1).
-  analysis::VerifyResult vr =
-      analysis::VerifyProgram(probe, impl->ctx.BindingTable());
+  // Statically verify the program against the roles just bound (always on:
+  // docs/VERIFIER.md level 1): the verified program is the one that runs.
+  analysis::VerifyResult vr = analysis::VerifyProgram(
+      impl->ctx.program(), impl->ctx.BindingTable());
   if (!vr.clean()) {
     return Status::InvalidArgument(
         "lowered program failed static verification:\n" + vr.ToString());

@@ -1,6 +1,6 @@
 // engine::QueryBuilder — a typed relational front end for the DSL engine.
 //
-// Hand-wiring a query meant writing a dsl::Program factory (reads, filters,
+// Hand-wiring a query meant writing a dsl::Program (reads, filters,
 // selection-vector threading, scatter aggregation) plus a matching set of
 // BindInput/BindShared/BindAccumulator calls, and keeping both in sync by
 // hand. The builder derives all of it from a relational description:
@@ -65,7 +65,7 @@ enum class SortDir : uint8_t { kAscending = 0, kDescending };
 ///  - kHash: always the CSR hash table (testing/benchmarking knob).
 enum class JoinStrategy : uint8_t { kAuto = 0, kHash };
 
-/// A built query: the lowered program factory, its ExecContext with every
+/// A built query: its ExecContext with the lowered program and every
 /// binding attached, and owned result storage for aggregates and
 /// materialized rows. Move-only; must outlive any in-flight submission of
 /// its context.
@@ -97,9 +97,9 @@ class Query {
   /// in-flight submission at a time (the accumulators are this query's).
   ExecContext& context();
 
-  /// Instantiate the lowered program for `rows` input rows (what the
-  /// context's factory runs per morsel). Exposed for tests and for
-  /// consumers below the Session that drive a VM directly.
+  /// A fresh, not yet type-checked lowering of the context's program; its
+  /// loop ends at len of the first scanned column, so `rows` is ignored.
+  /// Exposed for consumers below the Session that drive a VM directly.
   Result<dsl::Program> MakeProgram(int64_t rows) const;
 
   /// Integer aggregate results (Sum/Count), one slot per group. Aborts on
@@ -226,9 +226,9 @@ class QueryBuilder {
   QueryBuilder& OrderBy(const std::string& key,
                         SortDir dir = SortDir::kAscending);
 
-  /// Validate, lower once to surface type errors eagerly, and produce the
-  /// runnable Query. At least one aggregate or one Output/OrderBy is
-  /// required.
+  /// Validate, lower, type-check and verify the program the Query's context
+  /// runs, so errors surface here and not mid-query. At least one
+  /// aggregate or one Output/OrderBy is required.
   Result<Query> Build();
 
  private:

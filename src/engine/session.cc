@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <deque>
-#include <map>
 
-#include "dsl/typecheck.h"
 #include "gpu/gpu_backend.h"
 #include "gpu/placement.h"
 #include "gpu/sim_device.h"
@@ -29,17 +27,16 @@ struct QueryState {
   vm::VmOptions vmo;  ///< effective VM options (JIT gating, scaled warmup)
 
   bool gpu_task = false;  ///< one task on the simulated device
+  /// CPU tasks: rows of the input whose len ends the loop (else 0).
+  uint64_t rows = 0;
   /// CPU tasks: row-range morsels; a serial query is one morsel spanning
   /// every row.
   std::vector<Morsel> morsels;
-  /// Factory contexts: one program per distinct morsel size.
-  std::map<uint64_t, dsl::Program> programs;
   size_t total_tasks = 0;
   std::string serial_reason;
 
-  // kGpuOffload bookkeeping: the instantiated fragment (kept alive for the
-  // device task) and the profile used to calibrate the placer.
-  std::shared_ptr<dsl::Program> gpu_program;
+  // kGpuOffload bookkeeping: the normalized map fragment and the profile
+  // used to calibrate the placer.
   ir::PrimProgram gpu_prim;
   interp::DataBinding gpu_src;
   interp::DataBinding gpu_out;
@@ -428,7 +425,7 @@ void Session::FinalizeLocked(QueryState& q) {
   if (!q.gpu_task) {
     r.workers = std::min(sched_->workers, q.morsels.size());
     r.morsels = q.morsels.size();
-    r.rows = q.ctx->total_rows_;
+    r.rows = q.rows;
   }
   r.ran_serial_reason = q.serial_reason;
   r.bytes_spilled = q.ctx->spill_stats_.bytes_spilled;
@@ -510,8 +507,37 @@ void SumMerge(TypeId type, void* master, const void* partial, uint64_t len) {
   });
 }
 
-/// Row-partitioning is only sound when every data access tracks the input
-/// row position. Three shapes break that and force a serial run:
+/// The data array whose len ends the (type-checked) program's first loop
+/// through a direct `if <pos> >= len(<array>) then break`; empty if none.
+std::string LoopBoundArray(const dsl::Program& program) {
+  const dsl::Stmt* loop = nullptr;
+  dsl::VisitStmts(program, [&](const dsl::StmtPtr& s) {
+    if (loop == nullptr && s->kind == dsl::StmtKind::kLoop) loop = s.get();
+  });
+  if (loop == nullptr) return "";
+  for (const dsl::StmtPtr& s : loop->body) {
+    if (s->kind != dsl::StmtKind::kIf || !s->else_body.empty() ||
+        s->body.size() != 1 || s->body[0]->kind != dsl::StmtKind::kBreak ||
+        s->expr->kind != dsl::ExprKind::kScalarCall ||
+        s->expr->op != dsl::ScalarOp::kGe) {
+      continue;
+    }
+    const dsl::Expr& bound = *s->expr->args[1];
+    if (bound.kind == dsl::ExprKind::kSkeleton &&
+        bound.skeleton == dsl::SkeletonKind::kLen &&
+        bound.args[0]->kind == dsl::ExprKind::kVarRef) {
+      return bound.args[0]->var;
+    }
+  }
+  return "";
+}
+
+/// Row-partitioning is only sound when the loop ends with the morsel's
+/// rows and every data access tracks the input row position. Four shapes
+/// break that and force one whole-array task:
+///  - a first loop that does not exit at len of a kInput binding
+///    (LoopBoundArray): the program owns its bound, which a morsel's loop
+///    would never reach;
 ///  - condense: survivors land at data-dependent output positions, so a
 ///    row-sliced output would be silently wrong;
 ///  - scatter whose target is NOT a privatized accumulator: scatter indices
@@ -520,12 +546,19 @@ void SumMerge(TypeId type, void* master, const void* partial, uint64_t len) {
 ///    rows the gather may address. Shared and accumulator bases see the
 ///    whole array and are fine.
 /// Returns the blocking construct's name, or empty when partitionable.
-std::string RowPartitionBlocker(const dsl::Program& program,
-                                const std::map<std::string, BindRole>& roles) {
+std::string RowPartitionBlocker(
+    const dsl::Program& program,
+    const std::vector<analysis::BindingInfo>& bindings) {
   auto role_of = [&](const std::string& name) -> const BindRole* {
-    auto it = roles.find(name);
-    return it == roles.end() ? nullptr : &it->second;
+    for (const analysis::BindingInfo& b : bindings) {
+      if (b.name == name) return &b.role;
+    }
+    return nullptr;
   };
+  const BindRole* loop_role = role_of(LoopBoundArray(program));
+  if (loop_role == nullptr || *loop_role != BindRole::kInput) {
+    return "loop bound is not len of an input";
+  }
   std::string blocker;
   dsl::VisitExprs(program, [&](const dsl::ExprPtr& e) {
     if (e->kind != dsl::ExprKind::kSkeleton || !blocker.empty()) return;
@@ -568,10 +601,6 @@ vm::VmOptions EffectiveVmOptions(const QueryOptions& qo) {
 }  // namespace
 
 Status Session::Classify(QueryState& q) {
-  ExecContext& ctx = *q.ctx;
-  if (ctx.fixed_program_ == nullptr && ctx.make_program_ == nullptr) {
-    return Status::InvalidArgument("ExecContext has no program");
-  }
   q.vmo = EffectiveVmOptions(q.qo);
 
   // Resolve the query's memory tracker: per-query budget, the session-wide
@@ -604,24 +633,20 @@ Status Session::ClassifyCpu(QueryState& q) {
   ExecContext& ctx = *q.ctx;
   const size_t workers = sched_->workers;
   const bool want_parallel = workers > 1;
+  // The query's rows: those bound to the input whose len ends the loop.
+  const std::string loop_array = LoopBoundArray(ctx.program_);
+  for (const ExecContext::Bound& b : ctx.bound_) {
+    if (b.name == loop_array) {
+      if (b.role == BindRole::kInput) q.rows = b.binding.len;
+      break;
+    }
+  }
 
   // A serial query is one morsel spanning every row, run like any other.
-  // A factory context lowers its program for the whole range here (or
-  // reuses the one the GPU probe lowered); a fixed program runs as given.
   auto serial = [&](std::string reason) -> Status {
-    q.morsels = {Morsel{0, ctx.total_rows_, 0}};
+    q.morsels = {Morsel{0, q.rows, 0}};
     q.total_tasks = 1;
     if (want_parallel) q.serial_reason = std::move(reason);
-    if (!ctx.parallelizable()) return Status::OK();
-    if (q.gpu_program != nullptr) {
-      q.programs.emplace(ctx.total_rows_, std::move(*q.gpu_program));
-      return Status::OK();
-    }
-    AVM_ASSIGN_OR_RETURN(
-        dsl::Program program,
-        ctx.make_program_(static_cast<int64_t>(ctx.total_rows_)));
-    AVM_RETURN_NOT_OK(dsl::TypeCheck(&program));
-    q.programs.emplace(ctx.total_rows_, std::move(program));
     return Status::OK();
   };
 
@@ -640,26 +665,29 @@ Status Session::ClassifyCpu(QueryState& q) {
   }
   const bool spill = spill_cap > 0;
 
-  if (!ctx.parallelizable()) {
+  const std::string blocker =
+      RowPartitionBlocker(ctx.program_, ctx.BindingTable());
+  if (!blocker.empty()) {
     if (spill) {
+      // A serial fallback would need the whole output window resident,
+      // which is exactly what the budget disallowed.
       return Status::InvalidArgument(
-          "spill-mode query requires a per-morsel program factory");
+          "memory budget requires a row-partitionable program, but: " +
+          blocker);
     }
-    return serial("fixed-program context (no per-morsel program factory)");
+    return serial("program not row-partitionable: " + blocker);
   }
-  // The engine chose the loop bound (total_rows_), so undersized
-  // partitioned bindings would make the loop spin on empty reads forever
-  // — reject them up front. (Fixed programs own their loop bound; the
-  // engine cannot second-guess their binding lengths.)
+  // Morsels slice every row-partitioned binding to the loop input's rows,
+  // so a shorter one would hand a morsel rows past its end.
   for (const ExecContext::Bound& b : ctx.bound_) {
     if (b.scratch) continue;  // engine-allocated per task; no extent yet
     if (b.role == BindRole::kInput || b.role == BindRole::kOutput ||
         b.role == BindRole::kPartialOutput) {
-      AVM_RETURN_NOT_OK(ValidatePartitioned(b.name, b.binding,
-                                            ctx.total_rows_ * b.row_scale));
+      AVM_RETURN_NOT_OK(
+          ValidatePartitioned(b.name, b.binding, q.rows * b.row_scale));
     }
   }
-  if (ctx.total_rows_ == 0) return serial("no input rows");
+  if (q.rows == 0) return serial("no input rows");
   // Spill mode forces morsel-wise execution even on one worker: each task
   // gets a budget-sized scratch window whose sorted run seals to disk.
   if (!want_parallel && !spill) return serial("");
@@ -667,8 +695,8 @@ Status Session::ClassifyCpu(QueryState& q) {
   // 0 = auto size; in spill mode spill_cap is already chunk-aligned
   // (floored) by the hook, so PartitionRows' round-UP to chunk alignment
   // cannot exceed it.
-  q.morsels = PartitionRows(ctx.total_rows_, workers, spill_cap,
-                            q.vmo.interp.chunk_size);
+  q.morsels =
+      PartitionRows(q.rows, workers, spill_cap, q.vmo.interp.chunk_size);
   if (q.morsels.size() <= 1 && !spill) {
     return serial("input fits a single morsel");
   }
@@ -682,34 +710,6 @@ Status Session::ClassifyCpu(QueryState& q) {
     q.vmo.optimize_after_iterations = std::max<uint64_t>(
         1, std::min(q.vmo.optimize_after_iterations, morsel_iters / 4));
   }
-
-  // Build one type-checked program per distinct morsel size (at most two:
-  // the steady size and the tail) and share it read-only across workers —
-  // interpretation never mutates the program, and per-morsel program
-  // construction would otherwise dominate small morsels.
-  std::map<std::string, BindRole> roles;
-  for (const ExecContext::Bound& b : ctx.bound_) {
-    roles.emplace(b.name, b.role);
-  }
-  for (const Morsel& m : q.morsels) {
-    if (q.programs.contains(m.rows())) continue;
-    AVM_ASSIGN_OR_RETURN(dsl::Program program,
-                         ctx.make_program_(static_cast<int64_t>(m.rows())));
-    AVM_RETURN_NOT_OK(dsl::TypeCheck(&program));
-    std::string blocker = RowPartitionBlocker(program, roles);
-    if (!blocker.empty()) {
-      q.programs.clear();
-      if (spill) {
-        // A serial fallback would need the whole output window resident,
-        // which is exactly what the budget disallowed.
-        return Status::InvalidArgument(
-            "memory budget requires a row-partitionable program, but: " +
-            blocker);
-      }
-      return serial("program not row-partitionable: " + blocker);
-    }
-    q.programs.emplace(m.rows(), std::move(program));
-  }
   q.total_tasks = q.morsels.size();
   return Status::OK();
 }
@@ -718,13 +718,12 @@ Status Session::ClassifyCpu(QueryState& q) {
 
 Status Session::RunMorselTask(QueryState& q, const Morsel& m) {
   ExecContext& ctx = *q.ctx;
-  const dsl::Program& program = ctx.fixed_program_ != nullptr
-                                    ? *ctx.fixed_program_
-                                    : q.programs.at(m.rows());
-  vm::AdaptiveVm vmach(&program, q.vmo, &q.plan);
+  // Every morsel runs the context's one program, so its VMs share the
+  // query's trace plan entries.
+  vm::AdaptiveVm vmach(&ctx.program_, q.vmo, &q.plan);
   interp::Interpreter& in = vmach.interpreter();
-  // A query's only task binds whole arrays: a fixed program owns its loop
-  // bound and may address rows past total_rows. Each morsel of a
+  // A query's only task binds whole arrays: a program that owns its loop
+  // bound may address rows past any input's length. Each morsel of a
   // multi-morsel query binds its row slice.
   const bool whole = q.morsels.size() == 1;
   auto slice = [&](const interp::DataBinding& b, uint64_t scale) {
@@ -891,16 +890,7 @@ Status Session::ProbeGpuOffload(QueryState& q, bool* offload) {
     }
   }
 
-  // Instantiate a program to inspect its shape.
-  auto owned = std::make_shared<dsl::Program>();
-  const dsl::Program* program = ctx.fixed_program_;
-  if (ctx.make_program_ != nullptr) {
-    AVM_ASSIGN_OR_RETURN(
-        *owned, ctx.make_program_(static_cast<int64_t>(ctx.total_rows_)));
-    AVM_RETURN_NOT_OK(dsl::TypeCheck(owned.get()));
-    program = owned.get();
-  }
-  AVM_ASSIGN_OR_RETURN(MapFragment frag, DetectMapFragment(*program));
+  AVM_ASSIGN_OR_RETURN(MapFragment frag, DetectMapFragment(ctx.program_));
 
   const ExecContext::Bound* src = nullptr;
   const ExecContext::Bound* out = nullptr;
@@ -911,10 +901,8 @@ Status Session::ProbeGpuOffload(QueryState& q, bool* offload) {
   if (src == nullptr || out == nullptr || out->binding.raw == nullptr) {
     return Status::NotFound("map fragment inputs/outputs not offloadable");
   }
-  const uint64_t rows =
-      ctx.total_rows_ > 0 ? ctx.total_rows_ : src->binding.len;
-  if (rows == 0 || rows > UINT32_MAX || out->binding.len < rows ||
-      src->binding.len < rows) {
+  const uint64_t rows = src->binding.len;
+  if (rows == 0 || rows > UINT32_MAX || out->binding.len < rows) {
     return Status::NotFound("row count not offloadable");
   }
 
@@ -951,14 +939,11 @@ Status Session::ProbeGpuOffload(QueryState& q, bool* offload) {
   if (decision.device == gpu::Device::kCpu) {
     // The placer keeps the fragment on the CPU: the query runs the normal
     // CPU path (serial or morsel-parallel), and its measured wall time
-    // calibrates the placer at finalization. Keep the instantiated program
-    // so a serial CPU run does not lower + typecheck the query twice.
+    // calibrates the placer at finalization.
     q.calibrate_cpu = true;
-    q.gpu_program = std::move(owned);
     return Status::OK();
   }
 
-  q.gpu_program = std::move(owned);
   q.gpu_prim = std::move(prim);
   q.gpu_src = src->binding;
   q.gpu_out = out->binding;

@@ -135,8 +135,9 @@ class Session {
   /// until the handle reports completion; a context describes one in-flight
   /// query and must not be re-submitted while running. Never blocks on
   /// execution or admission (back-pressure parks the query; classification
-  /// errors surface through the handle) — classification itself (program
-  /// lowering + typecheck) does run synchronously on the submitting thread.
+  /// errors surface through the handle) — classification itself (the
+  /// memory-plan hook and the morsel cuts) does run synchronously on the
+  /// submitting thread.
   QueryHandle Submit(ExecContext& ctx, const QueryOptions& options = {});
 
   /// Convenience: Submit + Wait. Must not be called from inside an engine

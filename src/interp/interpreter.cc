@@ -342,7 +342,14 @@ Result<Value> Interpreter::EvalSkeleton(const Expr& e) {
     case SkeletonKind::kExpand: return EvalExpand(e);
     case SkeletonKind::kMerge: return EvalMerge(e);
     case SkeletonKind::kLen: {
-      AVM_ASSIGN_OR_RETURN(Value v, EvalExpr(*e.args[0]));
+      // len of a data array is the rows bound to it (a morsel's slice).
+      const Expr& arg = *e.args[0];
+      if (arg.kind == ExprKind::kVarRef && !env_.contains(arg.var)) {
+        if (const DataBinding* b = FindBinding(arg.var)) {
+          return Value::S(ScalarValue::I(static_cast<int64_t>(b->len)));
+        }
+      }
+      AVM_ASSIGN_OR_RETURN(Value v, EvalExpr(arg));
       if (!v.is_array()) return Status::TypeError("len of non-array");
       return Value::S(ScalarValue::I(v.array->active_count()));
     }

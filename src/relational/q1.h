@@ -69,8 +69,8 @@ Result<Q1Result> RunQ1CompiledWholeQuery(const Table& lineitem);
 Result<engine::Query> MakeQ1Query(const Table& lineitem);
 
 /// Copy a finished MakeQ1Query run's aggregates into the Q1Result layout.
-/// (Consumers below the Session that want the raw Q1 DSL program
-/// instantiate it via MakeQ1Query(...).ValueOrDie().MakeProgram(rows).)
+/// (Consumers below the Session that want the raw Q1 DSL program take
+/// MakeQ1Query(...).ValueOrDie().context().program(), for any row count.)
 Q1Result Q1ResultFromQuery(const engine::Query& query);
 
 }  // namespace avm::relational

@@ -109,7 +109,7 @@ void ExpectRejectedByRule(const Program& p, const ir::DepGraph& g,
 // ===========================================================================
 
 TEST(VerifyProgramTest, Figure2ProgramIsClean) {
-  Program p = MakeFigure2Program(4096);
+  Program p = MakeFigure2Program();
   ASSERT_TRUE(dsl::TypeCheck(&p).ok());
   const VerifyResult vr = VerifyProgram(p);
   EXPECT_TRUE(vr.clean()) << vr.ToString();
@@ -279,7 +279,7 @@ TEST(VerifyProgramTest, DomainMix) {
 // ===========================================================================
 
 TEST(VerifyTraceTest, TraceEmpty) {
-  Program p = MakeFigure2Program(4096);
+  Program p = MakeFigure2Program();
   ir::DepGraph g = BuildGraph(&p);
   ir::Trace t;  // covers nothing
   TraceContext ctx;
@@ -729,7 +729,7 @@ TEST(VerifyTraceTest, PinnedMiscompileFamiliesRejected) {
 
 TEST(VerifyTraceTest, PartitionedTracesVerifyAndGenerate) {
   for (bool fuse_filters : {false, true}) {
-    Program p = MakeFigure2Program(4096);
+    Program p = MakeFigure2Program();
     ir::DepGraph g = BuildGraph(&p);
     ir::TraceAcceptor accept;
     if (!fuse_filters) accept = [](const ir::Trace&) { return false; };

@@ -50,7 +50,9 @@ TEST(AstTest, StructuralEquality) {
   Program a = MakeFigure2Program();
   Program b = MakeFigure2Program();
   EXPECT_TRUE(ProgramEquals(a, b));
-  Program c = MakeFigure2Program(/*limit=*/8192);
+  // A Fig. 2 whose loop ends at a constant instead of len(some_data).
+  Program c = MakeFigure2Program();
+  c.stmts.back()->body.back()->expr->args[1] = ConstI(4096);
   EXPECT_FALSE(ProgramEquals(a, c));
 }
 

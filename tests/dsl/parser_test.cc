@@ -28,14 +28,14 @@ loop
   write w k b
   i := i + len(a)
   k := k + len(b)
-  if i >= 4096 then
+  if i >= len(some_data) then
     break
 )";
 
 TEST(ParserTest, Figure2ParsesToBuilderProgram) {
   auto parsed = ParseProgram(kFigure2);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  Program built = MakeFigure2Program(4096);
+  Program built = MakeFigure2Program();
   EXPECT_TRUE(ProgramEquals(parsed.value(), built))
       << "parsed:\n"
       << PrintProgram(parsed.value()) << "\nbuilt:\n" << PrintProgram(built);
@@ -50,12 +50,11 @@ TEST(ParserTest, Figure2TypeChecks) {
 
 TEST(ParserTest, PrintParseRoundTrip) {
   for (Program original :
-       {MakeFigure2Program(), MakeHypotPipeline(1000),
-        MakeSumPipeline(TypeId::kI64, 512),
+       {MakeFigure2Program(), MakeHypotPipeline(),
+        MakeSumPipeline(TypeId::kI64),
         MakeFilterPipeline(TypeId::kI32,
                            Lambda({"x"}, Call(ScalarOp::kLt,
-                                              {Var("x"), ConstI(7)})),
-                           2048)}) {
+                                              {Var("x"), ConstI(7)})))}) {
     std::string text = PrintProgram(original);
     auto reparsed = ParseProgram(text);
     ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString() << "\n" << text;

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "dsl/builder.h"
+#include "dsl/typecheck.h"
 #include "engine/session.h"
 #include "jit/jit_backend.h"
 #include "relational/q1.h"
@@ -88,20 +89,19 @@ class CompilerLifetimeTest : public ::testing::Test {
   }
 };
 
+dsl::Program Checked(dsl::Program p) {
+  dsl::TypeCheck(&p).Abort("type check");
+  return p;
+}
+
 /// A map query `out = src * mul + add` over `n` rows.
 struct MapQuery {
   MapQuery(int64_t mul, int64_t add, int64_t n)
       : src(DataGen(static_cast<uint64_t>(mul)).UniformI64(n, -1000, 1000)),
         out(static_cast<size_t>(n), 0),
-        ctx(
-            [mul, add](int64_t rows) -> Result<dsl::Program> {
-              return dsl::MakeMapPipeline(
-                  TypeId::kI64,
-                  dsl::Lambda({"x"}, dsl::Var("x") * dsl::ConstI(mul) +
-                                         dsl::ConstI(add)),
-                  rows);
-            },
-            n),
+        ctx(Checked(dsl::MakeMapPipeline(
+            TypeId::kI64, dsl::Lambda({"x"}, dsl::Var("x") * dsl::ConstI(mul) +
+                                                 dsl::ConstI(add))))),
         mul(mul),
         add(add) {
     ctx.BindInput("src",

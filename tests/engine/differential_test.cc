@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "analysis/verify_program.h"
-#include "dsl/typecheck.h"
 #include "engine/query_builder.h"
 #include "engine/session.h"
 #include "jit/jit_backend.h"
@@ -478,15 +477,13 @@ void RunSeed(uint64_t seed, Tables& t, Session& parallel_session,
   ++counts->built;
   Query base = std::move(base_q.value());
 
-  // Every generated plan's lowered program must be verifier-clean
-  // (docs/VERIFIER.md level 1). Build() already enforces this — the direct
-  // check keeps the assertion visible even if the builder wiring regresses.
+  // Every generated plan's program must be verifier-clean against its
+  // bindings (docs/VERIFIER.md level 1). Build() already enforces this —
+  // the direct check of the program the context runs keeps the assertion
+  // visible even if the builder wiring regresses.
   {
-    Result<dsl::Program> prog = base.MakeProgram(4096);
-    ASSERT_TRUE(prog.ok()) << repro << info.desc;
-    dsl::Program p = std::move(prog).ValueOrDie();
-    ASSERT_TRUE(dsl::TypeCheck(&p).ok()) << repro << info.desc;
-    const analysis::VerifyResult vr = analysis::VerifyProgram(p);
+    const analysis::VerifyResult vr = analysis::VerifyProgram(
+        base.context().program(), base.context().BindingTable());
     ASSERT_TRUE(vr.clean())
         << repro << info.desc << " program verifier: " << vr.ToString();
   }

@@ -28,13 +28,16 @@ std::unique_ptr<Table> SmallLineitem(uint64_t rows = 120'000) {
   return MakeLineitem(spec);
 }
 
-ExecContext::ProgramFactory TripleMapFactory() {
-  return [](int64_t rows) -> Result<dsl::Program> {
-    return dsl::MakeMapPipeline(
-        TypeId::kI64,
-        dsl::Lambda({"x"}, dsl::Var("x") * dsl::ConstI(3) + dsl::ConstI(1)),
-        rows);
-  };
+dsl::Program Checked(dsl::Program p) {
+  dsl::TypeCheck(&p).Abort("type check");
+  return p;
+}
+
+/// out[i] = 3 * src[i] + 1 over every row bound to src.
+dsl::Program TripleMap() {
+  return Checked(dsl::MakeMapPipeline(
+      TypeId::kI64,
+      dsl::Lambda({"x"}, dsl::Var("x") * dsl::ConstI(3) + dsl::ConstI(1))));
 }
 
 TEST(ExecContextTest, SerialInterpretedMapPipeline) {
@@ -43,7 +46,7 @@ TEST(ExecContextTest, SerialInterpretedMapPipeline) {
   auto data = gen.UniformI64(n, -100, 100);
   std::vector<int64_t> out(n);
 
-  ExecContext ctx(TripleMapFactory(), n);
+  ExecContext ctx(TripleMap());
   ctx.BindInput("src", interp::DataBinding::Raw(TypeId::kI64, data.data(), n));
   ctx.BindOutput("out",
                  interp::DataBinding::Raw(TypeId::kI64, out.data(), n, true));
@@ -66,7 +69,7 @@ TEST(ExecContextTest, ReportRecordsResolvedKernelTier) {
   std::vector<int64_t> out(n);
 
   auto run_with_tier = [&](interp::KernelTier tier) -> std::string {
-    ExecContext ctx(TripleMapFactory(), n);
+    ExecContext ctx(TripleMap());
     ctx.BindInput("src",
                   interp::DataBinding::Raw(TypeId::kI64, data.data(), n));
     ctx.BindOutput(
@@ -95,7 +98,7 @@ TEST(ExecContextTest, ParallelMapPipelineMatchesSerial) {
   QueryOptions opts;
   opts.strategy = ExecutionStrategy::kInterpret;
   {
-    ExecContext ctx(TripleMapFactory(), n);
+    ExecContext ctx(TripleMap());
     ctx.BindInput("src",
                   interp::DataBinding::Raw(TypeId::kI64, data.data(), n));
     ctx.BindOutput("out", interp::DataBinding::Raw(
@@ -103,7 +106,7 @@ TEST(ExecContextTest, ParallelMapPipelineMatchesSerial) {
     ASSERT_TRUE(Session({.num_workers = 1}).Run(ctx, opts).ok());
   }
   {
-    ExecContext ctx(TripleMapFactory(), n);
+    ExecContext ctx(TripleMap());
     ctx.BindInput("src",
                   interp::DataBinding::Raw(TypeId::kI64, data.data(), n));
     ctx.BindOutput("out", interp::DataBinding::Raw(
@@ -134,7 +137,7 @@ TEST(ExecContextTest, ParallelColumnInputSlicing) {
   ASSERT_TRUE(col.AppendValues(values.data(), static_cast<uint32_t>(n)).ok());
 
   std::vector<int64_t> out(n);
-  ExecContext ctx(TripleMapFactory(), n);
+  ExecContext ctx(TripleMap());
   ctx.BindInputColumn("src", &col);
   ctx.BindOutput("out",
                  interp::DataBinding::Raw(TypeId::kI64, out.data(), n, true));
@@ -220,7 +223,7 @@ TEST(ExecContextTest, RepeatedRunsReuseCompiledCode) {
 
   auto run_once = [&]() -> Result<ExecReport> {
     // Re-create the context per run, like a repeated query would.
-    ExecContext ctx(TripleMapFactory(), n);
+    ExecContext ctx(TripleMap());
     ctx.BindInput("src",
                   interp::DataBinding::Raw(TypeId::kI64, data.data(), n));
     ctx.BindOutput("out", interp::DataBinding::Raw(TypeId::kI64, out.data(),
@@ -245,16 +248,13 @@ TEST(ExecContextTest, RepeatedRunsReuseCompiledCode) {
 
 // Compute-heavy map: enough scalar ops per row that the placer's cost model
 // favors the GPU even with cold PCIe transfers both ways.
-ExecContext::ProgramFactory DeepMapFactory() {
-  return [](int64_t rows) -> Result<dsl::Program> {
-    using namespace dsl;
-    ExprPtr body = Var("x");
-    for (int d = 0; d < 10; ++d) {
-      body = body * ConstI(3) + Var("x");
-    }
-    return MakeMapPipeline(TypeId::kI64, Lambda({"x"}, std::move(body)),
-                           rows);
-  };
+dsl::Program DeepMap() {
+  using namespace dsl;
+  ExprPtr body = Var("x");
+  for (int d = 0; d < 10; ++d) {
+    body = body * ConstI(3) + Var("x");
+  }
+  return Checked(MakeMapPipeline(TypeId::kI64, Lambda({"x"}, std::move(body))));
 }
 
 int64_t DeepMapReference(int64_t x) {
@@ -269,7 +269,7 @@ TEST(ExecContextTest, GpuOffloadRunsMapFragmentOnSimDevice) {
   auto data = gen.UniformI64(n, -500, 500);
   std::vector<int64_t> out(n);
 
-  ExecContext ctx(DeepMapFactory(), n);
+  ExecContext ctx(DeepMap());
   ctx.BindInput("src", interp::DataBinding::Raw(TypeId::kI64, data.data(), n));
   ctx.BindOutput("out",
                  interp::DataBinding::Raw(TypeId::kI64, out.data(), n, true));
@@ -301,20 +301,19 @@ TEST(ExecContextTest, GpuOffloadFallsBackToCpuForUnsupportedShapes) {
 }
 
 TEST(ExecContextTest, UndersizedBindingRejectedNotHung) {
-  // The engine chose the loop bound (total_rows); a shorter input binding
-  // would spin the interpreter on empty reads forever. Must error instead.
+  // The loop runs to the end of src; an output binding shorter than src
+  // would hand the last morsels rows past its end. Must error instead.
   const int64_t n = 1000;
-  std::vector<int64_t> data(500, 1), out(n);
-  ExecContext ctx(TripleMapFactory(), n);
-  ctx.BindInput("src",
-                interp::DataBinding::Raw(TypeId::kI64, data.data(), 500));
+  std::vector<int64_t> data(n, 1), out(500);
+  ExecContext ctx(TripleMap());
+  ctx.BindInput("src", interp::DataBinding::Raw(TypeId::kI64, data.data(), n));
   ctx.BindOutput("out",
-                 interp::DataBinding::Raw(TypeId::kI64, out.data(), n, true));
+                 interp::DataBinding::Raw(TypeId::kI64, out.data(), 500, true));
   QueryOptions opts;
   opts.strategy = ExecutionStrategy::kInterpret;
   auto report = Session({.num_workers = 1}).Run(ctx, opts);
   ASSERT_FALSE(report.ok());
-  EXPECT_NE(report.status().ToString().find("src"), std::string::npos);
+  EXPECT_NE(report.status().ToString().find("out"), std::string::npos);
 }
 
 TEST(ExecContextTest, CondensingProgramsForcedSerial) {
@@ -327,15 +326,10 @@ TEST(ExecContextTest, CondensingProgramsForcedSerial) {
   std::vector<int64_t> out(n, -1);
   int64_t survivors = -1;
 
-  ExecContext ctx(
-      [](int64_t rows) -> Result<dsl::Program> {
-        return dsl::MakeFilterPipeline(
-            TypeId::kI64,
-            dsl::Lambda({"x"}, dsl::Call(dsl::ScalarOp::kLt,
-                                         {dsl::Var("x"), dsl::ConstI(500)})),
-            rows);
-      },
-      n);
+  ExecContext ctx(Checked(dsl::MakeFilterPipeline(
+      TypeId::kI64,
+      dsl::Lambda({"x"}, dsl::Call(dsl::ScalarOp::kLt,
+                                   {dsl::Var("x"), dsl::ConstI(500)})))));
   ctx.BindInput("src", interp::DataBinding::Raw(TypeId::kI64, data.data(), n));
   ctx.BindOutput("out",
                  interp::DataBinding::Raw(TypeId::kI64, out.data(), n, true));
@@ -364,41 +358,68 @@ TEST(ExecContextTest, CondensingProgramsForcedSerial) {
   }
 }
 
-TEST(ExecContextTest, FixedProgramContextReportsSerialReason) {
-  // Fixed-program contexts cannot be morsel-partitioned (no per-morsel
-  // factory): requesting workers must yield a report that says why the run
-  // was serial instead of ignoring num_workers on the floor.
+TEST(ExecContextTest, LoopNotEndingAtLenOfAnInputRunsAsOneTask) {
+  // A map whose loop ends at a constant owns its bound, which a morsel's
+  // loop over its row slice would never reach: a 4-worker Session must run
+  // it as one whole-array task and say why, instead of ignoring
+  // num_workers on the floor. The same map bounded by len(src) runs in
+  // morsels and writes the same rows.
   const int64_t n = 50'000;
   DataGen gen(31);
   auto data = gen.UniformI64(n, 0, 100);
-  std::vector<int64_t> out(n);
-  dsl::Program program = dsl::MakeMapPipeline(
-      TypeId::kI64, dsl::Lambda({"x"}, dsl::Var("x") * dsl::ConstI(2)), n);
-  ASSERT_TRUE(dsl::TypeCheck(&program).ok());
+  auto doubling = [] {
+    return dsl::MakeMapPipeline(
+        TypeId::kI64, dsl::Lambda({"x"}, dsl::Var("x") * dsl::ConstI(2)));
+  };
+  const dsl::Program bounded = Checked(doubling());
+  // The loop's last statement is its exit, `if i >= len(src) then break`.
+  dsl::Program constant = doubling();
+  constant.stmts.back()->body.back()->expr->args[1] = dsl::ConstI(n);
+  constant.AssignIds();
+  constant = Checked(std::move(constant));
 
-  ExecContext ctx(&program);
-  ctx.BindInput("src", interp::DataBinding::Raw(TypeId::kI64, data.data(), n));
-  ctx.BindOutput("out",
-                 interp::DataBinding::Raw(TypeId::kI64, out.data(), n, true));
   QueryOptions opts;
   opts.strategy = ExecutionStrategy::kInterpret;
-  auto report = Session({.num_workers = 4}).Run(ctx, opts);
+  auto run = [&](const dsl::Program& program, size_t workers,
+                 std::vector<int64_t>* out) {
+    out->assign(n, 0);
+    ExecContext ctx(program);
+    ctx.BindInput("src",
+                  interp::DataBinding::Raw(TypeId::kI64, data.data(), n));
+    ctx.BindOutput(
+        "out", interp::DataBinding::Raw(TypeId::kI64, out->data(), n, true));
+    return Session({.num_workers = workers}).Run(ctx, opts);
+  };
+  std::vector<int64_t> whole, sliced;
+  auto report = run(constant, 4, &whole);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report.value().morsels, 1u);
   EXPECT_EQ(report.value().workers, 1u);
-  EXPECT_NE(report.value().ran_serial_reason.find("fixed-program"),
+  EXPECT_NE(report.value().ran_serial_reason.find("loop bound"),
             std::string::npos)
       << "reason: " << report.value().ran_serial_reason;
+  for (int64_t i = 0; i < n; ++i) {
+    ASSERT_EQ(whole[i], data[i] * 2) << "row " << i;
+  }
+
+  auto partitioned = run(bounded, 4, &sliced);
+  ASSERT_TRUE(partitioned.ok()) << partitioned.status().ToString();
+  EXPECT_GT(partitioned.value().morsels, 1u);
+  EXPECT_TRUE(partitioned.value().ran_serial_reason.empty())
+      << partitioned.value().ran_serial_reason;
+  EXPECT_EQ(sliced, whole);
+
   // Serial runs that were never asked to parallelize stay silent.
-  auto serial = Session({.num_workers = 1}).Run(ctx, opts);
+  auto serial = run(constant, 1, &whole);
   ASSERT_TRUE(serial.ok());
   EXPECT_TRUE(serial.value().ran_serial_reason.empty());
 }
 
 TEST(ExecContextTest, FixedProgramSingleTaskBindsWholeArrays) {
-  // A fixed program owns its loop bound and may address rows past the
-  // context's total_rows: this one copies each input chunk to out[i] and
-  // out[i + n]. Its one task must bind the whole 2n-row output; a slice of
-  // total_rows rows would fail the second write.
+  // A program whose loop ends at a constant owns its loop bound and may
+  // address rows past its input's length: this one copies each input chunk
+  // to out[i] and out[i + n]. Its one task must bind the whole 2n-row
+  // output; a slice of n rows would fail the second write.
   const int64_t n = 10'000;
   DataGen gen(37);
   auto data = gen.UniformI64(n, -100, 100);
@@ -423,7 +444,7 @@ TEST(ExecContextTest, FixedProgramSingleTaskBindsWholeArrays) {
   program.AssignIds();
   ASSERT_TRUE(dsl::TypeCheck(&program).ok());
 
-  ExecContext ctx(&program);
+  ExecContext ctx(program);
   ctx.BindInput("src", interp::DataBinding::Raw(TypeId::kI64, data.data(), n));
   ctx.BindOutput("out", interp::DataBinding::Raw(TypeId::kI64, out.data(),
                                                  2 * n, true));
@@ -438,20 +459,14 @@ TEST(ExecContextTest, FixedProgramSingleTaskBindsWholeArrays) {
   }
 }
 
-TEST(ExecContextTest, GpuOffloadKeptOnCpuLowersOnce) {
-  // The placer keeps a light, transfer-dominated map on the CPU; the serial
-  // CPU run reuses the program the placement probe lowered.
+TEST(ExecContextTest, GpuOffloadKeptOnCpuRunsOnCpu) {
+  // The placer keeps a light, transfer-dominated map on the CPU; the query
+  // then runs the context's program on the CPU path.
   const int64_t n = 64 << 10;
   DataGen gen(19);
   auto data = gen.UniformI64(n, -1000, 1000);
   std::vector<int64_t> out(n);
-  int factory_calls = 0;
-  ExecContext ctx(
-      [&factory_calls](int64_t rows) {
-        ++factory_calls;
-        return TripleMapFactory()(rows);
-      },
-      n);
+  ExecContext ctx(TripleMap());
   ctx.BindInput("src", interp::DataBinding::Raw(TypeId::kI64, data.data(), n));
   ctx.BindOutput("out",
                  interp::DataBinding::Raw(TypeId::kI64, out.data(), n, true));
@@ -460,7 +475,6 @@ TEST(ExecContextTest, GpuOffloadKeptOnCpuLowersOnce) {
   auto report = Session({.num_workers = 1}).Run(ctx, opts);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report.value().device, "cpu");
-  EXPECT_EQ(factory_calls, 1);
   for (int64_t i = 0; i < n; ++i) {
     ASSERT_EQ(out[i], data[i] * 3 + 1) << "row " << i;
   }
@@ -471,7 +485,7 @@ TEST(ExecContextTest, TaskHookSeesEveryMorsel) {
   DataGen gen(17);
   auto data = gen.UniformI64(n, 0, 100);
   std::vector<int64_t> out(n);
-  ExecContext ctx(TripleMapFactory(), n);
+  ExecContext ctx(TripleMap());
   ctx.BindInput("src", interp::DataBinding::Raw(TypeId::kI64, data.data(), n));
   ctx.BindOutput("out",
                  interp::DataBinding::Raw(TypeId::kI64, out.data(), n, true));

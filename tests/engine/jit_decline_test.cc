@@ -280,7 +280,7 @@ struct GatherOfChunkArrayPlan {
                          std::vector<int64_t>* out2) {
     out->assign(kN, 0);
     out2->assign(kN, 0);
-    ExecContext ctx(&p);
+    ExecContext ctx(p);
     ctx.BindInput("src",
                   interp::DataBinding::Raw(TypeId::kI64, src.data(), kN));
     ctx.BindInput("src2",

@@ -37,6 +37,11 @@ std::unique_ptr<Table> SmallLineitem(uint64_t rows = 120'000) {
   return MakeLineitem(spec);
 }
 
+dsl::Program Checked(dsl::Program p) {
+  dsl::TypeCheck(&p).Abort("type check");
+  return p;
+}
+
 struct SemijoinFixture {
   std::unique_ptr<Table> probe;
   HashSetI64 f0, f1;
@@ -165,15 +170,9 @@ TEST(SessionTest, AdmissionQueueServesEveryQuery) {
   std::vector<std::unique_ptr<ExecContext>> ctxs;
   std::vector<QueryHandle> handles;
   for (int i = 0; i < kQueries; ++i) {
-    auto ctx = std::make_unique<ExecContext>(
-        [](int64_t rows) -> Result<dsl::Program> {
-          return dsl::MakeMapPipeline(
-              TypeId::kI64,
-              dsl::Lambda({"x"}, dsl::Var("x") * dsl::ConstI(3) +
-                                     dsl::ConstI(1)),
-              rows);
-        },
-        n);
+    auto ctx = std::make_unique<ExecContext>(Checked(dsl::MakeMapPipeline(
+        TypeId::kI64,
+        dsl::Lambda({"x"}, dsl::Var("x") * dsl::ConstI(3) + dsl::ConstI(1)))));
     ctx->BindInput("src",
                    interp::DataBinding::Raw(TypeId::kI64, data.data(), n));
     ctx->BindOutput("out", interp::DataBinding::Raw(
@@ -208,13 +207,8 @@ TEST(SessionTest, CancelPendingQuery) {
   qo.strategy = ExecutionStrategy::kInterpret;
 
   auto make_ctx = [&](int i) {
-    auto ctx = std::make_unique<ExecContext>(
-        [](int64_t rows) -> Result<dsl::Program> {
-          return dsl::MakeMapPipeline(
-              TypeId::kI64, dsl::Lambda({"x"}, dsl::Var("x") * dsl::ConstI(2)),
-              rows);
-        },
-        n);
+    auto ctx = std::make_unique<ExecContext>(Checked(dsl::MakeMapPipeline(
+        TypeId::kI64, dsl::Lambda({"x"}, dsl::Var("x") * dsl::ConstI(2)))));
     ctx->BindInput("src",
                    interp::DataBinding::Raw(TypeId::kI64, data.data(), n));
     ctx->BindOutput("out", interp::DataBinding::Raw(
@@ -254,27 +248,26 @@ TEST(SessionTest, ShortQueryNotStarvedByLongRunningQuery) {
   auto short_data = gen.UniformI64(short_n, -10, 10);
   std::vector<int64_t> long_out(long_n), short_out(short_n);
 
-  // Deep lambda so the long scan takes hundreds of milliseconds; a fixed
-  // program pins it to a single serial task occupying one worker.
+  // Deep lambda so the long scan takes hundreds of milliseconds; a loop
+  // that ends at a constant, not at len(src), pins it to a single serial
+  // task occupying one worker.
   dsl::ExprPtr body = dsl::Var("x");
   for (int d = 0; d < 12; ++d) body = body * dsl::ConstI(3) + dsl::Var("x");
   dsl::Program long_program = dsl::MakeMapPipeline(
-      TypeId::kI64, dsl::Lambda({"x"}, std::move(body)), long_n);
+      TypeId::kI64, dsl::Lambda({"x"}, std::move(body)));
+  // The loop's last statement is its exit, `if i >= len(src) then break`.
+  long_program.stmts.back()->body.back()->expr->args[1] = dsl::ConstI(long_n);
+  long_program.AssignIds();
   ASSERT_TRUE(dsl::TypeCheck(&long_program).ok());
 
-  ExecContext long_ctx(&long_program);
+  ExecContext long_ctx(long_program);
   long_ctx.BindInput("src", interp::DataBinding::Raw(TypeId::kI64,
                                                      long_data.data(), long_n));
   long_ctx.BindOutput(
       "out", interp::DataBinding::Raw(TypeId::kI64, long_out.data(), long_n,
                                       true));
-  ExecContext short_ctx(
-      [](int64_t rows) -> Result<dsl::Program> {
-        return dsl::MakeMapPipeline(
-            TypeId::kI64, dsl::Lambda({"x"}, dsl::Var("x") + dsl::ConstI(1)),
-            rows);
-      },
-      short_n);
+  ExecContext short_ctx(Checked(dsl::MakeMapPipeline(
+      TypeId::kI64, dsl::Lambda({"x"}, dsl::Var("x") + dsl::ConstI(1)))));
   short_ctx.BindInput("src", interp::DataBinding::Raw(
                                  TypeId::kI64, short_data.data(), short_n));
   short_ctx.BindOutput(
@@ -305,13 +298,8 @@ TEST(SessionTest, HandleProbesAndEmptyHandle) {
   DataGen gen(3);
   auto data = gen.UniformI64(n, 0, 10);
   std::vector<int64_t> out(n);
-  ExecContext ctx(
-      [](int64_t rows) -> Result<dsl::Program> {
-        return dsl::MakeMapPipeline(
-            TypeId::kI64, dsl::Lambda({"x"}, dsl::Var("x") + dsl::ConstI(7)),
-            rows);
-      },
-      n);
+  ExecContext ctx(Checked(dsl::MakeMapPipeline(
+      TypeId::kI64, dsl::Lambda({"x"}, dsl::Var("x") + dsl::ConstI(7)))));
   ctx.BindInput("src", interp::DataBinding::Raw(TypeId::kI64, data.data(), n));
   ctx.BindOutput("out",
                  interp::DataBinding::Raw(TypeId::kI64, out.data(), n, true));
@@ -330,27 +318,23 @@ TEST(SessionTest, HandleProbesAndEmptyHandle) {
 }
 
 TEST(SessionTest, SubmitErrorSurfacesThroughHandle) {
-  // Undersized partitioned binding: classification rejects it; the handle
-  // completes immediately with the error instead of hanging.
+  // Output binding shorter than the input that ends the loop:
+  // classification rejects it; the handle completes immediately with the
+  // error instead of hanging.
   const int64_t n = 1000;
-  std::vector<int64_t> data(500, 1), out(n);
-  ExecContext ctx(
-      [](int64_t rows) -> Result<dsl::Program> {
-        return dsl::MakeMapPipeline(
-            TypeId::kI64, dsl::Lambda({"x"}, dsl::Var("x")), rows);
-      },
-      n);
-  ctx.BindInput("src",
-                interp::DataBinding::Raw(TypeId::kI64, data.data(), 500));
+  std::vector<int64_t> data(n, 1), out(500);
+  ExecContext ctx(Checked(
+      dsl::MakeMapPipeline(TypeId::kI64, dsl::Lambda({"x"}, dsl::Var("x")))));
+  ctx.BindInput("src", interp::DataBinding::Raw(TypeId::kI64, data.data(), n));
   ctx.BindOutput("out",
-                 interp::DataBinding::Raw(TypeId::kI64, out.data(), n, true));
+                 interp::DataBinding::Raw(TypeId::kI64, out.data(), 500, true));
   Session session({.num_workers = 4});
   QueryOptions qo;
   qo.strategy = ExecutionStrategy::kInterpret;
   QueryHandle h = session.Submit(ctx, qo);
   auto r = h.Wait();
   ASSERT_FALSE(r.ok());
-  EXPECT_NE(r.status().ToString().find("src"), std::string::npos);
+  EXPECT_NE(r.status().ToString().find("out"), std::string::npos);
 }
 
 // Many same-shape adaptive-JIT queries racing on a cold process: each
@@ -379,15 +363,9 @@ TEST(SessionTest, SingleFlightTraceCompilationUnderContention) {
   std::vector<std::unique_ptr<ExecContext>> ctxs;
   std::vector<QueryHandle> handles;
   for (int i = 0; i < kClients; ++i) {
-    auto ctx = std::make_unique<ExecContext>(
-        [](int64_t rows) -> Result<dsl::Program> {
-          return dsl::MakeMapPipeline(
-              TypeId::kI64,
-              dsl::Lambda({"x"}, dsl::Var("x") * dsl::ConstI(5) -
-                                     dsl::ConstI(2)),
-              rows);
-        },
-        n);
+    auto ctx = std::make_unique<ExecContext>(Checked(dsl::MakeMapPipeline(
+        TypeId::kI64,
+        dsl::Lambda({"x"}, dsl::Var("x") * dsl::ConstI(5) - dsl::ConstI(2)))));
     ctx->BindInput("src",
                    interp::DataBinding::Raw(TypeId::kI64, data.data(), n));
     ctx->BindOutput("out", interp::DataBinding::Raw(
@@ -604,32 +582,38 @@ TEST(SessionTest, Q1RepeatedRunsReuseCompiledCode) {
 // morsels partitions once (VMs whose first optimize passes overlap wait
 // for the first), verifies its one situation once, and its groups stay
 // exact. A first query warms the code cache, so every morsel VM of the
-// second installs the trace at its first optimize pass.
+// second installs the trace at its first optimize pass. A tail morsel
+// shorter than the others runs the same program, so it shares the plan
+// too.
 TEST(SessionTest, MorselVmsOfAQueryShareItsPartitions) {
   if (!jit::HostCompilerAvailable()) {
     GTEST_SKIP() << "no host compiler";
   }
-  // 16 morsels of 8 chunks at 4 workers.
-  auto lineitem = SmallLineitem(16 * 8 * 1024);
-  Q1Result oracle = RunQ1Scalar(*lineitem).ValueOrDie();
-  Session session({.num_workers = 4});
-  QueryOptions qo;
-  qo.strategy = ExecutionStrategy::kAdaptiveJit;
-  Query warm = MakeQ1Query(*lineitem).ValueOrDie();
-  ASSERT_TRUE(session.Run(warm.context(), qo).ok());
-  EXPECT_EQ(Q1ResultFromQuery(warm), oracle);
-  WaitForCompiles(session);
-  Query q = MakeQ1Query(*lineitem).ValueOrDie();
-  auto r = session.Run(q.context(), qo);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(Q1ResultFromQuery(q), oracle);
-  EXPECT_EQ(r.value().morsels, 16u);
-  EXPECT_EQ(r.value().partitions, 1u);
-  EXPECT_EQ(r.value().verifier_checked, 1u);
-  EXPECT_EQ(r.value().traces_compiled + r.value().traces_reused +
-                r.value().disk_cache_hits,
-            r.value().morsels);
-  EXPECT_GT(r.value().injection_runs, 0u);
+  // At 4 workers: 16 morsels of 8 chunks, then 15 morsels of 8,192 rows
+  // and a 3,192-row tail.
+  for (uint64_t rows : {uint64_t{16 * 8 * 1024}, uint64_t{126'072}}) {
+    SCOPED_TRACE(rows);
+    auto lineitem = SmallLineitem(rows);
+    Q1Result oracle = RunQ1Scalar(*lineitem).ValueOrDie();
+    Session session({.num_workers = 4});
+    QueryOptions qo;
+    qo.strategy = ExecutionStrategy::kAdaptiveJit;
+    Query warm = MakeQ1Query(*lineitem).ValueOrDie();
+    ASSERT_TRUE(session.Run(warm.context(), qo).ok());
+    EXPECT_EQ(Q1ResultFromQuery(warm), oracle);
+    WaitForCompiles(session);
+    Query q = MakeQ1Query(*lineitem).ValueOrDie();
+    auto r = session.Run(q.context(), qo);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(Q1ResultFromQuery(q), oracle);
+    EXPECT_EQ(r.value().morsels, 16u);
+    EXPECT_EQ(r.value().partitions, 1u);
+    EXPECT_EQ(r.value().verifier_checked, 1u);
+    EXPECT_EQ(r.value().traces_compiled + r.value().traces_reused +
+                  r.value().disk_cache_hits,
+              r.value().morsels);
+    EXPECT_GT(r.value().injection_runs, 0u);
+  }
 }
 
 // A query run on a second Session of the process takes its machine code
@@ -648,15 +632,9 @@ TEST(SessionTest, SecondSessionReusesTheFirstSessionsCode) {
   for (int run = 0; run < 2; ++run) {
     std::vector<int64_t> out(n);
     // A map no other test in this binary compiles.
-    ExecContext ctx(
-        [](int64_t rows) -> Result<dsl::Program> {
-          return dsl::MakeMapPipeline(
-              TypeId::kI64,
-              dsl::Lambda({"x"}, dsl::Var("x") * dsl::ConstI(11) +
-                                     dsl::ConstI(4)),
-              rows);
-        },
-        n);
+    ExecContext ctx(Checked(dsl::MakeMapPipeline(
+        TypeId::kI64, dsl::Lambda({"x"}, dsl::Var("x") * dsl::ConstI(11) +
+                                             dsl::ConstI(4)))));
     ctx.BindInput("src",
                   interp::DataBinding::Raw(TypeId::kI64, data.data(), n));
     ctx.BindOutput(
@@ -675,7 +653,7 @@ TEST(SessionTest, SecondSessionReusesTheFirstSessionsCode) {
   EXPECT_GT(reports[1].traces_reused, 0u);
 }
 
-/// Output column of the fixed program `program` over the i64 `inputs`
+/// Output column of `program` over the i64 `inputs`
 /// (bound by name, 65,536 rows each) on `session`, which must write "out".
 /// Under kAdaptiveJit the program runs twice, the second time after the
 /// Session's compiles finished, which must run compiled code and write
@@ -690,7 +668,7 @@ std::vector<int64_t> RunFixedProgram(
   qo.vm.optimize_after_iterations = 2;
   auto run = [&](ExecReport* report) {
     std::vector<int64_t> out(kRows, 0);
-    ExecContext ctx(&program);
+    ExecContext ctx(program);
     for (const auto& [name, column] : inputs) {
       ctx.BindInput(name, interp::DataBinding::Raw(TypeId::kI64,
                                                    column->data(), kRows));
@@ -735,8 +713,7 @@ TEST(SessionTest, MapConstantsDifferingPastTheLabelCutDoNotShareCode) {
     dsl::Program p = dsl::MakeMapPipeline(
         TypeId::kI64,
         dsl::Lambda({"v"}, dsl::Var("v") * dsl::ConstI(1'000'000) +
-                               dsl::ConstI(add)),
-        n);
+                               dsl::ConstI(add)));
     ASSERT_TRUE(dsl::TypeCheck(&p).ok());
     const std::vector<int64_t> want = RunFixedProgram(
         session, p, {{"src", &src}}, ExecutionStrategy::kInterpret);

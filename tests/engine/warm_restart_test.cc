@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "dsl/builder.h"
+#include "dsl/typecheck.h"
 #include "engine/session.h"
 #include "jit/jit_backend.h"
 #include "storage/datagen.h"
@@ -30,6 +31,11 @@
 
 namespace avm::engine {
 namespace {
+
+dsl::Program Checked(dsl::Program p) {
+  dsl::TypeCheck(&p).Abort("type check");
+  return p;
+}
 
 std::vector<std::string> CacheEntries(const std::string& dir) {
   std::vector<std::string> entries;
@@ -103,15 +109,9 @@ TEST(WarmRestartTest, DISABLED_ChildRun) {
   DataGen gen(41);
   auto data = gen.UniformI64(n, -1000, 1000);
   std::vector<int64_t> out(n, 0);
-  ExecContext ctx(
-      [](int64_t rows) -> Result<dsl::Program> {
-        return dsl::MakeMapPipeline(
-            TypeId::kI64,
-            dsl::Lambda({"x"}, dsl::Var("x") * dsl::ConstI(7) -
-                                   dsl::ConstI(3)),
-            rows);
-      },
-      n);
+  ExecContext ctx(Checked(dsl::MakeMapPipeline(
+      TypeId::kI64,
+      dsl::Lambda({"x"}, dsl::Var("x") * dsl::ConstI(7) - dsl::ConstI(3)))));
   ctx.BindInput("src", interp::DataBinding::Raw(TypeId::kI64, data.data(), n));
   ctx.BindOutput("out",
                  interp::DataBinding::Raw(TypeId::kI64, out.data(), n, true));
@@ -250,15 +250,9 @@ TEST(WarmRestartTest, SharedEnvCacheDirContract) {
   std::vector<int64_t> out(n, 0);
   // A program shape private to this test, so its cache entry is written and
   // read only here.
-  ExecContext ctx(
-      [](int64_t rows) -> Result<dsl::Program> {
-        return dsl::MakeMapPipeline(
-            TypeId::kI64,
-            dsl::Lambda({"x"}, dsl::Var("x") * dsl::ConstI(13) +
-                                   dsl::ConstI(29)),
-            rows);
-      },
-      n);
+  ExecContext ctx(Checked(dsl::MakeMapPipeline(
+      TypeId::kI64,
+      dsl::Lambda({"x"}, dsl::Var("x") * dsl::ConstI(13) + dsl::ConstI(29)))));
   ctx.BindInput("src", interp::DataBinding::Raw(TypeId::kI64, data.data(), n));
   ctx.BindOutput("out",
                  interp::DataBinding::Raw(TypeId::kI64, out.data(), n, true));

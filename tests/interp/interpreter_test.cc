@@ -27,7 +27,7 @@ Program ParseChecked(const std::string& src) {
 
 TEST(InterpreterTest, Figure2EndToEnd) {
   const int64_t kN = 4096;
-  Program p = Checked(dsl::MakeFigure2Program(kN));
+  Program p = Checked(dsl::MakeFigure2Program());
   std::vector<int64_t> data(kN), v(kN, -999), w(kN, -999);
   for (int64_t i = 0; i < kN; ++i) data[i] = i - 2000;  // mixed signs
 
@@ -99,7 +99,7 @@ loop
 
 TEST(InterpreterTest, HypotPipelineMatchesStdSqrt) {
   const int64_t kN = 3000;
-  Program p = Checked(dsl::MakeHypotPipeline(kN));
+  Program p = Checked(dsl::MakeHypotPipeline());
   std::vector<double> a(kN), b(kN), out(kN);
   for (int i = 0; i < kN; ++i) {
     a[i] = i * 0.25;
@@ -121,7 +121,7 @@ TEST(InterpreterTest, HypotPipelineMatchesStdSqrt) {
 
 TEST(InterpreterTest, SumPipeline) {
   const int64_t kN = 5000;
-  Program p = Checked(dsl::MakeSumPipeline(TypeId::kI64, kN));
+  Program p = Checked(dsl::MakeSumPipeline(TypeId::kI64));
   std::vector<int64_t> data(kN);
   int64_t expect = 0;
   for (int i = 0; i < kN; ++i) {
@@ -147,7 +147,7 @@ TEST(InterpreterTest, ReadsFromCompressedColumn) {
   ASSERT_GT(col.CompressionRatio(), 1.5);
 
   Program p = Checked(dsl::MakeMapPipeline(
-      TypeId::kI64, dsl::Lambda({"x"}, dsl::Var("x") + dsl::ConstI(1)), kN));
+      TypeId::kI64, dsl::Lambda({"x"}, dsl::Var("x") + dsl::ConstI(1))));
   std::vector<int64_t> out(kN);
   Interpreter in(&p);
   ASSERT_TRUE(in.BindData("src", DataBinding::FromColumn(&col)).ok());
@@ -157,6 +157,51 @@ TEST(InterpreterTest, ReadsFromCompressedColumn) {
   ASSERT_TRUE(in.Run().ok());
   for (uint32_t i = 0; i < kN; ++i) ASSERT_EQ(out[i], data[i] + 1);
   EXPECT_NE(in.LastSchemeOf("src"), Scheme::kPlain);
+}
+
+TEST(InterpreterTest, LenOfDataArrayIsItsBoundRows) {
+  // len of a data array reads the rows bound to it, whatever backs them.
+  Program p = ParseChecked("data src : i64\nmut n\nn := len(src)\n");
+  auto len_of = [&](DataBinding b) -> Result<int64_t> {
+    Interpreter in(&p);
+    AVM_RETURN_NOT_OK(in.BindData("src", b));
+    AVM_RETURN_NOT_OK(in.Run());
+    AVM_ASSIGN_OR_RETURN(ScalarValue n, in.GetScalar("n"));
+    return n.AsI64();
+  };
+  std::vector<int64_t> raw(777, 1);
+  EXPECT_EQ(len_of(DataBinding::Raw(TypeId::kI64, raw.data(), raw.size()))
+                .ValueOrDie(),
+            777);
+  const uint32_t kRows = 10'000;
+  std::vector<int64_t> values(kRows);
+  for (uint32_t i = 0; i < kRows; ++i) values[i] = 3 * i - 5'000;
+  Column col(TypeId::kI64, 2048);
+  ASSERT_TRUE(col.AppendValues(values.data(), kRows).ok());
+  EXPECT_EQ(len_of(DataBinding::FromColumn(&col)).ValueOrDie(), kRows);
+  const DataBinding slice = DataBinding::ColumnSlice(&col, 1'000, 3'000);
+  EXPECT_EQ(len_of(slice).ValueOrDie(), 3'000);
+
+  // A loop bounded by len(src) runs over exactly the slice's rows: a
+  // 3,000-row output takes them all, and one row past it would fail.
+  Program map = Checked(dsl::MakeMapPipeline(
+      TypeId::kI64, dsl::Lambda({"x"}, dsl::Var("x") + dsl::ConstI(1))));
+  std::vector<int64_t> out(3'000);
+  Interpreter in(&map);
+  ASSERT_TRUE(in.BindData("src", slice).ok());
+  ASSERT_TRUE(in.BindData("out", DataBinding::Raw(TypeId::kI64, out.data(),
+                                                  out.size(), true))
+                  .ok());
+  ASSERT_TRUE(in.Run().ok());
+  for (uint32_t i = 0; i < out.size(); ++i) {
+    ASSERT_EQ(out[i], values[1'000 + i] + 1) << "row " << i;
+  }
+
+  Interpreter unbound(&p);
+  const Status st = unbound.Run();
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  EXPECT_NE(st.ToString().find("unbound data array src"), std::string::npos)
+      << st.ToString();
 }
 
 TEST(InterpreterTest, GenAndScatter) {
@@ -264,8 +309,7 @@ TEST_P(FilterFlavorTest, AllFlavorsProduceSameSelection) {
   Program p = Checked(dsl::MakeFilterPipeline(
       TypeId::kI64,
       dsl::Lambda({"x"}, dsl::Call(dsl::ScalarOp::kLt,
-                                   {dsl::Var("x"), dsl::ConstI(30)})),
-      kN));
+                                   {dsl::Var("x"), dsl::ConstI(30)}))));
   std::vector<int64_t> data(kN), out(kN, -1);
   for (int i = 0; i < kN; ++i) data[i] = i % 100;
   InterpreterOptions opts;
@@ -296,7 +340,7 @@ INSTANTIATE_TEST_SUITE_P(Flavors, FilterFlavorTest,
 
 TEST(InterpreterTest, ProfilerCollectsPerOpStats) {
   const int64_t kN = 4096;
-  Program p = Checked(dsl::MakeFigure2Program(kN));
+  Program p = Checked(dsl::MakeFigure2Program());
   std::vector<int64_t> data(kN, 5), v(kN), w(kN);
   Interpreter in(&p);
   ASSERT_TRUE(in.BindData("some_data",
@@ -330,7 +374,7 @@ TEST(InterpreterTest, InjectionReplacesStatements) {
   // Hand-inject a "compiled" trace that computes a = 3*x instead of 2*x;
   // the interpreter must use it and skip the covered statement.
   const int64_t kN = 1024;
-  Program p = Checked(dsl::MakeFigure2Program(kN));
+  Program p = Checked(dsl::MakeFigure2Program());
   std::vector<int64_t> data(kN, 1), v(kN), w(kN);
   Interpreter in(&p);
   ASSERT_TRUE(in.BindData("some_data",
@@ -374,7 +418,7 @@ TEST(InterpreterTest, InjectionReplacesStatements) {
 
 TEST(InterpreterTest, InjectionFallbackWhenNotApplicable) {
   const int64_t kN = 1024;
-  Program p = Checked(dsl::MakeFigure2Program(kN));
+  Program p = Checked(dsl::MakeFigure2Program());
   std::vector<int64_t> data(kN, 1), v(kN), w(kN);
   Interpreter in(&p);
   ASSERT_TRUE(in.BindData("some_data",
@@ -403,13 +447,13 @@ TEST(InterpreterTest, InjectionFallbackWhenNotApplicable) {
 }
 
 TEST(InterpreterErrorTest, UnboundDataRejected) {
-  Program p = Checked(dsl::MakeFigure2Program(64));
+  Program p = Checked(dsl::MakeFigure2Program());
   Interpreter in(&p);
   EXPECT_TRUE(in.Run().IsInvalidArgument());
 }
 
 TEST(InterpreterErrorTest, TypeMismatchedBindingRejected) {
-  Program p = Checked(dsl::MakeFigure2Program(64));
+  Program p = Checked(dsl::MakeFigure2Program());
   std::vector<int32_t> wrong(64);
   Interpreter in(&p);
   EXPECT_TRUE(in.BindData("some_data",
@@ -449,7 +493,7 @@ TEST(InterpreterTest, PartialTailChunk) {
   // process correctly.
   const int64_t kN = 2500;  // 2 full chunks + 452
   Program p = Checked(dsl::MakeMapPipeline(
-      TypeId::kI64, dsl::Lambda({"x"}, dsl::Var("x") * dsl::ConstI(5)), kN));
+      TypeId::kI64, dsl::Lambda({"x"}, dsl::Var("x") * dsl::ConstI(5))));
   std::vector<int64_t> data(kN), out(kN);
   for (int i = 0; i < kN; ++i) data[i] = i;
   Interpreter in(&p);

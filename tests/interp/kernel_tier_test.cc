@@ -411,12 +411,11 @@ INSTANTIATE_TEST_SUITE_P(SupportedTiers, TierParityTest,
 // Micro-adaptive scalar-vs-SIMD selection
 // ---------------------------------------------------------------------------
 
-dsl::Program FilterProgram(int64_t n, int64_t threshold) {
+dsl::Program FilterProgram(int64_t threshold) {
   dsl::Program p = dsl::MakeFilterPipeline(
       TypeId::kI64,
       dsl::Lambda({"x"}, dsl::Call(ScalarOp::kLt,
-                                   {dsl::Var("x"), dsl::ConstI(threshold)})),
-      n);
+                                   {dsl::Var("x"), dsl::ConstI(threshold)})));
   Status st = dsl::TypeCheck(&p);
   EXPECT_TRUE(st.ok()) << st.ToString();
   return p;
@@ -439,7 +438,7 @@ int64_t RunFilterQuery(KernelTier tier, int64_t threshold,
                        KernelTier* preferred_tier = nullptr,
                        FilterFlavor* preferred_flavor = nullptr) {
   const int64_t kN = 1 << 16;
-  dsl::Program p = FilterProgram(kN, threshold);
+  dsl::Program p = FilterProgram(threshold);
   std::vector<int64_t> data(kN);
   Rng rng(7);
   for (auto& x : data) x = rng.NextInRange(0, 999);

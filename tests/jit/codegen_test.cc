@@ -44,7 +44,7 @@ struct Fixture {
 /// §III-B heuristic) with every filter-holding region rejected.
 Fixture MakeFig2Fixture(bool fuse_filters) {
   Fixture fx;
-  fx.program = dsl::MakeFigure2Program(4096);
+  fx.program = dsl::MakeFigure2Program();
   EXPECT_TRUE(dsl::TypeCheck(&fx.program).ok());
   auto g = ir::DepGraph::Build(fx.program);
   EXPECT_TRUE(g.ok());
@@ -262,7 +262,7 @@ TEST(CodegenTest, GeneratedUnitIncludesOnlyCstdint) {
       if (gen.ok()) units.push_back(std::move(gen).value());
     }
   }
-  dsl::Program hypot = dsl::MakeHypotPipeline(4096);
+  dsl::Program hypot = dsl::MakeHypotPipeline();
   ASSERT_TRUE(dsl::TypeCheck(&hypot).ok());
   auto g = ir::DepGraph::Build(hypot);
   ASSERT_TRUE(g.ok());

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "dsl/builder.h"
+#include "dsl/typecheck.h"
 #include "engine/session.h"
 #include "jit/disk_cache.h"
 #include "jit/jit_backend.h"
@@ -21,21 +22,20 @@
 namespace avm::engine {
 namespace {
 
+dsl::Program Checked(dsl::Program p) {
+  dsl::TypeCheck(&p).Abort("type check");
+  return p;
+}
+
 /// Runs `out = src * mul + 1` under the JIT on a fresh 1-worker Session,
 /// with `disk` as its persistent cache (none when null).
 ExecReport RunMap(int64_t mul, std::shared_ptr<jit::DiskTraceCache> disk) {
   const int64_t n = 16 * 1024;
   std::vector<int64_t> src(n), out(n, 0);
   for (int64_t i = 0; i < n; ++i) src[i] = i - 500;
-  ExecContext ctx(
-      [mul](int64_t rows) -> Result<dsl::Program> {
-        return dsl::MakeMapPipeline(
-            TypeId::kI64,
-            dsl::Lambda({"x"}, dsl::Var("x") * dsl::ConstI(mul) +
-                                   dsl::ConstI(1)),
-            rows);
-      },
-      n);
+  ExecContext ctx(Checked(dsl::MakeMapPipeline(
+      TypeId::kI64,
+      dsl::Lambda({"x"}, dsl::Var("x") * dsl::ConstI(mul) + dsl::ConstI(1)))));
   ctx.BindInput("src", interp::DataBinding::Raw(TypeId::kI64, src.data(), n));
   ctx.BindOutput("out",
                  interp::DataBinding::Raw(TypeId::kI64, out.data(), n, true));

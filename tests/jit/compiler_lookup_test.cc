@@ -14,12 +14,18 @@
 #include <vector>
 
 #include "dsl/builder.h"
+#include "dsl/typecheck.h"
 #include "engine/session.h"
 #include "jit/jit_backend.h"
 #include "tests/temp_dir.h"
 
 namespace avm::engine {
 namespace {
+
+dsl::Program Checked(dsl::Program p) {
+  dsl::TypeCheck(&p).Abort("type check");
+  return p;
+}
 
 /// Lines of `path` that contain `needle`.
 size_t LinesWith(const std::string& path, const std::string& needle) {
@@ -56,15 +62,9 @@ TEST(CompilerLookupTest, FirstCxxOnPathCompiles) {
   qo.strategy = ExecutionStrategy::kAdaptiveJit;
   qo.vm.optimize_after_iterations = 2;
   auto run = [&] {
-    ExecContext ctx(
-        [](int64_t rows) -> Result<dsl::Program> {
-          return dsl::MakeMapPipeline(
-              TypeId::kI64,
-              dsl::Lambda({"x"}, dsl::Var("x") * dsl::ConstI(13) +
-                                     dsl::ConstI(2)),
-              rows);
-        },
-        n);
+    ExecContext ctx(Checked(dsl::MakeMapPipeline(
+        TypeId::kI64,
+        dsl::Lambda({"x"}, dsl::Var("x") * dsl::ConstI(13) + dsl::ConstI(2)))));
     ctx.BindInput("src",
                   interp::DataBinding::Raw(TypeId::kI64, src.data(), n));
     ctx.BindOutput("out", interp::DataBinding::Raw(TypeId::kI64, out.data(),

@@ -67,7 +67,7 @@ TEST(JitExecTest, Figure2CompiledMatchesInterpreted) {
 
   auto run = [&](bool inject, std::vector<int64_t>* v,
                  std::vector<int64_t>* w) -> uint64_t {
-    auto fx = Compile(dsl::MakeFigure2Program(kN), /*fuse_filters=*/true);
+    auto fx = Compile(dsl::MakeFigure2Program(), /*fuse_filters=*/true);
     EXPECT_TRUE(fx.ok()) << fx.status().ToString();
     EXPECT_FALSE(fx.value().compiled.empty());
     Interpreter in(&fx.value().program);
@@ -104,8 +104,7 @@ TEST(JitExecTest, MapPipelineCompiled) {
   const int64_t kN = 5000;
   auto program = dsl::MakeMapPipeline(
       TypeId::kI64,
-      dsl::Lambda({"x"}, (dsl::Var("x") * dsl::ConstI(3)) + dsl::ConstI(11)),
-      kN);
+      dsl::Lambda({"x"}, (dsl::Var("x") * dsl::ConstI(3)) + dsl::ConstI(11)));
   auto fx = Compile(std::move(program), false);
   ASSERT_TRUE(fx.ok()) << fx.status().ToString();
   ASSERT_FALSE(fx.value().compiled.empty());
@@ -128,7 +127,7 @@ TEST(JitExecTest, MapPipelineCompiled) {
 TEST(JitExecTest, HypotPipelineCompiledFloats) {
   if (!HostCompilerAvailable()) GTEST_SKIP();
   const int64_t kN = 3000;
-  auto fx = Compile(dsl::MakeHypotPipeline(kN), false);
+  auto fx = Compile(dsl::MakeHypotPipeline(), false);
   ASSERT_TRUE(fx.ok()) << fx.status().ToString();
   ASSERT_FALSE(fx.value().compiled.empty());
   std::vector<double> a(kN), b(kN), out(kN);
@@ -156,7 +155,7 @@ TEST(JitExecTest, HypotPipelineCompiledFloats) {
 TEST(JitExecTest, FoldTraceSetsScalarBinding) {
   if (!HostCompilerAvailable()) GTEST_SKIP();
   const int64_t kN = 4096;
-  auto fx = Compile(dsl::MakeSumPipeline(TypeId::kI64, kN), false);
+  auto fx = Compile(dsl::MakeSumPipeline(TypeId::kI64), false);
   ASSERT_TRUE(fx.ok()) << fx.status().ToString();
   std::vector<int64_t> data(kN);
   int64_t expect = 0;
@@ -198,8 +197,7 @@ TEST(JitExecTest, ForSpecializedTraceOnCompressedColumn) {
   cg.scheme_specialization["src"] = Scheme::kFor;
   auto fx = Compile(
       dsl::MakeMapPipeline(TypeId::kI64,
-                           dsl::Lambda({"x"}, dsl::Var("x") * dsl::ConstI(2)),
-                           kN),
+                           dsl::Lambda({"x"}, dsl::Var("x") * dsl::ConstI(2))),
       false, cg);
   ASSERT_TRUE(fx.ok()) << fx.status().ToString();
   ASSERT_FALSE(fx.value().compiled.empty());
@@ -237,8 +235,7 @@ TEST(JitExecTest, SchemeMismatchFallsBackToInterpretation) {
   cg.scheme_specialization["src"] = Scheme::kFor;
   auto fx = Compile(
       dsl::MakeMapPipeline(TypeId::kI64,
-                           dsl::Lambda({"x"}, dsl::Var("x") + dsl::ConstI(1)),
-                           kN),
+                           dsl::Lambda({"x"}, dsl::Var("x") + dsl::ConstI(1))),
       false, cg);
   ASSERT_TRUE(fx.ok());
   std::vector<int64_t> out(kN, 0);
@@ -266,8 +263,7 @@ TEST(JitExecTest, FilterPipelineCompiledWithCondense) {
       dsl::MakeFilterPipeline(
           TypeId::kI64,
           dsl::Lambda({"x"}, dsl::Call(dsl::ScalarOp::kGt,
-                                       {dsl::Var("x"), dsl::ConstI(50)})),
-          kN),
+                                       {dsl::Var("x"), dsl::ConstI(50)}))),
       /*fuse_filters=*/true);
   ASSERT_TRUE(fx.ok()) << fx.status().ToString();
   ASSERT_FALSE(fx.value().compiled.empty());
@@ -916,7 +912,7 @@ void CheckScalarHelpers(TypeId type) {
   if (!std::is_integral_v<T>) unary.push_back(dsl::ScalarOp::kSqrt);
   for (dsl::ScalarOp op : unary) {
     dsl::Program p = dsl::MakeMapPipeline(
-        type, dsl::Lambda({"x"}, dsl::Call(op, {Var("x")})), n);
+        type, dsl::Lambda({"x"}, dsl::Call(op, {Var("x")})));
     ExpectCompiledBitIdentical<T>(std::move(p), type, a, nullptr,
                                   tname + " " + dsl::ScalarOpName(op));
   }
@@ -1018,7 +1014,7 @@ TEST(JitExecTest, RunDeclinesEveryFailedCheckBeforeAnySideEffect) {
 
   auto map = Compile(
       dsl::MakeMapPipeline(TypeId::kI64,
-                           dsl::Lambda({"x"}, Var("x") * dsl::ConstI(2)), kN),
+                           dsl::Lambda({"x"}, Var("x") * dsl::ConstI(2))),
       false);
   auto cursor = Compile(abi::MakeCondensingCursorPipeline(kN), true);
   auto scatter = Compile(abi::MakeScatterPipeline(kN, 16), false);

@@ -141,7 +141,7 @@ GatherFilterRun RunGatherFilter(const dsl::Program& p, int64_t n,
 
 TEST(AdaptiveVmTest, JitDisabledStillCorrect) {
   const int64_t kN = 32 * 1024;
-  dsl::Program p = dsl::MakeFigure2Program(kN);
+  dsl::Program p = dsl::MakeFigure2Program();
   ASSERT_TRUE(dsl::TypeCheck(&p).ok());
   VmOptions opts;
   opts.enable_jit = false;
@@ -157,7 +157,7 @@ TEST(AdaptiveVmTest, JitDisabledStillCorrect) {
 TEST(AdaptiveVmTest, CompilesAndInjectsMidRun) {
   if (!jit::HostCompilerAvailable()) GTEST_SKIP();
   const int64_t kN = 64 * 1024;  // 64 chunks: warmup + compiled phase
-  dsl::Program p = dsl::MakeFigure2Program(kN);
+  dsl::Program p = dsl::MakeFigure2Program();
   ASSERT_TRUE(dsl::TypeCheck(&p).ok());
   VmOptions opts;
   opts.optimize_after_iterations = 4;
@@ -216,8 +216,7 @@ TEST(AdaptiveVmTest, SchemeChangeTriggersFallbackAndRespecialization) {
   const uint64_t kN = col.num_rows();
 
   dsl::Program p = dsl::MakeMapPipeline(
-      TypeId::kI64, dsl::Lambda({"x"}, dsl::Var("x") * dsl::ConstI(2)),
-      static_cast<int64_t>(kN));
+      TypeId::kI64, dsl::Lambda({"x"}, dsl::Var("x") * dsl::ConstI(2)));
   ASSERT_TRUE(dsl::TypeCheck(&p).ok());
   VmOptions opts;
   opts.optimize_after_iterations = 4;
@@ -257,7 +256,7 @@ TEST(AdaptiveVmTest, SchemeChangeTriggersFallbackAndRespecialization) {
 TEST(AdaptiveVmTest, PlanReusedAcrossSituationRecurrence) {
   if (!jit::HostCompilerAvailable()) GTEST_SKIP();
   const int64_t kN = 96 * 1024;
-  dsl::Program p = dsl::MakeFigure2Program(kN);
+  dsl::Program p = dsl::MakeFigure2Program();
   ASSERT_TRUE(dsl::TypeCheck(&p).ok());
   VmOptions opts;
   opts.optimize_after_iterations = 2;
@@ -276,7 +275,7 @@ TEST(AdaptiveVmTest, ShortRunStaysInterpreted) {
   // Fewer iterations than the optimize threshold: never compiles — the
   // paper's "interpret cold code and short-running programs".
   const int64_t kN = 2048;  // 2 iterations
-  dsl::Program p = dsl::MakeFigure2Program(kN);
+  dsl::Program p = dsl::MakeFigure2Program();
   ASSERT_TRUE(dsl::TypeCheck(&p).ok());
   VmOptions opts;
   opts.optimize_after_iterations = 100;
@@ -299,9 +298,9 @@ TEST(AdaptiveVmTest, FilterFusesOnlyAtPredictableSelectivity) {
   for (int64_t keep_above : {int64_t{1}, int64_t{49}}) {
     dsl::Program p = dsl::MakeFilterPipeline(
         TypeId::kI64,
-        dsl::Lambda({"x"}, dsl::Call(dsl::ScalarOp::kGt,
-                                     {dsl::Var("x"), dsl::ConstI(keep_above)})),
-        kN);
+        dsl::Lambda({"x"},
+                    dsl::Call(dsl::ScalarOp::kGt,
+                              {dsl::Var("x"), dsl::ConstI(keep_above)})));
     ASSERT_TRUE(dsl::TypeCheck(&p).ok());
     AdaptiveVm vm(&p, {});
     std::vector<int64_t> out(kN, -1);
@@ -376,7 +375,7 @@ TEST(AdaptiveVmTest, VmSharingATracePlanReusesItsDecisions) {
   // verifying and compiling, and installs the same traces.
   if (!jit::HostCompilerAvailable()) GTEST_SKIP();
   const int64_t kN = 32 * 1024;
-  dsl::Program p = dsl::MakeFigure2Program(kN);
+  dsl::Program p = dsl::MakeFigure2Program();
   ASSERT_TRUE(dsl::TypeCheck(&p).ok());
   VmOptions opts;
   opts.optimize_after_iterations = 4;
@@ -449,9 +448,8 @@ TEST(AdaptiveVmTest, SharedPlanPartitionsAgainForAnUnpredictableFilter) {
   const int64_t kN = 32 * 1024;
   dsl::Program p = dsl::MakeFilterPipeline(
       TypeId::kI64,
-      dsl::Lambda({"x"},
-                  dsl::Call(dsl::ScalarOp::kGt, {dsl::Var("x"), dsl::ConstI(1)})),
-      kN);
+      dsl::Lambda({"x"}, dsl::Call(dsl::ScalarOp::kGt,
+                                   {dsl::Var("x"), dsl::ConstI(1)})));
   ASSERT_TRUE(dsl::TypeCheck(&p).ok());
   TracePlan plan;
   for (int64_t hi : {int64_t{19}, int64_t{11}}) {
@@ -496,8 +494,7 @@ TEST(AdaptiveVmTest, PendingTraceInstallsAtTheChunkItsCodeLands) {
   // that holds nothing yet.
   dsl::Program p = dsl::MakeMapPipeline(
       TypeId::kI64,
-      dsl::Lambda({"x"}, dsl::Var("x") * dsl::ConstI(7) + dsl::ConstI(3)),
-      kN);
+      dsl::Lambda({"x"}, dsl::Var("x") * dsl::ConstI(7) + dsl::ConstI(3)));
   ASSERT_TRUE(dsl::TypeCheck(&p).ok());
   TempDir disk_dir("adaptive_vm_test");
   VmOptions opts;
