@@ -64,10 +64,24 @@ std::string ExecReport::ToString() const {
 ExecContext::ExecContext(dsl::Program program)
     : program_(std::move(program)) {}
 
+ExecContext& ExecContext::Bind(Bound b) {
+  // Inputs and shared arrays are what the plan's decisions observed.
+  if (b.role == BindRole::kInput || b.role == BindRole::kShared) {
+    plan_.reset();
+  }
+  for (Bound& existing : bound_) {
+    if (existing.name == b.name) {
+      existing = std::move(b);
+      return *this;
+    }
+  }
+  bound_.push_back(std::move(b));
+  return *this;
+}
+
 ExecContext& ExecContext::BindInput(const std::string& name,
                                     interp::DataBinding b) {
-  bound_.push_back({name, BindRole::kInput, b});
-  return *this;
+  return Bind({name, BindRole::kInput, b});
 }
 
 ExecContext& ExecContext::BindInputColumn(const std::string& name,
@@ -77,33 +91,21 @@ ExecContext& ExecContext::BindInputColumn(const std::string& name,
 
 ExecContext& ExecContext::BindShared(const std::string& name,
                                      interp::DataBinding b) {
-  bound_.push_back({name, BindRole::kShared, b});
-  return *this;
+  return Bind({name, BindRole::kShared, b});
 }
 
 ExecContext& ExecContext::BindOutput(const std::string& name,
                                      interp::DataBinding b) {
   b.writable = true;
-  bound_.push_back({name, BindRole::kOutput, b});
-  return *this;
+  return Bind({name, BindRole::kOutput, b});
 }
 
 ExecContext& ExecContext::BindPartialOutput(const std::string& name,
                                             interp::DataBinding b,
                                             uint64_t row_scale) {
   b.writable = true;
-  Bound nb{name, BindRole::kPartialOutput, b,
-           std::max<uint64_t>(row_scale, 1), false};
-  // Upsert: the prepare hook re-decides in-memory vs scratch windows per
-  // submission, replacing the previous binding of the same name.
-  for (auto& existing : bound_) {
-    if (existing.role == BindRole::kPartialOutput && existing.name == name) {
-      existing = std::move(nb);
-      return *this;
-    }
-  }
-  bound_.push_back(std::move(nb));
-  return *this;
+  return Bind({name, BindRole::kPartialOutput, b,
+               std::max<uint64_t>(row_scale, 1), false});
 }
 
 ExecContext& ExecContext::BindPartialOutputScratch(const std::string& name,
@@ -111,23 +113,14 @@ ExecContext& ExecContext::BindPartialOutputScratch(const std::string& name,
                                                    uint64_t row_scale) {
   // Shape-only binding: no storage; the engine allocates a window per task.
   interp::DataBinding b = interp::DataBinding::Raw(type, nullptr, 0, true);
-  Bound nb{name, BindRole::kPartialOutput, b,
-           std::max<uint64_t>(row_scale, 1), true};
-  for (auto& existing : bound_) {
-    if (existing.role == BindRole::kPartialOutput && existing.name == name) {
-      existing = std::move(nb);
-      return *this;
-    }
-  }
-  bound_.push_back(std::move(nb));
-  return *this;
+  return Bind({name, BindRole::kPartialOutput, b,
+               std::max<uint64_t>(row_scale, 1), true});
 }
 
 ExecContext& ExecContext::BindAccumulator(const std::string& name, TypeId type,
                                           void* data, uint64_t len) {
-  bound_.push_back({name, BindRole::kAccumulator,
-                    interp::DataBinding::Raw(type, data, len, true)});
-  return *this;
+  return Bind({name, BindRole::kAccumulator,
+               interp::DataBinding::Raw(type, data, len, true)});
 }
 
 std::vector<analysis::BindingInfo> ExecContext::BindingTable() const {

@@ -138,6 +138,13 @@ struct SpillStats {
 /// binding's length. Any other program owns its loop bound and runs as one
 /// task over the whole arrays.
 ///
+/// The context also owns the program's vm::TracePlan: what its JIT
+/// submissions decided (partitions, verified and compiled situations)
+/// serves every later submission, whose morsel VMs install those traces
+/// before their first chunk. Binding an input or shared array, or
+/// submitting under VmOptions that decide differently (vm::SameDecisions),
+/// starts a fresh plan.
+///
 /// A context describes ONE in-flight query: it (and everything it binds)
 /// must stay alive until the query's handle reports completion, and the
 /// same context must not be submitted again while still running.
@@ -153,6 +160,8 @@ class ExecContext {
 
   /// The program every task of the query runs.
   const dsl::Program& program() const { return program_; }
+
+  // Each Bind* call adds a binding, or replaces the binding of its name.
 
   /// Read-only input, partitioned by rows across morsels.
   ExecContext& BindInput(const std::string& name, interp::DataBinding b);
@@ -178,9 +187,8 @@ class ExecContext {
   /// whose pipelines fan out (many-to-many hash joins) size their windows at
   /// input_rows x worst-case fan-out and pass that factor here so morsel
   /// slicing and validation stay consistent.
-  ///
-  /// Rebinding an existing kPartialOutput name replaces it in place (the
-  /// prepare hook re-decides in-memory vs scratch windows per submission).
+  /// The prepare hook rebinds these per submission (in-memory or scratch
+  /// windows).
   ExecContext& BindPartialOutput(const std::string& name,
                                  interp::DataBinding b,
                                  uint64_t row_scale = 1);
@@ -188,7 +196,7 @@ class ExecContext {
   /// allocates a fresh `rows x row_scale x width` window per TASK instead
   /// of slicing one query-lifetime array — the spill-mode form, where each
   /// morsel's sorted run is sealed to disk by the task hook and the window
-  /// is discarded. Replaces any existing binding of the same name.
+  /// is discarded.
   ExecContext& BindPartialOutputScratch(const std::string& name, TypeId type,
                                         uint64_t row_scale = 1);
 
@@ -272,8 +280,16 @@ class ExecContext {
     bool scratch = false;
   };
 
+  /// Adds `b`, or replaces the binding of its name.
+  ExecContext& Bind(Bound b);
+
   dsl::Program program_;
   std::vector<Bound> bound_;
+  /// The program's trace plan, and the options it decides under; null
+  /// until a JIT submission, and after a binding that invalidates it. Held
+  /// by pointer, so its address outlives moves of the context.
+  std::unique_ptr<vm::TracePlan> plan_;
+  vm::VmOptions plan_options_;
   std::function<Status(const interp::Interpreter&, const Morsel&)> task_hook_;
   std::function<Status(const ParallelFor&)> finalize_hook_;
   std::function<Status(const MemoryPlan&, PrepareOutcome*)> prepare_hook_;

@@ -19,8 +19,6 @@ namespace internal {
 /// One submitted query: classification result + scheduling progress +
 /// the eventual report. Shared by the session scheduler and every handle.
 struct QueryState {
-  explicit QueryState(jit::CompilerThread* compiler) : plan(compiler) {}
-
   // ----- immutable after Classify ---------------------------------------
   ExecContext* ctx = nullptr;
   QueryOptions qo;
@@ -44,10 +42,9 @@ struct QueryState {
   gpu::FragmentProfile gpu_profile;
   bool calibrate_cpu = false;  ///< placer chose CPU: observe the CPU run
 
-  /// Partitions and trace decisions the query's morsel VMs made, shared
-  /// between them (thread-safe on its own). Its code-cache misses queue on
-  /// the Session's compiler thread.
-  vm::TracePlan plan;
+  /// What the context's plan decided in earlier submissions: each morsel
+  /// VM installs it before its first chunk. Empty on a first submission.
+  std::optional<vm::TracePlan::Installs> installs;
 
   // ----- scheduling progress (guarded by Scheduler::mu) ------------------
   size_t issued = 0;  ///< tasks handed to workers
@@ -237,7 +234,7 @@ void QueryHandle::Cancel() {
 // ------------------------------------------------------------------ submit
 
 QueryHandle Session::Submit(ExecContext& ctx, const QueryOptions& options) {
-  auto q = std::make_shared<QueryState>(&compiler_);
+  auto q = std::make_shared<QueryState>();
   q->ctx = &ctx;
   q->qo = options;
   q->cleanup = ctx.cleanup_hook_;
@@ -262,6 +259,16 @@ QueryHandle Session::Submit(ExecContext& ctx, const QueryOptions& options) {
     ++sched_->submitted;
     ++sched_->completed;
     return QueryHandle(q);
+  }
+
+  if (!q->gpu_task && q->vmo.enable_jit) {
+    // The context's plan serves every submission that decides alike.
+    if (ctx.plan_ == nullptr ||
+        !vm::SameDecisions(ctx.plan_options_, q->vmo)) {
+      ctx.plan_ = std::make_unique<vm::TracePlan>();
+      ctx.plan_options_ = q->vmo;
+    }
+    q->installs = ctx.plan_->NextSubmission();
   }
 
   q->sched = sched_;
@@ -719,8 +726,9 @@ Status Session::ClassifyCpu(QueryState& q) {
 Status Session::RunMorselTask(QueryState& q, const Morsel& m) {
   ExecContext& ctx = *q.ctx;
   // Every morsel runs the context's one program, so its VMs share the
-  // query's trace plan entries.
-  vm::AdaptiveVm vmach(&ctx.program_, q.vmo, &q.plan);
+  // context's trace plan, and queue their compiles on this Session's
+  // compiler thread.
+  vm::AdaptiveVm vmach(&ctx.program_, q.vmo, ctx.plan_.get(), &compiler_);
   interp::Interpreter& in = vmach.interpreter();
   // A query's only task binds whole arrays: a program that owns its loop
   // bound may address rows past any input's length. Each morsel of a
@@ -789,6 +797,7 @@ Status Session::RunMorselTask(QueryState& q, const Morsel& m) {
     }
   }
 
+  if (q.installs.has_value()) vmach.InstallFromPlan(*q.installs);
   ScopedTransientCharge task_charge(q.tracker.get(), transient_bytes);
   AVM_RETURN_NOT_OK(vmach.Run());
 

@@ -20,9 +20,12 @@
 //    ACROSS QUERIES (one morsel from query A, one from B, ...), so a long
 //    scan cannot starve a short aggregate: in-flight queries interleave
 //    their morsels fairly over the shared worker pool.
-//  - The morsel VMs of one query share one vm::TracePlan: a partition or
-//    trace decision one of them made serves the others, so each situation
-//    is verified and requested once per query. Machine code is shared by
+//  - The morsel VMs of one query share its context's vm::TracePlan: a
+//    partition or trace decision one of them made serves the others, so
+//    each situation is verified and requested once per context. When the
+//    context is submitted again, each morsel VM installs the traces the
+//    plan decided before its first chunk and runs no profiling pass; a
+//    compile that failed is requested again. Machine code is shared by
 //    source across every query and Session of the process through
 //    jit::CodeCache, single-flight under contention.
 //  - The session owns one compiler thread. A query that misses the code
@@ -31,7 +34,8 @@
 //    code lands, so no worker waits for a compiler run. Compiles run one
 //    at a time, in the order they were requested, so they take at most
 //    one CPU from the workers. A code-cache or disk-cache hit installs at
-//    the VM's optimize pass.
+//    the VM's optimize pass. A context may be submitted to several
+//    Sessions in turn: each queues on its own compiler thread.
 //  - Per-query accumulators are privatized per morsel and summed into the
 //    caller's arrays, exactly as in a single-query parallel run — a
 //    concurrent run stays bit-identical to its serial baseline.
@@ -207,7 +211,7 @@ class Session {
   std::unique_ptr<gpu::GpuBackend> gpu_backend_;
   std::unique_ptr<gpu::AdaptivePlacer> gpu_placer_ AVM_GUARDED_BY(gpu_mu_);
 
-  /// Runs the compiles every query's TracePlan queues. Destroyed after the
+  /// Runs the compiles its queries' morsel VMs queue. Destroyed after the
   /// destructor's drain: it finishes every queued compile, then joins.
   jit::CompilerThread compiler_;
 };

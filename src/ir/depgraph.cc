@@ -373,7 +373,8 @@ bool HoldsFilter(const DepGraph& graph, const std::set<uint32_t>& region) {
 // Grow a region from `seed`: repeatedly add the highest-cost unvisited
 // eligible neighbor that keeps the stream budget and statement convexity.
 // `filters` says whether filter nodes are eligible.
-std::set<uint32_t> GrowRegion(const DepGraph& graph, uint32_t seed,
+std::set<uint32_t> GrowRegion(const DepGraph& graph,
+                              std::span<const double> cost, uint32_t seed,
                               const std::vector<bool>& visited,
                               const PartitionConstraints& constraints,
                               bool filters) {
@@ -389,8 +390,7 @@ std::set<uint32_t> GrowRegion(const DepGraph& graph, uint32_t seed,
         tentative.insert(cand);
         if (CountStreams(graph, tentative) > constraints.max_streams) return;
         if (StmtConvexityViolation(graph, tentative) >= 0) return;
-        if (best < 0 ||
-            nodes[cand].cost > nodes[static_cast<size_t>(best)].cost) {
+        if (best < 0 || cost[cand] > cost[static_cast<size_t>(best)]) {
           best = static_cast<int>(cand);
         }
       };
@@ -405,12 +405,13 @@ std::set<uint32_t> GrowRegion(const DepGraph& graph, uint32_t seed,
 
 // The trace of a region: its nodes in topological order, its cost, and the
 // names crossing its boundary.
-Trace MakeTrace(const DepGraph& graph, const std::set<uint32_t>& region,
+Trace MakeTrace(const DepGraph& graph, std::span<const double> cost,
+                const std::set<uint32_t>& region,
                 const std::vector<uint32_t>& topo_pos) {
   const auto& nodes = graph.nodes();
   Trace t;
   for (uint32_t id : region) {
-    t.total_cost += nodes[id].cost;
+    t.total_cost += cost[id];
     t.node_ids.push_back(id);
   }
   std::sort(t.node_ids.begin(), t.node_ids.end(),
@@ -438,8 +439,14 @@ Trace MakeTrace(const DepGraph& graph, const std::set<uint32_t>& region,
 
 std::vector<Trace> GreedyPartition(const DepGraph& graph,
                                    const PartitionConstraints& constraints,
-                                   const TraceAcceptor& accept) {
+                                   const TraceAcceptor& accept,
+                                   std::span<const double> costs) {
   const auto& nodes = graph.nodes();
+  std::vector<double> own_costs;
+  if (costs.empty()) {
+    for (const auto& n : nodes) own_costs.push_back(n.cost);
+    costs = own_costs;
+  }
   std::vector<bool> visited(nodes.size(), false);
   std::vector<Trace> traces;
 
@@ -452,7 +459,7 @@ std::vector<Trace> GreedyPartition(const DepGraph& graph,
     int seed = -1;
     for (const auto& n : nodes) {
       if (visited[n.id] || !NodeEligible(n, constraints, true)) continue;
-      if (seed < 0 || n.cost > nodes[static_cast<size_t>(seed)].cost) {
+      if (seed < 0 || costs[n.id] > costs[static_cast<size_t>(seed)]) {
         seed = static_cast<int>(n.id);
       }
     }
@@ -460,8 +467,8 @@ std::vector<Trace> GreedyPartition(const DepGraph& graph,
     const uint32_t s = static_cast<uint32_t>(seed);
 
     std::set<uint32_t> region =
-        GrowRegion(graph, s, visited, constraints, /*filters=*/true);
-    Trace t = MakeTrace(graph, region, topo_pos);
+        GrowRegion(graph, costs, s, visited, constraints, /*filters=*/true);
+    Trace t = MakeTrace(graph, costs, region, topo_pos);
     if (accept && HoldsFilter(graph, region) && !accept(t)) {
       // Rejected with a filter in it: a filter seed stays interpreted;
       // any other seed grows again without filters (the §III-B region).
@@ -469,8 +476,9 @@ std::vector<Trace> GreedyPartition(const DepGraph& graph,
         visited[s] = true;
         continue;
       }
-      region = GrowRegion(graph, s, visited, constraints, /*filters=*/false);
-      t = MakeTrace(graph, region, topo_pos);
+      region =
+          GrowRegion(graph, costs, s, visited, constraints, /*filters=*/false);
+      t = MakeTrace(graph, costs, region, topo_pos);
     }
     for (uint32_t id : region) visited[id] = true;
     if (t.total_cost >= constraints.min_trace_cost) {

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -86,6 +87,7 @@ struct PartitionConstraints {
   bool allow_scatter_gather = true;
   double min_trace_cost = 0.0;
   size_t max_nodes = 64;
+  bool operator==(const PartitionConstraints&) const = default;
 };
 
 /// A trace: a connected set of graph nodes compiled as one function.
@@ -145,12 +147,14 @@ using TraceAcceptor = std::function<bool(const Trace&)>;
 /// rejects a grown region that holds a filter, the region grows again from
 /// the same seed with filters excluded (a rejected filter seed stays
 /// interpreted), so the acceptor never costs a plan compiled coverage.
-/// Deterministic in the graph, its node costs, the constraints and the
-/// acceptor's answers. Returns traces sorted by descending total cost.
-/// Traces may not cover the whole graph (remaining nodes stay interpreted)
-/// — exactly as the paper allows.
+/// `costs` are the node costs by node id; empty means each node's own
+/// DepNode::cost. Deterministic in the graph, the node costs, the
+/// constraints and the acceptor's answers. Returns traces sorted by
+/// descending total cost. Traces may not cover the whole graph (remaining
+/// nodes stay interpreted) — exactly as the paper allows.
 std::vector<Trace> GreedyPartition(const DepGraph& graph,
                                    const PartitionConstraints& constraints,
-                                   const TraceAcceptor& accept = nullptr);
+                                   const TraceAcceptor& accept = nullptr,
+                                   std::span<const double> costs = {});
 
 }  // namespace avm::ir

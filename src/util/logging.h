@@ -50,8 +50,12 @@ class LogMessage {
 };
 }  // namespace internal
 
-#define AVM_LOG(level)                                                   \
-  ::avm::internal::LogMessage(::avm::LogLevel::level, __FILE__, __LINE__) \
-      .stream()
+/// Streams one message at `level`. Below the threshold nothing is
+/// evaluated or formatted: the statement costs one load.
+#define AVM_LOG(level)                                                     \
+  if (::avm::LogLevel::level < ::avm::GetLogLevel()) {                     \
+  } else                                                                   \
+    ::avm::internal::LogMessage(::avm::LogLevel::level, __FILE__, __LINE__) \
+        .stream()
 
 }  // namespace avm

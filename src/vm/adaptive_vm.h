@@ -7,12 +7,13 @@
 // into the interpreter, and keep watching: when a block's compression
 // scheme changes, the injected trace declines its chunks, the VM falls back
 // to interpretation and compiles a new variant for the new situation. The
-// morsel VMs of one query partition and decide each situation once, in the
-// query's TracePlan, and machine code is shared by source through
+// morsel VMs of one query context partition and decide each situation once,
+// in the context's TracePlan, and machine code is shared by source through
 // jit::CodeCache (docs/TRACE_CACHE.md §2). On a Session the compile runs on
 // the Session's compiler thread: the VM keeps interpreting in GenerateCode
 // and injects the trace at the first chunk boundary after its code landed
-// (docs/TRACE_CACHE.md §3).
+// (docs/TRACE_CACHE.md §3). A VM of a re-submitted context installs what
+// the plan decided before its first chunk, with no profiling pass.
 #pragma once
 
 #include <compare>
@@ -20,6 +21,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <unordered_set>
 #include <vector>
@@ -73,9 +75,10 @@ struct VmReport {
   /// when the request is made, whether or not the code lands before the
   /// run ends.
   uint64_t traces_compiled = 0;
-  /// Traces taken without compiling or loading: from the query's
-  /// TracePlan, or machine code jit::CodeCache held or was compiling for
-  /// another request. Counted when the VM takes the trace; one still
+  /// Traces taken without compiling or loading: from the context's
+  /// TracePlan (at an optimize pass, or before the first chunk of a
+  /// re-submission), or machine code jit::CodeCache held or was compiling
+  /// for another request. Counted when the VM takes the trace; one still
   /// pending then installs when its code lands.
   uint64_t traces_reused = 0;
   uint64_t injection_runs = 0;
@@ -125,27 +128,35 @@ struct VmReport {
   void Merge(const VmReport& other);
 };
 
-/// The trace plan of one query: what its morsel VMs decided, kept so that
-/// each decision is made once per query instead of once per VM.
+/// Whether VMs under `a` and under `b` decide alike: they agree on every
+/// option a TracePlan's partitions and situations depend on (chunk size,
+/// constraints, max_traces_per_pass, min_cost_share and
+/// specialize_compression).
+bool SameDecisions(const VmOptions& a, const VmOptions& b);
+
+/// The trace plan of one program: what the VMs running it decided, kept so
+/// that each decision is made once per query context instead of once per
+/// VM and submission.
 ///
+///  - The program's dependency graph, built once.
 ///  - Greedy partitions (§III-B), one per PartitionKey: the first VM whose
 ///    optimize pass observes a key partitions, VMs asking meanwhile wait,
 ///    and every later VM takes the partition.
-///  - For each situation of each program instance, the JIT gate's verdict
-///    and the compiled trace. The first VM that needs a situation decides
-///    it (verification, code generation, then a jit::CodeCache request);
-///    VMs asking meanwhile wait, and every later VM installs the decision.
-///    A decline or a failed compile is kept too: the plan's query does not
-///    try the situation again, the next query's plan does.
+///  - For each situation, the JIT gate's verdict and the compiled trace.
+///    The first VM that needs a situation decides it (verification, code
+///    generation, then a jit::CodeCache request); VMs asking meanwhile
+///    wait, and every later VM installs the decision. A gate decline is
+///    kept for good. A failed compile is kept for the rest of its
+///    submission and leaves at the next (NextSubmission).
+///  - The traces the last partition took, so that a VM of a later
+///    submission installs their decisions before its first chunk.
 ///
-/// A Session builds each query's plan with the Session's compiler thread:
-/// a code-cache miss is queued there, the decision carries the pending
-/// slot, and deciding takes verification, code generation and the request
-/// only. Without a compiler thread a miss compiles inline, inside the
-/// decision. A Session gives every morsel VM of one query the same plan; a
-/// VM without a shared plan keeps a private one. Thread-safe. Entries are
-/// keyed by program address: the programs must outlive the plan, and VMs
-/// sharing one must run under the same VmOptions.
+/// A code-cache miss compiles inline, or is queued on the compiler thread
+/// of the VM that decides (a Session passes its own); a queued decision
+/// carries the pending slot. Each ExecContext owns one plan, which the
+/// Session hands to every morsel VM of the context's submissions; a VM
+/// without a shared plan keeps a private one. Thread-safe. VMs sharing a
+/// plan must run its one program under SameDecisions options.
 class TracePlan {
  public:
   /// What one greedy partition is computed from. GreedyPartition is
@@ -155,7 +166,6 @@ class TracePlan {
   /// carry, and those inputs are node outputs of the graph. So one key
   /// gives one partition.
   struct PartitionKey {
-    const dsl::Program* program = nullptr;
     /// Bucketed node costs, indexed by graph node id.
     std::vector<double> costs;
     /// Filter nodes kept out of traces for their observed selectivity.
@@ -165,12 +175,11 @@ class TracePlan {
     auto operator<=>(const PartitionKey&) const = default;
   };
 
-  /// One situation of one program instance (§III-C): the trace's graph
-  /// nodes, the compression schemes its reads are specialized for, and the
-  /// chunk inputs that carry a selection. Within one program these
-  /// determine the generated code exactly.
+  /// One situation of the program (§III-C): the trace's graph nodes, the
+  /// compression schemes its reads are specialized for, and the chunk
+  /// inputs that carry a selection. These determine the generated code
+  /// exactly.
   struct Situation {
-    const dsl::Program* program = nullptr;
     std::vector<uint32_t> node_ids;
     std::map<std::string, Scheme> schemes;
     std::set<std::string> sel_inputs;
@@ -185,19 +194,30 @@ class TracePlan {
     Status status;
     std::shared_ptr<const jit::CompiledTrace> trace;
     std::shared_ptr<jit::CodeSlot> pending;
-    /// This plan's query queued the pending compile (VmReport counts its
-    /// compile_seconds).
+    /// The current submission queued the pending compile (VmReport counts
+    /// its compile_seconds).
     bool requested = false;
+    /// `status` is the JIT gate's decline, which stays in the plan.
+    bool declined = false;
   };
 
-  /// A plan whose misses compile inline, or, given `compiler`, are queued
-  /// on it. `compiler` must outlive every Decide.
-  explicit TracePlan(jit::CompilerThread* compiler = nullptr)
-      : compiler_(compiler) {}
+  /// What a VM of a re-submitted context installs before its first chunk
+  /// (AdaptiveVm::InstallFromPlan).
+  struct Installs {
+    /// The key of the last partition a pass took.
+    PartitionKey key;
+    /// Every accepted decision for the traces it took, ready or pending:
+    /// one per situation variant, specialized variants first.
+    std::vector<std::pair<Situation, Decision>> decisions;
+    /// The first decline among their decisions; OK when none.
+    Status declined;
+    /// A trace it took has no decision: its failed compile left the plan.
+    bool undecided = false;
+  };
 
-  /// The compiler thread the plan's misses queue on; null when they
-  /// compile inline.
-  jit::CompilerThread* compiler() const { return compiler_; }
+  /// The dependency graph of `program`, the plan's one program, built by
+  /// the first call.
+  Result<const ir::DepGraph*> Graph(const dsl::Program& program);
 
   /// The partition for `key`, traces by descending total cost. The first
   /// call runs `partition` while concurrent calls for the key wait; every
@@ -212,6 +232,17 @@ class TracePlan {
   /// `*decided` reports whether this call ran `decide`.
   Decision Decide(const Situation& situation,
                   const std::function<Decision()>& decide, bool* decided);
+
+  /// Record that an optimize pass took `traces` of the partition for
+  /// `key`: the traces a later submission installs.
+  void Took(const PartitionKey& key, std::vector<ir::Trace> traces);
+
+  /// Start a submission. Failed compiles leave the plan, so the
+  /// submission requests them again, and the decisions kept stop counting
+  /// as its requests. Returns what its VMs install before their first
+  /// chunk, or nothing when no pass took a partition yet. No VM of the
+  /// plan may run during the call.
+  std::optional<Installs> NextSubmission();
 
  private:
   /// One key's result. The first Get runs `compute` with the slot's mutex
@@ -233,11 +264,18 @@ class TracePlan {
     }
   };
 
-  jit::CompilerThread* const compiler_;
+  /// The program's graph: built once, immutable afterwards.
+  std::once_flag graph_once_;
+  Status graph_status_;
+  ir::DepGraph graph_;
+
   std::mutex mu_;
   std::map<PartitionKey, std::shared_ptr<Slot<std::vector<ir::Trace>>>>
       partitions_ AVM_GUARDED_BY(mu_);
   std::map<Situation, std::shared_ptr<Slot<Decision>>> decisions_
+      AVM_GUARDED_BY(mu_);
+  /// The last partition a pass took and the traces it took.
+  std::optional<std::pair<PartitionKey, std::vector<ir::Trace>>> took_
       AVM_GUARDED_BY(mu_);
 };
 
@@ -249,14 +287,26 @@ class TracePlan {
 class AdaptiveVm {
  public:
   /// `program` must be type-checked and outlive the VM. A non-null `plan`
-  /// replaces the VM's private TracePlan: morsel VMs of one query share
-  /// its partitions and trace decisions through it. The private plan has
-  /// no compiler thread, so a VM without a shared plan compiles inline.
+  /// replaces the VM's private TracePlan: the VMs of one query context
+  /// share its partitions and trace decisions through it. A code-cache miss
+  /// the VM decides is queued on `compiler` when it is non-null (a
+  /// Session's) and compiles inline otherwise; `compiler` must outlive
+  /// the VM.
   AdaptiveVm(const dsl::Program* program, VmOptions options = {},
-             TracePlan* plan = nullptr);
+             TracePlan* plan = nullptr,
+             jit::CompilerThread* compiler = nullptr);
 
   /// Access the embedded interpreter to bind data (before Run).
   interp::Interpreter& interpreter() { return *interp_; }
+
+  /// Before Run: install every decision of `installs`, from the plan's
+  /// NextSubmission, so the first chunk runs compiled (a pending one
+  /// installs at the first chunk boundary after its code lands). The VM
+  /// then runs no first optimize pass unless a chunk falls back, or,
+  /// when `installs` left a trace undecided, after the warmup. Its passes
+  /// take the plan's costs, and the plan's verdicts for what it did not
+  /// interpret. `installs` must outlive the VM.
+  void InstallFromPlan(const TracePlan::Installs& installs);
 
   /// Execute the program to completion under the adaptive policy.
   Status Run();
@@ -279,6 +329,12 @@ class AdaptiveVm {
   Status InstallTrace(interp::Interpreter& in, const ir::Trace& trace,
                       const std::set<std::string>& selected,
                       uint64_t iteration);
+  /// Install `decision`, or add it to pending_ while its code compiles; a
+  /// decline or a failed compile is returned. `reused` counts it in
+  /// traces_reused.
+  Status Take(interp::Interpreter& in, TracePlan::Situation situation,
+              const TracePlan::Decision& decision, bool reused,
+              uint64_t iteration);
   /// Inject a decision whose machine code is ready (or whose compile
   /// failed: its status is returned).
   Status Inject(interp::Interpreter& in, TracePlan::Situation situation,
@@ -295,15 +351,20 @@ class AdaptiveVm {
   /// decision the VM makes when it is the first to need the situation.
   TracePlan::Decision Decide(const ir::Trace& trace,
                              const TracePlan::Situation& situation);
+  /// Whether this VM's interpreter ran graph node `id` (its profile).
+  bool Interpreted(interp::Interpreter& in, uint32_t id) const;
+  /// Whether a chunk ran interpreted because every trace installed at its
+  /// anchor declined it.
+  bool FellBack(interp::Interpreter& in) const;
+  /// The partition key of what this pass observes: bucketed costs from the
+  /// profile, the filters whose observed selectivity keeps them out of
+  /// traces, and the node outputs that carry a selection now. A VM that
+  /// installed from its plan takes the plan's costs, and the plan's
+  /// verdicts for the nodes it did not interpret.
+  TracePlan::PartitionKey ObserveKey(interp::Interpreter& in) const;
   /// Current compression situation of the data arrays a trace reads.
   std::map<std::string, Scheme> ObserveSchemes(interp::Interpreter& in,
                                                const ir::Trace& trace) const;
-  /// The graph's node outputs whose value carries a selection vector now
-  /// (TracePlan::PartitionKey::selected). Each morsel worker observes its
-  /// own environment; since workers of one query run the same program
-  /// shape, they observe the same pattern and share their partitions and
-  /// decisions through the query's TracePlan.
-  std::set<std::string> ObserveSelected(interp::Interpreter& in) const;
   /// The chunk-variable inputs of `trace` among `selected`: the selection
   /// part of its situation.
   std::set<std::string> SelectionsOf(
@@ -312,14 +373,14 @@ class AdaptiveVm {
   const dsl::Program* program_;
   VmOptions options_;
   std::unique_ptr<interp::Interpreter> interp_;
-  ir::DepGraph graph_;
-  bool graph_built_ = false;
-  /// Static per-tuple node costs captured at graph build, the weight the
-  /// deterministic (tuple-count-based) profile refresh applies.
-  std::vector<double> static_cost_;
+  /// The plan's graph of program_, set at the first optimize pass.
+  const ir::DepGraph* graph_ = nullptr;
   StateMachine sm_;
   TracePlan own_plan_;
   TracePlan* plan_ = &own_plan_;  ///< points at own_plan_ or shared
+  jit::CompilerThread* compiler_ = nullptr;
+  /// What InstallFromPlan installed from; null for a VM that did not.
+  const TracePlan::Installs* from_plan_ = nullptr;
   /// Situations whose injection is installed, with the statements it
   /// covers (the interpreter drops an injection that a newer, partly
   /// overlapping one replaces; its situations are dropped with it).

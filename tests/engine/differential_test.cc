@@ -438,14 +438,22 @@ struct SweepCounts {
   uint64_t spilled = 0;
   /// Compiled-trace runs of the JIT configs' second passes.
   uint64_t injection_runs = 0;
+  /// Greedy partitions of the JIT configs' second passes.
+  uint64_t partitions = 0;
+  /// The same two counts of the passes that re-submit the second pass's
+  /// Query.
+  uint64_t resubmitted_runs = 0;
+  uint64_t resubmitted_partitions = 0;
 };
 
 /// Runs one seeded plan under all three configs, plus the out-of-core
 /// family (the same plan under a side-stream-chosen memory budget), and
-/// compares. A JIT config runs the plan twice on its Session: first while
-/// the compiles it requests are pending, so traces may land mid-query,
-/// then after the Session finished them, with compiled code. Used by the
-/// random sweep and by the pinned regression seeds.
+/// compares. A JIT config runs the plan three times on its Session: first
+/// while the compiles it requests are pending, so traces may land
+/// mid-query, then after the Session finished them, with compiled code,
+/// and then re-submits that second Query, whose morsel VMs install what
+/// its plan decided before their first chunk. Used by the random sweep and
+/// by the pinned regression seeds.
 void RunSeed(uint64_t seed, Tables& t, Session& parallel_session,
              SweepCounts* counts) {
   const std::string repro =
@@ -497,24 +505,37 @@ void RunSeed(uint64_t seed, Tables& t, Session& parallel_session,
     if (verbose) std::fprintf(stderr, "  interp-serial ok\n");
   }
 
-  // One JIT config: both passes on `session`, each compared with the
+  // One JIT config: its three passes on `session`, each compared with the
   // baseline. Declines come from the JIT gate only; codegen never fails on
   // a trace the gate accepted (docs/VERIFIER.md). `spilled` (when
   // non-null) sums the passes' spilled bytes.
   auto run_jit = [&](Session& session, const QueryOptions& qo,
                      const std::string& label, uint64_t* spilled) {
-    for (int pass = 0; pass < 2; ++pass) {
-      PlanInfo pi;
-      Query q = GeneratePlan(seed, t, &pi).ValueOrDie();
+    Query q;
+    for (int pass = 0; pass < 3; ++pass) {
+      if (pass < 2) {
+        PlanInfo pi;
+        q = GeneratePlan(seed, t, &pi).ValueOrDie();
+      } else {
+        q.ResetAggregates();
+      }
+      const std::string plabel = pass < 2 ? label : label + " re-submitted";
       auto r = session.Submit(q.context(), qo).Wait();
-      ASSERT_TRUE(r.ok()) << repro << info.desc << label << ": "
+      ASSERT_TRUE(r.ok()) << repro << info.desc << plabel << ": "
                           << r.status().ToString();
-      ASSERT_TRUE(DeclineNamesVerifierRule(r.ValueOrDie().jit_declined))
-          << repro << info.desc << label
-          << " jit_declined: " << r.ValueOrDie().jit_declined;
-      CompareQueries(base, q, info, repro + info.desc + label);
-      if (spilled != nullptr) *spilled += r.ValueOrDie().bytes_spilled;
-      if (pass == 1) counts->injection_runs += r.ValueOrDie().injection_runs;
+      const ExecReport& rep = r.ValueOrDie();
+      ASSERT_TRUE(DeclineNamesVerifierRule(rep.jit_declined))
+          << repro << info.desc << plabel
+          << " jit_declined: " << rep.jit_declined;
+      CompareQueries(base, q, info, repro + info.desc + plabel);
+      if (spilled != nullptr) *spilled += rep.bytes_spilled;
+      if (pass == 1) {
+        counts->injection_runs += rep.injection_runs;
+        counts->partitions += rep.partitions;
+      } else if (pass == 2) {
+        counts->resubmitted_runs += rep.injection_runs;
+        counts->resubmitted_partitions += rep.partitions;
+      }
       WaitForCompiles(session);
     }
   };
@@ -573,13 +594,19 @@ void RunSeed(uint64_t seed, Tables& t, Session& parallel_session,
   }
 }
 
-/// The guard that the JIT configs still run compiled code: without it, a
-/// change that kept every trace from landing would leave the differential
-/// comparison interpreted on every side.
+/// The guards that the JIT configs still run compiled code: without them,
+/// a change that kept every trace from landing would leave the
+/// differential comparison interpreted on every side, and one that kept
+/// re-submissions from installing their plan's traces would leave the
+/// re-submitted passes deciding afresh.
 void ExpectCompiledRuns(const SweepCounts& counts) {
   if (!jit::HostCompilerAvailable()) return;
   EXPECT_GT(counts.injection_runs, 0u)
       << "no JIT config ran a compiled trace";
+  EXPECT_GT(counts.resubmitted_runs, 0u)
+      << "no re-submitted query ran a compiled trace";
+  EXPECT_LT(counts.resubmitted_partitions, counts.partitions)
+      << "re-submitted queries partitioned as often as fresh ones";
 }
 
 TEST(DifferentialTest, RandomPlansAgreeAcrossStrategiesAndWorkers) {
@@ -624,9 +651,13 @@ TEST(DifferentialTest, RandomPlansAgreeAcrossStrategiesAndWorkers) {
   }
   std::printf(
       "differential: %d plans built, %d rejected identically, "
-      "%llu bytes spilled, %llu compiled-trace runs\n",
+      "%llu bytes spilled, %llu compiled-trace runs, %llu re-submitted "
+      "(partitions %llu fresh, %llu re-submitted)\n",
       built, counts.skipped, (unsigned long long)counts.spilled,
-      (unsigned long long)counts.injection_runs);
+      (unsigned long long)counts.injection_runs,
+      (unsigned long long)counts.resubmitted_runs,
+      (unsigned long long)counts.partitions,
+      (unsigned long long)counts.resubmitted_partitions);
 }
 
 // Pinned seeds for the shape families the JIT used to decline (and, before

@@ -18,6 +18,7 @@
 #include "engine/query_builder.h"
 #include "engine/session.h"
 #include "jit/jit_backend.h"
+#include "tests/wait_for_compiles.h"
 #include "util/rng.h"
 
 namespace avm::engine {
@@ -275,9 +276,11 @@ struct GatherOfChunkArrayPlan {
     for (auto& x : src2) x = rng.NextInRange(-1000, 1000);
   }
 
+  /// Submits one context `submissions` times on one Session, waiting for
+  /// its compiles in between; returns the last submission's report.
   Result<ExecReport> Run(ExecutionStrategy strategy,
                          uint64_t recheck_interval, std::vector<int64_t>* out,
-                         std::vector<int64_t>* out2) {
+                         std::vector<int64_t>* out2, int submissions = 1) {
     out->assign(kN, 0);
     out2->assign(kN, 0);
     ExecContext ctx(p);
@@ -294,7 +297,13 @@ struct GatherOfChunkArrayPlan {
     qo.vm.optimize_after_iterations = 2;
     qo.vm.recheck_interval = recheck_interval;
     qo.vm.min_cost_share = 0;
-    return Session({.num_workers = 1}).Run(ctx, qo);
+    Session session({.num_workers = 1});
+    Result<ExecReport> r = session.Run(ctx, qo);
+    for (int i = 1; i < submissions && r.ok(); ++i) {
+      WaitForCompiles(session);
+      r = session.Run(ctx, qo);
+    }
+    return r;
   }
 };
 
@@ -350,6 +359,21 @@ TEST(JitDeclineRegressionTest, DeclinedSituationVerifiedOncePerRun) {
             std::string::npos)
       << "jit_declined: " << r.value().jit_declined;
   EXPECT_EQ(r.value().verifier_checked, 2u);
+
+  // The context's plan keeps the decline: a re-submission verifies
+  // nothing, installs the compiled trace before its first chunk and still
+  // reports the decline.
+  std::vector<int64_t> again, again2;
+  auto re = plan.Run(ExecutionStrategy::kAdaptiveJit, /*recheck_interval=*/2,
+                     &again, &again2, /*submissions=*/2);
+  ASSERT_TRUE(re.ok()) << re.status().ToString();
+  EXPECT_NE(re.value().jit_declined.find("[gather-base-not-data]"),
+            std::string::npos)
+      << "jit_declined: " << re.value().jit_declined;
+  EXPECT_EQ(re.value().verifier_checked, 0u);
+  EXPECT_EQ(re.value().injection_runs, 16u);
+  EXPECT_EQ(again, out);
+  EXPECT_EQ(again2, out2);
 }
 
 }  // namespace

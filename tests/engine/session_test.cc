@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -613,6 +615,179 @@ TEST(SessionTest, MorselVmsOfAQueryShareItsPartitions) {
                   r.value().disk_cache_hits,
               r.value().morsels);
     EXPECT_GT(r.value().injection_runs, 0u);
+  }
+}
+
+// A re-submitted Query runs the traces its context's plan decided from
+// every morsel's first chunk: it partitions, verifies and compiles
+// nothing, installs the trace once per morsel and runs all 64 chunks
+// compiled. A second Query of the same shape has a plan of its own.
+TEST(SessionTest, ResubmittedQueryRunsCompiledFromItsFirstChunk) {
+  if (!jit::HostCompilerAvailable()) {
+    GTEST_SKIP() << "no host compiler";
+  }
+  // At 4 workers: 16 morsels of 4 chunks.
+  auto lineitem = SmallLineitem(65'536);
+  Q1Result oracle = RunQ1Scalar(*lineitem).ValueOrDie();
+  Session session({.num_workers = 4});
+  QueryOptions qo;
+  qo.strategy = ExecutionStrategy::kAdaptiveJit;
+  Query q = MakeQ1Query(*lineitem).ValueOrDie();
+  ASSERT_TRUE(session.Run(q.context(), qo).ok());
+  EXPECT_EQ(Q1ResultFromQuery(q), oracle);
+  WaitForCompiles(session);
+
+  q.ResetAggregates();
+  auto r = session.Run(q.context(), qo);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(Q1ResultFromQuery(q), oracle);
+  const ExecReport& rep = r.value();
+  EXPECT_EQ(rep.morsels, 16u);
+  EXPECT_EQ(rep.partitions, 0u);
+  EXPECT_EQ(rep.verifier_checked, 0u);
+  EXPECT_EQ(rep.traces_compiled, 0u);
+  EXPECT_EQ(rep.traces_reused, 16u);
+  EXPECT_EQ(rep.injection_runs, 64u);
+  EXPECT_EQ(rep.injection_fallbacks, 0u);
+  // The install is the first transition, at chunk 0.
+  EXPECT_EQ(rep.state_timeline.rfind("iter 0 ", 0), 0u) << rep.state_timeline;
+
+  Query other = MakeQ1Query(*lineitem).ValueOrDie();
+  auto r2 = session.Run(other.context(), qo);
+  ASSERT_TRUE(r2.ok()) << r2.status().ToString();
+  EXPECT_EQ(Q1ResultFromQuery(other), oracle);
+  EXPECT_EQ(r2.value().partitions, 1u);
+  EXPECT_EQ(r2.value().verifier_checked, 1u);
+}
+
+// A column whose 4,096-row blocks switch from FOR to Plain half-way: the
+// first submission decides a FOR and a plain variant of the map's trace
+// (morsels 0-7 see FOR blocks, 8-15 plain ones). A re-submission installs
+// both before every morsel's first chunk, and each chunk runs the variant
+// that fits it.
+TEST(SessionTest, ResubmittedSchemeSwitchRunsCompiledOnEveryChunk) {
+  if (!jit::HostCompilerAvailable()) {
+    GTEST_SKIP() << "no host compiler";
+  }
+  const uint32_t kHalf = 64 * 1024;
+  Column col(TypeId::kI64, 4096);
+  std::vector<int64_t> narrow = DataGen(3).UniformI64(kHalf, 1000, 1500);
+  std::vector<int64_t> wide = DataGen(4).UniformI64(kHalf, -(1ll << 60),
+                                                    1ll << 60);
+  for (const auto& [scheme, values] :
+       {std::pair{Scheme::kFor, &narrow}, std::pair{Scheme::kPlain, &wide}}) {
+    for (uint32_t off = 0; off < kHalf; off += 4096) {
+      ASSERT_TRUE(
+          col.AppendBlockWithScheme(scheme, values->data() + off, 4096).ok());
+    }
+  }
+  const uint64_t n = col.num_rows();
+  ExecContext ctx(Checked(dsl::MakeMapPipeline(
+      TypeId::kI64, dsl::Lambda({"x"}, dsl::Var("x") * dsl::ConstI(3) -
+                                            dsl::ConstI(8)))));
+  std::vector<int64_t> out(n, 0);
+  ctx.BindInputColumn("src", &col);
+  ctx.BindOutput("out",
+                 interp::DataBinding::Raw(TypeId::kI64, out.data(), n, true));
+  Session session({.num_workers = 4});
+  QueryOptions qo;
+  qo.strategy = ExecutionStrategy::kInterpret;
+  ASSERT_TRUE(session.Run(ctx, qo).ok());
+  const std::vector<int64_t> want = out;
+
+  qo.strategy = ExecutionStrategy::kAdaptiveJit;
+  auto first = session.Run(ctx, qo);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first.value().morsels, 16u);
+  EXPECT_EQ(first.value().verifier_checked, 2u);
+  EXPECT_EQ(out, want);
+  WaitForCompiles(session);
+
+  std::fill(out.begin(), out.end(), 0);
+  auto again = session.Run(ctx, qo);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again.value().verifier_checked, 0u);
+  EXPECT_EQ(again.value().injection_fallbacks, 0u);
+  EXPECT_EQ(again.value().injection_runs, 128u);
+  EXPECT_EQ(out, want);
+}
+
+// Options the plan's decisions depend on start a fresh plan: without
+// compressed-execution specialization the situations differ.
+TEST(SessionTest, ResubmittingUnderOtherDecisionOptionsDecidesAfresh) {
+  if (!jit::HostCompilerAvailable()) {
+    GTEST_SKIP() << "no host compiler";
+  }
+  auto lineitem = SmallLineitem(65'536);
+  Q1Result oracle = RunQ1Scalar(*lineitem).ValueOrDie();
+  Session session({.num_workers = 4});
+  QueryOptions qo;
+  qo.strategy = ExecutionStrategy::kAdaptiveJit;
+  Query q = MakeQ1Query(*lineitem).ValueOrDie();
+  ASSERT_TRUE(session.Run(q.context(), qo).ok());
+  WaitForCompiles(session);
+  q.ResetAggregates();
+  qo.vm.specialize_compression = false;
+  auto r = session.Run(q.context(), qo);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_GT(r.value().verifier_checked, 0u);
+  EXPECT_EQ(Q1ResultFromQuery(q), oracle);
+}
+
+// Binding an input starts a fresh plan: the plan's verdicts were observed
+// over the old data. On the first data the filter keeps ~90% of the rows
+// and fuses; on the new data it keeps ~83%, inside the band that keeps it
+// out of traces. The next submission partitions again, and its traces,
+// once compiled, leave the filter interpreted.
+TEST(SessionTest, RebindingAnInputStartsAFreshPlan) {
+  if (!jit::HostCompilerAvailable()) {
+    GTEST_SKIP() << "no host compiler";
+  }
+  const int64_t n = 32 * 1024;
+  ExecContext ctx(Checked(dsl::MakeFilterPipeline(
+      TypeId::kI64,
+      dsl::Lambda({"x"}, dsl::Call(dsl::ScalarOp::kGt,
+                                   {dsl::Var("x"), dsl::ConstI(1)})))));
+  std::vector<int64_t> out(n, -1);
+  ctx.BindOutput("out",
+                 interp::DataBinding::Raw(TypeId::kI64, out.data(), n, true));
+  std::set<std::string> installed;
+  ctx.set_task_hook([&](const interp::Interpreter& in, const Morsel&) {
+    installed.clear();
+    for (const auto& tr : in.injections()) installed.insert(tr.name);
+    return Status::OK();
+  });
+  auto has_filter = [&] {
+    for (const std::string& name : installed) {
+      if (name.find("filter") != std::string::npos) return true;
+    }
+    return false;
+  };
+  Session session({.num_workers = 1});
+  QueryOptions qo;
+  qo.strategy = ExecutionStrategy::kAdaptiveJit;
+  for (int64_t hi : {int64_t{19}, int64_t{11}}) {
+    SCOPED_TRACE(hi);
+    std::vector<int64_t> data(n);
+    Rng rng(5);
+    for (auto& x : data) x = rng.NextInRange(0, hi);
+    std::vector<int64_t> want;
+    for (int64_t x : data) {
+      if (x > 1) want.push_back(x);
+    }
+    ctx.BindInput("src",
+                  interp::DataBinding::Raw(TypeId::kI64, data.data(), n));
+    auto fresh = session.Run(ctx, qo);
+    ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+    EXPECT_EQ(fresh.value().partitions, 1u);
+    EXPECT_TRUE(std::equal(want.begin(), want.end(), out.begin()));
+    WaitForCompiles(session);
+    auto again = session.Run(ctx, qo);
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+    EXPECT_EQ(again.value().partitions, 0u);
+    EXPECT_TRUE(std::equal(want.begin(), want.end(), out.begin()));
+    EXPECT_FALSE(installed.empty());
+    EXPECT_EQ(has_filter(), hi == 19);
   }
 }
 

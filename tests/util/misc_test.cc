@@ -54,7 +54,7 @@ TEST(CpuInfoTest, HostProbeSane) {
 TEST(TimerTest, StopwatchAdvances) {
   Stopwatch sw;
   volatile double x = 0;
-  for (int i = 0; i < 100000; ++i) x += i;
+  for (int i = 0; i < 100000; ++i) x = x + i;
   EXPECT_GT(sw.ElapsedNanos(), 0u);
   EXPECT_GE(sw.ElapsedSeconds(), 0.0);
 }
@@ -62,7 +62,7 @@ TEST(TimerTest, StopwatchAdvances) {
 TEST(TimerTest, CycleCounterMonotonicish) {
   uint64_t a = ReadCycleCounter();
   volatile double x = 0;
-  for (int i = 0; i < 100000; ++i) x += i;
+  for (int i = 0; i < 100000; ++i) x = x + i;
   uint64_t b = ReadCycleCounter();
   EXPECT_GT(b, a);
 }

@@ -503,7 +503,7 @@ TEST(AdaptiveVmTest, PendingTraceInstallsAtTheChunkItsCodeLands) {
   opts.disk_cache =
       std::make_shared<jit::DiskTraceCache>(disk_dir.path(), 64 << 20);
   jit::CompilerThread compiler;
-  TracePlan plan(&compiler);
+  TracePlan plan;
   std::vector<int64_t> src = DataGen(43).UniformI64(kN, -1000, 1000);
 
   auto run = [&](AdaptiveVm& vm) {
@@ -524,7 +524,7 @@ TEST(AdaptiveVmTest, PendingTraceInstallsAtTheChunkItsCodeLands) {
     return a.from == b.from && a.to == b.to && a.iteration == b.iteration;
   };
 
-  AdaptiveVm first(&p, opts, &plan);
+  AdaptiveVm first(&p, opts, &plan, &compiler);
   auto step = first.interpreter().iteration_hook;
   first.interpreter().iteration_hook = [&](interp::Interpreter& in,
                                            uint64_t iteration) {
@@ -552,7 +552,7 @@ TEST(AdaptiveVmTest, PendingTraceInstallsAtTheChunkItsCodeLands) {
   EXPECT_TRUE(same(t1[3], {VmState::kInjectFunctions, VmState::kInterpret, 6}))
       << first.state_machine().Timeline();
 
-  AdaptiveVm second(&p, opts, &plan);
+  AdaptiveVm second(&p, opts, &plan, &compiler);
   run(second);
   const VmReport r2 = second.Report();
   EXPECT_EQ(r2.traces_compiled, 0u);

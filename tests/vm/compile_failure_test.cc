@@ -1,8 +1,9 @@
 // Host-compiler failure path. CMakeLists.txt runs this binary with
 // AVM_CXX=/bin/false, so every compile the JIT attempts fails. A failing
-// situation must cost one compile request per query — not one per recheck
-// pass — and the query must still return the interpreter's rows, report
-// the failure once it lands, and leave no compiler files behind.
+// situation must cost one compile request per submission — not one per
+// recheck pass, and not none on a re-submission of the same Query — and
+// every submission must still return the interpreter's rows, report the
+// failure once it lands, and leave no compiler files behind.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -58,6 +59,18 @@ TEST(CompileFailureTest, FailingSituationCompilesOncePerRun) {
       EXPECT_EQ(rep.compile_seconds, 0.0);
       WaitForCompiles(session);
       EXPECT_EQ(session.stats().traces_compiled, rep.traces_compiled);
+      // A failed compile leaves the Query's plan when its submission ends,
+      // so the re-submission requests each situation once more, as the
+      // fresh Query did.
+      q.ResetAggregates();
+      auto again = session.Run(q.context(), opts);
+      ASSERT_TRUE(again.ok()) << again.status().ToString();
+      EXPECT_EQ(relational::Q1ResultFromQuery(q), oracle.value());
+      EXPECT_EQ(again.value().traces_compiled, rep.traces_compiled);
+      EXPECT_EQ(again.value().verifier_checked, rep.verifier_checked);
+      EXPECT_EQ(again.value().injection_runs, 0u);
+      WaitForCompiles(session);
+      EXPECT_EQ(session.stats().traces_compiled, 2 * rep.traces_compiled);
     }
     EXPECT_FALSE(rep.jit_declined.empty());
     EXPECT_GT(rep.verifier_checked, 0u);

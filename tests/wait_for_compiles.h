@@ -3,7 +3,8 @@
 // its traces land. A test that pins compiled execution on a Session first
 // runs the query shape once, then waits here for the Session's compiles:
 // the next query of the shape finds its machine code in the process's
-// code cache and installs it at its first optimize pass.
+// code cache and installs it at its first optimize pass, and a
+// re-submission of the same query installs it before its first chunk.
 #pragma once
 
 #include <chrono>
