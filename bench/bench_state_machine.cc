@@ -103,7 +103,7 @@ void BM_StateMachine_FullAdaptiveCycle(benchmark::State& state) {
     vm::AdaptiveVm vmach(&Fixture().program, opts);
     Fixture().Bind(vmach.interpreter());
     vmach.Run().Abort();
-    timeline = vmach.Report().state_timeline;
+    timeline = vmach.state_machine().Timeline();
   }
   // Print the Fig. 1 timeline once (documentation artifact).
   static bool printed = false;

@@ -57,10 +57,16 @@ struct QueryOptions {
 };
 
 /// Unified result of one engine run: the adaptive-VM counters of every
-/// task (inherited from vm::VmReport, summed across the query's tasks;
-/// state_timeline and profile are the first morsel's worker's), plus
-/// parallelism, device and out-of-core info.
+/// task (inherited from vm::VmReport, summed across the query's tasks),
+/// plus parallelism, device and out-of-core info.
 struct ExecReport : vm::VmReport {
+  /// The first morsel's VM: its Fig. 1 state timeline
+  /// (vm::StateMachine::Timeline) and its interpreter's operator profile
+  /// (interp::Profiler::ToString); empty when no morsel-0 VM ran (a
+  /// GPU-offloaded query).
+  std::string state_timeline;
+  std::string profile;
+
   ExecutionStrategy strategy = ExecutionStrategy::kAdaptiveJit;
   std::string device = "cpu";  ///< "cpu" or "gpu-sim"
   /// SIMD kernel tier the query's interpreters dispatched to ("scalar",

@@ -362,7 +362,7 @@ struct internal::QuerySpec {
   std::vector<const Column*> column_ptrs;
   bool row_mode = false;             ///< materialize rows (no aggregates)
   std::vector<std::string> out_cols; ///< final output list (order key incl.)
-  std::vector<TypeId> out_types;     ///< parallel; from the probe lowering
+  std::vector<TypeId> out_types;     ///< parallel; fixed by Build
   size_t order_key_index = 0;        ///< row mode: order_by's out_cols slot
   /// Worst-case output rows per probe row: the product of dup_max over the
   /// hash-table joins (1 with only dense joins). Row-mode output windows
@@ -387,6 +387,10 @@ struct internal::QuerySpec {
   Status Resolve();
   Status BuildJoinDim(JoinDim& jd) const;
   Result<dsl::Program> Lower() const;
+  /// Row mode: set out_types to the types of the values `program` (this
+  /// spec's type-checked lowering) writes, and retype its out_
+  /// declarations and their references to match.
+  void FixOutputTypes(dsl::Program* program);
 };
 
 namespace {
@@ -750,26 +754,30 @@ Status internal::QuerySpec::Resolve() {
   }
 
   // Row mode: the output declarations need the VALUE types, which only the
-  // type checker knows (projection types follow promotion rules). Lower a
-  // probe program with placeholder output types — the write skeleton does
-  // not constrain its destination's type — and read the checked types off
-  // the written value expressions.
-  if (row_mode) {
-    out_types.assign(out_cols.size(), TypeId::kI64);
-    AVM_ASSIGN_OR_RETURN(dsl::Program probe, Lower());
-    AVM_RETURN_NOT_OK(dsl::TypeCheck(&probe));
-    dsl::VisitExprs(probe, [&](const dsl::ExprPtr& e) {
-      if (e->kind != dsl::ExprKind::kSkeleton ||
-          e->skeleton != SkeletonKind::kWrite) {
-        return;
-      }
-      const std::string& dest = e->args[0]->var;
-      for (size_t i = 0; i < out_cols.size(); ++i) {
-        if (OutName(out_cols[i]) == dest) out_types[i] = e->args[2]->type;
-      }
-    });
-  }
+  // type checker knows (projection types follow promotion rules). Until
+  // Build reads them off its checked lowering they are placeholders: the
+  // write skeleton does not constrain its destination's type.
+  out_types.assign(out_cols.size(), TypeId::kI64);
   return Status::OK();
+}
+
+void internal::QuerySpec::FixOutputTypes(dsl::Program* program) {
+  dsl::VisitExprs(*program, [&](const dsl::ExprPtr& e) {
+    if (e->kind != dsl::ExprKind::kSkeleton ||
+        e->skeleton != SkeletonKind::kWrite) {
+      return;
+    }
+    for (size_t i = 0; i < out_cols.size(); ++i) {
+      if (OutName(out_cols[i]) != e->args[0]->var) continue;
+      out_types[i] = e->args[2]->type;
+      e->args[0]->type = out_types[i];
+    }
+  });
+  for (dsl::DataDecl& d : program->data) {
+    for (size_t i = 0; i < out_cols.size(); ++i) {
+      if (OutName(out_cols[i]) == d.name) d.type = out_types[i];
+    }
+  }
 }
 
 // ---------------------------------------------------------------- lowering
@@ -1529,7 +1537,7 @@ Status Query::Impl::OnTask(const interp::Interpreter& in, const Morsel& m) {
   }
   std::lock_guard<std::mutex> lock(run_mu);
   if (spill_mode) {
-    // Seal the sorted scratch window to disk as one run.
+    // Append the sorted scratch window to the spill file as one run.
     if (spill == nullptr) {
       AVM_ASSIGN_OR_RETURN(spill,
                            storage::SpillFile::Create(spec->out_types));
@@ -1955,28 +1963,6 @@ const std::vector<double>& Query::aggregate_f64(
   return kEmpty;
 }
 
-Result<int64_t> Query::aggregate_at(const std::string& name,
-                                    size_t group) const {
-  if (impl_ == nullptr) {
-    return Status::InvalidArgument("Query is empty (not built)");
-  }
-  using AggKind = internal::QuerySpec::AggKind;
-  for (size_t a = 0; a < impl_->aggs.size(); ++a) {
-    if (impl_->spec->aggs[a].name != name) continue;
-    const AggKind k = impl_->spec->aggs[a].kind;
-    if (k == AggKind::kSumF64 || k == AggKind::kAvgF64) {
-      return Status::InvalidArgument("aggregate " + name +
-                                     " is floating-point; use aggregate_f64");
-    }
-    if (group >= impl_->aggs[a].i64.size()) {
-      return Status::OutOfRange(StrFormat("group %zu out of %zu", group,
-                                          impl_->aggs[a].i64.size()));
-    }
-    return impl_->aggs[a].i64[group];
-  }
-  return Status::InvalidArgument("no aggregate named " + name);
-}
-
 uint64_t Query::num_result_rows() const {
   CheckBuilt(impl_.get());
   return impl_->result_rows;
@@ -2176,6 +2162,7 @@ Result<Query> QueryBuilder::Build() {
   // mid-query; the context runs this program on every submission.
   AVM_ASSIGN_OR_RETURN(dsl::Program program, spec_->Lower());
   AVM_RETURN_NOT_OK(dsl::TypeCheck(&program));
+  spec_->FixOutputTypes(&program);
 
   auto impl = std::make_unique<Query::Impl>(spec_, std::move(program));
   const Spec& spec = *impl->spec;

@@ -105,8 +105,6 @@ class Query {
   /// Integer aggregate results (Sum/Count), one slot per group. Aborts on
   /// an unknown name or a floating-point aggregate (use aggregate_f64).
   const std::vector<int64_t>& aggregate(const std::string& name) const;
-  Result<int64_t> aggregate_at(const std::string& name,
-                               size_t group = 0) const;
 
   /// Floating-point aggregate results, one slot per group: raw sums for
   /// SumF64; finalized averages for AvgF64 (0.0 for empty groups, computed

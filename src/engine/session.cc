@@ -816,12 +816,13 @@ Status Session::RunMorselTask(QueryState& q, const Morsel& m) {
              b.binding.len);
     ++pi;
   }
-  vm::VmReport vr = vmach.Report();
   std::lock_guard<std::mutex> lock(q.mu);  // merge_mu -> mu, nowhere reversed
-  q.report.Merge(vr);
+  q.report.Merge(vmach.Report());
+  // The report keeps morsel 0's timeline and profile; no other task
+  // formats them.
   if (m.index == 0) {
-    q.report.state_timeline = std::move(vr.state_timeline);
-    q.report.profile = std::move(vr.profile);
+    q.report.state_timeline = vmach.state_machine().Timeline();
+    q.report.profile = in.profiler().ToString();
   }
   return Status::OK();
 }

@@ -17,12 +17,6 @@ std::vector<uint32_t> Profiler::HotNodes() const {
   return ids;
 }
 
-uint64_t Profiler::TotalCycles() const {
-  uint64_t total = 0;
-  for (const auto& [id, s] : stats_) total += s.cycles;
-  return total;
-}
-
 std::string Profiler::ToString() const {
   std::ostringstream os;
   os << StrFormat("%-6s %-32s %10s %12s %12s %8s %6s\n", "node", "op", "calls",

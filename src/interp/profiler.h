@@ -58,8 +58,6 @@ class Profiler {
   /// Human-readable profile dump.
   std::string ToString() const;
 
-  uint64_t TotalCycles() const;
-
  private:
   std::unordered_map<uint32_t, OpStats> stats_;
 };

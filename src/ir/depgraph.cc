@@ -481,9 +481,7 @@ std::vector<Trace> GreedyPartition(const DepGraph& graph,
       t = MakeTrace(graph, costs, region, topo_pos);
     }
     for (uint32_t id : region) visited[id] = true;
-    if (t.total_cost >= constraints.min_trace_cost) {
-      traces.push_back(std::move(t));
-    }
+    traces.push_back(std::move(t));
   }
   std::sort(traces.begin(), traces.end(),
             [](const Trace& a, const Trace& b) {

@@ -77,15 +77,13 @@ class DepGraph {
 
 /// Heuristic constraints of the greedy partitioner (paper §III-B):
 ///  - `max_streams`: no more than n inputs+intermediates per function,
-///    derived from the TLB size (prevents TLB thrashing);
-///  - `min_trace_cost`: traces cheaper than this are not worth compiling.
+///    derived from the TLB size (prevents TLB thrashing).
 /// Filters may always join a function; GreedyPartition's acceptor decides
 /// whether a region holding one stays fused (an acceptor that rejects
 /// every such region gives the paper's filter-excluding split).
 struct PartitionConstraints {
   size_t max_streams = 12;
   bool allow_scatter_gather = true;
-  double min_trace_cost = 0.0;
   size_t max_nodes = 64;
   bool operator==(const PartitionConstraints&) const = default;
 };

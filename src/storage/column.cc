@@ -83,16 +83,6 @@ Result<std::pair<const Block*, uint32_t>> Column::BlockAt(uint64_t row) const {
   return Status::Internal("block walk failed");
 }
 
-Result<Scheme> Column::SchemeAt(uint64_t row) const {
-  if (row >= num_rows_) return Status::OutOfRange("SchemeAt past end");
-  uint64_t pos = 0;
-  for (const auto& b : blocks_) {
-    if (row < pos + b.count) return b.scheme;
-    pos += b.count;
-  }
-  return Status::Internal("block walk failed");
-}
-
 size_t Column::EncodedBytes() const {
   size_t total = 0;
   for (const auto& b : blocks_) total += b.data.size();

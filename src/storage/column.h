@@ -38,9 +38,6 @@ class Column {
   /// Decode `len` values starting at global row `row` into `out`.
   Status Read(uint64_t row, uint32_t len, void* out) const;
 
-  /// Compression scheme of the block containing global row `row`.
-  Result<Scheme> SchemeAt(uint64_t row) const;
-
   /// Block containing `row`, plus the row's offset within it.
   Result<std::pair<const Block*, uint32_t>> BlockAt(uint64_t row) const;
 

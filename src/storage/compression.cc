@@ -445,14 +445,6 @@ Status DecodeBlock(const Block& b, void* out) {
   return DecodeBlockRange(b, 0, b.count, out);
 }
 
-Status DecodeForDeltas(const Block& b, uint64_t* out) {
-  if (b.scheme != Scheme::kFor) {
-    return Status::InvalidArgument("DecodeForDeltas on non-FOR block");
-  }
-  BitUnpack(b.data.data(), b.data.size(), 0, b.count, b.bit_width, out);
-  return Status::OK();
-}
-
 Status DecodeForDeltasRange32(const Block& b, uint32_t offset, uint32_t len,
                               uint32_t* out) {
   if (b.scheme != Scheme::kFor) {
@@ -465,47 +457,6 @@ Status DecodeForDeltasRange32(const Block& b, uint32_t offset, uint32_t len,
   BitUnpackEach(b.data.data(), b.data.size(), offset, len, b.bit_width,
                 [out](size_t i, uint64_t d) {
                   out[i] = static_cast<uint32_t>(d);
-                });
-  return Status::OK();
-}
-
-Status DecodeRleRuns(const Block& b, std::vector<int64_t>* values,
-                     std::vector<uint32_t>* lengths) {
-  if (b.scheme != Scheme::kRle) {
-    return Status::InvalidArgument("DecodeRleRuns on non-RLE block");
-  }
-  if (IsFloatType(b.type)) {
-    return Status::InvalidArgument("DecodeRleRuns on float block");
-  }
-  values->assign(reinterpret_cast<const int64_t*>(b.data.data()),
-                 reinterpret_cast<const int64_t*>(b.data.data()) + b.run_count);
-  const auto* len_ptr = reinterpret_cast<const uint32_t*>(
-      b.data.data() + b.run_count * sizeof(int64_t));
-  lengths->assign(len_ptr, len_ptr + b.run_count);
-  return Status::OK();
-}
-
-Status DecodeDictionary(const Block& b, std::vector<int64_t>* dict) {
-  if (b.scheme != Scheme::kDict) {
-    return Status::InvalidArgument("DecodeDictionary on non-dict block");
-  }
-  if (IsFloatType(b.type)) {
-    return Status::InvalidArgument("DecodeDictionary on float block");
-  }
-  dict->assign(reinterpret_cast<const int64_t*>(b.data.data()),
-               reinterpret_cast<const int64_t*>(b.data.data()) + b.dict_size);
-  return Status::OK();
-}
-
-Status DecodeDictCodes(const Block& b, uint32_t* codes) {
-  if (b.scheme != Scheme::kDict) {
-    return Status::InvalidArgument("DecodeDictCodes on non-dict block");
-  }
-  const Packed p = PackedOf(
-      b, IsFloatType(b.type) ? TypeWidth(b.type) : sizeof(int64_t));
-  BitUnpackEach(p.data, p.size, 0, b.count, b.bit_width,
-                [codes](size_t i, uint64_t code) {
-                  codes[i] = static_cast<uint32_t>(code);
                 });
   return Status::OK();
 }

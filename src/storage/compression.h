@@ -84,30 +84,11 @@ Status DecodeBlock(const Block& block, void* out);
 Status DecodeBlockRange(const Block& block, uint32_t offset, uint32_t len,
                         void* out);
 
-/// \name Compressed-execution accessors
-/// These expose enough structure for the VM to execute *on* compressed data
-/// (paper §III-C "compressed execution"): FOR blocks yield narrow unsigned
-/// deltas; RLE blocks yield (value, run) pairs.
-/// @{
-
-/// Decode a FOR block's bit-packed deltas (without adding the reference).
-/// Only valid for scheme == kFor. `out` receives `count` uint64 deltas.
-Status DecodeForDeltas(const Block& block, uint64_t* out);
-
-/// Decode `len` FOR deltas starting at `offset` into uint32 (requires
-/// bit_width <= 32). Used by compressed-execution JIT traces, which operate
+/// Decode `len` FOR deltas (without adding the reference) starting at
+/// `offset` into uint32 (requires scheme == kFor and bit_width <= 32). Used
+/// by compressed-execution JIT traces (paper §III-C), which operate
 /// directly on narrow deltas plus the block reference.
 Status DecodeForDeltasRange32(const Block& block, uint32_t offset,
                               uint32_t len, uint32_t* out);
-
-/// Access an RLE block's runs: values[i] repeated lengths[i] times.
-Status DecodeRleRuns(const Block& block, std::vector<int64_t>* values,
-                     std::vector<uint32_t>* lengths);
-
-/// Dictionary of a kDict block, as int64 (integers) or raw doubles.
-Status DecodeDictionary(const Block& block, std::vector<int64_t>* dict);
-/// Bit-packed codes of a kDict block.
-Status DecodeDictCodes(const Block& block, uint32_t* codes);
-/// @}
 
 }  // namespace avm

@@ -1,32 +1,12 @@
 #include "storage/datagen.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace avm {
 
 std::vector<int64_t> DataGen::UniformI64(size_t n, int64_t lo, int64_t hi) {
   std::vector<int64_t> v(n);
   for (auto& x : v) x = rng_.NextInRange(lo, hi);
-  return v;
-}
-
-std::vector<int32_t> DataGen::UniformI32(size_t n, int32_t lo, int32_t hi) {
-  std::vector<int32_t> v(n);
-  for (auto& x : v) x = static_cast<int32_t>(rng_.NextInRange(lo, hi));
-  return v;
-}
-
-std::vector<double> DataGen::UniformF64(size_t n, double lo, double hi) {
-  std::vector<double> v(n);
-  for (auto& x : v) x = lo + rng_.NextDouble() * (hi - lo);
-  return v;
-}
-
-std::vector<int64_t> DataGen::ZipfI64(size_t n, uint64_t domain, double theta) {
-  ZipfGenerator zipf(domain, theta, rng_.Next());
-  std::vector<int64_t> v(n);
-  for (auto& x : v) x = static_cast<int64_t>(zipf.Next());
   return v;
 }
 
@@ -47,12 +27,6 @@ std::vector<int64_t> DataGen::RunsI64(size_t n, int64_t domain,
     while (rng_.NextDouble() < 1.0 - 1.0 / run_len) ++len;
     for (size_t j = 0; j < len && i < n; ++j) v[i++] = value;
   }
-  return v;
-}
-
-std::vector<int64_t> DataGen::BernoulliI64(size_t n, double selectivity) {
-  std::vector<int64_t> v(n);
-  for (auto& x : v) x = rng_.NextBool(selectivity) ? 1 : 0;
   return v;
 }
 
@@ -115,48 +89,6 @@ std::unique_ptr<Table> MakeLineitem(const LineitemSpec& spec) {
   AppendColumn(table.get(), 4, returnflag.data(), n, spec.compress).Abort();
   AppendColumn(table.get(), 5, linestatus.data(), n, spec.compress).Abort();
   AppendColumn(table.get(), 6, shipdate.data(), n, spec.compress).Abort();
-  return table;
-}
-
-std::unique_ptr<Table> MakeOrders(uint64_t num_rows, uint64_t seed) {
-  Schema schema({{"o_orderkey", TypeId::kI64},
-                 {"o_custkey", TypeId::kI64},
-                 {"o_totalprice", TypeId::kI64},
-                 {"o_orderdate", TypeId::kI32}});
-  auto table = std::make_unique<Table>(schema);
-  Rng rng(seed);
-  std::vector<int64_t> orderkey(num_rows), custkey(num_rows),
-      total(num_rows);
-  std::vector<int32_t> orderdate(num_rows);
-  for (uint64_t i = 0; i < num_rows; ++i) {
-    orderkey[i] = static_cast<int64_t>(i);
-    custkey[i] = rng.NextInRange(0, std::max<int64_t>(1, num_rows / 10) - 1);
-    total[i] = rng.NextInRange(1000, 50000000);
-    orderdate[i] = static_cast<int32_t>(rng.NextInRange(8036, 10561));
-  }
-  AppendColumn(table.get(), 0, orderkey.data(), num_rows, true).Abort();
-  AppendColumn(table.get(), 1, custkey.data(), num_rows, true).Abort();
-  AppendColumn(table.get(), 2, total.data(), num_rows, true).Abort();
-  AppendColumn(table.get(), 3, orderdate.data(), num_rows, true).Abort();
-  return table;
-}
-
-std::unique_ptr<Table> MakePart(uint64_t num_rows, uint64_t seed) {
-  Schema schema({{"p_partkey", TypeId::kI64},
-                 {"p_size", TypeId::kI32},
-                 {"p_retail", TypeId::kI64}});
-  auto table = std::make_unique<Table>(schema);
-  Rng rng(seed);
-  std::vector<int64_t> partkey(num_rows), retail(num_rows);
-  std::vector<int32_t> size(num_rows);
-  for (uint64_t i = 0; i < num_rows; ++i) {
-    partkey[i] = static_cast<int64_t>(i);
-    size[i] = static_cast<int32_t>(rng.NextInRange(1, 50));
-    retail[i] = rng.NextInRange(90000, 200000);
-  }
-  AppendColumn(table.get(), 0, partkey.data(), num_rows, true).Abort();
-  AppendColumn(table.get(), 1, size.data(), num_rows, true).Abort();
-  AppendColumn(table.get(), 2, retail.data(), num_rows, true).Abort();
   return table;
 }
 

@@ -21,20 +21,12 @@ class DataGen {
 
   /// Uniform integers in [lo, hi].
   std::vector<int64_t> UniformI64(size_t n, int64_t lo, int64_t hi);
-  std::vector<int32_t> UniformI32(size_t n, int32_t lo, int32_t hi);
-  std::vector<double> UniformF64(size_t n, double lo, double hi);
-
-  /// Zipf-distributed values over [0, domain).
-  std::vector<int64_t> ZipfI64(size_t n, uint64_t domain, double theta);
 
   /// Sorted uniform integers (for Delta compression).
   std::vector<int64_t> SortedI64(size_t n, int64_t lo, int64_t hi);
 
   /// Values with average run length `run_len` (for RLE).
   std::vector<int64_t> RunsI64(size_t n, int64_t domain, double run_len);
-
-  /// Bernoulli i64 in {0,1} with P(1) = selectivity; for filter sweeps.
-  std::vector<int64_t> BernoulliI64(size_t n, double selectivity);
 
   Rng& rng() { return rng_; }
 
@@ -63,16 +55,5 @@ struct LineitemSpec {
 ///   l_shipdate      i32 days since epoch in [8036, 10561]
 ///                   (1992-01-02 .. 1998-12-01, as in TPC-H)
 std::unique_ptr<Table> MakeLineitem(const LineitemSpec& spec);
-
-/// Orders-like table for join benchmarks:
-///   o_orderkey   i64 dense [0, num_rows)
-///   o_custkey    i64 in [0, num_rows/10)
-///   o_totalprice i64
-///   o_orderdate  i32
-std::unique_ptr<Table> MakeOrders(uint64_t num_rows, uint64_t seed = 43);
-
-/// Part-like dimension table:
-///   p_partkey i64 dense, p_size i32 in [1,50], p_retail i64
-std::unique_ptr<Table> MakePart(uint64_t num_rows, uint64_t seed = 44);
 
 }  // namespace avm

@@ -17,25 +17,8 @@ namespace avm::storage {
 
 namespace {
 
-// On-disk layout, host-endian (spill files are process-local scratch that
-// never outlives the query, let alone the host).
-constexpr char kMagic[8] = {'A', 'V', 'M', 'S', 'P', 'L', '1', '\0'};
-constexpr uint32_t kVersion = 1;
-
-struct FileHeader {
-  char magic[8];
-  uint32_t version;
-  uint32_t num_cols;
-  uint64_t num_runs;
-  uint64_t dir_offset;
-  uint64_t dir_len;
-  uint64_t dir_checksum;
-  uint64_t header_checksum;  // over every preceding field
-};
-static_assert(sizeof(FileHeader) == 56, "on-disk header layout");
-
-// Incremental FNV-1a, self-consistent between the write path (AppendRun /
-// Seal) and the streaming re-read (ValidateChecksums / Open).
+// Incremental FNV-1a, self-consistent between the write path (AppendRun)
+// and the streaming re-read (ValidateChecksums).
 constexpr uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr uint64_t kFnvPrime = 1099511628211ull;
 
@@ -46,10 +29,6 @@ uint64_t FnvUpdate(uint64_t state, const void* data, size_t n) {
     state *= kFnvPrime;
   }
   return state;
-}
-
-uint64_t HeaderChecksum(const FileHeader& h) {
-  return FnvUpdate(kFnvOffset, &h, offsetof(FileHeader, header_checksum));
 }
 
 // mkdir -p: create every missing component of `path`.
@@ -108,7 +87,7 @@ void SpillFile::SetWriteLimitForTesting(int64_t bytes) {
   g_write_limit.store(bytes, std::memory_order_relaxed);
 }
 
-Status SpillFile::WriteAll(const void* data, size_t n) {
+Status SpillFile::WriteAll(const void* data, size_t n, uint64_t offset) {
   // The fault hook decrements the allowance first, so a capped run fails
   // exactly like a full disk: possibly mid-payload, after a short write.
   size_t allowed = n;
@@ -122,24 +101,23 @@ Status SpillFile::WriteAll(const void* data, size_t n) {
   size_t done = 0;
   while (done < allowed) {
     const ssize_t w = pwrite(fd_, p + done, allowed - done,
-                             static_cast<off_t>(write_pos_ + done));
+                             static_cast<off_t>(offset + done));
     if (w < 0) {
       if (errno == EINTR) continue;
       if (errno == ENOSPC) {
         return Status::ResourceExhausted(
-            StrFormat("spill write: disk full at %s", tmp_path_.c_str()));
+            StrFormat("spill write: disk full at %s", path_.c_str()));
       }
       return Status::RuntimeError(StrFormat("spill write %s: %s",
-                                            tmp_path_.c_str(),
+                                            path_.c_str(),
                                             std::strerror(errno)));
     }
     done += static_cast<size_t>(w);
   }
-  write_pos_ += done;
   if (done < n) {
     return Status::ResourceExhausted(StrFormat(
         "spill write: disk full at %s (short write, %zu of %zu bytes)",
-        tmp_path_.c_str(), done, n));
+        path_.c_str(), done, n));
   }
   return Status::OK();
 }
@@ -149,36 +127,26 @@ Result<std::unique_ptr<SpillFile>> SpillFile::Create(
   if (col_types.empty()) {
     return Status::InvalidArgument("SpillFile: no columns");
   }
-  auto f = std::unique_ptr<SpillFile>(new SpillFile());
-  f->dir_ = ResolveSpillDir(options.dir);
-  AVM_RETURN_NOT_OK(MakeDirs(f->dir_));
+  const std::string dir = ResolveSpillDir(options.dir);
+  AVM_RETURN_NOT_OK(MakeDirs(dir));
   static std::atomic<uint64_t> seq{0};
-  f->path_ = StrFormat("%s/avm-spill-%d-%llu.avmsp", f->dir_.c_str(),
+  auto f = std::unique_ptr<SpillFile>(new SpillFile());
+  f->path_ = StrFormat("%s/avm-spill-%d-%llu.avmsp", dir.c_str(),
                        static_cast<int>(getpid()),
                        (unsigned long long)seq.fetch_add(1));
-  f->tmp_path_ = f->path_ + ".tmp";
-  f->fd_ = open(f->tmp_path_.c_str(), O_RDWR | O_CREAT | O_EXCL, 0644);
+  f->fd_ = open(f->path_.c_str(), O_RDWR | O_CREAT | O_EXCL, 0644);
   if (f->fd_ < 0) {
-    return Status::RuntimeError(StrFormat("open %s: %s", f->tmp_path_.c_str(),
+    return Status::RuntimeError(StrFormat("open %s: %s", f->path_.c_str(),
                                           std::strerror(errno)));
   }
-  f->writable_ = true;
   f->col_types_ = std::move(col_types);
-  // Placeholder header; patched (with checksums) at Seal.
-  FileHeader h{};
-  f->write_pos_ = 0;
-  Status st = f->WriteAll(&h, sizeof h);
-  if (!st.ok()) {
-    f->Close();
-    return st;
-  }
   return f;
 }
 
 Result<uint64_t> SpillFile::AppendRun(uint64_t morsel, uint64_t rows,
                                       const std::vector<const uint8_t*>& cols) {
-  if (!writable_ || sealed_) {
-    return Status::InvalidArgument("AppendRun on a sealed spill file");
+  if (fd_ < 0 || sealed_) {
+    return Status::InvalidArgument("AppendRun on a sealed or closed spill file");
   }
   if (cols.size() != col_types_.size()) {
     return Status::InvalidArgument(
@@ -188,13 +156,13 @@ Result<uint64_t> SpillFile::AppendRun(uint64_t morsel, uint64_t rows,
   RunInfo info;
   info.morsel = morsel;
   info.rows = rows;
-  info.offset = write_pos_;
+  info.offset = bytes_written_;
   uint64_t sum = kFnvOffset;
   uint64_t bytes = 0;
   for (size_t c = 0; c < cols.size(); ++c) {
     const size_t n = static_cast<size_t>(rows) * TypeWidth(col_types_[c]);
     sum = FnvUpdate(sum, cols[c], n);
-    AVM_RETURN_NOT_OK(WriteAll(cols[c], n));
+    AVM_RETURN_NOT_OK(WriteAll(cols[c], n, info.offset + bytes));
     bytes += n;
   }
   info.checksum = sum;
@@ -204,86 +172,8 @@ Result<uint64_t> SpillFile::AppendRun(uint64_t morsel, uint64_t rows,
 }
 
 Status SpillFile::Seal() {
-  if (!writable_) return Status::InvalidArgument("Seal on a read-only file");
-  if (sealed_) return Status::OK();
-  FileHeader h{};
-  std::memcpy(h.magic, kMagic, sizeof kMagic);
-  h.version = kVersion;
-  h.num_cols = static_cast<uint32_t>(col_types_.size());
-  h.num_runs = runs_.size();
-  h.dir_offset = write_pos_;
-
-  // Directory blob: one type byte per column, then the packed run entries.
-  std::vector<uint8_t> dir;
-  dir.reserve(col_types_.size() + runs_.size() * sizeof(RunInfo));
-  for (TypeId t : col_types_) dir.push_back(static_cast<uint8_t>(t));
-  const auto* rbytes = reinterpret_cast<const uint8_t*>(runs_.data());
-  dir.insert(dir.end(), rbytes, rbytes + runs_.size() * sizeof(RunInfo));
-  h.dir_len = dir.size();
-  h.dir_checksum = FnvUpdate(kFnvOffset, dir.data(), dir.size());
-  h.header_checksum = HeaderChecksum(h);
-
-  AVM_RETURN_NOT_OK(WriteAll(dir.data(), dir.size()));
-  const uint64_t end_pos = write_pos_;
-  write_pos_ = 0;
-  Status st = WriteAll(&h, sizeof h);
-  write_pos_ = end_pos;
-  AVM_RETURN_NOT_OK(st);
-  if (fsync(fd_) != 0) {
-    return Status::RuntimeError(StrFormat("fsync %s: %s", tmp_path_.c_str(),
-                                          std::strerror(errno)));
-  }
-  if (rename(tmp_path_.c_str(), path_.c_str()) != 0) {
-    return Status::RuntimeError(StrFormat("rename %s -> %s: %s",
-                                          tmp_path_.c_str(), path_.c_str(),
-                                          std::strerror(errno)));
-  }
   sealed_ = true;
   return Status::OK();
-}
-
-Result<std::unique_ptr<SpillFile>> SpillFile::Open(const std::string& path) {
-  auto f = std::unique_ptr<SpillFile>(new SpillFile());
-  f->path_ = path;
-  f->tmp_path_ = path + ".tmp";
-  f->fd_ = open(path.c_str(), O_RDONLY);
-  if (f->fd_ < 0) {
-    return Status::NotFound(
-        StrFormat("open %s: %s", path.c_str(), std::strerror(errno)));
-  }
-  f->sealed_ = true;  // destructor must not leave the file behind
-  FileHeader h{};
-  AVM_RETURN_NOT_OK(PreadAll(f->fd_, &h, sizeof h, 0, "header"));
-  if (std::memcmp(h.magic, kMagic, sizeof kMagic) != 0 ||
-      h.version != kVersion) {
-    return Status::RuntimeError(
-        StrFormat("%s is not a spill file (bad magic/version)", path.c_str()));
-  }
-  if (h.header_checksum != HeaderChecksum(h)) {
-    return Status::RuntimeError(
-        StrFormat("%s: corrupt spill header (checksum mismatch)",
-                  path.c_str()));
-  }
-  if (h.dir_len !=
-      h.num_cols + h.num_runs * sizeof(RunInfo)) {
-    return Status::RuntimeError(
-        StrFormat("%s: corrupt spill directory length", path.c_str()));
-  }
-  std::vector<uint8_t> dir(h.dir_len);
-  AVM_RETURN_NOT_OK(
-      PreadAll(f->fd_, dir.data(), dir.size(), h.dir_offset, "directory"));
-  if (FnvUpdate(kFnvOffset, dir.data(), dir.size()) != h.dir_checksum) {
-    return Status::RuntimeError(StrFormat(
-        "%s: corrupt spill directory (checksum mismatch)", path.c_str()));
-  }
-  f->col_types_.resize(h.num_cols);
-  for (uint32_t c = 0; c < h.num_cols; ++c) {
-    f->col_types_[c] = static_cast<TypeId>(dir[c]);
-  }
-  f->runs_.resize(h.num_runs);
-  std::memcpy(f->runs_.data(), dir.data() + h.num_cols,
-              h.num_runs * sizeof(RunInfo));
-  return f;
 }
 
 Status SpillFile::ValidateChecksums() {
@@ -306,7 +196,7 @@ Status SpillFile::ValidateChecksums() {
     if (sum != info.checksum) {
       return Status::RuntimeError(StrFormat(
           "spill run %zu corrupt (checksum mismatch) in %s", r,
-          path().c_str()));
+          path_.c_str()));
     }
   }
   return Status::OK();
@@ -334,15 +224,12 @@ Status SpillFile::ReadRunChunk(uint64_t run, size_t col, uint64_t row_begin,
 }
 
 void SpillFile::Close() {
-  if (fd_ >= 0) {
-    close(fd_);
-    fd_ = -1;
-  }
-  // Remove both names: whichever exists. Spill files are query scratch —
-  // fault paths must not leak temps (tests assert the directory drains).
-  if (!tmp_path_.empty()) (void)unlink(tmp_path_.c_str());
-  if (!path_.empty() && writable_) (void)unlink(path_.c_str());
-  writable_ = false;
+  if (fd_ < 0) return;
+  close(fd_);
+  fd_ = -1;
+  // Spill files are query scratch: fault paths must not leak them (tests
+  // assert the directory drains).
+  (void)unlink(path_.c_str());
 }
 
 SpillFile::~SpillFile() { Close(); }

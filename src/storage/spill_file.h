@@ -1,21 +1,18 @@
 // storage::SpillFile — on-disk sorted-run storage for out-of-core ORDER BY
 // (docs/SPILL.md).
 //
-// A spill file is a query-private temp file holding the sealed per-morsel
-// kPartialOutput runs that no longer fit the query's memory budget. The
-// writer appends one run per morsel (each run: the run's rows, column-major,
-// raw host-endian values) and Seal() publishes the run directory with the
-// temp+rename, checksummed-header discipline of jit::DiskTraceCache:
+// A spill file is query scratch: one file per spilled query, holding the
+// sorted per-morsel kPartialOutput runs that no longer fit the query's
+// memory budget, and unlinked when the query ends. The writer appends one
+// run per morsel (the run's rows, column-major, raw host-endian values)
+// from offset 0:
 //
-//   [FileHeader][run 0 payload][run 1 payload]...[col types][run directory]
+//   [run 0 payload][run 1 payload]...
 //
-// The header is written as a placeholder first and patched at Seal() with
-// the directory offset and checksums, then the ".tmp" file is renamed to
-// its final name. Readers validate the header magic and directory checksum
-// at open/seal and each run's payload checksum before the k-way merge
-// streams from it (ValidateChecksums), so torn writes, truncation and
-// bit-rot surface as a clean Status instead of wrong rows. The file is
-// unlinked on Close()/destruction — spill files never outlive their query.
+// The run directory (morsel, rows, offset, FNV checksum per run) lives in
+// memory only; no process reads the file after its query. The merge runs
+// ValidateChecksums before it reads, so a corrupt or truncated run
+// surfaces as a clean Status instead of wrong rows.
 #pragma once
 
 #include <cstdint>
@@ -29,10 +26,10 @@
 namespace avm::storage {
 
 /// Writer/reader of one query's spilled sorted runs; see the file comment
-/// for the on-disk layout and integrity rules.
+/// for the layout and integrity rules.
 class SpillFile {
  public:
-  /// One sealed run: which morsel produced it and how many rows it holds.
+  /// One appended run: which morsel produced it and where its rows are.
   struct RunInfo {
     uint64_t morsel = 0;  ///< producing morsel's schedule index
     uint64_t rows = 0;
@@ -46,34 +43,27 @@ class SpillFile {
     std::string dir;
   };
 
-  /// Create a new spill file for runs of the given column layout. The file
-  /// is created as "<name>.tmp" in the spill directory and renamed at
-  /// Seal().
+  /// Create a new, empty spill file for runs of the given column layout in
+  /// the spill directory (created if missing).
   static Result<std::unique_ptr<SpillFile>> Create(
       std::vector<TypeId> col_types, Options options = {});
-
-  /// Re-open a sealed spill file read-only (validates header + directory;
-  /// used by recovery-path tests).
-  static Result<std::unique_ptr<SpillFile>> Open(const std::string& path);
 
   ~SpillFile();
   SpillFile(const SpillFile&) = delete;
   SpillFile& operator=(const SpillFile&) = delete;
 
-  /// Append one sealed run: `cols[c]` points at `rows` contiguous values of
-  /// column c (already sorted by the caller). Returns the run index.
-  /// A failed append (short write, disk full) poisons the file: the caller
-  /// must Close() and fail the query.
+  /// Append one sorted run: `cols[c]` points at `rows` contiguous values of
+  /// column c. Returns the run index. A failed append (short write, disk
+  /// full) records no run: the caller must Close() and fail the query.
   Result<uint64_t> AppendRun(uint64_t morsel, uint64_t rows,
                              const std::vector<const uint8_t*>& cols);
 
-  /// Write the run directory, patch the checksummed header, fsync, and
-  /// rename "<name>.tmp" to "<name>". No appends after sealing.
+  /// End appends: AppendRun fails with InvalidArgument from here on.
   Status Seal();
 
   /// Stream-verify every run's payload checksum (one sequential pass).
-  /// Call after Seal() and before merging — a corrupt or truncated run
-  /// fails here instead of producing wrong rows.
+  /// Call before merging — a corrupt or truncated run fails here instead
+  /// of producing wrong rows.
   Status ValidateChecksums();
 
   /// Read `rows` values of column `col` from run `run`, starting at row
@@ -82,7 +72,7 @@ class SpillFile {
   Status ReadRunChunk(uint64_t run, size_t col, uint64_t row_begin,
                       uint64_t rows, void* out) const;
 
-  /// Sealed-run metadata.
+  /// Appended-run metadata.
   uint64_t num_runs() const { return runs_.size(); }
   /// Metadata of run `r` (valid for r < num_runs()).
   const RunInfo& run(uint64_t r) const { return runs_[r]; }
@@ -90,11 +80,11 @@ class SpillFile {
   const std::vector<TypeId>& col_types() const { return col_types_; }
   /// Total payload bytes appended so far.
   uint64_t bytes_written() const { return bytes_written_; }
-  /// Path the sealed file lives at (the ".tmp" path before Seal()).
-  const std::string& path() const { return sealed_ ? path_ : tmp_path_; }
+  /// Path the file lives at until Close().
+  const std::string& path() const { return path_; }
 
-  /// Close the descriptor and unlink the file (temp and sealed paths).
-  /// Idempotent; also run by the destructor.
+  /// Close the descriptor and unlink the file. Idempotent; also run by the
+  /// destructor.
   void Close();
 
   /// Test hook: fail writes after `bytes` total bytes (simulated ENOSPC);
@@ -103,18 +93,15 @@ class SpillFile {
 
  private:
   SpillFile() = default;
-  Status WriteAll(const void* data, size_t n);
+  /// Write all `n` bytes at `offset`; a short write is ResourceExhausted.
+  Status WriteAll(const void* data, size_t n, uint64_t offset);
 
-  std::string dir_;
-  std::string path_;      ///< final (sealed) path
-  std::string tmp_path_;  ///< pre-seal path
+  std::string path_;
   int fd_ = -1;
   bool sealed_ = false;
-  bool writable_ = false;
   std::vector<TypeId> col_types_;
   std::vector<RunInfo> runs_;
   uint64_t bytes_written_ = 0;
-  uint64_t write_pos_ = 0;
 };
 
 }  // namespace avm::storage

@@ -11,51 +11,10 @@ inline uint32_t BitWidth(uint64_t v) {
   return v == 0 ? 0u : static_cast<uint32_t>(64 - std::countl_zero(v));
 }
 
-/// Round `v` up to the next multiple of `mult` (mult must be a power of two).
-inline uint64_t RoundUpPow2(uint64_t v, uint64_t mult) {
-  return (v + mult - 1) & ~(mult - 1);
-}
-
-/// Round `v` up to the next multiple of `mult` (any mult > 0).
-inline uint64_t RoundUp(uint64_t v, uint64_t mult) {
-  return ((v + mult - 1) / mult) * mult;
-}
-
-inline bool IsPow2(uint64_t v) { return v != 0 && (v & (v - 1)) == 0; }
-
 /// Next power of two >= v (v=0 -> 1).
 inline uint64_t NextPow2(uint64_t v) {
   if (v <= 1) return 1;
   return uint64_t{1} << (64 - std::countl_zero(v - 1));
-}
-
-/// Set bit `i` in bitmap.
-inline void SetBit(uint64_t* bitmap, uint64_t i) {
-  bitmap[i >> 6] |= uint64_t{1} << (i & 63);
-}
-
-/// Clear bit `i` in bitmap.
-inline void ClearBit(uint64_t* bitmap, uint64_t i) {
-  bitmap[i >> 6] &= ~(uint64_t{1} << (i & 63));
-}
-
-/// Test bit `i` in bitmap.
-inline bool GetBit(const uint64_t* bitmap, uint64_t i) {
-  return (bitmap[i >> 6] >> (i & 63)) & 1;
-}
-
-/// Number of 64-bit words needed for an `n`-bit bitmap.
-inline uint64_t BitmapWords(uint64_t n) { return (n + 63) / 64; }
-
-/// Population count over an n-bit bitmap.
-inline uint64_t CountSetBits(const uint64_t* bitmap, uint64_t n) {
-  uint64_t full = n / 64, count = 0;
-  for (uint64_t w = 0; w < full; ++w) count += std::popcount(bitmap[w]);
-  uint64_t rem = n & 63;
-  if (rem != 0) {
-    count += std::popcount(bitmap[full] & ((uint64_t{1} << rem) - 1));
-  }
-  return count;
 }
 
 }  // namespace avm::bits

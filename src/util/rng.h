@@ -64,20 +64,4 @@ class Rng {
   uint64_t s_[4];
 };
 
-/// Zipf-distributed generator over [0, n) with skew `theta` in (0, 1).
-/// Uses the standard Gray/Jim Gray et al. approximation.
-class ZipfGenerator {
- public:
-  ZipfGenerator(uint64_t n, double theta, uint64_t seed = 42);
-  uint64_t Next();
-  uint64_t n() const { return n_; }
-
- private:
-  double Zeta(uint64_t n, double theta) const;
-  Rng rng_;
-  uint64_t n_;
-  double theta_;
-  double alpha_, zetan_, eta_;
-};
-
 }  // namespace avm

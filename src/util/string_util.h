@@ -1,10 +1,9 @@
-// Small string helpers (formatting, joining) used by codegen and printers.
+// Small string helpers (formatting, prefix tests) used by codegen and printers.
 #pragma once
 
 #include <cstdarg>
 #include <cstdio>
 #include <string>
-#include <vector>
 
 namespace avm {
 
@@ -22,17 +21,6 @@ inline std::string StrFormat(const char* fmt, ...) {
   std::string out(n > 0 ? static_cast<size_t>(n) : 0, '\0');
   if (n > 0) std::vsnprintf(out.data(), out.size() + 1, fmt, ap2);
   va_end(ap2);
-  return out;
-}
-
-/// Join `parts` with `sep`.
-inline std::string StrJoin(const std::vector<std::string>& parts,
-                           const std::string& sep) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i != 0) out += sep;
-    out += parts[i];
-  }
   return out;
 }
 

@@ -34,12 +34,6 @@ class Stopwatch {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
   double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
-  uint64_t ElapsedNanos() const {
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                             start_)
-            .count());
-  }
 
  private:
   using Clock = std::chrono::steady_clock;

@@ -169,8 +169,6 @@ Status AdaptiveVm::Run() {
   Status st = interp_->Run();
   report_.iterations = interp_->loop_iterations();
   report_.chunks_streamed = interp_->chunks_streamed();
-  report_.state_timeline = sm_.Timeline();
-  report_.profile = interp_->profiler().ToString();
   report_.injection_runs = retired_runs_;
   report_.injection_fallbacks = retired_fallbacks_;
   for (const auto& tr : interp_->injections()) {

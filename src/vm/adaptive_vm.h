@@ -96,8 +96,6 @@ struct VmReport {
   /// gather bases, multi-filter traces, non-add/min/max scatter conflict
   /// functions, ...); host-compiler failures report their own status.
   std::string jit_declined;
-  std::string state_timeline;
-  std::string profile;
 
   /// The JIT's one tier, "opt" (-O2), when the JIT is enabled; empty
   /// otherwise. The benchmark driver (perfbench/) reads this and the next
@@ -123,8 +121,7 @@ struct VmReport {
   uint64_t verifier_checked = 0;
 
   /// Fold another run's report in: counts and seconds add, jit_declined and
-  /// jit_tier keep the first non-empty value. state_timeline and profile
-  /// are left alone (the caller picks a representative run's).
+  /// jit_tier keep the first non-empty value.
   void Merge(const VmReport& other);
 };
 

@@ -9,13 +9,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "engine/memory_tracker.h"
 #include "engine/query_builder.h"
 #include "engine/session.h"
 #include "storage/spill_file.h"
+#include "tests/temp_dir.h"
 #include "util/rng.h"
 
 namespace avm::engine {
@@ -106,6 +110,42 @@ Query BuildJoinOrderBy(const ProbeTable& probe, const DupBuildTable& build) {
       .OrderBy("f_key");
   return qb.Build().ValueOrDie();
 }
+
+/// Points AVM_SPILL_DIR at a not yet existing directory inside a fresh
+/// private one for its lifetime, restoring the previous value after. The
+/// first spill file creates the directory, so `used()` shows that a query
+/// spilled there and `files()` what it left behind. Set it while no
+/// Session runs: workers read the variable.
+class ScopedSpillDir {
+ public:
+  ScopedSpillDir() : dir_(parent_.path() + "/spill") {
+    if (const char* old = std::getenv("AVM_SPILL_DIR")) old_ = old;
+    ::setenv("AVM_SPILL_DIR", dir_.c_str(), 1);
+  }
+  ~ScopedSpillDir() {
+    if (old_.has_value()) {
+      ::setenv("AVM_SPILL_DIR", old_->c_str(), 1);
+    } else {
+      ::unsetenv("AVM_SPILL_DIR");
+    }
+  }
+
+  bool used() const { return std::filesystem::is_directory(dir_); }
+  size_t files() const {
+    if (!used()) return 0;
+    size_t n = 0;
+    for (const auto& e : std::filesystem::directory_iterator(dir_)) {
+      (void)e;
+      ++n;
+    }
+    return n;
+  }
+
+ private:
+  TempDir parent_{"avm_memory_budget_test"};
+  std::string dir_;
+  std::optional<std::string> old_;
+};
 
 Query BuildRowOrderBy(const ProbeTable& probe) {
   QueryBuilder qb(*probe.table);
@@ -292,9 +332,12 @@ TEST(MemoryBudgetTest, ResubmissionSwitchesBetweenResidentAndSpilled) {
   }
 }
 
-// A submission that fails mid-spill leaves no runs behind: re-submitting
-// the same Query, resident or spilled, returns exactly the golden rows.
+// A submission that fails mid-spill leaves no runs and no spill file
+// behind: re-submitting the same Query, resident or spilled, returns
+// exactly the golden rows, and a spilled submission that succeeds leaves
+// no file either.
 TEST(MemoryBudgetTest, ResubmissionAfterFailedSpillMergesOnlyItsOwnRuns) {
+  ScopedSpillDir spill_dir;
   ProbeTable probe(100'000, 300);
   Query golden = BuildRowOrderBy(probe);
   ASSERT_TRUE(
@@ -304,8 +347,8 @@ TEST(MemoryBudgetTest, ResubmissionAfterFailedSpillMergesOnlyItsOwnRuns) {
   for (uint64_t resubmit_budget : {kUnlimited, kBudget}) {
     Query q = BuildRowOrderBy(probe);
     {
-      // The 64 KiB budget seals 64 KiB runs; the write limit fails the
-      // third append.
+      // The 64 KiB budget spills 64 KiB runs; the write limit lets three
+      // through and fails the fourth append, mid-spill.
       struct WriteLimit {
         WriteLimit() {
           storage::SpillFile::SetWriteLimitForTesting(3 * kBudget);
@@ -318,11 +361,14 @@ TEST(MemoryBudgetTest, ResubmissionAfterFailedSpillMergesOnlyItsOwnRuns) {
       EXPECT_EQ(failed.status().code(), StatusCode::kResourceExhausted)
           << failed.status().ToString();
       ASSERT_GE(q.context().spill_stats().spill_runs, 1u);
+      ASSERT_TRUE(spill_dir.used());
+      EXPECT_EQ(spill_dir.files(), 0u) << "a failed spill left its file";
     }
     auto rep =
         Session({.num_workers = 1}).Run(q.context(), Opts(resubmit_budget));
     ASSERT_TRUE(rep.ok()) << rep.status().ToString();
     EXPECT_EQ(rep.value().bytes_spilled > 0, resubmit_budget == kBudget);
+    EXPECT_EQ(spill_dir.files(), 0u) << "a spilled query left its file";
     ExpectSameColumns(q, golden);
   }
 }

@@ -175,15 +175,6 @@ TEST(PartitionTest, MaxNodesRespected) {
   for (const auto& t : traces) EXPECT_EQ(t.node_ids.size(), 1u);
 }
 
-TEST(PartitionTest, MinCostFiltersCheapTraces) {
-  dsl::Program p;
-  auto gr = BuildFig2Graph(&p);
-  ASSERT_TRUE(gr.ok());
-  PartitionConstraints c;
-  c.min_trace_cost = 1e12;
-  EXPECT_TRUE(GreedyPartition(gr.value(), c).empty());
-}
-
 TEST(PartitionTest, TracesSortedByCost) {
   dsl::Program p;
   auto gr = BuildFig2Graph(&p);

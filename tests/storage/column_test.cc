@@ -52,11 +52,11 @@ TEST(ColumnTest, PerBlockSchemesCanDiffer) {
   ASSERT_TRUE(col.AppendValues(wide.data(), 1000).ok());
   ASSERT_EQ(col.num_blocks(), 3u);
   EXPECT_NE(col.block(0).scheme, col.block(2).scheme);
-  auto s0 = col.SchemeAt(500);
-  auto s2 = col.SchemeAt(2500);
-  ASSERT_TRUE(s0.ok() && s2.ok());
-  EXPECT_EQ(s0.value(), col.block(0).scheme);
-  EXPECT_EQ(s2.value(), col.block(2).scheme);
+  auto b0 = col.BlockAt(500);
+  auto b2 = col.BlockAt(2500);
+  ASSERT_TRUE(b0.ok() && b2.ok());
+  EXPECT_EQ(b0.value().first->scheme, col.block(0).scheme);
+  EXPECT_EQ(b2.value().first->scheme, col.block(2).scheme);
 }
 
 TEST(ColumnTest, ForcedSchemePerBlock) {

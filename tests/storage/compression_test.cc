@@ -161,18 +161,6 @@ TEST(CompressionRatioTest, ForBeatsPlainOnNarrowData) {
 // Compressed-execution accessors
 // ---------------------------------------------------------------------------
 
-TEST(ForAccessorTest, DeltasPlusRefReconstruct) {
-  std::vector<int64_t> v{100, 105, 103, 100, 110};
-  auto blk = EncodeBlock(Scheme::kFor, TypeId::kI64, v.data(), 5);
-  ASSERT_TRUE(blk.ok());
-  EXPECT_EQ(blk.value().for_ref, 100);
-  std::vector<uint64_t> deltas(5);
-  ASSERT_TRUE(DecodeForDeltas(blk.value(), deltas.data()).ok());
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(blk.value().for_ref + static_cast<int64_t>(deltas[i]), v[i]);
-  }
-}
-
 TEST(ForAccessorTest, Range32) {
   DataGen gen(6);
   auto v = gen.UniformI64(1000, 5000, 9000);
@@ -189,31 +177,9 @@ TEST(ForAccessorTest, Range32) {
 TEST(ForAccessorTest, RejectsWrongScheme) {
   std::vector<int64_t> v{1, 2, 3};
   auto blk = EncodeBlock(Scheme::kPlain, TypeId::kI64, v.data(), 3);
-  std::vector<uint64_t> d(3);
-  EXPECT_TRUE(DecodeForDeltas(blk.value(), d.data()).IsInvalidArgument());
-}
-
-TEST(RleAccessorTest, RunsMatch) {
-  std::vector<int64_t> v{7, 7, 7, 2, 2, 9};
-  auto blk = EncodeBlock(Scheme::kRle, TypeId::kI64, v.data(), 6);
-  ASSERT_TRUE(blk.ok());
-  std::vector<int64_t> values;
-  std::vector<uint32_t> lengths;
-  ASSERT_TRUE(DecodeRleRuns(blk.value(), &values, &lengths).ok());
-  EXPECT_EQ(values, (std::vector<int64_t>{7, 2, 9}));
-  EXPECT_EQ(lengths, (std::vector<uint32_t>{3, 2, 1}));
-}
-
-TEST(DictAccessorTest, DictionaryAndCodes) {
-  std::vector<int64_t> v{50, 60, 50, 70, 60};
-  auto blk = EncodeBlock(Scheme::kDict, TypeId::kI64, v.data(), 5);
-  ASSERT_TRUE(blk.ok());
-  std::vector<int64_t> dict;
-  ASSERT_TRUE(DecodeDictionary(blk.value(), &dict).ok());
-  EXPECT_EQ(dict, (std::vector<int64_t>{50, 60, 70}));
-  std::vector<uint32_t> codes(5);
-  ASSERT_TRUE(DecodeDictCodes(blk.value(), codes.data()).ok());
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(dict[codes[i]], v[i]);
+  std::vector<uint32_t> d(3);
+  EXPECT_TRUE(
+      DecodeForDeltasRange32(blk.value(), 0, 3, d.data()).IsInvalidArgument());
 }
 
 TEST(DecodeRangeTest, OutOfRangeRejected) {

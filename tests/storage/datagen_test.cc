@@ -27,14 +27,6 @@ TEST(DataGenTest, SortedIsSorted) {
   EXPECT_TRUE(std::is_sorted(v.begin(), v.end()));
 }
 
-TEST(DataGenTest, BernoulliSelectivity) {
-  DataGen gen(3);
-  auto v = gen.BernoulliI64(100000, 0.2);
-  int64_t sum = 0;
-  for (auto x : v) sum += x;
-  EXPECT_NEAR(sum / 100000.0, 0.2, 0.01);
-}
-
 TEST(LineitemTest, SchemaAndDomains) {
   LineitemSpec spec;
   spec.num_rows = 20000;
@@ -81,23 +73,6 @@ TEST(LineitemTest, CompressionActuallyHappens) {
   spec.compress = false;
   auto plain = MakeLineitem(spec);
   EXPECT_LT(compressed->EncodedBytes(), plain->EncodedBytes());
-}
-
-TEST(OrdersTest, DenseKeys) {
-  auto t = MakeOrders(5000);
-  std::vector<int64_t> keys(5000);
-  ASSERT_TRUE(t->column(0).Read(0, 5000, keys.data()).ok());
-  for (int i = 0; i < 5000; ++i) EXPECT_EQ(keys[i], i);
-}
-
-TEST(PartTest, SizesInRange) {
-  auto t = MakePart(3000);
-  std::vector<int32_t> sizes(3000);
-  ASSERT_TRUE(t->column(1).Read(0, 3000, sizes.data()).ok());
-  for (auto s : sizes) {
-    ASSERT_GE(s, 1);
-    ASSERT_LE(s, 50);
-  }
 }
 
 }  // namespace

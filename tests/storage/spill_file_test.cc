@@ -1,53 +1,55 @@
-// storage::SpillFile integrity tests: round-trips through seal/reopen,
-// fault injection (short writes / simulated ENOSPC, corrupted and
-// truncated sealed files), bounds checking, and the no-leaked-temp-files
+// storage::SpillFile integrity tests: append/read round trips, fault
+// injection (short writes / simulated ENOSPC, corrupted and truncated
+// payloads made through path()), bounds checking, and the no-leaked-files
 // guarantee — every failure must surface as a clean Status, never as
 // wrong rows or an orphaned file.
 #include "storage/spill_file.h"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
+
+#include "tests/temp_dir.h"
 
 namespace avm::storage {
 namespace {
 
 namespace fs = std::filesystem;
 
-/// Fresh private spill directory per test, removed (and checked empty of
-/// spill files) at teardown.
+/// Fresh private spill directory per test, removed at teardown.
 class SpillFileTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("avm-spill-test-" + std::to_string(::getpid()) + "-" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name());
-    fs::remove_all(dir_);
-    fs::create_directories(dir_);
-  }
+  void TearDown() override { SpillFile::SetWriteLimitForTesting(-1); }
 
-  void TearDown() override {
-    SpillFile::SetWriteLimitForTesting(-1);
-    fs::remove_all(dir_);
-  }
-
-  SpillFile::Options Opts() const { return {dir_.string()}; }
+  SpillFile::Options Opts() const { return {dir_.path()}; }
 
   size_t FilesInDir() const {
     size_t n = 0;
-    for (const auto& e : fs::directory_iterator(dir_)) {
+    for (const auto& e : fs::directory_iterator(dir_.path())) {
       (void)e;
       ++n;
     }
     return n;
   }
 
-  fs::path dir_;
+  /// A one-column i64 spill file holding one run of 0..rows-1.
+  std::unique_ptr<SpillFile> OneRun(uint64_t rows) {
+    auto created = SpillFile::Create({TypeId::kI64}, Opts());
+    EXPECT_TRUE(created.ok()) << created.status().ToString();
+    if (!created.ok()) return nullptr;
+    std::unique_ptr<SpillFile> sf = std::move(created).value();
+    std::vector<int64_t> v(rows);
+    for (uint64_t i = 0; i < rows; ++i) v[i] = static_cast<int64_t>(i);
+    const std::vector<const uint8_t*> cols = {
+        reinterpret_cast<const uint8_t*>(v.data())};
+    EXPECT_TRUE(sf->AppendRun(0, rows, cols).ok());
+    return sf;
+  }
+
+  TempDir dir_{"avm_spill_file_test"};
 };
 
 std::vector<int64_t> Iota(uint64_t n, int64_t start) {
@@ -60,6 +62,7 @@ TEST_F(SpillFileTest, RoundTripMultiRunMultiColumn) {
   auto created = SpillFile::Create({TypeId::kI64, TypeId::kF64}, Opts());
   ASSERT_TRUE(created.ok()) << created.status().ToString();
   std::unique_ptr<SpillFile> sf = std::move(created).value();
+  EXPECT_EQ(fs::file_size(sf->path()), 0u);  // Create writes nothing
 
   const uint64_t kRuns = 3, kRows = 1000;
   for (uint64_t r = 0; r < kRuns; ++r) {
@@ -75,26 +78,21 @@ TEST_F(SpillFileTest, RoundTripMultiRunMultiColumn) {
     ASSERT_TRUE(run.ok()) << run.status().ToString();
     EXPECT_EQ(run.value(), r);
   }
+  // The file holds the payload and nothing else.
   EXPECT_EQ(sf->bytes_written(), kRuns * kRows * (8 + 8));
+  EXPECT_EQ(fs::file_size(sf->path()), sf->bytes_written());
   ASSERT_TRUE(sf->Seal().ok());
   ASSERT_TRUE(sf->ValidateChecksums().ok());
 
-  // Reopen the sealed file and read back an unaligned chunk of each run.
-  auto reopened = SpillFile::Open(sf->path());
-  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  std::unique_ptr<SpillFile> rd = std::move(reopened).value();
-  ASSERT_EQ(rd->num_runs(), kRuns);
-  ASSERT_EQ(rd->col_types().size(), 2u);
-  EXPECT_EQ(rd->col_types()[0], TypeId::kI64);
-  EXPECT_EQ(rd->col_types()[1], TypeId::kF64);
-  ASSERT_TRUE(rd->ValidateChecksums().ok());
+  // Read back an unaligned chunk of each run.
+  ASSERT_EQ(sf->num_runs(), kRuns);
   for (uint64_t r = 0; r < kRuns; ++r) {
-    EXPECT_EQ(rd->run(r).morsel, r);
-    EXPECT_EQ(rd->run(r).rows, kRows);
+    EXPECT_EQ(sf->run(r).morsel, r);
+    EXPECT_EQ(sf->run(r).rows, kRows);
     std::vector<int64_t> keys(257);
     std::vector<double> vals(257);
-    ASSERT_TRUE(rd->ReadRunChunk(r, 0, 123, 257, keys.data()).ok());
-    ASSERT_TRUE(rd->ReadRunChunk(r, 1, 123, 257, vals.data()).ok());
+    ASSERT_TRUE(sf->ReadRunChunk(r, 0, 123, 257, keys.data()).ok());
+    ASSERT_TRUE(sf->ReadRunChunk(r, 1, 123, 257, vals.data()).ok());
     for (uint64_t i = 0; i < 257; ++i) {
       const int64_t want = static_cast<int64_t>(r) * 10'000 + 123 +
                            static_cast<int64_t>(i);
@@ -103,20 +101,13 @@ TEST_F(SpillFileTest, RoundTripMultiRunMultiColumn) {
     }
   }
 
-  // Close() unlinks: rd holds the sealed path, sf the (renamed-away) temp.
-  rd->Close();
   sf->Close();
   EXPECT_EQ(FilesInDir(), 0u);
 }
 
 TEST_F(SpillFileTest, ReadRunChunkBoundsChecked) {
-  auto created = SpillFile::Create({TypeId::kI64}, Opts());
-  ASSERT_TRUE(created.ok());
-  std::unique_ptr<SpillFile> sf = std::move(created).value();
-  std::vector<int64_t> v = Iota(100, 0);
-  const std::vector<const uint8_t*> cols = {
-      reinterpret_cast<const uint8_t*>(v.data())};
-  ASSERT_TRUE(sf->AppendRun(0, 100, cols).ok());
+  std::unique_ptr<SpillFile> sf = OneRun(100);
+  ASSERT_NE(sf, nullptr);
   ASSERT_TRUE(sf->Seal().ok());
 
   int64_t out[8];
@@ -126,20 +117,34 @@ TEST_F(SpillFileTest, ReadRunChunkBoundsChecked) {
   EXPECT_TRUE(sf->ReadRunChunk(0, 0, 0, 8, out).ok());
 }
 
-TEST_F(SpillFileTest, SimulatedDiskFullFailsCleanlyAndLeaksNothing) {
-  auto created = SpillFile::Create({TypeId::kI64}, Opts());
-  ASSERT_TRUE(created.ok());
-  std::unique_ptr<SpillFile> sf = std::move(created).value();
+TEST_F(SpillFileTest, AppendAfterSealIsInvalidArgument) {
+  std::unique_ptr<SpillFile> sf = OneRun(64);
+  ASSERT_NE(sf, nullptr);
+  ASSERT_TRUE(sf->Seal().ok());
+  std::vector<int64_t> v = Iota(64, 0);
+  const std::vector<const uint8_t*> cols = {
+      reinterpret_cast<const uint8_t*>(v.data())};
+  Status st = sf->AppendRun(1, 64, cols).status();
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  EXPECT_EQ(sf->num_runs(), 1u);
+}
 
+TEST_F(SpillFileTest, SimulatedDiskFullFailsCleanlyAndLeaksNothing) {
+  std::unique_ptr<SpillFile> sf = OneRun(4096);
+  ASSERT_NE(sf, nullptr);
   std::vector<int64_t> v = Iota(4096, 0);
   const std::vector<const uint8_t*> cols = {
       reinterpret_cast<const uint8_t*>(v.data())};
-  ASSERT_TRUE(sf->AppendRun(0, 4096, cols).ok());
 
-  // Allow a short write partway into the next run, then nothing.
+  // A short write partway into the next run, then a full disk.
   SpillFile::SetWriteLimitForTesting(1000);
   Status st = sf->AppendRun(1, 4096, cols).status();
   EXPECT_EQ(st.code(), StatusCode::kResourceExhausted) << st.ToString();
+  st = sf->AppendRun(2, 4096, cols).status();
+  EXPECT_EQ(st.code(), StatusCode::kResourceExhausted) << st.ToString();
+  // A failed append records no run and no payload bytes.
+  EXPECT_EQ(sf->num_runs(), 1u);
+  EXPECT_EQ(sf->bytes_written(), 4096u * 8);
 
   // A poisoned writer must still tear down without leaving files behind.
   SpillFile::SetWriteLimitForTesting(-1);
@@ -147,69 +152,15 @@ TEST_F(SpillFileTest, SimulatedDiskFullFailsCleanlyAndLeaksNothing) {
   EXPECT_EQ(FilesInDir(), 0u);
 }
 
-TEST_F(SpillFileTest, SealUnderDiskFullFailsCleanly) {
-  auto created = SpillFile::Create({TypeId::kI64}, Opts());
-  ASSERT_TRUE(created.ok());
-  std::unique_ptr<SpillFile> sf = std::move(created).value();
-  std::vector<int64_t> v = Iota(512, 0);
-  const std::vector<const uint8_t*> cols = {
-      reinterpret_cast<const uint8_t*>(v.data())};
-  ASSERT_TRUE(sf->AppendRun(0, 512, cols).ok());
-
-  SpillFile::SetWriteLimitForTesting(0);  // directory write must fail
-  Status st = sf->Seal();
-  EXPECT_EQ(st.code(), StatusCode::kResourceExhausted) << st.ToString();
-  SpillFile::SetWriteLimitForTesting(-1);
-  sf->Close();
-  EXPECT_EQ(FilesInDir(), 0u);
-}
-
-TEST_F(SpillFileTest, CorruptHeaderRejectedAtOpen) {
-  auto created = SpillFile::Create({TypeId::kI64}, Opts());
-  ASSERT_TRUE(created.ok());
-  std::unique_ptr<SpillFile> sf = std::move(created).value();
-  std::vector<int64_t> v = Iota(256, 0);
-  const std::vector<const uint8_t*> cols = {
-      reinterpret_cast<const uint8_t*>(v.data())};
-  ASSERT_TRUE(sf->AppendRun(0, 256, cols).ok());
-  ASSERT_TRUE(sf->Seal().ok());
-  const std::string path = sf->path();
-
-  // Flip one byte inside the checksummed header region.
-  {
-    FILE* f = std::fopen(path.c_str(), "r+b");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fseek(f, 12, SEEK_SET), 0);
-    int c = std::fgetc(f);
-    ASSERT_NE(c, EOF);
-    ASSERT_EQ(std::fseek(f, 12, SEEK_SET), 0);
-    std::fputc(c ^ 0x5a, f);
-    std::fclose(f);
-  }
-  auto reopened = SpillFile::Open(path);
-  ASSERT_FALSE(reopened.ok());
-  EXPECT_TRUE(reopened.status().IsRuntimeError())
-      << reopened.status().ToString();
-  sf->Close();
-  EXPECT_EQ(FilesInDir(), 0u);
-}
-
 TEST_F(SpillFileTest, CorruptPayloadCaughtByValidateNeverWrongRows) {
-  auto created = SpillFile::Create({TypeId::kI64}, Opts());
-  ASSERT_TRUE(created.ok());
-  std::unique_ptr<SpillFile> sf = std::move(created).value();
-  std::vector<int64_t> v = Iota(256, 0);
-  const std::vector<const uint8_t*> cols = {
-      reinterpret_cast<const uint8_t*>(v.data())};
-  ASSERT_TRUE(sf->AppendRun(0, 256, cols).ok());
+  std::unique_ptr<SpillFile> sf = OneRun(256);
+  ASSERT_NE(sf, nullptr);
   ASSERT_TRUE(sf->Seal().ok());
-  const std::string path = sf->path();
 
-  // Flip a payload byte (past the 56-byte header). The header and run
-  // directory stay valid, so Open succeeds — but the pre-merge checksum
-  // pass must refuse to serve the run.
+  // Flip a payload byte: the pre-merge checksum pass must refuse to serve
+  // the run.
   {
-    FILE* f = std::fopen(path.c_str(), "r+b");
+    FILE* f = std::fopen(sf->path().c_str(), "r+b");
     ASSERT_NE(f, nullptr);
     ASSERT_EQ(std::fseek(f, 64, SEEK_SET), 0);
     int c = std::fgetc(f);
@@ -218,55 +169,44 @@ TEST_F(SpillFileTest, CorruptPayloadCaughtByValidateNeverWrongRows) {
     std::fputc(c ^ 0xff, f);
     std::fclose(f);
   }
-  auto reopened = SpillFile::Open(path);
-  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  std::unique_ptr<SpillFile> rd = std::move(reopened).value();
-  Status st = rd->ValidateChecksums();
+  Status st = sf->ValidateChecksums();
   EXPECT_TRUE(st.IsRuntimeError()) << st.ToString();
-  rd->Close();
   sf->Close();
   EXPECT_EQ(FilesInDir(), 0u);
 }
 
-TEST_F(SpillFileTest, TruncatedFileRejected) {
-  auto created = SpillFile::Create({TypeId::kI64}, Opts());
-  ASSERT_TRUE(created.ok());
-  std::unique_ptr<SpillFile> sf = std::move(created).value();
-  std::vector<int64_t> v = Iota(1024, 0);
-  const std::vector<const uint8_t*> cols = {
-      reinterpret_cast<const uint8_t*>(v.data())};
-  ASSERT_TRUE(sf->AppendRun(0, 1024, cols).ok());
+TEST_F(SpillFileTest, TruncatedPayloadCaughtByValidate) {
+  std::unique_ptr<SpillFile> sf = OneRun(1024);
+  ASSERT_NE(sf, nullptr);
   ASSERT_TRUE(sf->Seal().ok());
-  const std::string path = sf->path();
 
-  // Cut the file mid-payload: the run directory at the tail is gone.
-  fs::resize_file(path, 56 + 512);
-  auto reopened = SpillFile::Open(path);
-  ASSERT_FALSE(reopened.ok());
-  EXPECT_TRUE(reopened.status().IsRuntimeError())
-      << reopened.status().ToString();
+  // Cut the file mid-payload: the checksum pass and a read past the cut
+  // both fail, neither returns rows.
+  fs::resize_file(sf->path(), 512);
+  Status st = sf->ValidateChecksums();
+  EXPECT_TRUE(st.IsRuntimeError()) << st.ToString();
+  int64_t out[8];
+  st = sf->ReadRunChunk(0, 0, 1000, 8, out);
+  EXPECT_TRUE(st.IsRuntimeError()) << st.ToString();
   sf->Close();
   EXPECT_EQ(FilesInDir(), 0u);
 }
 
-TEST_F(SpillFileTest, OpenMissingFileIsNotFound) {
-  auto reopened = SpillFile::Open((dir_ / "nope.avmsp").string());
-  ASSERT_FALSE(reopened.ok());
-  EXPECT_TRUE(reopened.status().IsNotFound()) << reopened.status().ToString();
-}
-
-TEST_F(SpillFileTest, DestructorUnlinksUnsealedFile) {
+TEST_F(SpillFileTest, DestructorUnlinksFile) {
   {
-    auto created = SpillFile::Create({TypeId::kI64}, Opts());
-    ASSERT_TRUE(created.ok());
-    std::unique_ptr<SpillFile> sf = std::move(created).value();
-    std::vector<int64_t> v = Iota(64, 0);
-    const std::vector<const uint8_t*> cols = {
-        reinterpret_cast<const uint8_t*>(v.data())};
-    ASSERT_TRUE(sf->AppendRun(0, 64, cols).ok());
+    std::unique_ptr<SpillFile> sf = OneRun(64);
+    ASSERT_NE(sf, nullptr);
     EXPECT_EQ(FilesInDir(), 1u);
   }
   EXPECT_EQ(FilesInDir(), 0u);
+  {
+    std::unique_ptr<SpillFile> sf = OneRun(64);
+    ASSERT_NE(sf, nullptr);
+    ASSERT_TRUE(sf->Seal().ok());
+    sf->Close();
+    sf->Close();  // idempotent
+    EXPECT_EQ(FilesInDir(), 0u);
+  }
 }
 
 }  // namespace

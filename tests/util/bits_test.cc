@@ -15,59 +15,12 @@ TEST(BitsTest, BitWidth) {
   EXPECT_EQ(BitWidth(~uint64_t{0}), 64u);
 }
 
-TEST(BitsTest, RoundUpPow2) {
-  EXPECT_EQ(RoundUpPow2(0, 8), 0u);
-  EXPECT_EQ(RoundUpPow2(1, 8), 8u);
-  EXPECT_EQ(RoundUpPow2(8, 8), 8u);
-  EXPECT_EQ(RoundUpPow2(9, 8), 16u);
-}
-
-TEST(BitsTest, RoundUpGeneral) {
-  EXPECT_EQ(RoundUp(10, 3), 12u);
-  EXPECT_EQ(RoundUp(9, 3), 9u);
-}
-
-TEST(BitsTest, IsPow2) {
-  EXPECT_FALSE(IsPow2(0));
-  EXPECT_TRUE(IsPow2(1));
-  EXPECT_TRUE(IsPow2(64));
-  EXPECT_FALSE(IsPow2(63));
-}
-
 TEST(BitsTest, NextPow2) {
   EXPECT_EQ(NextPow2(0), 1u);
   EXPECT_EQ(NextPow2(1), 1u);
   EXPECT_EQ(NextPow2(3), 4u);
   EXPECT_EQ(NextPow2(64), 64u);
   EXPECT_EQ(NextPow2(65), 128u);
-}
-
-TEST(BitsTest, BitmapSetGetClear) {
-  uint64_t bm[2] = {0, 0};
-  SetBit(bm, 3);
-  SetBit(bm, 64);
-  SetBit(bm, 127);
-  EXPECT_TRUE(GetBit(bm, 3));
-  EXPECT_TRUE(GetBit(bm, 64));
-  EXPECT_TRUE(GetBit(bm, 127));
-  EXPECT_FALSE(GetBit(bm, 4));
-  ClearBit(bm, 64);
-  EXPECT_FALSE(GetBit(bm, 64));
-}
-
-TEST(BitsTest, CountSetBits) {
-  uint64_t bm[2] = {0, 0};
-  for (uint64_t i = 0; i < 100; i += 3) SetBit(bm, i);
-  EXPECT_EQ(CountSetBits(bm, 128), 34u);
-  // Partial count stops at n bits.
-  EXPECT_EQ(CountSetBits(bm, 10), 4u);  // bits 0,3,6,9
-}
-
-TEST(BitsTest, BitmapWords) {
-  EXPECT_EQ(BitmapWords(0), 0u);
-  EXPECT_EQ(BitmapWords(1), 1u);
-  EXPECT_EQ(BitmapWords(64), 1u);
-  EXPECT_EQ(BitmapWords(65), 2u);
 }
 
 }  // namespace

@@ -21,12 +21,6 @@ TEST(StrFormatTest, EmptyAndLong) {
   EXPECT_EQ(StrFormat("%s", big.c_str()).size(), 5000u);
 }
 
-TEST(StrJoinTest, Joins) {
-  EXPECT_EQ(StrJoin({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(StrJoin({}, ","), "");
-  EXPECT_EQ(StrJoin({"only"}, ","), "only");
-}
-
 TEST(StartsWithTest, Basics) {
   EXPECT_TRUE(StartsWith("cast_i16", "cast_"));
   EXPECT_FALSE(StartsWith("cas", "cast_"));
@@ -55,8 +49,7 @@ TEST(TimerTest, StopwatchAdvances) {
   Stopwatch sw;
   volatile double x = 0;
   for (int i = 0; i < 100000; ++i) x = x + i;
-  EXPECT_GT(sw.ElapsedNanos(), 0u);
-  EXPECT_GE(sw.ElapsedSeconds(), 0.0);
+  EXPECT_GT(sw.ElapsedSeconds(), 0.0);
 }
 
 TEST(TimerTest, CycleCounterMonotonicish) {

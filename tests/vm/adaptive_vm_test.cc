@@ -185,9 +185,9 @@ TEST(AdaptiveVmTest, CompilesAndInjectsMidRun) {
   }
 
   // The Fig. 1 cycle appears in the timeline.
-  EXPECT_NE(report.state_timeline.find("Interpret -> Optimize"),
-            std::string::npos);
-  EXPECT_NE(report.state_timeline.find("GenerateCode -> InjectFunctions"),
+  const std::string timeline = vm.state_machine().Timeline();
+  EXPECT_NE(timeline.find("Interpret -> Optimize"), std::string::npos);
+  EXPECT_NE(timeline.find("GenerateCode -> InjectFunctions"),
             std::string::npos);
 }
 
