@@ -2,17 +2,16 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cmath>
 #include <cstring>
 #include <map>
 #include <mutex>
 #include <numeric>
 #include <set>
-#include <type_traits>
 #include <utility>
 
 #include "analysis/verify_program.h"
 #include "dsl/typecheck.h"
+#include "engine/row_sort.h"
 #include "storage/spill_file.h"
 #include "util/hash.h"
 #include "util/string_util.h"
@@ -78,58 +77,6 @@ Status ValidateScalarExpr(const dsl::Expr& e, const char* where) {
     AVM_RETURN_NOT_OK(ValidateScalarExpr(*a, where));
   }
   return Status::OK();
-}
-
-/// The one ORDER BY key comparison: whether key `a` sorts strictly before
-/// key `b` in direction `dir`. Ascending order is `<` for integers and
-/// bools (false before true); for floats every NaN sorts after every
-/// number and all NaNs are equivalent, a strict weak ordering even on
-/// dirty data (raw operator< would hand std::stable_sort an intransitive
-/// comparator: UB). Descending reverses it.
-template <typename T>
-bool KeyBefore(T a, T b, SortDir dir) {
-  if (dir == SortDir::kDescending) std::swap(a, b);
-  if constexpr (std::is_floating_point_v<T>) {
-    if (std::isnan(a)) return false;
-    if (std::isnan(b)) return true;
-  }
-  return a < b;
-}
-
-/// The one row sort of ORDER BY, for per-morsel output windows and for
-/// grouped result rows: stably sorts `rows` rows stored column-wise at
-/// `bases` (column c typed types[c]) by column `key`. Ties keep input
-/// order, so merging sorted runs in input order equals one global stable
-/// sort.
-void SortRows(const std::vector<TypeId>& types,
-              const std::vector<uint8_t*>& bases, size_t key, SortDir dir,
-              uint64_t rows) {
-  if (rows < 2) return;
-  std::vector<uint64_t> perm(rows);
-  DispatchType(types[key], [&]<typename T>() {
-    using Keyed = std::pair<T, uint64_t>;
-    std::vector<Keyed> keyed(rows);
-    for (uint64_t r = 0; r < rows; ++r) {
-      std::memcpy(&keyed[r].first, bases[key] + r * sizeof(T), sizeof(T));
-      keyed[r].second = r;
-    }
-    std::stable_sort(keyed.begin(), keyed.end(),
-                     [dir](const Keyed& a, const Keyed& b) {
-                       return KeyBefore(a.first, b.first, dir);
-                     });
-    for (uint64_t r = 0; r < rows; ++r) perm[r] = keyed[r].second;
-  });
-  std::vector<uint8_t> tmp;
-  for (size_t c = 0; c < bases.size(); ++c) {
-    DispatchType(types[c], [&]<typename T>() {
-      tmp.resize(rows * sizeof(T));
-      for (uint64_t r = 0; r < rows; ++r) {
-        std::memcpy(&tmp[r * sizeof(T)], bases[c] + perm[r] * sizeof(T),
-                    sizeof(T));
-      }
-    });
-    std::memcpy(bases[c], tmp.data(), tmp.size());
-  }
 }
 
 /// Rows per read buffer of a spilled run during the merge, summed over the

@@ -93,14 +93,6 @@ template <typename Emit> void BitUnpackEach(const uint8_t* src, size_t size,
   for (; i < n; ++i, bitpos += width) emit(i, ReadBits(src, bitpos, width));
 }
 
-/// Decode the `n` values starting at value index `first` of the `size`-byte
-/// packed buffer `src` into `out` (BitUnpackEach into a uint64 array).
-inline void BitUnpack(const uint8_t* src, size_t size, size_t first, size_t n,
-                      uint32_t width, uint64_t* out) {
-  BitUnpackEach(src, size, first, n, width,
-                [out](size_t i, uint64_t v) { out[i] = v; });
-}
-
 /// Zigzag-encode a signed value into unsigned (small magnitudes → small).
 inline uint64_t ZigzagEncode(int64_t v) {
   return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);

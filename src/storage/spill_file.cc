@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -17,19 +18,82 @@ namespace avm::storage {
 
 namespace {
 
-// Incremental FNV-1a, self-consistent between the write path (AppendRun)
-// and the streaming re-read (ValidateChecksums).
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-uint64_t FnvUpdate(uint64_t state, const void* data, size_t n) {
-  const auto* p = static_cast<const uint8_t*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    state ^= p[i];
-    state *= kFnvPrime;
+// Streaming 64-bit checksum of one run's payload: four independent lanes
+// over 32-byte stripes, each 8-byte word mixed in with xxHash64's round
+// (its high bits fold down through the rotate), then xxHash64's tail and
+// avalanche. A partial stripe carries over between Update calls, so the
+// digest depends only on the bytes, not on how AppendRun (column by
+// column) and ValidateChecksums (fixed-size reads) split them.
+class RunHasher {
+ public:
+  void Update(const void* data, size_t n) {
+    const auto* p = static_cast<const uint8_t*>(data);
+    total_ += n;
+    if (held_ > 0) {
+      const size_t take = std::min(n, kStripe - held_);
+      std::memcpy(stripe_ + held_, p, take);
+      held_ += take;
+      p += take;
+      n -= take;
+      if (held_ < kStripe) return;
+      Stripe(stripe_);
+      held_ = 0;
+    }
+    for (; n >= kStripe; p += kStripe, n -= kStripe) Stripe(p);
+    std::memcpy(stripe_, p, n);
+    held_ = n;
   }
-  return state;
-}
+
+  uint64_t Digest() const {
+    uint64_t h = kP5;
+    if (total_ >= kStripe) {
+      h = std::rotl(lane_[0], 1) + std::rotl(lane_[1], 7) +
+          std::rotl(lane_[2], 12) + std::rotl(lane_[3], 18);
+      for (uint64_t lane : lane_) h = (h ^ Round(0, lane)) * kP1 + kP4;
+    }
+    h += total_;
+    size_t i = 0;
+    for (; i + 8 <= held_; i += 8) {
+      h = std::rotl(h ^ Round(0, Load<uint64_t>(stripe_ + i)), 27) * kP1 + kP4;
+    }
+    if (i + 4 <= held_) {
+      h = std::rotl(h ^ Load<uint32_t>(stripe_ + i) * kP1, 23) * kP2 + kP3;
+      i += 4;
+    }
+    for (; i < held_; ++i) h = std::rotl(h ^ stripe_[i] * kP5, 11) * kP1;
+    h = (h ^ (h >> 33)) * kP2;
+    h = (h ^ (h >> 29)) * kP3;
+    return h ^ (h >> 32);
+  }
+
+ private:
+  static constexpr size_t kStripe = 32;
+  static constexpr uint64_t kP1 = 0x9E3779B185EBCA87ull;
+  static constexpr uint64_t kP2 = 0xC2B2AE3D27D4EB4Full;
+  static constexpr uint64_t kP3 = 0x165667B19E3779F9ull;
+  static constexpr uint64_t kP4 = 0x85EBCA77C2B2AE63ull;
+  static constexpr uint64_t kP5 = 0x27D4EB2F165667C5ull;
+
+  template <typename W>
+  static uint64_t Load(const uint8_t* p) {
+    W w;
+    std::memcpy(&w, p, sizeof(w));
+    return w;
+  }
+  static uint64_t Round(uint64_t acc, uint64_t word) {
+    return std::rotl(acc + word * kP2, 31) * kP1;
+  }
+  void Stripe(const uint8_t* p) {
+    for (size_t l = 0; l < 4; ++l) {
+      lane_[l] = Round(lane_[l], Load<uint64_t>(p + 8 * l));
+    }
+  }
+
+  uint64_t lane_[4] = {kP1 + kP2, kP2, 0, 0 - kP1};
+  uint8_t stripe_[kStripe] = {};
+  size_t held_ = 0;
+  uint64_t total_ = 0;
+};
 
 // mkdir -p: create every missing component of `path`.
 Status MakeDirs(const std::string& path) {
@@ -46,8 +110,7 @@ Status MakeDirs(const std::string& path) {
   return Status::OK();
 }
 
-std::string ResolveSpillDir(const std::string& requested) {
-  if (!requested.empty()) return requested;
+std::string ResolveSpillDir() {
   const char* env = std::getenv("AVM_SPILL_DIR");
   if (env != nullptr && *env != '\0') return env;
   const char* tmp = std::getenv("TMPDIR");
@@ -123,11 +186,11 @@ Status SpillFile::WriteAll(const void* data, size_t n, uint64_t offset) {
 }
 
 Result<std::unique_ptr<SpillFile>> SpillFile::Create(
-    std::vector<TypeId> col_types, Options options) {
+    std::vector<TypeId> col_types) {
   if (col_types.empty()) {
     return Status::InvalidArgument("SpillFile: no columns");
   }
-  const std::string dir = ResolveSpillDir(options.dir);
+  const std::string dir = ResolveSpillDir();
   AVM_RETURN_NOT_OK(MakeDirs(dir));
   static std::atomic<uint64_t> seq{0};
   auto f = std::unique_ptr<SpillFile>(new SpillFile());
@@ -157,15 +220,15 @@ Result<uint64_t> SpillFile::AppendRun(uint64_t morsel, uint64_t rows,
   info.morsel = morsel;
   info.rows = rows;
   info.offset = bytes_written_;
-  uint64_t sum = kFnvOffset;
+  RunHasher sum;
   uint64_t bytes = 0;
   for (size_t c = 0; c < cols.size(); ++c) {
     const size_t n = static_cast<size_t>(rows) * TypeWidth(col_types_[c]);
-    sum = FnvUpdate(sum, cols[c], n);
+    sum.Update(cols[c], n);
     AVM_RETURN_NOT_OK(WriteAll(cols[c], n, info.offset + bytes));
     bytes += n;
   }
-  info.checksum = sum;
+  info.checksum = sum.Digest();
   runs_.push_back(info);
   bytes_written_ += bytes;
   return static_cast<uint64_t>(runs_.size() - 1);
@@ -182,18 +245,18 @@ Status SpillFile::ValidateChecksums() {
     const RunInfo& info = runs_[r];
     uint64_t bytes = 0;
     for (TypeId t : col_types_) bytes += info.rows * TypeWidth(t);
-    uint64_t sum = kFnvOffset;
+    RunHasher sum;
     uint64_t off = info.offset;
     uint64_t left = bytes;
     while (left > 0) {
       const size_t n = static_cast<size_t>(std::min<uint64_t>(left,
                                                               buf.size()));
       AVM_RETURN_NOT_OK(PreadAll(fd_, buf.data(), n, off, "run payload"));
-      sum = FnvUpdate(sum, buf.data(), n);
+      sum.Update(buf.data(), n);
       off += n;
       left -= n;
     }
-    if (sum != info.checksum) {
+    if (sum.Digest() != info.checksum) {
       return Status::RuntimeError(StrFormat(
           "spill run %zu corrupt (checksum mismatch) in %s", r,
           path_.c_str()));

@@ -9,10 +9,12 @@
 //
 //   [run 0 payload][run 1 payload]...
 //
-// The run directory (morsel, rows, offset, FNV checksum per run) lives in
-// memory only; no process reads the file after its query. The merge runs
-// ValidateChecksums before it reads, so a corrupt or truncated run
-// surfaces as a clean Status instead of wrong rows.
+// The run directory (morsel, rows, offset, checksum per run) lives in
+// memory only; no process reads the file after its query. A run's checksum
+// is a 64-bit hash in the style of xxHash64: four lanes over 32-byte
+// stripes, read a word at a time. The merge runs ValidateChecksums before
+// it reads, so a corrupt or truncated run surfaces as a clean Status
+// instead of wrong rows.
 #pragma once
 
 #include <cstdint>
@@ -34,19 +36,14 @@ class SpillFile {
     uint64_t morsel = 0;  ///< producing morsel's schedule index
     uint64_t rows = 0;
     uint64_t offset = 0;    ///< payload offset in the file
-    uint64_t checksum = 0;  ///< FNV hash of the run payload
-  };
-
-  /// Spill placement knobs; `dir` empty resolves AVM_SPILL_DIR, then
-  /// TMPDIR, then /tmp.
-  struct Options {
-    std::string dir;
+    uint64_t checksum = 0;  ///< four-lane word hash of the run payload
   };
 
   /// Create a new, empty spill file for runs of the given column layout in
-  /// the spill directory (created if missing).
+  /// the spill directory, AVM_SPILL_DIR, else TMPDIR, else /tmp (created if
+  /// missing).
   static Result<std::unique_ptr<SpillFile>> Create(
-      std::vector<TypeId> col_types, Options options = {});
+      std::vector<TypeId> col_types);
 
   ~SpillFile();
   SpillFile(const SpillFile&) = delete;

@@ -736,14 +736,17 @@ TEST(JoinBuilderTest, MultiPartMergeMatchesStableSortAtEveryWorkerCount) {
     kConstantKey,     // every splitter equal: one part holds every row
     kDescendingTies,  // 1,000 values, ties across every run
     kF64NaNAndZeros,  // a splitter among -0.0/+0.0, NaNs at the end
+    kF64Descending,   // the same keys descending: NaNs first
     kUnordered,       // no ORDER BY: parts split the runs' concatenation
   };
   constexpr uint64_t kRows = 80'000;
   for (Case c : {Case::kThreeValues, Case::kConstantKey,
                  Case::kDescendingTies, Case::kF64NaNAndZeros,
-                 Case::kUnordered}) {
+                 Case::kF64Descending, Case::kUnordered}) {
     SCOPED_TRACE("case " + std::to_string(static_cast<int>(c)));
-    const bool f64 = c == Case::kF64NaNAndZeros;
+    const bool f64 = c == Case::kF64NaNAndZeros || c == Case::kF64Descending;
+    const bool descending =
+        c == Case::kDescendingTies || c == Case::kF64Descending;
     std::vector<int64_t> ik(kRows), tag(kRows);
     std::vector<double> fk(kRows);
     Rng rng(19);
@@ -762,6 +765,7 @@ TEST(JoinBuilderTest, MultiPartMergeMatchesStableSortAtEveryWorkerCount) {
           ik[i] = r;
           break;
         case Case::kF64NaNAndZeros:
+        case Case::kF64Descending:
           // 20% distinct negatives, 25% zeros of either sign, 30% distinct
           // positives, 25% NaN.
           if (r < 200) {
@@ -802,29 +806,31 @@ TEST(JoinBuilderTest, MultiPartMergeMatchesStableSortAtEveryWorkerCount) {
       if (c == Case::kUnordered) {
         qb.Filter(Var("k") < ConstI(900)).Output("k").Output("tag");
       } else {
-        qb.Output("tag").OrderBy("k", c == Case::kDescendingTies
-                                          ? SortDir::kDescending
-                                          : SortDir::kAscending);
+        qb.Output("tag").OrderBy(
+            "k", descending ? SortDir::kDescending : SortDir::kAscending);
       }
       return qb.Build().ValueOrDie();
     };
 
     // Oracle: the surviving input rows, stably sorted (NaN after every
-    // number, -0.0 equivalent to +0.0).
+    // number, -0.0 equivalent to +0.0; descending reverses the order).
     std::vector<uint64_t> order;
     for (uint64_t i = 0; i < kRows; ++i) {
       if (c != Case::kUnordered || ik[i] < 900) order.push_back(i);
     }
+    auto ascending = [&](uint64_t a, uint64_t b) {
+      if (f64) {
+        if (std::isnan(fk[a])) return false;
+        if (std::isnan(fk[b])) return true;
+        return fk[a] < fk[b];
+      }
+      return ik[a] < ik[b];
+    };
     if (c != Case::kUnordered) {
-      std::stable_sort(order.begin(), order.end(), [&](uint64_t a,
-                                                       uint64_t b) {
-        if (f64) {
-          if (std::isnan(fk[a])) return false;
-          if (std::isnan(fk[b])) return true;
-          return fk[a] < fk[b];
-        }
-        return c == Case::kDescendingTies ? ik[a] > ik[b] : ik[a] < ik[b];
-      });
+      std::stable_sort(order.begin(), order.end(),
+                       [&](uint64_t a, uint64_t b) {
+                         return descending ? ascending(b, a) : ascending(a, b);
+                       });
     }
     ASSERT_GE(order.size(), 4 * 16'384u);
     std::vector<uint8_t> want_k(order.size() * 8), want_tag(order.size() * 8);

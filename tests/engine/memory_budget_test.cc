@@ -9,9 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <filesystem>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -110,42 +108,6 @@ Query BuildJoinOrderBy(const ProbeTable& probe, const DupBuildTable& build) {
       .OrderBy("f_key");
   return qb.Build().ValueOrDie();
 }
-
-/// Points AVM_SPILL_DIR at a not yet existing directory inside a fresh
-/// private one for its lifetime, restoring the previous value after. The
-/// first spill file creates the directory, so `used()` shows that a query
-/// spilled there and `files()` what it left behind. Set it while no
-/// Session runs: workers read the variable.
-class ScopedSpillDir {
- public:
-  ScopedSpillDir() : dir_(parent_.path() + "/spill") {
-    if (const char* old = std::getenv("AVM_SPILL_DIR")) old_ = old;
-    ::setenv("AVM_SPILL_DIR", dir_.c_str(), 1);
-  }
-  ~ScopedSpillDir() {
-    if (old_.has_value()) {
-      ::setenv("AVM_SPILL_DIR", old_->c_str(), 1);
-    } else {
-      ::unsetenv("AVM_SPILL_DIR");
-    }
-  }
-
-  bool used() const { return std::filesystem::is_directory(dir_); }
-  size_t files() const {
-    if (!used()) return 0;
-    size_t n = 0;
-    for (const auto& e : std::filesystem::directory_iterator(dir_)) {
-      (void)e;
-      ++n;
-    }
-    return n;
-  }
-
- private:
-  TempDir parent_{"avm_memory_budget_test"};
-  std::string dir_;
-  std::optional<std::string> old_;
-};
 
 Query BuildRowOrderBy(const ProbeTable& probe) {
   QueryBuilder qb(*probe.table);
@@ -337,7 +299,7 @@ TEST(MemoryBudgetTest, ResubmissionSwitchesBetweenResidentAndSpilled) {
 // exactly the golden rows, and a spilled submission that succeeds leaves
 // no file either.
 TEST(MemoryBudgetTest, ResubmissionAfterFailedSpillMergesOnlyItsOwnRuns) {
-  ScopedSpillDir spill_dir;
+  ScopedSpillDir spill_dir("avm_memory_budget_test");
   ProbeTable probe(100'000, 300);
   Query golden = BuildRowOrderBy(probe);
   ASSERT_TRUE(

@@ -25,7 +25,8 @@ TEST_P(BitPackWidthTest, RoundTripsRandomValues) {
   std::vector<uint8_t> packed;
   BitPack(values.data(), n, width, &packed);
   std::vector<uint64_t> decoded(n, 0xdeadbeef);
-  BitUnpack(packed.data(), packed.size(), 0, n, width, decoded.data());
+  BitUnpackEach(packed.data(), packed.size(), 0, n, width,
+                [&](size_t i, uint64_t v) { decoded[i] = v; });
   EXPECT_EQ(values, decoded) << "width=" << width;
 }
 
@@ -42,7 +43,8 @@ TEST_P(BitPackWidthTest, RandomAccessDecode) {
   BitPack(values.data(), n, width, &packed);
   // Decode a middle range only.
   std::vector<uint64_t> part(20);
-  BitUnpack(packed.data(), packed.size(), 37, 20, width, part.data());
+  BitUnpackEach(packed.data(), packed.size(), 37, 20, width,
+                [&](size_t i, uint64_t v) { part[i] = v; });
   for (size_t i = 0; i < 20; ++i) EXPECT_EQ(part[i], values[37 + i]);
 }
 
@@ -107,7 +109,8 @@ TEST(BitPackTest, WidthZeroDecodesZeros) {
   BitPack(v, 4, 0, &packed);
   EXPECT_TRUE(packed.empty());
   uint64_t out[4] = {9, 9, 9, 9};
-  BitUnpack(packed.data(), packed.size(), 0, 4, 0, out);
+  BitUnpackEach(packed.data(), packed.size(), 0, 4, 0,
+                [&](size_t i, uint64_t v) { out[i] = v; });
   for (uint64_t x : out) EXPECT_EQ(x, 0u);
 }
 
@@ -118,7 +121,8 @@ TEST(BitPackTest, AppendsToExistingBuffer) {
   EXPECT_EQ(buf[0], 0xff);
   EXPECT_EQ(buf[1], 0xee);
   uint64_t out[2];
-  BitUnpack(buf.data() + 2, buf.size() - 2, 0, 2, 4, out);
+  BitUnpackEach(buf.data() + 2, buf.size() - 2, 0, 2, 4,
+                [&](size_t i, uint64_t v) { out[i] = v; });
   EXPECT_EQ(out[0], 5u);
   EXPECT_EQ(out[1], 6u);
 }

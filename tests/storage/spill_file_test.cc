@@ -1,7 +1,8 @@
-// storage::SpillFile integrity tests: append/read round trips, fault
-// injection (short writes / simulated ENOSPC, corrupted and truncated
-// payloads made through path()), bounds checking, and the no-leaked-files
-// guarantee — every failure must surface as a clean Status, never as
+// storage::SpillFile integrity tests: append/read round trips, the run
+// checksum (the same however a run's bytes are split, and broken by each
+// flip of a table), fault injection (short writes / simulated ENOSPC,
+// corrupted and truncated payloads made through path()), bounds checking,
+// and the no-leaked-files guarantee — every failure must surface as a clean Status, never as
 // wrong rows or an orphaned file.
 #include "storage/spill_file.h"
 
@@ -10,34 +11,28 @@
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "tests/temp_dir.h"
+#include "util/rng.h"
 
 namespace avm::storage {
 namespace {
 
 namespace fs = std::filesystem;
 
-/// Fresh private spill directory per test, removed at teardown.
+/// Fresh private spill directory per test (AVM_SPILL_DIR), removed at
+/// teardown.
 class SpillFileTest : public ::testing::Test {
  protected:
   void TearDown() override { SpillFile::SetWriteLimitForTesting(-1); }
 
-  SpillFile::Options Opts() const { return {dir_.path()}; }
-
-  size_t FilesInDir() const {
-    size_t n = 0;
-    for (const auto& e : fs::directory_iterator(dir_.path())) {
-      (void)e;
-      ++n;
-    }
-    return n;
-  }
+  size_t FilesInDir() const { return spill_dir_.files(); }
 
   /// A one-column i64 spill file holding one run of 0..rows-1.
   std::unique_ptr<SpillFile> OneRun(uint64_t rows) {
-    auto created = SpillFile::Create({TypeId::kI64}, Opts());
+    auto created = SpillFile::Create({TypeId::kI64});
     EXPECT_TRUE(created.ok()) << created.status().ToString();
     if (!created.ok()) return nullptr;
     std::unique_ptr<SpillFile> sf = std::move(created).value();
@@ -49,7 +44,37 @@ class SpillFileTest : public ::testing::Test {
     return sf;
   }
 
-  TempDir dir_{"avm_spill_file_test"};
+  /// A sealed spill file holding one run of kMixedRows random rows in
+  /// columns 1, 2, 4 and 8 bytes wide (`cols` receives their bytes).
+  std::unique_ptr<SpillFile> MixedWidthRun(
+      std::vector<std::vector<uint8_t>>* cols) {
+    auto created = SpillFile::Create(
+        {TypeId::kI8, TypeId::kI16, TypeId::kI32, TypeId::kI64});
+    EXPECT_TRUE(created.ok()) << created.status().ToString();
+    if (!created.ok()) return nullptr;
+    std::unique_ptr<SpillFile> sf = std::move(created).value();
+    Rng rng(29);
+    cols->clear();
+    std::vector<const uint8_t*> bases;
+    for (size_t width : {1, 2, 4, 8}) {
+      std::vector<uint8_t>& col = cols->emplace_back(kMixedRows * width);
+      for (uint8_t& b : col) b = static_cast<uint8_t>(rng.Next());
+      bases.push_back(col.data());
+    }
+    EXPECT_TRUE(sf->AppendRun(0, kMixedRows, bases).ok());
+    EXPECT_TRUE(sf->Seal().ok());
+    return sf;
+  }
+
+  /// 40,001 rows of 15 bytes: a 600,015-byte run, longer than
+  /// ValidateChecksums' 256 KiB reads, whose column boundaries
+  /// (kMixedBoundaries) fall on no multiple of 8.
+  static constexpr uint64_t kMixedRows = 40'001;
+  static constexpr uint64_t kMixedBytes = kMixedRows * 15;
+  static constexpr uint64_t kMixedBoundaries[3] = {
+      kMixedRows, kMixedRows * 3, kMixedRows * 7};
+
+  ScopedSpillDir spill_dir_{"avm_spill_file_test"};
 };
 
 std::vector<int64_t> Iota(uint64_t n, int64_t start) {
@@ -59,7 +84,7 @@ std::vector<int64_t> Iota(uint64_t n, int64_t start) {
 }
 
 TEST_F(SpillFileTest, RoundTripMultiRunMultiColumn) {
-  auto created = SpillFile::Create({TypeId::kI64, TypeId::kF64}, Opts());
+  auto created = SpillFile::Create({TypeId::kI64, TypeId::kF64});
   ASSERT_TRUE(created.ok()) << created.status().ToString();
   std::unique_ptr<SpillFile> sf = std::move(created).value();
   EXPECT_EQ(fs::file_size(sf->path()), 0u);  // Create writes nothing
@@ -152,27 +177,70 @@ TEST_F(SpillFileTest, SimulatedDiskFullFailsCleanlyAndLeaksNothing) {
   EXPECT_EQ(FilesInDir(), 0u);
 }
 
-TEST_F(SpillFileTest, CorruptPayloadCaughtByValidateNeverWrongRows) {
-  std::unique_ptr<SpillFile> sf = OneRun(256);
+TEST_F(SpillFileTest, MixedWidthRunRoundTripsAndValidates) {
+  // AppendRun hashes the run column by column and ValidateChecksums in
+  // 256 KiB reads, so the two split the payload at different offsets, none
+  // a multiple of 8: only a checksum that is the same however its bytes
+  // are split validates this run.
+  for (uint64_t boundary : kMixedBoundaries) EXPECT_NE(boundary % 8, 0u);
+  EXPECT_GT(kMixedBytes, 2u * 256 * 1024);
+  std::vector<std::vector<uint8_t>> cols;
+  std::unique_ptr<SpillFile> sf = MixedWidthRun(&cols);
   ASSERT_NE(sf, nullptr);
-  ASSERT_TRUE(sf->Seal().ok());
-
-  // Flip a payload byte: the pre-merge checksum pass must refuse to serve
-  // the run.
-  {
-    FILE* f = std::fopen(sf->path().c_str(), "r+b");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fseek(f, 64, SEEK_SET), 0);
-    int c = std::fgetc(f);
-    ASSERT_NE(c, EOF);
-    ASSERT_EQ(std::fseek(f, 64, SEEK_SET), 0);
-    std::fputc(c ^ 0xff, f);
-    std::fclose(f);
-  }
+  EXPECT_EQ(sf->bytes_written(), kMixedBytes);
+  EXPECT_EQ(fs::file_size(sf->path()), kMixedBytes);
   Status st = sf->ValidateChecksums();
-  EXPECT_TRUE(st.IsRuntimeError()) << st.ToString();
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  for (size_t c = 0; c < cols.size(); ++c) {
+    std::vector<uint8_t> back(cols[c].size());
+    ASSERT_TRUE(sf->ReadRunChunk(0, c, 0, kMixedRows, back.data()).ok());
+    EXPECT_EQ(back, cols[c]) << "column " << c;
+  }
   sf->Close();
   EXPECT_EQ(FilesInDir(), 0u);
+}
+
+TEST_F(SpillFileTest, CorruptPayloadCaughtByValidateNeverWrongRows) {
+  // Each row flips the given bits (byte offset, mask) of a fresh copy of
+  // the mixed-width run: the pre-merge checksum pass must refuse to serve
+  // it. The last row flips the top bits of two words one 32-byte stripe
+  // apart, which cancel in a lane hash that only multiplies.
+  struct Flip {
+    std::string what;
+    std::vector<std::pair<uint64_t, uint8_t>> bits;
+  };
+  std::vector<Flip> flips = {
+      {"first byte", {{0, 0x01}}},
+      {"last byte", {{kMixedBytes - 1, 0x80}}},
+  };
+  for (uint64_t boundary : kMixedBoundaries) {
+    const std::string at = std::to_string(boundary);
+    flips.push_back({"byte before boundary " + at, {{boundary - 1, 0x40}}});
+    flips.push_back({"byte at boundary " + at, {{boundary, 0x02}}});
+  }
+  flips.push_back({"bit 7 of bytes 7 and 39", {{7, 0x80}, {39, 0x80}}});
+
+  for (const Flip& flip : flips) {
+    SCOPED_TRACE(flip.what);
+    std::vector<std::vector<uint8_t>> cols;
+    std::unique_ptr<SpillFile> sf = MixedWidthRun(&cols);
+    ASSERT_NE(sf, nullptr);
+    ASSERT_TRUE(sf->ValidateChecksums().ok());
+    FILE* f = std::fopen(sf->path().c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    for (auto [offset, mask] : flip.bits) {
+      ASSERT_EQ(std::fseek(f, static_cast<long>(offset), SEEK_SET), 0);
+      const int c = std::fgetc(f);
+      ASSERT_NE(c, EOF);
+      ASSERT_EQ(std::fseek(f, static_cast<long>(offset), SEEK_SET), 0);
+      ASSERT_NE(std::fputc(c ^ mask, f), EOF);
+    }
+    ASSERT_EQ(std::fclose(f), 0);
+    Status st = sf->ValidateChecksums();
+    EXPECT_TRUE(st.IsRuntimeError()) << st.ToString();
+    sf->Close();
+    EXPECT_EQ(FilesInDir(), 0u);
+  }
 }
 
 TEST_F(SpillFileTest, TruncatedPayloadCaughtByValidate) {
