@@ -27,6 +27,7 @@ namespace {
 class RunHasher {
  public:
   void Update(const void* data, size_t n) {
+    if (n == 0) return;  // `data` may be null
     const auto* p = static_cast<const uint8_t*>(data);
     total_ += n;
     if (held_ > 0) {
