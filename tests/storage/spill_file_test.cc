@@ -178,10 +178,11 @@ TEST_F(SpillFileTest, SimulatedDiskFullFailsCleanlyAndLeaksNothing) {
 }
 
 TEST_F(SpillFileTest, MixedWidthRunRoundTripsAndValidates) {
-  // AppendRun hashes the run column by column and ValidateChecksums in
-  // 256 KiB reads, so the two split the payload at different offsets, none
-  // a multiple of 8: only a checksum that is the same however its bytes
-  // are split validates this run.
+  // AppendRun hashes the run column by column, so its calls split the
+  // payload at the column boundaries, none a multiple of 8, and carry a
+  // partial stripe between calls. ValidateChecksums reads in aligned
+  // 256 KiB pieces. The run validates only if the two splits give the
+  // same digest.
   for (uint64_t boundary : kMixedBoundaries) EXPECT_NE(boundary % 8, 0u);
   EXPECT_GT(kMixedBytes, 2u * 256 * 1024);
   std::vector<std::vector<uint8_t>> cols;
